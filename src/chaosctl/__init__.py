@@ -30,7 +30,7 @@ from .controls import (
     controlled_map,
     target_for_state,
 )
-from .core import DomainSpec, MapModel, as_state, contains, fd_jacobian, norm
+from .core import DomainSpec, MapModel, as_state, fd_jacobian, norm
 from .cost import CostEstimate, cost_per_step
 from .dynamics import (
     OrbitError,
@@ -61,7 +61,7 @@ __all__ = [
     "LipschitzEstimate", "LpaParams", "MapModel", "OrbitError",
     "RickerParams", "SCHEMES", "ScanRecord", "StabilityReport",
     "apply_control", "as_state", "bifurcation_scan", "bound_A",
-    "compose_vmtoc", "conjugate_state", "contains", "controlled_map",
+    "compose_vmtoc", "conjugate_state", "controlled_map",
     "cost_per_step", "detect_bubbles", "detect_period", "fd_jacobian",
     "find_fixed_point", "global_cstar", "iterate_orbit",
     "lipschitz_estimate", "local_cstar", "lpa_eval", "lpa_jacobian",

@@ -8,7 +8,8 @@ report files written with 17 significant digits, so reruns with the same
 config and seed are byte-identical.
 
 Commands: simulate | equilibrium | stability | bifurcate | bubbles |
-lyapunov | cost.  ``CHAOSCTL_THREADS`` optionally caps scan parallelism.
+lyapunov | cost.  ``bifurcate`` and ``bubbles`` exit 1 when every grid
+point failed.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis, cost as cost_mod, dynamics, models
-from .controls import ControlConfig, controlled_map
+from .controls import ControlConfig, ControlConfigError, controlled_map
 from .core import MapModel
 
 COMMANDS = ("simulate", "equilibrium", "stability", "bifurcate", "bubbles",
@@ -202,10 +203,8 @@ def build_control(cfg: RunConfig, model: MapModel):
     target = cfg["control.target"]
     try:
         return ControlConfig(scheme=scheme, intensity=intensity, target=target)
-    except ValueError as exc:
-        key = "control.intensity" if "intensity" in str(exc) else "control.scheme" \
-            if "scheme" in str(exc) else "control.target"
-        raise ConfigError(key, str(exc)) from exc
+    except ControlConfigError as exc:
+        raise ConfigError(f"control.{exc.field}", str(exc)) from exc
 
 
 def _initial_state(cfg: RunConfig, model: MapModel) -> np.ndarray:
@@ -267,8 +266,8 @@ def _write_scan_csv(path, records, costs=None):
 
 def _scan(cfg: RunConfig, model: MapModel):
     scheme = cfg["control.scheme"]
-    if scheme in ("none", "PF", "MPF"):
-        raise ConfigError("control.scheme", "scans need a target scheme (VMTOC or VTOC)")
+    if scheme not in ("VMTOC", "VTOC"):
+        raise ConfigError("control.scheme", "scans support VMTOC and VTOC only")
     target = cfg["control.target"]
     if target is None:
         raise ConfigError("control.target", "scans need a target")
@@ -308,6 +307,7 @@ def run(cfg: RunConfig, strict: bool = False) -> int:
     prefix = cfg["out.prefix"]
     report = [f"command = {command}", f"model = {model.name or cfg['model.kind']}",
               f"seed = {cfg['run.seed']}"]
+    failure = None
 
     if command == "simulate":
         orbit = dynamics.iterate_orbit(model, control, _initial_state(cfg, model),
@@ -347,6 +347,8 @@ def run(cfg: RunConfig, strict: bool = False) -> int:
         failures = [r for r in records if r.error]
         report.append(f"grid_points = {len(records)}")
         report.append(f"errors = {len(failures)}")
+        if records and len(failures) == len(records):
+            failure = f"every grid point failed: {failures[0].error}"
         stable = [r.c for r in records if all(p == 1 for p in r.periods)]
         report.append("first_all_stable_c = " +
                       (f"{stable[0]:.17g}" if stable else "none"))
@@ -377,6 +379,9 @@ def run(cfg: RunConfig, strict: bool = False) -> int:
         report.append(f"cost.norm = {est.norm_kind}")
 
     _write(f"{prefix}.report.txt", report)
+    if failure:
+        print(f"error: {failure}", file=sys.stderr)
+        return 1
     return 0
 
 

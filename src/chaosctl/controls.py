@@ -25,6 +25,14 @@ SCHEMES = ("VMTOC", "VTOC", "PF", "MPF", "DIAG-VMTOC")
 _TARGETLESS = ("PF", "MPF")
 
 
+class ControlConfigError(ValueError):
+    """An invalid :class:`ControlConfig`; ``field`` names the offending field."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class ControlConfig:
     """Scheme tag, control intensity and target state.
@@ -40,21 +48,22 @@ class ControlConfig:
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown control scheme: {self.scheme!r}")
+            raise ControlConfigError("scheme", f"unknown control scheme: {self.scheme!r}")
         if self.scheme == "DIAG-VMTOC":
             cs = tuple(float(c) for c in np.atleast_1d(self.intensity))
             object.__setattr__(self, "intensity", cs)
         else:
             if np.ndim(self.intensity) != 0:
-                raise ValueError(f"{self.scheme} takes a scalar intensity")
+                raise ControlConfigError("intensity", f"{self.scheme} takes a scalar intensity")
             object.__setattr__(self, "intensity", float(self.intensity))
         for c in np.atleast_1d(self.intensity):
             if not (0.0 <= c < 1.0):
-                raise ValueError(f"control intensity must lie in [0, 1), got {c}")
+                raise ControlConfigError(
+                    "intensity", f"control intensity must lie in [0, 1), got {c}")
         if self.target is not None:
             object.__setattr__(self, "target", tuple(float(t) for t in self.target))
         elif self.scheme not in _TARGETLESS:
-            raise ValueError(f"{self.scheme} requires a target")
+            raise ControlConfigError("target", f"{self.scheme} requires a target")
 
     @property
     def is_scalar(self) -> bool:
@@ -79,70 +88,44 @@ def _pull(c, target: np.ndarray, y: np.ndarray) -> np.ndarray:
     return c * target + (1.0 - c) * y
 
 
-def _check_target(model: MapModel, cfg: ControlConfig) -> np.ndarray:
-    t = cfg.target_vector(model.dimension)
-    if cfg.scheme not in _TARGETLESS and not model.domain.contains(t):
-        raise ValueError("target outside the model domain")
-    return t
-
-
 def apply_control(model: MapModel, cfg: ControlConfig, x) -> np.ndarray:
     """One step of the controlled map at state ``x``."""
-    x = as_state(x, model.dimension)
-    t = _check_target(model, cfg)
-    if cfg.scheme in ("VMTOC", "MPF"):
-        return _pull(cfg.intensity, t, np.asarray(model.evaluate(x), float))
-    if cfg.scheme in ("VTOC", "PF"):
-        return np.asarray(model.evaluate(_pull(cfg.intensity, t, x)), float)
-    c = cfg.intensity_vector(model.dimension)
-    return _pull(c, t, np.asarray(model.evaluate(x), float))
+    return controlled_map(model, cfg).evaluate(as_state(x, model.dimension))
 
 
 def controlled_map(model: MapModel, cfg: ControlConfig) -> MapModel:
     """Wrap ``model`` into the controlled self-map of the same domain.
 
-    The analytic Jacobian is chained through when the base model has one;
+    Every scheme is the pull toward the target, applied to the state before
+    ``f`` (VTOC, PF) or to its image after it (VMTOC, MPF, DIAG-VMTOC).  The
+    analytic Jacobian is chained through when the base model has one;
     otherwise the wrapped model falls back to finite differences.
     """
-    t = _check_target(model, cfg)
     dim = model.dimension
-    if cfg.scheme in ("VMTOC", "MPF"):
-        c = cfg.intensity
+    t = cfg.target_vector(dim)
+    if cfg.scheme not in _TARGETLESS and not model.domain.contains(t):
+        raise ValueError("target outside the model domain")
+    c = cfg.intensity if cfg.is_scalar else cfg.intensity_vector(dim)
+    # (1-c) scales row i of the Jacobian: a (1, 1) or (dim, 1) column.
+    rows = np.reshape(1.0 - np.asarray(c), (-1, 1))
 
-        def evaluate(x, _c=c, _t=t):
-            return _pull(_c, _t, np.asarray(model.evaluate(x), float))
+    if cfg.scheme in ("VTOC", "PF"):
+        def evaluate(x):
+            return np.asarray(model.evaluate(_pull(c, t, np.asarray(x, float))), float)
 
-        jac = None
-        if model.jacobian is not None:
-            def jac(x, _c=c):
-                return (1.0 - _c) * np.asarray(model.jacobian(x), float)
-
-    elif cfg.scheme in ("VTOC", "PF"):
-        c = cfg.intensity
-
-        def evaluate(x, _c=c, _t=t):
-            return np.asarray(model.evaluate(_pull(_c, _t, np.asarray(x, float))), float)
-
-        jac = None
-        if model.jacobian is not None:
-            def jac(x, _c=c, _t=t):
-                inner = _pull(_c, _t, np.asarray(x, float))
-                return (1.0 - _c) * np.asarray(model.jacobian(inner), float)
+        def jac(x):
+            return rows * np.asarray(model.jacobian(_pull(c, t, np.asarray(x, float))), float)
 
     else:
-        cvec = cfg.intensity_vector(dim)
+        def evaluate(x):
+            return _pull(c, t, np.asarray(model.evaluate(x), float))
 
-        def evaluate(x, _c=cvec, _t=t):
-            return _pull(_c, _t, np.asarray(model.evaluate(x), float))
-
-        jac = None
-        if model.jacobian is not None:
-            def jac(x, _c=cvec):
-                return (1.0 - _c)[:, None] * np.asarray(model.jacobian(x), float)
+        def jac(x):
+            return rows * np.asarray(model.jacobian(x), float)
 
     name = f"{cfg.scheme}({model.name})" if model.name else cfg.scheme
     return MapModel(dimension=dim, evaluate=evaluate, domain=model.domain,
-                    jacobian=jac, name=name)
+                    jacobian=jac if model.jacobian is not None else None, name=name)
 
 
 def compose_vmtoc(first, second):

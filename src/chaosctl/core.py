@@ -130,11 +130,6 @@ class DomainSpec:
         return x
 
 
-def contains(domain: DomainSpec, x) -> bool:
-    """Membership test with an explicit dimension check."""
-    return domain.contains(x)
-
-
 def fd_jacobian(func: Callable, x, rel_step: float = 1e-6) -> np.ndarray:
     """Central finite-difference Jacobian with step ``rel_step*(1+|x_i|)``."""
     x = np.asarray(x, dtype=float)

@@ -4,15 +4,13 @@ A bifurcation scan runs one controlled orbit per grid intensity, discards a
 transient, keeps a short window and classifies each component's period on
 that window.  Scans are deterministic: the initial condition for grid index
 ``i`` comes from an RNG stream derived from ``(seed, i)``, so records are
-bit-identical across runs and across worker counts.
+bit-identical across runs.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -126,21 +124,23 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
                      *, seed: int = 0, init_lo=0.0, init_hi=50.0,
                      n_transient: int = 3000, n_keep: int = 50,
                      tol: float = 1e-5, max_period: int = 32,
-                     continue_orbits: bool = False,
-                     max_workers: Optional[int] = None) -> list:
+                     continue_orbits: bool = False) -> list:
     """One :class:`ScanRecord` per grid intensity, in grid order.
 
     Fresh initial conditions are drawn per grid point from the box
     [init_lo, init_hi] using streams seeded by ``(seed, index)``;
     ``continue_orbits`` instead chains each orbit from the previous final
-    state (sequential by construction).  ``max_period`` is capped at half
-    the kept window.  Per-intensity failures are recorded on the record,
-    not raised.
+    state.  ``max_period`` is capped at half the kept window.  An invalid
+    scheme or target raises ``ValueError`` before any orbit runs; failures
+    of single orbits are recorded on their records, not raised.
     """
     c_grid = [float(c) for c in c_grid]
     for c in c_grid:
         if not (0.0 <= c < 1.0):
             raise ValueError(f"grid intensity must lie in [0, 1), got {c}")
+    # Validate scheme and target once, so that a bad control raises here
+    # instead of being recorded as the error of every grid point.
+    controlled_map(model, ControlConfig(scheme=scheme, intensity=0.0, target=target))
     lo = np.broadcast_to(np.asarray(init_lo, float), (model.dimension,)).copy()
     hi = np.broadcast_to(np.asarray(init_hi, float), (model.dimension,)).copy()
     eff_period = min(max_period, n_keep // 2)
@@ -150,38 +150,21 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
             return detect_period(points, tol=tol, max_period=eff_period)
         return tuple(None for _ in range(model.dimension))
 
-    def run_one(c: float, x0) -> ScanRecord:
-        cfg = ControlConfig(scheme=scheme, intensity=c, target=tuple(target)) \
-            if c > 0.0 else None
+    records = []
+    for i, c in enumerate(c_grid):
+        if i == 0 or not continue_orbits:
+            x0 = _draw_x0(seed, i, lo, hi)
+        cfg = ControlConfig(scheme=scheme, intensity=c, target=target) if c > 0.0 else None
         try:
             pts = iterate_orbit(model, cfg, x0, n_transient, n_keep)
-            return ScanRecord(c=c, points=pts, periods=classify(pts), seed=seed)
+            records.append(ScanRecord(c=c, points=pts, periods=classify(pts), seed=seed))
         except (OrbitError, ValueError) as exc:
-            empty = np.empty((0, model.dimension))
-            return ScanRecord(c=c, points=empty,
-                              periods=tuple(None for _ in range(model.dimension)),
-                              seed=seed, error=str(exc))
-
-    if continue_orbits:
-        records = []
-        x0 = _draw_x0(seed, 0, lo, hi)
-        for c in c_grid:
-            rec = run_one(c, x0)
-            records.append(rec)
-            if rec.points.shape[0]:
-                x0 = rec.points[-1]
-        return records
-
-    if max_workers is None:
-        try:
-            max_workers = int(os.environ.get("CHAOSCTL_THREADS", "1") or "1")
-        except ValueError:
-            max_workers = 1
-    tasks = [(c, _draw_x0(seed, i, lo, hi)) for i, c in enumerate(c_grid)]
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(lambda t: run_one(*t), tasks))
-    return [run_one(*t) for t in tasks]
+            records.append(ScanRecord(c=c, points=np.empty((0, model.dimension)),
+                                      periods=tuple(None for _ in range(model.dimension)),
+                                      seed=seed, error=str(exc)))
+        if continue_orbits and records[-1].points.shape[0]:
+            x0 = records[-1].points[-1]
+    return records
 
 
 def detect_bubbles(records: Sequence[ScanRecord]) -> list:

@@ -83,13 +83,15 @@ def test_build_model_plugin(tmp_path, monkeypatch):
 
 
 def test_build_control_errors():
-    cfg = RunConfig()
-    cfg.set("control.scheme", "VMTOC")
-    cfg.set("control.intensity", "1.5")
-    cfg.set("control.target", "1,1,1")
-    with pytest.raises(ConfigError) as err:
-        build_control(cfg, build_model(cfg))
-    assert err.value.key == "control.intensity"
+    for key, raw in (("control.intensity", "1.5"), ("control.scheme", "TOC"),
+                     ("control.target", "none")):
+        cfg = RunConfig()
+        cfg.set("control.scheme", "VMTOC")
+        cfg.set("control.target", "1,1,1")
+        cfg.set(key, raw)
+        with pytest.raises(ConfigError) as err:
+            build_control(cfg, build_model(cfg))
+        assert err.value.key == key
 
 
 def run_cli(tmp_path, *args):
@@ -242,15 +244,39 @@ def test_config_file_plus_overrides(tmp_path):
     assert len(lines) == 1 + 4 * 3
 
 
-def test_threads_env_cap(tmp_path, monkeypatch):
-    monkeypatch.setenv("CHAOSCTL_THREADS", "3")
-    args = ("bifurcate", "--out", "tw", "--seed", "9",
-            "--set", "control.scheme=VMTOC",
-            "--set", "control.target=28.0120,22.4096,4.6251",
-            "--set", "scan.grid=8", "--set", "run.n_transient=100",
-            "--set", "run.n_keep=6")
-    assert run_cli(tmp_path, *args) == 0
-    threaded = (tmp_path / "tw.scan.csv").read_bytes()
-    monkeypatch.setenv("CHAOSCTL_THREADS", "1")
-    assert run_cli(tmp_path, *args) == 0
-    assert (tmp_path / "tw.scan.csv").read_bytes() == threaded
+@pytest.mark.parametrize("setting, code, needle", [
+    ("control.scheme=DIAG-VMTOC", 2, "control.scheme"),
+    ("control.target=-1,22,4.6", 1, "target outside the model domain"),
+])
+def test_bifurcate_rejects_bad_control_before_scanning(tmp_path, capsys, setting, code,
+                                                       needle):
+    rc = run_cli(tmp_path, "bifurcate", "--out", "bad",
+                 "--set", "control.scheme=VMTOC",
+                 "--set", "control.target=28.0120,22.4096,4.6251",
+                 "--set", setting, "--set", "scan.grid=4",
+                 "--set", "run.n_transient=10", "--set", "run.n_keep=4")
+    assert rc == code
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "bad.scan.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["bifurcate", "bubbles"])
+def test_scan_with_every_grid_point_failed_exits_1(tmp_path, monkeypatch, capsys,
+                                                   command):
+    (tmp_path / "blowup.py").write_text(
+        "import numpy as np\n"
+        "from chaosctl import DomainSpec, MapModel\n"
+        "def make():\n"
+        "    return MapModel(dimension=1, evaluate=lambda x: np.array([x[0] * 1e160]),\n"
+        "                    domain=DomainSpec.full_space(1))\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    rc = run_cli(tmp_path, command, "--out", "bl",
+                 "--set", "model.kind=plugin", "--set", "model.plugin=blowup:make",
+                 "--set", "control.scheme=VMTOC", "--set", "control.target=1",
+                 "--set", "scan.c_list=0.25,0.5", "--set", "init.lo=1e160",
+                 "--set", "init.hi=2e160", "--set", "run.n_transient=0",
+                 "--set", "run.n_keep=4")
+    assert rc == 1
+    assert "error: every grid point failed: non-finite state" in capsys.readouterr().err
+    assert read_report(tmp_path / "bl.report.txt")["errors"] == "2"
+    assert (tmp_path / "bl.scan.csv").read_text() == "c,step,component,value,period\n"

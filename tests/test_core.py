@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chaosctl import DomainSpec, MapModel, as_state, contains, fd_jacobian, norm
+from chaosctl import DomainSpec, MapModel, as_state, fd_jacobian, norm
 
 finite_components = st.floats(min_value=-1e6, max_value=1e6,
                               allow_nan=False, allow_infinity=False)
@@ -63,17 +63,17 @@ def test_as_state_validation():
 
 def test_contains_examples():
     orthant = DomainSpec.nonnegative_orthant(2)
-    assert contains(orthant, [1, 2])
-    assert not contains(orthant, [-1, 0])
+    assert orthant.contains([1, 2])
+    assert not orthant.contains([-1, 0])
     box = DomainSpec.box([0, 0], [1, 1])
-    assert contains(box, [0.5, 1.0])  # boundary included
-    assert not contains(box, [0.5, 1.0 + 1e-12])
-    assert contains(DomainSpec.full_space(3), [-5, 0, 5])
+    assert box.contains([0.5, 1.0])  # boundary included
+    assert not box.contains([0.5, 1.0 + 1e-12])
+    assert DomainSpec.full_space(3).contains([-5, 0, 5])
 
 
 def test_contains_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
-        contains(DomainSpec.nonnegative_orthant(2), [1, 2, 3])
+        DomainSpec.nonnegative_orthant(2).contains([1, 2, 3])
 
 
 def test_box_invariants():

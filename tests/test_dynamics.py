@@ -125,17 +125,6 @@ def test_scan_determinism_bitwise(lpa, lpa_k):
         assert np.array_equal(ra.points, rb.points)
 
 
-def test_scan_parallel_matches_serial(lpa, lpa_k):
-    grid = [k / 20 for k in range(1, 20)]
-    serial = bifurcation_scan(lpa, "VMTOC", tuple(lpa_k), grid, seed=4,
-                              n_transient=200, n_keep=16, max_workers=1)
-    parallel = bifurcation_scan(lpa, "VMTOC", tuple(lpa_k), grid, seed=4,
-                                n_transient=200, n_keep=16, max_workers=4)
-    for rs, rp in zip(serial, parallel):
-        assert np.array_equal(rs.points, rp.points)
-        assert rs.periods == rp.periods
-
-
 def test_scan_stabilized_records_satisfy_equilibrium_identity(lpa, lpa_k):
     t = tuple(lpa_k)
     records = bifurcation_scan(lpa, "VMTOC", t, [0.4, 0.6, 0.8], seed=2,
@@ -177,6 +166,16 @@ def test_scan_records_error_instead_of_raising():
 def test_scan_rejects_bad_grid(lpa):
     with pytest.raises(ValueError, match="grid intensity"):
         bifurcation_scan(lpa, "VMTOC", (1.0, 1.0, 1.0), [1.0])
+
+
+@pytest.mark.parametrize("scheme, target, message", [
+    ("DIAG-VMTOC", (1.0, 1.0, 1.0), "expected 3 intensities"),
+    ("VMTOC", (-1.0, 22.0, 4.6), "target outside"),
+    ("VTOC", (1.0, 1.0), "dimension mismatch"),
+])
+def test_scan_rejects_bad_control_before_iterating(lpa, scheme, target, message):
+    with pytest.raises(ValueError, match=message):
+        bifurcation_scan(lpa, scheme, target, [0.0, 0.5], n_transient=10, n_keep=4)
 
 
 def test_scan_continuation_chains_orbits(lpa, lpa_k):
