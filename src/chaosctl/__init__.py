@@ -30,7 +30,7 @@ from .controls import (
     controlled_map,
     target_for_state,
 )
-from .core import DomainSpec, MapModel, as_state, fd_jacobian, norm
+from .core import DomainSpec, MapModel, RowError, as_state, fd_jacobian, norm
 from .cost import CostEstimate, cost_per_step
 from .dynamics import (
     OrbitError,
@@ -46,10 +46,12 @@ from .models import (
     LpaParams,
     RickerParams,
     lpa_eval,
+    lpa_eval_batch,
     lpa_jacobian,
     lpa_map,
     lpa_recruitment_bound,
     ricker_eval,
+    ricker_eval_batch,
     ricker_jacobian,
     ricker_lift,
 )
@@ -59,14 +61,14 @@ __version__ = "0.1.0"
 __all__ = [
     "ControlConfig", "ConvergenceError", "CostEstimate", "DomainSpec",
     "LipschitzEstimate", "LpaParams", "MapModel", "OrbitError",
-    "RickerParams", "SCHEMES", "ScanRecord", "StabilityReport",
+    "RickerParams", "RowError", "SCHEMES", "ScanRecord", "StabilityReport",
     "apply_control", "as_state", "bifurcation_scan", "bound_A",
     "compose_vmtoc", "conjugate_state", "controlled_map",
     "cost_per_step", "detect_bubbles", "detect_period", "fd_jacobian",
     "find_fixed_point", "global_cstar", "iterate_orbit",
-    "lipschitz_estimate", "local_cstar", "lpa_eval", "lpa_jacobian",
+    "lipschitz_estimate", "local_cstar", "lpa_eval", "lpa_eval_batch", "lpa_jacobian",
     "lpa_map", "lpa_recruitment_bound", "lyapunov_max",
     "multistart_fixed_points", "norm", "overall_period", "ricker_eval",
-    "ricker_jacobian", "ricker_lift", "spectral_radius",
+    "ricker_eval_batch", "ricker_jacobian", "ricker_lift", "spectral_radius",
     "stability_report", "target_for_state", "verify_contraction",
 ]

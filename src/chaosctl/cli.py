@@ -271,6 +271,8 @@ def _scan(cfg: RunConfig, model: MapModel):
     target = cfg["control.target"]
     if target is None:
         raise ConfigError("control.target", "scans need a target")
+    if cfg["scan.cost"] and scheme != "VMTOC":
+        raise ConfigError("scan.cost", "cost column applies to VMTOC scans only")
     lo = _broadcast(cfg["init.lo"], model.dimension, "init.lo")
     hi = _broadcast(cfg["init.hi"], model.dimension, "init.hi")
     return dynamics.bifurcation_scan(
@@ -283,8 +285,6 @@ def _scan(cfg: RunConfig, model: MapModel):
 def _scan_costs(cfg, model, records):
     if not cfg["scan.cost"]:
         return None
-    if cfg["control.scheme"] != "VMTOC":
-        raise ConfigError("scan.cost", "cost column applies to VMTOC scans only")
     out = []
     for rec in records:
         if rec.c <= 0.0 or rec.points.shape[0] == 0:

@@ -83,9 +83,63 @@ class ControlConfig:
         return as_state(self.target, dim, what="target")
 
 
-def _pull(c, target: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The affine transform c*T + (1-c)*y shared by every scheme."""
-    return c * target + (1.0 - c) * y
+def _pull(c, target: np.ndarray):
+    """The affine transform y -> c*T + (1-c)*y shared by every scheme.
+
+    ``c`` is a scalar, a ``(d,)`` vector of per-component intensities or an
+    ``(n, 1)`` column of per-row intensities for a batch of states.  c*T and
+    1-c are computed once; the result is bitwise equal to computing
+    ``c*T + (1-c)*y`` whole on every call.
+    """
+    ct, keep = c * target, 1.0 - c
+
+    def pull(y):
+        return ct + keep * y
+
+    return pull
+
+
+def _checked_target(model: MapModel, cfg: ControlConfig) -> np.ndarray:
+    t = cfg.target_vector(model.dimension)
+    if cfg.scheme not in _TARGETLESS and not model.domain.contains(t):
+        raise ValueError("target outside the model domain")
+    return t
+
+
+def _controlled(model: MapModel, scheme: str, c, t: np.ndarray):
+    """``(evaluate, evaluate_batch, jacobian)`` of the controlled map.
+
+    Every scheme is the pull toward ``t``, applied to the state before ``f``
+    (VTOC, PF) or to its image after it (VMTOC, MPF, DIAG-VMTOC).  With an
+    ``(n, 1)`` column ``c`` only ``evaluate_batch`` applies: row r of the
+    batch is pulled with intensity ``c[r]``.
+    """
+    pull = _pull(c, t)
+    f, f_rows, f_jac = model.evaluate, model.evaluate_rows, model.jacobian
+    # (1-c) scales row i of the Jacobian: a (1, 1) or (dim, 1) column.
+    scale = np.reshape(1.0 - np.asarray(c), (-1, 1))
+
+    if scheme in ("VTOC", "PF"):
+        def evaluate(x):
+            return np.asarray(f(pull(np.asarray(x, float))), float)
+
+        def evaluate_batch(rows):
+            return f_rows(pull(rows))
+
+        def jacobian(x):
+            return scale * np.asarray(f_jac(pull(np.asarray(x, float))), float)
+
+    else:
+        def evaluate(x):
+            return pull(np.asarray(f(x), float))
+
+        def evaluate_batch(rows):
+            return pull(f_rows(rows))
+
+        def jacobian(x):
+            return scale * np.asarray(f_jac(x), float)
+
+    return evaluate, evaluate_batch, jacobian
 
 
 def apply_control(model: MapModel, cfg: ControlConfig, x) -> np.ndarray:
@@ -96,36 +150,33 @@ def apply_control(model: MapModel, cfg: ControlConfig, x) -> np.ndarray:
 def controlled_map(model: MapModel, cfg: ControlConfig) -> MapModel:
     """Wrap ``model`` into the controlled self-map of the same domain.
 
-    Every scheme is the pull toward the target, applied to the state before
-    ``f`` (VTOC, PF) or to its image after it (VMTOC, MPF, DIAG-VMTOC).  The
+    The wrapped model evaluates single states and batches of states.  The
     analytic Jacobian is chained through when the base model has one;
     otherwise the wrapped model falls back to finite differences.
     """
     dim = model.dimension
-    t = cfg.target_vector(dim)
-    if cfg.scheme not in _TARGETLESS and not model.domain.contains(t):
-        raise ValueError("target outside the model domain")
+    t = _checked_target(model, cfg)
     c = cfg.intensity if cfg.is_scalar else cfg.intensity_vector(dim)
-    # (1-c) scales row i of the Jacobian: a (1, 1) or (dim, 1) column.
-    rows = np.reshape(1.0 - np.asarray(c), (-1, 1))
-
-    if cfg.scheme in ("VTOC", "PF"):
-        def evaluate(x):
-            return np.asarray(model.evaluate(_pull(c, t, np.asarray(x, float))), float)
-
-        def jac(x):
-            return rows * np.asarray(model.jacobian(_pull(c, t, np.asarray(x, float))), float)
-
-    else:
-        def evaluate(x):
-            return _pull(c, t, np.asarray(model.evaluate(x), float))
-
-        def jac(x):
-            return rows * np.asarray(model.jacobian(x), float)
-
+    evaluate, evaluate_batch, jacobian = _controlled(model, cfg.scheme, c, t)
     name = f"{cfg.scheme}({model.name})" if model.name else cfg.scheme
     return MapModel(dimension=dim, evaluate=evaluate, domain=model.domain,
-                    jacobian=jac if model.jacobian is not None else None, name=name)
+                    jacobian=jacobian if model.jacobian is not None else None,
+                    name=name, evaluate_batch=evaluate_batch)
+
+
+def controlled_rows(model: MapModel, scheme: str, target, intensities):
+    """Batched step of one scheme and target at many intensities.
+
+    Returns a function that maps an ``(n, d)`` array of states to their
+    images, row r controlled with intensity ``intensities[r]``; ``n`` is the
+    number of intensities.  Row r is bitwise the row that the
+    ``evaluate_batch`` of ``controlled_map`` at that intensity gives.
+    """
+    cfg = ControlConfig(scheme=scheme, intensity=0.0, target=target)
+    c = np.asarray(intensities, dtype=float).reshape(-1, 1)
+    if np.any((c < 0.0) | (c >= 1.0)):
+        raise ValueError("control intensities must lie in [0, 1)")
+    return _controlled(model, cfg.scheme, c, _checked_target(model, cfg))[1]
 
 
 def compose_vmtoc(first, second):
@@ -196,4 +247,4 @@ def conjugate_state(cfg: ControlConfig, x) -> np.ndarray:
         raise ValueError("conjugate_state requires a scalar-intensity scheme")
     x = as_state(x)
     t = cfg.target_vector(x.shape[0])
-    return _pull(cfg.intensity, t, x)
+    return _pull(cfg.intensity, t)(x)

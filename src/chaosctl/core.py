@@ -104,12 +104,26 @@ class DomainSpec:
         return self.contains_unchecked(x)
 
     def contains_unchecked(self, x) -> bool:
-        """Membership without input validation, for hot iteration loops."""
+        """Membership without input validation, for hot iteration loops.
+
+        ``x`` may also be an ``(n, d)`` array of states: the answer is then
+        whether every row belongs to the domain.
+        """
         if self.kind == ORTHANT:
-            return bool(np.all(x >= 0.0))
+            return bool(x.min() >= 0.0)
         if self.kind == BOX:
             return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
         return True
+
+    def contains_rows(self, rows) -> np.ndarray:
+        """Boolean mask of the rows of an ``(n, d)`` array that lie in the
+        domain, without input validation.  Rows holding NaN are outside the
+        orthant and the box."""
+        if self.kind == ORTHANT:
+            return np.all(rows >= 0.0, axis=1)
+        if self.kind == BOX:
+            return np.all((rows >= self.lo) & (rows <= self.hi), axis=1)
+        return np.ones(rows.shape[0], dtype=bool)
 
     def is_interior(self, x) -> bool:
         """True iff ``x`` lies strictly inside the domain (not on its boundary)."""
@@ -146,13 +160,27 @@ def fd_jacobian(func: Callable, x, rel_step: float = 1e-6) -> np.ndarray:
     return out
 
 
+class RowError(ValueError):
+    """``evaluate`` raised on some rows of a batch; ``causes`` maps each of
+    those row indices to what it raised."""
+
+    def __init__(self, causes: dict):
+        row, cause = next(iter(causes.items()))
+        super().__init__(f"{len(causes)} row(s) failed, first row {row}: "
+                         f"{type(cause).__name__}: {cause}")
+        self.causes = causes
+
+
 @dataclass(frozen=True)
 class MapModel:
     """A continuous self-map of a convex domain, with optional analytic Jacobian.
 
     ``evaluate`` takes and returns a length-``dimension`` vector and must be
     pure.  When ``jacobian`` is omitted, :meth:`jacobian_at` falls back to
-    central finite differences.
+    central finite differences.  ``evaluate_batch``, when given, maps an
+    ``(n, dimension)`` array of states to the array of their images and must
+    be row-wise pure: each output row depends on its own input row only,
+    never on the other rows or on where the row sits in the batch.
     """
 
     dimension: int
@@ -160,6 +188,7 @@ class MapModel:
     domain: DomainSpec
     jacobian: Optional[Callable] = None
     name: str = ""
+    evaluate_batch: Optional[Callable] = None
 
     def __post_init__(self):
         if self.dimension != self.domain.dim:
@@ -167,6 +196,32 @@ class MapModel:
 
     def __call__(self, x) -> np.ndarray:
         return self.evaluate(x)
+
+    def evaluate_rows(self, rows) -> np.ndarray:
+        """Images of the rows of the ``(n, dimension)`` float array ``rows``.
+
+        Uses ``evaluate_batch`` when the model has one.  Otherwise calls
+        ``evaluate`` row by row: a row holding a non-finite value comes back
+        as NaN without being evaluated.  When ``evaluate`` raises
+        ``ValueError`` or ``ArithmeticError`` on some rows, the other rows
+        are still evaluated, and then :class:`RowError` names every row that
+        raised.
+        """
+        if self.evaluate_batch is not None:
+            return np.asarray(self.evaluate_batch(rows), dtype=float)
+        out = np.empty(rows.shape)
+        causes = {}
+        for r, x in enumerate(rows):
+            if not np.all(np.isfinite(x)):
+                out[r] = np.nan
+                continue
+            try:
+                out[r] = self.evaluate(x)
+            except (ValueError, ArithmeticError) as exc:
+                causes[r] = exc
+        if causes:
+            raise RowError(causes)
+        return out
 
     def jacobian_at(self, x) -> np.ndarray:
         if self.jacobian is not None:

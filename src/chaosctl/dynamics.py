@@ -2,9 +2,11 @@
 
 A bifurcation scan runs one controlled orbit per grid intensity, discards a
 transient, keeps a short window and classifies each component's period on
-that window.  Scans are deterministic: the initial condition for grid index
-``i`` comes from an RNG stream derived from ``(seed, i)``, so records are
-bit-identical across runs.
+that window.  Every orbit, single or scanned, runs through one loop that
+advances the rows of an ``(n, d)`` array together, one row per orbit.  Scans
+are deterministic: the initial condition for grid index ``i`` comes from an
+RNG stream derived from ``(seed, i)``, so records are bit-identical across
+runs.
 """
 
 from __future__ import annotations
@@ -16,14 +18,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .controls import ControlConfig, controlled_map
-from .core import MapModel, as_state
+from .controls import ControlConfig, controlled_map, controlled_rows
+from .core import DomainSpec, MapModel, RowError, as_state
 
 log = logging.getLogger(__name__)
 
 
 class OrbitError(RuntimeError):
-    """A non-finite state appeared while iterating; ``step`` is the 0-based index."""
+    """An orbit failed while iterating; ``step`` is the 0-based index."""
 
     def __init__(self, message, step):
         super().__init__(message)
@@ -34,35 +36,87 @@ def _step_map(model: MapModel, cfg: Optional[ControlConfig]) -> MapModel:
     return controlled_map(model, cfg) if cfg is not None else model
 
 
+def _check_lengths(n_transient: int, n_keep: int) -> None:
+    if n_transient < 0 or n_keep < 0:
+        raise ValueError("n_transient and n_keep must be nonnegative")
+
+
+def _iterate_rows(step, rows: np.ndarray, domain: DomainSpec, n_transient: int,
+                  n_keep: int, strict: bool = False):
+    """Advance every row of ``rows`` by ``n_transient + n_keep`` steps of ``step``.
+
+    Returns ``(kept, failures)``: ``kept[k, r]`` is row r after step
+    ``n_transient + k``, and ``failures`` maps each failed row to
+    ``(step, message)``.  A row fails at the first step whose state is not
+    finite, whose evaluation raised (:class:`RowError`) or, under
+    ``strict``, that left the domain.  A failed row is parked at NaN, which
+    the shipped maps carry through without a warning, and is checked no
+    more; its kept states are meaningless.  Leaving the domain is otherwise
+    advisory and logged once per row.  Each step checks the whole array at
+    once; row masks are computed only when that check fails.
+    """
+    n = rows.shape[0]
+    kept = np.empty((n_keep, n, rows.shape[1]))
+    failures = {}
+    parked = np.zeros(n, dtype=bool)
+    warned = np.zeros(n, dtype=bool)
+    x = rows
+    for i in range(n_transient + n_keep):
+        try:
+            y = step(x)
+        except RowError as exc:
+            # Park the rows that raised and redo the step for the others.
+            x = x.copy()
+            for r, cause in exc.causes.items():
+                failures[r] = (i, f"evaluation failed at step {i}: "
+                                  f"{type(cause).__name__}: {cause}")
+                parked[r] = True
+                x[r] = np.nan
+            y = step(x)
+        x = y
+        if not (math.isfinite(x.sum()) and domain.contains_unchecked(x)):
+            bad = ~parked & ~np.all(np.isfinite(x), axis=1)
+            outside = ~parked & ~bad & ~domain.contains_rows(x)
+            for r in np.flatnonzero(bad).tolist():
+                failures[r] = (i, f"non-finite state at step {i}")
+            if strict:
+                for r in np.flatnonzero(outside).tolist():
+                    failures[r] = (i, f"state left the domain at step {i}")
+                bad |= outside
+            else:
+                for _ in np.flatnonzero(outside & ~warned).tolist():
+                    log.warning("orbit left the domain at step %d (advisory)", i)
+                warned |= outside
+            parked |= bad
+            if parked.all():
+                break
+            if parked.any():
+                x = x.copy()
+                x[parked] = np.nan
+        if i >= n_transient:
+            kept[i - n_transient] = x
+    return kept, failures
+
+
 def iterate_orbit(model: MapModel, cfg: Optional[ControlConfig], x0,
                   n_transient: int, n_keep: int, strict: bool = False) -> np.ndarray:
     """Iterate the (controlled) map and return the last ``n_keep`` states.
 
-    Runs ``n_transient + n_keep`` steps from ``x0``.  A non-finite state
-    raises :class:`OrbitError` with the offending step index.  Domain
-    violations are advisory (logged once per orbit) unless ``strict``.
+    Runs ``n_transient + n_keep`` steps from ``x0`` as a batch of one.  A
+    non-finite state, or an evaluation that raises ``ValueError`` or
+    ``ArithmeticError``, raises :class:`OrbitError` with the offending step
+    index.  Domain violations are advisory (logged once per orbit) unless
+    ``strict``.
     """
-    if n_transient < 0 or n_keep < 0:
-        raise ValueError("n_transient and n_keep must be nonnegative")
+    _check_lengths(n_transient, n_keep)
     g = _step_map(model, cfg)
-    x = np.asarray(as_state(x0, model.dimension), float)
-    kept = np.empty((n_keep, model.dimension))
-    warned = False
-    domain = model.domain
-    for i in range(n_transient + n_keep):
-        x = np.asarray(g.evaluate(x), float)
-        # float() of the sum is NaN/Inf whenever any component is.
-        if not math.isfinite(float(np.sum(x))):
-            raise OrbitError(f"non-finite state at step {i}", step=i)
-        if not domain.contains_unchecked(x):
-            if strict:
-                raise OrbitError(f"state left the domain at step {i}", step=i)
-            if not warned:
-                log.warning("orbit left the domain at step %d (advisory)", i)
-                warned = True
-        if i >= n_transient:
-            kept[i - n_transient] = x
-    return kept
+    x = as_state(x0, model.dimension)[None, :]
+    kept, failures = _iterate_rows(g.evaluate_rows, x, model.domain, n_transient,
+                                   n_keep, strict)
+    if failures:
+        step, message = failures[0]
+        raise OrbitError(message, step=step)
+    return kept[:, 0, :]
 
 
 def detect_period(orbit: np.ndarray, tol: float = 1e-5,
@@ -128,41 +182,57 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
     """One :class:`ScanRecord` per grid intensity, in grid order.
 
     Fresh initial conditions are drawn per grid point from the box
-    [init_lo, init_hi] using streams seeded by ``(seed, index)``;
+    [init_lo, init_hi] using streams seeded by ``(seed, index)``, and all
+    grid points advance together as the rows of one array.
     ``continue_orbits`` instead chains each orbit from the previous final
-    state.  ``max_period`` is capped at half the kept window.  An invalid
-    scheme or target raises ``ValueError`` before any orbit runs; failures
-    of single orbits are recorded on their records, not raised.
+    state, one grid point at a time.  ``max_period`` is capped at half the
+    kept window.  Invalid arguments (grid, scheme, target, orbit lengths,
+    ``tol``, ``max_period``) raise ``ValueError`` before any orbit runs;
+    failures of single orbits are recorded on their records, not raised.
     """
     c_grid = [float(c) for c in c_grid]
     for c in c_grid:
         if not (0.0 <= c < 1.0):
             raise ValueError(f"grid intensity must lie in [0, 1), got {c}")
+    _check_lengths(n_transient, n_keep)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if max_period < 1:
+        raise ValueError("max_period must be at least 1")
     # Validate scheme and target once, so that a bad control raises here
     # instead of being recorded as the error of every grid point.
     controlled_map(model, ControlConfig(scheme=scheme, intensity=0.0, target=target))
-    lo = np.broadcast_to(np.asarray(init_lo, float), (model.dimension,)).copy()
-    hi = np.broadcast_to(np.asarray(init_hi, float), (model.dimension,)).copy()
+    dim = model.dimension
+    lo = np.broadcast_to(np.asarray(init_lo, float), (dim,)).copy()
+    hi = np.broadcast_to(np.asarray(init_hi, float), (dim,)).copy()
     eff_period = min(max_period, n_keep // 2)
+    # Records with equal periods share one tuple: a scan's periods take few
+    # distinct values, and callers often keep the periods of many records.
+    shared = {}
 
-    def classify(points):
-        if eff_period >= 1:
-            return detect_period(points, tol=tol, max_period=eff_period)
-        return tuple(None for _ in range(model.dimension))
+    def record(c, points, failure):
+        if failure is not None:
+            return ScanRecord(c=c, points=np.empty((0, dim)),
+                              periods=(None,) * dim, seed=seed, error=failure[1])
+        periods = (detect_period(points, tol=tol, max_period=eff_period)
+                   if eff_period >= 1 else (None,) * dim)
+        return ScanRecord(c=c, points=points, periods=shared.setdefault(periods, periods),
+                          seed=seed)
 
+    def run(cs, x0):
+        kept, failures = _iterate_rows(controlled_rows(model, scheme, target, cs), x0,
+                                       model.domain, n_transient, n_keep)
+        points = np.ascontiguousarray(kept.transpose(1, 0, 2))
+        return [record(c, points[r], failures.get(r)) for r, c in enumerate(cs)]
+
+    if not continue_orbits:
+        x0 = [_draw_x0(seed, i, lo, hi) for i in range(len(c_grid))]
+        return run(c_grid, np.array(x0)) if c_grid else []
     records = []
-    for i, c in enumerate(c_grid):
-        if i == 0 or not continue_orbits:
-            x0 = _draw_x0(seed, i, lo, hi)
-        cfg = ControlConfig(scheme=scheme, intensity=c, target=target) if c > 0.0 else None
-        try:
-            pts = iterate_orbit(model, cfg, x0, n_transient, n_keep)
-            records.append(ScanRecord(c=c, points=pts, periods=classify(pts), seed=seed))
-        except (OrbitError, ValueError) as exc:
-            records.append(ScanRecord(c=c, points=np.empty((0, model.dimension)),
-                                      periods=tuple(None for _ in range(model.dimension)),
-                                      seed=seed, error=str(exc)))
-        if continue_orbits and records[-1].points.shape[0]:
+    x0 = _draw_x0(seed, 0, lo, hi)
+    for c in c_grid:
+        records += run([c], x0[None, :])
+        if records[-1].points.shape[0]:
             x0 = records[-1].points[-1]
     return records
 

@@ -7,8 +7,11 @@ Two models ship with the package:
 * the delayed Ricker map, lifted from a scalar higher-order recursion to a
   first-order system via a delay line.
 
-Both expose an analytic Jacobian, evaluate with plain ``math`` calls for
-speed inside long orbit loops, and self-map the nonnegative orthant.
+Both expose an analytic Jacobian and self-map the nonnegative orthant.  A
+single state is evaluated with plain ``math`` calls; the batched versions
+evaluate every row of an ``(n, d)`` array with one ``numpy`` call per term,
+for the orbit loop of ``dynamics``.  ``np.exp`` and ``math.exp`` may differ
+in the last bit, so the two are equal only up to rounding.
 """
 
 from __future__ import annotations
@@ -71,6 +74,16 @@ def lpa_eval(p: LpaParams, x, strict: bool = False) -> np.ndarray:
     ])
 
 
+def lpa_eval_batch(p: LpaParams, rows: np.ndarray) -> np.ndarray:
+    """:func:`lpa_eval` of every row of an ``(n, 3)`` float array."""
+    L, P, A = rows[:, 0], rows[:, 1], rows[:, 2]
+    out = np.empty_like(rows)
+    out[:, 0] = p.b * A * np.exp(-p.c_el * L - p.c_ea * A)
+    out[:, 1] = (1.0 - p.mu_l) * L
+    out[:, 2] = P * np.exp(-p.c_pa * A) + A * (1.0 - p.mu_a)
+    return out
+
+
 def lpa_jacobian(p: LpaParams, x) -> np.ndarray:
     """Analytic Jacobian of the LPA map.
 
@@ -105,11 +118,14 @@ def lpa_map(p: LpaParams | None = None, domain: DomainSpec | None = None) -> Map
     def evaluate(x, _p=p):
         return lpa_eval(_p, x)
 
+    def evaluate_batch(rows, _p=p):
+        return lpa_eval_batch(_p, rows)
+
     def jacobian(x, _p=p):
         return lpa_jacobian(_p, x)
 
     return MapModel(dimension=3, evaluate=evaluate, domain=domain,
-                    jacobian=jacobian, name="lpa")
+                    jacobian=jacobian, name="lpa", evaluate_batch=evaluate_batch)
 
 
 @dataclass(frozen=True)
@@ -140,6 +156,14 @@ def ricker_eval(p: RickerParams, x) -> np.ndarray:
     return out
 
 
+def ricker_eval_batch(p: RickerParams, rows: np.ndarray) -> np.ndarray:
+    """:func:`ricker_eval` of every row of an ``(n, delay)`` float array."""
+    out = np.empty_like(rows)
+    out[:, 0] = rows[:, 0] * np.exp(p.r - rows[:, p.delay - 1])
+    out[:, 1:] = rows[:, :-1]
+    return out
+
+
 def ricker_jacobian(p: RickerParams, x) -> np.ndarray:
     d = p.delay
     growth = math.exp(p.r - float(x[d - 1]))
@@ -157,9 +181,12 @@ def ricker_lift(p: RickerParams) -> MapModel:
     def evaluate(x, _p=p):
         return ricker_eval(_p, x)
 
+    def evaluate_batch(rows, _p=p):
+        return ricker_eval_batch(_p, rows)
+
     def jacobian(x, _p=p):
         return ricker_jacobian(_p, x)
 
     return MapModel(dimension=p.delay, evaluate=evaluate,
                     domain=DomainSpec.nonnegative_orthant(p.delay),
-                    jacobian=jacobian, name="ricker")
+                    jacobian=jacobian, name="ricker", evaluate_batch=evaluate_batch)

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from chaosctl import dynamics
 from chaosctl.cli import ConfigError, RunConfig, build_control, build_model, main
 
 from conftest import LPA_FIXED_POINT
@@ -258,6 +259,20 @@ def test_bifurcate_rejects_bad_control_before_scanning(tmp_path, capsys, setting
     assert rc == code
     assert needle in capsys.readouterr().err
     assert not (tmp_path / "bad.scan.csv").exists()
+
+
+def test_bifurcate_rejects_cost_column_before_scanning(tmp_path, monkeypatch, capsys):
+    def scan(*args, **kwargs):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(dynamics, "bifurcation_scan", scan)
+    rc = run_cli(tmp_path, "bifurcate", "--out", "vt",
+                 "--set", "control.scheme=VTOC",
+                 "--set", "control.target=28.0120,22.4096,4.6251",
+                 "--set", "scan.cost=true")
+    assert rc == 2
+    assert "scan.cost" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["bifurcate", "bubbles"])

@@ -15,6 +15,7 @@ from chaosctl import (
     controlled_map,
     target_for_state,
 )
+from chaosctl.controls import controlled_rows
 from chaosctl.models import LpaParams, lpa_eval, lpa_jacobian
 
 from conftest import LPA_FIXED_POINT
@@ -245,3 +246,16 @@ def test_controlled_map_jacobian_chain_rule(lpa):
         from chaosctl import fd_jacobian
         np.testing.assert_allclose(g.jacobian_at(x), fd_jacobian(g.evaluate, x),
                                    rtol=2e-5, atol=1e-8)
+
+
+@pytest.mark.parametrize("scheme", ["VMTOC", "VTOC", "PF", "MPF"])
+def test_controlled_rows_match_controlled_map_bitwise(lpa, scheme):
+    target = (30.0, 30.0, 200.0)
+    cs = [0.0, 0.2, 0.55, 0.9]
+    rows = np.random.default_rng(5).uniform(0.0, 80.0, (len(cs), 3))
+    out = controlled_rows(lpa, scheme, target, cs)(rows)
+    for c, x, y in zip(cs, rows, out):
+        g = controlled_map(lpa, ControlConfig(scheme, c, target))
+        np.testing.assert_array_equal(y, g.evaluate_batch(x[None, :])[0])
+    with pytest.raises(ValueError, match="intensities"):
+        controlled_rows(lpa, scheme, target, [0.5, 1.0])

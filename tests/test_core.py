@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chaosctl import DomainSpec, MapModel, as_state, fd_jacobian, norm
+from chaosctl import DomainSpec, MapModel, RowError, as_state, fd_jacobian, norm
 
 finite_components = st.floats(min_value=-1e6, max_value=1e6,
                               allow_nan=False, allow_infinity=False)
@@ -69,6 +69,32 @@ def test_contains_examples():
     assert box.contains([0.5, 1.0])  # boundary included
     assert not box.contains([0.5, 1.0 + 1e-12])
     assert DomainSpec.full_space(3).contains([-5, 0, 5])
+
+
+def test_contains_rows_and_whole_array():
+    rows = np.array([[1.0, 2.0], [-1.0, 0.0], [np.nan, 1.0], [0.5, 1.0]])
+    orthant = DomainSpec.nonnegative_orthant(2)
+    assert orthant.contains_rows(rows).tolist() == [True, False, False, True]
+    box = DomainSpec.box([0, 0], [1, 1])
+    assert box.contains_rows(rows).tolist() == [False, False, False, True]
+    assert DomainSpec.full_space(2).contains_rows(rows).tolist() == [True] * 4
+    assert orthant.contains_unchecked(rows[[0, 3]])
+    assert not orthant.contains_unchecked(rows[[0, 1]])
+
+
+def test_evaluate_rows_fallback_isolates_rows():
+    def evaluate(x):
+        if x[0] > 5.0:
+            raise ValueError("too big")
+        return 2.0 * x
+
+    f = MapModel(dimension=1, evaluate=evaluate, domain=DomainSpec.full_space(1))
+    out = f.evaluate_rows(np.array([[1.0], [np.nan], [2.0]]))
+    assert out[0, 0] == 2.0 and np.isnan(out[1, 0]) and out[2, 0] == 4.0
+    with pytest.raises(RowError) as err:
+        f.evaluate_rows(np.array([[1.0], [6.0], [3.0], [7.0]]))
+    assert sorted(err.value.causes) == [1, 3]
+    assert all(isinstance(e, ValueError) for e in err.value.causes.values())
 
 
 def test_contains_dimension_mismatch():

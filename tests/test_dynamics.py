@@ -18,7 +18,7 @@ from chaosctl import (
     lyapunov_max,
     overall_period,
 )
-from chaosctl.models import LpaParams
+from chaosctl.models import LpaParams, RickerParams, lpa_map, ricker_lift
 
 
 def test_orbit_constant_at_fixed_point(lpa, lpa_k):
@@ -176,6 +176,68 @@ def test_scan_rejects_bad_grid(lpa):
 def test_scan_rejects_bad_control_before_iterating(lpa, scheme, target, message):
     with pytest.raises(ValueError, match=message):
         bifurcation_scan(lpa, scheme, target, [0.0, 0.5], n_transient=10, n_keep=4)
+
+
+def _never(x):
+    raise AssertionError("an orbit ran")
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"tol": 0.0}, "tol must be positive"),
+    ({"max_period": 0}, "max_period must be at least 1"),
+    ({"n_transient": -1}, "nonnegative"),
+    ({"n_keep": -1}, "nonnegative"),
+])
+def test_scan_rejects_bad_parameters_before_iterating(kwargs, message):
+    f = MapModel(dimension=3, evaluate=_never, domain=DomainSpec.nonnegative_orthant(3))
+    with pytest.raises(ValueError, match=message):
+        bifurcation_scan(f, "VMTOC", (28.0, 22.0, 4.6), [0.2, 0.5], **kwargs)
+
+
+def test_scan_plugin_exception_fails_its_row_only():
+    # no evaluate_batch: the scan evaluates row by row, and math.exp raises
+    # OverflowError at a step that depends on the row's intensity and start
+    f = MapModel(dimension=1, evaluate=lambda x: np.array([math.exp(x[0]) - 2.0]),
+                 domain=DomainSpec.full_space(1))
+    grid = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+    records = bifurcation_scan(f, "VMTOC", (0.0,), grid, seed=2, init_lo=0.0,
+                               init_hi=3.0, n_transient=20, n_keep=10)
+    steps, survivors = set(), 0
+    for i, (c, rec) in enumerate(zip(grid, records)):
+        x0 = np.random.default_rng([2, i]).uniform(np.zeros(1), np.full(1, 3.0))
+        cfg = ControlConfig("VMTOC", c, (0.0,))
+        if rec.error:
+            with pytest.raises(OrbitError) as err:
+                iterate_orbit(f, cfg, x0, 20, 10)
+            assert rec.error == str(err.value)
+            assert f"step {err.value.step}:" in rec.error and "OverflowError" in rec.error
+            steps.add(err.value.step)
+        else:
+            np.testing.assert_array_equal(rec.points, iterate_orbit(f, cfg, x0, 20, 10))
+            survivors += 1
+    assert len(steps) >= 2 and survivors >= 1
+
+
+@pytest.mark.parametrize("scheme", ["VMTOC", "VTOC"])
+@pytest.mark.parametrize("kind", ["lpa", "ricker"])
+def test_scan_row_does_not_depend_on_its_batch(kind, scheme):
+    # chaotic (c = 0), inside the (30,30,200) bubble (c = 0.25) and stable
+    if kind == "lpa":
+        model, target = lpa_map(), (30.0, 30.0, 200.0)
+    else:
+        model, target = ricker_lift(RickerParams(r=2.0, delay=2)), (1.0, 3.0)
+    grid = [0.0, 0.25, 0.6]
+    records = bifurcation_scan(model, scheme, target, grid, seed=21,
+                               n_transient=1000, n_keep=40)
+    assert None in records[0].periods
+    assert all(p == 1 for p in records[2].periods)
+    if kind == "lpa":
+        assert records[1].periods[:2] == (2, 2)
+    dim = model.dimension
+    for i, (c, rec) in enumerate(zip(grid, records)):
+        x0 = np.random.default_rng([21, i]).uniform(np.zeros(dim), np.full(dim, 50.0))
+        alone = iterate_orbit(model, ControlConfig(scheme, c, target), x0, 1000, 40)
+        np.testing.assert_array_equal(rec.points, alone)
 
 
 def test_scan_continuation_chains_orbits(lpa, lpa_k):

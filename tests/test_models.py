@@ -8,8 +8,11 @@ from chaosctl import (
     RickerParams,
     fd_jacobian,
     lpa_eval,
+    lpa_eval_batch,
     lpa_jacobian,
     lpa_recruitment_bound,
+    ricker_eval,
+    ricker_eval_batch,
     ricker_lift,
     spectral_radius,
 )
@@ -152,3 +155,17 @@ def test_ricker_jacobian_matches_finite_differences():
         np.testing.assert_allclose(lift.jacobian_at(x),
                                    fd_jacobian(lift.evaluate, x),
                                    rtol=1e-6, atol=1e-8)
+
+
+def test_batched_models_match_single_state_evaluation():
+    # np.exp and math.exp may differ in the last bit, so the batched rows
+    # agree with the single-state maps to a few ulp, not bitwise
+    rng = np.random.default_rng(3)
+    lpa_p, ricker_p = LpaParams(), RickerParams(r=2.0, delay=3)
+    for batch, single, p, d in ((lpa_eval_batch, lpa_eval, lpa_p, 3),
+                                (ricker_eval_batch, ricker_eval, ricker_p, 3)):
+        rows = rng.uniform(0.0, 300.0, (64, d))
+        out = batch(p, rows)
+        assert out.shape == rows.shape
+        for x, y in zip(rows, out):
+            np.testing.assert_allclose(y, single(p, x), rtol=1e-14, atol=0.0)
