@@ -17,6 +17,7 @@ inflation is applied to the sampled ratio, but none of them is certified.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -198,14 +199,21 @@ def bound_A(model: MapModel, lo, hi, n_samples: int = 512) -> float:
     The row and column maxima are taken over the deterministic sample set of
     ``box_samples``; since any eigenvalue modulus is bounded by both the
     maximal row and column sums, the result bounds the spectral radius at
-    every sampled state.
+    every sampled state.  A sample whose Jacobian has a non-finite row or
+    column sum raises ``ValueError``.
     """
     rows = 0.0
     cols = 0.0
-    for x in box_samples(lo, hi, n_samples):
+    for i, x in enumerate(box_samples(lo, hi, n_samples)):
         j = np.abs(model.jacobian_at(x))
-        rows = max(rows, float(np.max(j.sum(axis=1))))
-        cols = max(cols, float(np.max(j.sum(axis=0))))
+        row_max = float(np.max(j.sum(axis=1)))
+        col_max = float(np.max(j.sum(axis=0)))
+        # max() would silently skip a NaN and an inf is no usable bound
+        if not (math.isfinite(row_max) and math.isfinite(col_max)):
+            raise ValueError(f"non-finite Jacobian row or column sum at sample {i}, "
+                             f"x = ({', '.join(f'{v:.17g}' for v in x)})")
+        rows = max(rows, row_max)
+        cols = max(cols, col_max)
     return min(rows, cols)
 
 

@@ -253,14 +253,13 @@ def _write_scan_csv(path, records, costs=None):
         header += ",cost"
     lines = [header]
     for idx, rec in enumerate(records):
-        for i, state in enumerate(rec.points):
+        # everything but the step and the value is fixed per record and component
+        c = f"{rec.c:.17g}"
+        tail = "" if costs is None else f",{costs[idx]:.17g}"
+        ends = [f",{'aperiodic' if p is None else p}{tail}" for p in rec.periods]
+        for i, state in enumerate(rec.points.tolist()):
             for j, v in enumerate(state):
-                period = rec.periods[j]
-                ptxt = "aperiodic" if period is None else str(period)
-                row = f"{rec.c:.17g},{i},{j},{v:.17g},{ptxt}"
-                if costs is not None:
-                    row += f",{costs[idx]:.17g}"
-                lines.append(row)
+                lines.append(f"{c},{i},{j},{v:.17g}{ends[j]}")
     _write(path, lines)
 
 

@@ -59,6 +59,23 @@ def norm(x, kind: str = "max") -> float:
     raise ValueError(f"unknown norm kind: {kind!r}")
 
 
+def norm_rows(rows, kind: str = "max") -> np.ndarray:
+    """:func:`norm` of every row of an ``(n, d)`` array, bitwise equal to it."""
+    rows = np.asarray(rows, dtype=float)
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("non-finite state")
+    if kind == "max":
+        return np.max(np.abs(rows), axis=1, initial=0.0)
+    if kind == "euclidean":
+        peak = np.max(np.abs(rows), axis=1, initial=0.0)
+        # a zero row divides by 1 instead, and its norm stays 0 * 0
+        scale = np.where(peak == 0.0, 1.0, peak)
+        return peak * np.sqrt(np.sum((rows / scale[:, None]) ** 2, axis=1))
+    if kind == "sum":
+        return np.sum(np.abs(rows), axis=1)
+    raise ValueError(f"unknown norm kind: {kind!r}")
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """A convex subset of R^d that a map sends into itself.

@@ -3,10 +3,13 @@
 A bifurcation scan runs one controlled orbit per grid intensity, discards a
 transient, keeps a short window and classifies each component's period on
 that window.  Every orbit, single or scanned, runs through one loop that
-advances the rows of an ``(n, d)`` array together, one row per orbit.  Scans
-are deterministic: the initial condition for grid index ``i`` comes from an
-RNG stream derived from ``(seed, i)``, so records are bit-identical across
-runs.
+advances the rows of an ``(n, d)`` array together, one row per orbit.  The
+loop checks finiteness and domain membership once per block of steps; a
+block that fails the check is replayed one checked step at a time from its
+start state, so failures, their steps and messages, and the domain-exit log
+lines are those of a step-by-step check.  Scans are deterministic: the
+initial condition for grid index ``i`` comes from an RNG stream derived
+from ``(seed, i)``, so records are bit-identical across runs.
 """
 
 from __future__ import annotations
@@ -41,6 +44,75 @@ def _check_lengths(n_transient: int, n_keep: int) -> None:
         raise ValueError("n_transient and n_keep must be nonnegative")
 
 
+# Steps between two checks of a batch: long enough that the two checks
+# cost little per step, short enough that a failing block's replay is cheap.
+_BLOCK = 64
+
+
+class _RowWatch:
+    """Failure bookkeeping of the rows of one orbit batch, kept across blocks.
+
+    ``failures`` maps each failed row to ``(step, message)``; ``parked``
+    marks the failed rows, which are held at NaN and checked no more;
+    ``warned`` marks the rows whose domain exit has been logged.
+    """
+
+    def __init__(self, n: int, domain: DomainSpec, strict: bool):
+        self.domain, self.strict = domain, strict
+        self.failures = {}
+        self.parked = np.zeros(n, dtype=bool)
+        self.warned = np.zeros(n, dtype=bool)
+
+    def block_ok(self, block: np.ndarray) -> bool:
+        """Whether a ``(b, n, d)`` block of states passes every check.
+
+        Parked rows are left out, and so, from the domain check, are rows
+        whose exit was already logged, so that a failed row does not send
+        every later block to the replay.
+        """
+        if self.parked.any() or self.warned.any():
+            checked = ~self.parked
+            inside = checked & ~self.warned
+            return (math.isfinite(block[:, checked].sum())
+                    and (not inside.any()
+                         or self.domain.contains_unchecked(block[:, inside])))
+        return math.isfinite(block.sum()) and self.domain.contains_unchecked(block)
+
+    def checked_step(self, step, x: np.ndarray, i: int) -> np.ndarray:
+        """Step ``i`` from ``x``, checked: failing rows are recorded and parked."""
+        parked = self.parked
+        try:
+            y = step(x)
+        except RowError as exc:
+            # Park the rows that raised and redo the step for the others.
+            x = x.copy()
+            for r, cause in exc.causes.items():
+                self.failures[r] = (i, f"evaluation failed at step {i}: "
+                                       f"{type(cause).__name__}: {cause}")
+                parked[r] = True
+                x[r] = np.nan
+            y = step(x)
+        if math.isfinite(y.sum()) and self.domain.contains_unchecked(y):
+            return y
+        bad = ~parked & ~np.all(np.isfinite(y), axis=1)
+        outside = ~parked & ~bad & ~self.domain.contains_rows(y)
+        for r in np.flatnonzero(bad).tolist():
+            self.failures[r] = (i, f"non-finite state at step {i}")
+        if self.strict:
+            for r in np.flatnonzero(outside).tolist():
+                self.failures[r] = (i, f"state left the domain at step {i}")
+            bad |= outside
+        else:
+            for _ in np.flatnonzero(outside & ~self.warned).tolist():
+                log.warning("orbit left the domain at step %d (advisory)", i)
+            self.warned |= outside
+        parked |= bad
+        if parked.any() and not parked.all():
+            y = y.copy()
+            y[parked] = np.nan
+        return y
+
+
 def _iterate_rows(step, rows: np.ndarray, domain: DomainSpec, n_transient: int,
                   n_keep: int, strict: bool = False):
     """Advance every row of ``rows`` by ``n_transient + n_keep`` steps of ``step``.
@@ -52,50 +124,47 @@ def _iterate_rows(step, rows: np.ndarray, domain: DomainSpec, n_transient: int,
     ``strict``, that left the domain.  A failed row is parked at NaN, which
     the shipped maps carry through without a warning, and is checked no
     more; its kept states are meaningless.  Leaving the domain is otherwise
-    advisory and logged once per row.  Each step checks the whole array at
-    once; row masks are computed only when that check fails.
+    advisory and logged once per row.
+
+    The steps run in blocks of ``_BLOCK``, each written to a buffer and
+    checked as a whole by one finiteness and one domain check, with
+    floating-point warnings off.  When that check fails, or a step raises
+    :class:`RowError`, the block is replayed from its saved start state one
+    checked step at a time, which finds each failing row, its step and its
+    message, logs each domain exit and raises each floating-point warning
+    as a step-by-step loop would.  Steps are pure, so the replay recomputes
+    exactly the states that the block computed.
     """
-    n = rows.shape[0]
-    kept = np.empty((n_keep, n, rows.shape[1]))
-    failures = {}
-    parked = np.zeros(n, dtype=bool)
-    warned = np.zeros(n, dtype=bool)
+    n, d = rows.shape
+    total = n_transient + n_keep
+    kept = np.empty((n_keep, n, d))
+    buf = np.empty((min(_BLOCK, total), n, d))
+    watch = _RowWatch(n, domain, strict)
     x = rows
-    for i in range(n_transient + n_keep):
+    for start in range(0, total, _BLOCK):
+        block = buf[:min(_BLOCK, total - start)]
         try:
-            y = step(x)
-        except RowError as exc:
-            # Park the rows that raised and redo the step for the others.
-            x = x.copy()
-            for r, cause in exc.causes.items():
-                failures[r] = (i, f"evaluation failed at step {i}: "
-                                  f"{type(cause).__name__}: {cause}")
-                parked[r] = True
-                x[r] = np.nan
-            y = step(x)
+            with np.errstate(all="ignore"):
+                y = x
+                for k in range(block.shape[0]):
+                    y = step(y)
+                    block[k] = y
+            ok = watch.block_ok(block)
+        except RowError:
+            ok = False
+        if not ok:
+            y = x
+            for k in range(block.shape[0]):
+                y = watch.checked_step(step, y, start + k)
+                if watch.parked.all():
+                    return kept, watch.failures
+                block[k] = y
         x = y
-        if not (math.isfinite(x.sum()) and domain.contains_unchecked(x)):
-            bad = ~parked & ~np.all(np.isfinite(x), axis=1)
-            outside = ~parked & ~bad & ~domain.contains_rows(x)
-            for r in np.flatnonzero(bad).tolist():
-                failures[r] = (i, f"non-finite state at step {i}")
-            if strict:
-                for r in np.flatnonzero(outside).tolist():
-                    failures[r] = (i, f"state left the domain at step {i}")
-                bad |= outside
-            else:
-                for _ in np.flatnonzero(outside & ~warned).tolist():
-                    log.warning("orbit left the domain at step %d (advisory)", i)
-                warned |= outside
-            parked |= bad
-            if parked.all():
-                break
-            if parked.any():
-                x = x.copy()
-                x[parked] = np.nan
-        if i >= n_transient:
-            kept[i - n_transient] = x
-    return kept, failures
+        stop = start + block.shape[0]
+        if stop > n_transient:
+            first = max(start, n_transient)
+            kept[first - n_transient:stop - n_transient] = block[first - start:]
+    return kept, watch.failures
 
 
 def iterate_orbit(model: MapModel, cfg: Optional[ControlConfig], x0,

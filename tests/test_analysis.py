@@ -150,6 +150,33 @@ def test_bound_a_linear_slope():
     assert bound_A(f, [-1.0], [1.0], n_samples=16) == pytest.approx(2.5, rel=1e-7)
 
 
+def test_bound_a_rejects_non_finite_jacobian():
+    # finite differences of 3*sqrt(x) are NaN at every sample below 0; an
+    # analytic Jacobian of inf at x = 0 is no usable bound either
+    def f(x):
+        with np.errstate(invalid="ignore"):
+            return 3.0 * np.sqrt(np.asarray(x, float))
+
+    fd = MapModel(dimension=1, evaluate=f, domain=DomainSpec.full_space(1))
+    with pytest.raises(ValueError, match=r"non-finite Jacobian .* at sample 0, x = \(-4\)"):
+        bound_A(fd, [-4.0], [4.0], n_samples=64)
+    # 3*sqrt(x^2 - 1) is NaN on (-1, 1) only: past the two finite corners,
+    # the center is the first sample named
+    def g(x):
+        with np.errstate(invalid="ignore"):
+            return 3.0 * np.sqrt(np.asarray(x, float) ** 2 - 1.0)
+
+    hole = MapModel(dimension=1, evaluate=g, domain=DomainSpec.full_space(1))
+    with pytest.raises(ValueError, match=r"at sample 2, x = \(0\)"):
+        bound_A(hole, [-4.0], [4.0], n_samples=64)
+    analytic = MapModel(dimension=1, evaluate=f, domain=DomainSpec.nonnegative_orthant(1),
+                        jacobian=lambda x: np.array([[math.inf if x[0] == 0.0
+                                                      else 1.5 / math.sqrt(x[0])]]))
+    with pytest.raises(ValueError, match=r"at sample 0, x = \(0\)"):
+        bound_A(analytic, [0.0], [4.0], n_samples=64)
+    assert bound_A(analytic, [1.0], [4.0], n_samples=64) == pytest.approx(1.5)
+
+
 def test_bound_a_dominates_rho_on_box_containing_k(lpa, lpa_k):
     a = bound_A(lpa, [0.0, 0.0, 0.0], [60.0, 60.0, 20.0], n_samples=512)
     rho = spectral_radius(lpa.jacobian_at(lpa_k))

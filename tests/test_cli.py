@@ -3,8 +3,9 @@ import os
 import numpy as np
 import pytest
 
-from chaosctl import dynamics
-from chaosctl.cli import ConfigError, RunConfig, build_control, build_model, main
+from chaosctl import ScanRecord, bifurcation_scan, dynamics, lpa_map
+from chaosctl.cli import (ConfigError, RunConfig, _write_scan_csv, build_control,
+                          build_model, main)
 
 from conftest import LPA_FIXED_POINT
 
@@ -162,6 +163,40 @@ def test_bifurcate_with_cost_column(tmp_path):
     assert all(len(line.split(",")) == 6 for line in lines[1:])
 
 
+def _scan_csv_lines_per_line(records, costs=None):
+    """The scan CSV as formatted before per-record formatting: every field
+    of every line formatted on its own."""
+    header = "c,step,component,value,period"
+    if costs is not None:
+        header += ",cost"
+    lines = [header]
+    for idx, rec in enumerate(records):
+        for i, state in enumerate(rec.points):
+            for j, v in enumerate(state):
+                period = rec.periods[j]
+                ptxt = "aperiodic" if period is None else str(period)
+                row = f"{rec.c:.17g},{i},{j},{v:.17g},{ptxt}"
+                if costs is not None:
+                    row += f",{costs[idx]:.17g}"
+                lines.append(row)
+    return lines
+
+
+def test_scan_csv_matches_per_line_formatting(tmp_path, capsys):
+    # chaotic (aperiodic), in the (30,30,200) bubble (period 2) and stable,
+    # then a failed record, which writes no line
+    records = bifurcation_scan(lpa_map(), "VMTOC", (30.0, 30.0, 200.0), [0.0, 0.25, 0.5],
+                               seed=3, n_transient=500, n_keep=40)
+    records.append(ScanRecord(c=0.75, points=np.empty((0, 3)), periods=(None,) * 3,
+                              seed=3, error="non-finite state at step 9"))
+    assert None in records[0].periods and 2 in records[1].periods
+    for costs in (None, [0.0, 0.1 + 0.2, 1.0 / 3.0, 2.5e-17]):
+        _write_scan_csv(tmp_path / "s.csv", records, costs)
+        expected = "\n".join(_scan_csv_lines_per_line(records, costs)) + "\n"
+        assert (tmp_path / "s.csv").read_text() == expected
+    assert "aperiodic" in expected
+
+
 def test_bubbles_command(tmp_path):
     rc = run_cli(tmp_path, "bubbles", "--out", "bb", "--seed", "123",
                  "--set", "control.scheme=VMTOC",
@@ -173,6 +208,41 @@ def test_bubbles_command(tmp_path):
     flagged = {int(v.split(",")[0]) for k, v in report.items()
                if k.startswith("bubble.")}
     assert {0, 1} <= flagged  # larvae and pupae both bubble
+
+
+_SQRT_PLUGIN = (
+    "import math\n"
+    "import numpy as np\n"
+    "from chaosctl import DomainSpec, MapModel\n"
+    "def sqrt3(x):\n"
+    "    with np.errstate(invalid='ignore'):\n"
+    "        return 3.0 * np.sqrt(np.asarray(x, float))\n"
+    "def fd():\n"
+    "    return MapModel(dimension=1, evaluate=sqrt3, domain=DomainSpec.full_space(1))\n"
+    "def analytic():\n"
+    "    return MapModel(dimension=1, evaluate=sqrt3,\n"
+    "                    jacobian=lambda x: np.array([[math.inf if x[0] == 0.0\n"
+    "                                                  else 1.5 / math.sqrt(x[0])]]),\n"
+    "                    domain=DomainSpec.nonnegative_orthant(1))\n")
+
+
+@pytest.mark.parametrize("plugin, lo, first", [
+    # finite differences: NaN at every sample below 0, the first corner
+    ("fd", "-4", "sample 0, x = (-4)"),
+    # analytic: inf at the corner x = 0
+    ("analytic", "0", "sample 0, x = (0)"),
+])
+def test_stability_rejects_non_finite_jacobian(tmp_path, monkeypatch, capsys, plugin, lo,
+                                               first):
+    (tmp_path / "sqrtmap.py").write_text(_SQRT_PLUGIN)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    rc = run_cli(tmp_path, "stability", "--out", "sq",
+                 "--set", "model.kind=plugin", "--set", f"model.plugin=sqrtmap:{plugin}",
+                 "--set", "run.x0=5", "--set", f"sample.lo={lo}", "--set", "sample.hi=4")
+    assert rc == 1
+    assert (f"error: non-finite Jacobian row or column sum at {first}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "sq.report.txt").exists()
 
 
 def test_simulate_ricker_controlled_settles_on_pattern(tmp_path):

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chaosctl import DomainSpec, MapModel, RowError, as_state, fd_jacobian, norm
+from chaosctl.core import norm_rows
 
 finite_components = st.floats(min_value=-1e6, max_value=1e6,
                               allow_nan=False, allow_infinity=False)
@@ -48,6 +49,33 @@ def test_norm_homogeneity_and_positivity(x, a, kind):
 def test_norm_ordering(x):
     assert norm(x, "max") <= norm(x, "euclidean") + 1e-12
     assert norm(x, "euclidean") <= norm(x, "sum") + 1e-12
+
+
+@pytest.mark.parametrize("kind", ["max", "euclidean", "sum"])
+@pytest.mark.parametrize("dim", [1, 3, 8, 9, 40])
+def test_norm_rows_equals_norm_row_by_row(kind, dim):
+    rng = np.random.default_rng(dim)
+    rows = np.vstack([
+        np.zeros(dim),
+        np.full(dim, 1e-300),
+        rng.standard_normal((3, dim)),
+        # mixed scales within a row
+        rng.standard_normal((4, dim)) * 10.0 ** rng.integers(-300, 300, (4, dim)),
+        rng.standard_normal((2, dim)) * 1e300,
+    ])
+    rows[2, 0] = 0.0
+    got = norm_rows(rows, kind)
+    assert got.shape == (rows.shape[0],)
+    np.testing.assert_array_equal(got, [norm(x, kind) for x in rows])
+
+
+def test_norm_rows_rejects_non_finite_and_unknown_kind():
+    rows = np.array([[1.0, 2.0], [float("inf"), 0.0]])
+    for kind in ("max", "euclidean", "sum"):
+        with pytest.raises(ValueError, match="non-finite"):
+            norm_rows(rows, kind)
+    with pytest.raises(ValueError, match="norm kind"):
+        norm_rows(rows[:1], "manhattan")
 
 
 def test_as_state_validation():

@@ -7,12 +7,15 @@ from chaosctl import (
     ControlConfig,
     DomainSpec,
     MapModel,
+    RowError,
     controlled_map,
     cost_per_step,
     find_fixed_point,
     iterate_orbit,
     norm,
 )
+from chaosctl.cli import main
+from chaosctl.models import RickerParams, lpa_map, ricker_lift
 
 
 def test_zero_intensity_costs_nothing(lpa, lpa_k):
@@ -84,3 +87,73 @@ def test_cost_window_validation(lpa, lpa_k):
         cost_per_step(lpa, cfg, orbit, window=(5, 20))
     with pytest.raises(ValueError, match="post-map"):
         cost_per_step(lpa, ControlConfig("PF", 0.5, None), orbit)
+
+
+def _per_state_cost(model, cfg, orbit, norm_kind):
+    """The window average one state at a time, with ``evaluate``; also the
+    average size of the terms whose difference each summand measures."""
+    d = model.dimension
+    t, c = cfg.target_vector(d), cfg.intensity_vector(d)
+    total = scale = 0.0
+    for x in orbit:
+        fx = np.asarray(model.evaluate(x), float)
+        total += norm(c * (fx - t), norm_kind)
+        scale += norm(c * fx, norm_kind) + norm(c * t, norm_kind)
+    return total / len(orbit), scale / len(orbit)
+
+
+@pytest.mark.parametrize("kind, scheme, intensity, target, norm_kind", [
+    ("lpa", "VMTOC", 0.25, (30.0, 30.0, 200.0), "euclidean"),   # in the bubble
+    ("lpa", "VMTOC", 0.5, (28.0120, 22.4096, 4.6251), "max"),   # converged, T ~ K
+    ("lpa", "DIAG-VMTOC", (0.1, 0.2, 0.3), (30.0, 30.0, 200.0), "sum"),
+    ("ricker", "VMTOC", 0.3, (1.0, 3.0), "euclidean"),
+    ("ricker", "VMTOC", 0.05, (1.0, 3.0), "sum"),               # chaotic
+    ("ricker", "DIAG-VMTOC", (0.2, 0.4), (1.0, 3.0), "max"),
+])
+def test_batched_cost_matches_per_state_loop(kind, scheme, intensity, target, norm_kind):
+    model = lpa_map() if kind == "lpa" else ricker_lift(RickerParams(r=2.0, delay=2))
+    cfg = ControlConfig(scheme, intensity, target)
+    orbit = iterate_orbit(model, cfg, np.full(model.dimension, 10.0), 500, 60)
+    want, scale = _per_state_cost(model, cfg, orbit, norm_kind)
+    got = cost_per_step(model, cfg, orbit, norm_kind=norm_kind).value
+    # np.exp (batch) and math.exp (evaluate) may differ in the last bit of
+    # f(x); that error is relative to the terms, not to f(x) - T, which
+    # cancels where the orbit has converged near T
+    assert abs(got - want) <= 1e-14 * scale
+    window = cost_per_step(model, cfg, orbit, window=(7, 30), norm_kind=norm_kind)
+    want, scale = _per_state_cost(model, cfg, orbit[7:37], norm_kind)
+    assert abs(window.value - want) <= 1e-14 * scale
+
+
+_DOUBLER = (
+    "import numpy as np\n"
+    "from chaosctl import DomainSpec, MapModel\n"
+    "def double(x):\n"
+    "    if x[0] >= 32.0:\n"
+    "        raise OverflowError('too big')\n"
+    "    return 2.0 * np.asarray(x, float)\n"
+    "def make():\n"
+    "    return MapModel(dimension=1, evaluate=double, domain=DomainSpec.full_space(1))\n")
+
+
+def test_cost_surfaces_evaluation_exception_as_value_error(tmp_path, monkeypatch, capsys):
+    # the orbit 2, 4, ..., 32 never evaluates 32; the cost, which evaluates
+    # f at every kept state, does
+    (tmp_path / "doubler.py").write_text(_DOUBLER)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    from doubler import make
+
+    model = make()
+    cfg = ControlConfig("VMTOC", 0.0, (1.0,))
+    orbit = iterate_orbit(model, cfg, np.array([1.0]), 0, 5)
+    with pytest.raises(RowError, match="first row 4: OverflowError: too big"):
+        cost_per_step(model, cfg, orbit)
+    rc = main(["cost", "--out", "dbl", "--set", "model.kind=plugin",
+               "--set", "model.plugin=doubler:make",
+               "--set", "control.scheme=VMTOC", "--set", "control.intensity=0",
+               "--set", "control.target=1", "--set", "run.x0=1",
+               "--set", "run.n_transient=0", "--set", "run.n_keep=5"])
+    assert rc == 1
+    assert ("error: 1 row(s) failed, first row 4: OverflowError: too big"
+            in capsys.readouterr().err)

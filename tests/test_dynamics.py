@@ -1,4 +1,6 @@
+import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from chaosctl import (
     ScanRecord,
     bifurcation_scan,
     compose_vmtoc,
+    dynamics,
     detect_bubbles,
     detect_period,
     iterate_orbit,
@@ -249,6 +252,168 @@ def test_scan_continuation_chains_orbits(lpa, lpa_k):
     manual = iterate_orbit(lpa, ControlConfig("VMTOC", 0.6, tuple(lpa_k)),
                            start, 100, 5)
     np.testing.assert_array_equal(records[1].points, manual)
+
+
+# --- block-checked orbit loop ------------------------------------------------
+
+# Each counter map sends x to x + 1 until its input reaches _LIMIT, so a row
+# started at _LIMIT - s first misbehaves at step s: its image is not finite
+# ("diverge"), its evaluate raises ("raise") or its image leaves the box
+# [-_LIMIT, _LIMIT] ("leave").  The diverge and leave maps have a numpy
+# batch; the raise map has only evaluate, so its rows run through the
+# per-row fallback.
+_LIMIT = 1000.0
+_B = dynamics._BLOCK
+_N_TRANSIENT = 2 * _B + 5
+_N_KEEP = 20
+# a block's last and first steps, the last transient step, a kept step and
+# the final step
+_STEPS = (_B - 1, _B, _B + 1, _N_TRANSIENT - 1, _N_TRANSIENT + 7,
+          _N_TRANSIENT + _N_KEEP - 1)
+
+
+def _raising(x):
+    if x[0] >= _LIMIT:
+        raise OverflowError("boom")
+    return x + 1.0
+
+
+def _counter_map(kind):
+    if kind == "diverge":
+        def batch(rows):
+            return np.where(rows < _LIMIT, rows + 1.0, np.inf)
+
+        return MapModel(dimension=1, evaluate=lambda x: batch(x[None, :])[0],
+                        evaluate_batch=batch, domain=DomainSpec.full_space(1))
+    if kind == "raise":
+        return MapModel(dimension=1, evaluate=_raising, domain=DomainSpec.full_space(1))
+    return MapModel(dimension=1, evaluate=lambda x: x + 1.0,
+                    evaluate_batch=lambda rows: rows + 1.0,
+                    domain=DomainSpec.box([-_LIMIT], [_LIMIT]))
+
+
+def _expected_message(kind, strict, step):
+    if kind == "diverge":
+        return f"non-finite state at step {step}"
+    if kind == "raise":
+        return f"evaluation failed at step {step}: OverflowError: boom"
+    return f"state left the domain at step {step}" if strict else None
+
+
+def _exit_lines(caplog):
+    return [r.getMessage() for r in caplog.records if "left the domain" in r.getMessage()]
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("kind", ["diverge", "raise", "leave"])
+@pytest.mark.parametrize("step", _STEPS)
+def test_block_loop_single_orbit_fails_at_its_step(caplog, kind, strict, step):
+    model = _counter_map(kind)
+    x0 = np.array([_LIMIT - step])
+    message = _expected_message(kind, strict, step)
+    with caplog.at_level(logging.WARNING, logger="chaosctl.dynamics"):
+        if message is None:
+            orbit = iterate_orbit(model, None, x0, _N_TRANSIENT, _N_KEEP, strict=strict)
+            ks = np.arange(_N_TRANSIENT + 1, _N_TRANSIENT + _N_KEEP + 1)
+            np.testing.assert_array_equal(orbit[:, 0], x0[0] + ks)
+        else:
+            with pytest.raises(OrbitError) as err:
+                iterate_orbit(model, None, x0, _N_TRANSIENT, _N_KEEP, strict=strict)
+            assert err.value.step == step
+            assert str(err.value) == message
+    expected_lines = ([f"orbit left the domain at step {step} (advisory)"]
+                      if kind == "leave" and not strict else [])
+    assert _exit_lines(caplog) == expected_lines
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("kind", ["diverge", "raise", "leave"])
+@pytest.mark.parametrize("steps", [_STEPS[:5], _STEPS[1:]])
+def test_block_loop_batch_of_five_fails_each_row_at_its_step(caplog, kind, strict, steps):
+    model = _counter_map(kind)
+    rows = np.array([[_LIMIT - s] for s in steps])
+    with caplog.at_level(logging.WARNING, logger="chaosctl.dynamics"):
+        kept, failures = dynamics._iterate_rows(model.evaluate_rows, rows, model.domain,
+                                                _N_TRANSIENT, _N_KEEP, strict)
+    messages = {r: _expected_message(kind, strict, s) for r, s in enumerate(steps)}
+    assert failures == {r: (s, messages[r]) for r, s in enumerate(steps)
+                        if messages[r] is not None}
+    if kind == "leave" and not strict:
+        assert sorted(_exit_lines(caplog)) == sorted(
+            f"orbit left the domain at step {s} (advisory)" for s in steps)
+        ks = np.arange(_N_TRANSIENT + 1, _N_TRANSIENT + _N_KEEP + 1)
+        np.testing.assert_array_equal(kept[:, :, 0], rows[:, 0] + ks[:, None])
+    else:
+        assert _exit_lines(caplog) == []
+
+
+def test_block_loop_failed_rows_leave_later_blocks_unchecked(monkeypatch, caplog):
+    # Row 0 diverges at step 0 and row 1 leaves the box [0, 10] at step 3;
+    # row 4 starts outside it (logged at step 0) and diverges in the second
+    # block; rows 2 and 3 sit still.  Only the first two blocks are replayed
+    # step by step (only the replay asks for a row mask), and the rows that
+    # did not fail are exact.
+    top = 1e6
+
+    def batch(rows):
+        return np.where((rows < 0.0) | (rows >= top), np.inf,
+                        np.where(rows >= 5.0, rows + 1.0, rows))
+
+    model = MapModel(dimension=1, evaluate=lambda x: batch(x[None, :])[0],
+                     evaluate_batch=batch, domain=DomainSpec.box([0.0], [10.0]))
+    masks = []
+    contains_rows = DomainSpec.contains_rows
+    monkeypatch.setattr(DomainSpec, "contains_rows",
+                        lambda self, rows: masks.append(1) or contains_rows(self, rows))
+    rows = np.array([[-1.0], [7.0], [1.0], [2.0], [top - (_B + 10)]])
+    with caplog.at_level(logging.WARNING, logger="chaosctl.dynamics"):
+        kept, failures = dynamics._iterate_rows(model.evaluate_rows, rows, model.domain,
+                                                10 * _B, 5)
+    assert failures == {0: (0, "non-finite state at step 0"),
+                        4: (_B + 10, f"non-finite state at step {_B + 10}")}
+    assert _exit_lines(caplog) == ["orbit left the domain at step 0 (advisory)",
+                                   "orbit left the domain at step 3 (advisory)"]
+    assert 0 < len(masks) <= 2 * _B
+    np.testing.assert_array_equal(kept[:, 2:4, 0], np.tile([1.0, 2.0], (5, 1)))
+    np.testing.assert_array_equal(kept[:, 1, 0], 7.0 + np.arange(10 * _B + 1, 10 * _B + 6))
+
+
+def test_block_loop_warns_as_the_step_by_step_loop():
+    # 1e300 * 1e200 overflows at step 1, where the orbit fails; going on in
+    # its block would next compute inf - inf, but that warning must not show
+    def batch(rows):
+        return rows * 1e200 - rows
+
+    model = MapModel(dimension=1, evaluate=lambda x: batch(x[None, :])[0],
+                     evaluate_batch=batch, domain=DomainSpec.full_space(1))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(OrbitError, match="non-finite state at step 1"):
+            iterate_orbit(model, None, np.array([1e100]), 0, 10)
+    assert [str(w.message) for w in caught] == ["overflow encountered in multiply"]
+
+
+def test_scan_row_failing_in_first_block_leaves_other_rows_exact():
+    # x' = c*0 + (1-c)*x^2: without control the square overflows within the
+    # first block, while c >= 0.5 pulls every start in [1.5, 1.9] to 0
+    model = MapModel(dimension=1, evaluate=lambda x: np.asarray(x, float) ** 2,
+                     evaluate_batch=lambda rows: rows ** 2,
+                     domain=DomainSpec.nonnegative_orthant(1))
+    grid = [0.0, 0.5, 0.7, 0.9]
+    with np.errstate(over="ignore"):
+        records = bifurcation_scan(model, "VMTOC", (0.0,), grid, seed=5, init_lo=1.5,
+                                   init_hi=1.9, n_transient=3 * _B, n_keep=10)
+    x0 = np.random.default_rng([5, 0]).uniform(1.5, 1.9, 1)
+    with pytest.raises(OrbitError) as err, np.errstate(over="ignore"):
+        iterate_orbit(model, ControlConfig("VMTOC", 0.0, (0.0,)), x0, 3 * _B, 10)
+    assert err.value.step < _B
+    assert records[0].error == str(err.value)
+    for i, (c, rec) in enumerate(zip(grid[1:], records[1:]), start=1):
+        x0 = np.random.default_rng([5, i]).uniform(1.5, 1.9, 1)
+        assert rec.error is None and rec.periods == (1,)
+        np.testing.assert_array_equal(
+            rec.points, iterate_orbit(model, ControlConfig("VMTOC", c, (0.0,)), x0,
+                                      3 * _B, 10))
 
 
 # --- bubbles -----------------------------------------------------------------
