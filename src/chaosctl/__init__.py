@@ -46,12 +46,10 @@ from .models import (
     LpaParams,
     RickerParams,
     lpa_eval,
-    lpa_eval_batch,
     lpa_jacobian,
     lpa_map,
     lpa_recruitment_bound,
     ricker_eval,
-    ricker_eval_batch,
     ricker_jacobian,
     ricker_lift,
 )
@@ -66,9 +64,9 @@ __all__ = [
     "compose_vmtoc", "conjugate_state", "controlled_map",
     "cost_per_step", "detect_bubbles", "detect_period", "fd_jacobian",
     "find_fixed_point", "global_cstar", "iterate_orbit",
-    "lipschitz_estimate", "local_cstar", "lpa_eval", "lpa_eval_batch", "lpa_jacobian",
+    "lipschitz_estimate", "local_cstar", "lpa_eval", "lpa_jacobian",
     "lpa_map", "lpa_recruitment_bound", "lyapunov_max",
     "multistart_fixed_points", "norm", "overall_period", "ricker_eval",
-    "ricker_eval_batch", "ricker_jacobian", "ricker_lift", "spectral_radius",
+    "ricker_jacobian", "ricker_lift", "spectral_radius",
     "stability_report", "target_for_state", "verify_contraction",
 ]

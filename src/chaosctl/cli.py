@@ -219,8 +219,14 @@ def _initial_state(cfg: RunConfig, model: MapModel) -> np.ndarray:
 
 
 def _c_grid(cfg: RunConfig):
-    if cfg["scan.c_list"] is not None:
-        return list(cfg["scan.c_list"])
+    cs = cfg["scan.c_list"]
+    if cs is not None:
+        if not cs:
+            raise ConfigError("scan.c_list", "intensity list is empty")
+        # a chained bifurcate may run downward; bubbles need increasing c
+        if cfg["run.command"] == "bubbles" and any(b < a for a, b in zip(cs, cs[1:])):
+            raise ConfigError("scan.c_list", "bubbles needs intensities in increasing order")
+        return list(cs)
     n = cfg["scan.grid"]
     if n < 2:
         raise ConfigError("scan.grid", "grid size must be at least 2")
@@ -301,6 +307,10 @@ def run(cfg: RunConfig, strict: bool = False) -> int:
     command = cfg["run.command"]
     if command not in COMMANDS:
         raise ConfigError("run.command", f"unknown command {command!r}")
+    # periods need two kept states, a final state or a cost window one
+    need = {"simulate": 1, "cost": 1, "bifurcate": 2, "bubbles": 2}.get(command, 0)
+    if cfg["run.n_keep"] < need:
+        raise ConfigError("run.n_keep", f"{command} needs at least {need} kept states")
     model = build_model(cfg)
     control = build_control(cfg, model)
     prefix = cfg["out.prefix"]

@@ -41,34 +41,23 @@ def norm(x, kind: str = "max") -> float:
     """Norm of a state vector; zero iff ``x`` is the zero vector.
 
     ``kind`` is one of ``"max"`` (sup norm), ``"euclidean"`` or ``"sum"``
-    (taxicab).  Non-finite components raise ``ValueError``.
+    (taxicab).  Non-finite components raise ``ValueError``.  This is
+    :func:`norm_rows` of ``x`` as a one-row array.
     """
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite state")
-    if kind == "max":
-        return float(np.max(np.abs(x))) if x.size else 0.0
-    if kind == "euclidean":
-        # scale by the largest magnitude so squaring cannot underflow to zero
-        peak = float(np.max(np.abs(x))) if x.size else 0.0
-        if peak == 0.0:
-            return 0.0
-        return peak * float(np.sqrt(np.sum((x / peak) ** 2)))
-    if kind == "sum":
-        return float(np.sum(np.abs(x)))
-    raise ValueError(f"unknown norm kind: {kind!r}")
+    return float(norm_rows(np.reshape(x, (1, -1)), kind)[0])
 
 
 def norm_rows(rows, kind: str = "max") -> np.ndarray:
-    """:func:`norm` of every row of an ``(n, d)`` array, bitwise equal to it."""
+    """:func:`norm` of every row of an ``(n, d)`` array."""
     rows = np.asarray(rows, dtype=float)
     if not np.all(np.isfinite(rows)):
         raise ValueError("non-finite state")
     if kind == "max":
         return np.max(np.abs(rows), axis=1, initial=0.0)
     if kind == "euclidean":
-        peak = np.max(np.abs(rows), axis=1, initial=0.0)
+        # scale by the largest magnitude so squaring cannot underflow to zero;
         # a zero row divides by 1 instead, and its norm stays 0 * 0
+        peak = np.max(np.abs(rows), axis=1, initial=0.0)
         scale = np.where(peak == 0.0, 1.0, peak)
         return peak * np.sqrt(np.sum((rows / scale[:, None]) ** 2, axis=1))
     if kind == "sum":

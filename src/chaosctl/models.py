@@ -7,11 +7,11 @@ Two models ship with the package:
 * the delayed Ricker map, lifted from a scalar higher-order recursion to a
   first-order system via a delay line.
 
-Both expose an analytic Jacobian and self-map the nonnegative orthant.  A
-single state is evaluated with plain ``math`` calls; the batched versions
-evaluate every row of an ``(n, d)`` array with one ``numpy`` call per term,
-for the orbit loop of ``dynamics``.  ``np.exp`` and ``math.exp`` may differ
-in the last bit, so the two are equal only up to rounding.
+Both expose an analytic Jacobian and self-map the nonnegative orthant.
+Each map has one formula, written with ``numpy`` on the last axis, so it
+takes either one state ``(d,)`` or an ``(n, d)`` array of states: a row of
+a batch is bitwise the image of that row alone.  The models pass the same
+function as ``evaluate`` and ``evaluate_batch``.
 """
 
 from __future__ import annotations
@@ -61,26 +61,21 @@ def lpa_eval(p: LpaParams, x, strict: bool = False) -> np.ndarray:
         P' = (1 - mu_l)*L
         A' = P*exp(-c_pa*A) + A*(1 - mu_a)
 
-    With nonnegative input every exponent argument is <= 0, so the
-    evaluation cannot overflow.  ``strict`` rejects negative components.
+    ``x`` is one state ``(3,)`` or an ``(n, 3)`` array of states.  With
+    nonnegative input every exponent argument is <= 0, so the evaluation
+    cannot overflow.  ``strict`` rejects negative components.
     """
-    L, P, A = float(x[0]), float(x[1]), float(x[2])
-    if strict and (L < 0.0 or P < 0.0 or A < 0.0):
+    x = np.asarray(x, dtype=float)
+    if strict and np.any(x < 0.0):
         raise ValueError("negative component outside the nonnegative orthant")
-    return np.array([
-        p.b * A * math.exp(-p.c_el * L - p.c_ea * A),
-        (1.0 - p.mu_l) * L,
-        P * math.exp(-p.c_pa * A) + A * (1.0 - p.mu_a),
-    ])
-
-
-def lpa_eval_batch(p: LpaParams, rows: np.ndarray) -> np.ndarray:
-    """:func:`lpa_eval` of every row of an ``(n, 3)`` float array."""
-    L, P, A = rows[:, 0], rows[:, 1], rows[:, 2]
-    out = np.empty_like(rows)
-    out[:, 0] = p.b * A * np.exp(-p.c_el * L - p.c_ea * A)
-    out[:, 1] = (1.0 - p.mu_l) * L
-    out[:, 2] = P * np.exp(-p.c_pa * A) + A * (1.0 - p.mu_a)
+    # the transpose puts the component axis first: for one state L, P and A
+    # are numpy scalars, for a batch they are columns
+    xt, out = x.T, np.empty_like(x)
+    L, P, A = xt[0], xt[1], xt[2]
+    o = out.T
+    o[0] = p.b * A * np.exp(-p.c_el * L - p.c_ea * A)
+    o[1] = (1.0 - p.mu_l) * L
+    o[2] = P * np.exp(-p.c_pa * A) + A * (1.0 - p.mu_a)
     return out
 
 
@@ -118,14 +113,11 @@ def lpa_map(p: LpaParams | None = None, domain: DomainSpec | None = None) -> Map
     def evaluate(x, _p=p):
         return lpa_eval(_p, x)
 
-    def evaluate_batch(rows, _p=p):
-        return lpa_eval_batch(_p, rows)
-
     def jacobian(x, _p=p):
         return lpa_jacobian(_p, x)
 
     return MapModel(dimension=3, evaluate=evaluate, domain=domain,
-                    jacobian=jacobian, name="lpa", evaluate_batch=evaluate_batch)
+                    jacobian=jacobian, name="lpa", evaluate_batch=evaluate)
 
 
 @dataclass(frozen=True)
@@ -148,19 +140,14 @@ def ricker_eval(p: RickerParams, x) -> np.ndarray:
     The state holds the last ``delay`` population values, newest first; the
     update multiplies the newest value by exp(r - oldest) and shifts the
     rest down the delay line, so iterating the lift reproduces the scalar
-    recursion u[n+1] = u[n]*exp(r - u[n-delay+1]).
+    recursion u[n+1] = u[n]*exp(r - u[n-delay+1]).  ``x`` is one state
+    ``(delay,)`` or an ``(n, delay)`` array of states.
     """
-    out = np.empty(p.delay)
-    out[0] = float(x[0]) * math.exp(p.r - float(x[p.delay - 1]))
-    out[1:] = x[:-1]
-    return out
-
-
-def ricker_eval_batch(p: RickerParams, rows: np.ndarray) -> np.ndarray:
-    """:func:`ricker_eval` of every row of an ``(n, delay)`` float array."""
-    out = np.empty_like(rows)
-    out[:, 0] = rows[:, 0] * np.exp(p.r - rows[:, p.delay - 1])
-    out[:, 1:] = rows[:, :-1]
+    x = np.asarray(x, dtype=float)
+    xt, out = x.T, np.empty_like(x)
+    o = out.T
+    o[0] = xt[0] * np.exp(p.r - xt[p.delay - 1])
+    o[1:] = xt[:-1]
     return out
 
 
@@ -181,12 +168,9 @@ def ricker_lift(p: RickerParams) -> MapModel:
     def evaluate(x, _p=p):
         return ricker_eval(_p, x)
 
-    def evaluate_batch(rows, _p=p):
-        return ricker_eval_batch(_p, rows)
-
     def jacobian(x, _p=p):
         return ricker_jacobian(_p, x)
 
     return MapModel(dimension=p.delay, evaluate=evaluate,
                     domain=DomainSpec.nonnegative_orthant(p.delay),
-                    jacobian=jacobian, name="ricker", evaluate_batch=evaluate_batch)
+                    jacobian=jacobian, name="ricker", evaluate_batch=evaluate)

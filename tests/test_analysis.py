@@ -18,13 +18,14 @@ from chaosctl import (
     local_cstar,
     lpa_jacobian,
     multistart_fixed_points,
+    norm,
     spectral_radius,
     stability_report,
     target_for_state,
     verify_contraction,
 )
 from chaosctl.analysis import box_samples
-from chaosctl.models import LpaParams
+from chaosctl.models import LpaParams, RickerParams, ricker_lift
 
 from conftest import LPA_FIXED_POINT
 
@@ -270,6 +271,48 @@ def test_lipschitz_lpa_on_box(lpa, lpa_k):
     assert est.value >= 1.0
     assert est.bound_part == pytest.approx(est.sup_f / np.max(np.abs(lpa_k)) + 1.0)
     assert est.ratio_part <= est.value
+
+
+def _per_sample_lipschitz(model, k, lo, hi, n_samples, norm_kind):
+    """The estimate one box sample at a time, with ``evaluate`` and ``norm``:
+    ``(ratio_part, bound_part, sup_f)``."""
+    nk = norm(k, norm_kind)
+    sup_f = 0.0
+    ratio = 0.0
+    for x in box_samples(lo, hi, n_samples):
+        fx = np.asarray(model.evaluate(x), float)
+        sup_f = max(sup_f, norm(fx, norm_kind))
+        dist = norm(x - k, norm_kind)
+        if 0.0 < dist <= nk:
+            ratio = max(ratio, norm(fx - k, norm_kind) / dist)
+    return 1.05 * ratio, sup_f / nk + 1.0, sup_f
+
+
+@pytest.mark.parametrize("norm_kind", ["max", "euclidean", "sum"])
+@pytest.mark.parametrize("box", ["wide", "far", "degenerate", "at-k"])
+@pytest.mark.parametrize("case", ["lpa", "lpa-vmtoc", "ricker"])
+def test_lipschitz_equals_per_sample_loop(lpa, lpa_k, case, box, norm_kind):
+    if case == "ricker":
+        model, k, top = ricker_lift(RickerParams(r=2.0, delay=2)), np.array([2.0, 2.0]), 6.0
+    else:
+        model, k, top = lpa, np.asarray(lpa_k), 300.0
+        if case == "lpa-vmtoc":
+            model = controlled_map(lpa, ControlConfig("VMTOC", 0.5, tuple(lpa_k)))
+    d = model.dimension
+    if box == "wide":
+        lo, hi = np.zeros(d), np.full(d, top)
+    elif box == "far":
+        # every sample lies farther than ||K|| from K, in each of the norms
+        lo = np.full(d, 4.0 * np.max(k))
+        hi = lo + 10.0
+    else:
+        # one point, sampled repeatedly; at K itself no sample has a ratio
+        lo = hi = 0.5 * k if box == "degenerate" else k
+    est = lipschitz_estimate(model, k, lo, hi, n_samples=300, norm_kind=norm_kind)
+    ratio_part, bound_part, sup_f = _per_sample_lipschitz(model, k, lo, hi, 300, norm_kind)
+    assert (est.ratio_part, est.bound_part, est.sup_f) == (ratio_part, bound_part, sup_f)
+    assert est.value == max(ratio_part, bound_part)
+    assert (est.ratio_part == 0.0) == (box in ("far", "at-k"))
 
 
 # --- contraction certificate -------------------------------------------------

@@ -365,3 +365,50 @@ def test_scan_with_every_grid_point_failed_exits_1(tmp_path, monkeypatch, capsys
     assert "error: every grid point failed: non-finite state" in capsys.readouterr().err
     assert read_report(tmp_path / "bl.report.txt")["errors"] == "2"
     assert (tmp_path / "bl.scan.csv").read_text() == "c,step,component,value,period\n"
+
+
+@pytest.mark.parametrize("command, least", [
+    ("simulate", 1), ("cost", 1), ("bifurcate", 2), ("bubbles", 2),
+])
+def test_orbit_commands_need_enough_kept_states(tmp_path, capsys, command, least):
+    args = (command, "--out", "nk", "--set", "control.scheme=VMTOC",
+            "--set", "control.target=28.0120,22.4096,4.6251",
+            "--set", "scan.grid=4", "--set", "run.n_transient=100")
+    few = tmp_path / "few"
+    few.mkdir()
+    for n_keep in range(least):
+        assert run_cli(few, *args, "--set", f"run.n_keep={n_keep}") == 2
+        assert "run.n_keep" in capsys.readouterr().err
+    assert list(few.iterdir()) == []
+    assert run_cli(tmp_path, *args, "--set", f"run.n_keep={least}") == 0
+
+
+@pytest.mark.parametrize("command, c_list", [
+    ("bifurcate", ","), ("bubbles", ","), ("bubbles", "0.5,0.2,0.3"),
+])
+def test_scan_rejects_bad_c_list_before_scanning(tmp_path, monkeypatch, capsys,
+                                                 command, c_list):
+    def scan(*args, **kwargs):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(dynamics, "bifurcation_scan", scan)
+    rc = run_cli(tmp_path, command, "--out", "cl",
+                 "--set", "control.scheme=VMTOC",
+                 "--set", "control.target=28.0120,22.4096,4.6251",
+                 "--set", f"scan.c_list={c_list}")
+    assert rc == 2
+    assert "scan.c_list" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_chained_bifurcate_runs_down_an_unsorted_c_list(tmp_path):
+    rc = run_cli(tmp_path, "bifurcate", "--out", "down",
+                 "--set", "model.kind=ricker", "--set", "control.scheme=VMTOC",
+                 "--set", "control.target=1,3", "--set", "scan.continue=true",
+                 "--set", "scan.c_list=0.5,0.2,0.3", "--set", "run.n_transient=200",
+                 "--set", "run.n_keep=8")
+    assert rc == 0
+    assert read_report(tmp_path / "down.report.txt")["grid_points"] == "3"
+    rows = (tmp_path / "down.scan.csv").read_text().splitlines()[1:]
+    cs = [f"{c:.17g}" for c in (0.5, 0.2, 0.3)]
+    assert list(dict.fromkeys(line.split(",")[0] for line in rows)) == cs

@@ -257,5 +257,6 @@ def test_controlled_rows_match_controlled_map_bitwise(lpa, scheme):
     for c, x, y in zip(cs, rows, out):
         g = controlled_map(lpa, ControlConfig(scheme, c, target))
         np.testing.assert_array_equal(y, g.evaluate_batch(x[None, :])[0])
+        np.testing.assert_array_equal(y, g.evaluate(x))
     with pytest.raises(ValueError, match="intensities"):
         controlled_rows(lpa, scheme, target, [0.5, 1.0])

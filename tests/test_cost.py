@@ -90,16 +90,13 @@ def test_cost_window_validation(lpa, lpa_k):
 
 
 def _per_state_cost(model, cfg, orbit, norm_kind):
-    """The window average one state at a time, with ``evaluate``; also the
-    average size of the terms whose difference each summand measures."""
+    """The window average one state at a time, with ``evaluate``."""
     d = model.dimension
     t, c = cfg.target_vector(d), cfg.intensity_vector(d)
-    total = scale = 0.0
+    total = 0.0
     for x in orbit:
-        fx = np.asarray(model.evaluate(x), float)
-        total += norm(c * (fx - t), norm_kind)
-        scale += norm(c * fx, norm_kind) + norm(c * t, norm_kind)
-    return total / len(orbit), scale / len(orbit)
+        total += norm(c * (np.asarray(model.evaluate(x), float) - t), norm_kind)
+    return total / len(orbit)
 
 
 @pytest.mark.parametrize("kind, scheme, intensity, target, norm_kind", [
@@ -109,20 +106,16 @@ def _per_state_cost(model, cfg, orbit, norm_kind):
     ("ricker", "VMTOC", 0.3, (1.0, 3.0), "euclidean"),
     ("ricker", "VMTOC", 0.05, (1.0, 3.0), "sum"),               # chaotic
     ("ricker", "DIAG-VMTOC", (0.2, 0.4), (1.0, 3.0), "max"),
+    ("lpa", "VMTOC", 0.5, (28.0120, 22.4096, 4.6251), "euclidean"),  # f(x) - T cancels
 ])
 def test_batched_cost_matches_per_state_loop(kind, scheme, intensity, target, norm_kind):
     model = lpa_map() if kind == "lpa" else ricker_lift(RickerParams(r=2.0, delay=2))
     cfg = ControlConfig(scheme, intensity, target)
     orbit = iterate_orbit(model, cfg, np.full(model.dimension, 10.0), 500, 60)
-    want, scale = _per_state_cost(model, cfg, orbit, norm_kind)
     got = cost_per_step(model, cfg, orbit, norm_kind=norm_kind).value
-    # np.exp (batch) and math.exp (evaluate) may differ in the last bit of
-    # f(x); that error is relative to the terms, not to f(x) - T, which
-    # cancels where the orbit has converged near T
-    assert abs(got - want) <= 1e-14 * scale
+    assert got == _per_state_cost(model, cfg, orbit, norm_kind)
     window = cost_per_step(model, cfg, orbit, window=(7, 30), norm_kind=norm_kind)
-    want, scale = _per_state_cost(model, cfg, orbit[7:37], norm_kind)
-    assert abs(window.value - want) <= 1e-14 * scale
+    assert window.value == _per_state_cost(model, cfg, orbit[7:37], norm_kind)
 
 
 _DOUBLER = (

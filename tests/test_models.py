@@ -8,11 +8,9 @@ from chaosctl import (
     RickerParams,
     fd_jacobian,
     lpa_eval,
-    lpa_eval_batch,
     lpa_jacobian,
     lpa_recruitment_bound,
     ricker_eval,
-    ricker_eval_batch,
     ricker_lift,
     spectral_radius,
 )
@@ -41,8 +39,13 @@ def test_lpa_param_validation():
 
 
 def test_lpa_strict_rejects_negative_input():
+    p = LpaParams()
     with pytest.raises(ValueError, match="negative"):
-        lpa_eval(LpaParams(), np.array([-1.0, 0.0, 0.0]), strict=True)
+        lpa_eval(p, np.array([-1.0, 0.0, 0.0]), strict=True)
+    rows = np.array([[1.0, 2.0, 3.0], [4.0, -0.5, 6.0]])
+    with pytest.raises(ValueError, match="negative"):
+        lpa_eval(p, rows, strict=True)
+    np.testing.assert_array_equal(lpa_eval(p, rows[:1], strict=True), lpa_eval(p, rows[:1]))
 
 
 def test_lpa_recruitment_bound_value_and_sharpness():
@@ -158,14 +161,13 @@ def test_ricker_jacobian_matches_finite_differences():
 
 
 def test_batched_models_match_single_state_evaluation():
-    # np.exp and math.exp may differ in the last bit, so the batched rows
-    # agree with the single-state maps to a few ulp, not bitwise
     rng = np.random.default_rng(3)
-    lpa_p, ricker_p = LpaParams(), RickerParams(r=2.0, delay=3)
-    for batch, single, p, d in ((lpa_eval_batch, lpa_eval, lpa_p, 3),
-                                (ricker_eval_batch, ricker_eval, ricker_p, 3)):
+    for evaluate, p, d in ((lpa_eval, LpaParams(), 3),
+                           (ricker_eval, RickerParams(r=2.0, delay=2), 2),
+                           (ricker_eval, RickerParams(r=2.0, delay=3), 3)):
         rows = rng.uniform(0.0, 300.0, (64, d))
-        out = batch(p, rows)
+        rows[[0, 17, 63]] = 0.0
+        out = evaluate(p, rows)
         assert out.shape == rows.shape
         for x, y in zip(rows, out):
-            np.testing.assert_allclose(y, single(p, x), rtol=1e-14, atol=0.0)
+            np.testing.assert_array_equal(y, evaluate(p, x))
