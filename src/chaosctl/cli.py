@@ -223,6 +223,9 @@ def _c_grid(cfg: RunConfig):
     if cs is not None:
         if not cs:
             raise ConfigError("scan.c_list", "intensity list is empty")
+        bad = [c for c in cs if not 0.0 <= c < 1.0]
+        if bad:
+            raise ConfigError("scan.c_list", f"intensities must lie in [0, 1), got {bad[0]}")
         # a chained bifurcate may run downward; bubbles need increasing c
         if cfg["run.command"] == "bubbles" and any(b < a for a, b in zip(cs, cs[1:])):
             raise ConfigError("scan.c_list", "bubbles needs intensities in increasing order")

@@ -362,9 +362,9 @@ def lyapunov_max(model: MapModel, cfg: Optional[ControlConfig], x0,
             v = rng.standard_normal(model.dimension)
             v /= np.linalg.norm(v)
             logs[i] = -np.inf
-            continue
-        logs[i] = math.log(growth)
-        v /= growth
+        else:
+            logs[i] = math.log(growth)
+            v /= growth
         x = np.asarray(g.evaluate(x), float)
         if not math.isfinite(float(np.sum(x))):
             raise OrbitError(f"orbit diverged at step {i}", step=i)

@@ -8,6 +8,7 @@ from chaosctl import (
     ConvergenceError,
     DomainSpec,
     MapModel,
+    OrbitError,
     apply_control,
     bound_A,
     compose_vmtoc,
@@ -118,6 +119,13 @@ def test_spectral_radius_large_complex_pair():
     assert spectral_radius(m) == pytest.approx(3.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("r", [0.05, 2.0])
+@pytest.mark.parametrize("delay", [60, 100, 200])
+def test_spectral_radius_is_dense_eigenvalue_modulus(delay, r):
+    m = ricker_lift(RickerParams(r=r, delay=delay)).jacobian_at(np.full(delay, r))
+    assert spectral_radius(m) == float(np.max(np.abs(np.linalg.eigvals(m))))
+
+
 def test_spectral_radius_validation():
     with pytest.raises(ValueError, match="square"):
         spectral_radius(np.ones((2, 3)))
@@ -204,6 +212,44 @@ def test_bound_a_degenerate_box_is_pointwise(lpa, lpa_k):
     a = bound_A(lpa, lpa_k, lpa_k, n_samples=4)
     j = np.abs(lpa.jacobian_at(lpa_k))
     assert a == pytest.approx(min(j.sum(axis=1).max(), j.sum(axis=0).max()), rel=1e-12)
+
+
+def _halton_one(index, base):
+    out, f, i = 0.0, 1.0 / base, index
+    while i > 0:
+        out += f * (i % base)
+        i //= base
+        f /= base
+    return out
+
+
+def _per_sample_box_samples(lo, hi, n_samples):
+    """Corners, center and Halton points built one sample at a time."""
+    lo, hi = np.asarray(lo, float), np.asarray(hi, float)
+    d = lo.shape[0]
+    pts = []
+    if d <= 12:
+        for mask in range(2 ** d):
+            pts.append(np.where([(mask >> j) & 1 for j in range(d)], hi, lo))
+    pts.append(0.5 * (lo + hi))
+    bases = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41][:d]
+    for i in range(1, n_samples + 1):
+        u = np.array([_halton_one(i, b) for b in bases])
+        pts.append(lo + u * (hi - lo))
+    return np.asarray(pts)
+
+
+@pytest.mark.parametrize("n_samples", [1, 7, 2048])
+@pytest.mark.parametrize("d", [1, 2, 3, 13])
+def test_box_samples_equal_per_sample_loop(d, n_samples):
+    rng = np.random.default_rng(d)
+    lo = rng.uniform(-5.0, 5.0, d)
+    hi = lo + rng.uniform(0.0, 10.0, d)
+    pts = box_samples(lo, hi, n_samples)
+    expected = _per_sample_box_samples(lo, hi, n_samples)
+    # d = 13 is past the 12-dimension limit on corners: center and Halton only
+    assert pts.shape == ((2 ** d if d <= 12 else 0) + 1 + n_samples, d)
+    np.testing.assert_array_equal(pts, expected)
 
 
 def test_box_samples_validation():
@@ -326,6 +372,17 @@ def test_verify_contraction_linear_ratio_exact():
                                           x0=np.array([5.0, -3.0]), n=40)
     assert holds
     assert theta_obs == pytest.approx(0.5, abs=1e-12)
+
+
+def test_verify_contraction_diverging_orbit_raises_with_its_step():
+    # controlled, every step doubles the distance to K 99 times, so the
+    # state overflows at step 10 (2**1089)
+    k = np.array([1.0, 2.0])
+    f = shifted_linear(2.0 ** 100, k)
+    with pytest.raises(OrbitError, match="non-finite state at step 10") as err:
+        verify_contraction(f, ControlConfig("VMTOC", 0.5, tuple(k)), k, L=1.0,
+                           x0=k + 1.0, n=40)
+    assert err.value.step == 10
 
 
 def test_verify_contraction_preconditions():

@@ -385,6 +385,7 @@ def test_orbit_commands_need_enough_kept_states(tmp_path, capsys, command, least
 
 @pytest.mark.parametrize("command, c_list", [
     ("bifurcate", ","), ("bubbles", ","), ("bubbles", "0.5,0.2,0.3"),
+    ("bifurcate", "0.5,1.5"), ("bubbles", "-0.1,0.5"),
 ])
 def test_scan_rejects_bad_c_list_before_scanning(tmp_path, monkeypatch, capsys,
                                                  command, c_list):

@@ -251,7 +251,8 @@ def test_controlled_map_jacobian_chain_rule(lpa):
 @pytest.mark.parametrize("scheme", ["VMTOC", "VTOC", "PF", "MPF"])
 def test_controlled_rows_match_controlled_map_bitwise(lpa, scheme):
     target = (30.0, 30.0, 200.0)
-    cs = [0.0, 0.2, 0.55, 0.9]
+    # every row of a 64-row batch, intensities spread over [0, 1) from 0
+    cs = [k / 64 for k in range(64)]
     rows = np.random.default_rng(5).uniform(0.0, 80.0, (len(cs), 3))
     out = controlled_rows(lpa, scheme, target, cs)(rows)
     for c, x, y in zip(cs, rows, out):

@@ -469,6 +469,16 @@ def test_lyapunov_linear_scalar_map(a):
     assert lam == pytest.approx(math.log(abs(a)), abs=1e-3)
 
 
+def test_lyapunov_orbit_moves_on_past_a_collapsed_tangent():
+    # f(x) = 1 - 2x^2 from 0: f'(0) = 0 collapses the tangent at step 0,
+    # then the orbit runs 1, -1, -1, ... where |f'(-1)| = 4
+    f = MapModel(dimension=1, evaluate=lambda x: 1.0 - 2.0 * np.asarray(x, float) ** 2,
+                 jacobian=lambda x: np.array([[-4.0 * float(x[0])]]),
+                 domain=DomainSpec.full_space(1))
+    lam = lyapunov_max(f, None, np.array([0.0]), n=1500)
+    assert lam == pytest.approx(math.log(4.0), abs=1e-3)
+
+
 def test_lyapunov_requires_long_run(lpa):
     with pytest.raises(ValueError, match="1000"):
         lyapunov_max(lpa, None, np.array([5.0, 5.0, 5.0]), n=100)
