@@ -291,6 +291,8 @@ def verify_contraction(model: MapModel, cfg: ControlConfig, k, L, x0,
         raise ValueError("K is not a fixed point of the model")
     if cfg.intensity <= global_cstar(L):
         raise ValueError("intensity must exceed global_cstar(L)")
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     theta = (1.0 - cfg.intensity) * L
     x0 = as_state(x0, model.dimension)
     orbit = np.vstack([x0, iterate_orbit(model, cfg, x0, 0, n)])

@@ -18,11 +18,12 @@ import argparse
 import importlib
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import analysis, cost as cost_mod, dynamics, models
-from .controls import ControlConfig, ControlConfigError, controlled_map
+from .controls import ControlConfig, ControlConfigError, check_intensity, controlled_map
 from .core import MapModel
 
 COMMANDS = ("simulate", "equilibrium", "stability", "bifurcate", "bubbles",
@@ -223,9 +224,10 @@ def _c_grid(cfg: RunConfig):
     if cs is not None:
         if not cs:
             raise ConfigError("scan.c_list", "intensity list is empty")
-        bad = [c for c in cs if not 0.0 <= c < 1.0]
-        if bad:
-            raise ConfigError("scan.c_list", f"intensities must lie in [0, 1), got {bad[0]}")
+        try:
+            check_intensity(cs)
+        except ControlConfigError as exc:
+            raise ConfigError("scan.c_list", str(exc)) from None
         # a chained bifurcate may run downward; bubbles need increasing c
         if cfg["run.command"] == "bubbles" and any(b < a for a, b in zip(cs, cs[1:])):
             raise ConfigError("scan.c_list", "bubbles needs intensities in increasing order")
@@ -236,10 +238,6 @@ def _c_grid(cfg: RunConfig):
     # k/n for k = 1..n-1; the top endpoint is excluded because an intensity
     # of exactly 1 is outside the valid range of every scheme
     return [k / n for k in range(1, n)]
-
-
-def _fmt(v) -> str:
-    return f"{v:.17g}" if isinstance(v, float) else str(v)
 
 
 def _write(path, lines):
@@ -276,15 +274,12 @@ def _scan(cfg: RunConfig, model: MapModel):
     scheme = cfg["control.scheme"]
     if scheme not in ("VMTOC", "VTOC"):
         raise ConfigError("control.scheme", "scans support VMTOC and VTOC only")
-    target = cfg["control.target"]
-    if target is None:
-        raise ConfigError("control.target", "scans need a target")
     if cfg["scan.cost"] and scheme != "VMTOC":
         raise ConfigError("scan.cost", "cost column applies to VMTOC scans only")
     lo = _broadcast(cfg["init.lo"], model.dimension, "init.lo")
     hi = _broadcast(cfg["init.hi"], model.dimension, "init.hi")
     return dynamics.bifurcation_scan(
-        model, scheme, target, _c_grid(cfg), seed=cfg["run.seed"],
+        model, scheme, cfg["control.target"], _c_grid(cfg), seed=cfg["run.seed"],
         init_lo=lo, init_hi=hi, n_transient=cfg["run.n_transient"],
         n_keep=cfg["run.n_keep"], tol=cfg["scan.tol"],
         max_period=cfg["scan.max_period"], continue_orbits=cfg["scan.continue"])
@@ -316,16 +311,21 @@ def run(cfg: RunConfig, strict: bool = False) -> int:
         raise ConfigError("run.n_keep", f"{command} needs at least {need} kept states")
     model = build_model(cfg)
     control = build_control(cfg, model)
+    if command == "cost" and control is None:
+        raise ConfigError("control.scheme", "cost needs a control")
     prefix = cfg["out.prefix"]
     report = [f"command = {command}", f"model = {model.name or cfg['model.kind']}",
               f"seed = {cfg['run.seed']}"]
     failure = None
+    writes = []  # run last, so that a command that raises writes no file
 
-    if command == "simulate":
+    if command in ("simulate", "cost"):
         orbit = dynamics.iterate_orbit(model, control, _initial_state(cfg, model),
                                        cfg["run.n_transient"], cfg["run.n_keep"],
                                        strict=strict)
-        _write_orbit_csv(f"{prefix}.orbit.csv", orbit)
+        writes.append(partial(_write_orbit_csv, f"{prefix}.orbit.csv", orbit))
+
+    if command == "simulate":
         eff = min(cfg["scan.max_period"], cfg["run.n_keep"] // 2)
         if eff >= 1:
             periods = dynamics.detect_period(orbit, tol=cfg["scan.tol"], max_period=eff)
@@ -355,7 +355,8 @@ def run(cfg: RunConfig, strict: bool = False) -> int:
 
     elif command in ("bifurcate", "bubbles"):
         records = _scan(cfg, model)
-        _write_scan_csv(f"{prefix}.scan.csv", records, _scan_costs(cfg, model, records))
+        writes.append(partial(_write_scan_csv, f"{prefix}.scan.csv", records,
+                              _scan_costs(cfg, model, records)))
         failures = [r for r in records if r.error]
         report.append(f"grid_points = {len(records)}")
         report.append(f"errors = {len(failures)}")
@@ -376,12 +377,6 @@ def run(cfg: RunConfig, strict: bool = False) -> int:
         report.append(f"lyapunov_max = {lam:.17g}")
 
     elif command == "cost":
-        if control is None:
-            raise ConfigError("control.scheme", "cost needs a control")
-        orbit = dynamics.iterate_orbit(model, control, _initial_state(cfg, model),
-                                       cfg["run.n_transient"], cfg["run.n_keep"],
-                                       strict=strict)
-        _write_orbit_csv(f"{prefix}.orbit.csv", orbit)
         length = cfg["cost.window_length"] or orbit.shape[0] - cfg["cost.window_start"]
         est = cost_mod.cost_per_step(model, control, orbit,
                                      window=(cfg["cost.window_start"], length),
@@ -390,6 +385,8 @@ def run(cfg: RunConfig, strict: bool = False) -> int:
         report.append(f"cost.window = {est.window[0]},{est.window[1]}")
         report.append(f"cost.norm = {est.norm_kind}")
 
+    for write in writes:
+        write()
     _write(f"{prefix}.report.txt", report)
     if failure:
         print(f"error: {failure}", file=sys.stderr)

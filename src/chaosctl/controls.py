@@ -33,6 +33,15 @@ class ControlConfigError(ValueError):
         self.field = field
 
 
+def check_intensity(c) -> None:
+    """Raise unless every intensity in ``c``, a scalar or an array, lies in [0, 1); NaN fails."""
+    c = np.asarray(c, dtype=float)
+    bad = c[~((c >= 0.0) & (c < 1.0))]
+    if bad.size:
+        raise ControlConfigError("intensity",
+                                 f"control intensity must lie in [0, 1), got {bad[0]}")
+
+
 @dataclass(frozen=True)
 class ControlConfig:
     """Scheme tag, control intensity and target state.
@@ -56,10 +65,7 @@ class ControlConfig:
             if np.ndim(self.intensity) != 0:
                 raise ControlConfigError("intensity", f"{self.scheme} takes a scalar intensity")
             object.__setattr__(self, "intensity", float(self.intensity))
-        for c in np.atleast_1d(self.intensity):
-            if not (0.0 <= c < 1.0):
-                raise ControlConfigError(
-                    "intensity", f"control intensity must lie in [0, 1), got {c}")
+        check_intensity(self.intensity)
         if self.target is not None:
             object.__setattr__(self, "target", tuple(float(t) for t in self.target))
         elif self.scheme not in _TARGETLESS:
@@ -171,11 +177,14 @@ def controlled_rows(model: MapModel, scheme: str, target, intensities):
     images, row r controlled with intensity ``intensities[r]``; ``n`` is the
     number of intensities.  Row r is bitwise the row that the
     ``evaluate_batch`` of ``controlled_map`` at that intensity gives.
+    Building it checks the scheme, the target and every intensity, also for
+    none, and rejects ``DIAG-VMTOC`` by name: its intensities have no rows.
     """
     cfg = ControlConfig(scheme=scheme, intensity=0.0, target=target)
+    if not cfg.is_scalar:
+        raise ControlConfigError("scheme", f"scans take a scalar-intensity scheme, got {scheme!r}")
     c = np.asarray(intensities, dtype=float).reshape(-1, 1)
-    if np.any((c < 0.0) | (c >= 1.0)):
-        raise ValueError("control intensities must lie in [0, 1)")
+    check_intensity(c)
     return _controlled(model, cfg.scheme, c, _checked_target(model, cfg))[1]
 
 
@@ -195,9 +204,7 @@ def compose_vmtoc(first, second):
     c1, t1 = first
     c2, t2 = second
     c1, c2 = float(c1), float(c2)
-    for c in (c1, c2):
-        if not (0.0 <= c < 1.0):
-            raise ValueError(f"control intensity must lie in [0, 1), got {c}")
+    check_intensity((c1, c2))
     if c1 == 0.0 and c2 == 0.0:
         return 0.0, None
     if c1 == 0.0:

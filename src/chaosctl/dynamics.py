@@ -255,22 +255,17 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
     grid points advance together as the rows of one array.
     ``continue_orbits`` instead chains each orbit from the previous final
     state, one grid point at a time.  ``max_period`` is capped at half the
-    kept window.  Invalid arguments (grid, scheme, target, orbit lengths,
-    ``tol``, ``max_period``) raise ``ValueError`` before any orbit runs;
-    failures of single orbits are recorded on their records, not raised.
+    kept window.  Invalid arguments raise ``ValueError`` before any orbit
+    runs; building the step, ``controlled_rows``, checks the scheme (not
+    ``DIAG-VMTOC``), target and grid.  Orbit failures are recorded, not raised.
     """
     c_grid = [float(c) for c in c_grid]
-    for c in c_grid:
-        if not (0.0 <= c < 1.0):
-            raise ValueError(f"grid intensity must lie in [0, 1), got {c}")
     _check_lengths(n_transient, n_keep)
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_period < 1:
         raise ValueError("max_period must be at least 1")
-    # Validate scheme and target once, so that a bad control raises here
-    # instead of being recorded as the error of every grid point.
-    controlled_map(model, ControlConfig(scheme=scheme, intensity=0.0, target=target))
+    step = controlled_rows(model, scheme, target, c_grid)
     dim = model.dimension
     lo = np.broadcast_to(np.asarray(init_lo, float), (dim,)).copy()
     hi = np.broadcast_to(np.asarray(init_hi, float), (dim,)).copy()
@@ -288,19 +283,18 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
         return ScanRecord(c=c, points=points, periods=shared.setdefault(periods, periods),
                           seed=seed)
 
-    def run(cs, x0):
-        kept, failures = _iterate_rows(controlled_rows(model, scheme, target, cs), x0,
-                                       model.domain, n_transient, n_keep)
+    def run(step, cs, x0):
+        kept, failures = _iterate_rows(step, x0, model.domain, n_transient, n_keep)
         points = np.ascontiguousarray(kept.transpose(1, 0, 2))
         return [record(c, points[r], failures.get(r)) for r, c in enumerate(cs)]
 
     if not continue_orbits:
         x0 = [_draw_x0(seed, i, lo, hi) for i in range(len(c_grid))]
-        return run(c_grid, np.array(x0)) if c_grid else []
+        return run(step, c_grid, np.array(x0)) if c_grid else []
     records = []
     x0 = _draw_x0(seed, 0, lo, hi)
     for c in c_grid:
-        records += run([c], x0[None, :])
+        records += run(controlled_rows(model, scheme, target, [c]), [c], x0[None, :])
         if records[-1].points.shape[0]:
             x0 = records[-1].points[-1]
     return records

@@ -74,6 +74,15 @@ def test_no_convergence_reports_best_residual():
     assert err.value.best_residual >= 1.0 - 1e-9
 
 
+def test_singular_newton_system_falls_back_to_averaging():
+    # J - I = 0 makes every Newton system singular (LinAlgError), and the
+    # averaging x <- (x + f(x))/2 = 0.75*x + 0.5 reaches the fixed point 2
+    f = MapModel(dimension=1, evaluate=lambda x: 0.5 * np.asarray(x, float) + 1.0,
+                 jacobian=lambda x: np.eye(1), domain=DomainSpec.full_space(1))
+    k = find_fixed_point(f, np.array([0.0]), tol=1e-12)
+    np.testing.assert_allclose(k, [2.0], atol=1e-12)
+
+
 def test_multistart_deduplicates():
     # two fixed points: x = 0 and x = 1 for f(x) = x^2
     f = MapModel(dimension=1, evaluate=lambda x: x * x,
@@ -400,6 +409,13 @@ def test_verify_contraction_preconditions():
     with pytest.raises(ValueError, match="fixed point"):
         verify_contraction(f, ControlConfig("VMTOC", 0.75, (9.0, 9.0)),
                            np.array([9.0, 9.0]), 2.0, np.array([3.0, 3.0]))
+
+
+def test_verify_contraction_rejects_negative_n():
+    k = np.array([1.0, 2.0])
+    with pytest.raises(ValueError, match="n must be nonnegative, got -1"):
+        verify_contraction(shifted_linear(2.0, k), ControlConfig("VMTOC", 0.75, tuple(k)),
+                           k, 2.0, np.array([5.0, -3.0]), n=-1)
 
 
 def test_geometric_decay_bound():

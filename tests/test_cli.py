@@ -294,6 +294,19 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert "bogus.key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, settings, message", [
+    ("simulate", ["scan.tol=0"], "tol must be positive"),
+    ("cost", ["control.scheme=VMTOC", "control.target=30,30,200",
+              "cost.window_start=100"], "out-of-range window"),
+])
+def test_failing_command_writes_no_file(tmp_path, capsys, command, settings, message):
+    rc = run_cli(tmp_path, command, "--out", "fail",
+                 *[arg for s in settings for arg in ("--set", s)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_cli_unknown_command_rejected(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli(tmp_path, "explode")

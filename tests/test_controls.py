@@ -259,5 +259,14 @@ def test_controlled_rows_match_controlled_map_bitwise(lpa, scheme):
         g = controlled_map(lpa, ControlConfig(scheme, c, target))
         np.testing.assert_array_equal(y, g.evaluate_batch(x[None, :])[0])
         np.testing.assert_array_equal(y, g.evaluate(x))
-    with pytest.raises(ValueError, match="intensities"):
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\), got 1\.0"):
         controlled_rows(lpa, scheme, target, [0.5, 1.0])
+
+
+@pytest.mark.parametrize("scheme, cs, message", [
+    ("VMTOC", [0.2, math.nan], r"must lie in \[0, 1\), got nan"),
+    ("DIAG-VMTOC", [0.2], "scalar-intensity scheme, got 'DIAG-VMTOC'"),
+])
+def test_controlled_rows_rejects_before_mapping(lpa, scheme, cs, message):
+    with pytest.raises(ValueError, match=message):
+        controlled_rows(lpa, scheme, (30.0, 30.0, 200.0), cs)

@@ -167,12 +167,12 @@ def test_scan_records_error_instead_of_raising():
 
 
 def test_scan_rejects_bad_grid(lpa):
-    with pytest.raises(ValueError, match="grid intensity"):
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\), got 1\.0"):
         bifurcation_scan(lpa, "VMTOC", (1.0, 1.0, 1.0), [1.0])
 
 
 @pytest.mark.parametrize("scheme, target, message", [
-    ("DIAG-VMTOC", (1.0, 1.0, 1.0), "expected 3 intensities"),
+    ("DIAG-VMTOC", (1.0, 1.0, 1.0), "scalar-intensity scheme, got 'DIAG-VMTOC'"),
     ("VMTOC", (-1.0, 22.0, 4.6), "target outside"),
     ("VTOC", (1.0, 1.0), "dimension mismatch"),
 ])
@@ -181,8 +181,25 @@ def test_scan_rejects_bad_control_before_iterating(lpa, scheme, target, message)
         bifurcation_scan(lpa, scheme, target, [0.0, 0.5], n_transient=10, n_keep=4)
 
 
+@pytest.mark.parametrize("scheme, target, message", [
+    ("BOGUS", (1.0, 1.0, 1.0), "unknown control scheme"),
+    ("DIAG-VMTOC", (1.0, 1.0, 1.0), "got 'DIAG-VMTOC'"),
+    ("VMTOC", (-1.0, 22.0, 4.6), "target outside"),
+])
+def test_scan_rejects_bad_control_with_an_empty_grid(lpa, scheme, target, message):
+    with pytest.raises(ValueError, match=message):
+        bifurcation_scan(lpa, scheme, target, [])
+
+
 def _never(x):
     raise AssertionError("an orbit ran")
+
+
+def test_scan_rejects_diag_vmtoc_on_a_one_dimensional_map():
+    # one component takes one intensity, so only the scheme name rejects it
+    f = MapModel(dimension=1, evaluate=_never, domain=DomainSpec.full_space(1))
+    with pytest.raises(ValueError, match="DIAG-VMTOC"):
+        bifurcation_scan(f, "DIAG-VMTOC", (1.0,), [0.2, 0.5], n_transient=10, n_keep=4)
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -477,6 +494,15 @@ def test_lyapunov_orbit_moves_on_past_a_collapsed_tangent():
                  domain=DomainSpec.full_space(1))
     lam = lyapunov_max(f, None, np.array([0.0]), n=1500)
     assert lam == pytest.approx(math.log(4.0), abs=1e-3)
+
+
+def test_lyapunov_diverging_orbit_raises_with_its_step():
+    f = MapModel(dimension=1, evaluate=lambda x: 1e200 * np.asarray(x, float),
+                 jacobian=lambda x: np.array([[1e200]]),
+                 domain=DomainSpec.full_space(1))
+    with np.errstate(over="ignore"), pytest.raises(OrbitError, match="step 1") as err:
+        lyapunov_max(f, None, np.array([1.0]), n=1000)
+    assert err.value.step == 1
 
 
 def test_lyapunov_requires_long_run(lpa):
