@@ -182,7 +182,9 @@ def controlled_rows(model: MapModel, scheme: str, target, intensities):
     """
     cfg = ControlConfig(scheme=scheme, intensity=0.0, target=target)
     if not cfg.is_scalar:
-        raise ControlConfigError("scheme", f"scans take a scalar-intensity scheme, got {scheme!r}")
+        raise ControlConfigError(
+            "scheme", f"scans take a scalar-intensity scheme, got {scheme!r}, whose step "
+                      f"expected {model.dimension} intensities, one per component")
     c = np.asarray(intensities, dtype=float).reshape(-1, 1)
     check_intensity(c)
     return _controlled(model, cfg.scheme, c, _checked_target(model, cfg))[1]

@@ -172,7 +172,7 @@ def test_scan_rejects_bad_grid(lpa):
 
 
 @pytest.mark.parametrize("scheme, target, message", [
-    ("DIAG-VMTOC", (1.0, 1.0, 1.0), "scalar-intensity scheme, got 'DIAG-VMTOC'"),
+    ("DIAG-VMTOC", (1.0, 1.0, 1.0), "expected 3 intensities"),
     ("VMTOC", (-1.0, 22.0, 4.6), "target outside"),
     ("VTOC", (1.0, 1.0), "dimension mismatch"),
 ])
