@@ -25,10 +25,15 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .controls import ControlConfig
-from .core import MapModel, as_state, norm, norm_rows
+from .core import MapModel, as_state, check_norm_kind, norm, norm_rows
 from .dynamics import iterate_orbit
 
 _FIXED_POINT_RESIDUAL = 1e-8
+
+
+def _state_text(x) -> str:
+    """A state in an error message, with every digit of every component."""
+    return f"({', '.join(f'{v:.17g}' for v in x)})"
 
 
 class ConvergenceError(RuntimeError):
@@ -50,7 +55,10 @@ def find_fixed_point(model: MapModel, x0, tol: float = 1e-10,
     x <- (x + f(x))/2 are interleaved, which converge whenever the map is a
     contraction in the averaged sense.  Iterates are projected onto the
     model domain.  Raises :class:`ConvergenceError` after ``max_iter``
-    Newton steps without reaching ``tol`` in the max-norm.
+    Newton steps without reaching ``tol`` in the max-norm, or at once when
+    a projected averaging iterate is not finite, since no later iterate
+    can be finite again; either error carries the best point and residual
+    seen so far.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -89,6 +97,12 @@ def find_fixed_point(model: MapModel, x0, tol: float = 1e-10,
             # Newton stalled: fall back to Krasnoselskii-Mann averaging.
             for _ in range(200):
                 x = model.domain.project(0.5 * (x + np.asarray(model.evaluate(x), float)))
+                if not np.all(np.isfinite(x)):
+                    # no later iterate can be finite again: stop here
+                    raise ConvergenceError(
+                        f"no fixed point: averaging iterate x = {_state_text(x)} "
+                        f"is not finite (best residual {best[0]:.3e})",
+                        best_point=best[1], best_residual=best[0])
                 r = residual(x)
                 rnorm = float(np.max(np.abs(r)))
                 if rnorm < best[0]:
@@ -186,7 +200,7 @@ def bound_A(model: MapModel, lo, hi, n_samples: int = 512) -> float:
         # max() would silently skip a NaN and an inf is no usable bound
         if not (math.isfinite(row_max) and math.isfinite(col_max)):
             raise ValueError(f"non-finite Jacobian row or column sum at sample {i}, "
-                             f"x = ({', '.join(f'{v:.17g}' for v in x)})")
+                             f"x = {_state_text(x)}")
         rows = max(rows, row_max)
         cols = max(cols, col_max)
     return min(rows, cols)
@@ -196,14 +210,13 @@ def local_cstar(bound: float) -> float:
     """Minimum intensity that locally stabilizes: max(0, 1 - 1/bound).
 
     ``bound`` is a spectral radius or a row/column-sum bound; anything at or
-    below 1 needs no control at all, so the threshold is 0 there.
+    below 1 needs no control at all, so the threshold is 0 there.  A
+    negative or NaN bound raises ``ValueError``.
     """
     bound = float(bound)
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    if bound <= 1.0:
-        return 0.0
-    return 1.0 - 1.0 / bound
+    if not bound >= 0:
+        raise ValueError(f"bound must be nonnegative, got {bound}")
+    return 0.0 if bound <= 1.0 else 1.0 - 1.0 / bound
 
 
 @dataclass(frozen=True)
@@ -259,13 +272,11 @@ def lipschitz_estimate(model: MapModel, k, lo, hi, n_samples: int = 2048,
 
 
 def global_cstar(L) -> float:
-    """Minimum intensity guaranteeing global convergence: 0 for L <= 1, else 1 - 1/L."""
-    L = float(L)
-    if L < 0:
-        raise ValueError("L must be nonnegative")
-    if L <= 1.0:
-        return 0.0
-    return 1.0 - 1.0 / L
+    """Minimum intensity guaranteeing global convergence: 0 for L <= 1, else 1 - 1/L.
+
+    This is :func:`local_cstar` of the Lipschitz-style constant ``L``.
+    """
+    return local_cstar(L)
 
 
 def verify_contraction(model: MapModel, cfg: ControlConfig, k, L, x0,
@@ -345,8 +356,10 @@ def stability_report(model: MapModel, x0, lo, hi, n_samples: int = 2048,
     The sampling box [lo, hi] feeds both the row/column-sum bound and the
     Lipschitz estimate.  Every constant is a sampled estimate, not a
     certified supremum; the provenance entries say which formula produced
-    each number, and warn when the equilibrium escaped the box.
+    each number, and warn when the equilibrium escaped the box.  An unknown
+    ``norm_kind`` raises ``ValueError`` before the fixed-point search.
     """
+    check_norm_kind(norm_kind)
     eq = find_fixed_point(model, x0, tol=tol)
     res = norm(np.asarray(model.evaluate(eq), float) - eq, "max")
     rho = spectral_radius(model.jacobian_at(eq))

@@ -9,7 +9,8 @@ config and seed are byte-identical.
 
 Commands: simulate | equilibrium | stability | bifurcate | bubbles |
 lyapunov | cost.  ``bifurcate`` and ``bubbles`` exit 1 when every grid
-point failed.
+point failed.  ``--strict`` applies to ``simulate`` and ``cost``; the other
+commands reject it.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ import numpy as np
 
 from . import analysis, cost as cost_mod, dynamics, models
 from .controls import ControlConfig, ControlConfigError, check_intensity, controlled_map
-from .core import MapModel
+from .core import MapModel, check_norm_kind
 
 COMMANDS = ("simulate", "equilibrium", "stability", "bifurcate", "bubbles",
             "lyapunov", "cost")
+SCANS = ("bifurcate", "bubbles")
 
 # key -> (type tag, default).  Type tags: str, int, float, bool,
 # floats (comma list), opt_floats (comma list or "none"), opt_str.
@@ -208,6 +210,13 @@ def build_control(cfg: RunConfig, model: MapModel):
         raise ConfigError(f"control.{exc.field}", str(exc)) from exc
 
 
+def _check_norm(cfg: RunConfig, key: str) -> None:
+    try:
+        check_norm_kind(cfg[key])
+    except ValueError as exc:
+        raise ConfigError(key, str(exc)) from None
+
+
 def _initial_state(cfg: RunConfig, model: MapModel) -> np.ndarray:
     if cfg["run.x0"] is not None:
         x0 = np.asarray(cfg["run.x0"], dtype=float)
@@ -246,12 +255,12 @@ def _write(path, lines):
     print(f"wrote {path}")
 
 
-def _write_orbit_csv(path, orbit):
-    lines = ["step,component,value"]
-    for i, state in enumerate(orbit):
-        for j, v in enumerate(state):
-            lines.append(f"{i},{j},{v:.17g}")
-    _write(path, lines)
+def _state_lines(points, prefix="", ends=None):
+    """``{prefix}{step},{component},{value}{ends[component]}`` for every
+    component of every row of the ``(n, d)`` array ``points``."""
+    ends = ends or ("",) * points.shape[1]
+    return [f"{prefix}{i},{j},{v:.17g}{ends[j]}"
+            for i, state in enumerate(points.tolist()) for j, v in enumerate(state)]
 
 
 def _write_scan_csv(path, records, costs=None):
@@ -261,12 +270,9 @@ def _write_scan_csv(path, records, costs=None):
     lines = [header]
     for idx, rec in enumerate(records):
         # everything but the step and the value is fixed per record and component
-        c = f"{rec.c:.17g}"
         tail = "" if costs is None else f",{costs[idx]:.17g}"
         ends = [f",{'aperiodic' if p is None else p}{tail}" for p in rec.periods]
-        for i, state in enumerate(rec.points.tolist()):
-            for j, v in enumerate(state):
-                lines.append(f"{c},{i},{j},{v:.17g}{ends[j]}")
+        lines += _state_lines(rec.points, f"{rec.c:.17g},", ends)
     _write(path, lines)
 
 
@@ -278,11 +284,16 @@ def _scan(cfg: RunConfig, model: MapModel):
         raise ConfigError("scan.cost", "cost column applies to VMTOC scans only")
     lo = _broadcast(cfg["init.lo"], model.dimension, "init.lo")
     hi = _broadcast(cfg["init.hi"], model.dimension, "init.hi")
-    return dynamics.bifurcation_scan(
-        model, scheme, cfg["control.target"], _c_grid(cfg), seed=cfg["run.seed"],
-        init_lo=lo, init_hi=hi, n_transient=cfg["run.n_transient"],
-        n_keep=cfg["run.n_keep"], tol=cfg["scan.tol"],
-        max_period=cfg["scan.max_period"], continue_orbits=cfg["scan.continue"])
+    grid = _c_grid(cfg)
+    try:
+        return dynamics.bifurcation_scan(
+            model, scheme, cfg["control.target"], grid, seed=cfg["run.seed"],
+            init_lo=lo, init_hi=hi, n_transient=cfg["run.n_transient"],
+            n_keep=cfg["run.n_keep"], tol=cfg["scan.tol"],
+            max_period=cfg["scan.max_period"], continue_orbits=cfg["scan.continue"])
+    except ControlConfigError as exc:
+        # raised while the scan builds its step, before any orbit runs
+        raise ConfigError(f"control.{exc.field}", str(exc)) from exc
 
 
 def _scan_costs(cfg, model, records):
@@ -305,14 +316,21 @@ def run(cfg: RunConfig, strict: bool = False) -> int:
     command = cfg["run.command"]
     if command not in COMMANDS:
         raise ConfigError("run.command", f"unknown command {command!r}")
+    if strict and command not in ("simulate", "cost"):
+        raise ConfigError("--strict", f"applies to simulate and cost only, not {command}")
     # periods need two kept states, a final state or a cost window one
     need = {"simulate": 1, "cost": 1, "bifurcate": 2, "bubbles": 2}.get(command, 0)
     if cfg["run.n_keep"] < need:
         raise ConfigError("run.n_keep", f"{command} needs at least {need} kept states")
     model = build_model(cfg)
-    control = build_control(cfg, model)
+    # a scan takes its intensities from its grid, never from control.intensity
+    control = None if command in SCANS else build_control(cfg, model)
     if command == "cost" and control is None:
         raise ConfigError("control.scheme", "cost needs a control")
+    if command == "stability":
+        _check_norm(cfg, "analysis.norm")
+    if command == "cost" or (command in SCANS and cfg["scan.cost"]):
+        _check_norm(cfg, "cost.norm")
     prefix = cfg["out.prefix"]
     report = [f"command = {command}", f"model = {model.name or cfg['model.kind']}",
               f"seed = {cfg['run.seed']}"]
@@ -323,7 +341,8 @@ def run(cfg: RunConfig, strict: bool = False) -> int:
         orbit = dynamics.iterate_orbit(model, control, _initial_state(cfg, model),
                                        cfg["run.n_transient"], cfg["run.n_keep"],
                                        strict=strict)
-        writes.append(partial(_write_orbit_csv, f"{prefix}.orbit.csv", orbit))
+        writes.append(partial(_write, f"{prefix}.orbit.csv",
+                              ["step,component,value"] + _state_lines(orbit)))
 
     if command == "simulate":
         eff = min(cfg["scan.max_period"], cfg["run.n_keep"] // 2)
@@ -353,7 +372,7 @@ def run(cfg: RunConfig, strict: bool = False) -> int:
                                         norm_kind=cfg["analysis.norm"])
         report.extend(rep.to_lines())
 
-    elif command in ("bifurcate", "bubbles"):
+    elif command in SCANS:
         records = _scan(cfg, model)
         writes.append(partial(_write_scan_csv, f"{prefix}.scan.csv", records,
                               _scan_costs(cfg, model, records)))
@@ -405,7 +424,7 @@ def main(argv=None) -> int:
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override one config key (repeatable)")
     parser.add_argument("--strict", action="store_true",
-                        help="treat domain violations as fatal")
+                        help="treat domain violations as fatal (simulate and cost)")
     args = parser.parse_args(argv)
 
     try:

@@ -37,6 +37,12 @@ def as_state(values, dim: Optional[int] = None, what: str = "state") -> np.ndarr
     return x
 
 
+def check_norm_kind(kind: str) -> None:
+    """Raise ``ValueError`` unless ``kind`` is one of :data:`NORM_KINDS`."""
+    if kind not in NORM_KINDS:
+        raise ValueError(f"unknown norm kind: {kind!r}")
+
+
 def norm(x, kind: str = "max") -> float:
     """Norm of a state vector; zero iff ``x`` is the zero vector.
 
@@ -49,6 +55,7 @@ def norm(x, kind: str = "max") -> float:
 
 def norm_rows(rows, kind: str = "max") -> np.ndarray:
     """:func:`norm` of every row of an ``(n, d)`` array."""
+    check_norm_kind(kind)
     rows = np.asarray(rows, dtype=float)
     if not np.all(np.isfinite(rows)):
         raise ValueError("non-finite state")
@@ -60,9 +67,7 @@ def norm_rows(rows, kind: str = "max") -> np.ndarray:
         peak = np.max(np.abs(rows), axis=1, initial=0.0)
         scale = np.where(peak == 0.0, 1.0, peak)
         return peak * np.sqrt(np.sum((rows / scale[:, None]) ** 2, axis=1))
-    if kind == "sum":
-        return np.sum(np.abs(rows), axis=1)
-    raise ValueError(f"unknown norm kind: {kind!r}")
+    return np.sum(np.abs(rows), axis=1)
 
 
 @dataclass(frozen=True)

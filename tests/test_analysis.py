@@ -25,6 +25,7 @@ from chaosctl import (
     target_for_state,
     verify_contraction,
 )
+from chaosctl import analysis
 from chaosctl.analysis import box_samples
 from chaosctl.models import LpaParams, RickerParams, ricker_lift
 
@@ -81,6 +82,26 @@ def test_singular_newton_system_falls_back_to_averaging():
                  jacobian=lambda x: np.eye(1), domain=DomainSpec.full_space(1))
     k = find_fixed_point(f, np.array([0.0]), tol=1e-12)
     np.testing.assert_allclose(k, [2.0], atol=1e-12)
+
+
+def test_non_finite_averaging_iterate_stops_the_search():
+    # f(x) = x^2 + 1 has no real fixed point; Newton stalls and averaging
+    # overflows to inf, from which no later iterate can return
+    calls = []
+
+    def evaluate(x):
+        calls.append(1)
+        return np.asarray(x, float) ** 2 + 1.0
+
+    f = MapModel(dimension=1, evaluate=evaluate, jacobian=lambda x: np.array([[2.0 * x[0]]]),
+                 domain=DomainSpec.full_space(1))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ConvergenceError, match=r"averaging iterate x = \(inf\) is not finite"
+                          ) as err:
+        find_fixed_point(f, np.array([0.0]))
+    assert len(calls) < 1000
+    assert err.value.best_residual == 0.75
+    np.testing.assert_array_equal(err.value.best_point, [0.5])
 
 
 def test_multistart_deduplicates():
@@ -480,7 +501,28 @@ def test_stabilizing_arbitrary_state_by_double_control():
     np.testing.assert_allclose(y, z, atol=1e-12)
 
 
+def test_global_cstar_is_local_cstar():
+    for b in [0.0, 0.5, 1.0, 1.0 + 1e-15, 1.3803, 2.0, 1e10, 1e300, float("inf")]:
+        assert global_cstar(b) == local_cstar(b)
+
+
+@pytest.mark.parametrize("cstar", [local_cstar, global_cstar])
+def test_cstar_rejects_nan(cstar):
+    with pytest.raises(ValueError, match="must be nonnegative, got nan"):
+        cstar(float("nan"))
+
+
 # --- stability report -------------------------------------------------------
+
+
+def test_stability_report_rejects_unknown_norm_before_searching(lpa, monkeypatch):
+    def search(*args, **kwargs):
+        raise AssertionError("the fixed-point search ran")
+
+    monkeypatch.setattr(analysis, "find_fixed_point", search)
+    with pytest.raises(ValueError, match="unknown norm kind: 'euclidian'"):
+        stability_report(lpa, np.array([20.0, 20.0, 5.0]), [10.0, 10.0, 2.0],
+                         [40.0, 40.0, 8.0], norm_kind="euclidian")
 
 
 def test_stability_report_lpa(lpa):

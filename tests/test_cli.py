@@ -3,8 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from chaosctl import ScanRecord, bifurcation_scan, dynamics, lpa_map
-from chaosctl.cli import (ConfigError, RunConfig, _write_scan_csv, build_control,
+from chaosctl import ScanRecord, analysis, bifurcation_scan, dynamics, iterate_orbit, lpa_map
+from chaosctl.cli import (ConfigError, RunConfig, _state_lines, _write_scan_csv, build_control,
                           build_model, main)
 
 from conftest import LPA_FIXED_POINT
@@ -197,6 +197,26 @@ def test_scan_csv_matches_per_line_formatting(tmp_path, capsys):
     assert "aperiodic" in expected
 
 
+def _orbit_csv_lines_per_line(orbit):
+    """The orbit CSV as formatted before it shared the scan's row formatter."""
+    lines = ["step,component,value"]
+    for i, state in enumerate(orbit):
+        for j, v in enumerate(state):
+            lines.append(f"{i},{j},{v:.17g}")
+    return lines
+
+
+def test_orbit_csv_matches_per_line_formatting(tmp_path):
+    rc = run_cli(tmp_path, "simulate", "--out", "o", "--set", "run.x0=20,20,5",
+                 "--set", "run.n_transient=100", "--set", "run.n_keep=30")
+    assert rc == 0
+    orbit = iterate_orbit(lpa_map(), None, [20.0, 20.0, 5.0], 100, 30)
+    expected = "\n".join(_orbit_csv_lines_per_line(orbit)) + "\n"
+    assert (tmp_path / "o.orbit.csv").read_text() == expected
+    odd = np.array([[-0.0, 1e-300, 0.1 + 0.2], [np.nan, -np.inf, 2.0 ** 60]])
+    assert ["step,component,value"] + _state_lines(odd) == _orbit_csv_lines_per_line(odd)
+
+
 def test_bubbles_command(tmp_path):
     rc = run_cli(tmp_path, "bubbles", "--out", "bb", "--seed", "123",
                  "--set", "control.scheme=VMTOC",
@@ -331,6 +351,7 @@ def test_config_file_plus_overrides(tmp_path):
 @pytest.mark.parametrize("setting, code, needle", [
     ("control.scheme=DIAG-VMTOC", 2, "control.scheme"),
     ("control.target=-1,22,4.6", 1, "target outside the model domain"),
+    ("control.target=none", 2, "control.target: VMTOC requires a target"),
 ])
 def test_bifurcate_rejects_bad_control_before_scanning(tmp_path, capsys, setting, code,
                                                        needle):
@@ -426,3 +447,69 @@ def test_chained_bifurcate_runs_down_an_unsorted_c_list(tmp_path):
     rows = (tmp_path / "down.scan.csv").read_text().splitlines()[1:]
     cs = [f"{c:.17g}" for c in (0.5, 0.2, 0.3)]
     assert list(dict.fromkeys(line.split(",")[0] for line in rows)) == cs
+
+
+@pytest.mark.parametrize("command", ["bifurcate", "bubbles"])
+def test_scan_ignores_control_intensity(tmp_path, command):
+    args = (command, "--set", "control.scheme=VMTOC",
+            "--set", "control.target=28.0120,22.4096,4.6251", "--set", "scan.grid=4")
+    assert run_cli(tmp_path, *args, "--out", "plain") == 0
+    assert run_cli(tmp_path, *args, "--set", "control.intensity=1.5", "--out", "odd") == 0
+    for suffix in (".scan.csv", ".report.txt"):
+        assert ((tmp_path / f"odd{suffix}").read_bytes()
+                == (tmp_path / f"plain{suffix}").read_bytes())
+
+
+@pytest.mark.parametrize("command, key, settings", [
+    ("stability", "analysis.norm", ["run.x0=20,20,5", "sample.lo=10,10,2",
+                                    "sample.hi=40,40,8"]),
+    ("bifurcate", "cost.norm", ["control.scheme=VMTOC", "scan.cost=true",
+                                "control.target=28.0120,22.4096,4.6251"]),
+    ("cost", "cost.norm", ["control.scheme=VMTOC", "control.target=28.0120,22.4096,4.6251"]),
+])
+def test_unknown_norm_kind_exits_2_before_any_work(tmp_path, monkeypatch, capsys, command,
+                                                   key, settings):
+    def work(*args, **kwargs):
+        raise AssertionError("the command's work ran")
+
+    for module, name in ((analysis, "stability_report"), (dynamics, "bifurcation_scan"),
+                         (dynamics, "iterate_orbit")):
+        monkeypatch.setattr(module, name, work)
+    rc = run_cli(tmp_path, command, "--out", "nrm", "--set", f"{key}=euclidian",
+                 *[arg for s in settings for arg in ("--set", s)])
+    assert rc == 2
+    assert f"error: {key}: unknown norm kind: 'euclidian'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+_LEAVER_PLUGIN = (
+    "import numpy as np\n"
+    "from chaosctl import DomainSpec, MapModel\n"
+    "def make():\n"
+    "    return MapModel(dimension=1, evaluate=lambda x: np.asarray(x, float) - 1.0,\n"
+    "                    domain=DomainSpec.nonnegative_orthant(1))\n")
+
+
+def test_simulate_strict_fails_where_the_orbit_leaves_the_domain(tmp_path, monkeypatch,
+                                                                 capsys):
+    # x_i = 3 - i leaves the orthant at step 3
+    (tmp_path / "leaver.py").write_text(_LEAVER_PLUGIN)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    args = ("simulate", "--set", "model.kind=plugin", "--set", "model.plugin=leaver:make",
+            "--set", "run.x0=3", "--set", "run.n_transient=0", "--set", "run.n_keep=8")
+    assert run_cli(tmp_path, *args, "--out", "st", "--strict") == 1
+    assert "error: state left the domain at step 3" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["leaver.py"]
+    assert run_cli(tmp_path, *args, "--out", "lax") == 0
+    assert (tmp_path / "lax.orbit.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["equilibrium", "stability", "bifurcate", "bubbles",
+                                     "lyapunov"])
+def test_strict_is_rejected_where_it_does_not_apply(tmp_path, capsys, command):
+    rc = run_cli(tmp_path, command, "--strict", "--set", "control.scheme=VMTOC",
+                 "--set", "control.target=28.0120,22.4096,4.6251", "--set", "scan.grid=4",
+                 "--set", "run.x0=20,20,5")
+    assert rc == 2
+    assert "error: --strict: applies to simulate and cost only" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

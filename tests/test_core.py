@@ -78,6 +78,15 @@ def test_norm_rows_rejects_non_finite_and_unknown_kind():
         norm_rows(rows[:1], "manhattan")
 
 
+def test_norm_rows_checks_the_kind_before_the_rows():
+    # the kind is checked first, so a typo is named even for rows that
+    # would fail, and for rows that are not numbers at all
+    with pytest.raises(ValueError, match="unknown norm kind: 'l2'"):
+        norm_rows(np.array([[float("nan")]]), "l2")
+    with pytest.raises(ValueError, match="unknown norm kind: 'l2'"):
+        norm_rows([["a"]], "l2")
+
+
 def test_as_state_validation():
     x = as_state([1.0, 2.0], dim=2)
     assert not x.flags.writeable

@@ -11,8 +11,10 @@ from chaosctl import (
     MapModel,
     OrbitError,
     ScanRecord,
+    as_state,
     bifurcation_scan,
     compose_vmtoc,
+    controlled_map,
     dynamics,
     detect_bubbles,
     detect_period,
@@ -503,6 +505,66 @@ def test_lyapunov_diverging_orbit_raises_with_its_step():
     with np.errstate(over="ignore"), pytest.raises(OrbitError, match="step 1") as err:
         lyapunov_max(f, None, np.array([1.0]), n=1000)
     assert err.value.step == 1
+
+
+def _lyapunov_per_step(model, cfg, x0, n):
+    """The exponent as computed before its orbit came from ``iterate_orbit``:
+    one single-state loop that steps the orbit and the tangent together."""
+    g = controlled_map(model, cfg) if cfg is not None else model
+    x = np.asarray(as_state(x0, model.dimension), float)
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(model.dimension)
+    v /= np.linalg.norm(v)
+    logs = np.empty(n)
+    for i in range(n):
+        v = np.asarray(g.jacobian_at(x), float) @ v
+        growth = float(np.linalg.norm(v))
+        if growth == 0.0:
+            v = rng.standard_normal(model.dimension)
+            v /= np.linalg.norm(v)
+            logs[i] = -np.inf
+        else:
+            logs[i] = math.log(growth)
+            v /= growth
+        x = np.asarray(g.evaluate(x), float)
+        if not math.isfinite(float(np.sum(x))):
+            raise OrbitError(f"orbit diverged at step {i}", step=i)
+    return float(np.mean(logs[int(0.2 * n):]))
+
+
+@pytest.mark.parametrize("kind", ["lpa", "ricker"])
+@pytest.mark.parametrize("scheme", [None, "VMTOC", "VTOC"])
+def test_lyapunov_matches_per_step_loop(kind, scheme):
+    if kind == "lpa":
+        model, x0, target = lpa_map(), [22.0, 27.0, 5.0], (28.0120, 22.4096, 4.6251)
+    else:
+        model = ricker_lift(RickerParams(r=2.0, delay=3))
+        x0, target = [1.5, 0.5, 1.2], (1.0, 1.0, 1.0)
+    cfg = ControlConfig(scheme, 0.3, target) if scheme else None
+    assert lyapunov_max(model, cfg, x0, n=2000) == _lyapunov_per_step(model, cfg, x0, 2000)
+
+
+def test_lyapunov_failing_evaluation_raises_with_its_step():
+    # x_i = i; evaluating x_7 raises, so step 7 fails
+    def evaluate(x):
+        if x[0] >= 7.0:
+            raise ValueError("population model undefined")
+        return np.asarray(x, float) + 1.0
+
+    f = MapModel(dimension=1, evaluate=evaluate, jacobian=lambda x: np.eye(1),
+                 domain=DomainSpec.nonnegative_orthant(1))
+    with pytest.raises(OrbitError, match="evaluation failed at step 7") as err:
+        lyapunov_max(f, None, np.array([0.0]), n=1000)
+    assert err.value.step == 7
+
+
+def test_lyapunov_logs_one_domain_exit(caplog):
+    # x_i = 2 - i leaves the orthant at step 2 and stays outside
+    f = MapModel(dimension=1, evaluate=lambda x: np.asarray(x, float) - 1.0,
+                 jacobian=lambda x: np.eye(1), domain=DomainSpec.nonnegative_orthant(1))
+    with caplog.at_level(logging.WARNING, logger="chaosctl.dynamics"):
+        assert lyapunov_max(f, None, np.array([2.0]), n=1000) == 0.0
+    assert _exit_lines(caplog) == ["orbit left the domain at step 2 (advisory)"]
 
 
 def test_lyapunov_requires_long_run(lpa):
