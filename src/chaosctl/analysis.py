@@ -60,8 +60,8 @@ def find_fixed_point(model: MapModel, x0, tol: float = 1e-10,
     can be finite again; either error carries the best point and residual
     seen so far.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:  # NaN fails too
+        raise ValueError(f"tol must be positive, got {tol}")
     x = np.asarray(model.domain.project(as_state(x0, model.dimension)), float)
     eye = np.eye(model.dimension)
 

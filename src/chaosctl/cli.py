@@ -217,14 +217,27 @@ def _check_norm(cfg: RunConfig, key: str) -> None:
         raise ConfigError(key, str(exc)) from None
 
 
+def _check_positive(cfg: RunConfig, key: str) -> None:
+    if not cfg[key] > 0:  # NaN fails too
+        raise ConfigError(key, f"must be positive, got {cfg[key]}")
+
+
+def _init_box(cfg: RunConfig, model: MapModel):
+    lo = _broadcast(cfg["init.lo"], model.dimension, "init.lo")
+    hi = _broadcast(cfg["init.hi"], model.dimension, "init.hi")
+    try:
+        return dynamics.initial_box(lo, hi, model.dimension)
+    except ValueError as exc:
+        raise ConfigError("init.lo", f"{exc} (lo is init.lo, hi is init.hi)") from None
+
+
 def _initial_state(cfg: RunConfig, model: MapModel) -> np.ndarray:
     if cfg["run.x0"] is not None:
         x0 = np.asarray(cfg["run.x0"], dtype=float)
         if x0.size != model.dimension:
             raise ConfigError("run.x0", f"expected {model.dimension} components")
         return x0
-    lo = _broadcast(cfg["init.lo"], model.dimension, "init.lo")
-    hi = _broadcast(cfg["init.hi"], model.dimension, "init.hi")
+    lo, hi = _init_box(cfg, model)
     return np.random.default_rng([cfg["run.seed"], 0]).uniform(lo, hi)
 
 
@@ -282,8 +295,7 @@ def _scan(cfg: RunConfig, model: MapModel):
         raise ConfigError("control.scheme", "scans support VMTOC and VTOC only")
     if cfg["scan.cost"] and scheme != "VMTOC":
         raise ConfigError("scan.cost", "cost column applies to VMTOC scans only")
-    lo = _broadcast(cfg["init.lo"], model.dimension, "init.lo")
-    hi = _broadcast(cfg["init.hi"], model.dimension, "init.hi")
+    lo, hi = _init_box(cfg, model)
     grid = _c_grid(cfg)
     try:
         return dynamics.bifurcation_scan(
@@ -322,6 +334,16 @@ def run(cfg: RunConfig, strict: bool = False) -> int:
     need = {"simulate": 1, "cost": 1, "bifurcate": 2, "bubbles": 2}.get(command, 0)
     if cfg["run.n_keep"] < need:
         raise ConfigError("run.n_keep", f"{command} needs at least {need} kept states")
+    if command in ("simulate", "cost") + SCANS and cfg["run.n_transient"] < 0:
+        raise ConfigError("run.n_transient", f"{command} needs a nonnegative transient, "
+                                             f"got {cfg['run.n_transient']}")
+    if command in SCANS:
+        if cfg["scan.max_period"] < 1:
+            raise ConfigError("scan.max_period", f"{command} needs a period bound of at "
+                                                 f"least 1, got {cfg['scan.max_period']}")
+        _check_positive(cfg, "scan.tol")
+    if command in ("equilibrium", "stability"):
+        _check_positive(cfg, "run.tol")
     model = build_model(cfg)
     # a scan takes its intensities from its grid, never from control.intensity
     control = None if command in SCANS else build_control(cfg, model)

@@ -191,7 +191,9 @@ class MapModel:
     central finite differences.  ``evaluate_batch``, when given, maps an
     ``(n, dimension)`` array of states to the array of their images and must
     be row-wise pure: each output row depends on its own input row only,
-    never on the other rows or on where the row sits in the batch.
+    never on the other rows or on where the row sits in the batch.  Orbits
+    of one state call ``evaluate`` and batches of several call
+    ``evaluate_batch``, so the two must agree row for row.
     """
 
     dimension: int

@@ -3,13 +3,15 @@
 A bifurcation scan runs one controlled orbit per grid intensity, discards a
 transient, keeps a short window and classifies each component's period on
 that window.  Every orbit, single or scanned, runs through one loop that
-advances the rows of an ``(n, d)`` array together, one row per orbit.  The
-loop checks finiteness and domain membership once per block of steps; a
-block that fails the check is replayed one checked step at a time from its
-start state, so failures, their steps and messages, and the domain-exit log
-lines are those of a step-by-step check.  Scans are deterministic: the
-initial condition for grid index ``i`` comes from an RNG stream derived
-from ``(seed, i)``, so records are bit-identical across runs.
+advances the rows of an ``(n, d)`` array together, one row per orbit; a
+lone orbit runs its steps on the 1-D state through the single-state
+``evaluate``.  The loop checks finiteness and domain membership once per
+block of steps; a block that fails the check is replayed one checked step
+at a time from its start state, as rows, so failures, their steps and
+messages, and the domain-exit log lines are those of a step-by-step check.
+Scans are deterministic: the initial condition for grid index ``i`` comes
+from an RNG stream derived from ``(seed, i)``, so records are bit-identical
+across runs.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ class _RowWatch:
 
 
 def _iterate_rows(step, rows: np.ndarray, domain: DomainSpec, n_transient: int,
-                  n_keep: int, strict: bool = False):
+                  n_keep: int, strict: bool = False, evaluate=None):
     """Advance every row of ``rows`` by ``n_transient + n_keep`` steps of ``step``.
 
     Returns ``(kept, failures)``: ``kept[k, r]`` is row r after step
@@ -134,31 +136,43 @@ def _iterate_rows(step, rows: np.ndarray, domain: DomainSpec, n_transient: int,
     message, logs each domain exit and raises each floating-point warning
     as a step-by-step loop would.  Steps are pure, so the replay recomputes
     exactly the states that the block computed.
+
+    ``evaluate`` is the single-state form of ``step``.  When it is given
+    and ``rows`` has one row, the unchecked blocks run on the 1-D state
+    through it, which spares numpy's per-call cost on 1-element columns;
+    a block that fails its check, or in which ``evaluate`` raises
+    ``ValueError`` or ``ArithmeticError``, is replayed on the ``(1, d)``
+    row through ``step`` as above.  The two forms must agree bitwise.
     """
     n, d = rows.shape
     total = n_transient + n_keep
     kept = np.empty((n_keep, n, d))
     buf = np.empty((min(_BLOCK, total), n, d))
     watch = _RowWatch(n, domain, strict)
-    x = rows
+    one = evaluate is not None and n == 1
+    errors = (ValueError, ArithmeticError) if one else RowError
+    x = rows[0] if one else rows
     for start in range(0, total, _BLOCK):
         block = buf[:min(_BLOCK, total - start)]
+        out = block[:, 0] if one else block
         try:
             with np.errstate(all="ignore"):
                 y = x
                 for k in range(block.shape[0]):
-                    y = step(y)
-                    block[k] = y
+                    y = np.asarray(evaluate(y), dtype=float) if one else step(y)
+                    out[k] = y
             ok = watch.block_ok(block)
-        except RowError:
+        except errors:
             ok = False
         if not ok:
-            y = x
+            y = x[None, :] if one else x
             for k in range(block.shape[0]):
                 y = watch.checked_step(step, y, start + k)
                 if watch.parked.all():
                     return kept, watch.failures
                 block[k] = y
+            if one:
+                y = y[0]
         x = y
         stop = start + block.shape[0]
         if stop > n_transient:
@@ -171,7 +185,8 @@ def iterate_orbit(model: MapModel, cfg: Optional[ControlConfig], x0,
                   n_transient: int, n_keep: int, strict: bool = False) -> np.ndarray:
     """Iterate the (controlled) map and return the last ``n_keep`` states.
 
-    Runs ``n_transient + n_keep`` steps from ``x0`` as a batch of one.  A
+    Runs ``n_transient + n_keep`` steps from ``x0`` as a batch of one,
+    whose unchecked blocks call the single-state ``evaluate``.  A
     non-finite state, or an evaluation that raises ``ValueError`` or
     ``ArithmeticError``, raises :class:`OrbitError` with the offending step
     index.  Domain violations are advisory (logged once per orbit) unless
@@ -181,7 +196,7 @@ def iterate_orbit(model: MapModel, cfg: Optional[ControlConfig], x0,
     g = _step_map(model, cfg)
     x = as_state(x0, model.dimension)[None, :]
     kept, failures = _iterate_rows(g.evaluate_rows, x, model.domain, n_transient,
-                                   n_keep, strict)
+                                   n_keep, strict, evaluate=g.evaluate)
     if failures:
         step, message = failures[0]
         raise OrbitError(message, step=step)
@@ -201,8 +216,8 @@ def detect_period(orbit: np.ndarray, tol: float = 1e-5,
     if orbit.ndim == 1:
         orbit = orbit[:, None]
     n = orbit.shape[0]
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:  # NaN fails too
+        raise ValueError(f"tol must be positive, got {tol}")
     if max_period < 1:
         raise ValueError("max_period must be at least 1")
     if n < 2 * max_period:
@@ -238,6 +253,23 @@ class ScanRecord:
     error: Optional[str] = None
 
 
+def initial_box(lo, hi, dim: int) -> tuple:
+    """The box ``[lo, hi]`` of initial states, as two ``(dim,)`` arrays.
+
+    ``lo`` and ``hi`` are scalars or ``(dim,)`` vectors.  Raises
+    ``ValueError`` unless ``lo <= hi`` componentwise with a finite width,
+    which drawing a uniform state from the box needs.
+    """
+    lo = np.broadcast_to(np.asarray(lo, float), (dim,)).copy()
+    hi = np.broadcast_to(np.asarray(hi, float), (dim,)).copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = hi - lo
+    if not np.all((width >= 0.0) & (width < np.inf)):
+        raise ValueError(f"initial box needs lo <= hi with a finite width, got "
+                         f"lo = {lo.tolist()}, hi = {hi.tolist()}")
+    return lo, hi
+
+
 def _draw_x0(seed: int, index: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     rng = np.random.default_rng([seed, index])
     return rng.uniform(lo, hi)
@@ -254,21 +286,23 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
     [init_lo, init_hi] using streams seeded by ``(seed, index)``, and all
     grid points advance together as the rows of one array.
     ``continue_orbits`` instead chains each orbit from the previous final
-    state, one grid point at a time.  ``max_period`` is capped at half the
-    kept window.  Invalid arguments raise ``ValueError`` before any orbit
-    runs; building the step, ``controlled_rows``, checks the scheme (not
-    ``DIAG-VMTOC``), target and grid.  Orbit failures are recorded, not raised.
+    state, one grid point at a time, each through the single-state
+    ``evaluate`` of its :func:`controlled_map`.  ``max_period`` is capped
+    at half the kept window.  Invalid arguments raise ``ValueError`` before
+    any orbit runs: a ``tol`` that is not positive (NaN included), a box
+    that :func:`initial_box` rejects, and what building the step,
+    ``controlled_rows``, rejects: a bad scheme (``DIAG-VMTOC`` too), target
+    or grid.  Orbit failures are recorded, not raised.
     """
     c_grid = [float(c) for c in c_grid]
     _check_lengths(n_transient, n_keep)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:  # NaN fails too
+        raise ValueError(f"tol must be positive, got {tol}")
     if max_period < 1:
         raise ValueError("max_period must be at least 1")
     step = controlled_rows(model, scheme, target, c_grid)
     dim = model.dimension
-    lo = np.broadcast_to(np.asarray(init_lo, float), (dim,)).copy()
-    hi = np.broadcast_to(np.asarray(init_hi, float), (dim,)).copy()
+    lo, hi = initial_box(init_lo, init_hi, dim)
     eff_period = min(max_period, n_keep // 2)
     # Records with equal periods share one tuple: a scan's periods take few
     # distinct values, and callers often keep the periods of many records.
@@ -283,8 +317,9 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
         return ScanRecord(c=c, points=points, periods=shared.setdefault(periods, periods),
                           seed=seed)
 
-    def run(step, cs, x0):
-        kept, failures = _iterate_rows(step, x0, model.domain, n_transient, n_keep)
+    def run(step, cs, x0, evaluate=None):
+        kept, failures = _iterate_rows(step, x0, model.domain, n_transient, n_keep,
+                                       evaluate=evaluate)
         points = np.ascontiguousarray(kept.transpose(1, 0, 2))
         return [record(c, points[r], failures.get(r)) for r, c in enumerate(cs)]
 
@@ -294,7 +329,8 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
     records = []
     x0 = _draw_x0(seed, 0, lo, hi)
     for c in c_grid:
-        records += run(controlled_rows(model, scheme, target, [c]), [c], x0[None, :])
+        g = controlled_map(model, ControlConfig(scheme=scheme, intensity=c, target=target))
+        records += run(g.evaluate_rows, [c], x0[None, :], g.evaluate)
         if records[-1].points.shape[0]:
             x0 = records[-1].points[-1]
     return records

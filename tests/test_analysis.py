@@ -75,6 +75,14 @@ def test_no_convergence_reports_best_residual():
     assert err.value.best_residual >= 1.0 - 1e-9
 
 
+@pytest.mark.parametrize("tol", [0.0, math.nan])
+def test_fixed_point_search_rejects_a_tolerance_that_is_not_positive(tol):
+    f = MapModel(dimension=1, evaluate=lambda x: 0.5 * np.asarray(x, float),
+                 domain=DomainSpec.full_space(1))
+    with pytest.raises(ValueError, match=f"tol must be positive, got {tol}"):
+        find_fixed_point(f, np.array([1.0]), tol=tol)
+
+
 def test_singular_newton_system_falls_back_to_averaging():
     # J - I = 0 makes every Newton system singular (LinAlgError), and the
     # averaging x <- (x + f(x))/2 = 0.75*x + 0.5 reaches the fixed point 2

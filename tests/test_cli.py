@@ -482,6 +482,50 @@ def test_unknown_norm_kind_exits_2_before_any_work(tmp_path, monkeypatch, capsys
     assert list(tmp_path.iterdir()) == []
 
 
+_K_TARGET = "control.target=28.0120,22.4096,4.6251"
+
+
+@pytest.mark.parametrize("command, settings, key", [
+    ("bifurcate", ["scan.tol=nan"], "scan.tol"),
+    ("bubbles", ["scan.tol=nan"], "scan.tol"),
+    ("bifurcate", ["scan.tol=0", "scan.continue=true"], "scan.tol"),
+    ("equilibrium", ["run.tol=nan"], "run.tol"),
+    ("stability", ["run.tol=nan"], "run.tol"),
+    ("bifurcate", ["run.n_transient=-1"], "run.n_transient"),
+    ("bubbles", ["run.n_transient=-1"], "run.n_transient"),
+    ("simulate", ["run.n_transient=-1"], "run.n_transient"),
+    ("cost", ["run.n_transient=-1"], "run.n_transient"),
+    ("bifurcate", ["scan.max_period=0"], "scan.max_period"),
+    ("bubbles", ["scan.max_period=0", "scan.continue=true"], "scan.max_period"),
+    ("bifurcate", ["init.lo=5", "init.hi=1"], "init.lo"),
+    ("bifurcate", ["init.lo=5", "init.hi=1", "scan.continue=true"], "init.lo"),
+    ("simulate", ["init.lo=5", "init.hi=1"], "init.lo"),
+    ("lyapunov", ["init.lo=0", "init.hi=inf"], "init.lo"),
+])
+def test_bad_run_setting_exits_2_naming_its_key_before_any_work(tmp_path, monkeypatch, capsys,
+                                                                command, settings, key):
+    def work(*args, **kwargs):
+        raise AssertionError("the command's work ran")
+
+    for module, name in ((analysis, "stability_report"), (analysis, "find_fixed_point"),
+                         (dynamics, "bifurcation_scan"), (dynamics, "iterate_orbit"),
+                         (dynamics, "lyapunov_max")):
+        monkeypatch.setattr(module, name, work)
+    rc = run_cli(tmp_path, command, "--out", "bad", "--set", "control.scheme=VMTOC",
+                 "--set", _K_TARGET, "--set", "scan.grid=4",
+                 *[arg for s in settings for arg in ("--set", s)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_initial_box_error_names_both_bounds(tmp_path, capsys):
+    assert run_cli(tmp_path, "simulate", "--set", "init.lo=5", "--set", "init.hi=1") == 2
+    assert capsys.readouterr().err == (
+        "error: init.lo: initial box needs lo <= hi with a finite width, got "
+        "lo = [5.0, 5.0, 5.0], hi = [1.0, 1.0, 1.0] (lo is init.lo, hi is init.hi)\n")
+
+
 _LEAVER_PLUGIN = (
     "import numpy as np\n"
     "from chaosctl import DomainSpec, MapModel\n"

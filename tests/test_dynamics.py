@@ -1,3 +1,4 @@
+import contextlib
 import logging
 import math
 import warnings
@@ -99,6 +100,8 @@ def test_detect_period_errors():
         detect_period(np.zeros((10, 1)), max_period=8)
     with pytest.raises(ValueError, match="tol"):
         detect_period(np.zeros((40, 1)), tol=0.0)
+    with pytest.raises(ValueError, match="tol must be positive, got nan"):
+        detect_period(np.zeros((40, 1)), tol=math.nan)
 
 
 def test_chaotic_lpa_orbit_classified_aperiodic(lpa):
@@ -209,11 +212,22 @@ def test_scan_rejects_diag_vmtoc_on_a_one_dimensional_map():
     ({"max_period": 0}, "max_period must be at least 1"),
     ({"n_transient": -1}, "nonnegative"),
     ({"n_keep": -1}, "nonnegative"),
+    ({"tol": math.nan}, "tol must be positive, got nan"),
 ])
 def test_scan_rejects_bad_parameters_before_iterating(kwargs, message):
     f = MapModel(dimension=3, evaluate=_never, domain=DomainSpec.nonnegative_orthant(3))
     with pytest.raises(ValueError, match=message):
         bifurcation_scan(f, "VMTOC", (28.0, 22.0, 4.6), [0.2, 0.5], **kwargs)
+
+
+@pytest.mark.parametrize("lo, hi", [(5.0, 1.0), ((0.0, 2.0, 0.0), (1.0, 1.0, 1.0)),
+                                    (math.nan, 1.0), (0.0, math.inf), (-1e308, 1e308)])
+@pytest.mark.parametrize("chained", [False, True])
+def test_scan_rejects_a_bad_initial_box_before_iterating(lo, hi, chained):
+    f = MapModel(dimension=3, evaluate=_never, domain=DomainSpec.nonnegative_orthant(3))
+    with pytest.raises(ValueError, match="initial box needs lo <= hi with a finite width"):
+        bifurcation_scan(f, "VMTOC", (28.0, 22.0, 4.6), [0.2, 0.5], init_lo=lo,
+                         init_hi=hi, continue_orbits=chained)
 
 
 def test_scan_plugin_exception_fails_its_row_only():
@@ -433,6 +447,151 @@ def test_scan_row_failing_in_first_block_leaves_other_rows_exact():
         np.testing.assert_array_equal(
             rec.points, iterate_orbit(model, ControlConfig("VMTOC", c, (0.0,)), x0,
                                       3 * _B, 10))
+
+
+# --- one-row orbits -----------------------------------------------------------
+
+# The one-row path runs the unchecked blocks of a single orbit through the
+# step map's single-state evaluate.  Its oracle is the same orbit run as a
+# (1, d) batch through evaluate_rows: _iterate_rows without evaluate.
+_ONE_ROW_CASES = [("lpa", 3, (28.0120, 22.4096, 4.6251), 50.0),
+                  ("ricker", 2, (1.0, 3.0), 3.0), ("ricker", 3, (1.0, 1.0, 1.0), 3.0)]
+
+
+def _one_row_model(kind, dim):
+    return lpa_map() if kind == "lpa" else ricker_lift(RickerParams(r=2.0, delay=dim))
+
+
+@contextlib.contextmanager
+def _rows_path():
+    """Run every orbit as a (1, d) batch, as before the one-row path."""
+    real = dynamics._iterate_rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_iterate_rows",
+                   lambda *args, evaluate=None, **kwargs: real(*args, **kwargs))
+        yield
+
+
+@contextlib.contextmanager
+def _one_row_calls():
+    """Count the calls of _iterate_rows that take the one-row path."""
+    real, calls = dynamics._iterate_rows, []
+
+    def spy(step, rows, *args, evaluate=None, **kwargs):
+        calls.append(evaluate is not None and rows.shape[0] == 1)
+        return real(step, rows, *args, evaluate=evaluate, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_iterate_rows", spy)
+        yield calls
+
+
+@pytest.mark.parametrize("scheme", [None, "VMTOC", "VTOC"])
+@pytest.mark.parametrize("kind, dim, target, hi", _ONE_ROW_CASES)
+def test_one_row_orbit_equals_its_row_bitwise(kind, dim, target, hi, scheme):
+    model = _one_row_model(kind, dim)
+    cfg = ControlConfig(scheme, 0.3, target) if scheme else None
+    x0 = np.random.default_rng([9, dim]).uniform(0.0, hi, dim)
+    with _rows_path():
+        rows_orbit = iterate_orbit(model, cfg, x0, 700, 60)
+        rows_lyapunov = lyapunov_max(model, cfg, x0, n=1200)
+    with _one_row_calls() as calls:
+        orbit = iterate_orbit(model, cfg, x0, 700, 60)
+        lyapunov = lyapunov_max(model, cfg, x0, n=1200)
+    assert calls == [True, True]
+    np.testing.assert_array_equal(orbit, rows_orbit)
+    assert lyapunov == rows_lyapunov
+
+
+@pytest.mark.parametrize("scheme", [None, "VMTOC", "VTOC"])
+@pytest.mark.parametrize("kind, dim, target, hi", _ONE_ROW_CASES)
+def test_chained_scan_records_equal_their_rows_bitwise(kind, dim, target, hi, scheme):
+    # without control: VMTOC at intensity 0, the uncontrolled map
+    model = _one_row_model(kind, dim)
+    grid = [0.0] * 4 if scheme is None else [0.0, 0.1, 0.25, 0.4, 0.6]
+    kwargs = dict(seed=4, init_hi=hi, n_transient=150, n_keep=40, continue_orbits=True)
+    with _rows_path():
+        rows_records = bifurcation_scan(model, scheme or "VMTOC", target, grid, **kwargs)
+    with _one_row_calls() as calls:
+        records = bifurcation_scan(model, scheme or "VMTOC", target, grid, **kwargs)
+    assert calls == [True] * len(grid)
+    for rec, oracle in zip(records, rows_records, strict=True):
+        assert (rec.c, rec.periods, rec.error) == (oracle.c, oracle.periods, oracle.error)
+        np.testing.assert_array_equal(rec.points, oracle.points)
+
+
+def test_one_row_orbit_calls_evaluate_not_the_batch():
+    calls = {"evaluate": 0, "batch": 0}
+
+    def evaluate(x):
+        calls["evaluate"] += 1
+        return 0.5 * x
+
+    def batch(rows):
+        calls["batch"] += 1
+        return 0.5 * rows
+
+    model = MapModel(dimension=2, evaluate=evaluate, evaluate_batch=batch,
+                     domain=DomainSpec.nonnegative_orthant(2))
+    iterate_orbit(model, None, [1.0, 2.0], 2 * _B, 7)
+    assert calls == {"evaluate": 2 * _B + 7, "batch": 0}
+
+
+def test_one_row_orbit_feeds_evaluate_float_arrays():
+    # evaluate returns a list of ints; as in a batch, the next step gets
+    # the state as a float array
+    model = MapModel(dimension=2, evaluate=lambda x: [int(v) for v in 0.5 * x],
+                     domain=DomainSpec.nonnegative_orthant(2))
+    orbit = iterate_orbit(model, None, [40.0, 9.0], 2, 4)
+    assert orbit.dtype == float
+    np.testing.assert_array_equal(orbit, [[5.0, 1.0], [2.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("kind", ["diverge", "raise"])
+@pytest.mark.parametrize("step", _STEPS)
+def test_chained_scan_fails_each_one_row_orbit_at_its_step(kind, step):
+    # each orbit starts where the last one stopped: at _LIMIT - step for the
+    # first, so it fails at `step`; the chain then restarts from the same
+    # start, because a failed orbit has no final state
+    model = _counter_map(kind)
+    kwargs = dict(init_lo=_LIMIT - step, init_hi=_LIMIT - step, n_transient=_N_TRANSIENT,
+                  n_keep=_N_KEEP, continue_orbits=True)
+    with _rows_path():
+        rows_records = bifurcation_scan(model, "VMTOC", (0.0,), [0.0, 0.0], **kwargs)
+    records = bifurcation_scan(model, "VMTOC", (0.0,), [0.0, 0.0], **kwargs)
+    message = _expected_message(kind, False, step)
+    assert [r.error for r in records] == [r.error for r in rows_records] == [message] * 2
+
+
+@pytest.mark.parametrize("kind", ["diverge", "raise"])
+@pytest.mark.parametrize("step", _STEPS)
+def test_one_row_orbit_fails_at_the_step_of_its_row(kind, step):
+    # the raising map has no evaluate_batch: its single-state evaluate raises
+    # OverflowError itself, which sends the block to the (1, d) replay
+    model = _counter_map(kind)
+    x0 = np.array([_LIMIT - step])
+    with _rows_path(), pytest.raises(OrbitError) as rows_err:
+        iterate_orbit(model, None, x0, _N_TRANSIENT, _N_KEEP)
+    with pytest.raises(OrbitError) as err:
+        iterate_orbit(model, None, x0, _N_TRANSIENT, _N_KEEP)
+    assert (err.value.step, str(err.value)) == (rows_err.value.step, str(rows_err.value))
+    assert (err.value.step, str(err.value)) == (step, _expected_message(kind, False, step))
+
+
+def test_chained_scan_logs_one_domain_exit_per_orbit(caplog):
+    # the first orbit leaves the box at step 5 and ends outside it, so every
+    # later orbit leaves it at step 0
+    model = _counter_map("leave")
+    with caplog.at_level(logging.WARNING, logger="chaosctl.dynamics"):
+        records = bifurcation_scan(model, "VMTOC", (0.0,), [0.0, 0.0, 0.0],
+                                   init_lo=_LIMIT - 5, init_hi=_LIMIT - 5,
+                                   n_transient=3 * _B, n_keep=10, continue_orbits=True)
+    assert [r.error for r in records] == [None] * 3
+    assert _exit_lines(caplog) == ["orbit left the domain at step 5 (advisory)",
+                                   "orbit left the domain at step 0 (advisory)",
+                                   "orbit left the domain at step 0 (advisory)"]
+    np.testing.assert_array_equal(records[-1].points[:, 0],
+                                  _LIMIT - 5 + 3 * (3 * _B + 10) - np.arange(9, -1, -1))
 
 
 # --- bubbles -----------------------------------------------------------------
