@@ -26,7 +26,7 @@ import numpy as np
 
 from .controls import ControlConfig
 from .core import MapModel, as_state, check_norm_kind, norm, norm_rows
-from .dynamics import iterate_orbit
+from .dynamics import initial_box, iterate_orbit
 
 _FIXED_POINT_RESIDUAL = 1e-8
 
@@ -164,14 +164,15 @@ def box_samples(lo, hi, n_samples: int) -> np.ndarray:
     """Deterministic samples of a box: corners, center, then a Halton prefix.
 
     Prefixes are nested, so enlarging ``n_samples`` only ever adds points;
-    estimates built on these samples are monotone in ``n_samples``.
+    estimates built on these samples are monotone in ``n_samples``.  The
+    box must satisfy ``lo <= hi`` with a finite width, as
+    :func:`~chaosctl.dynamics.initial_box` checks.
     """
     lo = np.atleast_1d(np.asarray(lo, float))
     hi = np.atleast_1d(np.asarray(hi, float))
     if lo.shape != hi.shape or lo.ndim != 1:
         raise ValueError("box bounds must be vectors of equal length")
-    if np.any(lo > hi):
-        raise ValueError("box bounds must satisfy lo <= hi componentwise")
+    lo, hi = initial_box(lo, hi, lo.shape[0], "sample box")
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     d = lo.shape[0]

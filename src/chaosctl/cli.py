@@ -222,13 +222,15 @@ def _check_positive(cfg: RunConfig, key: str) -> None:
         raise ConfigError(key, f"must be positive, got {cfg[key]}")
 
 
-def _init_box(cfg: RunConfig, model: MapModel):
-    lo = _broadcast(cfg["init.lo"], model.dimension, "init.lo")
-    hi = _broadcast(cfg["init.hi"], model.dimension, "init.hi")
+def _box(cfg: RunConfig, model: MapModel, section: str, what: str):
+    """The box of ``section.lo`` and ``section.hi``, checked by ``initial_box``."""
+    lo = _broadcast(cfg[f"{section}.lo"], model.dimension, f"{section}.lo")
+    hi = _broadcast(cfg[f"{section}.hi"], model.dimension, f"{section}.hi")
     try:
-        return dynamics.initial_box(lo, hi, model.dimension)
+        return dynamics.initial_box(lo, hi, model.dimension, what)
     except ValueError as exc:
-        raise ConfigError("init.lo", f"{exc} (lo is init.lo, hi is init.hi)") from None
+        raise ConfigError(f"{section}.lo",
+                          f"{exc} (lo is {section}.lo, hi is {section}.hi)") from None
 
 
 def _initial_state(cfg: RunConfig, model: MapModel) -> np.ndarray:
@@ -237,7 +239,7 @@ def _initial_state(cfg: RunConfig, model: MapModel) -> np.ndarray:
         if x0.size != model.dimension:
             raise ConfigError("run.x0", f"expected {model.dimension} components")
         return x0
-    lo, hi = _init_box(cfg, model)
+    lo, hi = _box(cfg, model, "init", "initial box")
     return np.random.default_rng([cfg["run.seed"], 0]).uniform(lo, hi)
 
 
@@ -295,7 +297,7 @@ def _scan(cfg: RunConfig, model: MapModel):
         raise ConfigError("control.scheme", "scans support VMTOC and VTOC only")
     if cfg["scan.cost"] and scheme != "VMTOC":
         raise ConfigError("scan.cost", "cost column applies to VMTOC scans only")
-    lo, hi = _init_box(cfg, model)
+    lo, hi = _box(cfg, model, "init", "initial box")
     grid = _c_grid(cfg)
     try:
         return dynamics.bifurcation_scan(
@@ -337,13 +339,18 @@ def run(cfg: RunConfig, strict: bool = False) -> int:
     if command in ("simulate", "cost") + SCANS and cfg["run.n_transient"] < 0:
         raise ConfigError("run.n_transient", f"{command} needs a nonnegative transient, "
                                              f"got {cfg['run.n_transient']}")
-    if command in SCANS:
+    if command in SCANS + ("simulate",):
         if cfg["scan.max_period"] < 1:
             raise ConfigError("scan.max_period", f"{command} needs a period bound of at "
                                                  f"least 1, got {cfg['scan.max_period']}")
         _check_positive(cfg, "scan.tol")
     if command in ("equilibrium", "stability"):
         _check_positive(cfg, "run.tol")
+    if command == "stability" and cfg["sample.n"] < 1:
+        raise ConfigError("sample.n", f"stability needs at least 1 sample, got {cfg['sample.n']}")
+    if command == "lyapunov" and cfg["run.lyapunov_steps"] < 1000:  # lyapunov_max's bound
+        raise ConfigError("run.lyapunov_steps", f"lyapunov needs at least 1000 steps, "
+                                                f"got {cfg['run.lyapunov_steps']}")
     model = build_model(cfg)
     # a scan takes its intensities from its grid, never from control.intensity
     control = None if command in SCANS else build_control(cfg, model)
@@ -386,8 +393,7 @@ def run(cfg: RunConfig, strict: bool = False) -> int:
 
     elif command == "stability":
         target_model = controlled_map(model, control) if control else model
-        lo = _broadcast(cfg["sample.lo"], model.dimension, "sample.lo")
-        hi = _broadcast(cfg["sample.hi"], model.dimension, "sample.hi")
+        lo, hi = _box(cfg, model, "sample", "sample box")
         rep = analysis.stability_report(target_model, _initial_state(cfg, model),
                                         lo, hi, n_samples=cfg["sample.n"],
                                         tol=cfg["run.tol"],

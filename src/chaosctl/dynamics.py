@@ -2,13 +2,13 @@
 
 A bifurcation scan runs one controlled orbit per grid intensity, discards a
 transient, keeps a short window and classifies each component's period on
-that window.  Every orbit, single or scanned, runs through one loop that
-advances the rows of an ``(n, d)`` array together, one row per orbit; a
-lone orbit runs its steps on the 1-D state through the single-state
-``evaluate``.  The loop checks finiteness and domain membership once per
-block of steps; a block that fails the check is replayed one checked step
-at a time from its start state, as rows, so failures, their steps and
-messages, and the domain-exit log lines are those of a step-by-step check.
+that window.  Every orbit runs through one loop, which advances one state
+through ``evaluate`` or the rows of an ``(n, d)`` array, one orbit each,
+through ``evaluate_rows``.  The loop checks finiteness and domain
+membership once per block of steps; a block that fails the check is
+replayed one checked step at a time from its start state, so failures,
+their steps and messages, and the domain-exit log lines are those of a
+step-by-step check.
 Scans are deterministic: the initial condition for grid index ``i`` comes
 from an RNG stream derived from ``(seed, i)``, so records are bit-identical
 across runs.
@@ -54,50 +54,61 @@ _BLOCK = 64
 class _RowWatch:
     """Failure bookkeeping of the rows of one orbit batch, kept across blocks.
 
-    ``failures`` maps each failed row to ``(step, message)``; ``parked``
-    marks the failed rows, which are held at NaN and checked no more;
-    ``warned`` marks the rows whose domain exit has been logged.
+    A single state is watched as one row.  ``failures`` maps each failed row
+    to ``(step, message)``; ``parked`` marks the failed rows, which are held
+    at NaN and checked no more; ``warned`` marks the rows whose domain exit
+    has been logged.
     """
 
-    def __init__(self, n: int, domain: DomainSpec, strict: bool):
-        self.domain, self.strict = domain, strict
+    def __init__(self, x: np.ndarray, domain: DomainSpec, strict: bool):
+        self.domain, self.strict, self.single = domain, strict, x.ndim == 1
+        self.errors = (ValueError, ArithmeticError) if self.single else RowError
+        n = 1 if self.single else x.shape[0]
         self.failures = {}
         self.parked = np.zeros(n, dtype=bool)
         self.warned = np.zeros(n, dtype=bool)
 
+    def _rows(self, x: np.ndarray) -> np.ndarray:
+        """A state, a batch or a block of either as a view with a row axis."""
+        return x[..., None, :] if self.single else x
+
     def block_ok(self, block: np.ndarray) -> bool:
-        """Whether a ``(b, n, d)`` block of states passes every check.
+        """Whether a block of ``b`` steps of the orbit passes every check.
 
         Parked rows are left out, and so, from the domain check, are rows
         whose exit was already logged, so that a failed row does not send
         every later block to the replay.
         """
         if self.parked.any() or self.warned.any():
+            rows = self._rows(block)
             checked = ~self.parked
             inside = checked & ~self.warned
-            return (math.isfinite(block[:, checked].sum())
+            return (math.isfinite(rows[:, checked].sum())
                     and (not inside.any()
-                         or self.domain.contains_unchecked(block[:, inside])))
+                         or self.domain.contains_unchecked(rows[:, inside])))
         return math.isfinite(block.sum()) and self.domain.contains_unchecked(block)
 
     def checked_step(self, step, x: np.ndarray, i: int) -> np.ndarray:
         """Step ``i`` from ``x``, checked: failing rows are recorded and parked."""
         parked = self.parked
         try:
-            y = step(x)
-        except RowError as exc:
+            y = np.asarray(step(x), dtype=float)
+        except self.errors as exc:
             # Park the rows that raised and redo the step for the others.
             x = x.copy()
-            for r, cause in exc.causes.items():
+            for r, cause in ({0: exc} if self.single else exc.causes).items():
                 self.failures[r] = (i, f"evaluation failed at step {i}: "
                                        f"{type(cause).__name__}: {cause}")
                 parked[r] = True
-                x[r] = np.nan
-            y = step(x)
+                self._rows(x)[r] = np.nan
+            if parked.all():
+                return x
+            y = np.asarray(step(x), dtype=float)
         if math.isfinite(y.sum()) and self.domain.contains_unchecked(y):
             return y
-        bad = ~parked & ~np.all(np.isfinite(y), axis=1)
-        outside = ~parked & ~bad & ~self.domain.contains_rows(y)
+        rows = self._rows(y)
+        bad = ~parked & ~np.all(np.isfinite(rows), axis=1)
+        outside = ~parked & ~bad & ~self.domain.contains_rows(rows)
         for r in np.flatnonzero(bad).tolist():
             self.failures[r] = (i, f"non-finite state at step {i}")
         if self.strict:
@@ -111,68 +122,56 @@ class _RowWatch:
         parked |= bad
         if parked.any() and not parked.all():
             y = y.copy()
-            y[parked] = np.nan
+            self._rows(y)[parked] = np.nan
         return y
 
 
-def _iterate_rows(step, rows: np.ndarray, domain: DomainSpec, n_transient: int,
-                  n_keep: int, strict: bool = False, evaluate=None):
-    """Advance every row of ``rows`` by ``n_transient + n_keep`` steps of ``step``.
+def _iterate_rows(step, x: np.ndarray, domain: DomainSpec, n_transient: int,
+                  n_keep: int, strict: bool = False):
+    """Advance ``x`` by ``n_transient + n_keep`` steps of ``step``.
 
-    Returns ``(kept, failures)``: ``kept[k, r]`` is row r after step
-    ``n_transient + k``, and ``failures`` maps each failed row to
-    ``(step, message)``.  A row fails at the first step whose state is not
-    finite, whose evaluation raised (:class:`RowError`) or, under
-    ``strict``, that left the domain.  A failed row is parked at NaN, which
-    the shipped maps carry through without a warning, and is checked no
-    more; its kept states are meaningless.  Leaving the domain is otherwise
-    advisory and logged once per row.
+    ``x`` is one state ``(d,)``, which is row 0, or an ``(n, d)`` array of
+    rows, and ``step`` maps it to an array of its shape.  Returns ``(kept, failures)``:
+    ``kept[k]`` is ``x`` after step ``n_transient + k``, and ``failures``
+    maps each failed row to ``(step, message)``.  A row fails at the first
+    step whose state is not finite, whose evaluation raised or, under
+    ``strict``, that left the domain: a single state's step raises
+    ``ValueError`` or ``ArithmeticError``, and a batch fails rows only by
+    :class:`RowError` (anything else it raises propagates).  A failed row is
+    parked at NaN, which the shipped maps carry through without a warning,
+    and is checked no more; its kept states are meaningless.  Leaving the
+    domain is otherwise advisory and logged once per row.
 
     The steps run in blocks of ``_BLOCK``, each written to a buffer and
     checked as a whole by one finiteness and one domain check, with
-    floating-point warnings off.  When that check fails, or a step raises
-    :class:`RowError`, the block is replayed from its saved start state one
-    checked step at a time, which finds each failing row, its step and its
-    message, logs each domain exit and raises each floating-point warning
-    as a step-by-step loop would.  Steps are pure, so the replay recomputes
+    floating-point warnings off.  When that check fails, or a step raises,
+    the block is replayed from its saved start state one checked step at a
+    time, which finds each failing row, its step and its message, logs
+    each domain exit and raises each floating-point warning as a
+    step-by-step loop would.  Steps are pure, so the replay recomputes
     exactly the states that the block computed.
-
-    ``evaluate`` is the single-state form of ``step``.  When it is given
-    and ``rows`` has one row, the unchecked blocks run on the 1-D state
-    through it, which spares numpy's per-call cost on 1-element columns;
-    a block that fails its check, or in which ``evaluate`` raises
-    ``ValueError`` or ``ArithmeticError``, is replayed on the ``(1, d)``
-    row through ``step`` as above.  The two forms must agree bitwise.
     """
-    n, d = rows.shape
     total = n_transient + n_keep
-    kept = np.empty((n_keep, n, d))
-    buf = np.empty((min(_BLOCK, total), n, d))
-    watch = _RowWatch(n, domain, strict)
-    one = evaluate is not None and n == 1
-    errors = (ValueError, ArithmeticError) if one else RowError
-    x = rows[0] if one else rows
+    kept = np.empty((n_keep,) + x.shape)
+    buf = np.empty((min(_BLOCK, total),) + x.shape)
+    watch = _RowWatch(x, domain, strict)
     for start in range(0, total, _BLOCK):
         block = buf[:min(_BLOCK, total - start)]
-        out = block[:, 0] if one else block
         try:
             with np.errstate(all="ignore"):
                 y = x
                 for k in range(block.shape[0]):
-                    y = np.asarray(evaluate(y), dtype=float) if one else step(y)
-                    out[k] = y
+                    y = block[k] = np.asarray(step(y), dtype=float)
             ok = watch.block_ok(block)
-        except errors:
+        except watch.errors:
             ok = False
         if not ok:
-            y = x[None, :] if one else x
+            y = x
             for k in range(block.shape[0]):
                 y = watch.checked_step(step, y, start + k)
                 if watch.parked.all():
                     return kept, watch.failures
                 block[k] = y
-            if one:
-                y = y[0]
         x = y
         stop = start + block.shape[0]
         if stop > n_transient:
@@ -185,22 +184,20 @@ def iterate_orbit(model: MapModel, cfg: Optional[ControlConfig], x0,
                   n_transient: int, n_keep: int, strict: bool = False) -> np.ndarray:
     """Iterate the (controlled) map and return the last ``n_keep`` states.
 
-    Runs ``n_transient + n_keep`` steps from ``x0`` as a batch of one,
-    whose unchecked blocks call the single-state ``evaluate``.  A
-    non-finite state, or an evaluation that raises ``ValueError`` or
-    ``ArithmeticError``, raises :class:`OrbitError` with the offending step
-    index.  Domain violations are advisory (logged once per orbit) unless
-    ``strict``.
+    Runs ``n_transient + n_keep`` steps from ``x0`` through the single-state
+    ``evaluate``; ``evaluate_batch`` is never called.  A non-finite state,
+    or an evaluation that raises ``ValueError`` or ``ArithmeticError``,
+    raises :class:`OrbitError` with the offending step index.  Domain
+    violations are advisory (logged once per orbit) unless ``strict``.
     """
     _check_lengths(n_transient, n_keep)
     g = _step_map(model, cfg)
-    x = as_state(x0, model.dimension)[None, :]
-    kept, failures = _iterate_rows(g.evaluate_rows, x, model.domain, n_transient,
-                                   n_keep, strict, evaluate=g.evaluate)
+    kept, failures = _iterate_rows(g.evaluate, as_state(x0, model.dimension),
+                                   model.domain, n_transient, n_keep, strict)
     if failures:
         step, message = failures[0]
         raise OrbitError(message, step=step)
-    return kept[:, 0, :]
+    return kept
 
 
 def detect_period(orbit: np.ndarray, tol: float = 1e-5,
@@ -253,19 +250,20 @@ class ScanRecord:
     error: Optional[str] = None
 
 
-def initial_box(lo, hi, dim: int) -> tuple:
+def initial_box(lo, hi, dim: int, what: str = "initial box") -> tuple:
     """The box ``[lo, hi]`` of initial states, as two ``(dim,)`` arrays.
 
     ``lo`` and ``hi`` are scalars or ``(dim,)`` vectors.  Raises
-    ``ValueError`` unless ``lo <= hi`` componentwise with a finite width,
-    which drawing a uniform state from the box needs.
+    ``ValueError``, which names the box ``what``, unless ``lo <= hi``
+    componentwise with a finite width, which drawing a uniform state from
+    the box needs, and so does sampling it (``analysis.box_samples``).
     """
     lo = np.broadcast_to(np.asarray(lo, float), (dim,)).copy()
     hi = np.broadcast_to(np.asarray(hi, float), (dim,)).copy()
     with np.errstate(over="ignore", invalid="ignore"):
         width = hi - lo
     if not np.all((width >= 0.0) & (width < np.inf)):
-        raise ValueError(f"initial box needs lo <= hi with a finite width, got "
+        raise ValueError(f"{what} needs lo <= hi with a finite width, got "
                          f"lo = {lo.tolist()}, hi = {hi.tolist()}")
     return lo, hi
 
@@ -289,13 +287,15 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
     state, one grid point at a time, each through the single-state
     ``evaluate`` of its :func:`controlled_map`.  ``max_period`` is capped
     at half the kept window.  Invalid arguments raise ``ValueError`` before
-    any orbit runs: a ``tol`` that is not positive (NaN included), a box
-    that :func:`initial_box` rejects, and what building the step,
-    ``controlled_rows``, rejects: a bad scheme (``DIAG-VMTOC`` too), target
-    or grid.  Orbit failures are recorded, not raised.
+    any orbit runs: an ``n_keep`` below 2, a ``tol`` that is not positive
+    (NaN included), a box that :func:`initial_box` rejects, and what
+    building the step, ``controlled_rows``, rejects: a bad scheme
+    (``DIAG-VMTOC`` too), target or grid.  Orbit failures are recorded.
     """
     c_grid = [float(c) for c in c_grid]
     _check_lengths(n_transient, n_keep)
+    if n_keep < 2:
+        raise ValueError(f"n_keep must be at least 2 to detect a period, got {n_keep}")
     if not tol > 0:  # NaN fails too
         raise ValueError(f"tol must be positive, got {tol}")
     if max_period < 1:
@@ -312,27 +312,25 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
         if failure is not None:
             return ScanRecord(c=c, points=np.empty((0, dim)),
                               periods=(None,) * dim, seed=seed, error=failure[1])
-        periods = (detect_period(points, tol=tol, max_period=eff_period)
-                   if eff_period >= 1 else (None,) * dim)
+        periods = detect_period(points, tol=tol, max_period=eff_period)
         return ScanRecord(c=c, points=points, periods=shared.setdefault(periods, periods),
                           seed=seed)
 
-    def run(step, cs, x0, evaluate=None):
-        kept, failures = _iterate_rows(step, x0, model.domain, n_transient, n_keep,
-                                       evaluate=evaluate)
-        points = np.ascontiguousarray(kept.transpose(1, 0, 2))
-        return [record(c, points[r], failures.get(r)) for r, c in enumerate(cs)]
-
     if not continue_orbits:
-        x0 = [_draw_x0(seed, i, lo, hi) for i in range(len(c_grid))]
-        return run(step, c_grid, np.array(x0)) if c_grid else []
+        if not c_grid:
+            return []
+        x0 = np.array([_draw_x0(seed, i, lo, hi) for i in range(len(c_grid))])
+        kept, failures = _iterate_rows(step, x0, model.domain, n_transient, n_keep)
+        points = np.ascontiguousarray(kept.transpose(1, 0, 2))
+        return [record(c, points[r], failures.get(r)) for r, c in enumerate(c_grid)]
     records = []
     x0 = _draw_x0(seed, 0, lo, hi)
     for c in c_grid:
         g = controlled_map(model, ControlConfig(scheme=scheme, intensity=c, target=target))
-        records += run(g.evaluate_rows, [c], x0[None, :], g.evaluate)
-        if records[-1].points.shape[0]:
-            x0 = records[-1].points[-1]
+        points, failures = _iterate_rows(g.evaluate, x0, model.domain, n_transient, n_keep)
+        records.append(record(c, points, failures.get(0)))
+        if not failures:
+            x0 = points[-1]
     return records
 
 

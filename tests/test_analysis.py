@@ -297,6 +297,14 @@ def test_box_samples_validation():
         box_samples([1.0], [0.0], 4)
 
 
+@pytest.mark.parametrize("lo, hi", [([math.nan, 0.0], [1.0, 1.0]), ([0.0, 0.0], [1.0, math.inf]),
+                                    ([-1e308, 0.0], [1e308, 1.0])])
+def test_box_samples_need_a_finite_width(lo, hi):
+    # the rule of the initial box: without it the samples hold NaN or inf
+    with pytest.raises(ValueError, match="sample box needs lo <= hi with a finite width"):
+        box_samples(lo, hi, 4)
+
+
 # --- thresholds -------------------------------------------------------------
 
 

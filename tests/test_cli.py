@@ -315,7 +315,7 @@ def test_cli_error_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, settings, message", [
-    ("simulate", ["scan.tol=0"], "tol must be positive"),
+    ("simulate", ["model.kind=ricker", "run.x0=-1000,0"], "non-finite state at step 1"),
     ("cost", ["control.scheme=VMTOC", "control.target=30,30,200",
               "cost.window_start=100"], "out-of-range window"),
 ])
@@ -501,6 +501,14 @@ _K_TARGET = "control.target=28.0120,22.4096,4.6251"
     ("bifurcate", ["init.lo=5", "init.hi=1", "scan.continue=true"], "init.lo"),
     ("simulate", ["init.lo=5", "init.hi=1"], "init.lo"),
     ("lyapunov", ["init.lo=0", "init.hi=inf"], "init.lo"),
+    ("simulate", ["scan.tol=nan"], "scan.tol"),
+    ("simulate", ["scan.tol=0"], "scan.tol"),
+    ("simulate", ["scan.max_period=0"], "scan.max_period"),
+    ("stability", ["sample.lo=40", "sample.hi=10"], "sample.lo"),
+    ("stability", ["sample.lo=nan"], "sample.lo"),
+    ("stability", ["sample.hi=inf"], "sample.lo"),
+    ("stability", ["sample.n=0"], "sample.n"),
+    ("lyapunov", ["run.lyapunov_steps=10"], "run.lyapunov_steps"),
 ])
 def test_bad_run_setting_exits_2_naming_its_key_before_any_work(tmp_path, monkeypatch, capsys,
                                                                 command, settings, key):

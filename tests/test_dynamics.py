@@ -213,6 +213,10 @@ def test_scan_rejects_diag_vmtoc_on_a_one_dimensional_map():
     ({"n_transient": -1}, "nonnegative"),
     ({"n_keep": -1}, "nonnegative"),
     ({"tol": math.nan}, "tol must be positive, got nan"),
+    # a period needs two kept states
+    ({"n_keep": 1}, "n_keep must be at least 2 to detect a period, got 1"),
+    ({"n_keep": 0}, "n_keep must be at least 2 to detect a period, got 0"),
+    ({"n_keep": 1, "continue_orbits": True}, "n_keep must be at least 2"),
 ])
 def test_scan_rejects_bad_parameters_before_iterating(kwargs, message):
     f = MapModel(dimension=3, evaluate=_never, domain=DomainSpec.nonnegative_orthant(3))
@@ -451,9 +455,9 @@ def test_scan_row_failing_in_first_block_leaves_other_rows_exact():
 
 # --- one-row orbits -----------------------------------------------------------
 
-# The one-row path runs the unchecked blocks of a single orbit through the
-# step map's single-state evaluate.  Its oracle is the same orbit run as a
-# (1, d) batch through evaluate_rows: _iterate_rows without evaluate.
+# A lone orbit runs on its 1-D state through the step map's single-state
+# evaluate.  Its oracle is the same orbit run as a (1, d) batch through
+# evaluate_rows.
 _ONE_ROW_CASES = [("lpa", 3, (28.0120, 22.4096, 4.6251), 50.0),
                   ("ricker", 2, (1.0, 3.0), 3.0), ("ricker", 3, (1.0, 1.0, 1.0), 3.0)]
 
@@ -463,23 +467,34 @@ def _one_row_model(kind, dim):
 
 
 @contextlib.contextmanager
-def _rows_path():
-    """Run every orbit as a (1, d) batch, as before the one-row path."""
-    real = dynamics._iterate_rows
+def _rows_path(model):
+    """Run every lone orbit of ``model``, controlled or not, as a (1, d) batch."""
+    real_map, real_rows = dynamics.controlled_map, dynamics._iterate_rows
+    rows_of = {model.evaluate: model.evaluate_rows}
+
+    def controlled(base, cfg):
+        g = real_map(base, cfg)
+        rows_of[g.evaluate] = g.evaluate_rows
+        return g
+
+    def rows(step, x, *args):
+        kept, failures = real_rows(rows_of[step], x[None, :], *args)
+        return kept[:, 0], failures
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "_iterate_rows",
-                   lambda *args, evaluate=None, **kwargs: real(*args, **kwargs))
+        mp.setattr(dynamics, "controlled_map", controlled)
+        mp.setattr(dynamics, "_iterate_rows", rows)
         yield
 
 
 @contextlib.contextmanager
 def _one_row_calls():
-    """Count the calls of _iterate_rows that take the one-row path."""
+    """Record the shape of the state of every call of _iterate_rows."""
     real, calls = dynamics._iterate_rows, []
 
-    def spy(step, rows, *args, evaluate=None, **kwargs):
-        calls.append(evaluate is not None and rows.shape[0] == 1)
-        return real(step, rows, *args, evaluate=evaluate, **kwargs)
+    def spy(step, x, *args):
+        calls.append(x.shape)
+        return real(step, x, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "_iterate_rows", spy)
@@ -492,13 +507,13 @@ def test_one_row_orbit_equals_its_row_bitwise(kind, dim, target, hi, scheme):
     model = _one_row_model(kind, dim)
     cfg = ControlConfig(scheme, 0.3, target) if scheme else None
     x0 = np.random.default_rng([9, dim]).uniform(0.0, hi, dim)
-    with _rows_path():
+    with _rows_path(model):
         rows_orbit = iterate_orbit(model, cfg, x0, 700, 60)
         rows_lyapunov = lyapunov_max(model, cfg, x0, n=1200)
     with _one_row_calls() as calls:
         orbit = iterate_orbit(model, cfg, x0, 700, 60)
         lyapunov = lyapunov_max(model, cfg, x0, n=1200)
-    assert calls == [True, True]
+    assert calls == [(dim,), (dim,)]
     np.testing.assert_array_equal(orbit, rows_orbit)
     assert lyapunov == rows_lyapunov
 
@@ -510,11 +525,11 @@ def test_chained_scan_records_equal_their_rows_bitwise(kind, dim, target, hi, sc
     model = _one_row_model(kind, dim)
     grid = [0.0] * 4 if scheme is None else [0.0, 0.1, 0.25, 0.4, 0.6]
     kwargs = dict(seed=4, init_hi=hi, n_transient=150, n_keep=40, continue_orbits=True)
-    with _rows_path():
+    with _rows_path(model):
         rows_records = bifurcation_scan(model, scheme or "VMTOC", target, grid, **kwargs)
     with _one_row_calls() as calls:
         records = bifurcation_scan(model, scheme or "VMTOC", target, grid, **kwargs)
-    assert calls == [True] * len(grid)
+    assert calls == [(dim,)] * len(grid)
     for rec, oracle in zip(records, rows_records, strict=True):
         assert (rec.c, rec.periods, rec.error) == (oracle.c, oracle.periods, oracle.error)
         np.testing.assert_array_equal(rec.points, oracle.points)
@@ -556,7 +571,7 @@ def test_chained_scan_fails_each_one_row_orbit_at_its_step(kind, step):
     model = _counter_map(kind)
     kwargs = dict(init_lo=_LIMIT - step, init_hi=_LIMIT - step, n_transient=_N_TRANSIENT,
                   n_keep=_N_KEEP, continue_orbits=True)
-    with _rows_path():
+    with _rows_path(model):
         rows_records = bifurcation_scan(model, "VMTOC", (0.0,), [0.0, 0.0], **kwargs)
     records = bifurcation_scan(model, "VMTOC", (0.0,), [0.0, 0.0], **kwargs)
     message = _expected_message(kind, False, step)
@@ -566,16 +581,49 @@ def test_chained_scan_fails_each_one_row_orbit_at_its_step(kind, step):
 @pytest.mark.parametrize("kind", ["diverge", "raise"])
 @pytest.mark.parametrize("step", _STEPS)
 def test_one_row_orbit_fails_at_the_step_of_its_row(kind, step):
-    # the raising map has no evaluate_batch: its single-state evaluate raises
-    # OverflowError itself, which sends the block to the (1, d) replay
+    # the raising map has no evaluate_batch: as a (1, d) batch it fails
+    # through RowError, alone through the OverflowError of its evaluate
     model = _counter_map(kind)
     x0 = np.array([_LIMIT - step])
-    with _rows_path(), pytest.raises(OrbitError) as rows_err:
+    with _rows_path(model), pytest.raises(OrbitError) as rows_err:
         iterate_orbit(model, None, x0, _N_TRANSIENT, _N_KEEP)
     with pytest.raises(OrbitError) as err:
         iterate_orbit(model, None, x0, _N_TRANSIENT, _N_KEEP)
     assert (err.value.step, str(err.value)) == (rows_err.value.step, str(rows_err.value))
     assert (err.value.step, str(err.value)) == (step, _expected_message(kind, False, step))
+
+
+def _too_big(x):
+    if x[0] >= _LIMIT:
+        raise ValueError("too big")
+    return x + 1.0
+
+
+def _batch_too_big(rows):
+    raise ValueError("batch too big")
+
+
+@pytest.mark.parametrize("entry", ["iterate_orbit", "lyapunov_max", "chained scan"])
+@pytest.mark.parametrize("step", _STEPS)
+def test_lone_orbit_fails_at_its_step_without_calling_the_batch(entry, step):
+    # evaluate raises at `step`, and evaluate_batch raises whenever it is
+    # called: a lone orbit, replay included, must only call evaluate
+    model = MapModel(dimension=1, evaluate=_too_big, evaluate_batch=_batch_too_big,
+                     domain=DomainSpec.full_space(1))
+    x0 = np.array([_LIMIT - step])
+    message = f"evaluation failed at step {step}: ValueError: too big"
+    if entry == "chained scan":
+        records = bifurcation_scan(model, "VMTOC", (0.0,), [0.0] * 3,
+                                   init_lo=x0, init_hi=x0, n_transient=_N_TRANSIENT,
+                                   n_keep=_N_KEEP, continue_orbits=True)
+        assert [r.error for r in records] == [message] * 3
+        return
+    with pytest.raises(OrbitError) as err:
+        if entry == "iterate_orbit":
+            iterate_orbit(model, None, x0, _N_TRANSIENT, _N_KEEP)
+        else:
+            lyapunov_max(model, None, x0, n=1200)
+    assert (err.value.step, str(err.value)) == (step, message)
 
 
 def test_chained_scan_logs_one_domain_exit_per_orbit(caplog):
