@@ -358,9 +358,11 @@ def stability_report(model: MapModel, x0, lo, hi, n_samples: int = 2048,
     Lipschitz estimate.  Every constant is a sampled estimate, not a
     certified supremum; the provenance entries say which formula produced
     each number, and warn when the equilibrium escaped the box.  An unknown
-    ``norm_kind`` raises ``ValueError`` before the fixed-point search.
+    ``norm_kind``, or a box that :func:`~chaosctl.dynamics.initial_box`
+    rejects, raises ``ValueError`` before the fixed-point search.
     """
     check_norm_kind(norm_kind)
+    lo, hi = initial_box(lo, hi, model.dimension, "sample box")
     eq = find_fixed_point(model, x0, tol=tol)
     res = norm(np.asarray(model.evaluate(eq), float) - eq, "max")
     rho = spectral_radius(model.jacobian_at(eq))
@@ -371,9 +373,7 @@ def stability_report(model: MapModel, x0, lo, hi, n_samples: int = 2048,
         "local_cstar_rho": "max(0, 1 - 1/rho)",
         "local_cstar_a": "max(0, 1 - 1/bound_a)",
     }
-    lo_arr = np.atleast_1d(np.asarray(lo, float))
-    hi_arr = np.atleast_1d(np.asarray(hi, float))
-    if np.any(eq < lo_arr) or np.any(eq > hi_arr):
+    if np.any(eq < lo) or np.any(eq > hi):
         prov["box"] = "warning: equilibrium lies outside the sampling box"
     lip = None
     gc = None

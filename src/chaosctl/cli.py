@@ -233,6 +233,20 @@ def _box(cfg: RunConfig, model: MapModel, section: str, what: str):
                           f"{exc} (lo is {section}.lo, hi is {section}.hi)") from None
 
 
+def _cost_window(cfg: RunConfig) -> tuple:
+    """``(start, length)`` of the cost window in the ``run.n_keep`` kept
+    states; a ``cost.window_length`` of 0 runs the window to their end."""
+    n, start, length = cfg["run.n_keep"], cfg["cost.window_start"], cfg["cost.window_length"]
+    if not 0 <= start < n:
+        raise ConfigError("cost.window_start",
+                          f"must lie in [0, {n}) for {n} kept states, got {start}")
+    if not 0 <= length <= n - start:
+        raise ConfigError("cost.window_length",
+                          f"must lie in [0, {n - start}] from window start {start} in {n} "
+                          f"kept states, got {length}")
+    return start, length or n - start
+
+
 def _initial_state(cfg: RunConfig, model: MapModel) -> np.ndarray:
     if cfg["run.x0"] is not None:
         x0 = np.asarray(cfg["run.x0"], dtype=float)
@@ -348,6 +362,8 @@ def run(cfg: RunConfig, strict: bool = False) -> int:
         _check_positive(cfg, "run.tol")
     if command == "stability" and cfg["sample.n"] < 1:
         raise ConfigError("sample.n", f"stability needs at least 1 sample, got {cfg['sample.n']}")
+    if command == "cost":
+        window = _cost_window(cfg)
     if command == "lyapunov" and cfg["run.lyapunov_steps"] < 1000:  # lyapunov_max's bound
         raise ConfigError("run.lyapunov_steps", f"lyapunov needs at least 1000 steps, "
                                                 f"got {cfg['run.lyapunov_steps']}")
@@ -424,9 +440,7 @@ def run(cfg: RunConfig, strict: bool = False) -> int:
         report.append(f"lyapunov_max = {lam:.17g}")
 
     elif command == "cost":
-        length = cfg["cost.window_length"] or orbit.shape[0] - cfg["cost.window_start"]
-        est = cost_mod.cost_per_step(model, control, orbit,
-                                     window=(cfg["cost.window_start"], length),
+        est = cost_mod.cost_per_step(model, control, orbit, window=window,
                                      norm_kind=cfg["cost.norm"])
         report.append(f"cost_per_step = {est.value:.17g}")
         report.append(f"cost.window = {est.window[0]},{est.window[1]}")

@@ -187,8 +187,9 @@ class MapModel:
     """A continuous self-map of a convex domain, with optional analytic Jacobian.
 
     ``evaluate`` takes and returns a length-``dimension`` vector and must be
-    pure.  When ``jacobian`` is omitted, :meth:`jacobian_at` falls back to
-    central finite differences.  ``evaluate_batch``, when given, maps an
+    pure: an orbit of one state stops calling it once a state recurs bit
+    for bit, and repeats the cycle.  When ``jacobian`` is omitted,
+    :meth:`jacobian_at` falls back to central finite differences.  ``evaluate_batch``, when given, maps an
     ``(n, dimension)`` array of states to the array of their images and must
     be row-wise pure: each output row depends on its own input row only,
     never on the other rows or on where the row sits in the batch.  Orbits

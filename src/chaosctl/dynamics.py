@@ -8,7 +8,9 @@ through ``evaluate_rows``.  The loop checks finiteness and domain
 membership once per block of steps; a block that fails the check is
 replayed one checked step at a time from its start state, so failures,
 their steps and messages, and the domain-exit log lines are those of a
-step-by-step check.
+step-by-step check.  A lone state stops at its first exact recurrence: once
+a block's last state equals an earlier one bit for bit, the rest of the
+orbit repeats that cycle.
 Scans are deterministic: the initial condition for grid index ``i`` comes
 from an RNG stream derived from ``(seed, i)``, so records are bit-identical
 across runs.
@@ -150,6 +152,13 @@ def _iterate_rows(step, x: np.ndarray, domain: DomainSpec, n_transient: int,
     each domain exit and raises each floating-point warning as a
     step-by-step loop would.  Steps are pure, so the replay recomputes
     exactly the states that the block computed.
+
+    A single state stops early: when a block's last state equals, bit for
+    bit, a state ``p`` steps before it in the block (the smallest such
+    ``p``), the orbit repeats those ``p`` states forever, and the rest of
+    ``kept`` is filled by cycling them without calling ``step`` again.
+    Those states have passed every check, so the result, the failures and
+    the log lines are those of the full run.  A batch runs every step.
     """
     total = n_transient + n_keep
     kept = np.empty((n_keep,) + x.shape)
@@ -173,10 +182,20 @@ def _iterate_rows(step, x: np.ndarray, domain: DomainSpec, n_transient: int,
                     return kept, watch.failures
                 block[k] = y
         x = y
-        stop = start + block.shape[0]
+        b = block.shape[0]
+        stop = start + b
         if stop > n_transient:
             first = max(start, n_transient)
             kept[first - n_transient:stop - n_transient] = block[first - start:]
+        if watch.single and stop < total:
+            # the bits of a lone state that recurs with period p repeat forever
+            bits = block.view(np.uint64)
+            same = np.flatnonzero((bits[:-1] == bits[-1]).all(axis=1))
+            if same.size:
+                p = b - 1 - int(same[-1])
+                rest = np.arange(max(stop, n_transient), total)
+                kept[rest - n_transient] = block[b - p + (rest - stop) % p]
+                return kept, watch.failures
     return kept, watch.failures
 
 
@@ -185,9 +204,12 @@ def iterate_orbit(model: MapModel, cfg: Optional[ControlConfig], x0,
     """Iterate the (controlled) map and return the last ``n_keep`` states.
 
     Runs ``n_transient + n_keep`` steps from ``x0`` through the single-state
-    ``evaluate``; ``evaluate_batch`` is never called.  A non-finite state,
-    or an evaluation that raises ``ValueError`` or ``ArithmeticError``,
-    raises :class:`OrbitError` with the offending step index.  Domain
+    ``evaluate``; ``evaluate_batch`` is never called.  An orbit whose state
+    recurs bit for bit stops calling ``evaluate`` at the end of that 64-step
+    block and repeats its cycle, which gives the same states, because
+    ``evaluate`` is pure.  A non-finite state, or an evaluation that raises
+    ``ValueError`` or ``ArithmeticError``, raises :class:`OrbitError` with
+    the offending step index.  Domain
     violations are advisory (logged once per orbit) unless ``strict``.
     """
     _check_lengths(n_transient, n_keep)
@@ -285,8 +307,10 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
     grid points advance together as the rows of one array.
     ``continue_orbits`` instead chains each orbit from the previous final
     state, one grid point at a time, each through the single-state
-    ``evaluate`` of its :func:`controlled_map`.  ``max_period`` is capped
-    at half the kept window.  Invalid arguments raise ``ValueError`` before
+    ``evaluate`` of its :func:`controlled_map`, so each stops, as
+    :func:`iterate_orbit` does, at its first bitwise recurrence; the rows
+    of a fresh scan run every step.  ``max_period`` is capped at half the
+    kept window.  Invalid arguments raise ``ValueError`` before
     any orbit runs: an ``n_keep`` below 2, a ``tol`` that is not positive
     (NaN included), a box that :func:`initial_box` rejects, and what
     building the step, ``controlled_rows``, rejects: a bad scheme

@@ -541,6 +541,16 @@ def test_stability_report_rejects_unknown_norm_before_searching(lpa, monkeypatch
                          [40.0, 40.0, 8.0], norm_kind="euclidian")
 
 
+def test_stability_report_rejects_a_reversed_box_before_any_evaluation(lpa):
+    calls = []
+    model = MapModel(dimension=3, evaluate=lambda x: calls.append(1) or lpa.evaluate(x),
+                     domain=lpa.domain, jacobian=lpa.jacobian)
+    with pytest.raises(ValueError, match="sample box needs lo <= hi with a finite width"):
+        stability_report(model, np.array([20.0, 20.0, 5.0]), [40.0] * 3, [10.0] * 3,
+                         n_samples=64)
+    assert calls == []
+
+
 def test_stability_report_lpa(lpa):
     rep = stability_report(lpa, np.array([20.0, 20.0, 5.0]),
                            [0.0] * 3, [300.0] * 3, n_samples=256)

@@ -305,6 +305,16 @@ def test_cost_command(tmp_path):
     assert 0.0 < float(report["cost_per_step"]) < 1e-3
 
 
+@pytest.mark.parametrize("start, length, window", [(0, 0, "0,20"), (5, 0, "5,15"),
+                                                   (5, 15, "5,15"), (19, 1, "19,1")])
+def test_cost_window_keys(tmp_path, start, length, window):
+    rc = run_cli(tmp_path, "cost", "--out", "cw", "--set", "control.scheme=VMTOC",
+                 "--set", _K_TARGET, "--set", "run.x0=10,10,10", "--set", "run.n_keep=20",
+                 "--set", f"cost.window_start={start}", "--set", f"cost.window_length={length}")
+    assert rc == 0
+    assert read_report(tmp_path / "cw.report.txt")["cost.window"] == window
+
+
 def test_cli_error_exit_codes(tmp_path, capsys):
     rc = run_cli(tmp_path, "bifurcate", "--set", "control.scheme=none")
     assert rc == 2
@@ -316,8 +326,8 @@ def test_cli_error_exit_codes(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, settings, message", [
     ("simulate", ["model.kind=ricker", "run.x0=-1000,0"], "non-finite state at step 1"),
-    ("cost", ["control.scheme=VMTOC", "control.target=30,30,200",
-              "cost.window_start=100"], "out-of-range window"),
+    ("cost", ["model.kind=ricker", "run.x0=-1000,0", "control.scheme=VMTOC",
+              "control.target=1,3"], "non-finite state at step 2"),
 ])
 def test_failing_command_writes_no_file(tmp_path, capsys, command, settings, message):
     rc = run_cli(tmp_path, command, "--out", "fail",
@@ -509,6 +519,11 @@ _K_TARGET = "control.target=28.0120,22.4096,4.6251"
     ("stability", ["sample.hi=inf"], "sample.lo"),
     ("stability", ["sample.n=0"], "sample.n"),
     ("lyapunov", ["run.lyapunov_steps=10"], "run.lyapunov_steps"),
+    ("cost", ["cost.window_start=-5"], "cost.window_start"),
+    ("cost", ["cost.window_length=-3"], "cost.window_length"),
+    ("cost", ["run.n_keep=50", "cost.window_start=40", "cost.window_length=20"],
+     "cost.window_length"),
+    ("cost", ["cost.window_start=50"], "cost.window_start"),
 ])
 def test_bad_run_setting_exits_2_naming_its_key_before_any_work(tmp_path, monkeypatch, capsys,
                                                                 command, settings, key):

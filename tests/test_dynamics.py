@@ -642,6 +642,195 @@ def test_chained_scan_logs_one_domain_exit_per_orbit(caplog):
                                   _LIMIT - 5 + 3 * (3 * _B + 10) - np.arange(9, -1, -1))
 
 
+# --- early exit at an exact recurrence ----------------------------------------
+
+# A lone orbit stops at the end of the first block whose last state equals,
+# bit for bit, an earlier state of the block, and fills the rest of its kept
+# window with the cycle.  The oracle is a plain loop over the step map's
+# evaluate, one step each, compared byte for byte (-0.0 is not 0.0).
+
+
+def _per_step_orbit(model, cfg, x0, n_transient, n_keep):
+    g = controlled_map(model, cfg) if cfg is not None else model
+    x = as_state(x0, model.dimension)
+    kept = np.empty((n_keep, model.dimension))
+    for i in range(n_transient + n_keep):
+        x = np.asarray(g.evaluate(x), dtype=float)
+        if i >= n_transient:
+            kept[i - n_transient] = x
+    return kept
+
+
+def _first_recurrence(model, cfg, x0, n):
+    """``(step, period)`` of the first state equal bitwise to an earlier one."""
+    g = controlled_map(model, cfg) if cfg is not None else model
+    x, seen = as_state(x0, model.dimension), {}
+    for i in range(n):
+        x = np.asarray(g.evaluate(x), dtype=float)
+        if x.tobytes() in seen:
+            return i, i - seen[x.tobytes()]
+        seen[x.tobytes()] = i
+    return None
+
+
+def _counted(model):
+    """``model`` with a counter of its evaluate calls, ``calls[0]``."""
+    calls = [0]
+
+    def evaluate(x):
+        calls[0] += 1
+        return model.evaluate(x)
+
+    return MapModel(dimension=model.dimension, evaluate=evaluate, domain=model.domain,
+                    jacobian=model.jacobian), calls
+
+
+def _assert_same_bytes(orbit, oracle):
+    assert orbit.shape == oracle.shape
+    assert orbit.tobytes() == oracle.tobytes()
+
+
+def _calls_to_block_end(step, total):
+    """Evaluations of an orbit that first recurs at ``step`` (period below _B)."""
+    return min(total, (step // _B + 1) * _B)
+
+
+_K = (28.0120, 22.4096, 4.6251)
+# (model, scheme, intensity, target, x0, first recurrence step, bitwise period)
+_RECURRING = [
+    ("lpa", "VMTOC", 0.6, _K, (22.0, 27.0, 5.0), 61, 1),
+    ("lpa", "VMTOC", 0.2, (30.0, 30.0, 200.0), (22.0, 27.0, 5.0), 226, 2),
+    ("lpa", "VMTOC", 0.5, _K, (22.0, 27.0, 5.0), 101, 7),
+    ("ricker2", "VMTOC", 0.05, (1.0, 3.0), (1.5, 0.5), 99, 6),
+    ("ricker2", "VMTOC", 0.01, (1.0, 3.0), (1.5, 0.5), 464, 20),
+    ("ricker3", "VTOC", 0.1, (1.0, 1.0, 1.0), (1.5, 0.5, 1.2), 55, 8),
+]
+
+
+def _recurring_model(kind):
+    return lpa_map() if kind == "lpa" else ricker_lift(RickerParams(r=2.0, delay=int(kind[-1])))
+
+
+@pytest.mark.parametrize("n_transient, n_keep", [(3000, 50), (20, 400)],
+                         ids=["in-transient", "in-kept-window"])
+@pytest.mark.parametrize("kind, scheme, c, target, x0, step, period", _RECURRING)
+def test_recurring_orbit_equals_per_step_loop_bitwise(kind, scheme, c, target, x0, step,
+                                                     period, n_transient, n_keep):
+    model, calls = _counted(_recurring_model(kind))
+    cfg = ControlConfig(scheme, c, target)
+    assert _first_recurrence(model, cfg, x0, 3050) == (step, period)
+    oracle = _per_step_orbit(model, cfg, x0, n_transient, n_keep)
+    calls[0] = 0
+    _assert_same_bytes(iterate_orbit(model, cfg, x0, n_transient, n_keep), oracle)
+    assert calls[0] == _calls_to_block_end(step, n_transient + n_keep)
+
+
+def _cycle_map(step, period, domain_top=math.inf, raise_on_top=False):
+    """``(model, x0)``: counts up by one to a cycle ``0, 1, ..., period - 1``.
+
+    From ``x0`` the orbit first recurs at ``step``, with ``period``; the
+    top of the cycle raises when ``raise_on_top``, at ``step``.
+    """
+    top = float(period - 1)
+
+    def evaluate(x):
+        if x[0] < top:
+            return x + 1.0
+        if raise_on_top:
+            raise ValueError("top of the cycle")
+        return np.zeros(1)
+
+    domain = DomainSpec.box([-math.inf], [domain_top])
+    x0 = np.array([float(period - step - 1)])
+    return MapModel(dimension=1, evaluate=evaluate, domain=domain), x0
+
+
+_EDGE_STEPS = (_B - 1, _B, _B + 1, 2 * _B - 1, 2 * _B)
+
+
+@pytest.mark.parametrize("period", [1, 2, 3])
+@pytest.mark.parametrize("step", _EDGE_STEPS)
+@pytest.mark.parametrize("n_transient, n_keep", [(3 * _B + 5, 20), (5, 3 * _B)],
+                         ids=["in-transient", "in-kept-window"])
+def test_recurrence_near_a_block_edge_stops_at_its_block_end(period, step, n_transient,
+                                                             n_keep):
+    model, x0 = _cycle_map(step, period)
+    model, calls = _counted(model)
+    assert _first_recurrence(model, None, x0, 4 * _B) == (step, period)
+    oracle = _per_step_orbit(model, None, x0, n_transient, n_keep)
+    calls[0] = 0
+    _assert_same_bytes(iterate_orbit(model, None, x0, n_transient, n_keep), oracle)
+    assert calls[0] == _calls_to_block_end(step, n_transient + n_keep)
+
+
+@pytest.mark.parametrize("step", _EDGE_STEPS)
+def test_chained_scan_orbits_stop_at_their_recurrence(step):
+    # the first orbit recurs at `step`; each later one starts on the cycle
+    model, x0 = _cycle_map(step, 3)
+    model, calls = _counted(model)
+    records = bifurcation_scan(model, "VMTOC", (0.0,), [0.0] * 3, init_lo=x0, init_hi=x0,
+                               n_transient=3 * _B, n_keep=20, continue_orbits=True)
+    assert calls[0] == _calls_to_block_end(step, 3 * _B + 20) + 2 * _B
+    chained = x0
+    for rec in records:
+        oracle = _per_step_orbit(model, None, chained, 3 * _B, 20)
+        _assert_same_bytes(rec.points, oracle)
+        assert rec.periods == (3,)
+        chained = oracle[-1]
+
+
+@pytest.mark.parametrize("step", [_B - 1, _B, _B + 1])
+def test_cycle_outside_the_domain_is_logged_once(caplog, step):
+    # the cycle 0, 1, 2 leaves the box (-inf, 1] at 2, first after step - 1 steps
+    model, x0 = _cycle_map(step, 3, domain_top=1.0)
+    oracle = _per_step_orbit(model, None, x0, 3 * _B, 20)
+    with caplog.at_level(logging.WARNING, logger="chaosctl.dynamics"):
+        _assert_same_bytes(iterate_orbit(model, None, x0, 3 * _B, 20), oracle)
+    assert _exit_lines(caplog) == [f"orbit left the domain at step {step - 1} (advisory)"]
+    with pytest.raises(OrbitError, match=f"state left the domain at step {step - 1}$"):
+        iterate_orbit(model, None, x0, 3 * _B, 20, strict=True)
+
+
+@pytest.mark.parametrize("step", _EDGE_STEPS)
+def test_evaluation_failing_before_its_recurrence_raises_at_its_step(step):
+    model, x0 = _cycle_map(step, 3, raise_on_top=True)
+    with pytest.raises(OrbitError) as err:
+        iterate_orbit(model, None, x0, 3 * _B, 20)
+    assert (err.value.step, str(err.value)) == (
+        step, f"evaluation failed at step {step}: ValueError: top of the cycle")
+
+
+def test_signed_zero_recurs_with_period_two():
+    # -x from 0 runs -0.0, 0.0, -0.0, ...: equal as numbers, not as bits
+    model = MapModel(dimension=1, evaluate=lambda x: -x, domain=DomainSpec.full_space(1))
+    oracle = _per_step_orbit(model, None, [0.0], 2 * _B, 5)
+    assert np.signbit(oracle[:, 0]).tolist() == [True, False, True, False, True]
+    _assert_same_bytes(iterate_orbit(model, None, [0.0], 2 * _B, 5), oracle)
+
+
+def test_chaotic_orbit_never_recurs_and_runs_every_step(lpa):
+    model, calls = _counted(lpa)
+    x0 = (22.0, 27.0, 5.0)
+    assert _first_recurrence(model, None, x0, 3050) is None
+    oracle = _per_step_orbit(model, None, x0, 3000, 50)
+    calls[0] = 0
+    _assert_same_bytes(iterate_orbit(model, None, x0, 3000, 50), oracle)
+    assert calls[0] == 3050
+
+
+def test_simulate_sized_orbit_makes_few_evaluations(lpa):
+    # LPA under VMTOC c=0.5 toward K first recurs at step 101, with period 7
+    model, calls = _counted(lpa)
+    cfg = ControlConfig("VMTOC", 0.5, _K)
+    x0 = (22.0, 27.0, 5.0)
+    orbit = iterate_orbit(model, cfg, x0, 3000, 50)
+    assert calls[0] == 2 * _B < (3000 + 50) // 20
+    _assert_same_bytes(orbit, _per_step_orbit(model, cfg, x0, 3000, 50))
+    calls[0] = 0
+    assert lyapunov_max(model, cfg, x0, n=5000) == _lyapunov_per_step(model, cfg, x0, 5000)
+    assert calls[0] == 2 * _B + 5000
+
+
 # --- bubbles -----------------------------------------------------------------
 
 
