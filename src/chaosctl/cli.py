@@ -10,7 +10,8 @@ config and seed are byte-identical.
 Commands: simulate | equilibrium | stability | bifurcate | bubbles |
 lyapunov | cost.  ``bifurcate`` and ``bubbles`` exit 1 when every grid
 point failed.  ``--strict`` applies to ``simulate`` and ``cost``; the other
-commands reject it.
+commands reject it.  ``CHECKS`` holds the rule of every key that a command
+checks before it builds its model.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from functools import partial
 import numpy as np
 
 from . import analysis, cost as cost_mod, dynamics, models
-from .controls import ControlConfig, ControlConfigError, check_intensity, controlled_map
-from .core import MapModel, check_norm_kind
+from .controls import (ControlConfig, ControlConfigError, _checked_target, check_intensity,
+                       controlled_map)
+from .core import MapModel, as_state, check_norm_kind
 
 COMMANDS = ("simulate", "equilibrium", "stability", "bifurcate", "bubbles",
             "lyapunov", "cost")
@@ -71,6 +73,56 @@ FIELDS = {
     "cost.window_length": ("int", 0),
     "out.prefix": ("str", "chaosctl"),
 }
+
+# (key, commands that read it, test of the config, message), checked in this
+# order before the model is built.  A message is a str.format template of the
+# key's value, the command and v, the config.  A test that raises ValueError,
+# as the library's checkers do, gives its own message.
+CHECKS = (
+    ("run.seed", COMMANDS, lambda v: v["run.seed"] >= 0, "must be nonnegative, got {value}"),
+    # periods need two kept states, a final state or a cost window one
+    ("run.n_keep", ("simulate", "cost"), lambda v: v["run.n_keep"] >= 1,
+     "{command} needs at least 1 kept states"),
+    ("run.n_keep", SCANS, lambda v: v["run.n_keep"] >= 2,
+     "{command} needs at least 2 kept states"),
+    ("run.n_transient", ("simulate", "cost") + SCANS, lambda v: v["run.n_transient"] >= 0,
+     "{command} needs a nonnegative transient, got {value}"),
+    ("scan.max_period", ("simulate",) + SCANS, lambda v: v["scan.max_period"] >= 1,
+     "{command} needs a period bound of at least 1, got {value}"),
+    # NaN fails every comparison, so it fails these tests too
+    ("scan.tol", ("simulate",) + SCANS, lambda v: v["scan.tol"] > 0,
+     "must be positive, got {value}"),
+    ("run.tol", ("equilibrium", "stability"), lambda v: v["run.tol"] > 0,
+     "must be positive, got {value}"),
+    ("sample.n", ("stability",), lambda v: v["sample.n"] >= 1,
+     "stability needs at least 1 sample, got {value}"),
+    # a window of length 0 runs to the last of the run.n_keep kept states
+    ("cost.window_start", ("cost",), lambda v: 0 <= v["cost.window_start"] < v["run.n_keep"],
+     "must lie in [0, {v[run.n_keep]}) for {v[run.n_keep]} kept states, got {value}"),
+    ("cost.window_length", ("cost",),
+     lambda v: 0 <= v["cost.window_length"] <= v["run.n_keep"] - v["cost.window_start"],
+     "must be at least 0 and end by the last of {v[run.n_keep]} kept states from window "
+     "start {v[cost.window_start]}, got {value}"),
+    ("run.lyapunov_steps", ("lyapunov",), lambda v: v["run.lyapunov_steps"] >= 1000,
+     "lyapunov needs at least 1000 steps, got {value}"),  # lyapunov_max's bound
+    ("control.scheme", SCANS, lambda v: v["control.scheme"] in ("VMTOC", "VTOC"),
+     "scans support VMTOC and VTOC only"),
+    ("control.scheme", ("cost",), lambda v: v["control.scheme"] != "none", "cost needs a control"),
+    ("scan.cost", SCANS, lambda v: not v["scan.cost"] or v["control.scheme"] == "VMTOC",
+     "cost column applies to VMTOC scans only"),
+    ("scan.c_list", SCANS, lambda v: v["scan.c_list"] != (), "intensity list is empty"),
+    ("scan.c_list", SCANS, lambda v: check_intensity(v["scan.c_list"] or ()) is None, None),
+    # a chained bifurcate may run downward; bubbles need increasing c
+    ("scan.c_list", ("bubbles",),
+     lambda v: list(v["scan.c_list"] or ()) == sorted(v["scan.c_list"] or ()),
+     "bubbles needs intensities in increasing order"),
+    ("scan.grid", SCANS, lambda v: v["scan.c_list"] is not None or v["scan.grid"] >= 2,
+     "grid size must be at least 2"),
+    ("analysis.norm", ("stability",), lambda v: check_norm_kind(v["analysis.norm"]) is None, None),
+    ("cost.norm", ("cost",), lambda v: check_norm_kind(v["cost.norm"]) is None, None),
+    ("cost.norm", SCANS, lambda v: not v["scan.cost"] or check_norm_kind(v["cost.norm"]) is None,
+     None),
+)
 
 
 class ConfigError(ValueError):
@@ -203,23 +255,12 @@ def build_control(cfg: RunConfig, model: MapModel):
         if len(intensity) != 1:
             raise ConfigError("control.intensity", "scalar scheme takes one intensity")
         intensity = intensity[0]
-    target = cfg["control.target"]
     try:
-        return ControlConfig(scheme=scheme, intensity=intensity, target=target)
+        control = ControlConfig(scheme=scheme, intensity=intensity, target=cfg["control.target"])
+        _checked_target(model, control)
     except ControlConfigError as exc:
         raise ConfigError(f"control.{exc.field}", str(exc)) from exc
-
-
-def _check_norm(cfg: RunConfig, key: str) -> None:
-    try:
-        check_norm_kind(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(key, str(exc)) from None
-
-
-def _check_positive(cfg: RunConfig, key: str) -> None:
-    if not cfg[key] > 0:  # NaN fails too
-        raise ConfigError(key, f"must be positive, got {cfg[key]}")
+    return control
 
 
 def _box(cfg: RunConfig, model: MapModel, section: str, what: str):
@@ -233,46 +274,20 @@ def _box(cfg: RunConfig, model: MapModel, section: str, what: str):
                           f"{exc} (lo is {section}.lo, hi is {section}.hi)") from None
 
 
-def _cost_window(cfg: RunConfig) -> tuple:
-    """``(start, length)`` of the cost window in the ``run.n_keep`` kept
-    states; a ``cost.window_length`` of 0 runs the window to their end."""
-    n, start, length = cfg["run.n_keep"], cfg["cost.window_start"], cfg["cost.window_length"]
-    if not 0 <= start < n:
-        raise ConfigError("cost.window_start",
-                          f"must lie in [0, {n}) for {n} kept states, got {start}")
-    if not 0 <= length <= n - start:
-        raise ConfigError("cost.window_length",
-                          f"must lie in [0, {n - start}] from window start {start} in {n} "
-                          f"kept states, got {length}")
-    return start, length or n - start
-
-
 def _initial_state(cfg: RunConfig, model: MapModel) -> np.ndarray:
     if cfg["run.x0"] is not None:
-        x0 = np.asarray(cfg["run.x0"], dtype=float)
-        if x0.size != model.dimension:
-            raise ConfigError("run.x0", f"expected {model.dimension} components")
-        return x0
+        try:
+            return as_state(cfg["run.x0"], model.dimension)
+        except ValueError as exc:
+            raise ConfigError("run.x0", str(exc)) from None
     lo, hi = _box(cfg, model, "init", "initial box")
     return np.random.default_rng([cfg["run.seed"], 0]).uniform(lo, hi)
 
 
 def _c_grid(cfg: RunConfig):
-    cs = cfg["scan.c_list"]
-    if cs is not None:
-        if not cs:
-            raise ConfigError("scan.c_list", "intensity list is empty")
-        try:
-            check_intensity(cs)
-        except ControlConfigError as exc:
-            raise ConfigError("scan.c_list", str(exc)) from None
-        # a chained bifurcate may run downward; bubbles need increasing c
-        if cfg["run.command"] == "bubbles" and any(b < a for a, b in zip(cs, cs[1:])):
-            raise ConfigError("scan.c_list", "bubbles needs intensities in increasing order")
-        return list(cs)
+    if cfg["scan.c_list"] is not None:
+        return list(cfg["scan.c_list"])
     n = cfg["scan.grid"]
-    if n < 2:
-        raise ConfigError("scan.grid", "grid size must be at least 2")
     # k/n for k = 1..n-1; the top endpoint is excluded because an intensity
     # of exactly 1 is outside the valid range of every scheme
     return [k / n for k in range(1, n)]
@@ -306,17 +321,11 @@ def _write_scan_csv(path, records, costs=None):
 
 
 def _scan(cfg: RunConfig, model: MapModel):
-    scheme = cfg["control.scheme"]
-    if scheme not in ("VMTOC", "VTOC"):
-        raise ConfigError("control.scheme", "scans support VMTOC and VTOC only")
-    if cfg["scan.cost"] and scheme != "VMTOC":
-        raise ConfigError("scan.cost", "cost column applies to VMTOC scans only")
     lo, hi = _box(cfg, model, "init", "initial box")
-    grid = _c_grid(cfg)
     try:
         return dynamics.bifurcation_scan(
-            model, scheme, cfg["control.target"], grid, seed=cfg["run.seed"],
-            init_lo=lo, init_hi=hi, n_transient=cfg["run.n_transient"],
+            model, cfg["control.scheme"], cfg["control.target"], _c_grid(cfg),
+            seed=cfg["run.seed"], init_lo=lo, init_hi=hi, n_transient=cfg["run.n_transient"],
             n_keep=cfg["run.n_keep"], tol=cfg["scan.tol"],
             max_period=cfg["scan.max_period"], continue_orbits=cfg["scan.continue"])
     except ControlConfigError as exc:
@@ -346,36 +355,18 @@ def run(cfg: RunConfig, strict: bool = False) -> int:
         raise ConfigError("run.command", f"unknown command {command!r}")
     if strict and command not in ("simulate", "cost"):
         raise ConfigError("--strict", f"applies to simulate and cost only, not {command}")
-    # periods need two kept states, a final state or a cost window one
-    need = {"simulate": 1, "cost": 1, "bifurcate": 2, "bubbles": 2}.get(command, 0)
-    if cfg["run.n_keep"] < need:
-        raise ConfigError("run.n_keep", f"{command} needs at least {need} kept states")
-    if command in ("simulate", "cost") + SCANS and cfg["run.n_transient"] < 0:
-        raise ConfigError("run.n_transient", f"{command} needs a nonnegative transient, "
-                                             f"got {cfg['run.n_transient']}")
-    if command in SCANS + ("simulate",):
-        if cfg["scan.max_period"] < 1:
-            raise ConfigError("scan.max_period", f"{command} needs a period bound of at "
-                                                 f"least 1, got {cfg['scan.max_period']}")
-        _check_positive(cfg, "scan.tol")
-    if command in ("equilibrium", "stability"):
-        _check_positive(cfg, "run.tol")
-    if command == "stability" and cfg["sample.n"] < 1:
-        raise ConfigError("sample.n", f"stability needs at least 1 sample, got {cfg['sample.n']}")
-    if command == "cost":
-        window = _cost_window(cfg)
-    if command == "lyapunov" and cfg["run.lyapunov_steps"] < 1000:  # lyapunov_max's bound
-        raise ConfigError("run.lyapunov_steps", f"lyapunov needs at least 1000 steps, "
-                                                f"got {cfg['run.lyapunov_steps']}")
+    for key, commands, test, message in CHECKS:
+        if command not in commands:
+            continue
+        try:
+            passed = test(cfg)
+        except ValueError as exc:
+            raise ConfigError(key, str(exc)) from None
+        if not passed:
+            raise ConfigError(key, message.format(value=cfg[key], command=command, v=cfg))
     model = build_model(cfg)
     # a scan takes its intensities from its grid, never from control.intensity
     control = None if command in SCANS else build_control(cfg, model)
-    if command == "cost" and control is None:
-        raise ConfigError("control.scheme", "cost needs a control")
-    if command == "stability":
-        _check_norm(cfg, "analysis.norm")
-    if command == "cost" or (command in SCANS and cfg["scan.cost"]):
-        _check_norm(cfg, "cost.norm")
     prefix = cfg["out.prefix"]
     report = [f"command = {command}", f"model = {model.name or cfg['model.kind']}",
               f"seed = {cfg['run.seed']}"]
@@ -440,6 +431,8 @@ def run(cfg: RunConfig, strict: bool = False) -> int:
         report.append(f"lyapunov_max = {lam:.17g}")
 
     elif command == "cost":
+        start = cfg["cost.window_start"]
+        window = (start, cfg["cost.window_length"] or cfg["run.n_keep"] - start)
         est = cost_mod.cost_per_step(model, control, orbit, window=window,
                                      norm_kind=cfg["cost.norm"])
         report.append(f"cost_per_step = {est.value:.17g}")
@@ -475,12 +468,12 @@ def main(argv=None) -> int:
                 cfg = RunConfig.from_text(fh.read())
         else:
             cfg = RunConfig()
-        cfg.values["run.command"] = args.command
         for item in args.set:
             if "=" not in item:
                 raise ConfigError("--set", f"expected KEY=VALUE, got {item!r}")
             key, raw = item.split("=", 1)
             cfg.set(key.strip(), raw)
+        cfg.values["run.command"] = args.command
         if args.seed is not None:
             cfg.values["run.seed"] = args.seed
         if args.out is not None:

@@ -108,7 +108,7 @@ def _pull(c, target: np.ndarray):
 def _checked_target(model: MapModel, cfg: ControlConfig) -> np.ndarray:
     t = cfg.target_vector(model.dimension)
     if cfg.scheme not in _TARGETLESS and not model.domain.contains(t):
-        raise ValueError("target outside the model domain")
+        raise ControlConfigError("target", "target outside the model domain")
     return t
 
 

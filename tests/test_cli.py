@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from chaosctl import ScanRecord, analysis, bifurcation_scan, dynamics, iterate_orbit, lpa_map
-from chaosctl.cli import (ConfigError, RunConfig, _state_lines, _write_scan_csv, build_control,
-                          build_model, main)
+from chaosctl.cli import (CHECKS, COMMANDS, FIELDS, ConfigError, RunConfig, _state_lines,
+                          _write_scan_csv, build_control, build_model, main)
 
 from conftest import LPA_FIXED_POINT
 
@@ -360,7 +360,7 @@ def test_config_file_plus_overrides(tmp_path):
 
 @pytest.mark.parametrize("setting, code, needle", [
     ("control.scheme=DIAG-VMTOC", 2, "control.scheme"),
-    ("control.target=-1,22,4.6", 1, "target outside the model domain"),
+    ("control.target=-1,22,4.6", 2, "control.target: target outside the model domain"),
     ("control.target=none", 2, "control.target: VMTOC requires a target"),
 ])
 def test_bifurcate_rejects_bad_control_before_scanning(tmp_path, capsys, setting, code,
@@ -495,7 +495,7 @@ def test_unknown_norm_kind_exits_2_before_any_work(tmp_path, monkeypatch, capsys
 _K_TARGET = "control.target=28.0120,22.4096,4.6251"
 
 
-@pytest.mark.parametrize("command, settings, key", [
+_BAD_SETTINGS = [
     ("bifurcate", ["scan.tol=nan"], "scan.tol"),
     ("bubbles", ["scan.tol=nan"], "scan.tol"),
     ("bifurcate", ["scan.tol=0", "scan.continue=true"], "scan.tol"),
@@ -524,7 +524,36 @@ _K_TARGET = "control.target=28.0120,22.4096,4.6251"
     ("cost", ["run.n_keep=50", "cost.window_start=40", "cost.window_length=20"],
      "cost.window_length"),
     ("cost", ["cost.window_start=50"], "cost.window_start"),
-])
+    *[(command, ["run.seed=-1"], "run.seed") for command in COMMANDS],
+    ("simulate", ["run.n_keep=0"], "run.n_keep"),
+    ("cost", ["run.n_keep=0"], "run.n_keep"),
+    ("bifurcate", ["run.n_keep=1"], "run.n_keep"),
+    ("bubbles", ["run.n_keep=1"], "run.n_keep"),
+    ("bifurcate", ["control.scheme=DIAG-VMTOC"], "control.scheme"),
+    ("bubbles", ["control.scheme=none"], "control.scheme"),
+    ("cost", ["control.scheme=none"], "control.scheme"),
+    ("bifurcate", ["control.scheme=VTOC", "scan.cost=true"], "scan.cost"),
+    ("bubbles", ["control.scheme=VTOC", "scan.cost=true"], "scan.cost"),
+    ("bifurcate", ["scan.grid=1"], "scan.grid"),
+    ("bubbles", ["scan.grid=1"], "scan.grid"),
+    ("bifurcate", ["scan.c_list=0.5,1.5"], "scan.c_list"),
+    ("bubbles", ["scan.c_list=0.5,0.2,0.3"], "scan.c_list"),
+    ("stability", ["analysis.norm=euclidian"], "analysis.norm"),
+    ("cost", ["cost.norm=taxi"], "cost.norm"),
+    ("bifurcate", ["scan.cost=true", "cost.norm=taxi"], "cost.norm"),
+    ("bubbles", ["scan.cost=true", "cost.norm=taxi"], "cost.norm"),
+    # checked where the model is built, which gives the dimension and the domain
+    ("simulate", ["run.x0=nan,1,1"], "run.x0"),
+    ("simulate", ["run.x0=1,1"], "run.x0"),
+    ("equilibrium", ["run.x0=nan,1,1"], "run.x0"),
+    ("equilibrium", ["run.x0=1,1"], "run.x0"),
+    ("simulate", ["control.target=-1,22,4.6"], "control.target"),
+    ("cost", ["control.target=-1,22,4.6"], "control.target"),
+    ("stability", ["control.target=-1,22,4.6"], "control.target"),
+]
+
+
+@pytest.mark.parametrize("command, settings, key", _BAD_SETTINGS)
 def test_bad_run_setting_exits_2_naming_its_key_before_any_work(tmp_path, monkeypatch, capsys,
                                                                 command, settings, key):
     def work(*args, **kwargs):
@@ -540,6 +569,22 @@ def test_bad_run_setting_exits_2_naming_its_key_before_any_work(tmp_path, monkey
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: {key}: ")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_every_key_check_has_a_failing_case():
+    cases = {(key, command) for command, _, key in _BAD_SETTINGS}
+    for key, commands, _, _ in CHECKS:
+        assert key in FIELDS
+        assert set(commands) <= set(COMMANDS), key
+        assert {(key, command) for command in commands} <= cases, key
+
+
+def test_positional_command_wins_over_run_command_setting(tmp_path):
+    rc = run_cli(tmp_path, "simulate", "--out", "pos", "--set", "run.command=bubbles",
+                 "--set", "run.n_transient=10", "--set", "run.n_keep=4")
+    assert rc == 0
+    assert sorted(os.listdir(tmp_path)) == ["pos.orbit.csv", "pos.report.txt"]
+    assert read_report(tmp_path / "pos.report.txt")["command"] == "simulate"
 
 
 def test_initial_box_error_names_both_bounds(tmp_path, capsys):
