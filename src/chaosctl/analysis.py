@@ -25,7 +25,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .controls import ControlConfig
-from .core import MapModel, as_state, check_norm_kind, norm, norm_rows
+from .core import MapModel, as_state, check_norm_kind, check_tol, norm, norm_rows
 from .dynamics import initial_box, iterate_orbit
 
 _FIXED_POINT_RESIDUAL = 1e-8
@@ -58,42 +58,37 @@ def find_fixed_point(model: MapModel, x0, tol: float = 1e-10,
     Newton steps without reaching ``tol`` in the max-norm, or at once when
     a projected averaging iterate is not finite, since no later iterate
     can be finite again; either error carries the best point and residual
-    seen so far.
+    evaluated so far, the last step's included.
     """
-    if not tol > 0:  # NaN fails too
-        raise ValueError(f"tol must be positive, got {tol}")
+    check_tol(tol)
     x = np.asarray(model.domain.project(as_state(x0, model.dimension)), float)
     eye = np.eye(model.dimension)
+    best = [math.inf, None]  # the smallest residual evaluated and its point
 
     def residual(y):
-        return np.asarray(model.evaluate(y), float) - y
-
-    r = residual(x)
-    best = (float(np.max(np.abs(r))), x.copy())
-    for _ in range(max_iter):
+        """f(y) - y and its max-norm; records ``y`` if that is the best yet."""
+        r = np.asarray(model.evaluate(y), float) - y
         rnorm = float(np.max(np.abs(r)))
-        if rnorm < best[0]:
-            best = (rnorm, x.copy())
+        if best[1] is None or rnorm < best[0]:
+            best[:] = rnorm, y.copy()
+        return r, rnorm
+
+    r, rnorm = residual(x)
+    for _ in range(max_iter):
         if rnorm < tol:
-            out = x.copy()
-            out.flags.writeable = False
-            return out
+            break
         try:
             step = np.linalg.solve(model.jacobian_at(x) - eye, -r)
         except np.linalg.LinAlgError:
             step = None
-        moved = False
-        if step is not None and np.all(np.isfinite(step)):
-            scale = 1.0
-            for _ in range(30):
-                cand = model.domain.project(x + scale * step)
-                rc = residual(cand)
-                if np.all(np.isfinite(rc)) and np.max(np.abs(rc)) < rnorm:
-                    x, r = cand, rc
-                    moved = True
-                    break
-                scale *= 0.5
-        if not moved:
+        finite = step is not None and np.all(np.isfinite(step))
+        for scale in [0.5 ** k for k in range(30)] if finite else []:
+            cand = model.domain.project(x + scale * step)
+            rc, rc_norm = residual(cand)
+            if rc_norm < rnorm:  # a non-finite residual fails
+                x, r, rnorm = cand, rc, rc_norm
+                break
+        else:
             # Newton stalled: fall back to Krasnoselskii-Mann averaging.
             for _ in range(200):
                 x = model.domain.project(0.5 * (x + np.asarray(model.evaluate(x), float)))
@@ -103,14 +98,13 @@ def find_fixed_point(model: MapModel, x0, tol: float = 1e-10,
                         f"no fixed point: averaging iterate x = {_state_text(x)} "
                         f"is not finite (best residual {best[0]:.3e})",
                         best_point=best[1], best_residual=best[0])
-                r = residual(x)
-                rnorm = float(np.max(np.abs(r)))
-                if rnorm < best[0]:
-                    best = (rnorm, x.copy())
+                r, rnorm = residual(x)
                 if rnorm < tol:
-                    out = x.copy()
-                    out.flags.writeable = False
-                    return out
+                    break
+    if rnorm < tol:
+        out = x.copy()
+        out.flags.writeable = False
+        return out
     raise ConvergenceError(
         f"no fixed point within {max_iter} iterations (best residual {best[0]:.3e})",
         best_point=best[1], best_residual=best[0])
@@ -330,24 +324,17 @@ class StabilityReport:
     provenance: dict = field(default_factory=dict)
 
     def to_lines(self) -> list:
-        lines = []
-        for i, v in enumerate(self.equilibrium):
-            lines.append(f"equilibrium.{i} = {v:.17g}")
-        lines.append(f"residual = {self.residual:.17g}")
-        lines.append(f"rho = {self.rho:.17g}")
-        lines.append(f"bound_a = {self.bound_a:.17g}")
-        lines.append(f"local_cstar_rho = {self.local_cstar_rho:.17g}")
-        lines.append(f"local_cstar_a = {self.local_cstar_a:.17g}")
-        if self.lipschitz is not None:
-            lines.append(f"lipschitz = {self.lipschitz.value:.17g}")
-            lines.append(f"lipschitz.ratio_part = {self.lipschitz.ratio_part:.17g}")
-            lines.append(f"lipschitz.bound_part = {self.lipschitz.bound_part:.17g}")
-            lines.append(f"lipschitz.sup_f = {self.lipschitz.sup_f:.17g}")
+        pairs = [(f"equilibrium.{i}", v) for i, v in enumerate(self.equilibrium)]
+        pairs += [("residual", self.residual), ("rho", self.rho), ("bound_a", self.bound_a),
+                  ("local_cstar_rho", self.local_cstar_rho), ("local_cstar_a", self.local_cstar_a)]
+        lip = self.lipschitz
+        if lip is not None:
+            pairs += [("lipschitz", lip.value), ("lipschitz.ratio_part", lip.ratio_part),
+                      ("lipschitz.bound_part", lip.bound_part), ("lipschitz.sup_f", lip.sup_f)]
         if self.global_cstar is not None:
-            lines.append(f"global_cstar = {self.global_cstar:.17g}")
-        for key, note in sorted(self.provenance.items()):
-            lines.append(f"provenance.{key} = {note}")
-        return lines
+            pairs.append(("global_cstar", self.global_cstar))
+        return ([f"{key} = {value:.17g}" for key, value in pairs]
+                + [f"provenance.{key} = {note}" for key, note in sorted(self.provenance.items())])
 
 
 def stability_report(model: MapModel, x0, lo, hi, n_samples: int = 2048,

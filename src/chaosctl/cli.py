@@ -25,9 +25,8 @@ from functools import partial
 import numpy as np
 
 from . import analysis, cost as cost_mod, dynamics, models
-from .controls import (ControlConfig, ControlConfigError, _checked_target, check_intensity,
-                       controlled_map)
-from .core import MapModel, as_state, check_norm_kind
+from .controls import ControlConfig, ControlConfigError, check_intensity, controlled_map
+from .core import MapModel, ParamError, as_state, check_norm_kind, check_tol
 
 COMMANDS = ("simulate", "equilibrium", "stability", "bifurcate", "bubbles",
             "lyapunov", "cost")
@@ -89,11 +88,8 @@ CHECKS = (
      "{command} needs a nonnegative transient, got {value}"),
     ("scan.max_period", ("simulate",) + SCANS, lambda v: v["scan.max_period"] >= 1,
      "{command} needs a period bound of at least 1, got {value}"),
-    # NaN fails every comparison, so it fails these tests too
-    ("scan.tol", ("simulate",) + SCANS, lambda v: v["scan.tol"] > 0,
-     "must be positive, got {value}"),
-    ("run.tol", ("equilibrium", "stability"), lambda v: v["run.tol"] > 0,
-     "must be positive, got {value}"),
+    ("scan.tol", ("simulate",) + SCANS, lambda v: check_tol(v["scan.tol"]) is None, None),
+    ("run.tol", ("equilibrium", "stability"), lambda v: check_tol(v["run.tol"]) is None, None),
     ("sample.n", ("stability",), lambda v: v["sample.n"] >= 1,
      "stability needs at least 1 sample, got {value}"),
     # a window of length 0 runs to the last of the run.n_keep kept states
@@ -222,14 +218,17 @@ def _broadcast(values, dim, key):
 
 def build_model(cfg: RunConfig) -> MapModel:
     kind = cfg["model.kind"]
-    if kind == "lpa":
-        p = models.LpaParams(b=cfg["model.b"], c_el=cfg["model.c_el"],
-                             c_ea=cfg["model.c_ea"], c_pa=cfg["model.c_pa"],
-                             mu_l=cfg["model.mu_l"], mu_a=cfg["model.mu_a"])
-        return models.lpa_map(p)
-    if kind == "ricker":
-        return models.ricker_lift(models.RickerParams(r=cfg["model.r"],
-                                                      delay=cfg["model.delay"]))
+    try:
+        if kind == "lpa":
+            p = models.LpaParams(b=cfg["model.b"], c_el=cfg["model.c_el"],
+                                 c_ea=cfg["model.c_ea"], c_pa=cfg["model.c_pa"],
+                                 mu_l=cfg["model.mu_l"], mu_a=cfg["model.mu_a"])
+            return models.lpa_map(p)
+        if kind == "ricker":
+            return models.ricker_lift(models.RickerParams(r=cfg["model.r"],
+                                                          delay=cfg["model.delay"]))
+    except ParamError as exc:
+        raise ConfigError(f"model.{exc.field}", str(exc)) from None
     if kind == "plugin":
         ref = cfg["model.plugin"]
         if not ref or ":" not in ref:
@@ -246,18 +245,18 @@ def build_model(cfg: RunConfig) -> MapModel:
     raise ConfigError("model.kind", f"unknown model kind {kind!r}")
 
 
-def build_control(cfg: RunConfig, model: MapModel):
+def build_control(cfg: RunConfig, model: MapModel, intensity=None):
+    """The configured control, or None; checked by building its controlled
+    map of ``model``.  ``intensity`` replaces ``control.intensity``."""
     scheme = cfg["control.scheme"]
     if scheme == "none":
         return None
-    intensity = cfg["control.intensity"]
-    if scheme != "DIAG-VMTOC":
-        if len(intensity) != 1:
-            raise ConfigError("control.intensity", "scalar scheme takes one intensity")
-        intensity = intensity[0]
+    if intensity is None:
+        intensity = cfg["control.intensity"]
+        intensity = intensity[0] if len(intensity) == 1 else intensity
     try:
         control = ControlConfig(scheme=scheme, intensity=intensity, target=cfg["control.target"])
-        _checked_target(model, control)
+        controlled_map(model, control)
     except ControlConfigError as exc:
         raise ConfigError(f"control.{exc.field}", str(exc)) from exc
     return control
@@ -322,15 +321,11 @@ def _write_scan_csv(path, records, costs=None):
 
 def _scan(cfg: RunConfig, model: MapModel):
     lo, hi = _box(cfg, model, "init", "initial box")
-    try:
-        return dynamics.bifurcation_scan(
-            model, cfg["control.scheme"], cfg["control.target"], _c_grid(cfg),
-            seed=cfg["run.seed"], init_lo=lo, init_hi=hi, n_transient=cfg["run.n_transient"],
-            n_keep=cfg["run.n_keep"], tol=cfg["scan.tol"],
-            max_period=cfg["scan.max_period"], continue_orbits=cfg["scan.continue"])
-    except ControlConfigError as exc:
-        # raised while the scan builds its step, before any orbit runs
-        raise ConfigError(f"control.{exc.field}", str(exc)) from exc
+    return dynamics.bifurcation_scan(
+        model, cfg["control.scheme"], cfg["control.target"], _c_grid(cfg),
+        seed=cfg["run.seed"], init_lo=lo, init_hi=hi, n_transient=cfg["run.n_transient"],
+        n_keep=cfg["run.n_keep"], tol=cfg["scan.tol"],
+        max_period=cfg["scan.max_period"], continue_orbits=cfg["scan.continue"])
 
 
 def _scan_costs(cfg, model, records):
@@ -365,8 +360,9 @@ def run(cfg: RunConfig, strict: bool = False) -> int:
         if not passed:
             raise ConfigError(key, message.format(value=cfg[key], command=command, v=cfg))
     model = build_model(cfg)
-    # a scan takes its intensities from its grid, never from control.intensity
-    control = None if command in SCANS else build_control(cfg, model)
+    # a scan takes its intensities from its grid, never from control.intensity,
+    # and its control is checked at intensity 0
+    control = build_control(cfg, model, 0.0 if command in SCANS else None)
     prefix = cfg["out.prefix"]
     report = [f"command = {command}", f"model = {model.name or cfg['model.kind']}",
               f"seed = {cfg['run.seed']}"]

@@ -19,18 +19,14 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .core import MapModel, as_state
+from .core import MapModel, ParamError, as_state
 
 SCHEMES = ("VMTOC", "VTOC", "PF", "MPF", "DIAG-VMTOC")
 _TARGETLESS = ("PF", "MPF")
 
 
-class ControlConfigError(ValueError):
+class ControlConfigError(ParamError):
     """An invalid :class:`ControlConfig`; ``field`` names the offending field."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(message)
-        self.field = field
 
 
 def check_intensity(c) -> None:
@@ -80,13 +76,17 @@ class ControlConfig:
         if c.ndim == 0:
             return np.full(dim, float(c))
         if c.shape != (dim,):
-            raise ValueError(f"dimension mismatch: expected {dim} intensities, got {c.shape[0]}")
+            raise ControlConfigError(
+                "intensity", f"dimension mismatch: expected {dim} intensities, got {c.shape[0]}")
         return c
 
     def target_vector(self, dim: int) -> np.ndarray:
         if self.scheme in _TARGETLESS or self.target is None:
             return np.zeros(dim)
-        return as_state(self.target, dim, what="target")
+        try:
+            return as_state(self.target, dim, what="target")
+        except ValueError as exc:
+            raise ControlConfigError("target", str(exc)) from None
 
 
 def _pull(c, target: np.ndarray):

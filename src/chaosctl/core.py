@@ -43,6 +43,20 @@ def check_norm_kind(kind: str) -> None:
         raise ValueError(f"unknown norm kind: {kind!r}")
 
 
+def check_tol(tol) -> None:
+    """Raise ``ValueError`` unless the tolerance ``tol`` is positive; NaN fails."""
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+
+
+class ParamError(ValueError):
+    """An invalid parameter; ``field`` names it."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 def norm(x, kind: str = "max") -> float:
     """Norm of a state vector; zero iff ``x`` is the zero vector.
 
@@ -93,7 +107,7 @@ class DomainSpec:
             lo, hi = np.asarray(self.lo, float), np.asarray(self.hi, float)
             if lo.shape != (self.dim,) or hi.shape != (self.dim,):
                 raise ValueError("box bounds must match the domain dimension")
-            if np.any(lo > hi):
+            if not np.all(lo <= hi):  # NaN fails too
                 raise ValueError("box bounds must satisfy lo <= hi componentwise")
 
     @staticmethod

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .controls import ControlConfig, controlled_map, controlled_rows
-from .core import DomainSpec, MapModel, RowError, as_state
+from .core import DomainSpec, MapModel, RowError, as_state, check_tol
 
 log = logging.getLogger(__name__)
 
@@ -235,8 +235,7 @@ def detect_period(orbit: np.ndarray, tol: float = 1e-5,
     if orbit.ndim == 1:
         orbit = orbit[:, None]
     n = orbit.shape[0]
-    if not tol > 0:  # NaN fails too
-        raise ValueError(f"tol must be positive, got {tol}")
+    check_tol(tol)
     if max_period < 1:
         raise ValueError("max_period must be at least 1")
     if n < 2 * max_period:
@@ -320,8 +319,7 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
     _check_lengths(n_transient, n_keep)
     if n_keep < 2:
         raise ValueError(f"n_keep must be at least 2 to detect a period, got {n_keep}")
-    if not tol > 0:  # NaN fails too
-        raise ValueError(f"tol must be positive, got {tol}")
+    check_tol(tol)
     if max_period < 1:
         raise ValueError("max_period must be at least 1")
     step = controlled_rows(model, scheme, target, c_grid)
@@ -361,32 +359,19 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
 def detect_bubbles(records: Sequence[ScanRecord]) -> list:
     """Intervals of lost stability bracketed by stability on both sides.
 
-    For each component, returns maximal grid intervals where the period is
-    not 1 (aperiodic counts) while some smaller and some larger grid
-    intensity both give period 1 -- the signature of non-monotone
-    stabilization.  Endpoints are reported at grid resolution as
-    ``(component, c_lo, c_hi)`` tuples.  Requires records sorted by c.
+    A bubble of component j is the run of records strictly between two
+    consecutive records whose component-j period is 1: the signature of
+    non-monotone stabilization.  Returns ``(component, c_lo, c_hi)`` tuples
+    at grid resolution, component by component in order of c.  Requires
+    records sorted by c.
     """
     cs = [r.c for r in records]
     if any(b < a for a, b in zip(cs, cs[1:])):
         raise ValueError("scan records must be sorted by intensity")
-    if not records:
-        return []
-    dim = len(records[0].periods)
-    out = []
-    for j in range(dim):
-        stable = [i for i, r in enumerate(records) if r.periods[j] == 1]
-        if len(stable) < 2:
-            continue
-        run_start = None
-        for i in range(stable[0], stable[-1] + 1):
-            if records[i].periods[j] != 1:
-                if run_start is None:
-                    run_start = i
-            elif run_start is not None:
-                out.append((j, records[run_start].c, records[i - 1].c))
-                run_start = None
-    return out
+    dim = len(records[0].periods) if records else 0
+    stable = [[i for i, r in enumerate(records) if r.periods[j] == 1] for j in range(dim)]
+    return [(j, records[a + 1].c, records[b - 1].c)
+            for j, s in enumerate(stable) for a, b in zip(s, s[1:]) if b > a + 1]
 
 
 def lyapunov_max(model: MapModel, cfg: Optional[ControlConfig], x0,

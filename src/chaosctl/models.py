@@ -21,21 +21,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainSpec, MapModel
+from .core import DomainSpec, MapModel, ParamError
 
 
 @dataclass(frozen=True)
 class LpaParams:
     """LPA model parameters.
 
-    b       larval recruits per adult per unit time (> 0)
+    b       larval recruits per adult per unit time (> 0, finite)
     c_el    cannibalism of eggs by larvae (>= 0)
     c_ea    cannibalism of eggs by adults (>= 0)
     c_pa    cannibalism of pupae by adults (>= 0)
     mu_l    larval mortality rate, in (0, 1)
     mu_a    adult mortality rate, in (0, 1)
 
-    The defaults are the classic chaotic flour-beetle set.
+    The defaults are the classic chaotic flour-beetle set.  A field out of
+    range, NaN included, raises :class:`~chaosctl.core.ParamError` naming it.
     """
 
     b: float = 10.45
@@ -46,12 +47,20 @@ class LpaParams:
     mu_a: float = 0.96
 
     def __post_init__(self):
-        if self.b <= 0:
-            raise ValueError("b must be positive")
-        if min(self.c_el, self.c_ea, self.c_pa) < 0:
-            raise ValueError("cannibalism coefficients must be nonnegative")
-        if not (0.0 < self.mu_l < 1.0) or not (0.0 < self.mu_a < 1.0):
-            raise ValueError("mortality rates must lie in (0, 1)")
+        _check_fields(self, (("b", lambda v: 0.0 < v < math.inf, "be positive and finite"),
+                             *[(f, lambda v: v >= 0.0, "be nonnegative")
+                               for f in ("c_el", "c_ea", "c_pa")],
+                             *[(f, lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
+                               for f in ("mu_l", "mu_a")]))
+
+
+def _check_fields(params, rules) -> None:
+    """Raise :class:`ParamError` naming the first ``(field, test, rule)`` of
+    ``rules`` whose test the field's value fails; NaN fails every test."""
+    for name, test, rule in rules:
+        value = getattr(params, name)
+        if not test(value):
+            raise ParamError(name, f"{name} must {rule}, got {value}")
 
 
 def lpa_eval(p: LpaParams, x, strict: bool = False) -> np.ndarray:
@@ -122,14 +131,16 @@ def lpa_map(p: LpaParams | None = None, domain: DomainSpec | None = None) -> Map
 
 @dataclass(frozen=True)
 class RickerParams:
-    """Delayed Ricker parameters: growth rate ``r`` and delay ``delay`` >= 2."""
+    """Delayed Ricker parameters: finite growth rate ``r`` and integer delay
+    ``delay`` >= 2; a field out of range raises :class:`~chaosctl.core.ParamError`."""
 
     r: float
     delay: int
 
     def __post_init__(self):
-        if int(self.delay) != self.delay or self.delay < 2:
-            raise ValueError("delay must be an integer >= 2")
+        _check_fields(self, [("r", math.isfinite, "be finite"),
+                             ("delay", lambda v: float(v).is_integer() and v >= 2,
+                              "be an integer >= 2")])
         object.__setattr__(self, "delay", int(self.delay))
         object.__setattr__(self, "r", float(self.r))
 

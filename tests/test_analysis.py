@@ -75,6 +75,22 @@ def test_no_convergence_reports_best_residual():
     assert err.value.best_residual >= 1.0 - 1e-9
 
 
+def test_newton_step_that_reaches_tol_on_the_last_iteration_is_returned():
+    # one Newton step solves the linear map exactly: (0.5 - 1)*s = -(0.5*0 + 1 - 0)
+    f = MapModel(dimension=1, evaluate=lambda x: 0.5 * np.asarray(x, float) + 1.0,
+                 jacobian=lambda x: np.array([[0.5]]), domain=DomainSpec.full_space(1))
+    np.testing.assert_array_equal(find_fixed_point(f, np.array([0.0]), max_iter=1), [2.0])
+
+
+def test_best_residual_includes_the_last_newton_step(lpa):
+    # three Newton steps from (20, 20, 5) end below 1e-6 but above the tolerance
+    with pytest.raises(ConvergenceError, match=r"within 3 iterations") as err:
+        find_fixed_point(lpa, np.array([20.0, 20.0, 5.0]), max_iter=3)
+    assert err.value.best_residual < 1e-6
+    best = err.value.best_point
+    assert np.max(np.abs(lpa.evaluate(best) - best)) == err.value.best_residual
+
+
 @pytest.mark.parametrize("tol", [0.0, math.nan])
 def test_fixed_point_search_rejects_a_tolerance_that_is_not_positive(tol):
     f = MapModel(dimension=1, evaluate=lambda x: 0.5 * np.asarray(x, float),
@@ -563,3 +579,53 @@ def test_stability_report_lpa(lpa):
     lines = rep.to_lines()
     assert any(line.startswith("rho = ") for line in lines)
     assert any("sampled estimate" in line for line in lines)
+
+
+_PROVENANCE_LINES = {
+    "bound_a": "provenance.bound_a = sampled estimate: min of max row/col sums over the box, "
+               "64 samples",
+    "global_cstar": "provenance.global_cstar = 0 if L <= 1 else 1 - 1/L",
+    "lipschitz": "provenance.lipschitz = sampled estimate on the box only; not valid beyond it "
+                 "if f is unbounded on the domain",
+    "local_cstar_a": "provenance.local_cstar_a = max(0, 1 - 1/bound_a)",
+    "local_cstar_rho": "provenance.local_cstar_rho = max(0, 1 - 1/rho)",
+    "rho": "provenance.rho = spectral radius of the Jacobian at the equilibrium",
+}
+
+
+def _value_lines(rep, keys):
+    """``key = value`` with 17 significant digits, each value read off ``rep``."""
+    values = {f"equilibrium.{i}": v for i, v in enumerate(rep.equilibrium)}
+    if rep.lipschitz is not None:
+        values.update({"lipschitz": rep.lipschitz.value,
+                       "lipschitz.ratio_part": rep.lipschitz.ratio_part,
+                       "lipschitz.bound_part": rep.lipschitz.bound_part,
+                       "lipschitz.sup_f": rep.lipschitz.sup_f})
+    return [f"{key} = {values[key] if key in values else getattr(rep, key):.17g}"
+            for key in keys]
+
+
+def test_stability_report_lines_with_the_lipschitz_part(lpa):
+    rep = stability_report(lpa, np.array([20.0, 20.0, 5.0]), [10.0, 10.0, 2.0],
+                           [40.0, 40.0, 8.0], n_samples=64)
+    assert rep.lipschitz is not None
+    assert rep.to_lines() == _value_lines(rep, [
+        "equilibrium.0", "equilibrium.1", "equilibrium.2", "residual", "rho", "bound_a",
+        "local_cstar_rho", "local_cstar_a", "lipschitz", "lipschitz.ratio_part",
+        "lipschitz.bound_part", "lipschitz.sup_f", "global_cstar"]) + [
+        _PROVENANCE_LINES[key] for key in ("bound_a", "global_cstar", "lipschitz",
+                                           "local_cstar_a", "local_cstar_rho", "rho")]
+
+
+def test_stability_report_lines_without_the_lipschitz_part(lpa):
+    # extinction is an equilibrium of norm 0, which has no Lipschitz estimate
+    rep = stability_report(lpa, np.zeros(3), [10.0, 10.0, 2.0], [40.0, 40.0, 8.0],
+                           n_samples=64)
+    assert rep.lipschitz is None and rep.global_cstar is None
+    assert rep.to_lines() == [
+        "equilibrium.0 = 0", "equilibrium.1 = 0", "equilibrium.2 = 0", "residual = 0",
+        *_value_lines(rep, ["rho", "bound_a", "local_cstar_rho", "local_cstar_a"]),
+        _PROVENANCE_LINES["bound_a"],
+        "provenance.box = warning: equilibrium lies outside the sampling box",
+        "provenance.lipschitz = unavailable: K must have nonzero norm",
+        *[_PROVENANCE_LINES[key] for key in ("local_cstar_a", "local_cstar_rho", "rho")]]

@@ -550,6 +550,17 @@ _BAD_SETTINGS = [
     ("simulate", ["control.target=-1,22,4.6"], "control.target"),
     ("cost", ["control.target=-1,22,4.6"], "control.target"),
     ("stability", ["control.target=-1,22,4.6"], "control.target"),
+    ("simulate", ["control.target=1,2"], "control.target"),
+    ("bifurcate", ["control.target=1,2"], "control.target"),
+    ("simulate", ["control.target=1,nan,1"], "control.target"),
+    ("stability", ["control.target=1,nan,1"], "control.target"),
+    ("simulate", ["control.intensity=0.1,0.2"], "control.intensity"),
+    ("simulate", ["control.scheme=DIAG-VMTOC", "control.intensity=0.1,0.2"],
+     "control.intensity"),
+    ("simulate", ["model.kind=ricker", "model.delay=0"], "model.delay"),
+    ("simulate", ["model.b=nan"], "model.b"),
+    ("bifurcate", ["model.b=nan"], "model.b"),
+    ("simulate", ["model.kind=ricker", "model.r=nan"], "model.r"),
 ]
 
 

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from chaosctl import DomainSpec, MapModel, RowError, as_state, fd_jacobian, norm
-from chaosctl.core import norm_rows
+from chaosctl.core import check_tol, norm_rows
 
 finite_components = st.floats(min_value=-1e6, max_value=1e6,
                               allow_nan=False, allow_infinity=False)
@@ -144,6 +146,24 @@ def test_box_invariants():
         DomainSpec.box([1.0], [0.0])
     with pytest.raises(ValueError, match="kind"):
         DomainSpec("ball", 2)
+
+
+@pytest.mark.parametrize("lo, hi", [([0.0, math.nan], [1.0, 1.0]), ([0.0], [math.nan]),
+                                    ([math.nan], [math.nan])])
+def test_box_rejects_nan_bounds(lo, hi):
+    # a box with a NaN bound contains no state
+    with pytest.raises(ValueError, match="lo <= hi"):
+        DomainSpec.box(lo, hi)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_check_tol_rejects_a_tolerance_that_is_not_positive(tol):
+    with pytest.raises(ValueError, match=f"^tol must be positive, got {tol}$"):
+        check_tol(tol)
+
+
+def test_check_tol_accepts_a_positive_tolerance():
+    assert check_tol(1e-300) is None
 
 
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=4),

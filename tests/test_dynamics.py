@@ -1,10 +1,13 @@
 import contextlib
+import itertools
 import logging
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chaosctl import (
     ControlConfig,
@@ -869,6 +872,29 @@ def test_detect_bubbles_multiple_components():
     bubbles = detect_bubbles(recs)
     assert (0, recs[1].c, recs[1].c) in bubbles
     assert (1, recs[2].c, recs[3].c) in bubbles
+
+
+def _bubbles_by_definition(records):
+    """Every maximal run of records whose period is not 1, with a period-1
+    record on each side, component by component."""
+    out = []
+    for j in range(len(records[0].periods) if records else 0):
+        runs = itertools.groupby(range(len(records)), key=lambda i: records[i].periods[j] == 1)
+        for stable, run in runs:
+            run = list(run)
+            # a maximal unstable run has a stable record on each side unless it
+            # touches an end of the scan
+            if not stable and run[0] > 0 and run[-1] < len(records) - 1:
+                out.append((j, records[run[0]].c, records[run[-1]].c))
+    return out
+
+
+@given(st.integers(1, 3).flatmap(lambda dim: st.lists(
+    st.tuples(*[st.sampled_from([1, 1, 2, 3, None])] * dim), max_size=24)))
+def test_detect_bubbles_matches_its_definition(periods):
+    records = [ScanRecord(c=i / 24, points=np.empty((0, len(p))), periods=p, seed=0)
+               for i, p in enumerate(periods)]
+    assert detect_bubbles(records) == _bubbles_by_definition(records)
 
 
 # --- Lyapunov ----------------------------------------------------------------

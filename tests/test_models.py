@@ -5,6 +5,7 @@ import pytest
 
 from chaosctl import (
     LpaParams,
+    ParamError,
     RickerParams,
     fd_jacobian,
     lpa_eval,
@@ -142,6 +143,24 @@ def test_ricker_lift_shift_structure_exact():
     x = rng.uniform(0.1, 3.0, 5)
     y = lift.evaluate(x)
     np.testing.assert_array_equal(y[1:], x[:-1])
+
+
+@pytest.mark.parametrize("params, field", [
+    *[(lambda f=f: LpaParams(**{f: math.nan}), f)
+      for f in ("b", "c_el", "c_ea", "c_pa", "mu_l", "mu_a")],
+    (lambda: LpaParams(b=math.inf), "b"),
+    (lambda: LpaParams(c_pa=-1.0), "c_pa"),
+    (lambda: LpaParams(mu_l=0.0), "mu_l"),
+    (lambda: RickerParams(r=math.nan, delay=2), "r"),
+    (lambda: RickerParams(r=math.inf, delay=2), "r"),
+    (lambda: RickerParams(r=2.0, delay=math.nan), "delay"),
+    (lambda: RickerParams(r=2.0, delay=0), "delay"),
+], ids=["b-nan", "c_el-nan", "c_ea-nan", "c_pa-nan", "mu_l-nan", "mu_a-nan", "b-inf",
+        "c_pa-negative", "mu_l-zero", "r-nan", "r-inf", "delay-nan", "delay-zero"])
+def test_bad_parameter_raises_naming_its_field(params, field):
+    with pytest.raises(ParamError, match=f"^{field} must ") as err:
+        params()
+    assert err.value.field == field
 
 
 def test_ricker_delay_validation():
