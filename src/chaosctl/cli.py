@@ -103,7 +103,8 @@ CHECKS = (
      "lyapunov needs at least 1000 steps, got {value}"),  # lyapunov_max's bound
     ("control.scheme", SCANS, lambda v: v["control.scheme"] in ("VMTOC", "VTOC"),
      "scans support VMTOC and VTOC only"),
-    ("control.scheme", ("cost",), lambda v: v["control.scheme"] != "none", "cost needs a control"),
+    ("control.scheme", ("cost",), lambda v: v["control.scheme"] in cost_mod.POST_MAP_SCHEMES,
+     "cost accounting applies to post-map target controls only, got {value}"),
     ("scan.cost", SCANS, lambda v: not v["scan.cost"] or v["control.scheme"] == "VMTOC",
      "cost column applies to VMTOC scans only"),
     ("scan.c_list", SCANS, lambda v: v["scan.c_list"] != (), "intensity list is empty"),

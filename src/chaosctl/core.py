@@ -3,11 +3,13 @@
 States are plain 1-D float64 numpy arrays.  Everything in this module is
 an immutable value (arrays are returned read-only), so models, domains and
 states can be shared freely between threads; map evaluation is expected to
-be a pure function of its input.
+be a pure function of its input.  A domain is a closed box whose bounds
+may be infinite; a state holding NaN lies outside every domain.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -15,16 +17,12 @@ import numpy as np
 
 NORM_KINDS = ("max", "euclidean", "sum")
 
-ORTHANT = "nonnegative-orthant"
-BOX = "box"
-FULL = "full-space"
-
 
 def as_state(values, dim: Optional[int] = None, what: str = "state") -> np.ndarray:
     """Coerce ``values`` to a finite, read-only float64 vector.
 
     Raises ``ValueError`` for non-vector input, a dimension mismatch or any
-    NaN/Inf component.
+    NaN/Inf component; the shape and non-finite messages name ``what``.
     """
     x = np.array(values, dtype=float)
     if x.ndim != 1:
@@ -32,7 +30,7 @@ def as_state(values, dim: Optional[int] = None, what: str = "state") -> np.ndarr
     if dim is not None and x.shape[0] != dim:
         raise ValueError(f"dimension mismatch: expected {dim} components, got {x.shape[0]}")
     if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite state")
+        raise ValueError(f"non-finite {what}")
     x.flags.writeable = False
     return x
 
@@ -86,43 +84,48 @@ def norm_rows(rows, kind: str = "max") -> np.ndarray:
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """A convex subset of R^d that a map sends into itself.
+    """The closed box ``[lo, hi]`` of R^d that a map sends into itself.
 
-    Three kinds are supported: the nonnegative orthant, a compact
-    axis-aligned box and the full space.  Membership is closed (boundary
-    points belong to the domain).
+    A bound may be infinite: the nonnegative orthant is ``[0, inf)^d`` and
+    the full space ``(-inf, inf)^d``.  Membership is closed (boundary
+    points belong to the domain), and a state holding NaN lies outside
+    every domain.
     """
 
-    kind: str
-    dim: int
-    lo: Optional[tuple] = None
-    hi: Optional[tuple] = None
+    lo: tuple
+    hi: tuple
 
     def __post_init__(self):
-        if self.kind not in (ORTHANT, BOX, FULL):
-            raise ValueError(f"unknown domain kind: {self.kind!r}")
-        if self.dim < 1:
-            raise ValueError("domain dimension must be positive")
-        if self.kind == BOX:
-            lo, hi = np.asarray(self.lo, float), np.asarray(self.hi, float)
-            if lo.shape != (self.dim,) or hi.shape != (self.dim,):
-                raise ValueError("box bounds must match the domain dimension")
-            if not np.all(lo <= hi):  # NaN fails too
-                raise ValueError("box bounds must satisfy lo <= hi componentwise")
+        lo = np.array(self.lo, dtype=float, ndmin=1)
+        hi = np.array(self.hi, dtype=float, ndmin=1)
+        if lo.ndim != 1 or lo.shape != hi.shape or lo.size == 0:
+            raise ValueError("box bounds must be two vectors of one positive length")
+        if not np.all(lo <= hi):  # NaN fails too
+            raise ValueError("box bounds must satisfy lo <= hi componentwise")
+        lo.flags.writeable = hi.flags.writeable = False
+        # tuples to compare and hash, arrays to compute with, and the common
+        # bounds max(lo) and min(hi) that every component of a state inside
+        # an orthant or the full space lies within
+        for name, value in (("lo", tuple(lo.tolist())), ("hi", tuple(hi.tolist())),
+                            ("_lo", lo), ("_hi", hi),
+                            ("_floor", float(lo.max())), ("_ceil", float(hi.min()))):
+            object.__setattr__(self, name, value)
+
+    @property
+    def dim(self) -> int:
+        return len(self.lo)
 
     @staticmethod
     def nonnegative_orthant(dim: int) -> "DomainSpec":
-        return DomainSpec(ORTHANT, dim)
+        return DomainSpec((0.0,) * dim, (math.inf,) * dim)
 
     @staticmethod
     def box(lo, hi) -> "DomainSpec":
-        lo = tuple(float(v) for v in np.atleast_1d(lo))
-        hi = tuple(float(v) for v in np.atleast_1d(hi))
-        return DomainSpec(BOX, len(lo), lo, hi)
+        return DomainSpec(lo, hi)
 
     @staticmethod
     def full_space(dim: int) -> "DomainSpec":
-        return DomainSpec(FULL, dim)
+        return DomainSpec((-math.inf,) * dim, (math.inf,) * dim)
 
     def contains(self, x) -> bool:
         x = as_state(x, self.dim)
@@ -131,42 +134,29 @@ class DomainSpec:
     def contains_unchecked(self, x) -> bool:
         """Membership without input validation, for hot iteration loops.
 
-        ``x`` may also be an ``(n, d)`` array of states: the answer is then
-        whether every row belongs to the domain.
+        ``x`` may also be an ``(n, d)`` array of states, or a block of them
+        with more leading axes: the answer is then whether every state
+        belongs to the domain.  An array within the common bounds is
+        accepted by two reductions; only otherwise is each component tested
+        against its own bounds.
         """
-        if self.kind == ORTHANT:
-            return bool(x.min() >= 0.0)
-        if self.kind == BOX:
-            return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
-        return True
+        if self._floor <= x.min() and x.max() <= self._ceil:
+            return True
+        return bool(np.all(x >= self._lo) and np.all(x <= self._hi))
 
     def contains_rows(self, rows) -> np.ndarray:
         """Boolean mask of the rows of an ``(n, d)`` array that lie in the
-        domain, without input validation.  Rows holding NaN are outside the
-        orthant and the box."""
-        if self.kind == ORTHANT:
-            return np.all(rows >= 0.0, axis=1)
-        if self.kind == BOX:
-            return np.all((rows >= self.lo) & (rows <= self.hi), axis=1)
-        return np.ones(rows.shape[0], dtype=bool)
+        domain, without input validation."""
+        return np.all((rows >= self._lo) & (rows <= self._hi), axis=1)
 
     def is_interior(self, x) -> bool:
         """True iff ``x`` lies strictly inside the domain (not on its boundary)."""
         x = as_state(x, self.dim)
-        if self.kind == ORTHANT:
-            return bool(np.all(x > 0.0))
-        if self.kind == BOX:
-            return bool(np.all(x > self.lo) and np.all(x < self.hi))
-        return True
+        return bool(np.all(x > self._lo) and np.all(x < self._hi))
 
     def project(self, x) -> np.ndarray:
         """Closest point of the domain (componentwise clip)."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == ORTHANT:
-            return np.maximum(x, 0.0)
-        if self.kind == BOX:
-            return np.clip(x, self.lo, self.hi)
-        return x
+        return np.minimum(np.maximum(np.asarray(x, dtype=float), self._lo), self._hi)
 
 
 def fd_jacobian(func: Callable, x, rel_step: float = 1e-6) -> np.ndarray:

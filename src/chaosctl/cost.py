@@ -17,6 +17,9 @@ import numpy as np
 from .controls import ControlConfig
 from .core import MapModel, norm_rows
 
+# the post-map target controls, whose nudge c*(T - f(x)) is the cost
+POST_MAP_SCHEMES = ("VMTOC", "DIAG-VMTOC")
+
 
 @dataclass(frozen=True)
 class CostEstimate:
@@ -44,7 +47,7 @@ def cost_per_step(model: MapModel, cfg: ControlConfig, orbit,
     that raises, raises ``ValueError``.  Asymmetric culling/restocking
     prices and per-component weights are out of scope.
     """
-    if cfg.scheme not in ("VMTOC", "DIAG-VMTOC"):
+    if cfg.scheme not in POST_MAP_SCHEMES:
         raise ValueError("cost accounting applies to post-map target controls")
     orbit = np.asarray(orbit, dtype=float)
     if orbit.ndim != 2 or orbit.shape[1] != model.dimension:

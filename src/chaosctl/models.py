@@ -29,9 +29,9 @@ class LpaParams:
     """LPA model parameters.
 
     b       larval recruits per adult per unit time (> 0, finite)
-    c_el    cannibalism of eggs by larvae (>= 0)
-    c_ea    cannibalism of eggs by adults (>= 0)
-    c_pa    cannibalism of pupae by adults (>= 0)
+    c_el    cannibalism of eggs by larvae (>= 0, finite)
+    c_ea    cannibalism of eggs by adults (>= 0, finite)
+    c_pa    cannibalism of pupae by adults (>= 0, finite)
     mu_l    larval mortality rate, in (0, 1)
     mu_a    adult mortality rate, in (0, 1)
 
@@ -48,7 +48,7 @@ class LpaParams:
 
     def __post_init__(self):
         _check_fields(self, (("b", lambda v: 0.0 < v < math.inf, "be positive and finite"),
-                             *[(f, lambda v: v >= 0.0, "be nonnegative")
+                             *[(f, lambda v: 0.0 <= v < math.inf, "be nonnegative and finite")
                                for f in ("c_el", "c_ea", "c_pa")],
                              *[(f, lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
                                for f in ("mu_l", "mu_a")]))

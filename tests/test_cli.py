@@ -561,6 +561,10 @@ _BAD_SETTINGS = [
     ("simulate", ["model.b=nan"], "model.b"),
     ("bifurcate", ["model.b=nan"], "model.b"),
     ("simulate", ["model.kind=ricker", "model.r=nan"], "model.r"),
+    # cost prices the nudge of a post-map control only
+    *[("cost", [f"control.scheme={scheme}", "control.target=28,22,4"], "control.scheme")
+      for scheme in ("VTOC", "PF", "MPF")],
+    ("simulate", ["model.c_el=inf"], "model.c_el"),
 ]
 
 
@@ -580,6 +584,13 @@ def test_bad_run_setting_exits_2_naming_its_key_before_any_work(tmp_path, monkey
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: {key}: ")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_non_finite_target_message_names_the_target(tmp_path, capsys):
+    rc = run_cli(tmp_path, "simulate", "--set", "control.scheme=VMTOC",
+                 "--set", "control.target=1,nan,1")
+    assert rc == 2
+    assert capsys.readouterr().err == "error: control.target: non-finite target\n"
 
 
 def test_every_key_check_has_a_failing_case():

@@ -98,6 +98,8 @@ def test_as_state_validation():
         as_state([1.0, float("inf")])
     with pytest.raises(ValueError, match="1-D"):
         as_state([[1.0], [2.0]])
+    with pytest.raises(ValueError, match="^non-finite target$"):
+        as_state([1.0, float("nan"), 1.0], 3, what="target")
 
 
 def test_contains_examples():
@@ -116,9 +118,139 @@ def test_contains_rows_and_whole_array():
     assert orthant.contains_rows(rows).tolist() == [True, False, False, True]
     box = DomainSpec.box([0, 0], [1, 1])
     assert box.contains_rows(rows).tolist() == [False, False, False, True]
-    assert DomainSpec.full_space(2).contains_rows(rows).tolist() == [True] * 4
+    # a row holding NaN lies outside every domain, the full space too
+    assert DomainSpec.full_space(2).contains_rows(rows).tolist() == [True, True, False, True]
     assert orthant.contains_unchecked(rows[[0, 3]])
     assert not orthant.contains_unchecked(rows[[0, 1]])
+
+
+# The per-kind formulas that DomainSpec had before every domain became a
+# box, kept as the oracle of the box formulas.  kind is "orthant", "box" or
+# "full"; lo and hi are the box's bounds.
+def _kind_contains_unchecked(kind, lo, hi, x):
+    if kind == "orthant":
+        return bool(x.min() >= 0.0)
+    if kind == "box":
+        return bool(np.all(x >= lo) and np.all(x <= hi))
+    return True
+
+
+def _kind_contains_rows(kind, lo, hi, rows):
+    if kind == "orthant":
+        return np.all(rows >= 0.0, axis=1)
+    if kind == "box":
+        return np.all((rows >= lo) & (rows <= hi), axis=1)
+    return np.ones(rows.shape[0], dtype=bool)
+
+
+def _kind_is_interior(kind, lo, hi, x):
+    x = as_state(x, len(lo))
+    if kind == "orthant":
+        return bool(np.all(x > 0.0))
+    if kind == "box":
+        return bool(np.all(x > lo) and np.all(x < hi))
+    return True
+
+
+def _kind_project(kind, lo, hi, x):
+    x = np.asarray(x, dtype=float)
+    if kind == "orthant":
+        return np.maximum(x, 0.0)
+    if kind == "box":
+        return np.clip(x, lo, hi)
+    return x
+
+
+_INF = math.inf
+_ORACLE_DOMAINS = [
+    ("orthant", [0.0] * 3, [_INF] * 3),
+    ("orthant", [0.0], [_INF]),
+    ("full", [-_INF] * 3, [_INF] * 3),
+    ("full", [-_INF], [_INF]),
+    ("box", [0.0, -1.0, 0.5], [1.0, 2.0, 3.0]),
+    ("box", [-1.0, 0.0, -_INF], [1.0, _INF, 2.0]),
+    ("box", [0.0] * 3, [_INF] * 3),
+    ("box", [-_INF] * 3, [_INF] * 3),
+    ("box", [-_INF, -_INF, 0.5], [-1.0, _INF, _INF]),
+    # degenerate: lo == hi in some or all components
+    ("box", [1.0, 0.0, -0.0], [1.0, 2.0, 0.0]),
+    ("box", [0.5], [0.5]),
+    ("box", [-0.0, 2.0], [0.0, 2.0]),
+]
+
+
+def _oracle_domain(kind, lo, hi):
+    return {"orthant": lambda: DomainSpec.nonnegative_orthant(len(lo)),
+            "full": lambda: DomainSpec.full_space(len(lo)),
+            "box": lambda: DomainSpec.box(lo, hi)}[kind]()
+
+
+def _oracle_rows(lo, hi):
+    """Every state whose components come from the bounds, points beside
+    them, signed zeros, +-inf and NaN: an ``(n, d)`` array."""
+    # keyed by sign too, so that -0.0 and 0.0 are both kept
+    values = {(v, math.copysign(1.0, v)): v
+              for v in (*lo, *hi, -1.0, -0.0, 0.0, 5e-324, 0.5, 1.0, 2.0, 3.0, _INF, -_INF)}
+    values = [values[key] for key in sorted(values)] + [math.nan]
+    grids = np.meshgrid(*[values] * len(lo), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+@pytest.mark.parametrize("kind, lo, hi", _ORACLE_DOMAINS)
+def test_box_formulas_match_the_per_kind_formulas(kind, lo, hi):
+    domain = _oracle_domain(kind, lo, hi)
+    assert domain.lo == tuple(lo) and domain.hi == tuple(hi) and domain.dim == len(lo)
+    rows = _oracle_rows(lo, hi)
+    nan = np.isnan(rows)
+    # a state holding NaN lies outside every domain; the full space alone
+    # accepted one before
+    expected = _kind_contains_rows(kind, lo, hi, rows) & ~nan.any(axis=1)
+    np.testing.assert_array_equal(domain.contains_rows(rows), expected)
+    finite = np.isfinite(rows).all(axis=1)
+    for x, inside, ok in zip(rows, expected.tolist(), finite.tolist()):
+        assert domain.contains_unchecked(x) is inside
+        if ok:
+            assert domain.contains(x) is inside
+            assert domain.is_interior(x) is _kind_is_interior(kind, lo, hi, x)
+        else:
+            with pytest.raises(ValueError, match="non-finite"):
+                domain.contains(x)
+            with pytest.raises(ValueError, match="non-finite"):
+                domain.is_interior(x)
+    # whole arrays (n, d) and blocks (b, n, d) of rows, many of them inside
+    rng = np.random.default_rng(len(rows))
+    pools = (np.arange(len(rows)), np.flatnonzero(expected))
+    for k in range(400):
+        pick = rows[rng.choice(pools[k % 2], size=6)]
+        if k % 4 == 3:
+            pick[rng.integers(6)] = rows[rng.integers(len(rows))]
+        for x in (pick, pick.reshape(2, 3, -1), pick.reshape(3, 2, -1)):
+            want = (_kind_contains_unchecked(kind, lo, hi, x)
+                    and not np.isnan(x).any())
+            assert domain.contains_unchecked(x) is want
+    # the projection, bit for bit: signed zeros, infinities and NaN included
+    for x in (rows, rows[len(rows) // 2], rows[:10].reshape(2, 5, -1)):
+        got, want = domain.project(x), _kind_project(kind, lo, hi, x)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_orthant_and_full_space_are_boxes():
+    for d in (1, 3):
+        assert DomainSpec.nonnegative_orthant(d) == DomainSpec.box([0.0] * d, [_INF] * d)
+        assert DomainSpec.full_space(d) == DomainSpec.box([-_INF] * d, [_INF] * d)
+        assert hash(DomainSpec.nonnegative_orthant(d)) == hash(DomainSpec.box([0] * d,
+                                                                              [_INF] * d))
+    assert DomainSpec.nonnegative_orthant(2) != DomainSpec.full_space(2)
+
+
+def test_domain_rejects_bounds_that_are_not_two_vectors_of_one_length():
+    with pytest.raises(ValueError, match="one positive length"):
+        DomainSpec.nonnegative_orthant(0)
+    with pytest.raises(ValueError, match="one positive length"):
+        DomainSpec.box([0.0, 0.0], [1.0])
+    with pytest.raises(ValueError, match="one positive length"):
+        DomainSpec([[0.0]], [[1.0]])
 
 
 def test_evaluate_rows_fallback_isolates_rows():
@@ -144,8 +276,6 @@ def test_contains_dimension_mismatch():
 def test_box_invariants():
     with pytest.raises(ValueError, match="lo <= hi"):
         DomainSpec.box([1.0], [0.0])
-    with pytest.raises(ValueError, match="kind"):
-        DomainSpec("ball", 2)
 
 
 @pytest.mark.parametrize("lo, hi", [([0.0, math.nan], [1.0, 1.0]), ([0.0], [math.nan]),

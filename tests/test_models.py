@@ -155,8 +155,10 @@ def test_ricker_lift_shift_structure_exact():
     (lambda: RickerParams(r=math.inf, delay=2), "r"),
     (lambda: RickerParams(r=2.0, delay=math.nan), "delay"),
     (lambda: RickerParams(r=2.0, delay=0), "delay"),
+    *[(lambda f=f: LpaParams(**{f: math.inf}), f) for f in ("c_el", "c_ea", "c_pa")],
 ], ids=["b-nan", "c_el-nan", "c_ea-nan", "c_pa-nan", "mu_l-nan", "mu_a-nan", "b-inf",
-        "c_pa-negative", "mu_l-zero", "r-nan", "r-inf", "delay-nan", "delay-zero"])
+        "c_pa-negative", "mu_l-zero", "r-nan", "r-inf", "delay-nan", "delay-zero",
+        "c_el-inf", "c_ea-inf", "c_pa-inf"])
 def test_bad_parameter_raises_naming_its_field(params, field):
     with pytest.raises(ParamError, match=f"^{field} must ") as err:
         params()
