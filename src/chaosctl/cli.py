@@ -378,8 +378,10 @@ def run(cfg: RunConfig, strict: bool = False) -> int:
                               ["step,component,value"] + _state_lines(orbit)))
 
     if command == "simulate":
-        eff = min(cfg["scan.max_period"], cfg["run.n_keep"] // 2)
-        if eff >= 1:
+        if cfg["run.n_keep"] < 2:
+            report.append("periods = none (1 kept state; a period needs at least 2)")
+        else:
+            eff = min(cfg["scan.max_period"], cfg["run.n_keep"] // 2)
             periods = dynamics.detect_period(orbit, tol=cfg["scan.tol"], max_period=eff)
             report.append("periods = " + ",".join(
                 "aperiodic" if p is None else str(p) for p in periods))

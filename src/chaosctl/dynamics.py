@@ -8,9 +8,11 @@ through ``evaluate_rows``.  The loop checks finiteness and domain
 membership once per block of steps; a block that fails the check is
 replayed one checked step at a time from its start state, so failures,
 their steps and messages, and the domain-exit log lines are those of a
-step-by-step check.  A lone state stops at its first exact recurrence: once
-a block's last state equals an earlier one bit for bit, the rest of the
-orbit repeats that cycle.
+step-by-step check.  A lone state stops at the exact step of its first
+recurrence: once a state equals, bit for bit, a state of its current or
+previous block, the rest of the orbit repeats that cycle.  Every period up to
+``_BLOCK`` is caught there, and memory stays bounded by two blocks of
+states whatever the orbit's length.
 Scans are deterministic: the initial condition for grid index ``i`` comes
 from an RNG stream derived from ``(seed, i)``, so records are bit-identical
 across runs.
@@ -153,28 +155,47 @@ def _iterate_rows(step, x: np.ndarray, domain: DomainSpec, n_transient: int,
     step-by-step loop would.  Steps are pure, so the replay recomputes
     exactly the states that the block computed.
 
-    A single state stops early: when a block's last state equals, bit for
-    bit, a state ``p`` steps before it in the block (the smallest such
-    ``p``), the orbit repeats those ``p`` states forever, and the rest of
-    ``kept`` is filled by cycling them without calling ``step`` again.
-    Those states have passed every check, so the result, the failures and
-    the log lines are those of the full run.  A batch runs every step.
+    A single state stops at its first exact recurrence: right after the first
+    step whose state equals, bit for bit (``-0.0`` is not ``0.0``), a state
+    of its current or previous block, ``p`` steps earlier.  From there the
+    orbit repeats those ``p`` states forever.  The block so far gets the same
+    check; when it passes, the rest of ``kept`` is filled by cycling the
+    ``p`` states, without calling ``step`` again.  Those states have passed
+    every check, so the result, the failures and the log lines are those of
+    the full run; a partial block that fails its check goes to the replay
+    instead, and the recurrence is dropped.  Every period up to ``_BLOCK``
+    is caught at its first recurrence.  The states of the two blocks sit in
+    a ring buffer, state ``u`` at ``u % (2 * _BLOCK)``, and their bytes in
+    two dicts that rotate at each block end, so memory stays bounded
+    whatever the orbit's length.  A batch runs every step.
     """
     total = n_transient + n_keep
     kept = np.empty((n_keep,) + x.shape)
-    buf = np.empty((min(_BLOCK, total),) + x.shape)
     watch = _RowWatch(x, domain, strict)
+    # a lone state's two-block ring and the steps of its states' bytes, by block
+    ring = np.empty((min(2 * _BLOCK if watch.single else _BLOCK, total),) + x.shape)
+    seen, older = {}, {}
     for start in range(0, total, _BLOCK):
-        block = buf[:min(_BLOCK, total - start)]
+        at = start % ring.shape[0]
+        block = ring[at:at + min(_BLOCK, total - start)]
+        hit = None
         try:
             with np.errstate(all="ignore"):
                 y = x
                 for k in range(block.shape[0]):
                     y = block[k] = np.asarray(step(y), dtype=float)
-            ok = watch.block_ok(block)
+                    if watch.single:
+                        key = y.tobytes()
+                        u = seen.get(key, older.get(key))
+                        if u is not None:
+                            hit = start + k, start + k - u
+                            break
+                        seen[key] = start + k
+            ok = watch.block_ok(block[:k + 1])
         except watch.errors:
             ok = False
         if not ok:
+            hit = None
             y = x
             for k in range(block.shape[0]):
                 y = watch.checked_step(step, y, start + k)
@@ -182,20 +203,17 @@ def _iterate_rows(step, x: np.ndarray, domain: DomainSpec, n_transient: int,
                     return kept, watch.failures
                 block[k] = y
         x = y
-        b = block.shape[0]
-        stop = start + b
+        stop = start + block.shape[0] if hit is None else hit[0] + 1
         if stop > n_transient:
             first = max(start, n_transient)
-            kept[first - n_transient:stop - n_transient] = block[first - start:]
-        if watch.single and stop < total:
-            # the bits of a lone state that recurs with period p repeat forever
-            bits = block.view(np.uint64)
-            same = np.flatnonzero((bits[:-1] == bits[-1]).all(axis=1))
-            if same.size:
-                p = b - 1 - int(same[-1])
-                rest = np.arange(max(stop, n_transient), total)
-                kept[rest - n_transient] = block[b - p + (rest - stop) % p]
-                return kept, watch.failures
+            kept[first - n_transient:stop - n_transient] = block[first - start:stop - start]
+        if hit is not None:
+            # the p states up to the recurrence repeat forever
+            t, p = hit
+            rest = np.arange(max(stop, n_transient), total)
+            kept[rest - n_transient] = ring[(t - p + 1 + (rest - stop) % p) % ring.shape[0]]
+            return kept, watch.failures
+        seen, older = {}, seen
     return kept, watch.failures
 
 
@@ -205,12 +223,14 @@ def iterate_orbit(model: MapModel, cfg: Optional[ControlConfig], x0,
 
     Runs ``n_transient + n_keep`` steps from ``x0`` through the single-state
     ``evaluate``; ``evaluate_batch`` is never called.  An orbit whose state
-    recurs bit for bit stops calling ``evaluate`` at the end of that 64-step
-    block and repeats its cycle, which gives the same states, because
-    ``evaluate`` is pure.  A non-finite state, or an evaluation that raises
-    ``ValueError`` or ``ArithmeticError``, raises :class:`OrbitError` with
-    the offending step index.  Domain
-    violations are advisory (logged once per orbit) unless ``strict``.
+    recurs bit for bit stops calling ``evaluate`` right after the step of
+    its first recurrence and repeats its cycle, which gives the same states,
+    because ``evaluate`` is pure.  Every period up to 64 steps is caught at
+    that step, and memory stays bounded whatever the orbit's length.  A
+    non-finite state, or an evaluation that raises ``ValueError`` or
+    ``ArithmeticError``, raises :class:`OrbitError` with the offending step
+    index.  Domain violations are advisory (logged once per orbit) unless
+    ``strict``.
     """
     _check_lengths(n_transient, n_keep)
     g = _step_map(model, cfg)
@@ -307,9 +327,10 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
     ``continue_orbits`` instead chains each orbit from the previous final
     state, one grid point at a time, each through the single-state
     ``evaluate`` of its :func:`controlled_map`, so each stops, as
-    :func:`iterate_orbit` does, at its first bitwise recurrence; the rows
-    of a fresh scan run every step.  ``max_period`` is capped at half the
-    kept window.  Invalid arguments raise ``ValueError`` before
+    :func:`iterate_orbit` does, right after the step of its first bitwise
+    recurrence (every period up to 64 steps is caught there, in bounded
+    memory); the rows of a fresh scan run every step.  ``max_period`` is
+    capped at half the kept window.  Invalid arguments raise ``ValueError`` before
     any orbit runs: an ``n_keep`` below 2, a ``tol`` that is not positive
     (NaN included), a box that :func:`initial_box` rejects, and what
     building the step, ``controlled_rows``, rejects: a bad scheme

@@ -135,6 +135,17 @@ def test_simulate_command_csv(tmp_path):
     assert len(lines) == 1 + 8 * 3
 
 
+def test_simulate_with_one_kept_state_says_why_it_has_no_periods(tmp_path):
+    rc = run_cli(tmp_path, "simulate", "--out", "one", "--seed", "5",
+                 "--set", "run.n_transient=50", "--set", "run.n_keep=1")
+    assert rc == 0
+    report = read_report(tmp_path / "one.report.txt")
+    assert report["periods"] == "none (1 kept state; a period needs at least 2)"
+    assert list(report) == ["command", "model", "seed", "periods",
+                            "final.0", "final.1", "final.2"]
+    assert len((tmp_path / "one.orbit.csv").read_text().splitlines()) == 1 + 3
+
+
 def test_bifurcate_deterministic_output(tmp_path):
     args = ("bifurcate", "--out", "scan", "--seed", "11",
             "--set", "control.scheme=VMTOC",

@@ -2,6 +2,7 @@ import contextlib
 import itertools
 import logging
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -647,9 +648,9 @@ def test_chained_scan_logs_one_domain_exit_per_orbit(caplog):
 
 # --- early exit at an exact recurrence ----------------------------------------
 
-# A lone orbit stops at the end of the first block whose last state equals,
-# bit for bit, an earlier state of the block, and fills the rest of its kept
-# window with the cycle.  The oracle is a plain loop over the step map's
+# A lone orbit stops right after the first step whose state equals, bit for
+# bit, a state of its current or previous block, and fills the rest of its
+# kept window with the cycle.  The oracle is a plain loop over the step map's
 # evaluate, one step each, compared byte for byte (-0.0 is not 0.0).
 
 
@@ -693,9 +694,9 @@ def _assert_same_bytes(orbit, oracle):
     assert orbit.tobytes() == oracle.tobytes()
 
 
-def _calls_to_block_end(step, total):
-    """Evaluations of an orbit that first recurs at ``step`` (period below _B)."""
-    return min(total, (step // _B + 1) * _B)
+def _calls_to_recurrence(step, total):
+    """Evaluations of an orbit that first recurs at ``step`` (period up to _B)."""
+    return min(step + 1, total)
 
 
 _K = (28.0120, 22.4096, 4.6251)
@@ -725,7 +726,7 @@ def test_recurring_orbit_equals_per_step_loop_bitwise(kind, scheme, c, target, x
     oracle = _per_step_orbit(model, cfg, x0, n_transient, n_keep)
     calls[0] = 0
     _assert_same_bytes(iterate_orbit(model, cfg, x0, n_transient, n_keep), oracle)
-    assert calls[0] == _calls_to_block_end(step, n_transient + n_keep)
+    assert calls[0] == _calls_to_recurrence(step, n_transient + n_keep)
 
 
 def _cycle_map(step, period, domain_top=math.inf, raise_on_top=False):
@@ -751,29 +752,57 @@ def _cycle_map(step, period, domain_top=math.inf, raise_on_top=False):
 _EDGE_STEPS = (_B - 1, _B, _B + 1, 2 * _B - 1, 2 * _B)
 
 
-@pytest.mark.parametrize("period", [1, 2, 3])
-@pytest.mark.parametrize("step", _EDGE_STEPS)
+# each state of a cycle of period _B recurs exactly one block later, so its
+# first recurrence is at step _B or later
+@pytest.mark.parametrize("step, period",
+                         [(step, period) for period in (1, 2, 3) for step in _EDGE_STEPS]
+                         + [(step, _B) for step in _EDGE_STEPS[1:]])
 @pytest.mark.parametrize("n_transient, n_keep", [(3 * _B + 5, 20), (5, 3 * _B)],
                          ids=["in-transient", "in-kept-window"])
 def test_recurrence_near_a_block_edge_stops_at_its_block_end(period, step, n_transient,
                                                              n_keep):
+    # despite the name, the orbit stops right after `step`
     model, x0 = _cycle_map(step, period)
     model, calls = _counted(model)
     assert _first_recurrence(model, None, x0, 4 * _B) == (step, period)
     oracle = _per_step_orbit(model, None, x0, n_transient, n_keep)
     calls[0] = 0
     _assert_same_bytes(iterate_orbit(model, None, x0, n_transient, n_keep), oracle)
-    assert calls[0] == _calls_to_block_end(step, n_transient + n_keep)
+    assert calls[0] == _calls_to_recurrence(step, n_transient + n_keep)
+
+
+def test_non_finite_state_is_not_a_recurrence():
+    # NaN has the same bytes at steps 0 and 1, but step 0 already failed
+    model = MapModel(dimension=1, evaluate=lambda x: np.full(1, np.nan),
+                     domain=DomainSpec.full_space(1))
+    with pytest.raises(OrbitError) as err:
+        iterate_orbit(model, None, [0.0], 2 * _B, 5)
+    assert (err.value.step, str(err.value)) == (0, "non-finite state at step 0")
+
+
+def test_orbit_that_never_recurs_keeps_bounded_memory():
+    # a dict of every state's bytes would hold 100 000 keys, many megabytes
+    model = MapModel(dimension=1, evaluate=lambda x: x + 1.0,
+                     domain=DomainSpec.full_space(1))
+    tracemalloc.start()
+    try:
+        orbit = iterate_orbit(model, None, [0.0], 100_000 - 2, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert orbit[:, 0].tolist() == [99_999.0, 100_000.0]
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("step", _EDGE_STEPS)
 def test_chained_scan_orbits_stop_at_their_recurrence(step):
-    # the first orbit recurs at `step`; each later one starts on the cycle
+    # the first orbit recurs at `step`; each later one starts on the cycle of
+    # period 3, so it recurs at its step 3
     model, x0 = _cycle_map(step, 3)
     model, calls = _counted(model)
     records = bifurcation_scan(model, "VMTOC", (0.0,), [0.0] * 3, init_lo=x0, init_hi=x0,
                                n_transient=3 * _B, n_keep=20, continue_orbits=True)
-    assert calls[0] == _calls_to_block_end(step, 3 * _B + 20) + 2 * _B
+    assert calls[0] == _calls_to_recurrence(step, 3 * _B + 20) + 2 * 4
     chained = x0
     for rec in records:
         oracle = _per_step_orbit(model, None, chained, 3 * _B, 20)
@@ -827,11 +856,11 @@ def test_simulate_sized_orbit_makes_few_evaluations(lpa):
     cfg = ControlConfig("VMTOC", 0.5, _K)
     x0 = (22.0, 27.0, 5.0)
     orbit = iterate_orbit(model, cfg, x0, 3000, 50)
-    assert calls[0] == 2 * _B < (3000 + 50) // 20
+    assert calls[0] == 102 < (3000 + 50) // 20
     _assert_same_bytes(orbit, _per_step_orbit(model, cfg, x0, 3000, 50))
     calls[0] = 0
     assert lyapunov_max(model, cfg, x0, n=5000) == _lyapunov_per_step(model, cfg, x0, 5000)
-    assert calls[0] == 2 * _B + 5000
+    assert calls[0] == 102 + 5000
 
 
 # --- bubbles -----------------------------------------------------------------
