@@ -31,13 +31,14 @@ from .controls import (
     target_for_state,
 )
 from .core import DomainSpec, MapModel, ParamError, RowError, as_state, fd_jacobian, norm
-from .cost import CostEstimate, cost_per_step
+from .cost import CostEstimate, cost_per_step, costs_per_step
 from .dynamics import (
     OrbitError,
     ScanRecord,
     bifurcation_scan,
     detect_bubbles,
     detect_period,
+    detect_periods,
     iterate_orbit,
     lyapunov_max,
     overall_period,
@@ -62,7 +63,8 @@ __all__ = [
     "ParamError", "RickerParams", "RowError", "SCHEMES", "ScanRecord", "StabilityReport",
     "apply_control", "as_state", "bifurcation_scan", "bound_A",
     "compose_vmtoc", "conjugate_state", "controlled_map",
-    "cost_per_step", "detect_bubbles", "detect_period", "fd_jacobian",
+    "cost_per_step", "costs_per_step", "detect_bubbles", "detect_period",
+    "detect_periods", "fd_jacobian",
     "find_fixed_point", "global_cstar", "iterate_orbit",
     "lipschitz_estimate", "local_cstar", "lpa_eval", "lpa_jacobian",
     "lpa_map", "lpa_recruitment_bound", "lyapunov_max",

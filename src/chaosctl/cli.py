@@ -330,17 +330,18 @@ def _scan(cfg: RunConfig, model: MapModel):
 
 
 def _scan_costs(cfg, model, records):
+    """The cost column: one :func:`cost.costs_per_step` call over the records
+    that ran under control and did not fail, and 0 for the others."""
     if not cfg["scan.cost"]:
         return None
-    out = []
-    for rec in records:
-        if rec.c <= 0.0 or rec.points.shape[0] == 0:
-            out.append(0.0)
-            continue
-        ctrl = ControlConfig(scheme="VMTOC", intensity=rec.c,
-                             target=cfg["control.target"])
-        out.append(cost_mod.cost_per_step(model, ctrl, rec.points,
-                                          norm_kind=cfg["cost.norm"]).value)
+    priced = [r for r, rec in enumerate(records) if rec.c > 0.0 and rec.points.shape[0]]
+    out = [0.0] * len(records)
+    if priced:
+        values = cost_mod.costs_per_step(
+            model, cfg["control.target"], [records[r].c for r in priced],
+            np.stack([records[r].points for r in priced]), norm_kind=cfg["cost.norm"])
+        for r, value in zip(priced, values.tolist()):
+            out[r] = value
     return out
 
 

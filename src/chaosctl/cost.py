@@ -14,8 +14,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .controls import ControlConfig
-from .core import MapModel, norm_rows
+from .controls import ControlConfig, check_intensity
+from .core import MapModel, as_state, norm_rows
 
 # the post-map target controls, whose nudge c*(T - f(x)) is the cost
 POST_MAP_SCHEMES = ("VMTOC", "DIAG-VMTOC")
@@ -33,6 +33,47 @@ class CostEstimate:
         return self.value
 
 
+def costs_per_step(model: MapModel, target, intensities, orbits,
+                   window: Optional[Tuple[int, int]] = None,
+                   norm_kind: str = "euclidean") -> np.ndarray:
+    """:func:`cost_per_step` of every orbit of a ``(records, n, d)`` stack, in one pass.
+
+    Orbit ``r`` must have been produced by a post-map target control toward
+    ``target`` with intensity ``intensities[r]``: ``intensities`` is
+    ``(records,)`` for VMTOC or ``(records, d)`` for DIAG-VMTOC.  ``window``
+    is ``(start, length)`` into every orbit, defaulting to the whole orbit.
+    The images of every window's states come from one ``evaluate_rows``
+    call, and their nudges are measured by one ``norm_rows`` call; an image
+    that is not finite, or an evaluation that raises, raises ``ValueError``
+    (a :class:`RowError` counts the windows' states orbit by orbit, so
+    state ``k`` of orbit ``r`` is row ``r * length + k``).  Each orbit's
+    total is a running sum in window order (``np.cumsum`` is sequential,
+    unlike numpy's pairwise ``sum``), so its average is the one a loop over
+    the states gives.  Returns the ``(records,)`` averages.
+    """
+    d = model.dimension
+    orbits = np.asarray(orbits, dtype=float)
+    if orbits.ndim != 3 or orbits.shape[2] != d:
+        raise ValueError("orbits must be a (records, n, d) array of states")
+    records, n = orbits.shape[:2]
+    if window is None:
+        window = (0, n)
+    start, length = int(window[0]), int(window[1])
+    if length <= 0 or start < 0 or start + length > n:
+        raise ValueError("empty or out-of-range window")
+    c = np.asarray(intensities, dtype=float)
+    if c.shape not in ((records,), (records, d)):
+        raise ValueError(f"intensities must have shape ({records},) or ({records}, {d}), "
+                         f"got {c.shape}")
+    check_intensity(c)
+    t = as_state(target, d, what="target")
+    fx = model.evaluate_rows(orbits[:, start:start + length].reshape(-1, d))
+    c = c[:, None, None] if c.ndim == 1 else c[:, None]
+    nudges = c * (fx.reshape(records, length, d) - t)
+    sizes = norm_rows(nudges.reshape(-1, d), norm_kind).reshape(records, length)
+    return np.cumsum(sizes, axis=1)[:, -1] / length
+
+
 def cost_per_step(model: MapModel, cfg: ControlConfig, orbit,
                   window: Optional[Tuple[int, int]] = None,
                   norm_kind: str = "euclidean") -> CostEstimate:
@@ -42,29 +83,20 @@ def cost_per_step(model: MapModel, cfg: ControlConfig, orbit,
     ``window`` is ``(start, length)`` into it, defaulting to the whole
     orbit.  The infinite-horizon average is not computable from finite
     data, so the window rides along in the estimate to keep the number
-    falsifiable.  The images of the window's states come from one
-    ``evaluate_rows`` call; an image that is not finite, or an evaluation
-    that raises, raises ``ValueError``.  Asymmetric culling/restocking
-    prices and per-component weights are out of scope.
+    falsifiable.  This is the one-orbit case of :func:`costs_per_step`,
+    which prices a whole scan in one call: the images of the window's
+    states come from one ``evaluate_rows`` call, and an image that is not
+    finite, or an evaluation that raises, raises ``ValueError``.
+    Asymmetric culling/restocking prices and per-component weights are out
+    of scope.
     """
     if cfg.scheme not in POST_MAP_SCHEMES:
         raise ValueError("cost accounting applies to post-map target controls")
     orbit = np.asarray(orbit, dtype=float)
     if orbit.ndim != 2 or orbit.shape[1] != model.dimension:
         raise ValueError("orbit must be an (n, d) array of states")
-    n = orbit.shape[0]
-    if window is None:
-        window = (0, n)
-    start, length = int(window[0]), int(window[1])
-    if length <= 0 or start < 0 or start + length > n:
-        raise ValueError("empty or out-of-range window")
-    t = cfg.target_vector(model.dimension)
-    c = cfg.intensity_vector(model.dimension)
-    fx = model.evaluate_rows(orbit[start:start + length])
-    total = 0.0
-    # a running total in window order, not numpy's pairwise sum, so the value
-    # is the one a loop over the states gives
-    for v in norm_rows(c * (fx - t), norm_kind).tolist():
-        total += v
-    return CostEstimate(value=total / length, window=(start, length),
-                        norm_kind=norm_kind)
+    window = (0, orbit.shape[0]) if window is None else (int(window[0]), int(window[1]))
+    value = costs_per_step(model, cfg.target_vector(model.dimension),
+                           cfg.intensity_vector(model.dimension)[None], orbit[None],
+                           window=window, norm_kind=norm_kind)[0]
+    return CostEstimate(value=float(value), window=window, norm_kind=norm_kind)

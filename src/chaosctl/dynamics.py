@@ -2,9 +2,9 @@
 
 A bifurcation scan runs one controlled orbit per grid intensity, discards a
 transient, keeps a short window and classifies each component's period on
-that window.  Every orbit runs through one loop, which advances one state
-through ``evaluate`` or the rows of an ``(n, d)`` array, one orbit each,
-through ``evaluate_rows``.  The loop checks finiteness and domain
+that window, every record's in one pass.  Every orbit runs through one
+loop, which advances one state through ``evaluate`` or the rows of an
+``(n, d)`` array, one orbit each, through ``evaluate_rows``.  The loop checks finiteness and domain
 membership once per block of steps; a block that fails the check is
 replayed one checked step at a time from its start state, so failures,
 their steps and messages, and the domain-exit log lines are those of a
@@ -242,6 +242,39 @@ def iterate_orbit(model: MapModel, cfg: Optional[ControlConfig], x0,
     return kept
 
 
+def detect_periods(points, tol: float = 1e-5, max_period: int = 32) -> list:
+    """:func:`detect_period` of every record of a ``(records, n, d)`` array, in one pass.
+
+    Every record's components are stacked as the columns of one
+    ``(n, records * d)`` array.  Each candidate ``p`` tests all columns still
+    open with the same expression, ``|v[p:] - v[:-p]| < tol*(1 + |v|)[:-p]``,
+    and closes those that pass, so each column gets the period the
+    per-component test gives, bit for bit.  Returns one tuple of
+    ``d`` periods (None for aperiodic) per record, in record order.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 3:
+        raise ValueError(f"points must be a (records, n, d) array, got shape {points.shape}")
+    records, n, d = points.shape
+    check_tol(tol)
+    if max_period < 1:
+        raise ValueError("max_period must be at least 1")
+    if n < 2 * max_period:
+        raise ValueError(f"orbit too short: {n} points for max_period {max_period}")
+    v = points.transpose(1, 0, 2).reshape(n, records * d)
+    scale = tol * (1.0 + np.abs(v))
+    found = np.zeros(records * d, dtype=int)  # 0: no period found
+    columns = np.arange(records * d)
+    for p in range(1, max_period + 1):
+        if not columns.size:
+            break
+        passed = np.all(np.abs(v[p:] - v[:-p]) < scale[:-p], axis=0)
+        if passed.any():
+            found[columns[passed]] = p
+            columns, v, scale = columns[~passed], v[:, ~passed], scale[:, ~passed]
+    return [tuple(p or None for p in row) for row in found.reshape(records, d).tolist()]
+
+
 def detect_period(orbit: np.ndarray, tol: float = 1e-5,
                   max_period: int = 32) -> tuple:
     """Smallest period of each component over the whole window, or None.
@@ -250,27 +283,13 @@ def detect_period(orbit: np.ndarray, tol: float = 1e-5,
     |v[i+p] - v[i]| < tol*(1 + |v[i]|) for every index i in the window, and
     None (aperiodic) when no p fits.  The orbit must be at least twice
     ``max_period`` long so that every candidate sees a full extra cycle.
+    This is the one-record case of :func:`detect_periods`, which a scan
+    calls once for all of its records.
     """
     orbit = np.asarray(orbit, dtype=float)
     if orbit.ndim == 1:
         orbit = orbit[:, None]
-    n = orbit.shape[0]
-    check_tol(tol)
-    if max_period < 1:
-        raise ValueError("max_period must be at least 1")
-    if n < 2 * max_period:
-        raise ValueError(f"orbit too short: {n} points for max_period {max_period}")
-    periods = []
-    for j in range(orbit.shape[1]):
-        v = orbit[:, j]
-        scale = tol * (1.0 + np.abs(v))
-        found = None
-        for p in range(1, max_period + 1):
-            if np.all(np.abs(v[p:] - v[:-p]) < scale[:-p]):
-                found = p
-                break
-        periods.append(found)
-    return tuple(periods)
+    return detect_periods(orbit[None], tol=tol, max_period=max_period)[0]
 
 
 def overall_period(periods: Sequence[Optional[int]]) -> Optional[int]:
@@ -329,12 +348,15 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
     ``evaluate`` of its :func:`controlled_map`, so each stops, as
     :func:`iterate_orbit` does, right after the step of its first bitwise
     recurrence (every period up to 64 steps is caught there, in bounded
-    memory); the rows of a fresh scan run every step.  ``max_period`` is
-    capped at half the kept window.  Invalid arguments raise ``ValueError`` before
-    any orbit runs: an ``n_keep`` below 2, a ``tol`` that is not positive
-    (NaN included), a box that :func:`initial_box` rejects, and what
-    building the step, ``controlled_rows``, rejects: a bad scheme
-    (``DIAG-VMTOC`` too), target or grid.  Orbit failures are recorded.
+    memory); the rows of a fresh scan run every step.  Once every orbit has
+    run, one :func:`detect_periods` call classifies all the records that did
+    not fail, which gives each the periods of :func:`detect_period` on its
+    own window.  ``max_period`` is capped at half the kept window.  Invalid
+    arguments raise ``ValueError`` before any orbit runs: an ``n_keep``
+    below 2, a ``tol`` that is not positive (NaN included), a box that
+    :func:`initial_box` rejects, and what building the step,
+    ``controlled_rows``, rejects: a bad scheme (``DIAG-VMTOC`` too), target
+    or grid.  Orbit failures are recorded.
     """
     c_grid = [float(c) for c in c_grid]
     _check_lengths(n_transient, n_keep)
@@ -347,33 +369,38 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
     dim = model.dimension
     lo, hi = initial_box(init_lo, init_hi, dim)
     eff_period = min(max_period, n_keep // 2)
-    # Records with equal periods share one tuple: a scan's periods take few
-    # distinct values, and callers often keep the periods of many records.
-    shared = {}
-
-    def record(c, points, failure):
-        if failure is not None:
-            return ScanRecord(c=c, points=np.empty((0, dim)),
-                              periods=(None,) * dim, seed=seed, error=failure[1])
-        periods = detect_period(points, tol=tol, max_period=eff_period)
-        return ScanRecord(c=c, points=points, periods=shared.setdefault(periods, periods),
-                          seed=seed)
-
+    if not c_grid:
+        return []
     if not continue_orbits:
-        if not c_grid:
-            return []
         x0 = np.array([_draw_x0(seed, i, lo, hi) for i in range(len(c_grid))])
         kept, failures = _iterate_rows(step, x0, model.domain, n_transient, n_keep)
         points = np.ascontiguousarray(kept.transpose(1, 0, 2))
-        return [record(c, points[r], failures.get(r)) for r, c in enumerate(c_grid)]
+    else:
+        points = np.empty((len(c_grid), n_keep, dim))
+        failures = {}
+        x0 = _draw_x0(seed, 0, lo, hi)
+        for r, c in enumerate(c_grid):
+            g = controlled_map(model, ControlConfig(scheme=scheme, intensity=c, target=target))
+            kept, failed = _iterate_rows(g.evaluate, x0, model.domain, n_transient, n_keep)
+            if failed:
+                failures[r] = failed[0]
+            else:
+                points[r] = kept
+                x0 = kept[-1]
+    ok = [r for r in range(len(c_grid)) if r not in failures]
+    classified = iter(detect_periods(points[ok], tol=tol, max_period=eff_period))
+    # Records with equal periods share one tuple: a scan's periods take few
+    # distinct values, and callers often keep the periods of many records.
+    shared = {}
     records = []
-    x0 = _draw_x0(seed, 0, lo, hi)
-    for c in c_grid:
-        g = controlled_map(model, ControlConfig(scheme=scheme, intensity=c, target=target))
-        points, failures = _iterate_rows(g.evaluate, x0, model.domain, n_transient, n_keep)
-        records.append(record(c, points, failures.get(0)))
-        if not failures:
-            x0 = points[-1]
+    for r, c in enumerate(c_grid):
+        if r in failures:
+            records.append(ScanRecord(c=c, points=np.empty((0, dim)), periods=(None,) * dim,
+                                      seed=seed, error=failures[r][1]))
+        else:
+            periods = next(classified)
+            records.append(ScanRecord(c=c, points=points[r],
+                                      periods=shared.setdefault(periods, periods), seed=seed))
     return records
 
 

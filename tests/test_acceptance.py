@@ -133,7 +133,9 @@ def test_criterion_06_delayed_ricker_two_cycle():
         nxt = apply_control(lift, cfg, x)
         assert np.max(np.abs(nxt - x)) < 1e-6
         # ...on a state whose delay-line reading alternates two distinct
-        # population values: the stabilized 2-cycle of the scalar recursion
+        # population values: a fixed point of the controlled lift, not a
+        # 2-cycle of the scalar recursion, whose two components tile the
+        # delay line with period 2
         cycle = np.tile(x[::-1], 40)
         assert detect_period(cycle, tol=1e-6, max_period=8) == (2,)
         assert abs(x[0] - x[1]) > 1e-3

@@ -3,7 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from chaosctl import ScanRecord, analysis, bifurcation_scan, dynamics, iterate_orbit, lpa_map
+from chaosctl import (ControlConfig, ScanRecord, analysis, bifurcation_scan, cost_per_step,
+                      dynamics, iterate_orbit, lpa_map)
 from chaosctl.cli import (CHECKS, COMMANDS, FIELDS, ConfigError, RunConfig, _state_lines,
                           _write_scan_csv, build_control, build_model, main)
 
@@ -172,6 +173,48 @@ def test_bifurcate_with_cost_column(tmp_path):
     lines = (tmp_path / "sc.scan.csv").read_text().splitlines()
     assert lines[0] == "c,step,component,value,period,cost"
     assert all(len(line.split(",")) == 6 for line in lines[1:])
+
+
+_SQUARE = (
+    "import numpy as np\n"
+    "from chaosctl import DomainSpec, MapModel\n"
+    "def make():\n"
+    "    return MapModel(dimension=1, evaluate=lambda x: np.asarray(x, float) ** 2,\n"
+    "                    domain=DomainSpec.full_space(1))\n")
+
+
+@pytest.mark.parametrize("chained", ["false", "true"])
+def test_scan_cost_column_skips_zero_intensity_and_failed_records(tmp_path, monkeypatch,
+                                                                  chained):
+    # x -> 3c + (1-c) x^2 from 0.5: 0 at c = 0, overflow at step 12 at c = 0.5,
+    # and a stable fixed point at c = 0.95 and 0.97
+    (tmp_path / "square.py").write_text(_SQUARE)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    from square import make
+
+    with np.errstate(over="ignore"):
+        rc = run_cli(tmp_path, "bifurcate", "--out", "sq", "--seed", "2",
+                     "--set", "model.kind=plugin", "--set", "model.plugin=square:make",
+                     "--set", "control.scheme=VMTOC", "--set", "control.target=3",
+                     "--set", "scan.c_list=0,0.5,0.95,0.97", "--set", "init.lo=0.5",
+                     "--set", "init.hi=0.5", "--set", "run.n_transient=30",
+                     "--set", "run.n_keep=6", "--set", "scan.cost=true",
+                     "--set", "cost.norm=sum", "--set", f"scan.continue={chained}")
+        records = bifurcation_scan(make(), "VMTOC", (3.0,), [0.0, 0.5, 0.95, 0.97], seed=2,
+                                   init_lo=0.5, init_hi=0.5, n_transient=30, n_keep=6,
+                                   continue_orbits=chained == "true")
+    assert rc == 0
+    assert read_report(tmp_path / "sq.report.txt")["errors"] == "1"
+    # the cost column as priced one record at a time
+    costs = [0.0 if rec.c <= 0.0 or rec.error else
+             cost_per_step(make(), ControlConfig("VMTOC", rec.c, (3.0,)), rec.points,
+                           norm_kind="sum").value
+             for rec in records]
+    assert costs[0] == 0.0 and costs[2] > 0.0
+    lines = (tmp_path / "sq.scan.csv").read_text().splitlines()
+    assert lines == _scan_csv_lines_per_line(records, costs)
+    assert {line.split(",")[0] for line in lines[1:]} == {"0", "0.94999999999999996",
+                                                          "0.96999999999999997"}
 
 
 def _scan_csv_lines_per_line(records, costs=None):

@@ -9,12 +9,15 @@ from chaosctl import (
     MapModel,
     RowError,
     controlled_map,
+    bifurcation_scan,
     cost_per_step,
+    costs_per_step,
     find_fixed_point,
     iterate_orbit,
     norm,
 )
 from chaosctl.cli import main
+from chaosctl.core import norm_rows
 from chaosctl.models import RickerParams, lpa_map, ricker_lift
 
 
@@ -116,6 +119,100 @@ def test_batched_cost_matches_per_state_loop(kind, scheme, intensity, target, no
     assert got == _per_state_cost(model, cfg, orbit, norm_kind)
     window = cost_per_step(model, cfg, orbit, window=(7, 30), norm_kind=norm_kind)
     assert window.value == _per_state_cost(model, cfg, orbit[7:37], norm_kind)
+
+
+def _cost_by_loop(model, cfg, orbit, window, norm_kind):
+    """One orbit's window average with a running total over its states."""
+    start, length = window
+    d = model.dimension
+    t, c = cfg.target_vector(d), cfg.intensity_vector(d)
+    total = 0.0
+    fx = model.evaluate_rows(orbit[start:start + length])
+    for v in norm_rows(c * (fx - t), norm_kind).tolist():
+        total += v
+    return total / length
+
+
+def _stacked_orbits(kind, scheme):
+    """Orbits under one target and several intensities, chaotic to stable."""
+    if kind == "lpa":
+        model, target = lpa_map(), (30.0, 30.0, 200.0)
+    else:
+        model, target = ricker_lift(RickerParams(r=2.0, delay=2)), (1.0, 3.0)
+    d = model.dimension
+    if scheme == "VMTOC":
+        grid = [k / 25 for k in range(1, 25)]
+        records = bifurcation_scan(model, scheme, target, grid, seed=8, n_transient=300,
+                                   n_keep=40)
+        return model, target, grid, np.stack([rec.points for rec in records])
+    rng = np.random.default_rng(8)
+    intensities = [tuple(rng.uniform(0.0, 0.9, d)) for _ in range(12)]
+    orbits = np.stack([iterate_orbit(model, ControlConfig(scheme, c, target),
+                                     np.full(d, 10.0), 300, 40) for c in intensities])
+    return model, target, intensities, orbits
+
+
+@pytest.mark.parametrize("norm_kind", ["max", "euclidean", "sum"])
+@pytest.mark.parametrize("scheme", ["VMTOC", "DIAG-VMTOC"])
+@pytest.mark.parametrize("kind", ["lpa", "ricker"])
+def test_costs_per_step_equal_per_orbit_loop_bitwise(kind, scheme, norm_kind):
+    model, target, intensities, orbits = _stacked_orbits(kind, scheme)
+    for window in [None, (0, 40), (7, 30), (39, 1), (0, 1)]:
+        got = costs_per_step(model, target, intensities, orbits, window=window,
+                             norm_kind=norm_kind)
+        expected = [_cost_by_loop(model, ControlConfig(scheme, c, target), orbit,
+                                  window or (0, 40), norm_kind)
+                    for c, orbit in zip(intensities, orbits)]
+        assert got.tolist() == expected
+        assert [cost_per_step(model, ControlConfig(scheme, c, target), orbit, window=window,
+                              norm_kind=norm_kind).value
+                for c, orbit in zip(intensities, orbits)] == expected
+
+
+def test_costs_per_step_checks_its_arguments(lpa):
+    target = (30.0, 30.0, 200.0)
+    orbits = np.full((2, 5, 3), 10.0)
+    with pytest.raises(ValueError, match=r"orbits must be a \(records, n, d\) array"):
+        costs_per_step(lpa, target, [0.1, 0.2], orbits[0])
+    with pytest.raises(ValueError, match="window"):
+        costs_per_step(lpa, target, [0.1, 0.2], orbits, window=(3, 3))
+    with pytest.raises(ValueError, match=r"intensities must have shape \(2,\) or \(2, 3\)"):
+        costs_per_step(lpa, target, [0.1, 0.2, 0.3], orbits)
+    with pytest.raises(ValueError, match="control intensity must lie in"):
+        costs_per_step(lpa, target, [0.1, 1.0], orbits)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        costs_per_step(lpa, (1.0, 2.0), [0.1, 0.2], orbits)
+    assert costs_per_step(lpa, target, np.empty(0), np.empty((0, 5, 3))).shape == (0,)
+
+
+@pytest.mark.parametrize("c", [0.0, 0.5])
+@np.errstate(invalid="ignore")
+def test_costs_per_step_reject_a_non_finite_image(c):
+    # the image of 6 is infinite, and 0 * inf is NaN
+    f = MapModel(dimension=1,
+                 evaluate=lambda x: np.array([np.inf if x[0] > 5.0 else 2.0 * x[0]]),
+                 domain=DomainSpec.full_space(1))
+    orbits = np.array([[[1.0], [2.0], [3.0]], [[4.0], [6.0], [1.0]]])
+    with pytest.raises(ValueError, match="non-finite state"):
+        costs_per_step(f, (1.0,), [c, c], orbits)
+    with pytest.raises(ValueError, match="non-finite state"):
+        cost_per_step(f, ControlConfig("VMTOC", c, (1.0,)), orbits[1])
+    assert costs_per_step(f, (1.0,), [c, c], orbits, window=(0, 1)).tolist() == [
+        c * 1.0, c * 7.0]
+
+
+def test_costs_per_step_name_a_raising_row_across_the_stack():
+    def double(x):
+        if x[0] >= 32.0:
+            raise OverflowError("too big")
+        return 2.0 * np.asarray(x, float)
+
+    f = MapModel(dimension=1, evaluate=double, domain=DomainSpec.full_space(1))
+    orbits = np.array([[[1.0], [2.0], [4.0]], [[8.0], [16.0], [32.0]]])
+    with pytest.raises(RowError, match="1 row\\(s\\) failed, first row 5: OverflowError"):
+        costs_per_step(f, (1.0,), [0.5, 0.5], orbits)
+    with pytest.raises(RowError, match="first row 3: OverflowError"):  # 1 * 2 + 1
+        costs_per_step(f, (1.0,), [0.5, 0.5], orbits, window=(1, 2))
 
 
 _DOUBLER = (

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaosctl import (
@@ -23,6 +23,7 @@ from chaosctl import (
     dynamics,
     detect_bubbles,
     detect_period,
+    detect_periods,
     iterate_orbit,
     lpa_recruitment_bound,
     lyapunov_max,
@@ -106,6 +107,65 @@ def test_detect_period_errors():
         detect_period(np.zeros((40, 1)), tol=0.0)
     with pytest.raises(ValueError, match="tol must be positive, got nan"):
         detect_period(np.zeros((40, 1)), tol=math.nan)
+
+
+def _periods_by_loop(orbit, tol, max_period):
+    """The period of each component of one ``(n, d)`` window, one component
+    and one candidate period at a time."""
+    periods = []
+    for j in range(orbit.shape[1]):
+        v = orbit[:, j]
+        scale = tol * (1.0 + np.abs(v))
+        found = None
+        for p in range(1, max_period + 1):
+            if np.all(np.abs(v[p:] - v[:-p]) < scale[:-p]):
+                found = p
+                break
+        periods.append(found)
+    return tuple(periods)
+
+
+def _cycling_windows(rng, records, n_keep, d, tol):
+    """Exact cycles, some nudged just inside or just outside ``tol`` or
+    holding NaN, +-inf or -0.0."""
+    cycle = rng.integers(1, n_keep // 2 + 3, size=(records, 1, d))
+    values = rng.choice([0.0, 1.0, -3.5, 1e6], size=(records, n_keep, d))
+    values += rng.uniform(-100.0, 100.0, size=values.shape) * rng.integers(0, 2, size=values.shape)
+    steps = np.arange(n_keep)[None, :, None] % cycle
+    points = np.take_along_axis(values, steps, axis=1)
+    nudged = rng.random(points.shape) < 0.03
+    ratio = rng.choice([0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0], size=points.shape)
+    sign = rng.choice([-1.0, 1.0], size=points.shape)
+    points = np.where(nudged, points + sign * ratio * tol * (1.0 + np.abs(points)), points)
+    special = rng.random(points.shape) < 0.01
+    return np.where(special, rng.choice([np.nan, np.inf, -np.inf, -0.0], size=points.shape),
+                    points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 3), st.integers(2, 24),
+       st.sampled_from([1e-5, 1e-3, 0.25]), st.integers(0, 2**32 - 1), st.data())
+def test_detect_periods_equals_per_component_loop(records, d, n_keep, tol, seed, data):
+    max_period = data.draw(st.integers(1, n_keep // 2))
+    points = _cycling_windows(np.random.default_rng(seed), records, n_keep, d, tol)
+    with np.errstate(all="ignore"):
+        got = detect_periods(points, tol=tol, max_period=max_period)
+        expected = [_periods_by_loop(w, tol, max_period) for w in points]
+        assert got == expected
+        assert [detect_period(w, tol=tol, max_period=max_period) for w in points] == expected
+    assert all(type(p) is int for periods in got for p in periods if p is not None)
+
+
+def test_detect_periods_checks_as_detect_period():
+    assert detect_periods(np.zeros((0, 40, 2)), max_period=8) == []
+    with pytest.raises(ValueError, match=r"points must be a \(records, n, d\) array"):
+        detect_periods(np.zeros((40, 2)))
+    with pytest.raises(ValueError, match="orbit too short: 10 points for max_period 8"):
+        detect_periods(np.zeros((3, 10, 1)), max_period=8)
+    with pytest.raises(ValueError, match="tol must be positive, got nan"):
+        detect_periods(np.zeros((3, 40, 1)), tol=math.nan)
+    with pytest.raises(ValueError, match="max_period must be at least 1"):
+        detect_periods(np.zeros((3, 40, 1)), max_period=0)
 
 
 def test_chaotic_lpa_orbit_classified_aperiodic(lpa):
@@ -282,6 +342,34 @@ def test_scan_row_does_not_depend_on_its_batch(kind, scheme):
         x0 = np.random.default_rng([21, i]).uniform(np.zeros(dim), np.full(dim, 50.0))
         alone = iterate_orbit(model, ControlConfig(scheme, c, target), x0, 1000, 40)
         np.testing.assert_array_equal(rec.points, alone)
+
+
+@pytest.mark.parametrize("chained", [False, True])
+def test_scan_periods_equal_per_record_loop(chained):
+    # toward (30,30,200): chaotic, bubble (period 2) and stable records;
+    # max_period 32 is capped at n_keep // 2 = 15
+    grid = [k / 40 for k in range(40)]
+    records = bifurcation_scan(lpa_map(), "VMTOC", (30.0, 30.0, 200.0), grid, seed=5,
+                               n_transient=600, n_keep=30, max_period=32,
+                               continue_orbits=chained)
+    periods = [rec.periods for rec in records]
+    assert periods == [_periods_by_loop(rec.points, 1e-5, 15) for rec in records]
+    assert {None, 1, 2} <= {p for ps in periods for p in ps}
+
+
+@pytest.mark.parametrize("chained", [False, True])
+def test_scan_with_failed_records_classifies_the_others(chained):
+    # x -> c*3 + (1-c)*x^2 from 0.5: 0 at c = 0, overflow at c = 0.5, and a
+    # stable fixed point at c = 0.95
+    f = MapModel(dimension=1, evaluate=lambda x: np.asarray(x, float) ** 2,
+                 domain=DomainSpec.full_space(1))
+    with np.errstate(over="ignore"):
+        records = bifurcation_scan(f, "VMTOC", (3.0,), [0.0, 0.5, 0.95], seed=2,
+                                   init_lo=0.5, init_hi=0.5, n_transient=300, n_keep=10,
+                                   continue_orbits=chained)
+    assert [rec.error for rec in records] == [None, "non-finite state at step 12", None]
+    assert [rec.periods for rec in records] == [(1,), (None,), (1,)]
+    assert records[2].periods == _periods_by_loop(records[2].points, 1e-5, 5)
 
 
 def test_scan_continuation_chains_orbits(lpa, lpa_k):
