@@ -30,7 +30,7 @@ from .controls import (
     controlled_map,
     target_for_state,
 )
-from .core import DomainSpec, MapModel, ParamError, RowError, as_state, fd_jacobian, norm
+from .core import DomainSpec, MapModel, ParamError, as_state, fd_jacobian, norm
 from .cost import CostEstimate, cost_per_step, costs_per_step
 from .dynamics import (
     OrbitError,
@@ -60,7 +60,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ControlConfig", "ConvergenceError", "CostEstimate", "DomainSpec",
     "LipschitzEstimate", "LpaParams", "MapModel", "OrbitError",
-    "ParamError", "RickerParams", "RowError", "SCHEMES", "ScanRecord", "StabilityReport",
+    "ParamError", "RickerParams", "SCHEMES", "ScanRecord", "StabilityReport",
     "apply_control", "as_state", "bifurcation_scan", "bound_A",
     "compose_vmtoc", "conjugate_state", "controlled_map",
     "cost_per_step", "costs_per_step", "detect_bubbles", "detect_period",

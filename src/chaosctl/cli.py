@@ -281,7 +281,7 @@ def _initial_state(cfg: RunConfig, model: MapModel) -> np.ndarray:
         except ValueError as exc:
             raise ConfigError("run.x0", str(exc)) from None
     lo, hi = _box(cfg, model, "init", "initial box")
-    return np.random.default_rng([cfg["run.seed"], 0]).uniform(lo, hi)
+    return dynamics.draw_x0(cfg["run.seed"], 0, lo, hi)
 
 
 def _c_grid(cfg: RunConfig):
@@ -484,6 +484,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -175,17 +175,6 @@ def fd_jacobian(func: Callable, x, rel_step: float = 1e-6) -> np.ndarray:
     return out
 
 
-class RowError(ValueError):
-    """``evaluate`` raised on some rows of a batch; ``causes`` maps each of
-    those row indices to what it raised."""
-
-    def __init__(self, causes: dict):
-        row, cause = next(iter(causes.items()))
-        super().__init__(f"{len(causes)} row(s) failed, first row {row}: "
-                         f"{type(cause).__name__}: {cause}")
-        self.causes = causes
-
-
 @dataclass(frozen=True)
 class MapModel:
     """A continuous self-map of a convex domain, with optional analytic Jacobian.
@@ -193,12 +182,14 @@ class MapModel:
     ``evaluate`` takes and returns a length-``dimension`` vector and must be
     pure: an orbit of one state stops calling it once a state recurs bit
     for bit, and repeats the cycle.  When ``jacobian`` is omitted,
-    :meth:`jacobian_at` falls back to central finite differences.  ``evaluate_batch``, when given, maps an
-    ``(n, dimension)`` array of states to the array of their images and must
-    be row-wise pure: each output row depends on its own input row only,
-    never on the other rows or on where the row sits in the batch.  Orbits
-    of one state call ``evaluate`` and batches of several call
-    ``evaluate_batch``, so the two must agree row for row.
+    :meth:`jacobian_at` falls back to central finite differences.
+    ``evaluate_batch``, when given, maps an ``(n, dimension)`` array of
+    states to the array of their images and must be row-wise pure: each
+    output row depends on its own input row only, never on the other rows
+    or on where the row sits in the batch.  A fresh scan runs its grid
+    points as the rows of one batch through ``evaluate_batch`` when the
+    model has one; every other orbit runs alone through ``evaluate``, so
+    the two must agree row for row.
     """
 
     dimension: int
@@ -219,26 +210,19 @@ class MapModel:
         """Images of the rows of the ``(n, dimension)`` float array ``rows``.
 
         Uses ``evaluate_batch`` when the model has one.  Otherwise calls
-        ``evaluate`` row by row: a row holding a non-finite value comes back
-        as NaN without being evaluated.  When ``evaluate`` raises
-        ``ValueError`` or ``ArithmeticError`` on some rows, the other rows
-        are still evaluated, and then :class:`RowError` names every row that
-        raised.
+        ``evaluate`` row by row, and the first row on which it raises
+        ``ValueError`` or ``ArithmeticError`` raises ``ValueError`` naming
+        that row and its cause.
         """
         if self.evaluate_batch is not None:
             return np.asarray(self.evaluate_batch(rows), dtype=float)
         out = np.empty(rows.shape)
-        causes = {}
         for r, x in enumerate(rows):
-            if not np.all(np.isfinite(x)):
-                out[r] = np.nan
-                continue
             try:
                 out[r] = self.evaluate(x)
             except (ValueError, ArithmeticError) as exc:
-                causes[r] = exc
-        if causes:
-            raise RowError(causes)
+                raise ValueError(f"evaluation failed at row {r}: "
+                                 f"{type(exc).__name__}: {exc}") from exc
         return out
 
     def jacobian_at(self, x) -> np.ndarray:

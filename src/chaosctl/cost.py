@@ -45,8 +45,8 @@ def costs_per_step(model: MapModel, target, intensities, orbits,
     The images of every window's states come from one ``evaluate_rows``
     call, and their nudges are measured by one ``norm_rows`` call; an image
     that is not finite, or an evaluation that raises, raises ``ValueError``
-    (a :class:`RowError` counts the windows' states orbit by orbit, so
-    state ``k`` of orbit ``r`` is row ``r * length + k``).  Each orbit's
+    (the row it names counts the windows' states orbit by orbit, so state
+    ``k`` of orbit ``r`` is row ``r * length + k``).  Each orbit's
     total is a running sum in window order (``np.cumsum`` is sequential,
     unlike numpy's pairwise ``sum``), so its average is the one a loop over
     the states gives.  Returns the ``(records,)`` averages.

@@ -4,8 +4,10 @@ A bifurcation scan runs one controlled orbit per grid intensity, discards a
 transient, keeps a short window and classifies each component's period on
 that window, every record's in one pass.  Every orbit runs through one
 loop, which advances one state through ``evaluate`` or the rows of an
-``(n, d)`` array, one orbit each, through ``evaluate_rows``.  The loop checks finiteness and domain
-membership once per block of steps; a block that fails the check is
+``(n, d)`` array, one orbit each, through ``evaluate_batch``.  Only a
+fresh scan of a model with ``evaluate_batch`` runs a batch; every other
+orbit runs alone.  The loop checks finiteness and domain membership once
+per block of steps; a block that fails the check is
 replayed one checked step at a time from its start state, so failures,
 their steps and messages, and the domain-exit log lines are those of a
 step-by-step check.  A lone state stops at the exact step of its first
@@ -28,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .controls import ControlConfig, controlled_map, controlled_rows
-from .core import DomainSpec, MapModel, RowError, as_state, check_tol
+from .core import DomainSpec, MapModel, as_state, check_tol
 
 log = logging.getLogger(__name__)
 
@@ -66,7 +68,8 @@ class _RowWatch:
 
     def __init__(self, x: np.ndarray, domain: DomainSpec, strict: bool):
         self.domain, self.strict, self.single = domain, strict, x.ndim == 1
-        self.errors = (ValueError, ArithmeticError) if self.single else RowError
+        # a lone state's evaluation may raise; anything a batch raises propagates
+        self.errors = (ValueError, ArithmeticError) if self.single else ()
         n = 1 if self.single else x.shape[0]
         self.failures = {}
         self.parked = np.zeros(n, dtype=bool)
@@ -93,21 +96,18 @@ class _RowWatch:
         return math.isfinite(block.sum()) and self.domain.contains_unchecked(block)
 
     def checked_step(self, step, x: np.ndarray, i: int) -> np.ndarray:
-        """Step ``i`` from ``x``, checked: failing rows are recorded and parked."""
+        """Step ``i`` from ``x``, checked: failing rows are recorded and parked.
+
+        A lone state whose evaluation raises is row 0, recorded and parked.
+        """
         parked = self.parked
         try:
             y = np.asarray(step(x), dtype=float)
         except self.errors as exc:
-            # Park the rows that raised and redo the step for the others.
-            x = x.copy()
-            for r, cause in ({0: exc} if self.single else exc.causes).items():
-                self.failures[r] = (i, f"evaluation failed at step {i}: "
-                                       f"{type(cause).__name__}: {cause}")
-                parked[r] = True
-                self._rows(x)[r] = np.nan
-            if parked.all():
-                return x
-            y = np.asarray(step(x), dtype=float)
+            self.failures[0] = (i, f"evaluation failed at step {i}: "
+                                   f"{type(exc).__name__}: {exc}")
+            parked[0] = True
+            return x
         if math.isfinite(y.sum()) and self.domain.contains_unchecked(y):
             return y
         rows = self._rows(y)
@@ -138,18 +138,18 @@ def _iterate_rows(step, x: np.ndarray, domain: DomainSpec, n_transient: int,
     rows, and ``step`` maps it to an array of its shape.  Returns ``(kept, failures)``:
     ``kept[k]`` is ``x`` after step ``n_transient + k``, and ``failures``
     maps each failed row to ``(step, message)``.  A row fails at the first
-    step whose state is not finite, whose evaluation raised or, under
-    ``strict``, that left the domain: a single state's step raises
-    ``ValueError`` or ``ArithmeticError``, and a batch fails rows only by
-    :class:`RowError` (anything else it raises propagates).  A failed row is
-    parked at NaN, which the shipped maps carry through without a warning,
-    and is checked no more; its kept states are meaningless.  Leaving the
-    domain is otherwise advisory and logged once per row.
+    step whose state is not finite or, under ``strict``, that left the
+    domain; a single state also fails at a step that raises ``ValueError``
+    or ``ArithmeticError``, while anything a batch step raises propagates.
+    A failed row is parked at NaN, which the shipped maps carry through
+    without a warning, and is checked no more; its kept states are
+    meaningless.  Leaving the domain is otherwise advisory and logged once
+    per row.
 
     The steps run in blocks of ``_BLOCK``, each written to a buffer and
     checked as a whole by one finiteness and one domain check, with
-    floating-point warnings off.  When that check fails, or a step raises,
-    the block is replayed from its saved start state one checked step at a
+    floating-point warnings off.  When that check fails, or a single
+    state's step raises, the block is replayed from its saved start state one checked step at a
     time, which finds each failing row, its step and its message, logs
     each domain exit and raises each floating-point warning as a
     step-by-step loop would.  Steps are pure, so the replay recomputes
@@ -328,9 +328,9 @@ def initial_box(lo, hi, dim: int, what: str = "initial box") -> tuple:
     return lo, hi
 
 
-def _draw_x0(seed: int, index: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    rng = np.random.default_rng([seed, index])
-    return rng.uniform(lo, hi)
+def draw_x0(seed: int, index: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The uniform start state in ``[lo, hi]`` of the RNG stream ``(seed, index)``."""
+    return np.random.default_rng([seed, index]).uniform(lo, hi)
 
 
 def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
@@ -341,14 +341,16 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
     """One :class:`ScanRecord` per grid intensity, in grid order.
 
     Fresh initial conditions are drawn per grid point from the box
-    [init_lo, init_hi] using streams seeded by ``(seed, index)``, and all
-    grid points advance together as the rows of one array.
+    [init_lo, init_hi] by :func:`draw_x0` with ``(seed, index)``;
     ``continue_orbits`` instead chains each orbit from the previous final
-    state, one grid point at a time, each through the single-state
-    ``evaluate`` of its :func:`controlled_map`, so each stops, as
+    state.  A fresh scan of a model with ``evaluate_batch`` advances all
+    grid points together as the rows of one array, which run every step.
+    Every other scan runs one grid point at a time through the single-state
+    ``evaluate`` of its :func:`controlled_map`, so each orbit stops, as
     :func:`iterate_orbit` does, right after the step of its first bitwise
     recurrence (every period up to 64 steps is caught there, in bounded
-    memory); the rows of a fresh scan run every step.  Once every orbit has
+    memory), and a model without ``evaluate_batch`` never sees a batch.
+    Both ways give the same records bit for bit.  Once every orbit has
     run, one :func:`detect_periods` call classifies all the records that did
     not fail, which gives each the periods of :func:`detect_period` on its
     own window.  ``max_period`` is capped at half the kept window.  Invalid
@@ -371,15 +373,16 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
     eff_period = min(max_period, n_keep // 2)
     if not c_grid:
         return []
-    if not continue_orbits:
-        x0 = np.array([_draw_x0(seed, i, lo, hi) for i in range(len(c_grid))])
+    if model.evaluate_batch is not None and not continue_orbits:
+        x0 = np.array([draw_x0(seed, i, lo, hi) for i in range(len(c_grid))])
         kept, failures = _iterate_rows(step, x0, model.domain, n_transient, n_keep)
         points = np.ascontiguousarray(kept.transpose(1, 0, 2))
     else:
         points = np.empty((len(c_grid), n_keep, dim))
         failures = {}
-        x0 = _draw_x0(seed, 0, lo, hi)
         for r, c in enumerate(c_grid):
+            if r == 0 or not continue_orbits:
+                x0 = draw_x0(seed, r, lo, hi)
             g = controlled_map(model, ControlConfig(scheme=scheme, intensity=c, target=target))
             kept, failed = _iterate_rows(g.evaluate, x0, model.domain, n_transient, n_keep)
             if failed:

@@ -319,6 +319,37 @@ def test_stability_rejects_non_finite_jacobian(tmp_path, monkeypatch, capsys, pl
     assert not (tmp_path / "sq.report.txt").exists()
 
 
+_EXP_PLUGIN = (
+    "import math\n"
+    "import numpy as np\n"
+    "from chaosctl import DomainSpec, MapModel\n"
+    "def make():\n"
+    "    return MapModel(dimension=1,\n"
+    "                    evaluate=lambda x: np.array([0.5 * math.exp(x[0] / 100)]),\n"
+    "                    domain=DomainSpec.nonnegative_orthant(1))\n")
+
+
+@pytest.mark.parametrize("command, settings", [
+    # the finite-difference Jacobian of bound_A overflows at the box's far corner
+    ("stability", ["run.x0=0.5", "sample.lo=0", "sample.hi=100000"]),
+    # the fixed-point search evaluates exp(900)
+    ("equilibrium", ["run.x0=90000"]),
+])
+def test_plugin_arithmetic_error_exits_1_and_writes_no_file(tmp_path, monkeypatch, capsys,
+                                                            command, settings):
+    plugins, out = tmp_path / "plugins", tmp_path / "out"
+    plugins.mkdir()
+    out.mkdir()
+    (plugins / "expmap.py").write_text(_EXP_PLUGIN)
+    monkeypatch.syspath_prepend(str(plugins))
+    rc = run_cli(out, command, "--out", "ex", "--set", "model.kind=plugin",
+                 "--set", "model.plugin=expmap:make",
+                 *[arg for s in settings for arg in ("--set", s)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: OverflowError: math range error\n"
+    assert os.listdir(out) == []
+
+
 def test_simulate_ricker_controlled_settles_on_pattern(tmp_path):
     rc = run_cli(tmp_path, "simulate", "--out", "rk",
                  "--set", "model.kind=ricker", "--set", "model.r=2",

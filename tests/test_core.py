@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chaosctl import DomainSpec, MapModel, RowError, as_state, fd_jacobian, norm
+from chaosctl import DomainSpec, MapModel, as_state, fd_jacobian, norm
 from chaosctl.core import check_tol, norm_rows
 
 finite_components = st.floats(min_value=-1e6, max_value=1e6,
@@ -253,19 +253,22 @@ def test_domain_rejects_bounds_that_are_not_two_vectors_of_one_length():
         DomainSpec([[0.0]], [[1.0]])
 
 
-def test_evaluate_rows_fallback_isolates_rows():
+def test_evaluate_rows_fallback_stops_at_the_first_failing_row():
+    seen = []
+
     def evaluate(x):
+        seen.append(float(x[0]))
         if x[0] > 5.0:
             raise ValueError("too big")
         return 2.0 * x
 
     f = MapModel(dimension=1, evaluate=evaluate, domain=DomainSpec.full_space(1))
-    out = f.evaluate_rows(np.array([[1.0], [np.nan], [2.0]]))
-    assert out[0, 0] == 2.0 and np.isnan(out[1, 0]) and out[2, 0] == 4.0
-    with pytest.raises(RowError) as err:
+    np.testing.assert_array_equal(f.evaluate_rows(np.array([[1.0], [2.0]])), [[2.0], [4.0]])
+    seen.clear()
+    with pytest.raises(ValueError) as err:
         f.evaluate_rows(np.array([[1.0], [6.0], [3.0], [7.0]]))
-    assert sorted(err.value.causes) == [1, 3]
-    assert all(isinstance(e, ValueError) for e in err.value.causes.values())
+    assert str(err.value) == "evaluation failed at row 1: ValueError: too big"
+    assert seen == [1.0, 6.0]
 
 
 def test_contains_dimension_mismatch():

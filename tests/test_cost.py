@@ -7,7 +7,6 @@ from chaosctl import (
     ControlConfig,
     DomainSpec,
     MapModel,
-    RowError,
     controlled_map,
     bifurcation_scan,
     cost_per_step,
@@ -209,9 +208,9 @@ def test_costs_per_step_name_a_raising_row_across_the_stack():
 
     f = MapModel(dimension=1, evaluate=double, domain=DomainSpec.full_space(1))
     orbits = np.array([[[1.0], [2.0], [4.0]], [[8.0], [16.0], [32.0]]])
-    with pytest.raises(RowError, match="1 row\\(s\\) failed, first row 5: OverflowError"):
+    with pytest.raises(ValueError, match="^evaluation failed at row 5: OverflowError: too big$"):
         costs_per_step(f, (1.0,), [0.5, 0.5], orbits)
-    with pytest.raises(RowError, match="first row 3: OverflowError"):  # 1 * 2 + 1
+    with pytest.raises(ValueError, match="at row 3: OverflowError"):  # 1 * 2 + 1
         costs_per_step(f, (1.0,), [0.5, 0.5], orbits, window=(1, 2))
 
 
@@ -237,7 +236,7 @@ def test_cost_surfaces_evaluation_exception_as_value_error(tmp_path, monkeypatch
     model = make()
     cfg = ControlConfig("VMTOC", 0.0, (1.0,))
     orbit = iterate_orbit(model, cfg, np.array([1.0]), 0, 5)
-    with pytest.raises(RowError, match="first row 4: OverflowError: too big"):
+    with pytest.raises(ValueError, match="^evaluation failed at row 4: OverflowError: too big$"):
         cost_per_step(model, cfg, orbit)
     rc = main(["cost", "--out", "dbl", "--set", "model.kind=plugin",
                "--set", "model.plugin=doubler:make",
@@ -245,5 +244,5 @@ def test_cost_surfaces_evaluation_exception_as_value_error(tmp_path, monkeypatch
                "--set", "control.target=1", "--set", "run.x0=1",
                "--set", "run.n_transient=0", "--set", "run.n_keep=5"])
     assert rc == 1
-    assert ("error: 1 row(s) failed, first row 4: OverflowError: too big"
+    assert ("error: evaluation failed at row 4: OverflowError: too big"
             in capsys.readouterr().err)

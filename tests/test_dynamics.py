@@ -299,7 +299,7 @@ def test_scan_rejects_a_bad_initial_box_before_iterating(lo, hi, chained):
 
 
 def test_scan_plugin_exception_fails_its_row_only():
-    # no evaluate_batch: the scan evaluates row by row, and math.exp raises
+    # no evaluate_batch: each grid point runs alone, and math.exp raises
     # OverflowError at a step that depends on the row's intensity and start
     f = MapModel(dimension=1, evaluate=lambda x: np.array([math.exp(x[0]) - 2.0]),
                  domain=DomainSpec.full_space(1))
@@ -389,8 +389,7 @@ def test_scan_continuation_chains_orbits(lpa, lpa_k):
 # started at _LIMIT - s first misbehaves at step s: its image is not finite
 # ("diverge"), its evaluate raises ("raise") or its image leaves the box
 # [-_LIMIT, _LIMIT] ("leave").  The diverge and leave maps have a numpy
-# batch; the raise map has only evaluate, so its rows run through the
-# per-row fallback.
+# batch; the raise map has only evaluate, so its orbits only run alone.
 _LIMIT = 1000.0
 _B = dynamics._BLOCK
 _N_TRANSIENT = 2 * _B + 5
@@ -456,7 +455,7 @@ def test_block_loop_single_orbit_fails_at_its_step(caplog, kind, strict, step):
 
 
 @pytest.mark.parametrize("strict", [False, True])
-@pytest.mark.parametrize("kind", ["diverge", "raise", "leave"])
+@pytest.mark.parametrize("kind", ["diverge", "leave"])
 @pytest.mark.parametrize("steps", [_STEPS[:5], _STEPS[1:]])
 def test_block_loop_batch_of_five_fails_each_row_at_its_step(caplog, kind, strict, steps):
     model = _counter_map(kind)
@@ -627,6 +626,88 @@ def test_chained_scan_records_equal_their_rows_bitwise(kind, dim, target, hi, sc
         np.testing.assert_array_equal(rec.points, oracle.points)
 
 
+# A fresh scan of a model without evaluate_batch runs each grid point as a
+# lone orbit.  Its oracle is a loop of iterate_orbit, one per grid point,
+# from the start state the scan draws for that point.  The plugin raises
+# where only the uncontrolled orbit goes, and its box is narrower than the
+# orbits of weak controls.
+_PLUGIN_CASES = [("lpa", 3, _ONE_ROW_CASES[0][2], 50.0, 250.0, 100.0),
+                 ("ricker", 2, (1.0, 3.0), 3.0, 15.0, 5.0)]
+_PLUGIN_GRID = [0.0, 0.1, 0.25, 0.5, 0.7]
+
+
+def _plugin(kind, dim, raise_at, top):
+    """The model as a plugin on the box [0, top] x [0, inf)^(d-1): its
+    evaluate raises past ``raise_at``, and it has no evaluate_batch."""
+    base = _one_row_model(kind, dim)
+
+    def raising(x):
+        if x[0] > raise_at:
+            raise OverflowError("too many")
+        return base.evaluate(x)
+
+    domain = DomainSpec.box([0.0] * dim, [top] + [math.inf] * (dim - 1))
+    return MapModel(dimension=dim, evaluate=raising, domain=domain), base
+
+
+@pytest.mark.parametrize("scheme", ["VMTOC", "VTOC"])
+@pytest.mark.parametrize("kind, dim, target, hi, raise_at, top", _PLUGIN_CASES)
+def test_fresh_plugin_scan_equals_a_lone_orbit_per_point(caplog, kind, dim, target, hi,
+                                                         raise_at, top, scheme):
+    plugin, base = _plugin(kind, dim, raise_at, top)
+    kwargs = dict(seed=3, init_hi=hi, n_transient=400, n_keep=40, max_period=32)
+    with caplog.at_level(logging.WARNING, logger="chaosctl.dynamics"):
+        records = bifurcation_scan(plugin, scheme, target, _PLUGIN_GRID, **kwargs)
+    scan_lines, oracle = _exit_lines(caplog), []
+    caplog.clear()
+    box = np.zeros(dim), np.full(dim, hi)
+    with caplog.at_level(logging.WARNING, logger="chaosctl.dynamics"):
+        for i, c in enumerate(_PLUGIN_GRID):
+            x0 = dynamics.draw_x0(3, i, *box)
+            try:
+                orbit = iterate_orbit(plugin, ControlConfig(scheme, c, target), x0, 400, 40)
+            except OrbitError as exc:
+                oracle.append((None, (None,) * dim, str(exc)))
+            else:
+                oracle.append((orbit, detect_period(orbit, max_period=20), None))
+    assert scan_lines == _exit_lines(caplog) and scan_lines
+    for rec, (orbit, periods, error) in zip(records, oracle, strict=True):
+        assert (rec.periods, rec.error) == (periods, error)
+        if orbit is None:
+            assert rec.points.shape == (0, dim)
+        else:
+            _assert_same_bytes(rec.points, orbit)
+    assert "OverflowError: too many" in records[0].error
+    assert records[-1].periods == (1,) * dim
+    # the same map with a batch runs the points that do not raise as rows
+    batched = MapModel(dimension=dim, evaluate=base.evaluate, domain=plugin.domain,
+                       evaluate_batch=base.evaluate_batch)
+    rows = bifurcation_scan(batched, scheme, target, _PLUGIN_GRID, **kwargs)
+    for rec, row in zip(records[1:], rows[1:]):
+        assert (rec.periods, rec.error) == (row.periods, row.error)
+        _assert_same_bytes(rec.points, row.points)
+
+
+def test_fresh_plugin_scan_evaluates_lone_states_and_stops_at_recurrence():
+    shapes, lpa = [], lpa_map()
+
+    def evaluate(x):
+        shapes.append(np.shape(x))
+        return lpa.evaluate(x)
+
+    plugin = MapModel(dimension=3, evaluate=evaluate, domain=DomainSpec.nonnegative_orthant(3))
+    target = _ONE_ROW_CASES[0][2]
+    bifurcation_scan(plugin, "VMTOC", target, _PLUGIN_GRID, seed=3, n_transient=400,
+                     n_keep=40)
+    assert set(shapes) == {(3,)}
+    # a stabilized point stops at its first bitwise recurrence
+    shapes.clear()
+    (record,) = bifurcation_scan(plugin, "VMTOC", target, [0.7], seed=3,
+                                 n_transient=400, n_keep=40)
+    assert record.periods == (1, 1, 1)
+    assert 0 < len(shapes) < 400 + 40
+
+
 def test_one_row_orbit_calls_evaluate_not_the_batch():
     calls = {"evaluate": 0, "batch": 0}
 
@@ -659,30 +740,34 @@ def test_one_row_orbit_feeds_evaluate_float_arrays():
 def test_chained_scan_fails_each_one_row_orbit_at_its_step(kind, step):
     # each orbit starts where the last one stopped: at _LIMIT - step for the
     # first, so it fails at `step`; the chain then restarts from the same
-    # start, because a failed orbit has no final state
+    # start, because a failed orbit has no final state.  The raising map
+    # has no batch to compare with.
     model = _counter_map(kind)
     kwargs = dict(init_lo=_LIMIT - step, init_hi=_LIMIT - step, n_transient=_N_TRANSIENT,
                   n_keep=_N_KEEP, continue_orbits=True)
-    with _rows_path(model):
-        rows_records = bifurcation_scan(model, "VMTOC", (0.0,), [0.0, 0.0], **kwargs)
     records = bifurcation_scan(model, "VMTOC", (0.0,), [0.0, 0.0], **kwargs)
     message = _expected_message(kind, False, step)
-    assert [r.error for r in records] == [r.error for r in rows_records] == [message] * 2
+    assert [r.error for r in records] == [message] * 2
+    if kind == "diverge":
+        with _rows_path(model):
+            rows_records = bifurcation_scan(model, "VMTOC", (0.0,), [0.0, 0.0], **kwargs)
+        assert [r.error for r in rows_records] == [message] * 2
 
 
 @pytest.mark.parametrize("kind", ["diverge", "raise"])
 @pytest.mark.parametrize("step", _STEPS)
 def test_one_row_orbit_fails_at_the_step_of_its_row(kind, step):
-    # the raising map has no evaluate_batch: as a (1, d) batch it fails
-    # through RowError, alone through the OverflowError of its evaluate
+    # the raising map has no evaluate_batch, so it has no (1, d) batch to
+    # compare with: its lone orbit fails through the OverflowError of evaluate
     model = _counter_map(kind)
     x0 = np.array([_LIMIT - step])
-    with _rows_path(model), pytest.raises(OrbitError) as rows_err:
-        iterate_orbit(model, None, x0, _N_TRANSIENT, _N_KEEP)
     with pytest.raises(OrbitError) as err:
         iterate_orbit(model, None, x0, _N_TRANSIENT, _N_KEEP)
-    assert (err.value.step, str(err.value)) == (rows_err.value.step, str(rows_err.value))
     assert (err.value.step, str(err.value)) == (step, _expected_message(kind, False, step))
+    if kind == "diverge":
+        with _rows_path(model), pytest.raises(OrbitError) as rows_err:
+            iterate_orbit(model, None, x0, _N_TRANSIENT, _N_KEEP)
+        assert (rows_err.value.step, str(rows_err.value)) == (step, str(err.value))
 
 
 def _too_big(x):
