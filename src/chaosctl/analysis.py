@@ -55,19 +55,30 @@ def find_fixed_point(model: MapModel, x0, tol: float = 1e-10,
     x <- (x + f(x))/2 are interleaved, which converge whenever the map is a
     contraction in the averaged sense.  Iterates are projected onto the
     model domain.  Raises :class:`ConvergenceError` after ``max_iter``
-    Newton steps without reaching ``tol`` in the max-norm, or at once when
-    a projected averaging iterate is not finite, since no later iterate
-    can be finite again; either error carries the best point and residual
-    evaluated so far, the last step's included.
+    Newton steps without reaching ``tol`` in the max-norm, at once when a
+    projected averaging iterate is not finite, since no later iterate can
+    be finite again, and at once when the model's ``evaluate`` or Jacobian
+    raises ``ValueError`` or ``ArithmeticError``, naming the state; each
+    error carries the best point and residual evaluated so far, the last
+    step's included.
     """
     check_tol(tol)
     x = np.asarray(model.domain.project(as_state(x0, model.dimension)), float)
     eye = np.eye(model.dimension)
     best = [math.inf, None]  # the smallest residual evaluated and its point
 
+    def at(func, y):
+        """``func(y)`` as a float array; a failing model call ends the search."""
+        try:
+            return np.asarray(func(y), float)
+        except (ValueError, ArithmeticError) as exc:
+            raise ConvergenceError(f"no fixed point: evaluation failed at x = {_state_text(y)}: "
+                                   f"{type(exc).__name__}: {exc} (best residual {best[0]:.3e})",
+                                   best_point=best[1], best_residual=best[0]) from exc
+
     def residual(y):
         """f(y) - y and its max-norm; records ``y`` if that is the best yet."""
-        r = np.asarray(model.evaluate(y), float) - y
+        r = at(model.evaluate, y) - y
         rnorm = float(np.max(np.abs(r)))
         if best[1] is None or rnorm < best[0]:
             best[:] = rnorm, y.copy()
@@ -78,7 +89,7 @@ def find_fixed_point(model: MapModel, x0, tol: float = 1e-10,
         if rnorm < tol:
             break
         try:
-            step = np.linalg.solve(model.jacobian_at(x) - eye, -r)
+            step = np.linalg.solve(at(model.jacobian_at, x) - eye, -r)
         except np.linalg.LinAlgError:
             step = None
         finite = step is not None and np.all(np.isfinite(step))
@@ -91,7 +102,7 @@ def find_fixed_point(model: MapModel, x0, tol: float = 1e-10,
         else:
             # Newton stalled: fall back to Krasnoselskii-Mann averaging.
             for _ in range(200):
-                x = model.domain.project(0.5 * (x + np.asarray(model.evaluate(x), float)))
+                x = model.domain.project(0.5 * (x + at(model.evaluate, x)))
                 if not np.all(np.isfinite(x)):
                     # no later iterate can be finite again: stop here
                     raise ConvergenceError(
@@ -184,12 +195,17 @@ def bound_A(model: MapModel, lo, hi, n_samples: int = 512) -> float:
     ``box_samples``; since any eigenvalue modulus is bounded by both the
     maximal row and column sums, the result bounds the spectral radius at
     every sampled state.  A sample whose Jacobian has a non-finite row or
-    column sum raises ``ValueError``.
+    column sum, or whose Jacobian raises ``ValueError`` or
+    ``ArithmeticError``, raises ``ValueError`` naming the sample and state.
     """
     rows = 0.0
     cols = 0.0
     for i, x in enumerate(box_samples(lo, hi, n_samples)):
-        j = np.abs(model.jacobian_at(x))
+        try:
+            j = np.abs(model.jacobian_at(x))
+        except (ValueError, ArithmeticError) as exc:
+            raise ValueError(f"Jacobian failed at sample {i}, x = {_state_text(x)}: "
+                             f"{type(exc).__name__}: {exc}") from exc
         row_max = float(np.max(j.sum(axis=1)))
         col_max = float(np.max(j.sum(axis=0)))
         # max() would silently skip a NaN and an inf is no usable bound

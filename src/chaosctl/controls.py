@@ -156,9 +156,10 @@ def apply_control(model: MapModel, cfg: ControlConfig, x) -> np.ndarray:
 def controlled_map(model: MapModel, cfg: ControlConfig) -> MapModel:
     """Wrap ``model`` into the controlled self-map of the same domain.
 
-    The wrapped model evaluates single states and batches of states.  The
-    analytic Jacobian is chained through when the base model has one;
-    otherwise the wrapped model falls back to finite differences.
+    The wrapped model evaluates single states, and batches of states when
+    the base model does.  The analytic Jacobian is chained through when the
+    base model has one; otherwise the wrapped model falls back to finite
+    differences.
     """
     dim = model.dimension
     t = _checked_target(model, cfg)
@@ -167,7 +168,8 @@ def controlled_map(model: MapModel, cfg: ControlConfig) -> MapModel:
     name = f"{cfg.scheme}({model.name})" if model.name else cfg.scheme
     return MapModel(dimension=dim, evaluate=evaluate, domain=model.domain,
                     jacobian=jacobian if model.jacobian is not None else None,
-                    name=name, evaluate_batch=evaluate_batch)
+                    name=name,
+                    evaluate_batch=evaluate_batch if model.evaluate_batch is not None else None)
 
 
 def controlled_rows(model: MapModel, scheme: str, target, intensities):

@@ -146,8 +146,9 @@ class DomainSpec:
 
     def contains_rows(self, rows) -> np.ndarray:
         """Boolean mask of the rows of an ``(n, d)`` array that lie in the
-        domain, without input validation."""
-        return np.all((rows >= self._lo) & (rows <= self._hi), axis=1)
+        domain, without input validation; a block ``(b, n, d)`` gives a
+        ``(b, n)`` mask."""
+        return np.all((rows >= self._lo) & (rows <= self._hi), axis=-1)
 
     def is_interior(self, x) -> bool:
         """True iff ``x`` lies strictly inside the domain (not on its boundary)."""
@@ -188,8 +189,9 @@ class MapModel:
     output row depends on its own input row only, never on the other rows
     or on where the row sits in the batch.  A fresh scan runs its grid
     points as the rows of one batch through ``evaluate_batch`` when the
-    model has one; every other orbit runs alone through ``evaluate``, so
-    the two must agree row for row.
+    model has one, and a row that turns non-finite or leaves the domain
+    leaves the batch and runs alone; every other orbit runs alone through
+    ``evaluate``, so the two must agree row for row.
     """
 
     dimension: int

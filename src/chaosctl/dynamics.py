@@ -2,19 +2,19 @@
 
 A bifurcation scan runs one controlled orbit per grid intensity, discards a
 transient, keeps a short window and classifies each component's period on
-that window, every record's in one pass.  Every orbit runs through one
-loop, which advances one state through ``evaluate`` or the rows of an
-``(n, d)`` array, one orbit each, through ``evaluate_batch``.  Only a
-fresh scan of a model with ``evaluate_batch`` runs a batch; every other
-orbit runs alone.  The loop checks finiteness and domain membership once
-per block of steps; a block that fails the check is
-replayed one checked step at a time from its start state, so failures,
-their steps and messages, and the domain-exit log lines are those of a
+that window, every record's in one pass.  Two loops run orbits, and both
+check finiteness and domain membership once per block of steps.  The lone
+loop advances one state through ``evaluate``; a block that fails its check
+is replayed one checked step at a time from its start state, so a failure,
+its step and message, and the domain-exit log line are those of a
 step-by-step check.  A lone state stops at the exact step of its first
 recurrence: once a state equals, bit for bit, a state of its current or
-previous block, the rest of the orbit repeats that cycle.  Every period up to
-``_BLOCK`` is caught there, and memory stays bounded by two blocks of
-states whatever the orbit's length.
+previous block, the rest of the orbit repeats that cycle.  Every period up
+to ``_BLOCK`` is caught there, and memory stays bounded by two blocks of
+states whatever the orbit's length.  The batch loop advances the grid
+points of a fresh scan of a model with ``evaluate_batch`` as the rows of
+one ``(n, d)`` array; a row whose block holds a non-finite state or leaves
+the domain leaves the batch, and its grid point runs alone.
 Scans are deterministic: the initial condition for grid index ``i`` comes
 from an RNG stream derived from ``(seed, i)``, so records are bit-identical
 across runs.
@@ -52,129 +52,46 @@ def _check_lengths(n_transient: int, n_keep: int) -> None:
         raise ValueError("n_transient and n_keep must be nonnegative")
 
 
-# Steps between two checks of a batch: long enough that the two checks
+# Steps between two checks of an orbit: long enough that the two checks
 # cost little per step, short enough that a failing block's replay is cheap.
 _BLOCK = 64
 
 
-class _RowWatch:
-    """Failure bookkeeping of the rows of one orbit batch, kept across blocks.
-
-    A single state is watched as one row.  ``failures`` maps each failed row
-    to ``(step, message)``; ``parked`` marks the failed rows, which are held
-    at NaN and checked no more; ``warned`` marks the rows whose domain exit
-    has been logged.
-    """
-
-    def __init__(self, x: np.ndarray, domain: DomainSpec, strict: bool):
-        self.domain, self.strict, self.single = domain, strict, x.ndim == 1
-        # a lone state's evaluation may raise; anything a batch raises propagates
-        self.errors = (ValueError, ArithmeticError) if self.single else ()
-        n = 1 if self.single else x.shape[0]
-        self.failures = {}
-        self.parked = np.zeros(n, dtype=bool)
-        self.warned = np.zeros(n, dtype=bool)
-
-    def _rows(self, x: np.ndarray) -> np.ndarray:
-        """A state, a batch or a block of either as a view with a row axis."""
-        return x[..., None, :] if self.single else x
-
-    def block_ok(self, block: np.ndarray) -> bool:
-        """Whether a block of ``b`` steps of the orbit passes every check.
-
-        Parked rows are left out, and so, from the domain check, are rows
-        whose exit was already logged, so that a failed row does not send
-        every later block to the replay.
-        """
-        if self.parked.any() or self.warned.any():
-            rows = self._rows(block)
-            checked = ~self.parked
-            inside = checked & ~self.warned
-            return (math.isfinite(rows[:, checked].sum())
-                    and (not inside.any()
-                         or self.domain.contains_unchecked(rows[:, inside])))
-        return math.isfinite(block.sum()) and self.domain.contains_unchecked(block)
-
-    def checked_step(self, step, x: np.ndarray, i: int) -> np.ndarray:
-        """Step ``i`` from ``x``, checked: failing rows are recorded and parked.
-
-        A lone state whose evaluation raises is row 0, recorded and parked.
-        """
-        parked = self.parked
-        try:
-            y = np.asarray(step(x), dtype=float)
-        except self.errors as exc:
-            self.failures[0] = (i, f"evaluation failed at step {i}: "
-                                   f"{type(exc).__name__}: {exc}")
-            parked[0] = True
-            return x
-        if math.isfinite(y.sum()) and self.domain.contains_unchecked(y):
-            return y
-        rows = self._rows(y)
-        bad = ~parked & ~np.all(np.isfinite(rows), axis=1)
-        outside = ~parked & ~bad & ~self.domain.contains_rows(rows)
-        for r in np.flatnonzero(bad).tolist():
-            self.failures[r] = (i, f"non-finite state at step {i}")
-        if self.strict:
-            for r in np.flatnonzero(outside).tolist():
-                self.failures[r] = (i, f"state left the domain at step {i}")
-            bad |= outside
-        else:
-            for _ in np.flatnonzero(outside & ~self.warned).tolist():
-                log.warning("orbit left the domain at step %d (advisory)", i)
-            self.warned |= outside
-        parked |= bad
-        if parked.any() and not parked.all():
-            y = y.copy()
-            self._rows(y)[parked] = np.nan
-        return y
-
-
 def _iterate_rows(step, x: np.ndarray, domain: DomainSpec, n_transient: int,
                   n_keep: int, strict: bool = False):
-    """Advance ``x`` by ``n_transient + n_keep`` steps of ``step``.
+    """Advance one state ``x`` ``(d,)`` by ``n_transient + n_keep`` steps of ``step``.
 
-    ``x`` is one state ``(d,)``, which is row 0, or an ``(n, d)`` array of
-    rows, and ``step`` maps it to an array of its shape.  Returns ``(kept, failures)``:
-    ``kept[k]`` is ``x`` after step ``n_transient + k``, and ``failures``
-    maps each failed row to ``(step, message)``.  A row fails at the first
-    step whose state is not finite or, under ``strict``, that left the
-    domain; a single state also fails at a step that raises ``ValueError``
-    or ``ArithmeticError``, while anything a batch step raises propagates.
-    A failed row is parked at NaN, which the shipped maps carry through
-    without a warning, and is checked no more; its kept states are
-    meaningless.  Leaving the domain is otherwise advisory and logged once
-    per row.
+    Returns ``(kept, failure)``: ``kept[k]`` is the state after step
+    ``n_transient + k``, and ``failure`` is None or ``(step, message)`` for
+    the first step that raises ``ValueError`` or ``ArithmeticError``, whose
+    state is not finite or, under ``strict``, that left the domain (``kept``
+    is then meaningless).  Leaving the domain is otherwise advisory and
+    logged once.
 
-    The steps run in blocks of ``_BLOCK``, each written to a buffer and
-    checked as a whole by one finiteness and one domain check, with
-    floating-point warnings off.  When that check fails, or a single
-    state's step raises, the block is replayed from its saved start state one checked step at a
-    time, which finds each failing row, its step and its message, logs
-    each domain exit and raises each floating-point warning as a
-    step-by-step loop would.  Steps are pure, so the replay recomputes
-    exactly the states that the block computed.
+    The steps run in blocks of ``_BLOCK``, written to a buffer with
+    floating-point warnings off and checked as a whole by one finiteness
+    and one domain check.  A block that fails its check, or whose step
+    raises, is replayed from its start state one checked step at a time,
+    which finds the failure, logs the exit and raises each floating-point
+    warning as a step-by-step loop would; steps are pure, so the replay
+    recomputes the block's states exactly.
 
-    A single state stops at its first exact recurrence: right after the first
+    The orbit stops at its first exact recurrence: right after the first
     step whose state equals, bit for bit (``-0.0`` is not ``0.0``), a state
-    of its current or previous block, ``p`` steps earlier.  From there the
-    orbit repeats those ``p`` states forever.  The block so far gets the same
-    check; when it passes, the rest of ``kept`` is filled by cycling the
-    ``p`` states, without calling ``step`` again.  Those states have passed
-    every check, so the result, the failures and the log lines are those of
-    the full run; a partial block that fails its check goes to the replay
-    instead, and the recurrence is dropped.  Every period up to ``_BLOCK``
-    is caught at its first recurrence.  The states of the two blocks sit in
-    a ring buffer, state ``u`` at ``u % (2 * _BLOCK)``, and their bytes in
-    two dicts that rotate at each block end, so memory stays bounded
-    whatever the orbit's length.  A batch runs every step.
+    of its current or previous block, ``p`` steps earlier.  If the block so
+    far passes its check, the rest of ``kept`` cycles those ``p`` states
+    without calling ``step`` again, which gives the result, failure and log
+    lines of the full run; otherwise the block is replayed and the
+    recurrence dropped.  Every period up to ``_BLOCK`` is caught at its
+    first recurrence.  The two blocks' states sit in a ring buffer, state
+    ``u`` at ``u % (2 * _BLOCK)``, and their bytes in two dicts that rotate
+    at each block end, so memory stays bounded whatever the orbit's length.
     """
     total = n_transient + n_keep
     kept = np.empty((n_keep,) + x.shape)
-    watch = _RowWatch(x, domain, strict)
-    # a lone state's two-block ring and the steps of its states' bytes, by block
-    ring = np.empty((min(2 * _BLOCK if watch.single else _BLOCK, total),) + x.shape)
-    seen, older = {}, {}
+    ring = np.empty((min(2 * _BLOCK, total),) + x.shape)
+    # the steps of the states' bytes, by block, and whether an exit was logged
+    seen, older, warned = {}, {}, False
     for start in range(0, total, _BLOCK):
         at = start % ring.shape[0]
         block = ring[at:at + min(_BLOCK, total - start)]
@@ -184,24 +101,31 @@ def _iterate_rows(step, x: np.ndarray, domain: DomainSpec, n_transient: int,
                 y = x
                 for k in range(block.shape[0]):
                     y = block[k] = np.asarray(step(y), dtype=float)
-                    if watch.single:
-                        key = y.tobytes()
-                        u = seen.get(key, older.get(key))
-                        if u is not None:
-                            hit = start + k, start + k - u
-                            break
-                        seen[key] = start + k
-            ok = watch.block_ok(block[:k + 1])
-        except watch.errors:
+                    key = y.tobytes()
+                    u = seen.get(key, older.get(key))
+                    if u is not None:
+                        hit = start + k, start + k - u
+                        break
+                    seen[key] = start + k
+            done = block[:k + 1]
+            ok = math.isfinite(done.sum()) and (warned or domain.contains_unchecked(done))
+        except (ValueError, ArithmeticError):
             ok = False
         if not ok:
-            hit = None
-            y = x
-            for k in range(block.shape[0]):
-                y = watch.checked_step(step, y, start + k)
-                if watch.parked.all():
-                    return kept, watch.failures
-                block[k] = y
+            hit, y = None, x
+            for i in range(start, start + block.shape[0]):
+                try:
+                    y = np.asarray(step(y), dtype=float)
+                except (ValueError, ArithmeticError) as exc:
+                    return kept, (i, f"evaluation failed at step {i}: {type(exc).__name__}: {exc}")
+                if not np.all(np.isfinite(y)):
+                    return kept, (i, f"non-finite state at step {i}")
+                if not (warned or domain.contains_unchecked(y)):
+                    if strict:
+                        return kept, (i, f"state left the domain at step {i}")
+                    log.warning("orbit left the domain at step %d (advisory)", i)
+                    warned = True
+                block[i - start] = y
         x = y
         stop = start + block.shape[0] if hit is None else hit[0] + 1
         if stop > n_transient:
@@ -212,9 +136,49 @@ def _iterate_rows(step, x: np.ndarray, domain: DomainSpec, n_transient: int,
             t, p = hit
             rest = np.arange(max(stop, n_transient), total)
             kept[rest - n_transient] = ring[(t - p + 1 + (rest - stop) % p) % ring.shape[0]]
-            return kept, watch.failures
+            return kept, None
         seen, older = {}, seen
-    return kept, watch.failures
+    return kept, None
+
+
+def _iterate_batch(step_for, x: np.ndarray, domain: DomainSpec, n_transient: int,
+                   n_keep: int):
+    """Advance each row of ``x`` ``(n, d)`` by ``n_transient + n_keep`` steps.
+
+    ``step_for(rows)`` builds the step of the original rows ``rows``, an
+    index array.  Returns ``(kept, left)``: ``kept[k, r]`` is row ``r``
+    after step ``n_transient + k``, and ``left`` lists in ascending order
+    the rows that left the batch, whose kept states are meaningless.  Each
+    block of ``_BLOCK`` steps runs with floating-point warnings off and gets
+    one finiteness and one domain check; when it fails, the rows that hold
+    a non-finite or out-of-domain state anywhere in the block leave, the
+    step is rebuilt over the others and the block is redone from its start
+    state.  Anything a step raises propagates.
+    """
+    total = n_transient + n_keep
+    kept = np.empty((n_keep,) + x.shape)
+    rows, left, start = np.arange(x.shape[0]), [], 0
+    step = step_for(rows)
+    while start < total and rows.size:
+        block = np.empty((min(_BLOCK, total - start),) + x.shape)
+        with np.errstate(all="ignore"):
+            y = x
+            for k in range(block.shape[0]):
+                y = block[k] = np.asarray(step(y), dtype=float)
+        if not (math.isfinite(block.sum()) and domain.contains_unchecked(block)):
+            # a finite block whose sum overflows has no bad row and passes
+            bad = ~(domain.contains_rows(block) & np.isfinite(block).all(axis=2)).all(axis=0)
+            if bad.any():
+                left += rows[bad].tolist()
+                rows, x = rows[~bad], x[~bad]
+                step = step_for(rows)
+                continue
+        x, stop = y, start + block.shape[0]
+        if stop > n_transient:
+            first = max(start, n_transient)
+            kept[first - n_transient:stop - n_transient, rows] = block[first - start:]
+        start = stop
+    return kept, sorted(left)
 
 
 def iterate_orbit(model: MapModel, cfg: Optional[ControlConfig], x0,
@@ -234,10 +198,10 @@ def iterate_orbit(model: MapModel, cfg: Optional[ControlConfig], x0,
     """
     _check_lengths(n_transient, n_keep)
     g = _step_map(model, cfg)
-    kept, failures = _iterate_rows(g.evaluate, as_state(x0, model.dimension),
-                                   model.domain, n_transient, n_keep, strict)
-    if failures:
-        step, message = failures[0]
+    kept, failure = _iterate_rows(g.evaluate, as_state(x0, model.dimension),
+                                  model.domain, n_transient, n_keep, strict)
+    if failure:
+        step, message = failure
         raise OrbitError(message, step=step)
     return kept
 
@@ -344,16 +308,19 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
     [init_lo, init_hi] by :func:`draw_x0` with ``(seed, index)``;
     ``continue_orbits`` instead chains each orbit from the previous final
     state.  A fresh scan of a model with ``evaluate_batch`` advances all
-    grid points together as the rows of one array, which run every step.
-    Every other scan runs one grid point at a time through the single-state
-    ``evaluate`` of its :func:`controlled_map`, so each orbit stops, as
-    :func:`iterate_orbit` does, right after the step of its first bitwise
-    recurrence (every period up to 64 steps is caught there, in bounded
-    memory), and a model without ``evaluate_batch`` never sees a batch.
-    Both ways give the same records bit for bit.  Once every orbit has
-    run, one :func:`detect_periods` call classifies all the records that did
-    not fail, which gives each the periods of :func:`detect_period` on its
-    own window.  ``max_period`` is capped at half the kept window.  Invalid
+    grid points together as the rows of one array, which run every step; a
+    row whose 64-step block holds a non-finite state or leaves the domain
+    leaves the batch, and its grid point runs alone from the same start.
+    A lone grid point runs through the single-state ``evaluate`` of its
+    :func:`controlled_map`, which fails it or logs its domain exit at the
+    exact step, and stops, as :func:`iterate_orbit` does, right after the
+    step of its first bitwise recurrence (every period up to 64 steps is
+    caught there, in bounded memory).  Every grid point of a chained scan or
+    of a model without ``evaluate_batch`` runs alone, so such a model never
+    sees a batch.  Both ways give the same records bit for bit.  Once every
+    orbit has run, one :func:`detect_periods` call classifies all the
+    records that did not fail, which gives each the periods of
+    :func:`detect_period` on its own window.  ``max_period`` is capped at half the kept window.  Invalid
     arguments raise ``ValueError`` before any orbit runs: an ``n_keep``
     below 2, a ``tol`` that is not positive (NaN included), a box that
     :func:`initial_box` rejects, and what building the step,
@@ -367,29 +334,34 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
     check_tol(tol)
     if max_period < 1:
         raise ValueError("max_period must be at least 1")
-    step = controlled_rows(model, scheme, target, c_grid)
+    controlled_rows(model, scheme, target, c_grid)  # checks the control
     dim = model.dimension
     lo, hi = initial_box(init_lo, init_hi, dim)
     eff_period = min(max_period, n_keep // 2)
     if not c_grid:
         return []
+    alone = range(len(c_grid))
     if model.evaluate_batch is not None and not continue_orbits:
-        x0 = np.array([draw_x0(seed, i, lo, hi) for i in range(len(c_grid))])
-        kept, failures = _iterate_rows(step, x0, model.domain, n_transient, n_keep)
+        x0 = np.array([draw_x0(seed, r, lo, hi) for r in alone])
+        intensities = np.array(c_grid)
+        kept, alone = _iterate_batch(
+            lambda rows: controlled_rows(model, scheme, target, intensities[rows]),
+            x0, model.domain, n_transient, n_keep)
         points = np.ascontiguousarray(kept.transpose(1, 0, 2))
     else:
         points = np.empty((len(c_grid), n_keep, dim))
-        failures = {}
-        for r, c in enumerate(c_grid):
-            if r == 0 or not continue_orbits:
-                x0 = draw_x0(seed, r, lo, hi)
-            g = controlled_map(model, ControlConfig(scheme=scheme, intensity=c, target=target))
-            kept, failed = _iterate_rows(g.evaluate, x0, model.domain, n_transient, n_keep)
-            if failed:
-                failures[r] = failed[0]
-            else:
-                points[r] = kept
-                x0 = kept[-1]
+    failures = {}
+    for r in alone:
+        if r == 0 or not continue_orbits:
+            x0 = draw_x0(seed, r, lo, hi)
+        g = controlled_map(model, ControlConfig(scheme=scheme, intensity=c_grid[r],
+                                                target=target))
+        kept, failure = _iterate_rows(g.evaluate, x0, model.domain, n_transient, n_keep)
+        if failure:
+            failures[r] = failure
+        else:
+            points[r] = kept
+            x0 = kept[-1]
     ok = [r for r in range(len(c_grid)) if r not in failures]
     classified = iter(detect_periods(points[ok], tol=tol, max_period=eff_period))
     # Records with equal periods share one tuple: a scan's periods take few

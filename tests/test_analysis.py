@@ -128,6 +128,42 @@ def test_non_finite_averaging_iterate_stops_the_search():
     np.testing.assert_array_equal(err.value.best_point, [0.5])
 
 
+def _exp_map(jacobian=None):
+    """f(x) = 0.5*exp(x/100), as a plugin would write it: math.exp overflows
+    past x = 70978."""
+    return MapModel(dimension=1, evaluate=lambda x: np.array([0.5 * math.exp(x[0] / 100)]),
+                    jacobian=jacobian, domain=DomainSpec.nonnegative_orthant(1))
+
+
+def test_failing_evaluation_ends_the_search_naming_its_state():
+    with pytest.raises(ConvergenceError) as err:
+        find_fixed_point(_exp_map(), np.array([90000.0]))
+    assert str(err.value) == ("no fixed point: evaluation failed at x = (90000): "
+                              "OverflowError: math range error (best residual inf)")
+    assert (err.value.best_point, err.value.best_residual) == (None, math.inf)
+    assert isinstance(err.value.__cause__, OverflowError)
+
+
+def test_failing_jacobian_ends_the_search_with_the_best_point():
+    def jacobian(x):
+        raise ZeroDivisionError("no slope")
+
+    with pytest.raises(ConvergenceError) as err:
+        find_fixed_point(_exp_map(jacobian), np.array([2.0]))
+    best = abs(0.5 * math.exp(0.02) - 2.0)
+    assert str(err.value) == ("no fixed point: evaluation failed at x = (2): "
+                              f"ZeroDivisionError: no slope (best residual {best:.3e})")
+    assert err.value.best_residual == best
+    np.testing.assert_array_equal(err.value.best_point, [2.0])
+
+
+def test_multistart_skips_a_start_whose_evaluation_fails():
+    # from 90000 the first evaluation overflows; from 1 the search converges
+    found = multistart_fixed_points(_exp_map(), [np.array([90000.0]), np.array([1.0])])
+    assert len(found) == 1
+    assert abs(0.5 * math.exp(found[0][0] / 100) - found[0][0]) < 1e-10
+
+
 def test_multistart_deduplicates():
     # two fixed points: x = 0 and x = 1 for f(x) = x^2
     f = MapModel(dimension=1, evaluate=lambda x: x * x,
@@ -211,6 +247,15 @@ def test_bound_a_linear_slope():
     f = MapModel(dimension=1, evaluate=lambda x: -2.5 * x,
                  domain=DomainSpec.full_space(1))
     assert bound_A(f, [-1.0], [1.0], n_samples=16) == pytest.approx(2.5, rel=1e-7)
+
+
+def test_bound_a_names_the_sample_whose_jacobian_raises():
+    # samples 0 and 1 are the box's corners; finite differences at 100000
+    # evaluate math.exp past its range
+    with pytest.raises(ValueError) as err:
+        bound_A(_exp_map(), [0.0], [100000.0], n_samples=4)
+    assert str(err.value) == ("Jacobian failed at sample 1, x = (100000): "
+                              "OverflowError: math range error")
 
 
 def test_bound_a_rejects_non_finite_jacobian():

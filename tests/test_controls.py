@@ -248,6 +248,16 @@ def test_controlled_map_jacobian_chain_rule(lpa):
                                    rtol=2e-5, atol=1e-8)
 
 
+def test_controlled_map_evaluates_batches_only_when_its_base_does(lpa):
+    cfg = ControlConfig("VMTOC", 0.3, (30.0, 30.0, 200.0))
+    plugin = MapModel(dimension=3, evaluate=lpa.evaluate, domain=lpa.domain)
+    assert controlled_map(plugin, cfg).evaluate_batch is None
+    g = controlled_map(lpa, cfg)
+    rows = np.array([[14.0, 9.0, 3.0], [1.0, 2.0, 3.0]])
+    np.testing.assert_array_equal(g.evaluate_batch(rows),
+                                  controlled_map(plugin, cfg).evaluate_rows(rows))
+
+
 @pytest.mark.parametrize("scheme", ["VMTOC", "VTOC", "PF", "MPF"])
 def test_controlled_rows_match_controlled_map_bitwise(lpa, scheme):
     target = (30.0, 30.0, 200.0)

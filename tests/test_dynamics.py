@@ -322,6 +322,24 @@ def test_scan_plugin_exception_fails_its_row_only():
     assert len(steps) >= 2 and survivors >= 1
 
 
+def test_scan_of_a_controlled_plugin_fails_only_its_overflowing_point():
+    # the controlled map of a plugin without evaluate_batch has none either,
+    # so its grid points run alone and one overflow fails only its own point
+    f = MapModel(dimension=1, evaluate=lambda x: np.array([math.exp(x[0]) - 2.0]),
+                 domain=DomainSpec.full_space(1))
+    g = controlled_map(f, ControlConfig("VMTOC", 0.2, (0.0,)))
+    assert g.evaluate_batch is None
+    grid = [0.0, 0.3, 0.5, 0.7]
+    records = bifurcation_scan(g, "VMTOC", (0.0,), grid, seed=1, init_lo=0.0, init_hi=3.0,
+                               n_transient=20, n_keep=10)
+    assert [rec.error for rec in records] == [
+        "evaluation failed at step 4: OverflowError: math range error", None, None, None]
+    for i, (c, rec) in enumerate(zip(grid[1:], records[1:]), start=1):
+        x0 = dynamics.draw_x0(1, i, np.zeros(1), np.full(1, 3.0))
+        np.testing.assert_array_equal(
+            rec.points, iterate_orbit(g, ControlConfig("VMTOC", c, (0.0,)), x0, 20, 10))
+
+
 @pytest.mark.parametrize("scheme", ["VMTOC", "VTOC"])
 @pytest.mark.parametrize("kind", ["lpa", "ricker"])
 def test_scan_row_does_not_depend_on_its_batch(kind, scheme):
@@ -454,58 +472,6 @@ def test_block_loop_single_orbit_fails_at_its_step(caplog, kind, strict, step):
     assert _exit_lines(caplog) == expected_lines
 
 
-@pytest.mark.parametrize("strict", [False, True])
-@pytest.mark.parametrize("kind", ["diverge", "leave"])
-@pytest.mark.parametrize("steps", [_STEPS[:5], _STEPS[1:]])
-def test_block_loop_batch_of_five_fails_each_row_at_its_step(caplog, kind, strict, steps):
-    model = _counter_map(kind)
-    rows = np.array([[_LIMIT - s] for s in steps])
-    with caplog.at_level(logging.WARNING, logger="chaosctl.dynamics"):
-        kept, failures = dynamics._iterate_rows(model.evaluate_rows, rows, model.domain,
-                                                _N_TRANSIENT, _N_KEEP, strict)
-    messages = {r: _expected_message(kind, strict, s) for r, s in enumerate(steps)}
-    assert failures == {r: (s, messages[r]) for r, s in enumerate(steps)
-                        if messages[r] is not None}
-    if kind == "leave" and not strict:
-        assert sorted(_exit_lines(caplog)) == sorted(
-            f"orbit left the domain at step {s} (advisory)" for s in steps)
-        ks = np.arange(_N_TRANSIENT + 1, _N_TRANSIENT + _N_KEEP + 1)
-        np.testing.assert_array_equal(kept[:, :, 0], rows[:, 0] + ks[:, None])
-    else:
-        assert _exit_lines(caplog) == []
-
-
-def test_block_loop_failed_rows_leave_later_blocks_unchecked(monkeypatch, caplog):
-    # Row 0 diverges at step 0 and row 1 leaves the box [0, 10] at step 3;
-    # row 4 starts outside it (logged at step 0) and diverges in the second
-    # block; rows 2 and 3 sit still.  Only the first two blocks are replayed
-    # step by step (only the replay asks for a row mask), and the rows that
-    # did not fail are exact.
-    top = 1e6
-
-    def batch(rows):
-        return np.where((rows < 0.0) | (rows >= top), np.inf,
-                        np.where(rows >= 5.0, rows + 1.0, rows))
-
-    model = MapModel(dimension=1, evaluate=lambda x: batch(x[None, :])[0],
-                     evaluate_batch=batch, domain=DomainSpec.box([0.0], [10.0]))
-    masks = []
-    contains_rows = DomainSpec.contains_rows
-    monkeypatch.setattr(DomainSpec, "contains_rows",
-                        lambda self, rows: masks.append(1) or contains_rows(self, rows))
-    rows = np.array([[-1.0], [7.0], [1.0], [2.0], [top - (_B + 10)]])
-    with caplog.at_level(logging.WARNING, logger="chaosctl.dynamics"):
-        kept, failures = dynamics._iterate_rows(model.evaluate_rows, rows, model.domain,
-                                                10 * _B, 5)
-    assert failures == {0: (0, "non-finite state at step 0"),
-                        4: (_B + 10, f"non-finite state at step {_B + 10}")}
-    assert _exit_lines(caplog) == ["orbit left the domain at step 0 (advisory)",
-                                   "orbit left the domain at step 3 (advisory)"]
-    assert 0 < len(masks) <= 2 * _B
-    np.testing.assert_array_equal(kept[:, 2:4, 0], np.tile([1.0, 2.0], (5, 1)))
-    np.testing.assert_array_equal(kept[:, 1, 0], 7.0 + np.arange(10 * _B + 1, 10 * _B + 6))
-
-
 def test_block_loop_warns_as_the_step_by_step_loop():
     # 1e300 * 1e200 overflows at step 1, where the orbit fails; going on in
     # its block would next compute inf - inf, but that warning must not show
@@ -544,6 +510,121 @@ def test_scan_row_failing_in_first_block_leaves_other_rows_exact():
                                       3 * _B, 10))
 
 
+# A fresh scan of a model with evaluate_batch runs its grid points as the
+# rows of one batch; a row whose block holds a non-finite state or leaves
+# the domain leaves the batch, and its grid point runs alone.  The oracle is
+# one iterate_orbit per grid point from the start that draw_x0 gives it.
+
+
+@contextlib.contextmanager
+def _scan_spies():
+    """Record the rows that leave each batch and the start of each lone orbit."""
+    real_batch, real_rows = dynamics._iterate_batch, dynamics._iterate_rows
+    left, alone = [], []
+
+    def batch(*args):
+        kept, rows = real_batch(*args)
+        left.extend(rows)
+        return kept, rows
+
+    def rows(step, x, *args):
+        alone.append(x.tobytes())
+        return real_rows(step, x, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_iterate_batch", batch)
+        mp.setattr(dynamics, "_iterate_rows", rows)
+        yield left, alone
+
+
+def _assert_scan_runs_each_point_alone(caplog, model, target, grid, lo, hi, n_transient,
+                                       n_keep):
+    """Scan ``model`` fresh from seed 0 and check it against one lone orbit
+    per grid point; returns the rows that left the batch and the records."""
+    box = dynamics.initial_box(lo, hi, model.dimension)
+    with caplog.at_level(logging.WARNING, logger="chaosctl.dynamics"), _scan_spies() as (
+            left, alone), np.errstate(all="ignore"):
+        records = bifurcation_scan(model, "VMTOC", target, grid, seed=0, init_lo=lo,
+                                   init_hi=hi, n_transient=n_transient, n_keep=n_keep)
+    scan_lines = _exit_lines(caplog)
+    caplog.clear()
+    starts = [dynamics.draw_x0(0, r, *box) for r in range(len(grid))]
+    # each row that left ran alone exactly once, from its own start
+    assert alone == [starts[r].tobytes() for r in left]
+    with caplog.at_level(logging.WARNING, logger="chaosctl.dynamics"), \
+            np.errstate(all="ignore"):
+        for r, (c, rec) in enumerate(zip(grid, records, strict=True)):
+            cfg = ControlConfig("VMTOC", c, target)
+            try:
+                orbit = iterate_orbit(model, cfg, starts[r], n_transient, n_keep)
+            except OrbitError as exc:
+                assert r in left
+                assert (rec.error, rec.periods) == (str(exc), (None,) * model.dimension)
+                assert rec.points.shape == (0, model.dimension)
+            else:
+                assert rec.error is None
+                assert rec.periods == detect_period(orbit, max_period=min(32, n_keep // 2))
+                _assert_same_bytes(rec.points, orbit)
+    assert sorted(scan_lines) == sorted(_exit_lines(caplog))
+    return left, records
+
+
+@pytest.mark.parametrize("kind", ["diverge", "leave"])
+def test_fresh_scan_rows_that_fail_leave_the_batch_and_run_alone(monkeypatch, caplog, kind):
+    # one row first misbehaves at each step of _STEPS, between rows that never do
+    model = _counter_map(kind)
+    starts = [0.0, *(_LIMIT - s for s in _STEPS[:3]), 1.0, *(_LIMIT - s for s in _STEPS[3:]),
+              2.0]
+    monkeypatch.setattr(dynamics, "draw_x0", lambda seed, r, lo, hi: np.array([starts[r]]))
+    left, records = _assert_scan_runs_each_point_alone(
+        caplog, model, (0.0,), [0.0] * len(starts), 0.0, 0.0, n_transient=_N_TRANSIENT,
+        n_keep=_N_KEEP)
+    assert [int(_LIMIT - starts[r]) for r in left] == list(_STEPS)
+    if kind == "diverge":
+        assert [records[r].error for r in left] == [f"non-finite state at step {s}"
+                                                    for s in _STEPS]
+    else:
+        # the lone orbits' exit lines, which equal the scan's
+        assert sorted(_exit_lines(caplog)) == sorted(
+            f"orbit left the domain at step {s} (advisory)" for s in _STEPS)
+        assert all(rec.error is None for rec in records)
+
+
+def _square(x):
+    return np.asarray(x, float) ** 2
+
+
+# (model, target, init_lo, init_hi): starts outside the domain, and a square
+# that overflows unless the control pulls it to 0
+_LEAVING_SCANS = {
+    "lpa": (lpa_map(), (28.0120, 22.4096, 4.6251), -1.0, 5.0),
+    "ricker": (ricker_lift(RickerParams(r=2.0, delay=2)), (1.0, 3.0), -0.5, 3.0),
+    "square": (MapModel(dimension=1, evaluate=_square, evaluate_batch=_square,
+                        domain=DomainSpec.nonnegative_orthant(1)), (0.0,), 1.5, 1.9),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LEAVING_SCANS))
+def test_fresh_scan_equals_a_lone_orbit_per_point_when_rows_leave(caplog, case):
+    model, target, lo, hi = _LEAVING_SCANS[case]
+    grid = [k / 60 for k in range(1, 60)]
+    left, records = _assert_scan_runs_each_point_alone(caplog, model, target, grid, lo, hi,
+                                                       n_transient=400, n_keep=40)
+    failed = [r for r, rec in enumerate(records) if rec.error]
+    assert left and set(failed) <= set(left)
+    if case != "square":
+        assert set(failed) < set(left)  # some rows leave the domain and come back
+
+
+def test_clean_batch_never_runs_a_lone_orbit():
+    grid = [k / 60 for k in range(1, 60)]
+    with _scan_spies() as (left, alone):
+        records = bifurcation_scan(lpa_map(), "VMTOC", _LEAVING_SCANS["lpa"][1], grid, seed=1,
+                                   n_transient=400, n_keep=40)
+    assert (left, alone) == ([], [])
+    assert all(rec.error is None for rec in records)
+
+
 # --- one-row orbits -----------------------------------------------------------
 
 # A lone orbit runs on its 1-D state through the step map's single-state
@@ -559,23 +640,30 @@ def _one_row_model(kind, dim):
 
 @contextlib.contextmanager
 def _rows_path(model):
-    """Run every lone orbit of ``model``, controlled or not, as a (1, d) batch."""
+    """Run every lone orbit of ``model``, controlled or not, as a (1, d) batch
+    of the batch loop; an orbit whose row leaves its batch runs alone, as in
+    a scan.  Yields the list of the orbits that left, by their start."""
     real_map, real_rows = dynamics.controlled_map, dynamics._iterate_rows
     rows_of = {model.evaluate: model.evaluate_rows}
+    left = []
 
     def controlled(base, cfg):
         g = real_map(base, cfg)
         rows_of[g.evaluate] = g.evaluate_rows
         return g
 
-    def rows(step, x, *args):
-        kept, failures = real_rows(rows_of[step], x[None, :], *args)
-        return kept[:, 0], failures
+    def rows(step, x, domain, n_transient, n_keep, strict=False):
+        kept, gone = dynamics._iterate_batch(lambda _: rows_of[step], x[None, :], domain,
+                                             n_transient, n_keep)
+        if gone:
+            left.append(x.tolist())
+            return real_rows(step, x, domain, n_transient, n_keep, strict)
+        return kept[:, 0], None
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "controlled_map", controlled)
         mp.setattr(dynamics, "_iterate_rows", rows)
-        yield
+        yield left
 
 
 @contextlib.contextmanager
@@ -598,9 +686,10 @@ def test_one_row_orbit_equals_its_row_bitwise(kind, dim, target, hi, scheme):
     model = _one_row_model(kind, dim)
     cfg = ControlConfig(scheme, 0.3, target) if scheme else None
     x0 = np.random.default_rng([9, dim]).uniform(0.0, hi, dim)
-    with _rows_path(model):
+    with _rows_path(model) as left:
         rows_orbit = iterate_orbit(model, cfg, x0, 700, 60)
         rows_lyapunov = lyapunov_max(model, cfg, x0, n=1200)
+    assert left == []
     with _one_row_calls() as calls:
         orbit = iterate_orbit(model, cfg, x0, 700, 60)
         lyapunov = lyapunov_max(model, cfg, x0, n=1200)
@@ -616,8 +705,9 @@ def test_chained_scan_records_equal_their_rows_bitwise(kind, dim, target, hi, sc
     model = _one_row_model(kind, dim)
     grid = [0.0] * 4 if scheme is None else [0.0, 0.1, 0.25, 0.4, 0.6]
     kwargs = dict(seed=4, init_hi=hi, n_transient=150, n_keep=40, continue_orbits=True)
-    with _rows_path(model):
+    with _rows_path(model) as left:
         rows_records = bifurcation_scan(model, scheme or "VMTOC", target, grid, **kwargs)
+    assert left == []
     with _one_row_calls() as calls:
         records = bifurcation_scan(model, scheme or "VMTOC", target, grid, **kwargs)
     assert calls == [(dim,)] * len(grid)
@@ -749,8 +839,9 @@ def test_chained_scan_fails_each_one_row_orbit_at_its_step(kind, step):
     message = _expected_message(kind, False, step)
     assert [r.error for r in records] == [message] * 2
     if kind == "diverge":
-        with _rows_path(model):
+        with _rows_path(model) as left:
             rows_records = bifurcation_scan(model, "VMTOC", (0.0,), [0.0, 0.0], **kwargs)
+        assert left == [[_LIMIT - step]] * 2
         assert [r.error for r in rows_records] == [message] * 2
 
 
@@ -765,8 +856,9 @@ def test_one_row_orbit_fails_at_the_step_of_its_row(kind, step):
         iterate_orbit(model, None, x0, _N_TRANSIENT, _N_KEEP)
     assert (err.value.step, str(err.value)) == (step, _expected_message(kind, False, step))
     if kind == "diverge":
-        with _rows_path(model), pytest.raises(OrbitError) as rows_err:
+        with _rows_path(model) as left, pytest.raises(OrbitError) as rows_err:
             iterate_orbit(model, None, x0, _N_TRANSIENT, _N_KEEP)
+        assert left == [x0.tolist()]
         assert (rows_err.value.step, str(rows_err.value)) == (step, str(err.value))
 
 
