@@ -42,9 +42,9 @@ def check_norm_kind(kind: str) -> None:
 
 
 def check_tol(tol) -> None:
-    """Raise ``ValueError`` unless the tolerance ``tol`` is positive; NaN fails."""
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    """Raise ``ValueError`` unless the tolerance ``tol`` is positive and finite; NaN fails."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
 
 class ParamError(ValueError):

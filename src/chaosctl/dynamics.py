@@ -4,20 +4,21 @@ A bifurcation scan runs one controlled orbit per grid intensity, discards a
 transient, keeps a short window and classifies each component's period on
 that window, every record's in one pass.  Two loops run orbits, and both
 check finiteness and domain membership once per block of steps.  The lone
-loop advances one state through ``evaluate``; a block that fails its check
-is replayed one checked step at a time from its start state, so a failure,
-its step and message, and the domain-exit log line are those of a
-step-by-step check.  A lone state stops at the exact step of its first
-recurrence: once a state equals, bit for bit, a state of its current or
-previous block, the rest of the orbit repeats that cycle.  Every period up
-to ``_BLOCK`` is caught there, and memory stays bounded by two blocks of
-states whatever the orbit's length.  The batch loop advances the grid
-points of a fresh scan of a model with ``evaluate_batch`` as the rows of
-one ``(n, d)`` array; a row whose block holds a non-finite state or leaves
-the domain leaves the batch, and its grid point runs alone.
-Scans are deterministic: the initial condition for grid index ``i`` comes
-from an RNG stream derived from ``(seed, i)``, so records are bit-identical
-across runs.
+loop, behind every :func:`iterate_orbit`, advances one state through
+``evaluate``; a block that fails its check is replayed one checked step at
+a time from its start state, so a failure, its step and message, and the
+domain-exit log line are those of a step-by-step check.  A lone state stops
+at the exact step of its first recurrence: once a state equals, bit for
+bit, a state of its current or previous block, the rest of the orbit
+repeats that cycle.  Every period up to ``_BLOCK`` is caught there, and
+memory stays bounded by two blocks of states whatever the orbit's length.
+The batch loop advances the grid points of a fresh scan of a model with
+``evaluate_batch`` as the rows of one ``(n, d)`` array, each block once; a
+row whose block holds a non-finite state or leaves the domain leaves the
+batch after that block, and its grid point runs alone.  Scans are
+deterministic: the initial condition for grid index ``i`` comes from an RNG
+stream derived from ``(seed, i)``, so records are bit-identical across
+runs.
 """
 
 from __future__ import annotations
@@ -61,12 +62,11 @@ def _iterate_rows(step, x: np.ndarray, domain: DomainSpec, n_transient: int,
                   n_keep: int, strict: bool = False):
     """Advance one state ``x`` ``(d,)`` by ``n_transient + n_keep`` steps of ``step``.
 
-    Returns ``(kept, failure)``: ``kept[k]`` is the state after step
-    ``n_transient + k``, and ``failure`` is None or ``(step, message)`` for
-    the first step that raises ``ValueError`` or ``ArithmeticError``, whose
-    state is not finite or, under ``strict``, that left the domain (``kept``
-    is then meaningless).  Leaving the domain is otherwise advisory and
-    logged once.
+    Returns ``kept``, where ``kept[k]`` is the state after step
+    ``n_transient + k``.  Raises :class:`OrbitError` at the first step that
+    raises ``ValueError`` or ``ArithmeticError``, whose state is not finite
+    or, under ``strict``, that left the domain.  Leaving the domain is
+    otherwise advisory and logged once.
 
     The steps run in blocks of ``_BLOCK``, written to a buffer with
     floating-point warnings off and checked as a whole by one finiteness
@@ -117,12 +117,12 @@ def _iterate_rows(step, x: np.ndarray, domain: DomainSpec, n_transient: int,
                 try:
                     y = np.asarray(step(y), dtype=float)
                 except (ValueError, ArithmeticError) as exc:
-                    return kept, (i, f"evaluation failed at step {i}: {type(exc).__name__}: {exc}")
+                    raise OrbitError(f"evaluation failed at step {i}: {type(exc).__name__}: {exc}", i)
                 if not np.all(np.isfinite(y)):
-                    return kept, (i, f"non-finite state at step {i}")
+                    raise OrbitError(f"non-finite state at step {i}", i)
                 if not (warned or domain.contains_unchecked(y)):
                     if strict:
-                        return kept, (i, f"state left the domain at step {i}")
+                        raise OrbitError(f"state left the domain at step {i}", i)
                     log.warning("orbit left the domain at step %d (advisory)", i)
                     warned = True
                 block[i - start] = y
@@ -136,9 +136,9 @@ def _iterate_rows(step, x: np.ndarray, domain: DomainSpec, n_transient: int,
             t, p = hit
             rest = np.arange(max(stop, n_transient), total)
             kept[rest - n_transient] = ring[(t - p + 1 + (rest - stop) % p) % ring.shape[0]]
-            return kept, None
+            return kept
         seen, older = {}, seen
-    return kept, None
+    return kept
 
 
 def _iterate_batch(step_for, x: np.ndarray, domain: DomainSpec, n_transient: int,
@@ -149,35 +149,38 @@ def _iterate_batch(step_for, x: np.ndarray, domain: DomainSpec, n_transient: int
     index array.  Returns ``(kept, left)``: ``kept[k, r]`` is row ``r``
     after step ``n_transient + k``, and ``left`` lists in ascending order
     the rows that left the batch, whose kept states are meaningless.  Each
-    block of ``_BLOCK`` steps runs with floating-point warnings off and gets
-    one finiteness and one domain check; when it fails, the rows that hold
-    a non-finite or out-of-domain state anywhere in the block leave, the
-    step is rebuilt over the others and the block is redone from its start
-    state.  Anything a step raises propagates.
+    block of ``_BLOCK`` steps runs once with floating-point warnings off,
+    is written to ``kept`` for every row in the batch and gets one
+    finiteness and one domain check.  When that fails, the rows that hold a
+    non-finite or out-of-domain state anywhere in the block leave, and the
+    step is rebuilt over the others, whose states in the block stand: each
+    row's steps depend on that row alone.  Anything a step raises
+    propagates.
     """
     total = n_transient + n_keep
     kept = np.empty((n_keep,) + x.shape)
-    rows, left, start = np.arange(x.shape[0]), [], 0
+    rows, left = np.arange(x.shape[0]), []
     step = step_for(rows)
-    while start < total and rows.size:
+    for start in range(0, total, _BLOCK):
         block = np.empty((min(_BLOCK, total - start),) + x.shape)
         with np.errstate(all="ignore"):
             y = x
             for k in range(block.shape[0]):
                 y = block[k] = np.asarray(step(y), dtype=float)
+        stop = start + block.shape[0]
+        if stop > n_transient:
+            first = max(start, n_transient)
+            kept[first - n_transient:stop - n_transient, rows] = block[first - start:]
+        x = y
         if not (math.isfinite(block.sum()) and domain.contains_unchecked(block)):
             # a finite block whose sum overflows has no bad row and passes
             bad = ~(domain.contains_rows(block) & np.isfinite(block).all(axis=2)).all(axis=0)
             if bad.any():
                 left += rows[bad].tolist()
                 rows, x = rows[~bad], x[~bad]
+                if not rows.size:
+                    break
                 step = step_for(rows)
-                continue
-        x, stop = y, start + block.shape[0]
-        if stop > n_transient:
-            first = max(start, n_transient)
-            kept[first - n_transient:stop - n_transient, rows] = block[first - start:]
-        start = stop
     return kept, sorted(left)
 
 
@@ -194,16 +197,13 @@ def iterate_orbit(model: MapModel, cfg: Optional[ControlConfig], x0,
     non-finite state, or an evaluation that raises ``ValueError`` or
     ``ArithmeticError``, raises :class:`OrbitError` with the offending step
     index.  Domain violations are advisory (logged once per orbit) unless
-    ``strict``.
+    ``strict``.  Every lone orbit runs through here, a scan's lone grid
+    points included.
     """
     _check_lengths(n_transient, n_keep)
     g = _step_map(model, cfg)
-    kept, failure = _iterate_rows(g.evaluate, as_state(x0, model.dimension),
-                                  model.domain, n_transient, n_keep, strict)
-    if failure:
-        step, message = failure
-        raise OrbitError(message, step=step)
-    return kept
+    return _iterate_rows(g.evaluate, as_state(x0, model.dimension), model.domain,
+                         n_transient, n_keep, strict)
 
 
 def detect_periods(points, tol: float = 1e-5, max_period: int = 32) -> list:
@@ -310,22 +310,22 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
     state.  A fresh scan of a model with ``evaluate_batch`` advances all
     grid points together as the rows of one array, which run every step; a
     row whose 64-step block holds a non-finite state or leaves the domain
-    leaves the batch, and its grid point runs alone from the same start.
-    A lone grid point runs through the single-state ``evaluate`` of its
-    :func:`controlled_map`, which fails it or logs its domain exit at the
-    exact step, and stops, as :func:`iterate_orbit` does, right after the
-    step of its first bitwise recurrence (every period up to 64 steps is
-    caught there, in bounded memory).  Every grid point of a chained scan or
-    of a model without ``evaluate_batch`` runs alone, so such a model never
-    sees a batch.  Both ways give the same records bit for bit.  Once every
-    orbit has run, one :func:`detect_periods` call classifies all the
-    records that did not fail, which gives each the periods of
-    :func:`detect_period` on its own window.  ``max_period`` is capped at half the kept window.  Invalid
-    arguments raise ``ValueError`` before any orbit runs: an ``n_keep``
-    below 2, a ``tol`` that is not positive (NaN included), a box that
-    :func:`initial_box` rejects, and what building the step,
-    ``controlled_rows``, rejects: a bad scheme (``DIAG-VMTOC`` too), target
-    or grid.  Orbit failures are recorded.
+    leaves the batch after that block, and its grid point runs alone from
+    the same start.  A lone grid point is one :func:`iterate_orbit` call,
+    which fails it (the record's error is the :class:`OrbitError` message)
+    or logs its domain exit at the exact step, and stops right after the
+    step of its first bitwise recurrence.  Every grid point of a chained
+    scan or of a model without ``evaluate_batch`` runs alone, so such a
+    model never sees a batch.  Both ways give the same records bit for
+    bit.  Once every orbit has run, one :func:`detect_periods` call
+    classifies all the records that did not fail, which gives each the
+    periods of :func:`detect_period` on its own window.  ``max_period`` is
+    capped at half the kept window.  Invalid arguments raise ``ValueError``
+    before any orbit runs: an ``n_keep`` below 2, a ``tol`` that is not
+    positive and finite (NaN included), a box that :func:`initial_box`
+    rejects, and what building the step, ``controlled_rows``, rejects: a
+    bad scheme (``DIAG-VMTOC`` too), target or grid.  Orbit failures are
+    recorded.
     """
     c_grid = [float(c) for c in c_grid]
     _check_lengths(n_transient, n_keep)
@@ -354,14 +354,13 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
     for r in alone:
         if r == 0 or not continue_orbits:
             x0 = draw_x0(seed, r, lo, hi)
-        g = controlled_map(model, ControlConfig(scheme=scheme, intensity=c_grid[r],
-                                                target=target))
-        kept, failure = _iterate_rows(g.evaluate, x0, model.domain, n_transient, n_keep)
-        if failure:
-            failures[r] = failure
+        cfg = ControlConfig(scheme=scheme, intensity=c_grid[r], target=target)
+        try:
+            points[r] = iterate_orbit(model, cfg, x0, n_transient, n_keep)
+        except OrbitError as exc:
+            failures[r] = str(exc)
         else:
-            points[r] = kept
-            x0 = kept[-1]
+            x0 = points[r, -1]
     ok = [r for r in range(len(c_grid)) if r not in failures]
     classified = iter(detect_periods(points[ok], tol=tol, max_period=eff_period))
     # Records with equal periods share one tuple: a scan's periods take few
@@ -371,7 +370,7 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
     for r, c in enumerate(c_grid):
         if r in failures:
             records.append(ScanRecord(c=c, points=np.empty((0, dim)), periods=(None,) * dim,
-                                      seed=seed, error=failures[r][1]))
+                                      seed=seed, error=failures[r]))
         else:
             periods = next(classified)
             records.append(ScanRecord(c=c, points=points[r],

@@ -91,11 +91,11 @@ def test_best_residual_includes_the_last_newton_step(lpa):
     assert np.max(np.abs(lpa.evaluate(best) - best)) == err.value.best_residual
 
 
-@pytest.mark.parametrize("tol", [0.0, math.nan])
+@pytest.mark.parametrize("tol", [0.0, math.nan, math.inf])
 def test_fixed_point_search_rejects_a_tolerance_that_is_not_positive(tol):
     f = MapModel(dimension=1, evaluate=lambda x: 0.5 * np.asarray(x, float),
                  domain=DomainSpec.full_space(1))
-    with pytest.raises(ValueError, match=f"tol must be positive, got {tol}"):
+    with pytest.raises(ValueError, match=f"tol must be positive and finite, got {tol}"):
         find_fixed_point(f, np.array([1.0]), tol=tol)
 
 

@@ -654,6 +654,12 @@ _BAD_SETTINGS = [
     *[("cost", [f"control.scheme={scheme}", "control.target=28,22,4"], "control.scheme")
       for scheme in ("VTOC", "PF", "MPF")],
     ("simulate", ["model.c_el=inf"], "model.c_el"),
+    # an infinite tolerance would call every orbit periodic and every state
+    # an equilibrium
+    ("bifurcate", ["scan.tol=inf"], "scan.tol"),
+    ("simulate", ["scan.tol=inf"], "scan.tol"),
+    ("equilibrium", ["run.x0=1,2,3", "run.tol=inf"], "run.tol"),
+    ("stability", ["run.tol=inf"], "run.tol"),
 ]
 
 

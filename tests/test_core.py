@@ -289,9 +289,9 @@ def test_box_rejects_nan_bounds(lo, hi):
         DomainSpec.box(lo, hi)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
 def test_check_tol_rejects_a_tolerance_that_is_not_positive(tol):
-    with pytest.raises(ValueError, match=f"^tol must be positive, got {tol}$"):
+    with pytest.raises(ValueError, match=f"^tol must be positive and finite, got {tol}$"):
         check_tol(tol)
 
 

@@ -105,7 +105,7 @@ def test_detect_period_errors():
         detect_period(np.zeros((10, 1)), max_period=8)
     with pytest.raises(ValueError, match="tol"):
         detect_period(np.zeros((40, 1)), tol=0.0)
-    with pytest.raises(ValueError, match="tol must be positive, got nan"):
+    with pytest.raises(ValueError, match="tol must be positive and finite, got nan"):
         detect_period(np.zeros((40, 1)), tol=math.nan)
 
 
@@ -162,7 +162,7 @@ def test_detect_periods_checks_as_detect_period():
         detect_periods(np.zeros((40, 2)))
     with pytest.raises(ValueError, match="orbit too short: 10 points for max_period 8"):
         detect_periods(np.zeros((3, 10, 1)), max_period=8)
-    with pytest.raises(ValueError, match="tol must be positive, got nan"):
+    with pytest.raises(ValueError, match="tol must be positive and finite, got nan"):
         detect_periods(np.zeros((3, 40, 1)), tol=math.nan)
     with pytest.raises(ValueError, match="max_period must be at least 1"):
         detect_periods(np.zeros((3, 40, 1)), max_period=0)
@@ -276,7 +276,7 @@ def test_scan_rejects_diag_vmtoc_on_a_one_dimensional_map():
     ({"max_period": 0}, "max_period must be at least 1"),
     ({"n_transient": -1}, "nonnegative"),
     ({"n_keep": -1}, "nonnegative"),
-    ({"tol": math.nan}, "tol must be positive, got nan"),
+    ({"tol": math.nan}, "tol must be positive and finite, got nan"),
     # a period needs two kept states
     ({"n_keep": 1}, "n_keep must be at least 2 to detect a period, got 1"),
     ({"n_keep": 0}, "n_keep must be at least 2 to detect a period, got 0"),
@@ -616,6 +616,59 @@ def test_fresh_scan_equals_a_lone_orbit_per_point_when_rows_leave(caplog, case):
         assert set(failed) < set(left)  # some rows leave the domain and come back
 
 
+def test_failing_batch_block_runs_once(caplog):
+    # rows of the square overflow within a block, and that block still costs
+    # one batch step per step: the rows that stay keep their states
+    calls = []
+
+    def batch(rows):
+        calls.append(rows.shape[0])
+        return _square(rows)
+
+    model = MapModel(dimension=1, evaluate=_square, evaluate_batch=batch,
+                     domain=DomainSpec.nonnegative_orthant(1))
+    grid = [k / 60 for k in range(1, 60)]
+    left, _ = _assert_scan_runs_each_point_alone(caplog, model, (0.0,), grid, 1.5, 1.9,
+                                                 n_transient=400, n_keep=40)
+    assert len(calls) == 400 + 40
+    assert 0 < len(left) < len(grid) and calls[-1] == len(grid) - len(left)
+
+
+@contextlib.contextmanager
+def _orbit_calls():
+    """Record the intensity and start of every iterate_orbit call."""
+    real, calls = dynamics.iterate_orbit, []
+
+    def spy(model, cfg, x0, *args, **kwargs):
+        calls.append((cfg.intensity, np.asarray(x0).tobytes()))
+        return real(model, cfg, x0, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "iterate_orbit", spy)
+        yield calls
+
+
+@pytest.mark.parametrize("case", ["chained", "plugin", "left"])
+def test_every_lone_grid_point_runs_through_iterate_orbit(case):
+    model, target, lo, hi = _LEAVING_SCANS["lpa"]
+    if case == "plugin":
+        model = MapModel(dimension=3, evaluate=model.evaluate, domain=model.domain)
+    grid, box = [k / 60 for k in range(1, 60)], dynamics.initial_box(lo, hi, 3)
+    with _orbit_calls() as calls, _scan_spies() as (left, _), np.errstate(all="ignore"):
+        records = bifurcation_scan(model, "VMTOC", target, grid, seed=0, init_lo=lo,
+                                   init_hi=hi, n_transient=400, n_keep=40,
+                                   continue_orbits=case == "chained")
+    if case == "chained":
+        # each orbit starts from the last kept state of the one before
+        assert [rec.error for rec in records] == [None] * len(grid)
+        starts = [dynamics.draw_x0(0, 0, *box)] + [rec.points[-1] for rec in records[:-1]]
+    else:
+        starts = [dynamics.draw_x0(0, r, *box) for r in range(len(grid))]
+    alone = left if case == "left" else range(len(grid))
+    assert 0 < len(alone) and (case != "left" or len(left) < len(grid))
+    assert calls == [(grid[r], starts[r].tobytes()) for r in alone]
+
+
 def test_clean_batch_never_runs_a_lone_orbit():
     grid = [k / 60 for k in range(1, 60)]
     with _scan_spies() as (left, alone):
@@ -658,7 +711,7 @@ def _rows_path(model):
         if gone:
             left.append(x.tolist())
             return real_rows(step, x, domain, n_transient, n_keep, strict)
-        return kept[:, 0], None
+        return kept[:, 0]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "controlled_map", controlled)
