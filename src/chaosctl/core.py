@@ -187,10 +187,12 @@ class MapModel:
     ``evaluate_batch``, when given, maps an ``(n, dimension)`` array of
     states to the array of their images and must be row-wise pure: each
     output row depends on its own input row only, never on the other rows
-    or on where the row sits in the batch.  A fresh scan runs its grid
-    points as the rows of one batch through ``evaluate_batch`` when the
-    model has one, and a row that turns non-finite or leaves the domain
-    leaves the batch and runs alone; every other orbit runs alone through
+    or on where the row sits in the batch, and pure, since a row that
+    recurs bit for bit stops being stepped and repeats its cycle.  A fresh
+    scan runs its grid points as the rows of one batch through
+    ``evaluate_batch`` when the model has one; a row that turns non-finite
+    or leaves the domain leaves the batch and runs alone, and the last row
+    in the batch runs on alone.  Every other orbit runs alone through
     ``evaluate``, so the two must agree row for row.
     """
 

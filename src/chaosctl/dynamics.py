@@ -15,10 +15,12 @@ memory stays bounded by two blocks of states whatever the orbit's length.
 The batch loop advances the grid points of a fresh scan of a model with
 ``evaluate_batch`` as the rows of one ``(n, d)`` array, each block once; a
 row whose block holds a non-finite state or leaves the domain leaves the
-batch after that block, and its grid point runs alone.  Scans are
-deterministic: the initial condition for grid index ``i`` comes from an RNG
-stream derived from ``(seed, i)``, so records are bit-identical across
-runs.
+batch after that block, and its grid point runs alone from its start.  A
+row whose last state in a block equals, bit for bit, one of the ``_BLOCK``
+states before it retires and repeats that cycle, and the last row in the
+batch runs on alone from its state and step.  Scans are deterministic:
+the initial condition for grid index ``i`` comes from an RNG stream
+derived from ``(seed, i)``, so records are bit-identical across runs.
 """
 
 from __future__ import annotations
@@ -59,14 +61,18 @@ _BLOCK = 64
 
 
 def _iterate_rows(step, x: np.ndarray, domain: DomainSpec, n_transient: int,
-                  n_keep: int, strict: bool = False):
-    """Advance one state ``x`` ``(d,)`` by ``n_transient + n_keep`` steps of ``step``.
+                  n_keep: int, strict: bool = False, at: int = 0, kept=None):
+    """Run one state ``x`` ``(d,)`` to the end of its ``n_transient + n_keep``-step orbit.
 
-    Returns ``kept``, where ``kept[k]`` is the state after step
-    ``n_transient + k``.  Raises :class:`OrbitError` at the first step that
-    raises ``ValueError`` or ``ArithmeticError``, whose state is not finite
-    or, under ``strict``, that left the domain.  Leaving the domain is
-    otherwise advisory and logged once.
+    ``x`` is the orbit's state after ``at`` steps of ``step``, ``at`` a
+    multiple of ``_BLOCK`` (0 at its start).  Returns ``kept``, where
+    ``kept[k]`` is the state after step ``n_transient + k``; a given
+    ``kept``, an ``(n_keep, d)`` array, gets the states from step ``at``
+    on.  Raises :class:`OrbitError` at the first step that raises
+    ``ValueError`` or ``ArithmeticError``, whose state is not finite or,
+    under ``strict``, that left the domain.  Leaving the domain is
+    otherwise advisory and logged once.  Steps are numbered from the
+    orbit's start, not from ``at``.
 
     The steps run in blocks of ``_BLOCK``, written to a buffer with
     floating-point warnings off and checked as a whole by one finiteness
@@ -88,13 +94,14 @@ def _iterate_rows(step, x: np.ndarray, domain: DomainSpec, n_transient: int,
     at each block end, so memory stays bounded whatever the orbit's length.
     """
     total = n_transient + n_keep
-    kept = np.empty((n_keep,) + x.shape)
+    if kept is None:
+        kept = np.empty((n_keep,) + x.shape)
     ring = np.empty((min(2 * _BLOCK, total),) + x.shape)
     # the steps of the states' bytes, by block, and whether an exit was logged
     seen, older, warned = {}, {}, False
-    for start in range(0, total, _BLOCK):
-        at = start % ring.shape[0]
-        block = ring[at:at + min(_BLOCK, total - start)]
+    for start in range(at, total, _BLOCK):
+        slot = start % ring.shape[0]
+        block = ring[slot:slot + min(_BLOCK, total - start)]
         hit = None
         try:
             with np.errstate(all="ignore"):
@@ -141,47 +148,85 @@ def _iterate_rows(step, x: np.ndarray, domain: DomainSpec, n_transient: int,
     return kept
 
 
-def _iterate_batch(step_for, x: np.ndarray, domain: DomainSpec, n_transient: int,
-                   n_keep: int):
+def _iterate_batch(step_for, lone_for, x: np.ndarray, domain: DomainSpec,
+                   n_transient: int, n_keep: int):
     """Advance each row of ``x`` ``(n, d)`` by ``n_transient + n_keep`` steps.
 
     ``step_for(rows)`` builds the step of the original rows ``rows``, an
-    index array.  Returns ``(kept, left)``: ``kept[k, r]`` is row ``r``
-    after step ``n_transient + k``, and ``left`` lists in ascending order
-    the rows that left the batch, whose kept states are meaningless.  Each
-    block of ``_BLOCK`` steps runs once with floating-point warnings off,
-    is written to ``kept`` for every row in the batch and gets one
+    index array, and ``lone_for(r)`` the single-state step of row ``r``.
+    Returns ``(kept, left, failures)``: ``kept[k, r]`` is row ``r`` after
+    step ``n_transient + k``; ``left`` lists in ascending order the rows
+    that left the batch, whose kept states are meaningless; ``failures``
+    maps a row that failed after it was left alone to its
+    :class:`OrbitError` message.
+
+    The batch runs while it holds at least two rows, in blocks of
+    ``_BLOCK`` steps.  Each block runs once with floating-point warnings
+    off, is written to ``kept`` for every row in the batch and gets one
     finiteness and one domain check.  When that fails, the rows that hold a
-    non-finite or out-of-domain state anywhere in the block leave, and the
-    step is rebuilt over the others, whose states in the block stand: each
-    row's steps depend on that row alone.  Anything a step raises
-    propagates.
+    non-finite or out-of-domain state anywhere in the block leave.  Then
+    every other row whose last state equals, bit for bit, one of the
+    ``_BLOCK`` states before it (the block's and the state it started
+    from) has entered a cycle of the smallest such lag ``p``: the rest of
+    its kept window cycles its last ``p`` states, which passed the check,
+    and the row retires.  The step is rebuilt once over the rows that
+    remain, whose states in the block stand: each row's steps depend on
+    that row alone.  A row left alone in the batch runs on from its state
+    and step through :func:`_iterate_rows`, into its own column of
+    ``kept``, which finds a later failure, step and message, and logs a
+    domain exit, as a lone orbit from its start would.  Anything a batch
+    step raises propagates.
     """
     total = n_transient + n_keep
     kept = np.empty((n_keep,) + x.shape)
-    rows, left = np.arange(x.shape[0]), []
-    step = step_for(rows)
-    for start in range(0, total, _BLOCK):
-        block = np.empty((min(_BLOCK, total - start),) + x.shape)
+    rows, left, done, step = np.arange(x.shape[0]), [], 0, None
+    while done < total and rows.size > 1:
+        if step is None:
+            step = step_for(rows)
+        size = min(_BLOCK, total - done)
+        # the state the block starts from, then the block's states
+        states = np.empty((size + 1,) + x.shape)
+        states[0] = x
+        block = states[1:]
         with np.errstate(all="ignore"):
             y = x
-            for k in range(block.shape[0]):
+            for k in range(size):
                 y = block[k] = np.asarray(step(y), dtype=float)
-        stop = start + block.shape[0]
+        stop = done + size
         if stop > n_transient:
-            first = max(start, n_transient)
-            kept[first - n_transient:stop - n_transient, rows] = block[first - start:]
-        x = y
+            first = max(done, n_transient)
+            kept[first - n_transient:stop - n_transient, rows] = block[first - done:]
+        stay = np.ones(rows.size, dtype=bool)
         if not (math.isfinite(block.sum()) and domain.contains_unchecked(block)):
             # a finite block whose sum overflows has no bad row and passes
-            bad = ~(domain.contains_rows(block) & np.isfinite(block).all(axis=2)).all(axis=0)
-            if bad.any():
-                left += rows[bad].tolist()
-                rows, x = rows[~bad], x[~bad]
-                if not rows.size:
-                    break
-                step = step_for(rows)
-    return kept, sorted(left)
+            stay = (domain.contains_rows(block) & np.isfinite(block).all(axis=2)).all(axis=0)
+            left += rows[~stay].tolist()
+        if stop < total:
+            # bit patterns, so -0.0 is not 0.0; first components alone rule
+            # out most rows that do not recur
+            bits = states.view(np.uint64)
+            maybe = bits[:-1, :, 0] == bits[-1, :, 0]
+            for i in (np.flatnonzero(maybe.any(axis=0) & stay) if maybe.any() else ()):
+                same = (bits[:-1, i] == bits[-1, i]).all(axis=1)
+                if same.any():
+                    # the smallest lag of a match: its p states repeat forever
+                    p = int(same[::-1].argmax()) + 1
+                    rest = np.arange(max(stop, n_transient), total)
+                    kept[rest - n_transient, rows[i]] = block[size - p + (rest - stop) % p, i]
+                    stay[i] = False
+        x = y
+        if not stay.all():
+            rows, x, step = rows[stay], x[stay], None
+        done = stop
+    failures = {}
+    if rows.size == 1 and done < total:
+        r = int(rows[0])
+        try:
+            _iterate_rows(lone_for(r), x[0], domain, n_transient, n_keep, at=done,
+                          kept=kept[:, r])
+        except OrbitError as exc:
+            failures[r] = str(exc)
+    return kept, sorted(left), failures
 
 
 def iterate_orbit(model: MapModel, cfg: Optional[ControlConfig], x0,
@@ -308,10 +353,14 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
     [init_lo, init_hi] by :func:`draw_x0` with ``(seed, index)``;
     ``continue_orbits`` instead chains each orbit from the previous final
     state.  A fresh scan of a model with ``evaluate_batch`` advances all
-    grid points together as the rows of one array, which run every step; a
-    row whose 64-step block holds a non-finite state or leaves the domain
-    leaves the batch after that block, and its grid point runs alone from
-    the same start.  A lone grid point is one :func:`iterate_orbit` call,
+    grid points together as the rows of one array.  At the end of each
+    64-step block a row that holds a non-finite state or left the domain
+    leaves the batch, and its grid point runs alone from the same start; a
+    row whose last state equals, bit for bit, one of the 64 before it
+    retires and repeats that cycle through its kept window.  The last row
+    in the batch runs on alone from its state and step, and a failure there
+    fails its grid point, with the message and log line of a lone orbit
+    from its start.  A lone grid point is one :func:`iterate_orbit` call,
     which fails it (the record's error is the :class:`OrbitError` message)
     or logs its domain exit at the exact step, and stops right after the
     step of its first bitwise recurrence.  Every grid point of a chained
@@ -340,23 +389,26 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
     eff_period = min(max_period, n_keep // 2)
     if not c_grid:
         return []
-    alone = range(len(c_grid))
+
+    def config(r):
+        return ControlConfig(scheme=scheme, intensity=c_grid[r], target=target)
+
+    alone, failures = range(len(c_grid)), {}
     if model.evaluate_batch is not None and not continue_orbits:
         x0 = np.array([draw_x0(seed, r, lo, hi) for r in alone])
         intensities = np.array(c_grid)
-        kept, alone = _iterate_batch(
+        kept, alone, failures = _iterate_batch(
             lambda rows: controlled_rows(model, scheme, target, intensities[rows]),
+            lambda r: controlled_map(model, config(r)).evaluate,
             x0, model.domain, n_transient, n_keep)
         points = np.ascontiguousarray(kept.transpose(1, 0, 2))
     else:
         points = np.empty((len(c_grid), n_keep, dim))
-    failures = {}
     for r in alone:
         if r == 0 or not continue_orbits:
             x0 = draw_x0(seed, r, lo, hi)
-        cfg = ControlConfig(scheme=scheme, intensity=c_grid[r], target=target)
         try:
-            points[r] = iterate_orbit(model, cfg, x0, n_transient, n_keep)
+            points[r] = iterate_orbit(model, config(r), x0, n_transient, n_keep)
         except OrbitError as exc:
             failures[r] = str(exc)
         else:

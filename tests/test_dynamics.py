@@ -512,29 +512,33 @@ def test_scan_row_failing_in_first_block_leaves_other_rows_exact():
 
 # A fresh scan of a model with evaluate_batch runs its grid points as the
 # rows of one batch; a row whose block holds a non-finite state or leaves
-# the domain leaves the batch, and its grid point runs alone.  The oracle is
-# one iterate_orbit per grid point from the start that draw_x0 gives it.
+# the domain leaves the batch, and its grid point runs alone from its start.
+# A row that recurs retires, and the last row in the batch runs on alone.
+# The oracle is one iterate_orbit per grid point from the start that
+# draw_x0 gives it.
 
 
 @contextlib.contextmanager
 def _scan_spies():
-    """Record the rows that leave each batch and the start of each lone orbit."""
-    real_batch, real_rows = dynamics._iterate_batch, dynamics._iterate_rows
-    left, alone = [], []
+    """Record the rows that leave each batch, the rows that fail after they
+    were left alone in it, and the start of each lone orbit."""
+    real_batch, real_orbit = dynamics._iterate_batch, dynamics.iterate_orbit
+    left, failed, alone = [], {}, []
 
     def batch(*args):
-        kept, rows = real_batch(*args)
+        kept, rows, failures = real_batch(*args)
         left.extend(rows)
-        return kept, rows
+        failed.update(failures)
+        return kept, rows, failures
 
-    def rows(step, x, *args):
-        alone.append(x.tobytes())
-        return real_rows(step, x, *args)
+    def orbit(model, cfg, x0, *args):
+        alone.append(np.asarray(x0).tobytes())
+        return real_orbit(model, cfg, x0, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "_iterate_batch", batch)
-        mp.setattr(dynamics, "_iterate_rows", rows)
-        yield left, alone
+        mp.setattr(dynamics, "iterate_orbit", orbit)
+        yield left, failed, alone
 
 
 def _assert_scan_runs_each_point_alone(caplog, model, target, grid, lo, hi, n_transient,
@@ -543,7 +547,7 @@ def _assert_scan_runs_each_point_alone(caplog, model, target, grid, lo, hi, n_tr
     per grid point; returns the rows that left the batch and the records."""
     box = dynamics.initial_box(lo, hi, model.dimension)
     with caplog.at_level(logging.WARNING, logger="chaosctl.dynamics"), _scan_spies() as (
-            left, alone), np.errstate(all="ignore"):
+            left, failed, alone), np.errstate(all="ignore"):
         records = bifurcation_scan(model, "VMTOC", target, grid, seed=0, init_lo=lo,
                                    init_hi=hi, n_transient=n_transient, n_keep=n_keep)
     scan_lines = _exit_lines(caplog)
@@ -558,7 +562,7 @@ def _assert_scan_runs_each_point_alone(caplog, model, target, grid, lo, hi, n_tr
             try:
                 orbit = iterate_orbit(model, cfg, starts[r], n_transient, n_keep)
             except OrbitError as exc:
-                assert r in left
+                assert r in left or r in failed
                 assert (rec.error, rec.periods) == (str(exc), (None,) * model.dimension)
                 assert rec.points.shape == (0, model.dimension)
             else:
@@ -617,8 +621,11 @@ def test_fresh_scan_equals_a_lone_orbit_per_point_when_rows_leave(caplog, case):
 
 
 def test_failing_batch_block_runs_once(caplog):
-    # rows of the square overflow within a block, and that block still costs
-    # one batch step per step: the rows that stay keep their states
+    # rows of the square overflow within the first block, which still costs
+    # one batch step per step: the rows that stay keep their states.  Rows
+    # leave or retire only at block ends, so the batch never grows and
+    # changes size only after a multiple of _B steps.  Toward 0 every other
+    # row reaches 0 within the first block; toward 1 some run on.
     calls = []
 
     def batch(rows):
@@ -628,10 +635,16 @@ def test_failing_batch_block_runs_once(caplog):
     model = MapModel(dimension=1, evaluate=_square, evaluate_batch=batch,
                      domain=DomainSpec.nonnegative_orthant(1))
     grid = [k / 60 for k in range(1, 60)]
-    left, _ = _assert_scan_runs_each_point_alone(caplog, model, (0.0,), grid, 1.5, 1.9,
-                                                 n_transient=400, n_keep=40)
-    assert len(calls) == 400 + 40
-    assert 0 < len(left) < len(grid) and calls[-1] == len(grid) - len(left)
+    for target in (0.0, 1.0):
+        calls.clear()
+        caplog.clear()
+        left, _ = _assert_scan_runs_each_point_alone(caplog, model, (target,), grid, 1.5, 1.9,
+                                                     n_transient=400, n_keep=40)
+        assert 0 < len(left) < len(grid)
+        assert calls[:_B] == [len(grid)] * _B and len(calls) < 400 + 40
+        assert all(b <= a for a, b in zip(calls, calls[1:]))
+        assert all(k % _B == 0 for k in range(1, len(calls)) if calls[k] != calls[k - 1])
+    assert len(calls) > _B and calls[-1] < len(grid) - len(left)
 
 
 @contextlib.contextmanager
@@ -654,7 +667,7 @@ def test_every_lone_grid_point_runs_through_iterate_orbit(case):
     if case == "plugin":
         model = MapModel(dimension=3, evaluate=model.evaluate, domain=model.domain)
     grid, box = [k / 60 for k in range(1, 60)], dynamics.initial_box(lo, hi, 3)
-    with _orbit_calls() as calls, _scan_spies() as (left, _), np.errstate(all="ignore"):
+    with _orbit_calls() as calls, _scan_spies() as (left, _, _), np.errstate(all="ignore"):
         records = bifurcation_scan(model, "VMTOC", target, grid, seed=0, init_lo=lo,
                                    init_hi=hi, n_transient=400, n_keep=40,
                                    continue_orbits=case == "chained")
@@ -671,11 +684,153 @@ def test_every_lone_grid_point_runs_through_iterate_orbit(case):
 
 def test_clean_batch_never_runs_a_lone_orbit():
     grid = [k / 60 for k in range(1, 60)]
-    with _scan_spies() as (left, alone):
+    with _scan_spies() as (left, _, alone):
         records = bifurcation_scan(lpa_map(), "VMTOC", _LEAVING_SCANS["lpa"][1], grid, seed=1,
                                    n_transient=400, n_keep=40)
     assert (left, alone) == ([], [])
     assert all(rec.error is None for rec in records)
+
+
+# --- rows that recur retire; the last row runs on alone ----------------------
+
+# At each block end a batch row whose last state equals, bit for bit, one of
+# the _B states before it retires and cycles its last p states through the
+# rest of its kept window.  A row left alone in the batch runs on through
+# the lone loop from its state and step.  The oracle is still one
+# iterate_orbit per grid point from its start.
+
+
+def _cycles(kind="count"):
+    """Rows ``(v, p)``: ``v`` counts up by one to the cycle 0, 1, ..., p - 1,
+    so a row with ``p = _NEVER`` does not recur within any test's steps.
+    With ``kind`` "diverge" an input ``v`` of _LIMIT or more maps to inf;
+    with "leave" the box caps ``v`` at _LIMIT."""
+    def batch(rows):
+        v, p = rows[:, 0], rows[:, 1]
+        out = np.where(v < p - 1.0, v + 1.0, 0.0)
+        if kind == "diverge":
+            out = np.where(v < _LIMIT, out, np.inf)
+        return np.stack([out, p], axis=1)
+
+    top = _LIMIT if kind == "leave" else math.inf
+    return MapModel(dimension=2, evaluate=lambda x: batch(x[None, :])[0], evaluate_batch=batch,
+                    domain=DomainSpec.box([-math.inf] * 2, [top, math.inf]))
+
+
+_NEVER = 1e9
+
+
+def _cycle_start(period, step):
+    """The start of a ``_cycles`` row that first recurs at ``step``, with ``period``."""
+    return np.array([period - step - 1.0, period])
+
+
+@contextlib.contextmanager
+def _batch_rows(model):
+    """``model`` with a spy on its batch: the row count of every call, and
+    the start step of every lone run a batch hands its last row to."""
+    calls, handed = [], []
+    real_rows = dynamics._iterate_rows
+
+    def batch(rows):
+        calls.append(rows.shape[0])
+        return model.evaluate_batch(rows)
+
+    def rows(step, x, *args, **kwargs):
+        if kwargs.get("kept") is not None:
+            handed.append(kwargs["at"])
+        return real_rows(step, x, *args, **kwargs)
+
+    spied = MapModel(dimension=model.dimension, evaluate=model.evaluate,
+                     evaluate_batch=batch, domain=model.domain)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_iterate_rows", rows)
+        yield spied, calls, handed
+
+
+# (period, first recurrence step): periods 1, 2 and 7 recur in the first
+# block, at its last step and in the next block; a cycle of period _B
+# matches the state its block started from
+_RECURRING_ROWS = ([(p, s) for p in (1, 2, 7) for s in (3, _B - 1, _B, _B + 1)]
+                   + [(_B, s) for s in (_B, _B + 1, 2 * _B - 1)])
+
+
+@pytest.mark.parametrize("n_transient, n_keep",
+                         [(3 * _B + 5, 20), (5, 3 * _B), (0, 3 * _B + 7)],
+                         ids=["in-transient", "in-kept-window", "no-transient"])
+def test_recurring_batch_rows_retire_and_equal_a_lone_orbit(monkeypatch, caplog, n_transient,
+                                                            n_keep):
+    # two counters that never recur keep the batch going to the last step
+    starts = [_cycle_start(p, s) for p, s in _RECURRING_ROWS] + [np.array([0.0, _NEVER])] * 2
+    monkeypatch.setattr(dynamics, "draw_x0", lambda seed, r, lo, hi: starts[r])
+    with _batch_rows(_cycles()) as (model, calls, handed):
+        left, records = _assert_scan_runs_each_point_alone(
+            caplog, model, (0.0, 0.0), [0.0] * len(starts), 0.0, 0.0, n_transient, n_keep)
+    assert left == [] and handed == []
+    # a row retires at the first block end at or after its first recurrence
+    total = n_transient + n_keep
+    assert calls == [2 + sum(s >= u // _B * _B for _, s in _RECURRING_ROWS)
+                     for u in range(total)]
+
+
+def test_signed_zero_batch_row_recurs_with_period_two(caplog):
+    # -x from 0 runs -0.0, 0.0, -0.0, ...: equal as numbers, not as bits.
+    # With the target -0.0, c*T is -0.0, which keeps the sign of any zero
+    # added to it, so every row alternates; the kept window starts at an
+    # odd step.
+    with _batch_rows(MapModel(dimension=1, evaluate=lambda x: -x, evaluate_batch=lambda r: -r,
+                              domain=DomainSpec.full_space(1))) as (model, calls, handed):
+        _, records = _assert_scan_runs_each_point_alone(
+            caplog, model, (-0.0,), [0.0, 0.5, 0.9], 0.0, 0.0, 2 * _B + 3, 6)
+    # the tolerance test sees period 1
+    for rec in records:
+        assert np.signbit(rec.points[:, 0]).tolist() == [False, True] * 3
+        assert rec.periods == (1,)
+    assert (calls, handed) == ([3] * _B, [])
+
+
+@pytest.mark.parametrize("kind", ["count", "leave", "diverge"])
+def test_last_batch_row_runs_on_alone_from_its_step(monkeypatch, caplog, kind):
+    # the cycles retire after the first and second blocks, so the counter
+    # runs on alone from step 2 * _B, inside the kept window; there it leaves
+    # the box or diverges at step `late`
+    late = 2 * _B + 7
+    starts = [_cycle_start(1, 3), _cycle_start(2, _B + 1),
+              np.array([0.0 if kind == "count" else _LIMIT - late, _NEVER])]
+    monkeypatch.setattr(dynamics, "draw_x0", lambda seed, r, lo, hi: starts[r])
+    with _batch_rows(_cycles(kind)) as (model, calls, handed):
+        left, records = _assert_scan_runs_each_point_alone(
+            caplog, model, (0.0, 0.0), [0.0] * 3, 0.0, 0.0, n_transient=5, n_keep=3 * _B)
+    assert left == [] and handed == [2 * _B]
+    assert calls == [3] * _B + [2] * _B
+    # the oracle's lines, which equal the scan's
+    assert _exit_lines(caplog) == (
+        [f"orbit left the domain at step {late} (advisory)"] if kind == "leave" else [])
+    assert records[2].error == (f"non-finite state at step {late}" if kind == "diverge" else None)
+
+
+def test_one_point_fresh_scan_runs_alone_from_its_start():
+    with _batch_rows(lpa_map()) as (model, calls, handed):
+        (record,) = bifurcation_scan(model, "VMTOC", _K, [0.1], seed=3, n_transient=300,
+                                     n_keep=40)
+    assert (calls, handed) == ([], [0])
+    x0 = dynamics.draw_x0(3, 0, np.zeros(3), np.full(3, 50.0))
+    _assert_same_bytes(record.points, iterate_orbit(model, ControlConfig("VMTOC", 0.1, _K),
+                                                    x0, 300, 40))
+
+
+def test_scan_fresh_grid_retires_its_rows_early():
+    # the benchmark's 29-point grid toward (30, 30, 200): every row but the
+    # chaotic ones recurs, and the batch stops well before the last step
+    grid = [k / 300 for k in range(10, 300, 10)]
+    target = (30.0, 30.0, 200.0)
+    with _batch_rows(lpa_map()) as (model, calls, handed):
+        records = bifurcation_scan(model, "VMTOC", target, grid, seed=123)
+    assert len(calls) < 3000 + 50 and handed == [len(calls)]
+    for r, (c, rec) in enumerate(zip(grid, records)):
+        x0 = dynamics.draw_x0(123, r, np.zeros(3), np.full(3, 50.0))
+        _assert_same_bytes(rec.points, iterate_orbit(model, ControlConfig("VMTOC", c, target),
+                                                     x0, 3000, 50))
 
 
 # --- one-row orbits -----------------------------------------------------------
@@ -693,9 +848,10 @@ def _one_row_model(kind, dim):
 
 @contextlib.contextmanager
 def _rows_path(model):
-    """Run every lone orbit of ``model``, controlled or not, as a (1, d) batch
-    of the batch loop; an orbit whose row leaves its batch runs alone, as in
-    a scan.  Yields the list of the orbits that left, by their start."""
+    """Run every lone orbit of ``model``, controlled or not, as a batch of
+    two equal rows of the batch loop, so that neither is ever left alone in
+    it; an orbit whose rows leave their batch runs alone, as in a scan.
+    Yields the list of the orbits that left, by their start."""
     real_map, real_rows = dynamics.controlled_map, dynamics._iterate_rows
     rows_of = {model.evaluate: model.evaluate_rows}
     left = []
@@ -706,8 +862,9 @@ def _rows_path(model):
         return g
 
     def rows(step, x, domain, n_transient, n_keep, strict=False):
-        kept, gone = dynamics._iterate_batch(lambda _: rows_of[step], x[None, :], domain,
-                                             n_transient, n_keep)
+        kept, gone, _ = dynamics._iterate_batch(lambda _: rows_of[step], None,
+                                                np.array([x, x]), domain, n_transient,
+                                                n_keep)
         if gone:
             left.append(x.tolist())
             return real_rows(step, x, domain, n_transient, n_keep, strict)
