@@ -15,6 +15,7 @@ are shared so the reduction is bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, mul
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -105,9 +106,30 @@ def _pull(c, target: np.ndarray):
     return pull
 
 
+def _controlled_floats(f, scheme: str, c, t: np.ndarray):
+    """The float step of the controlled map, from the float step ``f`` of
+    the base model: the pull toward ``t`` before ``f`` or after it, as in
+    :func:`_controlled`.  ``c`` is a scalar or a ``(d,)`` vector.  The pull
+    of component j is ``ct[j] + keep[j]*y[j]``, with c*T and 1-c computed
+    as :func:`_pull` computes them, so each component is bitwise the array
+    pull's."""
+    ct, keep = (c * t).tolist(), 1.0 - c
+    keep = keep.tolist() if isinstance(keep, np.ndarray) else [keep] * len(ct)
+
+    if scheme in ("VTOC", "PF"):
+        def evaluate_floats(x):
+            return f(tuple(map(add, ct, map(mul, keep, x))))
+    else:
+        def evaluate_floats(x):
+            return tuple(map(add, ct, map(mul, keep, f(x))))
+
+    return evaluate_floats
+
+
 def _checked_target(model: MapModel, cfg: ControlConfig) -> np.ndarray:
     t = cfg.target_vector(model.dimension)
-    if cfg.scheme not in _TARGETLESS and not model.domain.contains(t):
+    # target_vector has checked that t is a finite vector of the right length
+    if cfg.scheme not in _TARGETLESS and not model.domain.contains_unchecked(t):
         raise ControlConfigError("target", "target outside the model domain")
     return t
 
@@ -156,20 +178,24 @@ def apply_control(model: MapModel, cfg: ControlConfig, x) -> np.ndarray:
 def controlled_map(model: MapModel, cfg: ControlConfig) -> MapModel:
     """Wrap ``model`` into the controlled self-map of the same domain.
 
-    The wrapped model evaluates single states, and batches of states when
-    the base model does.  The analytic Jacobian is chained through when the
-    base model has one; otherwise the wrapped model falls back to finite
-    differences.
+    The wrapped model evaluates single states, batches of states when the
+    base model does, and tuples of floats when the base model does, bitwise
+    as ``evaluate`` of the wrapped model.  The analytic Jacobian is chained
+    through when the base model has one; otherwise the wrapped model falls
+    back to finite differences.
     """
     dim = model.dimension
     t = _checked_target(model, cfg)
     c = cfg.intensity if cfg.is_scalar else cfg.intensity_vector(dim)
     evaluate, evaluate_batch, jacobian = _controlled(model, cfg.scheme, c, t)
     name = f"{cfg.scheme}({model.name})" if model.name else cfg.scheme
+    f_floats = model.evaluate_floats
     return MapModel(dimension=dim, evaluate=evaluate, domain=model.domain,
                     jacobian=jacobian if model.jacobian is not None else None,
                     name=name,
-                    evaluate_batch=evaluate_batch if model.evaluate_batch is not None else None)
+                    evaluate_batch=evaluate_batch if model.evaluate_batch is not None else None,
+                    evaluate_floats=(None if f_floats is None
+                                     else _controlled_floats(f_floats, cfg.scheme, c, t)))
 
 
 def controlled_rows(model: MapModel, scheme: str, target, intensities):

@@ -188,12 +188,21 @@ class MapModel:
     states to the array of their images and must be row-wise pure: each
     output row depends on its own input row only, never on the other rows
     or on where the row sits in the batch, and pure, since a row that
-    recurs bit for bit stops being stepped and repeats its cycle.  A fresh
-    scan runs its grid points as the rows of one batch through
+    recurs bit for bit stops being stepped and repeats its cycle.
+    ``evaluate_floats``, when given, maps a tuple of ``dimension`` Python
+    floats to the tuple of its image's components, and must equal
+    ``evaluate`` bit for bit (``-0.0``, infinities and NaN included); a
+    lone orbit then steps on tuples through it, which skips most of the
+    numpy call overhead of ``evaluate``.
+
+    A fresh scan runs its grid points as the rows of one batch through
     ``evaluate_batch`` when the model has one; a row that turns non-finite
-    or leaves the domain leaves the batch and runs alone, and the last row
-    in the batch runs on alone.  Every other orbit runs alone through
-    ``evaluate``, so the two must agree row for row.
+    or leaves the domain leaves the batch and runs alone.  The rows left
+    in the batch run on alone once there are few of them: at most six when
+    the model has ``evaluate_floats``, else the last one.
+    Every other orbit runs alone, through ``evaluate_floats`` when the
+    model has one and through ``evaluate`` otherwise, so all of them must
+    agree row for row.
     """
 
     dimension: int
@@ -202,6 +211,7 @@ class MapModel:
     jacobian: Optional[Callable] = None
     name: str = ""
     evaluate_batch: Optional[Callable] = None
+    evaluate_floats: Optional[Callable] = None
 
     def __post_init__(self):
         if self.dimension != self.domain.dim:

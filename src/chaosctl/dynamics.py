@@ -12,13 +12,17 @@ at the exact step of its first recurrence: once a state equals, bit for
 bit, a state of its current or previous block, the rest of the orbit
 repeats that cycle.  Every period up to ``_BLOCK`` is caught there, and
 memory stays bounded by two blocks of states whatever the orbit's length.
-The batch loop advances the grid points of a fresh scan of a model with
-``evaluate_batch`` as the rows of one ``(n, d)`` array, each block once; a
-row whose block holds a non-finite state or leaves the domain leaves the
-batch after that block, and its grid point runs alone from its start.  A
-row whose last state in a block equals, bit for bit, one of the ``_BLOCK``
-states before it retires and repeats that cycle, and the last row in the
-batch runs on alone from its state and step.  Scans are deterministic:
+The lone loop steps on tuples of Python floats when the map has
+``evaluate_floats``, which equals ``evaluate`` bit for bit, and on arrays
+otherwise.  The batch loop advances the grid points of a fresh scan of a
+model with ``evaluate_batch`` as the rows of one ``(n, d)`` array, each
+block once; a row whose block holds a non-finite state or leaves the
+domain leaves the batch after that block, and its grid point runs alone
+from its start.  A row whose last state in a block equals, bit for bit,
+one of the ``_BLOCK`` states before it retires and repeats that cycle.
+Once the batch holds at most ``_HANDOFF`` rows, for a model with
+``evaluate_floats``, or one row otherwise, each row left runs on alone
+from its state and step.  Scans are deterministic:
 the initial condition for grid index ``i`` comes from an RNG stream
 derived from ``(seed, i)``, so records are bit-identical across runs.
 """
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import logging
 import math
+import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -59,70 +64,103 @@ def _check_lengths(n_transient: int, n_keep: int) -> None:
 # cost little per step, short enough that a failing block's replay is cheap.
 _BLOCK = 64
 
+# The most rows a fresh batch of a model with a float step holds before it
+# hands them all to the lone loop.  Numpy call overhead dominates a batch
+# step, so it costs about the same for 1 row as for 29: 18 us for a
+# controlled LPA batch step, against 3.6 us for a lone controlled float
+# step, loop included (one pinned core of a 2-vCPU Xeon VM, Python 3.11,
+# numpy 2.4).  On the 29-point LPA VMTOC grid k/300, k = 10, 20, ..., 290,
+# toward K, (30,30,200), (30,200,30) and (200,30,30) at four seeds, the
+# batch and lone steps counted at each threshold, priced at those costs,
+# give 41 ms per scan when only the last row is handed off, 29-30 ms from
+# 5 to 8 rows and 31 ms at 12.  A Ricker batch step costs only about three
+# lone steps, so six Ricker rows that never recur run up to twice as long
+# alone; fresh 149-point delay-2 Ricker VMTOC scans toward (1, 3) from
+# [0, 3] never got down to 12 rows.
+_HANDOFF = 6
 
-def _iterate_rows(step, x: np.ndarray, domain: DomainSpec, n_transient: int,
-                  n_keep: int, strict: bool = False, at: int = 0, kept=None):
-    """Run one state ``x`` ``(d,)`` to the end of its ``n_transient + n_keep``-step orbit.
 
-    ``x`` is the orbit's state after ``at`` steps of ``step``, ``at`` a
-    multiple of ``_BLOCK`` (0 at its start).  Returns ``kept``, where
-    ``kept[k]`` is the state after step ``n_transient + k``; a given
-    ``kept``, an ``(n_keep, d)`` array, gets the states from step ``at``
-    on.  Raises :class:`OrbitError` at the first step that raises
-    ``ValueError`` or ``ArithmeticError``, whose state is not finite or,
-    under ``strict``, that left the domain.  Leaving the domain is
-    otherwise advisory and logged once.  Steps are numbered from the
-    orbit's start, not from ``at``.
+def _iterate_rows(g: MapModel, x: np.ndarray, n_transient: int, n_keep: int,
+                  strict: bool = False, at: int = 0, kept=None):
+    """Run one state ``x`` ``(d,)`` of the map ``g`` to the end of its
+    ``n_transient + n_keep``-step orbit.
 
-    The steps run in blocks of ``_BLOCK``, written to a buffer with
-    floating-point warnings off and checked as a whole by one finiteness
-    and one domain check.  A block that fails its check, or whose step
-    raises, is replayed from its start state one checked step at a time,
-    which finds the failure, logs the exit and raises each floating-point
-    warning as a step-by-step loop would; steps are pure, so the replay
-    recomputes the block's states exactly.
+    ``x`` is the orbit's state after ``at`` steps, ``at`` a multiple of
+    ``_BLOCK`` (0 at its start).  Returns ``kept``, where ``kept[k]`` is the
+    state after step ``n_transient + k``; a given ``kept``, an
+    ``(n_keep, d)`` array, gets the states from step ``at`` on.  Raises
+    :class:`OrbitError` at the first step that raises ``ValueError`` or
+    ``ArithmeticError``, whose state is not finite or, under ``strict``,
+    that left the domain.  Leaving the domain is otherwise advisory and
+    logged once.  Steps are numbered from the orbit's start, not from
+    ``at``.
+
+    The steps run in blocks of ``_BLOCK`` with floating-point warnings off,
+    on tuples of floats through ``g.evaluate_floats`` when ``g`` has one and
+    on arrays through ``g.evaluate`` otherwise.  Each block becomes one
+    array, which one finiteness and one domain check test as a whole and
+    which fills the kept window.  A block that fails its check, or whose
+    step raises, is replayed from its start state one checked step at a
+    time through ``g.evaluate``, which finds the failure, logs the exit and
+    raises each floating-point warning as a step-by-step loop would; steps
+    are pure, and the float step equals ``evaluate`` bit for bit, so the
+    replay recomputes the block's states exactly.
 
     The orbit stops at its first exact recurrence: right after the first
     step whose state equals, bit for bit (``-0.0`` is not ``0.0``), a state
     of its current or previous block, ``p`` steps earlier.  If the block so
     far passes its check, the rest of ``kept`` cycles those ``p`` states
-    without calling ``step`` again, which gives the result, failure and log
+    without calling a step again, which gives the result, failure and log
     lines of the full run; otherwise the block is replayed and the
     recurrence dropped.  Every period up to ``_BLOCK`` is caught at its
-    first recurrence.  The two blocks' states sit in a ring buffer, state
-    ``u`` at ``u % (2 * _BLOCK)``, and their bytes in two dicts that rotate
-    at each block end, so memory stays bounded whatever the orbit's length.
+    first recurrence.  A state's key is its packed bytes, which are also
+    the block's array, and the keys sit in two dicts that rotate at each
+    block end, so memory stays bounded by two blocks whatever the orbit's
+    length.
     """
-    total = n_transient + n_keep
+    total, d, domain = n_transient + n_keep, x.shape[0], g.domain
     if kept is None:
-        kept = np.empty((n_keep,) + x.shape)
-    ring = np.empty((min(2 * _BLOCK, total),) + x.shape)
-    # the steps of the states' bytes, by block, and whether an exit was logged
-    seen, older, warned = {}, {}, False
+        kept = np.empty((n_keep, d))
+
+    def evaluate(y):
+        return np.asarray(g.evaluate(y), dtype=float)
+
+    if g.evaluate_floats is None:
+        step, key_of, state_of = evaluate, np.ndarray.tobytes, np.asarray
+    else:
+        pack = struct.Struct(f"{d}d").pack
+        step, state_of = g.evaluate_floats, _floats
+
+        def key_of(y):
+            return pack(*y)
+
+    x = state_of(x)
+    # the steps of the states' bytes, by block, the previous block's states,
+    # and whether an exit was logged
+    seen, older, before, warned = {}, {}, None, False
     for start in range(at, total, _BLOCK):
-        slot = start % ring.shape[0]
-        block = ring[slot:slot + min(_BLOCK, total - start)]
-        hit = None
+        size = min(_BLOCK, total - start)
+        keys, hit = [], None
         try:
             with np.errstate(all="ignore"):
-                y = x
-                for k in range(block.shape[0]):
-                    y = block[k] = np.asarray(step(y), dtype=float)
-                    key = y.tobytes()
-                    u = seen.get(key, older.get(key))
-                    if u is not None:
-                        hit = start + k, start + k - u
+                y, append = x, keys.append
+                for i in range(start, start + size):
+                    y = step(y)
+                    key = key_of(y)
+                    append(key)
+                    if key in seen or key in older:
+                        hit = i, i - seen.get(key, older.get(key))
                         break
-                    seen[key] = start + k
-            done = block[:k + 1]
-            ok = math.isfinite(done.sum()) and (warned or domain.contains_unchecked(done))
+                    seen[key] = i
+            block = np.frombuffer(b"".join(keys)).reshape(-1, d)
+            ok = math.isfinite(block.sum()) and (warned or domain.contains_unchecked(block))
         except (ValueError, ArithmeticError):
             ok = False
         if not ok:
-            hit, y = None, x
-            for i in range(start, start + block.shape[0]):
+            hit, y, block = None, np.array(x, dtype=float), np.empty((size, d))
+            for i in range(start, start + size):
                 try:
-                    y = np.asarray(step(y), dtype=float)
+                    y = evaluate(y)
                 except (ValueError, ArithmeticError) as exc:
                     raise OrbitError(f"evaluation failed at step {i}: {type(exc).__name__}: {exc}", i)
                 if not np.all(np.isfinite(y)):
@@ -133,34 +171,42 @@ def _iterate_rows(step, x: np.ndarray, domain: DomainSpec, n_transient: int,
                     log.warning("orbit left the domain at step %d (advisory)", i)
                     warned = True
                 block[i - start] = y
+            y = state_of(y)
         x = y
-        stop = start + block.shape[0] if hit is None else hit[0] + 1
+        stop = start + block.shape[0]
         if stop > n_transient:
             first = max(start, n_transient)
-            kept[first - n_transient:stop - n_transient] = block[first - start:stop - start]
+            kept[first - n_transient:stop - n_transient] = block[first - start:]
         if hit is not None:
-            # the p states up to the recurrence repeat forever
-            t, p = hit
+            # the p states up to the recurrence repeat forever; they lie in
+            # this block and the one before
+            p = hit[1]
+            cycle = (block if p <= block.shape[0] else np.concatenate([before, block]))[-p:]
             rest = np.arange(max(stop, n_transient), total)
-            kept[rest - n_transient] = ring[(t - p + 1 + (rest - stop) % p) % ring.shape[0]]
+            kept[rest - n_transient] = cycle[(rest - stop) % p]
             return kept
-        seen, older = {}, seen
+        seen, older, before = {}, seen, block
     return kept
 
 
+def _floats(x: np.ndarray) -> tuple:
+    """The float state ``x`` ``(d,)`` as the tuple of its components."""
+    return tuple(x.tolist())
+
+
 def _iterate_batch(step_for, lone_for, x: np.ndarray, domain: DomainSpec,
-                   n_transient: int, n_keep: int):
+                   n_transient: int, n_keep: int, handoff: int = 1):
     """Advance each row of ``x`` ``(n, d)`` by ``n_transient + n_keep`` steps.
 
     ``step_for(rows)`` builds the step of the original rows ``rows``, an
-    index array, and ``lone_for(r)`` the single-state step of row ``r``.
+    index array, and ``lone_for(r)`` the map of row ``r`` alone.
     Returns ``(kept, left, failures)``: ``kept[k, r]`` is row ``r`` after
     step ``n_transient + k``; ``left`` lists in ascending order the rows
     that left the batch, whose kept states are meaningless; ``failures``
     maps a row that failed after it was left alone to its
     :class:`OrbitError` message.
 
-    The batch runs while it holds at least two rows, in blocks of
+    The batch runs while it holds more than ``handoff`` rows, in blocks of
     ``_BLOCK`` steps.  Each block runs once with floating-point warnings
     off, is written to ``kept`` for every row in the batch and gets one
     finiteness and one domain check.  When that fails, the rows that hold a
@@ -171,8 +217,8 @@ def _iterate_batch(step_for, lone_for, x: np.ndarray, domain: DomainSpec,
     its kept window cycles its last ``p`` states, which passed the check,
     and the row retires.  The step is rebuilt once over the rows that
     remain, whose states in the block stand: each row's steps depend on
-    that row alone.  A row left alone in the batch runs on from its state
-    and step through :func:`_iterate_rows`, into its own column of
+    that row alone.  Then each row left in the batch runs on alone from its
+    state and step through :func:`_iterate_rows`, into its own column of
     ``kept``, which finds a later failure, step and message, and logs a
     domain exit, as a lone orbit from its start would.  Anything a batch
     step raises propagates.
@@ -180,7 +226,7 @@ def _iterate_batch(step_for, lone_for, x: np.ndarray, domain: DomainSpec,
     total = n_transient + n_keep
     kept = np.empty((n_keep,) + x.shape)
     rows, left, done, step = np.arange(x.shape[0]), [], 0, None
-    while done < total and rows.size > 1:
+    while done < total and rows.size > handoff:
         if step is None:
             step = step_for(rows)
         size = min(_BLOCK, total - done)
@@ -219,11 +265,9 @@ def _iterate_batch(step_for, lone_for, x: np.ndarray, domain: DomainSpec,
             rows, x, step = rows[stay], x[stay], None
         done = stop
     failures = {}
-    if rows.size == 1 and done < total:
-        r = int(rows[0])
+    for i, r in enumerate(rows.tolist() if done < total else ()):
         try:
-            _iterate_rows(lone_for(r), x[0], domain, n_transient, n_keep, at=done,
-                          kept=kept[:, r])
+            _iterate_rows(lone_for(r), x[i], n_transient, n_keep, at=done, kept=kept[:, r])
         except OrbitError as exc:
             failures[r] = str(exc)
     return kept, sorted(left), failures
@@ -233,22 +277,22 @@ def iterate_orbit(model: MapModel, cfg: Optional[ControlConfig], x0,
                   n_transient: int, n_keep: int, strict: bool = False) -> np.ndarray:
     """Iterate the (controlled) map and return the last ``n_keep`` states.
 
-    Runs ``n_transient + n_keep`` steps from ``x0`` through the single-state
-    ``evaluate``; ``evaluate_batch`` is never called.  An orbit whose state
-    recurs bit for bit stops calling ``evaluate`` right after the step of
-    its first recurrence and repeats its cycle, which gives the same states,
-    because ``evaluate`` is pure.  Every period up to 64 steps is caught at
-    that step, and memory stays bounded whatever the orbit's length.  A
-    non-finite state, or an evaluation that raises ``ValueError`` or
-    ``ArithmeticError``, raises :class:`OrbitError` with the offending step
-    index.  Domain violations are advisory (logged once per orbit) unless
-    ``strict``.  Every lone orbit runs through here, a scan's lone grid
-    points included.
+    Runs ``n_transient + n_keep`` steps from ``x0`` through the step map's
+    ``evaluate_floats`` when it has one, on tuples of floats, and through
+    its single-state ``evaluate`` otherwise; ``evaluate_batch`` is never
+    called.  An orbit whose state recurs bit for bit stops stepping right
+    after the step of its first recurrence and repeats its cycle, which
+    gives the same states, because the step is pure.  Every period up to
+    64 steps is caught at that step, and memory stays bounded whatever the
+    orbit's length.  A non-finite state, or an evaluation that raises
+    ``ValueError`` or ``ArithmeticError``, raises :class:`OrbitError` with
+    the offending step index.  Domain violations are advisory (logged once
+    per orbit) unless ``strict``.  Every lone orbit runs through here, a
+    scan's lone grid points included.
     """
     _check_lengths(n_transient, n_keep)
     g = _step_map(model, cfg)
-    return _iterate_rows(g.evaluate, as_state(x0, model.dimension), model.domain,
-                         n_transient, n_keep, strict)
+    return _iterate_rows(g, as_state(x0, model.dimension), n_transient, n_keep, strict)
 
 
 def detect_periods(points, tol: float = 1e-5, max_period: int = 32) -> list:
@@ -357,13 +401,14 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
     64-step block a row that holds a non-finite state or left the domain
     leaves the batch, and its grid point runs alone from the same start; a
     row whose last state equals, bit for bit, one of the 64 before it
-    retires and repeats that cycle through its kept window.  The last row
-    in the batch runs on alone from its state and step, and a failure there
-    fails its grid point, with the message and log line of a lone orbit
-    from its start.  A lone grid point is one :func:`iterate_orbit` call,
-    which fails it (the record's error is the :class:`OrbitError` message)
-    or logs its domain exit at the exact step, and stops right after the
-    step of its first bitwise recurrence.  Every grid point of a chained
+    retires and repeats that cycle through its kept window.  Once the batch
+    holds at most six rows, for a model with ``evaluate_floats``, or one
+    row otherwise, each row left runs on alone from its state and step, and
+    a failure there fails its grid point, with the message and log line of
+    a lone orbit from its start.  A lone grid point is one
+    :func:`iterate_orbit` call, which fails it (the record's error is the
+    :class:`OrbitError` message) or logs its domain exit at the exact step,
+    and stops right after the step of its first bitwise recurrence.  Every grid point of a chained
     scan or of a model without ``evaluate_batch`` runs alone, so such a
     model never sees a batch.  Both ways give the same records bit for
     bit.  Once every orbit has run, one :func:`detect_periods` call
@@ -399,8 +444,9 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
         intensities = np.array(c_grid)
         kept, alone, failures = _iterate_batch(
             lambda rows: controlled_rows(model, scheme, target, intensities[rows]),
-            lambda r: controlled_map(model, config(r)).evaluate,
-            x0, model.domain, n_transient, n_keep)
+            lambda r: controlled_map(model, config(r)),
+            x0, model.domain, n_transient, n_keep,
+            _HANDOFF if model.evaluate_floats is not None else 1)
         points = np.ascontiguousarray(kept.transpose(1, 0, 2))
     else:
         points = np.empty((len(c_grid), n_keep, dim))

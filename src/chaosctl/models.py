@@ -8,10 +8,14 @@ Two models ship with the package:
   first-order system via a delay line.
 
 Both expose an analytic Jacobian and self-map the nonnegative orthant.
-Each map has one formula, written with ``numpy`` on the last axis, so it
-takes either one state ``(d,)`` or an ``(n, d)`` array of states: a row of
-a batch is bitwise the image of that row alone.  The models pass the same
-function as ``evaluate`` and ``evaluate_batch``.
+Each map's arithmetic is written once, on the state's components: the
+same expression takes numpy columns, the components of one state ``(d,)``
+or of an ``(n, d)`` array of states, and Python floats.  Its only function
+call is ``np.exp``, which gives a Python float bitwise the value it gives
+an array element, and the rest is IEEE arithmetic, so a row of a batch,
+one state alone and a tuple of floats all have bitwise the same image.
+The models pass the array form as ``evaluate`` and ``evaluate_batch`` and
+the float form as ``evaluate_floats``.
 """
 
 from __future__ import annotations
@@ -63,28 +67,43 @@ def _check_fields(params, rules) -> None:
             raise ParamError(name, f"{name} must {rule}, got {value}")
 
 
-def lpa_eval(p: LpaParams, x, strict: bool = False) -> np.ndarray:
-    """One generation of the LPA map at state (L, P, A).
+def _float_exp(v: float) -> float:
+    """``np.exp`` of a Python float as a Python float: bitwise the value
+    ``np.exp`` gives, and the arithmetic that follows it runs on Python
+    floats, which is faster than on numpy scalars."""
+    return float(np.exp(v))
+
+
+def lpa_step(p: LpaParams, x, exp=np.exp) -> tuple:
+    """One generation of the LPA map on the components (L, P, A) of ``x``.
 
         L' = b*A*exp(-c_el*L - c_ea*A)
         P' = (1 - mu_l)*L
         A' = P*exp(-c_pa*A) + A*(1 - mu_a)
 
-    ``x`` is one state ``(3,)`` or an ``(n, 3)`` array of states.  With
+    The components are numpy columns, or Python floats with ``exp`` set to
+    :func:`_float_exp`; returns the tuple of the image's components.  With
     nonnegative input every exponent argument is <= 0, so the evaluation
-    cannot overflow.  ``strict`` rejects negative components.
+    cannot overflow.
     """
+    # indexing, not unpacking, which would iterate an array slowly
+    L, P, A = x[0], x[1], x[2]
+    return (p.b * A * exp(-p.c_el * L - p.c_ea * A),
+            (1.0 - p.mu_l) * L,
+            P * exp(-p.c_pa * A) + A * (1.0 - p.mu_a))
+
+
+def lpa_eval(p: LpaParams, x, strict: bool = False) -> np.ndarray:
+    """:func:`lpa_step` of one state ``(3,)`` or of an ``(n, 3)`` array of
+    states.  ``strict`` rejects negative components."""
     x = np.asarray(x, dtype=float)
     if strict and np.any(x < 0.0):
         raise ValueError("negative component outside the nonnegative orthant")
-    # the transpose puts the component axis first: for one state L, P and A
-    # are numpy scalars, for a batch they are columns
-    xt, out = x.T, np.empty_like(x)
-    L, P, A = xt[0], xt[1], xt[2]
+    # the transpose puts the component axis first: for one state the
+    # components are numpy scalars, for a batch they are columns
+    out = np.empty_like(x)
     o = out.T
-    o[0] = p.b * A * np.exp(-p.c_el * L - p.c_ea * A)
-    o[1] = (1.0 - p.mu_l) * L
-    o[2] = P * np.exp(-p.c_pa * A) + A * (1.0 - p.mu_a)
+    o[0], o[1], o[2] = lpa_step(p, x.T)
     return out
 
 
@@ -122,11 +141,15 @@ def lpa_map(p: LpaParams | None = None, domain: DomainSpec | None = None) -> Map
     def evaluate(x, _p=p):
         return lpa_eval(_p, x)
 
+    def evaluate_floats(x, _p=p):
+        return lpa_step(_p, x, _float_exp)
+
     def jacobian(x, _p=p):
         return lpa_jacobian(_p, x)
 
     return MapModel(dimension=3, evaluate=evaluate, domain=domain,
-                    jacobian=jacobian, name="lpa", evaluate_batch=evaluate)
+                    jacobian=jacobian, name="lpa", evaluate_batch=evaluate,
+                    evaluate_floats=evaluate_floats)
 
 
 @dataclass(frozen=True)
@@ -145,19 +168,27 @@ class RickerParams:
         object.__setattr__(self, "r", float(self.r))
 
 
-def ricker_eval(p: RickerParams, x) -> np.ndarray:
-    """One step of the lifted delayed Ricker map.
+def ricker_newest(p: RickerParams, x, exp=np.exp):
+    """The newest value of the lifted delayed Ricker map's image.
 
     The state holds the last ``delay`` population values, newest first; the
     update multiplies the newest value by exp(r - oldest) and shifts the
     rest down the delay line, so iterating the lift reproduces the scalar
-    recursion u[n+1] = u[n]*exp(r - u[n-delay+1]).  ``x`` is one state
-    ``(delay,)`` or an ``(n, delay)`` array of states.
+    recursion u[n+1] = u[n]*exp(r - u[n-delay+1]).  This is u[n+1], from
+    the components of ``x``: numpy columns, or Python floats with ``exp``
+    set to :func:`_float_exp`.
     """
+    return x[0] * exp(p.r - x[p.delay - 1])
+
+
+def ricker_eval(p: RickerParams, x) -> np.ndarray:
+    """One step of the lifted delayed Ricker map: :func:`ricker_newest`,
+    then the shifted delay line, for one state ``(delay,)`` or for an
+    ``(n, delay)`` array of states."""
     x = np.asarray(x, dtype=float)
     xt, out = x.T, np.empty_like(x)
     o = out.T
-    o[0] = xt[0] * np.exp(p.r - xt[p.delay - 1])
+    o[0] = ricker_newest(p, xt)
     o[1:] = xt[:-1]
     return out
 
@@ -179,9 +210,13 @@ def ricker_lift(p: RickerParams) -> MapModel:
     def evaluate(x, _p=p):
         return ricker_eval(_p, x)
 
+    def evaluate_floats(x, _p=p):
+        return (ricker_newest(_p, x, _float_exp), *x[:-1])
+
     def jacobian(x, _p=p):
         return ricker_jacobian(_p, x)
 
     return MapModel(dimension=p.delay, evaluate=evaluate,
                     domain=DomainSpec.nonnegative_orthant(p.delay),
-                    jacobian=jacobian, name="ricker", evaluate_batch=evaluate)
+                    jacobian=jacobian, name="ricker", evaluate_batch=evaluate,
+                    evaluate_floats=evaluate_floats)

@@ -16,7 +16,7 @@ from chaosctl import (
     target_for_state,
 )
 from chaosctl.controls import controlled_rows
-from chaosctl.models import LpaParams, lpa_eval, lpa_jacobian
+from chaosctl.models import LpaParams, RickerParams, lpa_eval, lpa_jacobian, lpa_map, ricker_lift
 
 from conftest import LPA_FIXED_POINT
 
@@ -280,3 +280,32 @@ def test_controlled_rows_match_controlled_map_bitwise(lpa, scheme):
 def test_controlled_rows_rejects_before_mapping(lpa, scheme, cs, message):
     with pytest.raises(ValueError, match=message):
         controlled_rows(lpa, scheme, (30.0, 30.0, 200.0), cs)
+
+
+@pytest.mark.parametrize("scheme", ["VMTOC", "VTOC", "PF", "MPF", "DIAG-VMTOC"])
+@pytest.mark.parametrize("model, target", [(lpa_map(), (30.0, 200.0, 30.0)),
+                                           (ricker_lift(RickerParams(r=2.0, delay=3)),
+                                            (1.0, 2.0, 3.0))], ids=["lpa", "ricker-3"])
+def test_controlled_float_step_equals_controlled_evaluate_bitwise(model, target, scheme):
+    d = model.dimension
+    rng = np.random.default_rng(17)
+    intensity = tuple(rng.uniform(0.0, 1.0, d)) if scheme == "DIAG-VMTOC" else 0.37
+    g = controlled_map(model, ControlConfig(scheme, intensity, target))
+    # magnitudes up to 8e5, where exp underflows and overflows, and -0.0
+    rows = rng.uniform(-800.0, 800.0, (3000, d)) * rng.choice([0.0, 1e-3, 1.0, 1e3], (3000, d))
+    rows[::5] = -0.0
+    rows[2::5, 1] = -0.0
+    with np.errstate(all="ignore"):
+        alone = np.array([g.evaluate(x) for x in rows])
+        floats = [g.evaluate_floats(tuple(x.tolist())) for x in rows]
+    assert {type(y) for y in floats} == {tuple}
+    np.testing.assert_array_equal(np.array(floats, dtype=float).view(np.uint64),
+                                  alone.view(np.uint64))
+    assert np.isinf(alone).any()
+
+
+def test_controlled_map_has_a_float_step_only_when_its_base_has_one(lpa):
+    cfg = ControlConfig("VMTOC", 0.3, (30.0, 30.0, 200.0))
+    assert controlled_map(lpa, cfg).evaluate_floats is not None
+    plain = MapModel(dimension=3, evaluate=lpa.evaluate, domain=lpa.domain)
+    assert controlled_map(plain, cfg).evaluate_floats is None

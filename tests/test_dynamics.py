@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import itertools
 import logging
 import math
@@ -424,18 +425,29 @@ def _raising(x):
     return x + 1.0
 
 
-def _counter_map(kind):
+def _counter_floats(y, kind):
+    """The counter's step on a tuple of floats, which fails as its evaluate does."""
+    if y[0] >= _LIMIT and kind != "leave":
+        if kind == "raise":
+            raise OverflowError("boom")
+        return (math.inf,)
+    return (y[0] + 1.0,)
+
+
+def _counter_map(kind, floats=False):
+    """The counter map of ``kind``; with ``floats`` it also has a float step."""
+    extra = {"evaluate_floats": functools.partial(_counter_floats, kind=kind)} if floats else {}
     if kind == "diverge":
         def batch(rows):
             return np.where(rows < _LIMIT, rows + 1.0, np.inf)
 
         return MapModel(dimension=1, evaluate=lambda x: batch(x[None, :])[0],
-                        evaluate_batch=batch, domain=DomainSpec.full_space(1))
+                        evaluate_batch=batch, domain=DomainSpec.full_space(1), **extra)
     if kind == "raise":
-        return MapModel(dimension=1, evaluate=_raising, domain=DomainSpec.full_space(1))
+        return MapModel(dimension=1, evaluate=_raising, domain=DomainSpec.full_space(1), **extra)
     return MapModel(dimension=1, evaluate=lambda x: x + 1.0,
                     evaluate_batch=lambda rows: rows + 1.0,
-                    domain=DomainSpec.box([-_LIMIT], [_LIMIT]))
+                    domain=DomainSpec.box([-_LIMIT], [_LIMIT]), **extra)
 
 
 def _expected_message(kind, strict, step):
@@ -450,11 +462,7 @@ def _exit_lines(caplog):
     return [r.getMessage() for r in caplog.records if "left the domain" in r.getMessage()]
 
 
-@pytest.mark.parametrize("strict", [False, True])
-@pytest.mark.parametrize("kind", ["diverge", "raise", "leave"])
-@pytest.mark.parametrize("step", _STEPS)
-def test_block_loop_single_orbit_fails_at_its_step(caplog, kind, strict, step):
-    model = _counter_map(kind)
+def _assert_orbit_fails_at_its_step(caplog, model, kind, strict, step):
     x0 = np.array([_LIMIT - step])
     message = _expected_message(kind, strict, step)
     with caplog.at_level(logging.WARNING, logger="chaosctl.dynamics"):
@@ -472,14 +480,42 @@ def test_block_loop_single_orbit_fails_at_its_step(caplog, kind, strict, step):
     assert _exit_lines(caplog) == expected_lines
 
 
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("kind", ["diverge", "raise", "leave"])
+@pytest.mark.parametrize("step", _STEPS)
+def test_block_loop_single_orbit_fails_at_its_step(caplog, kind, strict, step):
+    _assert_orbit_fails_at_its_step(caplog, _counter_map(kind), kind, strict, step)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("kind", ["diverge", "raise", "leave"])
+@pytest.mark.parametrize("step", _STEPS)
+def test_float_step_orbit_fails_at_its_step_through_evaluate(caplog, kind, strict, step):
+    # the failing block is replayed through evaluate, so the failure, its
+    # message and the exit line are those of an orbit without a float step
+    _assert_orbit_fails_at_its_step(caplog, _counter_map(kind, floats=True), kind, strict,
+                                    step)
+
+
 def test_block_loop_warns_as_the_step_by_step_loop():
+    _assert_warns_as_the_step_by_step_loop(floats=False)
+
+
+def test_float_step_block_loop_warns_through_evaluate():
+    # Python floats overflow without a warning; the replay through
+    # evaluate warns as the step-by-step loop does
+    _assert_warns_as_the_step_by_step_loop(floats=True)
+
+
+def _assert_warns_as_the_step_by_step_loop(floats):
     # 1e300 * 1e200 overflows at step 1, where the orbit fails; going on in
     # its block would next compute inf - inf, but that warning must not show
     def batch(rows):
         return rows * 1e200 - rows
 
+    extra = {"evaluate_floats": lambda y: (y[0] * 1e200 - y[0],)} if floats else {}
     model = MapModel(dimension=1, evaluate=lambda x: batch(x[None, :])[0],
-                     evaluate_batch=batch, domain=DomainSpec.full_space(1))
+                     evaluate_batch=batch, domain=DomainSpec.full_space(1), **extra)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(OrbitError, match="non-finite state at step 1"):
@@ -726,9 +762,11 @@ def _cycle_start(period, step):
 
 
 @contextlib.contextmanager
-def _batch_rows(model):
+def _batch_rows(model, floats=False):
     """``model`` with a spy on its batch: the row count of every call, and
-    the start step of every lone run a batch hands its last row to."""
+    the start step of every lone run a batch hands a row to.  The spied
+    model keeps ``model``'s float step only with ``floats``, so by default
+    its batches hand off their last row alone."""
     calls, handed = [], []
     real_rows = dynamics._iterate_rows
 
@@ -736,13 +774,14 @@ def _batch_rows(model):
         calls.append(rows.shape[0])
         return model.evaluate_batch(rows)
 
-    def rows(step, x, *args, **kwargs):
+    def rows(g, x, *args, **kwargs):
         if kwargs.get("kept") is not None:
             handed.append(kwargs["at"])
-        return real_rows(step, x, *args, **kwargs)
+        return real_rows(g, x, *args, **kwargs)
 
     spied = MapModel(dimension=model.dimension, evaluate=model.evaluate,
-                     evaluate_batch=batch, domain=model.domain)
+                     evaluate_batch=batch, domain=model.domain,
+                     evaluate_floats=model.evaluate_floats if floats else None)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "_iterate_rows", rows)
         yield spied, calls, handed
@@ -833,11 +872,55 @@ def test_scan_fresh_grid_retires_its_rows_early():
                                                      x0, 3000, 50))
 
 
+def test_scan_fresh_grid_hands_several_rows_off_at_once():
+    # toward (30, 200, 30) two chaotic rows run to the last step; with the
+    # float step the rows left once the batch is down to _HANDOFF run alone
+    # together, all from the same step, each on tuples of floats
+    grid = [k / 300 for k in range(10, 300, 10)]
+    target = (30.0, 200.0, 30.0)
+    with _batch_rows(lpa_map(), floats=True) as (model, calls, handed), \
+            _one_row_calls() as lone:
+        records = bifurcation_scan(model, "VMTOC", target, grid, seed=123)
+    assert 1 < len(handed) <= dynamics._HANDOFF and set(handed) == {len(calls)}
+    assert len(calls) < 3000 + 50 and calls[-1] > dynamics._HANDOFF
+    assert lone == [((3,), True)] * len(handed)
+    for r, (c, rec) in enumerate(zip(grid, records)):
+        x0 = dynamics.draw_x0(123, r, np.zeros(3), np.full(3, 50.0))
+        _assert_same_bytes(rec.points, iterate_orbit(lpa_map(), ControlConfig("VMTOC", c, target),
+                                                     x0, 3000, 50))
+
+
+def test_batch_without_a_float_step_hands_off_its_last_row_only(monkeypatch):
+    # four rows, at most _HANDOFF: the cycles retire after blocks 1, 2 and
+    # 4, and the counter runs on alone from step 4 * _B through evaluate,
+    # one call per step to the end, since it never recurs
+    evaluations = []
+    base = _cycles()
+
+    def evaluate(x):
+        evaluations.append(x.shape)
+        return base.evaluate(x)
+
+    model = MapModel(dimension=2, evaluate=evaluate, evaluate_batch=base.evaluate_batch,
+                     domain=base.domain)
+    starts = [_cycle_start(1, 3), _cycle_start(2, _B + 1), np.array([0.0, _NEVER]),
+              _cycle_start(5, 3 * _B + 9)]
+    monkeypatch.setattr(dynamics, "draw_x0", lambda seed, r, lo, hi: starts[r])
+    with _batch_rows(model) as (spied, calls, handed):
+        records = bifurcation_scan(spied, "VMTOC", (0.0, 0.0), [0.0] * 4, init_lo=0.0,
+                                   init_hi=0.0, n_transient=5, n_keep=5 * _B)
+    assert calls == [4] * _B + [3] * _B + [2] * 2 * _B and handed == [4 * _B]
+    assert evaluations == [(2,)] * (5 * _B + 5 - 4 * _B)
+    assert all(rec.error is None for rec in records)
+    for r, rec in enumerate(records):
+        _assert_same_bytes(rec.points, iterate_orbit(base, None, starts[r], 5, 5 * _B))
+
+
 # --- one-row orbits -----------------------------------------------------------
 
-# A lone orbit runs on its 1-D state through the step map's single-state
-# evaluate.  Its oracle is the same orbit run as a (1, d) batch through
-# evaluate_rows.
+# A lone orbit of a built-in map steps on tuples of floats through the step
+# map's evaluate_floats.  Its oracle is the same orbit run as a batch of
+# equal rows through evaluate_rows.
 _ONE_ROW_CASES = [("lpa", 3, (28.0120, 22.4096, 4.6251), 50.0),
                   ("ricker", 2, (1.0, 3.0), 3.0), ("ricker", 3, (1.0, 1.0, 1.0), 3.0)]
 
@@ -849,41 +932,36 @@ def _one_row_model(kind, dim):
 @contextlib.contextmanager
 def _rows_path(model):
     """Run every lone orbit of ``model``, controlled or not, as a batch of
-    two equal rows of the batch loop, so that neither is ever left alone in
-    it; an orbit whose rows leave their batch runs alone, as in a scan.
-    Yields the list of the orbits that left, by their start."""
-    real_map, real_rows = dynamics.controlled_map, dynamics._iterate_rows
-    rows_of = {model.evaluate: model.evaluate_rows}
-    left = []
+    two equal rows of the batch loop through the step map's
+    ``evaluate_rows``, so that neither is ever left alone in it and no
+    tuple of floats is stepped; an orbit whose rows leave their batch runs
+    alone, as in a scan.  Yields the list of the orbits that left, by their
+    start."""
+    real_rows, left = dynamics._iterate_rows, []
 
-    def controlled(base, cfg):
-        g = real_map(base, cfg)
-        rows_of[g.evaluate] = g.evaluate_rows
-        return g
-
-    def rows(step, x, domain, n_transient, n_keep, strict=False):
-        kept, gone, _ = dynamics._iterate_batch(lambda _: rows_of[step], None,
-                                                np.array([x, x]), domain, n_transient,
+    def rows(g, x, n_transient, n_keep, strict=False):
+        kept, gone, _ = dynamics._iterate_batch(lambda _: g.evaluate_rows, None,
+                                                np.array([x, x]), g.domain, n_transient,
                                                 n_keep)
         if gone:
             left.append(x.tolist())
-            return real_rows(step, x, domain, n_transient, n_keep, strict)
+            return real_rows(g, x, n_transient, n_keep, strict)
         return kept[:, 0]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "controlled_map", controlled)
         mp.setattr(dynamics, "_iterate_rows", rows)
         yield left
 
 
 @contextlib.contextmanager
 def _one_row_calls():
-    """Record the shape of the state of every call of _iterate_rows."""
+    """Record, for every call of _iterate_rows, the shape of its state and
+    whether its map steps on tuples of floats."""
     real, calls = dynamics._iterate_rows, []
 
-    def spy(step, x, *args):
-        calls.append(x.shape)
-        return real(step, x, *args)
+    def spy(g, x, *args, **kwargs):
+        calls.append((x.shape, g.evaluate_floats is not None))
+        return real(g, x, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "_iterate_rows", spy)
@@ -903,7 +981,7 @@ def test_one_row_orbit_equals_its_row_bitwise(kind, dim, target, hi, scheme):
     with _one_row_calls() as calls:
         orbit = iterate_orbit(model, cfg, x0, 700, 60)
         lyapunov = lyapunov_max(model, cfg, x0, n=1200)
-    assert calls == [(dim,), (dim,)]
+    assert calls == [((dim,), True)] * 2
     np.testing.assert_array_equal(orbit, rows_orbit)
     assert lyapunov == rows_lyapunov
 
@@ -920,7 +998,7 @@ def test_chained_scan_records_equal_their_rows_bitwise(kind, dim, target, hi, sc
     assert left == []
     with _one_row_calls() as calls:
         records = bifurcation_scan(model, scheme or "VMTOC", target, grid, **kwargs)
-    assert calls == [(dim,)] * len(grid)
+    assert calls == [((dim,), True)] * len(grid)
     for rec, oracle in zip(records, rows_records, strict=True):
         assert (rec.c, rec.periods, rec.error) == (oracle.c, oracle.periods, oracle.error)
         np.testing.assert_array_equal(rec.points, oracle.points)
@@ -1152,16 +1230,21 @@ def _first_recurrence(model, cfg, x0, n):
     return None
 
 
-def _counted(model):
-    """``model`` with a counter of its evaluate calls, ``calls[0]``."""
+def _counted(model, floats=False):
+    """``model`` with a counter of its evaluate calls, ``calls[0]``; with
+    ``floats`` it keeps ``model``'s float step, whose calls count too."""
     calls = [0]
 
-    def evaluate(x):
-        calls[0] += 1
-        return model.evaluate(x)
+    def counting(f):
+        def counted(x):
+            calls[0] += 1
+            return f(x)
 
-    return MapModel(dimension=model.dimension, evaluate=evaluate, domain=model.domain,
-                    jacobian=model.jacobian), calls
+        return counted
+
+    extra = {"evaluate_floats": counting(model.evaluate_floats)} if floats else {}
+    return MapModel(dimension=model.dimension, evaluate=counting(model.evaluate),
+                    domain=model.domain, jacobian=model.jacobian, **extra), calls
 
 
 def _assert_same_bytes(orbit, oracle):
@@ -1195,7 +1278,24 @@ def _recurring_model(kind):
 @pytest.mark.parametrize("kind, scheme, c, target, x0, step, period", _RECURRING)
 def test_recurring_orbit_equals_per_step_loop_bitwise(kind, scheme, c, target, x0, step,
                                                      period, n_transient, n_keep):
-    model, calls = _counted(_recurring_model(kind))
+    _assert_recurring_orbit_equals_per_step_loop(kind, scheme, c, target, x0, step, period,
+                                                 n_transient, n_keep, floats=False)
+
+
+@pytest.mark.parametrize("n_transient, n_keep", [(3000, 50), (20, 400)],
+                         ids=["in-transient", "in-kept-window"])
+@pytest.mark.parametrize("kind, scheme, c, target, x0, step, period", _RECURRING)
+def test_recurring_float_orbit_equals_per_step_loop_bitwise(kind, scheme, c, target, x0, step,
+                                                           period, n_transient, n_keep):
+    # on tuples of floats the orbit steps through the float step alone, and
+    # stops after the same step
+    _assert_recurring_orbit_equals_per_step_loop(kind, scheme, c, target, x0, step, period,
+                                                 n_transient, n_keep, floats=True)
+
+
+def _assert_recurring_orbit_equals_per_step_loop(kind, scheme, c, target, x0, step, period,
+                                                 n_transient, n_keep, floats):
+    model, calls = _counted(_recurring_model(kind), floats)
     cfg = ControlConfig(scheme, c, target)
     assert _first_recurrence(model, cfg, x0, 3050) == (step, period)
     oracle = _per_step_orbit(model, cfg, x0, n_transient, n_keep)
@@ -1308,8 +1408,18 @@ def test_evaluation_failing_before_its_recurrence_raises_at_its_step(step):
 
 
 def test_signed_zero_recurs_with_period_two():
+    _assert_signed_zero_recurs_with_period_two({})
+
+
+def test_signed_zero_float_state_recurs_with_period_two():
+    # the packed bytes of the floats tell the two zeros apart
+    _assert_signed_zero_recurs_with_period_two({"evaluate_floats": lambda y: (-y[0],)})
+
+
+def _assert_signed_zero_recurs_with_period_two(extra):
     # -x from 0 runs -0.0, 0.0, -0.0, ...: equal as numbers, not as bits
-    model = MapModel(dimension=1, evaluate=lambda x: -x, domain=DomainSpec.full_space(1))
+    model = MapModel(dimension=1, evaluate=lambda x: -x, domain=DomainSpec.full_space(1),
+                     **extra)
     oracle = _per_step_orbit(model, None, [0.0], 2 * _B, 5)
     assert np.signbit(oracle[:, 0]).tolist() == [True, False, True, False, True]
     _assert_same_bytes(iterate_orbit(model, None, [0.0], 2 * _B, 5), oracle)

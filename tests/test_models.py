@@ -10,6 +10,7 @@ from chaosctl import (
     fd_jacobian,
     lpa_eval,
     lpa_jacobian,
+    lpa_map,
     lpa_recruitment_bound,
     ricker_eval,
     ricker_lift,
@@ -192,3 +193,60 @@ def test_batched_models_match_single_state_evaluation():
         assert out.shape == rows.shape
         for x, y in zip(rows, out):
             np.testing.assert_array_equal(y, evaluate(p, x))
+
+
+# --- the float step -----------------------------------------------------------
+
+# Each built-in formula is written once, on components, and runs on numpy
+# columns and on tuples of Python floats alike.  That rests on np.exp giving
+# a Python float, a numpy scalar and an element of any array bitwise the same
+# value; IEEE +, - and * round alike in Python and numpy.  Comparisons are of
+# uint64 bit patterns, so -0.0 is not 0.0 and NaNs must match too.
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def test_np_exp_of_a_float_equals_its_array_element_bitwise():
+    rng = np.random.default_rng(21)
+    edges = [0.0, -0.0, -750.0, -745.2, -745.1, -744.4, -708.4, -708.3, 709.78, 709.79,
+             710.0, math.inf, -math.inf]
+    args = np.concatenate([rng.uniform(-750.0, 710.0, 100_000), edges])
+    with np.errstate(over="ignore", under="ignore"):
+        contiguous = np.exp(args)
+        strided = np.exp(np.stack([args, -args], axis=1)[:, 0])
+        of_scalars = [np.exp(a) for a in args]
+        of_floats = [np.exp(a) for a in args.tolist()]
+    for other in (strided, of_scalars, of_floats):
+        np.testing.assert_array_equal(_bits(other), _bits(contiguous))
+    # the arguments reach subnormal results, underflow to 0 and overflow
+    tiny = np.finfo(float).tiny
+    assert ((contiguous > 0.0) & (contiguous < tiny)).any()
+    assert (contiguous == 0.0).any() and np.isinf(contiguous).any()
+
+
+def _wide_states(rng, d, n=4000):
+    """States of magnitudes from 0 to 8e5, either sign, with rows of signed
+    zeros, so that the maps' exp underflows and overflows."""
+    x = rng.uniform(-800.0, 800.0, (n, d)) * rng.choice([0.0, 1e-3, 1.0, 1e3], (n, d))
+    x[::7] = -0.0
+    x[3::7, 0] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("model", [lpa_map(), *(ricker_lift(RickerParams(r=2.0, delay=d))
+                                                for d in (2, 3, 5))],
+                         ids=["lpa", "ricker-2", "ricker-3", "ricker-5"])
+def test_float_step_equals_evaluate_bitwise(model):
+    rows = _wide_states(np.random.default_rng(model.dimension), model.dimension)
+    with np.errstate(all="ignore"):
+        batch = model.evaluate_batch(rows)
+        alone = np.array([model.evaluate(x) for x in rows])
+        floats = [model.evaluate_floats(tuple(x.tolist())) for x in rows]
+    assert {type(y) for y in floats} == {tuple}
+    assert {len(y) for y in floats} == {model.dimension}
+    np.testing.assert_array_equal(_bits(alone), _bits(batch))
+    np.testing.assert_array_equal(_bits(floats), _bits(batch))
+    # the cases the states were drawn for
+    assert np.isinf(batch).any() and (batch == 0.0).any() and np.signbit(batch[batch == 0.0]).any()
