@@ -193,16 +193,17 @@ class MapModel:
     floats to the tuple of its image's components, and must equal
     ``evaluate`` bit for bit (``-0.0``, infinities and NaN included); a
     lone orbit then steps on tuples through it, which skips most of the
-    numpy call overhead of ``evaluate``.
+    numpy call overhead of ``evaluate``.  An orbit's failure is read off
+    its block of steps, and only the failing step runs again, through
+    ``evaluate``.
 
     A fresh scan runs its grid points as the rows of one batch through
-    ``evaluate_batch`` when the model has one; a row that turns non-finite
-    or leaves the domain leaves the batch and runs alone.  The rows left
-    in the batch run on alone once there are few of them: at most six when
-    the model has ``evaluate_floats``, else the last one.
-    Every other orbit runs alone, through ``evaluate_floats`` when the
-    model has one and through ``evaluate`` otherwise, so all of them must
-    agree row for row.
+    ``evaluate_batch`` when the model has one.  A row that fails a block's
+    check runs on alone from the block's start, and so do the rows left
+    once there are few of them: at most six when the model has
+    ``evaluate_floats``, else the last one.  Every other orbit runs alone,
+    through ``evaluate_floats`` when the model has one and through
+    ``evaluate`` otherwise, so all of them must agree row for row.
     """
 
     dimension: int

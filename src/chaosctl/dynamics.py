@@ -4,27 +4,22 @@ A bifurcation scan runs one controlled orbit per grid intensity, discards a
 transient, keeps a short window and classifies each component's period on
 that window, every record's in one pass.  Two loops run orbits, and both
 check finiteness and domain membership once per block of steps.  The lone
-loop, behind every :func:`iterate_orbit`, advances one state through
-``evaluate``; a block that fails its check is replayed one checked step at
-a time from its start state, so a failure, its step and message, and the
-domain-exit log line are those of a step-by-step check.  A lone state stops
-at the exact step of its first recurrence: once a state equals, bit for
-bit, a state of its current or previous block, the rest of the orbit
-repeats that cycle.  Every period up to ``_BLOCK`` is caught there, and
-memory stays bounded by two blocks of states whatever the orbit's length.
-The lone loop steps on tuples of Python floats when the map has
-``evaluate_floats``, which equals ``evaluate`` bit for bit, and on arrays
-otherwise.  The batch loop advances the grid points of a fresh scan of a
-model with ``evaluate_batch`` as the rows of one ``(n, d)`` array, each
-block once; a row whose block holds a non-finite state or leaves the
-domain leaves the batch after that block, and its grid point runs alone
-from its start.  A row whose last state in a block equals, bit for bit,
-one of the ``_BLOCK`` states before it retires and repeats that cycle.
-Once the batch holds at most ``_HANDOFF`` rows, for a model with
-``evaluate_floats``, or one row otherwise, each row left runs on alone
-from its state and step.  Scans are deterministic:
-the initial condition for grid index ``i`` comes from an RNG stream
-derived from ``(seed, i)``, so records are bit-identical across runs.
+loop, behind every :func:`iterate_orbit`, advances one state, on tuples of
+Python floats through ``evaluate_floats`` when the map has one, and on
+arrays through ``evaluate`` otherwise.  A failure is read off its block,
+with the step, message and log line of a step-by-step check; only the
+failing step runs again.  A lone state stops right after its first
+recurrence, bit for bit, within two blocks, and repeats that cycle.  The
+batch loop advances the grid points of a fresh scan of a model with
+``evaluate_batch`` as the rows of one ``(n, d)`` array, each block once.
+A row whose block holds a non-finite state or leaves the domain runs on
+alone from the block's start; a row whose last state in a block equals,
+bit for bit, one of the ``_BLOCK`` states before it retires and repeats
+that cycle.  Once the batch holds at most ``_HANDOFF`` rows, for a model
+with ``evaluate_floats``, or one row otherwise, each row left runs on
+alone from its state and step.  Scans are deterministic: the initial
+condition for grid index ``i`` comes from an RNG stream derived from
+``(seed, i)``, so records are bit-identical across runs.
 """
 
 from __future__ import annotations
@@ -61,7 +56,7 @@ def _check_lengths(n_transient: int, n_keep: int) -> None:
 
 
 # Steps between two checks of an orbit: long enough that the two checks
-# cost little per step, short enough that a failing block's replay is cheap.
+# cost little per step, short enough that a failure wastes little of a block.
 _BLOCK = 64
 
 # The most rows a fresh batch of a model with a float step holds before it
@@ -89,61 +84,57 @@ def _iterate_rows(g: MapModel, x: np.ndarray, n_transient: int, n_keep: int,
     ``_BLOCK`` (0 at its start).  Returns ``kept``, where ``kept[k]`` is the
     state after step ``n_transient + k``; a given ``kept``, an
     ``(n_keep, d)`` array, gets the states from step ``at`` on.  Raises
-    :class:`OrbitError` at the first step that raises ``ValueError`` or
-    ``ArithmeticError``, whose state is not finite or, under ``strict``,
-    that left the domain.  Leaving the domain is otherwise advisory and
-    logged once.  Steps are numbered from the orbit's start, not from
-    ``at``.
+    :class:`OrbitError` at the first step, counted from the orbit's start,
+    that raises ``ValueError`` or ``ArithmeticError``, whose state is not
+    finite or, under ``strict``, that left the domain, which is otherwise
+    logged once; a state of the wrong size raises ``ValueError``.
 
     The steps run in blocks of ``_BLOCK`` with floating-point warnings off,
     on tuples of floats through ``g.evaluate_floats`` when ``g`` has one and
     on arrays through ``g.evaluate`` otherwise.  Each block becomes one
     array, which one finiteness and one domain check test as a whole and
-    which fills the kept window.  A block that fails its check, or whose
-    step raises, is replayed from its start state one checked step at a
-    time through ``g.evaluate``, which finds the failure, logs the exit and
-    raises each floating-point warning as a step-by-step loop would; steps
-    are pure, and the float step equals ``evaluate`` bit for bit, so the
-    replay recomputes the block's states exactly.
+    which fills the kept window.  A failure is read off its block: the first
+    non-finite state, or the step that raised, fails the orbit, and the
+    first state before it outside the domain is the exit.  Only the failing
+    step runs again, once, through ``g.evaluate`` under the caller's
+    ``np.errstate``, which gives its exception and warnings.
 
-    The orbit stops at its first exact recurrence: right after the first
-    step whose state equals, bit for bit (``-0.0`` is not ``0.0``), a state
-    of its current or previous block, ``p`` steps earlier.  If the block so
-    far passes its check, the rest of ``kept`` cycles those ``p`` states
-    without calling a step again, which gives the result, failure and log
-    lines of the full run; otherwise the block is replayed and the
-    recurrence dropped.  Every period up to ``_BLOCK`` is caught at its
-    first recurrence.  A state's key is its packed bytes, which are also
-    the block's array, and the keys sit in two dicts that rotate at each
-    block end, so memory stays bounded by two blocks whatever the orbit's
-    length.
+    The orbit stops right after the first step whose state equals, bit for
+    bit (``-0.0`` is not ``0.0``), a state ``p`` steps earlier in its
+    current or previous block, so every period up to ``_BLOCK`` is caught at
+    its first recurrence.  The rest of ``kept`` cycles those ``p`` states,
+    which gives the states, failure and log lines of the full run, because
+    the step is pure.  A state's key is its bytes, which make up the
+    block's array; the keys sit in two dicts that rotate at block ends.
     """
     total, d, domain = n_transient + n_keep, x.shape[0], g.domain
     if kept is None:
         kept = np.empty((n_keep, d))
+    pack = struct.Struct(f"{d}d").pack
 
     def evaluate(y):
         return np.asarray(g.evaluate(y), dtype=float)
 
     if g.evaluate_floats is None:
-        step, key_of, state_of = evaluate, np.ndarray.tobytes, np.asarray
+        step = evaluate
+
+        def key_of(y):
+            # a state of the wrong shape does not pack
+            return y.tobytes() if y.shape == (d,) else pack(*y)
     else:
-        pack = struct.Struct(f"{d}d").pack
-        step, state_of = g.evaluate_floats, _floats
+        step, x = g.evaluate_floats, tuple(x.tolist())
 
         def key_of(y):
             return pack(*y)
-
-    x = state_of(x)
     # the steps of the states' bytes, by block, the previous block's states,
     # and whether an exit was logged
     seen, older, before, warned = {}, {}, None, False
     for start in range(at, total, _BLOCK):
         size = min(_BLOCK, total - start)
-        keys, hit = [], None
-        try:
-            with np.errstate(all="ignore"):
-                y, append = x, keys.append
+        keys, hit, error = [], None, None
+        with np.errstate(all="ignore"):
+            y, append = x, keys.append
+            try:
                 for i in range(start, start + size):
                     y = step(y)
                     key = key_of(y)
@@ -152,26 +143,39 @@ def _iterate_rows(g: MapModel, x: np.ndarray, n_transient: int, n_keep: int,
                         hit = i, i - seen.get(key, older.get(key))
                         break
                     seen[key] = i
+            except (ValueError, ArithmeticError) as exc:
+                error = exc
+            except (struct.error, TypeError):
+                if np.shape(y) != (d,):
+                    raise ValueError(f"step {i} gave a state of shape {np.shape(y)}, "
+                                     f"but the model has dimension {d}") from None
+                raise
             block = np.frombuffer(b"".join(keys)).reshape(-1, d)
-            ok = math.isfinite(block.sum()) and (warned or domain.contains_unchecked(block))
-        except (ValueError, ArithmeticError):
-            ok = False
+            ok = error is None and math.isfinite(block.sum()) and (
+                warned or domain.contains_unchecked(block))
         if not ok:
-            hit, y, block = None, np.array(x, dtype=float), np.empty((size, d))
-            for i in range(start, start + size):
+            # the block's failing step, if any: its first non-finite state or
+            # the step that raised, which follows the block's last state
+            finite = np.isfinite(block).all(axis=1).tolist() + [error is None]
+            j = finite.index(False) if False in finite else None
+            inside = domain.contains_rows(block[:j])
+            if not (warned or inside.all()):
+                i = start + int(inside.argmin())
+                if strict:
+                    raise OrbitError(f"state left the domain at step {i}", i)
+                log.warning("orbit left the domain at step %d (advisory)", i)
+                warned = True
+            if j is not None:
+                i = start + j
                 try:
-                    y = evaluate(y)
+                    if not np.isfinite(evaluate(block[j - 1] if j else np.array(x, float))).all():
+                        error = None
                 except (ValueError, ArithmeticError) as exc:
-                    raise OrbitError(f"evaluation failed at step {i}: {type(exc).__name__}: {exc}", i)
-                if not np.all(np.isfinite(y)):
+                    error = exc
+                if error is None:
                     raise OrbitError(f"non-finite state at step {i}", i)
-                if not (warned or domain.contains_unchecked(y)):
-                    if strict:
-                        raise OrbitError(f"state left the domain at step {i}", i)
-                    log.warning("orbit left the domain at step %d (advisory)", i)
-                    warned = True
-                block[i - start] = y
-            y = state_of(y)
+                raise OrbitError(f"evaluation failed at step {i}: {type(error).__name__}: "
+                                 f"{error}", i)
         x = y
         stop = start + block.shape[0]
         if stop > n_transient:
@@ -189,43 +193,45 @@ def _iterate_rows(g: MapModel, x: np.ndarray, n_transient: int, n_keep: int,
     return kept
 
 
-def _floats(x: np.ndarray) -> tuple:
-    """The float state ``x`` ``(d,)`` as the tuple of its components."""
-    return tuple(x.tolist())
-
-
 def _iterate_batch(step_for, lone_for, x: np.ndarray, domain: DomainSpec,
                    n_transient: int, n_keep: int, handoff: int = 1):
     """Advance each row of ``x`` ``(n, d)`` by ``n_transient + n_keep`` steps.
 
     ``step_for(rows)`` builds the step of the original rows ``rows``, an
-    index array, and ``lone_for(r)`` the map of row ``r`` alone.
-    Returns ``(kept, left, failures)``: ``kept[k, r]`` is row ``r`` after
-    step ``n_transient + k``; ``left`` lists in ascending order the rows
-    that left the batch, whose kept states are meaningless; ``failures``
-    maps a row that failed after it was left alone to its
-    :class:`OrbitError` message.
+    index array, and ``lone_for(r)`` the map of row ``r`` alone.  Returns
+    ``(kept, failures)``: ``kept[k, r]`` is row ``r`` after step
+    ``n_transient + k``, and ``failures`` maps each row whose orbit failed,
+    whose kept states are meaningless, to its :class:`OrbitError` message.
 
     The batch runs while it holds more than ``handoff`` rows, in blocks of
     ``_BLOCK`` steps.  Each block runs once with floating-point warnings
     off, is written to ``kept`` for every row in the batch and gets one
-    finiteness and one domain check.  When that fails, the rows that hold a
-    non-finite or out-of-domain state anywhere in the block leave.  Then
-    every other row whose last state equals, bit for bit, one of the
-    ``_BLOCK`` states before it (the block's and the state it started
-    from) has entered a cycle of the smallest such lag ``p``: the rest of
-    its kept window cycles its last ``p`` states, which passed the check,
-    and the row retires.  The step is rebuilt once over the rows that
-    remain, whose states in the block stand: each row's steps depend on
-    that row alone.  Then each row left in the batch runs on alone from its
-    state and step through :func:`_iterate_rows`, into its own column of
-    ``kept``, which finds a later failure, step and message, and logs a
-    domain exit, as a lone orbit from its start would.  Anything a batch
+    finiteness and one domain check.  When that fails, each row that holds
+    a non-finite or out-of-domain state in the block leaves the batch and
+    runs on alone from the block's start state and first step.  Then every
+    other row whose last state equals, bit for bit, one of the ``_BLOCK``
+    states before it (the block's and the state it started from) has
+    entered a cycle of the smallest such lag ``p``: the rest of its kept
+    window cycles its last ``p`` states, which passed the check, and the
+    row retires.  The step is rebuilt once over the rows that remain, whose
+    states in the block stand: each row's steps depend on that row alone.
+    At the end each row left in the batch runs on alone from its state and
+    step.  A row runs alone through :func:`_iterate_rows`, into its own
+    column of ``kept``, so it fails, and logs its domain exit, at the step
+    and with the message of a lone orbit from its start.  Anything a batch
     step raises propagates.
     """
     total = n_transient + n_keep
     kept = np.empty((n_keep,) + x.shape)
-    rows, left, done, step = np.arange(x.shape[0]), [], 0, None
+    failures = {}
+
+    def alone(r, y, at):
+        try:
+            _iterate_rows(lone_for(r), y, n_transient, n_keep, at=at, kept=kept[:, r])
+        except OrbitError as exc:
+            failures[r] = str(exc)
+
+    rows, done, step = np.arange(x.shape[0]), 0, None
     while done < total and rows.size > handoff:
         if step is None:
             step = step_for(rows)
@@ -238,15 +244,17 @@ def _iterate_batch(step_for, lone_for, x: np.ndarray, domain: DomainSpec,
             y = x
             for k in range(size):
                 y = block[k] = np.asarray(step(y), dtype=float)
+            ok = math.isfinite(block.sum()) and domain.contains_unchecked(block)
         stop = done + size
         if stop > n_transient:
             first = max(done, n_transient)
             kept[first - n_transient:stop - n_transient, rows] = block[first - done:]
         stay = np.ones(rows.size, dtype=bool)
-        if not (math.isfinite(block.sum()) and domain.contains_unchecked(block)):
+        if not ok:
             # a finite block whose sum overflows has no bad row and passes
             stay = (domain.contains_rows(block) & np.isfinite(block).all(axis=2)).all(axis=0)
-            left += rows[~stay].tolist()
+            for i in np.flatnonzero(~stay):
+                alone(int(rows[i]), x[i], done)
         if stop < total:
             # bit patterns, so -0.0 is not 0.0; first components alone rule
             # out most rows that do not recur
@@ -264,13 +272,9 @@ def _iterate_batch(step_for, lone_for, x: np.ndarray, domain: DomainSpec,
         if not stay.all():
             rows, x, step = rows[stay], x[stay], None
         done = stop
-    failures = {}
     for i, r in enumerate(rows.tolist() if done < total else ()):
-        try:
-            _iterate_rows(lone_for(r), x[i], n_transient, n_keep, at=done, kept=kept[:, r])
-        except OrbitError as exc:
-            failures[r] = str(exc)
-    return kept, sorted(left), failures
+        alone(r, x[i], done)
+    return kept, failures
 
 
 def iterate_orbit(model: MapModel, cfg: Optional[ControlConfig], x0,
@@ -286,9 +290,12 @@ def iterate_orbit(model: MapModel, cfg: Optional[ControlConfig], x0,
     64 steps is caught at that step, and memory stays bounded whatever the
     orbit's length.  A non-finite state, or an evaluation that raises
     ``ValueError`` or ``ArithmeticError``, raises :class:`OrbitError` with
-    the offending step index.  Domain violations are advisory (logged once
-    per orbit) unless ``strict``.  Every lone orbit runs through here, a
-    scan's lone grid points included.
+    the offending step index, read off its 64-step block; that step alone
+    runs again through ``evaluate`` under the caller's ``np.errstate``.
+    Domain violations are advisory (logged once per orbit) unless
+    ``strict``.  A step whose state does not have the model's dimension
+    raises ``ValueError``.  Every grid point of a chained scan, or of a
+    model without ``evaluate_batch``, runs through here.
     """
     _check_lengths(n_transient, n_keep)
     g = _step_map(model, cfg)
@@ -399,27 +406,23 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
     state.  A fresh scan of a model with ``evaluate_batch`` advances all
     grid points together as the rows of one array.  At the end of each
     64-step block a row that holds a non-finite state or left the domain
-    leaves the batch, and its grid point runs alone from the same start; a
-    row whose last state equals, bit for bit, one of the 64 before it
-    retires and repeats that cycle through its kept window.  Once the batch
-    holds at most six rows, for a model with ``evaluate_floats``, or one
-    row otherwise, each row left runs on alone from its state and step, and
-    a failure there fails its grid point, with the message and log line of
-    a lone orbit from its start.  A lone grid point is one
-    :func:`iterate_orbit` call, which fails it (the record's error is the
-    :class:`OrbitError` message) or logs its domain exit at the exact step,
-    and stops right after the step of its first bitwise recurrence.  Every grid point of a chained
-    scan or of a model without ``evaluate_batch`` runs alone, so such a
-    model never sees a batch.  Both ways give the same records bit for
-    bit.  Once every orbit has run, one :func:`detect_periods` call
-    classifies all the records that did not fail, which gives each the
-    periods of :func:`detect_period` on its own window.  ``max_period`` is
-    capped at half the kept window.  Invalid arguments raise ``ValueError``
-    before any orbit runs: an ``n_keep`` below 2, a ``tol`` that is not
-    positive and finite (NaN included), a box that :func:`initial_box`
-    rejects, and what building the step, ``controlled_rows``, rejects: a
-    bad scheme (``DIAG-VMTOC`` too), target or grid.  Orbit failures are
-    recorded.
+    runs on alone from the block's start state and first step; a row whose
+    last state equals, bit for bit, one of the 64 before it retires and
+    repeats that cycle through its kept window.  Once the batch holds at
+    most six rows, for a model with ``evaluate_floats``, or one row
+    otherwise, each row left runs on alone from its state and step.  Every
+    grid point of a chained scan or of a model without ``evaluate_batch`` is
+    one :func:`iterate_orbit` call.  A grid point that runs alone fails (the
+    record's error is the :class:`OrbitError` message) or logs its domain
+    exit as a lone orbit from its start would, so both ways give the same
+    records bit for bit.  Then one :func:`detect_periods` call classifies
+    all the records that did not fail, each as :func:`detect_period` would
+    on its own window.  ``max_period`` is capped at half the kept window.
+    Invalid arguments raise ``ValueError`` before any orbit runs: an
+    ``n_keep`` below 2, a ``tol`` that is not positive and finite (NaN
+    included), a box that :func:`initial_box` rejects, and what building
+    the step, ``controlled_rows``, rejects: a bad scheme (``DIAG-VMTOC``
+    too), target or grid.  Orbit failures are recorded.
     """
     c_grid = [float(c) for c in c_grid]
     _check_lengths(n_transient, n_keep)
@@ -438,27 +441,26 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
     def config(r):
         return ControlConfig(scheme=scheme, intensity=c_grid[r], target=target)
 
-    alone, failures = range(len(c_grid)), {}
     if model.evaluate_batch is not None and not continue_orbits:
-        x0 = np.array([draw_x0(seed, r, lo, hi) for r in alone])
+        x0 = np.array([draw_x0(seed, r, lo, hi) for r in range(len(c_grid))])
         intensities = np.array(c_grid)
-        kept, alone, failures = _iterate_batch(
+        kept, failures = _iterate_batch(
             lambda rows: controlled_rows(model, scheme, target, intensities[rows]),
             lambda r: controlled_map(model, config(r)),
             x0, model.domain, n_transient, n_keep,
             _HANDOFF if model.evaluate_floats is not None else 1)
         points = np.ascontiguousarray(kept.transpose(1, 0, 2))
     else:
-        points = np.empty((len(c_grid), n_keep, dim))
-    for r in alone:
-        if r == 0 or not continue_orbits:
-            x0 = draw_x0(seed, r, lo, hi)
-        try:
-            points[r] = iterate_orbit(model, config(r), x0, n_transient, n_keep)
-        except OrbitError as exc:
-            failures[r] = str(exc)
-        else:
-            x0 = points[r, -1]
+        points, failures = np.empty((len(c_grid), n_keep, dim)), {}
+        for r in range(len(c_grid)):
+            if r == 0 or not continue_orbits:
+                x0 = draw_x0(seed, r, lo, hi)
+            try:
+                points[r] = iterate_orbit(model, config(r), x0, n_transient, n_keep)
+            except OrbitError as exc:
+                failures[r] = str(exc)
+            else:
+                x0 = points[r, -1]
     ok = [r for r in range(len(c_grid)) if r not in failures]
     classified = iter(detect_periods(points[ok], tol=tol, max_period=eff_period))
     # Records with equal periods share one tuple: a scan's periods take few

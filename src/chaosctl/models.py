@@ -93,12 +93,9 @@ def lpa_step(p: LpaParams, x, exp=np.exp) -> tuple:
             P * exp(-p.c_pa * A) + A * (1.0 - p.mu_a))
 
 
-def lpa_eval(p: LpaParams, x, strict: bool = False) -> np.ndarray:
-    """:func:`lpa_step` of one state ``(3,)`` or of an ``(n, 3)`` array of
-    states.  ``strict`` rejects negative components."""
+def lpa_eval(p: LpaParams, x) -> np.ndarray:
+    """:func:`lpa_step` of one state ``(3,)`` or of an ``(n, 3)`` array of states."""
     x = np.asarray(x, dtype=float)
-    if strict and np.any(x < 0.0):
-        raise ValueError("negative component outside the nonnegative orthant")
     # the transpose puts the component axis first: for one state the
     # components are numpy scalars, for a batch they are columns
     out = np.empty_like(x)

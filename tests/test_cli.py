@@ -733,6 +733,26 @@ def test_simulate_strict_fails_where_the_orbit_leaves_the_domain(tmp_path, monke
     assert (tmp_path / "lax.orbit.csv").exists()
 
 
+_PAIR_PLUGIN = (
+    "import numpy as np\n"
+    "from chaosctl import DomainSpec, MapModel\n"
+    "def make():\n"
+    "    return MapModel(dimension=1, evaluate=lambda x: 0.5 * np.asarray(x, float),\n"
+    "                    evaluate_floats=lambda y: (0.5 * y[0], 0.0),\n"
+    "                    domain=DomainSpec.full_space(1))\n")
+
+
+def test_simulate_rejects_a_step_of_the_wrong_size(tmp_path, monkeypatch, capsys):
+    # the plugin's float step gives two components for a 1-dimensional model
+    (tmp_path / "pair.py").write_text(_PAIR_PLUGIN)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    assert run_cli(tmp_path, "simulate", "--out", "pr", "--set", "model.kind=plugin",
+                   "--set", "model.plugin=pair:make", "--set", "run.x0=1") == 1
+    assert capsys.readouterr().err == (
+        "error: step 0 gave a state of shape (2,), but the model has dimension 1\n")
+    assert sorted(os.listdir(tmp_path)) == ["pair.py"]
+
+
 @pytest.mark.parametrize("command", ["equilibrium", "stability", "bifurcate", "bubbles",
                                      "lyapunov"])
 def test_strict_is_rejected_where_it_does_not_apply(tmp_path, capsys, command):

@@ -491,7 +491,7 @@ def test_block_loop_single_orbit_fails_at_its_step(caplog, kind, strict, step):
 @pytest.mark.parametrize("kind", ["diverge", "raise", "leave"])
 @pytest.mark.parametrize("step", _STEPS)
 def test_float_step_orbit_fails_at_its_step_through_evaluate(caplog, kind, strict, step):
-    # the failing block is replayed through evaluate, so the failure, its
+    # the failing step runs again through evaluate, so the failure, its
     # message and the exit line are those of an orbit without a float step
     _assert_orbit_fails_at_its_step(caplog, _counter_map(kind, floats=True), kind, strict,
                                     step)
@@ -502,8 +502,8 @@ def test_block_loop_warns_as_the_step_by_step_loop():
 
 
 def test_float_step_block_loop_warns_through_evaluate():
-    # Python floats overflow without a warning; the replay through
-    # evaluate warns as the step-by-step loop does
+    # Python floats overflow without a warning; the failing step, run again
+    # through evaluate, warns as the step-by-step loop does
     _assert_warns_as_the_step_by_step_loop(floats=True)
 
 
@@ -521,6 +521,83 @@ def _assert_warns_as_the_step_by_step_loop(floats):
         with pytest.raises(OrbitError, match="non-finite state at step 1"):
             iterate_orbit(model, None, np.array([1e100]), 0, 10)
     assert [str(w.message) for w in caught] == ["overflow encountered in multiply"]
+
+
+@pytest.mark.parametrize("floats", [False, True])
+@pytest.mark.parametrize("kind", ["diverge", "raise"])
+@pytest.mark.parametrize("step", _STEPS)
+def test_failing_lone_orbit_runs_only_its_failing_step_again(kind, step, floats):
+    # the steps up to the failure run once, in their blocks; then the
+    # failing step alone runs again, through evaluate.  A diverging counter
+    # runs on to step + 1, where inf recurs, unless its block or orbit ends
+    model, calls = _counter_map(kind, floats), {"evaluate": 0, "floats": 0}
+
+    def counting(name, f):
+        def counted(x):
+            calls[name] += 1
+            return f(x)
+
+        return counted
+
+    extra = {"evaluate_floats": counting("floats", model.evaluate_floats)} if floats else {}
+    model = MapModel(dimension=1, evaluate=counting("evaluate", model.evaluate),
+                     domain=model.domain, **extra)
+    with pytest.raises(OrbitError) as err:
+        iterate_orbit(model, None, [_LIMIT - step], _N_TRANSIENT, _N_KEEP)
+    assert err.value.step == step
+    in_blocks = step + 1
+    if kind == "diverge":
+        in_blocks = min(step + 2, (step // _B + 1) * _B, _N_TRANSIENT + _N_KEEP)
+    assert calls == ({"evaluate": 1, "floats": in_blocks} if floats
+                     else {"evaluate": in_blocks + 1, "floats": 0})
+
+
+@pytest.mark.parametrize("floats", [False, True])
+@pytest.mark.parametrize("step", _STEPS)
+def test_failing_step_raises_under_the_callers_errstate(step, floats):
+    # doubling from 2**(1023 - step) overflows at `step`; the block runs
+    # with warnings off, and the failing step again under all="raise"
+    def double(x):
+        return np.asarray(x, float) * 2.0
+
+    extra = {"evaluate_floats": lambda y: (y[0] * 2.0,)} if floats else {}
+    model = MapModel(dimension=1, evaluate=double, domain=DomainSpec.full_space(1), **extra)
+    x0 = [2.0 ** (1023 - step)]
+    with np.errstate(all="raise"), pytest.raises(OrbitError) as err:
+        iterate_orbit(model, None, x0, _N_TRANSIENT, _N_KEEP)
+    assert (err.value.step, str(err.value)) == (
+        step, f"evaluation failed at step {step}: FloatingPointError: "
+              f"overflow encountered in multiply")
+    with np.errstate(over="ignore"), pytest.raises(OrbitError, match=f"non-finite state at "
+                                                                     f"step {step}$"):
+        iterate_orbit(model, None, x0, _N_TRANSIENT, _N_KEEP)
+
+
+# (evaluate, evaluate_floats, shape of the image): a step whose image has
+# the wrong number of components, on arrays and on tuples of floats
+_WRONG_SIZES = {
+    "array-scalar": (lambda x: 0.5 * x[0], None, ()),
+    "array-long": (lambda x: np.array([0.5 * x[0], 1.0]), None, (2,)),
+    "floats-pair": (lambda x: 0.5 * x, lambda y: (0.5 * y[0], 1.0), (2,)),
+    "floats-scalar": (lambda x: 0.5 * x, lambda y: 0.5 * y[0], ()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRONG_SIZES))
+def test_step_of_the_wrong_size_raises_at_the_first_step(case):
+    evaluate, evaluate_floats, shape = _WRONG_SIZES[case]
+    calls = []
+
+    def counted(f):
+        return lambda x: calls.append(1) or f(x)
+
+    model = MapModel(dimension=1, evaluate=counted(evaluate), domain=DomainSpec.full_space(1),
+                     evaluate_floats=evaluate_floats and counted(evaluate_floats))
+    with pytest.raises(ValueError) as err:
+        iterate_orbit(model, None, [1.0], 2 * _B, 5)
+    assert str(err.value) == (f"step 0 gave a state of shape {shape}, "
+                              f"but the model has dimension 1")
+    assert len(calls) == 1
 
 
 def test_scan_row_failing_in_first_block_leaves_other_rows_exact():
@@ -548,57 +625,85 @@ def test_scan_row_failing_in_first_block_leaves_other_rows_exact():
 
 # A fresh scan of a model with evaluate_batch runs its grid points as the
 # rows of one batch; a row whose block holds a non-finite state or leaves
-# the domain leaves the batch, and its grid point runs alone from its start.
-# A row that recurs retires, and the last row in the batch runs on alone.
-# The oracle is one iterate_orbit per grid point from the start that
-# draw_x0 gives it.
+# the domain leaves the batch and runs on alone from the block's start
+# state and first step.  A row that recurs retires, and the last rows in the
+# batch run on alone.  The oracle is one iterate_orbit per grid point from
+# the start that draw_x0 gives it.
+
+
+@contextlib.contextmanager
+def _handoffs():
+    """Record every hand-off of a batch row to the lone loop as
+    ``(row, at, state)``, and the OrbitError of each hand-off that fails."""
+    real_batch, real_rows = dynamics._iterate_batch, dynamics._iterate_rows
+    handed, errors, row = [], [], [None]
+
+    def batch(step_for, lone_for, *args):
+        def lone(r):
+            row[0] = r
+            return lone_for(r)
+
+        return real_batch(step_for, lone, *args)
+
+    def rows(g, x, *args, **kwargs):
+        if kwargs.get("kept") is None:
+            return real_rows(g, x, *args, **kwargs)
+        handed.append((row[0], kwargs["at"], x.tolist()))
+        try:
+            return real_rows(g, x, *args, **kwargs)
+        except OrbitError as exc:
+            errors.append(exc)
+            raise
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_iterate_batch", batch)
+        mp.setattr(dynamics, "_iterate_rows", rows)
+        yield handed, errors
 
 
 @contextlib.contextmanager
 def _scan_spies():
-    """Record the rows that leave each batch, the rows that fail after they
-    were left alone in it, and the start of each lone orbit."""
-    real_batch, real_orbit = dynamics._iterate_batch, dynamics.iterate_orbit
-    left, failed, alone = [], {}, []
-
-    def batch(*args):
-        kept, rows, failures = real_batch(*args)
-        left.extend(rows)
-        failed.update(failures)
-        return kept, rows, failures
+    """Record every hand-off of a batch row to the lone loop, ``(row, at,
+    state)``, and the start of each lone orbit."""
+    real_orbit, alone = dynamics.iterate_orbit, []
 
     def orbit(model, cfg, x0, *args):
         alone.append(np.asarray(x0).tobytes())
         return real_orbit(model, cfg, x0, *args)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "_iterate_batch", batch)
+    with _handoffs() as (handed, _), pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "iterate_orbit", orbit)
-        yield left, failed, alone
+        yield handed, alone
 
 
 def _assert_scan_runs_each_point_alone(caplog, model, target, grid, lo, hi, n_transient,
                                        n_keep):
     """Scan ``model`` fresh from seed 0 and check it against one lone orbit
-    per grid point; returns the rows that left the batch and the records."""
+    per grid point; returns the hand-offs, ``(row, at, state)``, and the
+    records."""
     box = dynamics.initial_box(lo, hi, model.dimension)
     with caplog.at_level(logging.WARNING, logger="chaosctl.dynamics"), _scan_spies() as (
-            left, failed, alone), np.errstate(all="ignore"):
+            handed, alone), np.errstate(all="ignore"):
         records = bifurcation_scan(model, "VMTOC", target, grid, seed=0, init_lo=lo,
                                    init_hi=hi, n_transient=n_transient, n_keep=n_keep)
     scan_lines = _exit_lines(caplog)
     caplog.clear()
     starts = [dynamics.draw_x0(0, r, *box) for r in range(len(grid))]
-    # each row that left ran alone exactly once, from its own start
-    assert alone == [starts[r].tobytes() for r in left]
+    configs = [ControlConfig("VMTOC", c, target) for c in grid]
+    # no orbit runs from its start twice; each row is handed off at most
+    # once, with the batch's state at that step
+    assert alone == []
+    assert len({r for r, _, _ in handed}) == len(handed)
+    for r, at, state in handed:
+        assert state == (starts[r] if at == 0 else iterate_orbit(
+            model, configs[r], starts[r], at - 1, 1)[0]).tolist()
     with caplog.at_level(logging.WARNING, logger="chaosctl.dynamics"), \
             np.errstate(all="ignore"):
-        for r, (c, rec) in enumerate(zip(grid, records, strict=True)):
-            cfg = ControlConfig("VMTOC", c, target)
+        for r, (cfg, rec) in enumerate(zip(configs, records, strict=True)):
             try:
                 orbit = iterate_orbit(model, cfg, starts[r], n_transient, n_keep)
             except OrbitError as exc:
-                assert r in left or r in failed
+                assert r in {r for r, _, _ in handed}
                 assert (rec.error, rec.periods) == (str(exc), (None,) * model.dimension)
                 assert rec.points.shape == (0, model.dimension)
             else:
@@ -606,7 +711,7 @@ def _assert_scan_runs_each_point_alone(caplog, model, target, grid, lo, hi, n_tr
                 assert rec.periods == detect_period(orbit, max_period=min(32, n_keep // 2))
                 _assert_same_bytes(rec.points, orbit)
     assert sorted(scan_lines) == sorted(_exit_lines(caplog))
-    return left, records
+    return handed, records
 
 
 @pytest.mark.parametrize("kind", ["diverge", "leave"])
@@ -616,12 +721,16 @@ def test_fresh_scan_rows_that_fail_leave_the_batch_and_run_alone(monkeypatch, ca
     starts = [0.0, *(_LIMIT - s for s in _STEPS[:3]), 1.0, *(_LIMIT - s for s in _STEPS[3:]),
               2.0]
     monkeypatch.setattr(dynamics, "draw_x0", lambda seed, r, lo, hi: np.array([starts[r]]))
-    left, records = _assert_scan_runs_each_point_alone(
+    handed, records = _assert_scan_runs_each_point_alone(
         caplog, model, (0.0,), [0.0] * len(starts), 0.0, 0.0, n_transient=_N_TRANSIENT,
         n_keep=_N_KEEP)
-    assert [int(_LIMIT - starts[r]) for r in left] == list(_STEPS)
+    # each row runs on alone from the start of the block it fails in
+    rows = [r for r, x in enumerate(starts) if x >= _LIMIT - _STEPS[-1]]
+    ats = [0, _B, _B, 2 * _B, 2 * _B, 2 * _B]
+    assert handed == [(r, at, [starts[r] + at]) for r, at in zip(rows, ats, strict=True)]
+    assert [int(_LIMIT - starts[r]) for r in rows] == list(_STEPS)
     if kind == "diverge":
-        assert [records[r].error for r in left] == [f"non-finite state at step {s}"
+        assert [records[r].error for r in rows] == [f"non-finite state at step {s}"
                                                     for s in _STEPS]
     else:
         # the lone orbits' exit lines, which equal the scan's
@@ -648,12 +757,13 @@ _LEAVING_SCANS = {
 def test_fresh_scan_equals_a_lone_orbit_per_point_when_rows_leave(caplog, case):
     model, target, lo, hi = _LEAVING_SCANS[case]
     grid = [k / 60 for k in range(1, 60)]
-    left, records = _assert_scan_runs_each_point_alone(caplog, model, target, grid, lo, hi,
-                                                       n_transient=400, n_keep=40)
-    failed = [r for r, rec in enumerate(records) if rec.error]
-    assert left and set(failed) <= set(left)
+    handed, records = _assert_scan_runs_each_point_alone(caplog, model, target, grid, lo,
+                                                         hi, n_transient=400, n_keep=40)
+    failed = {r for r, rec in enumerate(records) if rec.error}
+    assert failed <= {r for r, _, _ in handed}
     if case != "square":
-        assert set(failed) < set(left)  # some rows leave the domain and come back
+        # some rows leave the domain, come back and survive
+        assert any(r not in failed and at < 400 + 40 - _B for r, at, _ in handed)
 
 
 def test_failing_batch_block_runs_once(caplog):
@@ -674,13 +784,14 @@ def test_failing_batch_block_runs_once(caplog):
     for target in (0.0, 1.0):
         calls.clear()
         caplog.clear()
-        left, _ = _assert_scan_runs_each_point_alone(caplog, model, (target,), grid, 1.5, 1.9,
-                                                     n_transient=400, n_keep=40)
-        assert 0 < len(left) < len(grid)
+        _, records = _assert_scan_runs_each_point_alone(caplog, model, (target,), grid, 1.5,
+                                                        1.9, n_transient=400, n_keep=40)
+        failed = sum(rec.error is not None for rec in records)
+        assert 0 < failed < len(grid)
         assert calls[:_B] == [len(grid)] * _B and len(calls) < 400 + 40
         assert all(b <= a for a, b in zip(calls, calls[1:]))
         assert all(k % _B == 0 for k in range(1, len(calls)) if calls[k] != calls[k - 1])
-    assert len(calls) > _B and calls[-1] < len(grid) - len(left)
+    assert len(calls) > _B and calls[-1] < len(grid) - failed
 
 
 @contextlib.contextmanager
@@ -697,13 +808,13 @@ def _orbit_calls():
         yield calls
 
 
-@pytest.mark.parametrize("case", ["chained", "plugin", "left"])
+@pytest.mark.parametrize("case", ["chained", "plugin"])
 def test_every_lone_grid_point_runs_through_iterate_orbit(case):
     model, target, lo, hi = _LEAVING_SCANS["lpa"]
     if case == "plugin":
         model = MapModel(dimension=3, evaluate=model.evaluate, domain=model.domain)
     grid, box = [k / 60 for k in range(1, 60)], dynamics.initial_box(lo, hi, 3)
-    with _orbit_calls() as calls, _scan_spies() as (left, _, _), np.errstate(all="ignore"):
+    with _orbit_calls() as calls, np.errstate(all="ignore"):
         records = bifurcation_scan(model, "VMTOC", target, grid, seed=0, init_lo=lo,
                                    init_hi=hi, n_transient=400, n_keep=40,
                                    continue_orbits=case == "chained")
@@ -713,17 +824,38 @@ def test_every_lone_grid_point_runs_through_iterate_orbit(case):
         starts = [dynamics.draw_x0(0, 0, *box)] + [rec.points[-1] for rec in records[:-1]]
     else:
         starts = [dynamics.draw_x0(0, r, *box) for r in range(len(grid))]
-    alone = left if case == "left" else range(len(grid))
-    assert 0 < len(alone) and (case != "left" or len(left) < len(grid))
-    assert calls == [(grid[r], starts[r].tobytes()) for r in alone]
+    assert calls == [(grid[r], starts[r].tobytes()) for r in range(len(grid))]
+
+
+def test_failing_batch_rows_run_on_alone_from_their_block_start():
+    # LPA states drawn below 0 leave the domain in the first block; no grid
+    # point of the fresh scan runs through iterate_orbit
+    model, target, lo, hi = _LEAVING_SCANS["lpa"]
+    grid = [k / 60 for k in range(1, 60)]
+    with _scan_spies() as (handed, alone), np.errstate(all="ignore"):
+        bifurcation_scan(model, "VMTOC", target, grid, seed=0, init_lo=lo, init_hi=hi,
+                         n_transient=400, n_keep=40)
+    assert alone == []
+    # the rows whose first block holds a state outside the domain, each from
+    # its start
+    box, first = dynamics.initial_box(lo, hi, 3), []
+    for r, c in enumerate(grid):
+        x0 = dynamics.draw_x0(0, r, *box)
+        with np.errstate(all="ignore"):
+            block = _per_step_orbit(model, ControlConfig("VMTOC", c, target), x0, 0, _B)
+        if not (np.isfinite(block).all() and model.domain.contains_unchecked(block)):
+            first.append((r, 0, x0.tolist()))
+    assert 0 < len(first) < len(grid)
+    assert [h for h in handed if h[1] == 0] == first
 
 
 def test_clean_batch_never_runs_a_lone_orbit():
+    # the rows left in the batch at its end run on alone, all from one step
     grid = [k / 60 for k in range(1, 60)]
-    with _scan_spies() as (left, _, alone):
+    with _scan_spies() as (handed, alone):
         records = bifurcation_scan(lpa_map(), "VMTOC", _LEAVING_SCANS["lpa"][1], grid, seed=1,
                                    n_transient=400, n_keep=40)
-    assert (left, alone) == ([], [])
+    assert alone == [] and len({at for _, at, _ in handed}) <= 1
     assert all(rec.error is None for rec in records)
 
 
@@ -803,9 +935,9 @@ def test_recurring_batch_rows_retire_and_equal_a_lone_orbit(monkeypatch, caplog,
     starts = [_cycle_start(p, s) for p, s in _RECURRING_ROWS] + [np.array([0.0, _NEVER])] * 2
     monkeypatch.setattr(dynamics, "draw_x0", lambda seed, r, lo, hi: starts[r])
     with _batch_rows(_cycles()) as (model, calls, handed):
-        left, records = _assert_scan_runs_each_point_alone(
+        scan_handed, records = _assert_scan_runs_each_point_alone(
             caplog, model, (0.0, 0.0), [0.0] * len(starts), 0.0, 0.0, n_transient, n_keep)
-    assert left == [] and handed == []
+    assert scan_handed == [] and handed == []
     # a row retires at the first block end at or after its first recurrence
     total = n_transient + n_keep
     assert calls == [2 + sum(s >= u // _B * _B for _, s in _RECURRING_ROWS)
@@ -838,9 +970,9 @@ def test_last_batch_row_runs_on_alone_from_its_step(monkeypatch, caplog, kind):
               np.array([0.0 if kind == "count" else _LIMIT - late, _NEVER])]
     monkeypatch.setattr(dynamics, "draw_x0", lambda seed, r, lo, hi: starts[r])
     with _batch_rows(_cycles(kind)) as (model, calls, handed):
-        left, records = _assert_scan_runs_each_point_alone(
+        scan_handed, records = _assert_scan_runs_each_point_alone(
             caplog, model, (0.0, 0.0), [0.0] * 3, 0.0, 0.0, n_transient=5, n_keep=3 * _B)
-    assert left == [] and handed == [2 * _B]
+    assert [(r, at) for r, at, _ in scan_handed] == [(2, 2 * _B)] and handed == [2 * _B]
     assert calls == [3] * _B + [2] * _B
     # the oracle's lines, which equal the scan's
     assert _exit_lines(caplog) == (
@@ -934,23 +1066,25 @@ def _rows_path(model):
     """Run every lone orbit of ``model``, controlled or not, as a batch of
     two equal rows of the batch loop through the step map's
     ``evaluate_rows``, so that neither is ever left alone in it and no
-    tuple of floats is stepped; an orbit whose rows leave their batch runs
-    alone, as in a scan.  Yields the list of the orbits that left, by their
-    start."""
-    real_rows, left = dynamics._iterate_rows, []
+    tuple of floats is stepped.  Rows that fail a block's check run on alone
+    from its start, as in a scan, and the orbit fails with row 0's error.
+    Yields the hand-offs, ``(row, at, state)``."""
+    with _handoffs() as (handed, errors), pytest.MonkeyPatch.context() as mp:
+        handoff = dynamics._iterate_rows
 
-    def rows(g, x, n_transient, n_keep, strict=False):
-        kept, gone, _ = dynamics._iterate_batch(lambda _: g.evaluate_rows, None,
-                                                np.array([x, x]), g.domain, n_transient,
-                                                n_keep)
-        if gone:
-            left.append(x.tolist())
-            return real_rows(g, x, n_transient, n_keep, strict)
-        return kept[:, 0]
+        def rows(g, x, n_transient, n_keep, strict=False, **kwargs):
+            if kwargs:
+                return handoff(g, x, n_transient, n_keep, **kwargs)
+            errors.clear()
+            kept, failures = dynamics._iterate_batch(lambda _: g.evaluate_rows, lambda r: g,
+                                                     np.array([x, x]), g.domain, n_transient,
+                                                     n_keep)
+            if failures:
+                raise errors[0]
+            return kept[:, 0]
 
-    with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "_iterate_rows", rows)
-        yield left
+        yield handed
 
 
 @contextlib.contextmanager
@@ -974,10 +1108,10 @@ def test_one_row_orbit_equals_its_row_bitwise(kind, dim, target, hi, scheme):
     model = _one_row_model(kind, dim)
     cfg = ControlConfig(scheme, 0.3, target) if scheme else None
     x0 = np.random.default_rng([9, dim]).uniform(0.0, hi, dim)
-    with _rows_path(model) as left:
+    with _rows_path(model) as handed:
         rows_orbit = iterate_orbit(model, cfg, x0, 700, 60)
         rows_lyapunov = lyapunov_max(model, cfg, x0, n=1200)
-    assert left == []
+    assert handed == []
     with _one_row_calls() as calls:
         orbit = iterate_orbit(model, cfg, x0, 700, 60)
         lyapunov = lyapunov_max(model, cfg, x0, n=1200)
@@ -993,9 +1127,9 @@ def test_chained_scan_records_equal_their_rows_bitwise(kind, dim, target, hi, sc
     model = _one_row_model(kind, dim)
     grid = [0.0] * 4 if scheme is None else [0.0, 0.1, 0.25, 0.4, 0.6]
     kwargs = dict(seed=4, init_hi=hi, n_transient=150, n_keep=40, continue_orbits=True)
-    with _rows_path(model) as left:
+    with _rows_path(model) as handed:
         rows_records = bifurcation_scan(model, scheme or "VMTOC", target, grid, **kwargs)
-    assert left == []
+    assert handed == []
     with _one_row_calls() as calls:
         records = bifurcation_scan(model, scheme or "VMTOC", target, grid, **kwargs)
     assert calls == [((dim,), True)] * len(grid)
@@ -1127,9 +1261,11 @@ def test_chained_scan_fails_each_one_row_orbit_at_its_step(kind, step):
     message = _expected_message(kind, False, step)
     assert [r.error for r in records] == [message] * 2
     if kind == "diverge":
-        with _rows_path(model) as left:
+        with _rows_path(model) as handed:
             rows_records = bifurcation_scan(model, "VMTOC", (0.0,), [0.0, 0.0], **kwargs)
-        assert left == [[_LIMIT - step]] * 2
+        # both rows of each orbit run on alone from the block of `step`
+        at = step // _B * _B
+        assert handed == [(0, at, [_LIMIT - step + at]), (1, at, [_LIMIT - step + at])] * 2
         assert [r.error for r in rows_records] == [message] * 2
 
 
@@ -1144,9 +1280,10 @@ def test_one_row_orbit_fails_at_the_step_of_its_row(kind, step):
         iterate_orbit(model, None, x0, _N_TRANSIENT, _N_KEEP)
     assert (err.value.step, str(err.value)) == (step, _expected_message(kind, False, step))
     if kind == "diverge":
-        with _rows_path(model) as left, pytest.raises(OrbitError) as rows_err:
+        with _rows_path(model) as handed, pytest.raises(OrbitError) as rows_err:
             iterate_orbit(model, None, x0, _N_TRANSIENT, _N_KEEP)
-        assert left == [x0.tolist()]
+        at = step // _B * _B
+        assert handed == [(r, at, (x0 + at).tolist()) for r in (0, 1)]
         assert (rows_err.value.step, str(rows_err.value)) == (step, str(err.value))
 
 

@@ -40,16 +40,6 @@ def test_lpa_param_validation():
         LpaParams(mu_a=1.0)
 
 
-def test_lpa_strict_rejects_negative_input():
-    p = LpaParams()
-    with pytest.raises(ValueError, match="negative"):
-        lpa_eval(p, np.array([-1.0, 0.0, 0.0]), strict=True)
-    rows = np.array([[1.0, 2.0, 3.0], [4.0, -0.5, 6.0]])
-    with pytest.raises(ValueError, match="negative"):
-        lpa_eval(p, rows, strict=True)
-    np.testing.assert_array_equal(lpa_eval(p, rows[:1], strict=True), lpa_eval(p, rows[:1]))
-
-
 def test_lpa_recruitment_bound_value_and_sharpness():
     p = LpaParams()
     bound = lpa_recruitment_bound(p)
