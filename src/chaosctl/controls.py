@@ -8,14 +8,17 @@ Five schemes are provided.  With intensity ``c`` and target ``T``:
 * ``PF``         x' = f((1-c)*x)            (proportional culling before)
 * ``DIAG-VMTOC`` x' = C*T + (I-C)*f(x)      (per-component intensities C)
 
-PF and MPF are exactly VTOC and VMTOC with a zero target; the code paths
-are shared so the reduction is bit-for-bit.
+PF and MPF are exactly VTOC and VMTOC with a zero target.  One builder
+writes every form of every scheme's step (single state, batch, tuple of
+floats, Jacobian) from one split, the pull before the map or after it, so
+the reduction and the agreement of the forms are bit-for-bit.  After the
+map, a base image without the model's dimension raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, mul
+from operator import add, length_hint, mul
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -106,26 +109,6 @@ def _pull(c, target: np.ndarray):
     return pull
 
 
-def _controlled_floats(f, scheme: str, c, t: np.ndarray):
-    """The float step of the controlled map, from the float step ``f`` of
-    the base model: the pull toward ``t`` before ``f`` or after it, as in
-    :func:`_controlled`.  ``c`` is a scalar or a ``(d,)`` vector.  The pull
-    of component j is ``ct[j] + keep[j]*y[j]``, with c*T and 1-c computed
-    as :func:`_pull` computes them, so each component is bitwise the array
-    pull's."""
-    ct, keep = (c * t).tolist(), 1.0 - c
-    keep = keep.tolist() if isinstance(keep, np.ndarray) else [keep] * len(ct)
-
-    if scheme in ("VTOC", "PF"):
-        def evaluate_floats(x):
-            return f(tuple(map(add, ct, map(mul, keep, x))))
-    else:
-        def evaluate_floats(x):
-            return tuple(map(add, ct, map(mul, keep, f(x))))
-
-    return evaluate_floats
-
-
 def _checked_target(model: MapModel, cfg: ControlConfig) -> np.ndarray:
     t = cfg.target_vector(model.dimension)
     # target_vector has checked that t is a finite vector of the right length
@@ -135,15 +118,17 @@ def _checked_target(model: MapModel, cfg: ControlConfig) -> np.ndarray:
 
 
 def _controlled(model: MapModel, scheme: str, c, t: np.ndarray):
-    """``(evaluate, evaluate_batch, jacobian)`` of the controlled map.
-
-    Every scheme is the pull toward ``t``, applied to the state before ``f``
-    (VTOC, PF) or to its image after it (VMTOC, MPF, DIAG-VMTOC).  With an
-    ``(n, 1)`` column ``c`` only ``evaluate_batch`` applies: row r of the
-    batch is pulled with intensity ``c[r]``.
+    """``(evaluate, evaluate_batch, evaluate_floats, jacobian)`` of the
+    controlled map: the pull toward ``t`` before the base map (VTOC, PF) or
+    after it (VMTOC, MPF, DIAG-VMTOC).  With an ``(n, 1)`` column ``c`` only
+    ``evaluate_batch`` applies: row r is pulled with intensity ``c[r]``.
     """
-    pull = _pull(c, t)
-    f, f_rows, f_jac = model.evaluate, model.evaluate_rows, model.jacobian
+    pull, d = _pull(c, t), model.dimension
+    # the float pull of component j, ct[j] + keep[j]*y[j], is bitwise the
+    # array pull's: ct is c*T as _pull computes it, keep is 1-c per component
+    ct, keep = (c * t).tolist(), ((1.0 - c) * np.ones_like(t)).tolist()
+    f, f_rows, f_floats, f_jac = (model.evaluate, model.evaluate_rows,
+                                  model.evaluate_floats, model.jacobian)
     # (1-c) scales row i of the Jacobian: a (1, 1) or (dim, 1) column.
     scale = np.reshape(1.0 - np.asarray(c), (-1, 1))
 
@@ -154,20 +139,38 @@ def _controlled(model: MapModel, scheme: str, c, t: np.ndarray):
         def evaluate_batch(rows):
             return f_rows(pull(rows))
 
+        def evaluate_floats(x):
+            return f_floats(tuple(map(add, ct, map(mul, keep, x))))
+
         def jacobian(x):
             return scale * np.asarray(f_jac(pull(np.asarray(x, float))), float)
 
     else:
+        # the pull would broadcast an image of the wrong size or cut it
+        def wrong_size(y):
+            return ValueError(f"the base map gave an image of shape {np.shape(y)}, "
+                              f"but the model has dimension {d}")
+
         def evaluate(x):
-            return pull(np.asarray(f(x), float))
+            y = np.asarray(f(x), float)
+            if y.shape != (d,):
+                raise wrong_size(y)
+            return pull(y)
 
         def evaluate_batch(rows):
             return pull(f_rows(rows))
 
+        def evaluate_floats(x):
+            y = f_floats(x)
+            # len for a sized image, 0 for a scalar
+            if length_hint(y) != d:
+                raise wrong_size(y)
+            return tuple(map(add, ct, map(mul, keep, y)))
+
         def jacobian(x):
             return scale * np.asarray(f_jac(x), float)
 
-    return evaluate, evaluate_batch, jacobian
+    return evaluate, evaluate_batch, evaluate_floats, jacobian
 
 
 def apply_control(model: MapModel, cfg: ControlConfig, x) -> np.ndarray:
@@ -178,24 +181,19 @@ def apply_control(model: MapModel, cfg: ControlConfig, x) -> np.ndarray:
 def controlled_map(model: MapModel, cfg: ControlConfig) -> MapModel:
     """Wrap ``model`` into the controlled self-map of the same domain.
 
-    The wrapped model evaluates single states, batches of states when the
-    base model does, and tuples of floats when the base model does, bitwise
-    as ``evaluate`` of the wrapped model.  The analytic Jacobian is chained
-    through when the base model has one; otherwise the wrapped model falls
-    back to finite differences.
+    The wrapped model has an ``evaluate_batch`` and an ``evaluate_floats``,
+    each bitwise as its ``evaluate``, when the base model does; it chains the
+    analytic Jacobian through when the base model has one, and otherwise
+    falls back to finite differences.
     """
-    dim = model.dimension
     t = _checked_target(model, cfg)
-    c = cfg.intensity if cfg.is_scalar else cfg.intensity_vector(dim)
-    evaluate, evaluate_batch, jacobian = _controlled(model, cfg.scheme, c, t)
+    c = cfg.intensity if cfg.is_scalar else cfg.intensity_vector(model.dimension)
+    evaluate, evaluate_batch, evaluate_floats, jacobian = _controlled(model, cfg.scheme, c, t)
     name = f"{cfg.scheme}({model.name})" if model.name else cfg.scheme
-    f_floats = model.evaluate_floats
-    return MapModel(dimension=dim, evaluate=evaluate, domain=model.domain,
-                    jacobian=jacobian if model.jacobian is not None else None,
-                    name=name,
+    return MapModel(dimension=model.dimension, evaluate=evaluate, domain=model.domain,
+                    name=name, jacobian=jacobian if model.jacobian is not None else None,
                     evaluate_batch=evaluate_batch if model.evaluate_batch is not None else None,
-                    evaluate_floats=(None if f_floats is None
-                                     else _controlled_floats(f_floats, cfg.scheme, c, t)))
+                    evaluate_floats=evaluate_floats if model.evaluate_floats is not None else None)
 
 
 def controlled_rows(model: MapModel, scheme: str, target, intensities):

@@ -180,30 +180,18 @@ def fd_jacobian(func: Callable, x, rel_step: float = 1e-6) -> np.ndarray:
 class MapModel:
     """A continuous self-map of a convex domain, with optional analytic Jacobian.
 
-    ``evaluate`` takes and returns a length-``dimension`` vector and must be
-    pure: an orbit of one state stops calling it once a state recurs bit
-    for bit, and repeats the cycle.  When ``jacobian`` is omitted,
-    :meth:`jacobian_at` falls back to central finite differences.
-    ``evaluate_batch``, when given, maps an ``(n, dimension)`` array of
-    states to the array of their images and must be row-wise pure: each
-    output row depends on its own input row only, never on the other rows
-    or on where the row sits in the batch, and pure, since a row that
-    recurs bit for bit stops being stepped and repeats its cycle.
+    ``evaluate`` maps a length-``dimension`` vector to its image, a vector
+    of the same length, and must be pure: a state always gives the same
+    image, bit for bit.  ``evaluate_batch``, when given, maps an
+    ``(n, dimension)`` array of states to the array of their images and
+    must be row-wise pure: each output row depends on its own input row
+    only, never on the other rows or on where the row sits in the batch.
     ``evaluate_floats``, when given, maps a tuple of ``dimension`` Python
-    floats to the tuple of its image's components, and must equal
-    ``evaluate`` bit for bit (``-0.0``, infinities and NaN included); a
-    lone orbit then steps on tuples through it, which skips most of the
-    numpy call overhead of ``evaluate``.  An orbit's failure is read off
-    its block of steps, and only the failing step runs again, through
-    ``evaluate``.
-
-    A fresh scan runs its grid points as the rows of one batch through
-    ``evaluate_batch`` when the model has one.  A row that fails a block's
-    check runs on alone from the block's start, and so do the rows left
-    once there are few of them: at most six when the model has
-    ``evaluate_floats``, else the last one.  Every other orbit runs alone,
-    through ``evaluate_floats`` when the model has one and through
-    ``evaluate`` otherwise, so all of them must agree row for row.
+    floats to the tuple of its image's components.  Both must agree with
+    ``evaluate`` bit for bit, a batch row for row (``-0.0``, infinities and
+    NaN included): :mod:`chaosctl.dynamics` runs an orbit through whichever
+    suits it.  When ``jacobian`` is omitted, :meth:`jacobian_at` falls back
+    to central finite differences.
     """
 
     dimension: int

@@ -8,10 +8,11 @@ loop, behind every :func:`iterate_orbit`, advances one state, on tuples of
 Python floats through ``evaluate_floats`` when the map has one, and on
 arrays through ``evaluate`` otherwise.  A failure is read off its block,
 with the step, message and log line of a step-by-step check; only the
-failing step runs again.  A lone state stops right after its first
-recurrence, bit for bit, within two blocks, and repeats that cycle.  The
-batch loop advances the grid points of a fresh scan of a model with
-``evaluate_batch`` as the rows of one ``(n, d)`` array, each block once.
+failing step runs again, through ``evaluate``.  A lone state stops right
+after its first recurrence, bit for bit, within two blocks, and repeats
+that cycle, since the map is pure.  The batch loop advances the grid
+points of a fresh scan of a model with ``evaluate_batch`` as the rows of
+one ``(n, d)`` array, each block once; every other orbit runs alone.
 A row whose block holds a non-finite state or leaves the domain runs on
 alone from the block's start; a row whose last state in a block equals,
 bit for bit, one of the ``_BLOCK`` states before it retires and repeats

@@ -130,10 +130,9 @@ def lpa_recruitment_bound(p: LpaParams) -> float:
     return p.b / (math.e * p.c_ea)
 
 
-def lpa_map(p: LpaParams | None = None, domain: DomainSpec | None = None) -> MapModel:
+def lpa_map(p: LpaParams | None = None) -> MapModel:
     """The LPA model as a ``MapModel`` on the nonnegative orthant."""
     p = p or LpaParams()
-    domain = domain or DomainSpec.nonnegative_orthant(3)
 
     def evaluate(x, _p=p):
         return lpa_eval(_p, x)
@@ -144,7 +143,7 @@ def lpa_map(p: LpaParams | None = None, domain: DomainSpec | None = None) -> Map
     def jacobian(x, _p=p):
         return lpa_jacobian(_p, x)
 
-    return MapModel(dimension=3, evaluate=evaluate, domain=domain,
+    return MapModel(dimension=3, evaluate=evaluate, domain=DomainSpec.nonnegative_orthant(3),
                     jacobian=jacobian, name="lpa", evaluate_batch=evaluate,
                     evaluate_floats=evaluate_floats)
 

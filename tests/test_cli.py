@@ -753,6 +753,58 @@ def test_simulate_rejects_a_step_of_the_wrong_size(tmp_path, monkeypatch, capsys
     assert sorted(os.listdir(tmp_path)) == ["pair.py"]
 
 
+_SCALAR3_PLUGIN = (
+    "from chaosctl import DomainSpec, MapModel\n"
+    "def make():\n"
+    "    return MapModel(dimension=3, evaluate=lambda x: 0.5 * float(x[0]),\n"
+    "                    domain=DomainSpec.full_space(3))\n")
+
+
+@pytest.mark.parametrize("name, dim, settings, shape", [
+    ("pair", 1, ["run.x0=1", "control.scheme=VMTOC", "control.target=0"], (2,)),
+    ("pair", 1, ["run.x0=1", "control.scheme=MPF"], (2,)),
+    ("pair", 1, ["run.x0=1", "control.scheme=DIAG-VMTOC", "control.target=0"], (2,)),
+    ("scalar3", 3, ["run.x0=1,1,1", "control.scheme=VMTOC", "control.target=1,1,1"], ()),
+], ids=["vmtoc", "mpf", "diag-vmtoc", "vmtoc-scalar"])
+def test_simulate_rejects_a_base_step_of_the_wrong_size_under_control(
+        tmp_path, monkeypatch, capsys, name, dim, settings, shape):
+    # the pull after the map would broadcast the base map's image or cut it
+    plugin = {"pair": _PAIR_PLUGIN, "scalar3": _SCALAR3_PLUGIN}[name]
+    (tmp_path / f"{name}.py").write_text(plugin)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    assert run_cli(tmp_path, "simulate", "--out", "ws", "--set", "model.kind=plugin",
+                   "--set", f"model.plugin={name}:make", "--set", "control.intensity=0.3",
+                   *[arg for s in settings for arg in ("--set", s)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: evaluation failed at step 0: ValueError: the base map gave an image of "
+        f"shape {shape}, but the model has dimension {dim}\n")
+    assert sorted(os.listdir(tmp_path)) == [f"{name}.py"]
+
+
+_OVERFLOW_BATCH_PLUGIN = (
+    "import numpy as np\n"
+    "from chaosctl import DomainSpec, MapModel\n"
+    "def batch(rows):\n"
+    "    raise OverflowError('boom')\n"
+    "def make():\n"
+    "    return MapModel(dimension=1, evaluate=lambda x: 0.5 * np.asarray(x, float),\n"
+    "                    evaluate_batch=batch, domain=DomainSpec.full_space(1))\n")
+
+
+def test_bifurcate_reports_an_arithmetic_error_of_the_batch_step(tmp_path, monkeypatch, capsys):
+    # an exception of evaluate_batch stops the whole scan
+    plugins, out = tmp_path / "plugins", tmp_path / "out"
+    plugins.mkdir()
+    out.mkdir()
+    (plugins / "overflow.py").write_text(_OVERFLOW_BATCH_PLUGIN)
+    monkeypatch.syspath_prepend(str(plugins))
+    assert run_cli(out, "bifurcate", "--out", "ob", "--set", "model.kind=plugin",
+                   "--set", "model.plugin=overflow:make", "--set", "scan.grid=10",
+                   "--set", "control.scheme=VMTOC", "--set", "control.target=0") == 1
+    assert capsys.readouterr().err == "error: OverflowError: boom\n"
+    assert os.listdir(out) == []
+
+
 @pytest.mark.parametrize("command", ["equilibrium", "stability", "bifurcate", "bubbles",
                                      "lyapunov"])
 def test_strict_is_rejected_where_it_does_not_apply(tmp_path, capsys, command):

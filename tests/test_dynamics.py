@@ -261,6 +261,12 @@ def test_scan_rejects_bad_control_with_an_empty_grid(lpa, scheme, target, messag
         bifurcation_scan(lpa, scheme, target, [])
 
 
+@pytest.mark.parametrize("continue_orbits", [False, True], ids=["fresh", "chained"])
+def test_scan_of_an_empty_grid_returns_no_records(lpa, continue_orbits):
+    assert bifurcation_scan(lpa, "VMTOC", (30.0, 30.0, 200.0), [],
+                            continue_orbits=continue_orbits) == []
+
+
 def _never(x):
     raise AssertionError("an orbit ran")
 
@@ -598,6 +604,20 @@ def test_step_of_the_wrong_size_raises_at_the_first_step(case):
     assert str(err.value) == (f"step 0 gave a state of shape {shape}, "
                               f"but the model has dimension 1")
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("scheme", ["VMTOC", "MPF", "DIAG-VMTOC"])
+@pytest.mark.parametrize("case", sorted(_WRONG_SIZES))
+def test_post_map_control_fails_a_step_of_the_wrong_size_at_the_first_step(case, scheme):
+    # the pull after the map would broadcast the image or cut it to size
+    evaluate, evaluate_floats, shape = _WRONG_SIZES[case]
+    model = MapModel(dimension=1, evaluate=evaluate, domain=DomainSpec.full_space(1),
+                     evaluate_floats=evaluate_floats)
+    with pytest.raises(OrbitError) as err:
+        iterate_orbit(model, ControlConfig(scheme, 0.3, (0.0,)), [1.0], 2 * _B, 5)
+    assert (err.value.step, str(err.value)) == (
+        0, f"evaluation failed at step 0: ValueError: the base map gave an image of shape "
+           f"{shape}, but the model has dimension 1")
 
 
 def test_scan_row_failing_in_first_block_leaves_other_rows_exact():
