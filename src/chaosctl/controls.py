@@ -12,7 +12,8 @@ PF and MPF are exactly VTOC and VMTOC with a zero target.  One builder
 writes every form of every scheme's step (single state, batch, tuple of
 floats, Jacobian) from one split, the pull before the map or after it, so
 the reduction and the agreement of the forms are bit-for-bit.  After the
-map, a base image without the model's dimension raises ``ValueError``.
+map, a base image without the model's dimension raises ``ValueError``,
+and so does, either side of it, a batch image without the rows' shape.
 """
 
 from __future__ import annotations
@@ -132,12 +133,20 @@ def _controlled(model: MapModel, scheme: str, c, t: np.ndarray):
     # (1-c) scales row i of the Jacobian: a (1, 1) or (dim, 1) column.
     scale = np.reshape(1.0 - np.asarray(c), (-1, 1))
 
+    def sized(y, shape):
+        # the pull, or the batch loop that stores a batch image, would cut an
+        # image of the wrong shape or broadcast it
+        if np.shape(y) != shape:
+            raise ValueError(f"the base map gave an image of shape {np.shape(y)}, "
+                             f"but the model has dimension {d}")
+        return y
+
     if scheme in ("VTOC", "PF"):
         def evaluate(x):
             return np.asarray(f(pull(np.asarray(x, float))), float)
 
         def evaluate_batch(rows):
-            return f_rows(pull(rows))
+            return sized(f_rows(pull(rows)), rows.shape)
 
         def evaluate_floats(x):
             return f_floats(tuple(map(add, ct, map(mul, keep, x))))
@@ -146,25 +155,18 @@ def _controlled(model: MapModel, scheme: str, c, t: np.ndarray):
             return scale * np.asarray(f_jac(pull(np.asarray(x, float))), float)
 
     else:
-        # the pull would broadcast an image of the wrong size or cut it
-        def wrong_size(y):
-            return ValueError(f"the base map gave an image of shape {np.shape(y)}, "
-                              f"but the model has dimension {d}")
-
         def evaluate(x):
-            y = np.asarray(f(x), float)
-            if y.shape != (d,):
-                raise wrong_size(y)
-            return pull(y)
+            return pull(sized(np.asarray(f(x), float), (d,)))
 
         def evaluate_batch(rows):
-            return pull(f_rows(rows))
+            return pull(sized(f_rows(rows), rows.shape))
 
         def evaluate_floats(x):
             y = f_floats(x)
-            # len for a sized image, 0 for a scalar
+            # len for a sized image, 0 for a scalar: only an image of the
+            # wrong size, which raises, pays for its shape
             if length_hint(y) != d:
-                raise wrong_size(y)
+                sized(y, (d,))
             return tuple(map(add, ct, map(mul, keep, y)))
 
         def jacobian(x):
@@ -181,10 +183,10 @@ def apply_control(model: MapModel, cfg: ControlConfig, x) -> np.ndarray:
 def controlled_map(model: MapModel, cfg: ControlConfig) -> MapModel:
     """Wrap ``model`` into the controlled self-map of the same domain.
 
-    The wrapped model has an ``evaluate_batch`` and an ``evaluate_floats``,
-    each bitwise as its ``evaluate``, when the base model does; it chains the
-    analytic Jacobian through when the base model has one, and otherwise
-    falls back to finite differences.
+    The wrapped model steps on floats through the base model's float step
+    and has an ``evaluate_batch`` when the base model does, each bitwise as
+    its ``evaluate``; it chains the analytic Jacobian through when the base
+    model has one, and otherwise falls back to finite differences.
     """
     t = _checked_target(model, cfg)
     c = cfg.intensity if cfg.is_scalar else cfg.intensity_vector(model.dimension)
@@ -193,7 +195,7 @@ def controlled_map(model: MapModel, cfg: ControlConfig) -> MapModel:
     return MapModel(dimension=model.dimension, evaluate=evaluate, domain=model.domain,
                     name=name, jacobian=jacobian if model.jacobian is not None else None,
                     evaluate_batch=evaluate_batch if model.evaluate_batch is not None else None,
-                    evaluate_floats=evaluate_floats if model.evaluate_floats is not None else None)
+                    evaluate_floats=evaluate_floats)
 
 
 def controlled_rows(model: MapModel, scheme: str, target, intensities):

@@ -186,12 +186,15 @@ class MapModel:
     ``(n, dimension)`` array of states to the array of their images and
     must be row-wise pure: each output row depends on its own input row
     only, never on the other rows or on where the row sits in the batch.
-    ``evaluate_floats``, when given, maps a tuple of ``dimension`` Python
-    floats to the tuple of its image's components.  Both must agree with
-    ``evaluate`` bit for bit, a batch row for row (``-0.0``, infinities and
-    NaN included): :mod:`chaosctl.dynamics` runs an orbit through whichever
-    suits it.  When ``jacobian`` is omitted, :meth:`jacobian_at` falls back
-    to central finite differences.
+    ``evaluate_floats`` maps a tuple of ``dimension`` Python floats to the
+    sequence of its image's components.  When omitted, it is ``evaluate``
+    of the state as a float array, its image returned by ``tolist``, so
+    every model has the one lone step form: every lone orbit steps through
+    it, and a fresh batch of any model hands its last six rows to it.  Both
+    must agree with ``evaluate`` bit for bit, a batch row for row (``-0.0``,
+    infinities and NaN included): :mod:`chaosctl.dynamics` runs an orbit
+    through whichever suits it.  Without ``jacobian``, :meth:`jacobian_at`
+    falls back to central finite differences.
     """
 
     dimension: int
@@ -205,6 +208,13 @@ class MapModel:
     def __post_init__(self):
         if self.dimension != self.domain.dim:
             raise ValueError("model dimension must match its domain")
+        f, given = self.evaluate, self.evaluate_floats
+        # derived again where dataclasses.replace passes on the old evaluate's
+        if given is None or getattr(given, "derived_from", f) is not f:
+            def derived(x):
+                return np.asarray(f(np.array(x, float)), float).tolist()
+            derived.derived_from = f
+            object.__setattr__(self, "evaluate_floats", derived)
 
     def __call__(self, x) -> np.ndarray:
         return self.evaluate(x)

@@ -43,10 +43,10 @@ def costs_per_step(model: MapModel, target, intensities, orbits,
     ``(records,)`` for VMTOC or ``(records, d)`` for DIAG-VMTOC.  ``window``
     is ``(start, length)`` into every orbit, defaulting to the whole orbit.
     The images of every window's states come from one ``evaluate_rows``
-    call, and their nudges are measured by one ``norm_rows`` call; an image
-    that is not finite, or an evaluation that raises, raises ``ValueError``
-    (the row it names counts the windows' states orbit by orbit, so state
-    ``k`` of orbit ``r`` is row ``r * length + k``).  Each orbit's
+    call, and their nudges are measured by one ``norm_rows`` call.  An
+    evaluation that raises raises ``ValueError`` naming its row (state
+    ``k`` of orbit ``r``'s window is row ``r * length + k``), and the first
+    non-finite nudge one naming its orbit, state and image.  Each orbit's
     total is a running sum in window order (``np.cumsum`` is sequential,
     unlike numpy's pairwise ``sum``), so its average is the one a loop over
     the states gives.  Returns the ``(records,)`` averages.
@@ -69,7 +69,13 @@ def costs_per_step(model: MapModel, target, intensities, orbits,
     t = as_state(target, d, what="target")
     fx = model.evaluate_rows(orbits[:, start:start + length].reshape(-1, d))
     c = c[:, None, None] if c.ndim == 1 else c[:, None]
-    nudges = c * (fx.reshape(records, length, d) - t)
+    fx = fx.reshape(records, length, d)
+    nudges = c * (fx - t)
+    bad = np.argwhere(~np.isfinite(nudges).all(axis=2))
+    if bad.size:
+        r, k = bad[0].tolist()
+        raise ValueError(f"non-finite nudge at state {start + k} of orbit {r}: the image "
+                         f"of {orbits[r, start + k].tolist()} is {fx[r, k].tolist()}")
     sizes = norm_rows(nudges.reshape(-1, d), norm_kind).reshape(records, length)
     return np.cumsum(sizes, axis=1)[:, -1] / length
 

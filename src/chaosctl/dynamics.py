@@ -4,23 +4,22 @@ A bifurcation scan runs one controlled orbit per grid intensity, discards a
 transient, keeps a short window and classifies each component's period on
 that window, every record's in one pass.  Two loops run orbits, and both
 check finiteness and domain membership once per block of steps.  The lone
-loop, behind every :func:`iterate_orbit`, advances one state, on tuples of
-Python floats through ``evaluate_floats`` when the map has one, and on
-arrays through ``evaluate`` otherwise.  A failure is read off its block,
-with the step, message and log line of a step-by-step check; only the
-failing step runs again, through ``evaluate``.  A lone state stops right
-after its first recurrence, bit for bit, within two blocks, and repeats
-that cycle, since the map is pure.  The batch loop advances the grid
-points of a fresh scan of a model with ``evaluate_batch`` as the rows of
-one ``(n, d)`` array, each block once; every other orbit runs alone.
-A row whose block holds a non-finite state or leaves the domain runs on
-alone from the block's start; a row whose last state in a block equals,
-bit for bit, one of the ``_BLOCK`` states before it retires and repeats
-that cycle.  Once the batch holds at most ``_HANDOFF`` rows, for a model
-with ``evaluate_floats``, or one row otherwise, each row left runs on
-alone from its state and step.  Scans are deterministic: the initial
-condition for grid index ``i`` comes from an RNG stream derived from
-``(seed, i)``, so records are bit-identical across runs.
+loop, behind every :func:`iterate_orbit`, advances one state on tuples of
+Python floats through the step map's ``evaluate_floats``, which every model
+has, its own or one derived from ``evaluate``.  A failure is read off its
+block, with the step, message and log line of a step-by-step check; only
+the failing step runs again, through ``evaluate``.  A lone state stops
+right after its first recurrence, bit for bit, within two blocks, and
+repeats that cycle, since the map is pure.  The batch loop advances the
+grid points of a fresh scan of a model with ``evaluate_batch`` as the rows
+of one ``(n, d)`` array, each block once; every other orbit runs alone.  A
+row whose block holds a non-finite state or leaves the domain runs on alone
+from the block's start; a row whose last state in a block equals, bit for
+bit, one of the ``_BLOCK`` states before it retires and repeats that cycle.
+Once the batch holds at most ``_HANDOFF`` rows, whatever the model, each
+row left runs on alone from its state and step.  Scans are deterministic:
+the initial condition for grid index ``i`` comes from an RNG stream derived
+from ``(seed, i)``, so records are bit-identical across runs.
 """
 
 from __future__ import annotations
@@ -60,19 +59,19 @@ def _check_lengths(n_transient: int, n_keep: int) -> None:
 # cost little per step, short enough that a failure wastes little of a block.
 _BLOCK = 64
 
-# The most rows a fresh batch of a model with a float step holds before it
-# hands them all to the lone loop.  Numpy call overhead dominates a batch
-# step, so it costs about the same for 1 row as for 29: 18 us for a
-# controlled LPA batch step, against 3.6 us for a lone controlled float
-# step, loop included (one pinned core of a 2-vCPU Xeon VM, Python 3.11,
-# numpy 2.4).  On the 29-point LPA VMTOC grid k/300, k = 10, 20, ..., 290,
-# toward K, (30,30,200), (30,200,30) and (200,30,30) at four seeds, the
-# batch and lone steps counted at each threshold, priced at those costs,
-# give 41 ms per scan when only the last row is handed off, 29-30 ms from
-# 5 to 8 rows and 31 ms at 12.  A Ricker batch step costs only about three
-# lone steps, so six Ricker rows that never recur run up to twice as long
-# alone; fresh 149-point delay-2 Ricker VMTOC scans toward (1, 3) from
-# [0, 3] never got down to 12 rows.
+# The most rows a fresh batch holds before it hands them all to the lone
+# loop, whatever the model.  Numpy call overhead dominates a batch step, so
+# it costs about the same for 1 row as for 29: 18 us for a controlled LPA
+# batch step, against 3.6 us for a lone controlled float step, loop
+# included (one pinned core of a 2-vCPU Xeon VM, Python 3.11, numpy 2.4).
+# On the 29-point LPA VMTOC grid k/300, k = 10, 20, ..., 290, toward K,
+# (30,30,200), (30,200,30) and (200,30,30) at four seeds, the batch and
+# lone steps counted at each threshold, priced at those costs, give 41 ms
+# per scan when only the last row is handed off, 29-30 ms from 5 to 8 rows
+# and 31 ms at 12.  A Ricker batch step costs only about three lone steps,
+# so six Ricker rows that never recur run up to twice as long alone; fresh
+# 149-point delay-2 Ricker VMTOC scans toward (1, 3) from [0, 3] never got
+# down to 12 rows.
 _HANDOFF = 6
 
 
@@ -91,9 +90,8 @@ def _iterate_rows(g: MapModel, x: np.ndarray, n_transient: int, n_keep: int,
     logged once; a state of the wrong size raises ``ValueError``.
 
     The steps run in blocks of ``_BLOCK`` with floating-point warnings off,
-    on tuples of floats through ``g.evaluate_floats`` when ``g`` has one and
-    on arrays through ``g.evaluate`` otherwise.  Each block becomes one
-    array, which one finiteness and one domain check test as a whole and
+    on tuples of floats through ``g.evaluate_floats``.  Each block becomes
+    one array, which one finiteness and one domain check test as a whole and
     which fills the kept window.  A failure is read off its block: the first
     non-finite state, or the step that raised, fails the orbit, and the
     first state before it outside the domain is the exit.  Only the failing
@@ -111,22 +109,7 @@ def _iterate_rows(g: MapModel, x: np.ndarray, n_transient: int, n_keep: int,
     total, d, domain = n_transient + n_keep, x.shape[0], g.domain
     if kept is None:
         kept = np.empty((n_keep, d))
-    pack = struct.Struct(f"{d}d").pack
-
-    def evaluate(y):
-        return np.asarray(g.evaluate(y), dtype=float)
-
-    if g.evaluate_floats is None:
-        step = evaluate
-
-        def key_of(y):
-            # a state of the wrong shape does not pack
-            return y.tobytes() if y.shape == (d,) else pack(*y)
-    else:
-        step, x = g.evaluate_floats, tuple(x.tolist())
-
-        def key_of(y):
-            return pack(*y)
+    step, pack, x = g.evaluate_floats, struct.Struct(f"{d}d").pack, tuple(x.tolist())
     # the steps of the states' bytes, by block, the previous block's states,
     # and whether an exit was logged
     seen, older, before, warned = {}, {}, None, False
@@ -138,7 +121,7 @@ def _iterate_rows(g: MapModel, x: np.ndarray, n_transient: int, n_keep: int,
             try:
                 for i in range(start, start + size):
                     y = step(y)
-                    key = key_of(y)
+                    key = pack(*y)  # a state of the wrong size does not pack
                     append(key)
                     if key in seen or key in older:
                         hit = i, i - seen.get(key, older.get(key))
@@ -169,7 +152,8 @@ def _iterate_rows(g: MapModel, x: np.ndarray, n_transient: int, n_keep: int,
             if j is not None:
                 i = start + j
                 try:
-                    if not np.isfinite(evaluate(block[j - 1] if j else np.array(x, float))).all():
+                    image = g.evaluate(block[j - 1] if j else np.array(x, float))
+                    if not np.isfinite(np.asarray(image, float)).all():
                         error = None
                 except (ValueError, ArithmeticError) as exc:
                     error = exc
@@ -195,7 +179,7 @@ def _iterate_rows(g: MapModel, x: np.ndarray, n_transient: int, n_keep: int,
 
 
 def _iterate_batch(step_for, lone_for, x: np.ndarray, domain: DomainSpec,
-                   n_transient: int, n_keep: int, handoff: int = 1):
+                   n_transient: int, n_keep: int):
     """Advance each row of ``x`` ``(n, d)`` by ``n_transient + n_keep`` steps.
 
     ``step_for(rows)`` builds the step of the original rows ``rows``, an
@@ -204,7 +188,7 @@ def _iterate_batch(step_for, lone_for, x: np.ndarray, domain: DomainSpec,
     ``n_transient + k``, and ``failures`` maps each row whose orbit failed,
     whose kept states are meaningless, to its :class:`OrbitError` message.
 
-    The batch runs while it holds more than ``handoff`` rows, in blocks of
+    The batch runs while it holds more than ``_HANDOFF`` rows, in blocks of
     ``_BLOCK`` steps.  Each block runs once with floating-point warnings
     off, is written to ``kept`` for every row in the batch and gets one
     finiteness and one domain check.  When that fails, each row that holds
@@ -233,7 +217,7 @@ def _iterate_batch(step_for, lone_for, x: np.ndarray, domain: DomainSpec,
             failures[r] = str(exc)
 
     rows, done, step = np.arange(x.shape[0]), 0, None
-    while done < total and rows.size > handoff:
+    while done < total and rows.size > _HANDOFF:
         if step is None:
             step = step_for(rows)
         size = min(_BLOCK, total - done)
@@ -282,13 +266,13 @@ def iterate_orbit(model: MapModel, cfg: Optional[ControlConfig], x0,
                   n_transient: int, n_keep: int, strict: bool = False) -> np.ndarray:
     """Iterate the (controlled) map and return the last ``n_keep`` states.
 
-    Runs ``n_transient + n_keep`` steps from ``x0`` through the step map's
-    ``evaluate_floats`` when it has one, on tuples of floats, and through
-    its single-state ``evaluate`` otherwise; ``evaluate_batch`` is never
+    Runs ``n_transient + n_keep`` steps from ``x0`` on tuples of floats,
+    through the step map's ``evaluate_floats``: the model's own, or the one
+    derived from its single-state ``evaluate``.  ``evaluate_batch`` is never
     called.  An orbit whose state recurs bit for bit stops stepping right
     after the step of its first recurrence and repeats its cycle, which
-    gives the same states, because the step is pure.  Every period up to
-    64 steps is caught at that step, and memory stays bounded whatever the
+    gives the same states, because the step is pure.  Every period up to 64
+    steps is caught at that step, and memory stays bounded whatever the
     orbit's length.  A non-finite state, or an evaluation that raises
     ``ValueError`` or ``ArithmeticError``, raises :class:`OrbitError` with
     the offending step index, read off its 64-step block; that step alone
@@ -401,19 +385,16 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
                      continue_orbits: bool = False) -> list:
     """One :class:`ScanRecord` per grid intensity, in grid order.
 
-    Fresh initial conditions are drawn per grid point from the box
-    [init_lo, init_hi] by :func:`draw_x0` with ``(seed, index)``;
-    ``continue_orbits`` instead chains each orbit from the previous final
-    state.  A fresh scan of a model with ``evaluate_batch`` advances all
-    grid points together as the rows of one array.  At the end of each
-    64-step block a row that holds a non-finite state or left the domain
-    runs on alone from the block's start state and first step; a row whose
-    last state equals, bit for bit, one of the 64 before it retires and
-    repeats that cycle through its kept window.  Once the batch holds at
-    most six rows, for a model with ``evaluate_floats``, or one row
-    otherwise, each row left runs on alone from its state and step.  Every
-    grid point of a chained scan or of a model without ``evaluate_batch`` is
-    one :func:`iterate_orbit` call.  A grid point that runs alone fails (the
+    Fresh initial conditions are drawn per grid point from the box [init_lo,
+    init_hi] by :func:`draw_x0` with ``(seed, index)``; ``continue_orbits``
+    instead chains each orbit from the previous final state.  A fresh scan
+    of a model with ``evaluate_batch`` advances all grid points together as
+    the rows of one array: at each 64-step block's end a row that fails or
+    left the domain runs on alone from the block's start, and a row that
+    recurs bit for bit retires and repeats its cycle; once at most six rows
+    are left, whatever the model, each runs on alone from its state and
+    step.  Every grid point of a chained scan or of a model without
+    ``evaluate_batch`` is one :func:`iterate_orbit` call.  A grid point that runs alone fails (the
     record's error is the :class:`OrbitError` message) or logs its domain
     exit as a lone orbit from its start would, so both ways give the same
     records bit for bit.  Then one :func:`detect_periods` call classifies
@@ -421,9 +402,11 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
     on its own window.  ``max_period`` is capped at half the kept window.
     Invalid arguments raise ``ValueError`` before any orbit runs: an
     ``n_keep`` below 2, a ``tol`` that is not positive and finite (NaN
-    included), a box that :func:`initial_box` rejects, and what building
-    the step, ``controlled_rows``, rejects: a bad scheme (``DIAG-VMTOC``
-    too), target or grid.  Orbit failures are recorded.
+    included), a box that :func:`initial_box` rejects, and what building the
+    step, ``controlled_rows``, rejects: a bad scheme (``DIAG-VMTOC`` too),
+    target or grid.  Orbit failures are recorded; what a batch step raises,
+    such as the ``ValueError`` of a base image of the wrong shape,
+    propagates.
     """
     c_grid = [float(c) for c in c_grid]
     _check_lengths(n_transient, n_keep)
@@ -448,8 +431,7 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
         kept, failures = _iterate_batch(
             lambda rows: controlled_rows(model, scheme, target, intensities[rows]),
             lambda r: controlled_map(model, config(r)),
-            x0, model.domain, n_transient, n_keep,
-            _HANDOFF if model.evaluate_floats is not None else 1)
+            x0, model.domain, n_transient, n_keep)
         points = np.ascontiguousarray(kept.transpose(1, 0, 2))
     else:
         points, failures = np.empty((len(c_grid), n_keep, dim)), {}

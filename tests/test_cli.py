@@ -781,6 +781,31 @@ def test_simulate_rejects_a_base_step_of_the_wrong_size_under_control(
     assert sorted(os.listdir(tmp_path)) == [f"{name}.py"]
 
 
+_COLUMN_PLUGIN = (
+    "import numpy as np\n"
+    "from chaosctl import DomainSpec, MapModel\n"
+    "def make():\n"
+    "    return MapModel(dimension=3, evaluate=lambda x: 0.5 * np.asarray(x, float),\n"
+    "                    evaluate_batch=lambda rows: 0.5 * rows[:, :1],\n"
+    "                    domain=DomainSpec.nonnegative_orthant(3))\n")
+
+
+@pytest.mark.parametrize("scheme", ["VMTOC", "VTOC"])
+def test_fresh_scan_rejects_a_batch_image_of_the_wrong_shape(tmp_path, monkeypatch, capsys,
+                                                             scheme):
+    # the plugin's batch keeps one column of its nine rows: the controlled
+    # batch step raises, either side of the map, before the scan writes
+    (tmp_path / "column.py").write_text(_COLUMN_PLUGIN)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    assert run_cli(tmp_path, "bifurcate", "--out", "col", "--set", "model.kind=plugin",
+                   "--set", "model.plugin=column:make", "--set", "scan.grid=10",
+                   "--set", "init.lo=0", "--set", "init.hi=1", "--set", f"control.scheme={scheme}",
+                   "--set", "control.target=1,1,1") == 1
+    assert capsys.readouterr().err == (
+        "error: the base map gave an image of shape (9, 1), but the model has dimension 3\n")
+    assert sorted(os.listdir(tmp_path)) == ["column.py"]
+
+
 _OVERFLOW_BATCH_PLUGIN = (
     "import numpy as np\n"
     "from chaosctl import DomainSpec, MapModel\n"

@@ -304,8 +304,21 @@ def test_controlled_float_step_equals_controlled_evaluate_bitwise(model, target,
     assert np.isinf(alone).any()
 
 
-def test_controlled_map_has_a_float_step_only_when_its_base_has_one(lpa):
-    cfg = ControlConfig("VMTOC", 0.3, (30.0, 30.0, 200.0))
-    assert controlled_map(lpa, cfg).evaluate_floats is not None
-    plain = MapModel(dimension=3, evaluate=lpa.evaluate, domain=lpa.domain)
-    assert controlled_map(plain, cfg).evaluate_floats is None
+@pytest.mark.parametrize("scheme", ["VMTOC", "VTOC", "PF", "MPF", "DIAG-VMTOC"])
+def test_controlled_plugin_steps_on_floats_through_its_derived_base_step(lpa, scheme):
+    # a plugin with evaluate alone: its controlled float step goes through
+    # the float step derived from evaluate, bitwise as the controlled evaluate
+    plugin = MapModel(dimension=3, evaluate=lpa.evaluate, domain=lpa.domain)
+    intensity = (0.2, 0.5, 0.7) if scheme == "DIAG-VMTOC" else 0.37
+    g = controlled_map(plugin, ControlConfig(scheme, intensity, (30.0, 200.0, 30.0)))
+    rng = np.random.default_rng(8)
+    rows = rng.uniform(-800.0, 800.0, (1000, 3)) * rng.choice([0.0, 1e-3, 1.0, 1e3], (1000, 3))
+    rows[::5] = -0.0
+    with np.errstate(all="ignore"):
+        alone = np.array([g.evaluate(x) for x in rows])
+        floats = np.array([g.evaluate_floats(tuple(x.tolist())) for x in rows], dtype=float)
+        own = controlled_map(lpa, ControlConfig(scheme, intensity, (30.0, 200.0, 30.0)))
+        builtin = np.array([own.evaluate_floats(tuple(x.tolist())) for x in rows])
+    np.testing.assert_array_equal(floats.view(np.uint64), alone.view(np.uint64))
+    np.testing.assert_array_equal(floats.view(np.uint64), builtin.view(np.uint64))
+    assert np.isinf(alone).any()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -338,3 +339,60 @@ def test_map_model_dimension_check():
     with pytest.raises(ValueError, match="dimension"):
         MapModel(dimension=2, evaluate=lambda x: x,
                  domain=DomainSpec.nonnegative_orthant(3))
+
+
+def _signs_and_specials(x):
+    # 2*x0 overflows, -x1 flips the sign of a zero, x0*x2 makes NaN of 0*inf
+    x = np.asarray(x, float)
+    return np.array([2.0 * x[0], -x[1], x[0] * x[2]])
+
+
+def test_derived_float_step_equals_evaluate_bitwise():
+    f = MapModel(dimension=3, evaluate=_signs_and_specials, domain=DomainSpec.full_space(3))
+    rng = np.random.default_rng(5)
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324]
+    rows = rng.choice(specials + list(rng.uniform(-10.0, 10.0, 8)), (500, 3))
+    with np.errstate(all="ignore"):
+        floats = np.array([f.evaluate_floats(tuple(x.tolist())) for x in rows], dtype=float)
+        alone = np.array([f.evaluate(x) for x in rows])
+    np.testing.assert_array_equal(floats.view(np.uint64), alone.view(np.uint64))
+    # every special value and a signed zero of each sign come out
+    assert np.isnan(alone).any() and np.isinf(alone).any()
+    assert np.signbit(alone[alone == 0.0]).any() and not np.signbit(alone[alone == 0.0]).all()
+
+
+def test_derived_float_step_gives_floats_and_keeps_a_given_step():
+    # a list of ints from evaluate becomes a list of floats
+    f = MapModel(dimension=2, evaluate=lambda x: [int(v) for v in 0.5 * x],
+                 domain=DomainSpec.full_space(2))
+    assert f.evaluate_floats((9.0, 4.0)) == [4.0, 2.0]
+    assert {type(v) for v in f.evaluate_floats((9.0, 4.0))} == {float}
+
+    def own(y):
+        return (y[0], y[1])
+
+    assert MapModel(dimension=2, evaluate=lambda x: x, domain=DomainSpec.full_space(2),
+                    evaluate_floats=own).evaluate_floats is own
+
+
+@pytest.mark.parametrize("error", [OverflowError("too many"), ValueError("bad state"),
+                                   ZeroDivisionError("division by zero")])
+def test_derived_float_step_raises_what_evaluate_raises(error):
+    def evaluate(x):
+        raise error
+
+    f = MapModel(dimension=1, evaluate=evaluate, domain=DomainSpec.full_space(1))
+    with pytest.raises(type(error)) as err:
+        f.evaluate_floats((1.0,))
+    assert err.value is error
+
+
+def test_replacing_evaluate_derives_the_float_step_again(lpa):
+    # dataclasses.replace passes the old derived step on; it is derived
+    # again from the new evaluate, while a given step is kept
+    half = MapModel(dimension=1, evaluate=lambda x: 0.5 * np.asarray(x, float),
+                    domain=DomainSpec.full_space(1))
+    quarter = dataclasses.replace(half, evaluate=lambda x: 0.25 * np.asarray(x, float))
+    assert (half.evaluate_floats((1.0,)), quarter.evaluate_floats((1.0,))) == ([0.5], [0.25])
+    assert dataclasses.replace(half, name="half").evaluate_floats is half.evaluate_floats
+    assert dataclasses.replace(lpa, name="lpa2").evaluate_floats is lpa.evaluate_floats

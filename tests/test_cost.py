@@ -192,12 +192,32 @@ def test_costs_per_step_reject_a_non_finite_image(c):
                  evaluate=lambda x: np.array([np.inf if x[0] > 5.0 else 2.0 * x[0]]),
                  domain=DomainSpec.full_space(1))
     orbits = np.array([[[1.0], [2.0], [3.0]], [[4.0], [6.0], [1.0]]])
-    with pytest.raises(ValueError, match="non-finite state"):
+    with pytest.raises(ValueError, match=r"^non-finite nudge at state 1 of orbit 1: the image "
+                                         r"of \[6.0\] is \[inf\]$"):
         costs_per_step(f, (1.0,), [c, c], orbits)
-    with pytest.raises(ValueError, match="non-finite state"):
+    with pytest.raises(ValueError, match=r"^non-finite nudge at state 1 of orbit 0: the image "
+                                         r"of \[6.0\] is \[inf\]$"):
         cost_per_step(f, ControlConfig("VMTOC", c, (1.0,)), orbits[1])
     assert costs_per_step(f, (1.0,), [c, c], orbits, window=(0, 1)).tolist() == [
         c * 1.0, c * 7.0]
+
+
+def test_costs_per_step_name_the_orbit_and_state_whose_image_overflows():
+    # a finite VMTOC orbit of x -> 1e100 x whose last image overflows; the
+    # windows start at state 1, and the first orbit's images stay finite
+    f = MapModel(dimension=1, evaluate=lambda x: 1e100 * np.asarray(x, float),
+                 domain=DomainSpec.full_space(1))
+    with np.errstate(over="ignore"):
+        orbit = iterate_orbit(f, ControlConfig("VMTOC", 0.5, (0.0,)), [1.0], 0, 3)
+    assert orbit.ravel().tolist() == [5e99, 2.5e199, 1.25e299]
+    orbits = np.stack([orbit * 1e-200, orbit])
+    message = "non-finite nudge at state 2 of orbit 1: the image of [1.25e+299] is [inf]"
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as err:
+        costs_per_step(f, (0.0,), [0.5, 0.5], orbits, window=(1, 2))
+    assert str(err.value) == message
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as err:
+        cost_per_step(f, ControlConfig("VMTOC", 0.5, (0.0,)), orbit)
+    assert str(err.value) == message.replace("orbit 1", "orbit 0")
 
 
 def test_costs_per_step_name_a_raising_row_across_the_stack():

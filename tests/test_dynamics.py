@@ -3,6 +3,7 @@ import functools
 import itertools
 import logging
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -30,6 +31,7 @@ from chaosctl import (
     lyapunov_max,
     overall_period,
 )
+from chaosctl.controls import controlled_rows
 from chaosctl.models import LpaParams, RickerParams, lpa_map, ricker_lift
 
 
@@ -736,7 +738,9 @@ def _assert_scan_runs_each_point_alone(caplog, model, target, grid, lo, hi, n_tr
 
 @pytest.mark.parametrize("kind", ["diverge", "leave"])
 def test_fresh_scan_rows_that_fail_leave_the_batch_and_run_alone(monkeypatch, caplog, kind):
-    # one row first misbehaves at each step of _STEPS, between rows that never do
+    # one row first misbehaves at each step of _STEPS, between rows that
+    # never do, in a batch that runs down to its last row
+    monkeypatch.setattr(dynamics, "_HANDOFF", 1)
     model = _counter_map(kind)
     starts = [0.0, *(_LIMIT - s for s in _STEPS[:3]), 1.0, *(_LIMIT - s for s in _STEPS[3:]),
               2.0]
@@ -786,12 +790,14 @@ def test_fresh_scan_equals_a_lone_orbit_per_point_when_rows_leave(caplog, case):
         assert any(r not in failed and at < 400 + 40 - _B for r, at, _ in handed)
 
 
-def test_failing_batch_block_runs_once(caplog):
+def test_failing_batch_block_runs_once(monkeypatch, caplog):
     # rows of the square overflow within the first block, which still costs
     # one batch step per step: the rows that stay keep their states.  Rows
     # leave or retire only at block ends, so the batch never grows and
     # changes size only after a multiple of _B steps.  Toward 0 every other
-    # row reaches 0 within the first block; toward 1 some run on.
+    # row reaches 0 within the first block; toward 1 some run on, in a
+    # batch that runs down to its last row.
+    monkeypatch.setattr(dynamics, "_HANDOFF", 1)
     calls = []
 
     def batch(rows):
@@ -914,11 +920,11 @@ def _cycle_start(period, step):
 
 
 @contextlib.contextmanager
-def _batch_rows(model, floats=False):
+def _batch_rows(model, handoff=1):
     """``model`` with a spy on its batch: the row count of every call, and
-    the start step of every lone run a batch hands a row to.  The spied
-    model keeps ``model``'s float step only with ``floats``, so by default
-    its batches hand off their last row alone."""
+    the start step of every lone run a batch hands a row to.  Batches hand
+    their rows to the lone loop once they hold at most ``handoff`` rows, by
+    default their last row alone."""
     calls, handed = [], []
     real_rows = dynamics._iterate_rows
 
@@ -933,9 +939,10 @@ def _batch_rows(model, floats=False):
 
     spied = MapModel(dimension=model.dimension, evaluate=model.evaluate,
                      evaluate_batch=batch, domain=model.domain,
-                     evaluate_floats=model.evaluate_floats if floats else None)
+                     evaluate_floats=model.evaluate_floats)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "_iterate_rows", rows)
+        mp.setattr(dynamics, "_HANDOFF", handoff)
         yield spied, calls, handed
 
 
@@ -1025,12 +1032,12 @@ def test_scan_fresh_grid_retires_its_rows_early():
 
 
 def test_scan_fresh_grid_hands_several_rows_off_at_once():
-    # toward (30, 200, 30) two chaotic rows run to the last step; with the
-    # float step the rows left once the batch is down to _HANDOFF run alone
-    # together, all from the same step, each on tuples of floats
+    # toward (30, 200, 30) two chaotic rows run to the last step; the rows
+    # left once the batch is down to _HANDOFF run alone together, all from
+    # the same step, each on tuples of floats
     grid = [k / 300 for k in range(10, 300, 10)]
     target = (30.0, 200.0, 30.0)
-    with _batch_rows(lpa_map(), floats=True) as (model, calls, handed), \
+    with _batch_rows(lpa_map(), dynamics._HANDOFF) as (model, calls, handed), \
             _one_row_calls() as lone:
         records = bifurcation_scan(model, "VMTOC", target, grid, seed=123)
     assert 1 < len(handed) <= dynamics._HANDOFF and set(handed) == {len(calls)}
@@ -1042,10 +1049,11 @@ def test_scan_fresh_grid_hands_several_rows_off_at_once():
                                                      x0, 3000, 50))
 
 
-def test_batch_without_a_float_step_hands_off_its_last_row_only(monkeypatch):
-    # four rows, at most _HANDOFF: the cycles retire after blocks 1, 2 and
-    # 4, and the counter runs on alone from step 4 * _B through evaluate,
-    # one call per step to the end, since it never recurs
+def test_batch_without_a_float_step_hands_off_at_six_rows(monkeypatch):
+    # eight rows: the cycles of periods 1 and 2 retire after blocks 1 and 2,
+    # and the six rows left run on alone from step 2 * _B through the float
+    # step derived from evaluate, one evaluate call per step; the cycle of
+    # period 5 stops at its recurrence, the counters run to the end
     evaluations = []
     base = _cycles()
 
@@ -1055,14 +1063,15 @@ def test_batch_without_a_float_step_hands_off_its_last_row_only(monkeypatch):
 
     model = MapModel(dimension=2, evaluate=evaluate, evaluate_batch=base.evaluate_batch,
                      domain=base.domain)
-    starts = [_cycle_start(1, 3), _cycle_start(2, _B + 1), np.array([0.0, _NEVER]),
-              _cycle_start(5, 3 * _B + 9)]
+    starts = ([_cycle_start(1, 3), _cycle_start(2, _B + 1), _cycle_start(5, 3 * _B + 9)]
+              + [np.array([float(k), _NEVER]) for k in range(5)])
     monkeypatch.setattr(dynamics, "draw_x0", lambda seed, r, lo, hi: starts[r])
-    with _batch_rows(model) as (spied, calls, handed):
-        records = bifurcation_scan(spied, "VMTOC", (0.0, 0.0), [0.0] * 4, init_lo=0.0,
+    with _batch_rows(model, dynamics._HANDOFF) as (spied, calls, handed):
+        records = bifurcation_scan(spied, "VMTOC", (0.0, 0.0), [0.0] * 8, init_lo=0.0,
                                    init_hi=0.0, n_transient=5, n_keep=5 * _B)
-    assert calls == [4] * _B + [3] * _B + [2] * 2 * _B and handed == [4 * _B]
-    assert evaluations == [(2,)] * (5 * _B + 5 - 4 * _B)
+    assert dynamics._HANDOFF == 6
+    assert calls == [8] * _B + [7] * _B and handed == [2 * _B] * 6
+    assert evaluations == [(2,)] * (_B + 10 + 5 * (5 * _B + 5 - 2 * _B))
     assert all(rec.error is None for rec in records)
     for r, rec in enumerate(records):
         _assert_same_bytes(rec.points, iterate_orbit(base, None, starts[r], 5, 5 * _B))
@@ -1090,6 +1099,7 @@ def _rows_path(model):
     from its start, as in a scan, and the orbit fails with row 0's error.
     Yields the hand-offs, ``(row, at, state)``."""
     with _handoffs() as (handed, errors), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_HANDOFF", 1)
         handoff = dynamics._iterate_rows
 
         def rows(g, x, n_transient, n_keep, strict=False, **kwargs):
@@ -1238,6 +1248,77 @@ def test_fresh_plugin_scan_evaluates_lone_states_and_stops_at_recurrence():
                                  n_transient=400, n_keep=40)
     assert record.periods == (1, 1, 1)
     assert 0 < len(shapes) < 400 + 40
+
+
+# A model without its own float step steps alone through the one derived
+# from evaluate, and its batches hand off at _HANDOFF rows as any other
+# model's.  The oracle is the built-in map, which has its own float step.
+_FLOATLESS_CASES = {"lpa": (lpa_map(), (30.0, 200.0, 30.0), 0.0, 50.0),
+                    "lpa-below": (lpa_map(), _LEAVING_SCANS["lpa"][1], -1.0, 5.0),
+                    "ricker": (ricker_lift(RickerParams(r=2.0, delay=2)), (1.0, 3.0), 0.0, 3.0),
+                    # a square that overflows at weak controls, with its own float step
+                    "square": (MapModel(dimension=1, evaluate=_square, evaluate_batch=_square,
+                                        evaluate_floats=lambda y: (y[0] * y[0],),
+                                        domain=DomainSpec.nonnegative_orthant(1)),
+                               (0.0,), 1.5, 1.9)}
+
+
+@pytest.mark.parametrize("batch", [True, False], ids=["batch", "no-batch"])
+@pytest.mark.parametrize("scheme", ["VMTOC", "VTOC"])
+@pytest.mark.parametrize("case", sorted(_FLOATLESS_CASES))
+def test_plugin_without_a_float_step_gives_the_built_in_records(caplog, case, scheme, batch):
+    model, target, lo, hi = _FLOATLESS_CASES[case]
+    plugin = MapModel(dimension=model.dimension, evaluate=model.evaluate, domain=model.domain,
+                      evaluate_batch=model.evaluate_batch if batch else None)
+    grid = [k / 16 for k in range(1, 16)]
+    for chained in (False, True):
+        kwargs = dict(seed=123, init_lo=lo, init_hi=hi, n_transient=300, n_keep=40,
+                      continue_orbits=chained)
+        with caplog.at_level(logging.WARNING, logger="chaosctl.dynamics"), \
+                np.errstate(all="ignore"):
+            records = bifurcation_scan(plugin, scheme, target, grid, **kwargs)
+            lines = _exit_lines(caplog)
+            caplog.clear()
+            oracle = bifurcation_scan(model, scheme, target, grid, **kwargs)
+        assert sorted(lines) == sorted(_exit_lines(caplog))
+        caplog.clear()
+        for rec, expected in zip(records, oracle, strict=True):
+            assert (rec.c, rec.periods, rec.error) == (expected.c, expected.periods,
+                                                       expected.error)
+            _assert_same_bytes(rec.points, expected.points)
+    box = dynamics.initial_box(lo, hi, model.dimension)
+    for r, c in enumerate(grid):
+        x0, cfg = dynamics.draw_x0(123, r, *box), ControlConfig(scheme, c, target)
+        with np.errstate(all="ignore"):
+            try:
+                expected = iterate_orbit(model, cfg, x0, 300, 40)
+            except OrbitError as exc:
+                with pytest.raises(OrbitError, match=f"^{re.escape(str(exc))}$"):
+                    iterate_orbit(plugin, cfg, x0, 300, 40)
+            else:
+                _assert_same_bytes(iterate_orbit(plugin, cfg, x0, 300, 40), expected)
+
+
+@pytest.mark.parametrize("scheme", ["VMTOC", "VTOC"])
+def test_batch_image_of_the_wrong_shape_stops_the_scan(scheme):
+    # a 3-D plugin whose batch keeps one column: the controlled batch step
+    # raises the single-state forms' error instead of broadcasting it
+    model = MapModel(dimension=3, evaluate=lambda x: 0.5 * np.asarray(x, float),
+                     evaluate_batch=lambda rows: 0.5 * rows[:, :1],
+                     domain=DomainSpec.nonnegative_orthant(3))
+    message = "the base map gave an image of shape (10, 1), but the model has dimension 3"
+    step = controlled_rows(model, scheme, (1.0, 1.0, 1.0), [0.5] * 10)
+    with pytest.raises(ValueError) as err:
+        step(np.ones((10, 3)))
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        bifurcation_scan(model, scheme, (1.0, 1.0, 1.0), [k / 10 for k in range(10)],
+                         init_lo=0.0, init_hi=1.0)
+    assert str(err.value) == message
+    # six rows or fewer run alone, on the right-sized float step
+    records = bifurcation_scan(model, scheme, (1.0, 1.0, 1.0), [0.2, 0.4, 0.6],
+                               init_lo=0.0, init_hi=1.0)
+    assert all(rec.error is None and rec.periods == (1, 1, 1) for rec in records)
 
 
 def test_one_row_orbit_calls_evaluate_not_the_batch():
