@@ -25,7 +25,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .controls import ControlConfig
-from .core import MapModel, as_state, check_norm_kind, check_tol, norm, norm_rows
+from .core import MapModel, as_state, check_image, check_norm_kind, check_tol, norm, norm_rows
 from .dynamics import initial_box, iterate_orbit
 
 _FIXED_POINT_RESIDUAL = 1e-8
@@ -58,14 +58,19 @@ def find_fixed_point(model: MapModel, x0, tol: float = 1e-10,
     Newton steps without reaching ``tol`` in the max-norm, at once when a
     projected averaging iterate is not finite, since no later iterate can
     be finite again, and at once when the model's ``evaluate`` or Jacobian
-    raises ``ValueError`` or ``ArithmeticError``, naming the state; each
+    raises ``ValueError`` or ``ArithmeticError``, or ``evaluate`` gives an
+    image without the model's dimension, naming the state; each
     error carries the best point and residual evaluated so far, the last
     step's included.
     """
     check_tol(tol)
-    x = np.asarray(model.domain.project(as_state(x0, model.dimension)), float)
-    eye = np.eye(model.dimension)
+    d = model.dimension
+    x = np.asarray(model.domain.project(as_state(x0, d)), float)
+    eye = np.eye(d)
     best = [math.inf, None]  # the smallest residual evaluated and its point
+
+    def image(y):
+        return check_image(model.evaluate(y), (d,), d)
 
     def at(func, y):
         """``func(y)`` as a float array; a failing model call ends the search."""
@@ -78,7 +83,7 @@ def find_fixed_point(model: MapModel, x0, tol: float = 1e-10,
 
     def residual(y):
         """f(y) - y and its max-norm; records ``y`` if that is the best yet."""
-        r = at(model.evaluate, y) - y
+        r = at(image, y) - y
         rnorm = float(np.max(np.abs(r)))
         if best[1] is None or rnorm < best[0]:
             best[:] = rnorm, y.copy()
@@ -102,7 +107,7 @@ def find_fixed_point(model: MapModel, x0, tol: float = 1e-10,
         else:
             # Newton stalled: fall back to Krasnoselskii-Mann averaging.
             for _ in range(200):
-                x = model.domain.project(0.5 * (x + at(model.evaluate, x)))
+                x = model.domain.project(0.5 * (x + at(image, x)))
                 if not np.all(np.isfinite(x)):
                     # no later iterate can be finite again: stop here
                     raise ConvergenceError(
@@ -168,10 +173,11 @@ def _primes(count: int) -> list:
 def box_samples(lo, hi, n_samples: int) -> np.ndarray:
     """Deterministic samples of a box: corners, center, then a Halton prefix.
 
-    Prefixes are nested, so enlarging ``n_samples`` only ever adds points;
-    estimates built on these samples are monotone in ``n_samples``.  The
-    box must satisfy ``lo <= hi`` with a finite width, as
-    :func:`~chaosctl.dynamics.initial_box` checks.
+    The ``2**d`` corners are drawn only for ``d <= 12``; a box of more
+    dimensions gets no corners.  Prefixes are nested, so enlarging
+    ``n_samples`` only ever adds points; estimates built on these samples
+    are monotone in ``n_samples``.  The box must satisfy ``lo <= hi`` with
+    a finite width, as :func:`~chaosctl.dynamics.initial_box` checks.
     """
     lo = np.atleast_1d(np.asarray(lo, float))
     hi = np.atleast_1d(np.asarray(hi, float))

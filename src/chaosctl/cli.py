@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -37,12 +37,7 @@ SCANS = ("bifurcate", "bubbles")
 FIELDS = {
     "run.command": ("str", "simulate"),
     "model.kind": ("str", "lpa"),
-    "model.b": ("float", 10.45),
-    "model.c_el": ("float", 0.01731),
-    "model.c_ea": ("float", 0.01310),
-    "model.c_pa": ("float", 0.35),
-    "model.mu_l": ("float", 0.200),
-    "model.mu_a": ("float", 0.96),
+    **{f"model.{f.name}": ("float", f.default) for f in fields(models.LpaParams)},
     "model.r": ("float", 2.0),
     "model.delay": ("int", 2),
     "model.plugin": ("opt_str", None),
@@ -221,10 +216,8 @@ def build_model(cfg: RunConfig) -> MapModel:
     kind = cfg["model.kind"]
     try:
         if kind == "lpa":
-            p = models.LpaParams(b=cfg["model.b"], c_el=cfg["model.c_el"],
-                                 c_ea=cfg["model.c_ea"], c_pa=cfg["model.c_pa"],
-                                 mu_l=cfg["model.mu_l"], mu_a=cfg["model.mu_a"])
-            return models.lpa_map(p)
+            return models.lpa_map(models.LpaParams(
+                **{f.name: cfg[f"model.{f.name}"] for f in fields(models.LpaParams)}))
         if kind == "ricker":
             return models.ricker_lift(models.RickerParams(r=cfg["model.r"],
                                                           delay=cfg["model.delay"]))

@@ -19,12 +19,13 @@ and so does, either side of it, a batch image without the rows' shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from operator import add, length_hint, mul
 from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .core import MapModel, ParamError, as_state
+from .core import MapModel, ParamError, as_state, check_image
 
 SCHEMES = ("VMTOC", "VTOC", "PF", "MPF", "DIAG-VMTOC")
 _TARGETLESS = ("PF", "MPF")
@@ -133,13 +134,9 @@ def _controlled(model: MapModel, scheme: str, c, t: np.ndarray):
     # (1-c) scales row i of the Jacobian: a (1, 1) or (dim, 1) column.
     scale = np.reshape(1.0 - np.asarray(c), (-1, 1))
 
-    def sized(y, shape):
-        # the pull, or the batch loop that stores a batch image, would cut an
-        # image of the wrong shape or broadcast it
-        if np.shape(y) != shape:
-            raise ValueError(f"the base map gave an image of shape {np.shape(y)}, "
-                             f"but the model has dimension {d}")
-        return y
+    # the pull, or the batch loop that stores a batch image, would cut an
+    # image of the wrong shape or broadcast it
+    sized = partial(check_image, dim=d, what="the base map")
 
     if scheme in ("VTOC", "PF"):
         def evaluate(x):

@@ -35,6 +35,16 @@ def as_state(values, dim: Optional[int] = None, what: str = "state") -> np.ndarr
     return x
 
 
+def check_image(y, shape, dim: int, what: str = "the map"):
+    """The image ``y`` that ``what`` gave, which must have the ``shape``
+    that the dimension ``dim`` implies, lest it be broadcast or cut to fit;
+    otherwise ``ValueError``."""
+    if np.shape(y) != shape:
+        raise ValueError(f"{what} gave an image of shape {np.shape(y)}, "
+                         f"but the model has dimension {dim}")
+    return y
+
+
 def check_norm_kind(kind: str) -> None:
     """Raise ``ValueError`` unless ``kind`` is one of :data:`NORM_KINDS`."""
     if kind not in NORM_KINDS:
@@ -224,15 +234,16 @@ class MapModel:
 
         Uses ``evaluate_batch`` when the model has one.  Otherwise calls
         ``evaluate`` row by row, and the first row on which it raises
-        ``ValueError`` or ``ArithmeticError`` raises ``ValueError`` naming
-        that row and its cause.
+        ``ValueError`` or ``ArithmeticError``, or gives an image without
+        the model's dimension, raises ``ValueError`` naming that row and its
+        cause.
         """
         if self.evaluate_batch is not None:
             return np.asarray(self.evaluate_batch(rows), dtype=float)
-        out = np.empty(rows.shape)
+        out, d = np.empty(rows.shape), self.dimension
         for r, x in enumerate(rows):
             try:
-                out[r] = self.evaluate(x)
+                out[r] = check_image(self.evaluate(x), (d,), d)
             except (ValueError, ArithmeticError) as exc:
                 raise ValueError(f"evaluation failed at row {r}: "
                                  f"{type(exc).__name__}: {exc}") from exc

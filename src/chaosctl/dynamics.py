@@ -4,20 +4,23 @@ A bifurcation scan runs one controlled orbit per grid intensity, discards a
 transient, keeps a short window and classifies each component's period on
 that window, every record's in one pass.  Two loops run orbits, and both
 check finiteness and domain membership once per block of steps.  The lone
-loop, behind every :func:`iterate_orbit`, advances one state on tuples of
-Python floats through the step map's ``evaluate_floats``, which every model
-has, its own or one derived from ``evaluate``.  A failure is read off its
-block, with the step, message and log line of a step-by-step check; only
-the failing step runs again, through ``evaluate``.  A lone state stops
-right after its first recurrence, bit for bit, within two blocks, and
-repeats that cycle, since the map is pure.  The batch loop advances the
-grid points of a fresh scan of a model with ``evaluate_batch`` as the rows
-of one ``(n, d)`` array, each block once; every other orbit runs alone.  A
-row whose block holds a non-finite state or leaves the domain runs on alone
-from the block's start; a row whose last state in a block equals, bit for
-bit, one of the ``_BLOCK`` states before it retires and repeats that cycle.
-Once the batch holds at most ``_HANDOFF`` rows, whatever the model, each
-row left runs on alone from its state and step.  Scans are deterministic:
+loop, behind every :func:`iterate_orbit` and every lone grid point of a
+scan, advances one state on tuples of Python floats through the step map's
+``evaluate_floats``, which every model has, its own or one derived from
+``evaluate``.  A failure is read off its block, with the step, message and
+log line of a step-by-step check; only the failing step runs again, through
+``evaluate``.  A lone state stops right after its first recurrence, bit
+for bit, within two blocks, and repeats that cycle, since the map is pure.
+The batch loop only batches: it advances the grid points of a fresh scan
+of a model with ``evaluate_batch`` as the rows of one ``(n, d)`` array,
+each block once, and returns the rows it hands off.  A row whose block
+holds a non-finite state or leaves the domain is handed off from the
+block's start; a row whose last state in a block equals, bit for bit, one
+of the ``_BLOCK`` states before it retires and repeats that cycle.  Once
+the batch holds at most ``_HANDOFF`` rows, whatever the model, each row
+left is handed off from its state and step.  The scan then runs every
+hand-off, and every grid point of a chained scan or of a model without
+``evaluate_batch``, through one lone-orbit call.  Scans are deterministic:
 the initial condition for grid index ``i`` comes from an RNG stream derived
 from ``(seed, i)``, so records are bit-identical across runs.
 """
@@ -178,44 +181,26 @@ def _iterate_rows(g: MapModel, x: np.ndarray, n_transient: int, n_keep: int,
     return kept
 
 
-def _iterate_batch(step_for, lone_for, x: np.ndarray, domain: DomainSpec,
-                   n_transient: int, n_keep: int):
-    """Advance each row of ``x`` ``(n, d)`` by ``n_transient + n_keep`` steps.
+def _iterate_batch(step_for, x: np.ndarray, domain: DomainSpec, n_transient: int,
+                   kept: np.ndarray) -> list:
+    """Advance the rows of ``x`` ``(n, d)`` as one batch, as the module
+    docstring says, and return the rows it hands off.
 
     ``step_for(rows)`` builds the step of the original rows ``rows``, an
-    index array, and ``lone_for(r)`` the map of row ``r`` alone.  Returns
-    ``(kept, failures)``: ``kept[k, r]`` is row ``r`` after step
-    ``n_transient + k``, and ``failures`` maps each row whose orbit failed,
-    whose kept states are meaningless, to its :class:`OrbitError` message.
-
-    The batch runs while it holds more than ``_HANDOFF`` rows, in blocks of
-    ``_BLOCK`` steps.  Each block runs once with floating-point warnings
-    off, is written to ``kept`` for every row in the batch and gets one
-    finiteness and one domain check.  When that fails, each row that holds
-    a non-finite or out-of-domain state in the block leaves the batch and
-    runs on alone from the block's start state and first step.  Then every
-    other row whose last state equals, bit for bit, one of the ``_BLOCK``
-    states before it (the block's and the state it started from) has
-    entered a cycle of the smallest such lag ``p``: the rest of its kept
-    window cycles its last ``p`` states, which passed the check, and the
-    row retires.  The step is rebuilt once over the rows that remain, whose
-    states in the block stand: each row's steps depend on that row alone.
-    At the end each row left in the batch runs on alone from its state and
-    step.  A row runs alone through :func:`_iterate_rows`, into its own
-    column of ``kept``, so it fails, and logs its domain exit, at the step
-    and with the message of a lone orbit from its start.  Anything a batch
-    step raises propagates.
+    index array.  ``kept[k, r]`` of the ``(n_keep, n, d)`` array ``kept``
+    gets row ``r`` after step ``n_transient + k``, for every step the row
+    takes in the batch or in the cycle it retires into.  The hand-offs are
+    ``(row, state, step)``, the row's state after ``step`` steps as a copy:
+    each block's failing rows, block by block in row order, then the rows
+    left at the end.  Each block runs once, with floating-point warnings
+    off, and is checked as a whole.  A row recurs when its last state equals,
+    bit for bit, one of the ``_BLOCK`` states before it (the block's and its
+    start); the smallest such lag is its period.  The step is rebuilt over
+    the rows that remain, whose states in the block stand, since each row's
+    steps depend on that row alone.  Anything a batch step raises propagates.
     """
-    total = n_transient + n_keep
-    kept = np.empty((n_keep,) + x.shape)
-    failures = {}
-
-    def alone(r, y, at):
-        try:
-            _iterate_rows(lone_for(r), y, n_transient, n_keep, at=at, kept=kept[:, r])
-        except OrbitError as exc:
-            failures[r] = str(exc)
-
+    total = n_transient + kept.shape[0]
+    handoffs = []
     rows, done, step = np.arange(x.shape[0]), 0, None
     while done < total and rows.size > _HANDOFF:
         if step is None:
@@ -238,8 +223,7 @@ def _iterate_batch(step_for, lone_for, x: np.ndarray, domain: DomainSpec,
         if not ok:
             # a finite block whose sum overflows has no bad row and passes
             stay = (domain.contains_rows(block) & np.isfinite(block).all(axis=2)).all(axis=0)
-            for i in np.flatnonzero(~stay):
-                alone(int(rows[i]), x[i], done)
+            handoffs += [(int(rows[i]), x[i].copy(), done) for i in np.flatnonzero(~stay)]
         if stop < total:
             # bit patterns, so -0.0 is not 0.0; first components alone rule
             # out most rows that do not recur
@@ -257,9 +241,9 @@ def _iterate_batch(step_for, lone_for, x: np.ndarray, domain: DomainSpec,
         if not stay.all():
             rows, x, step = rows[stay], x[stay], None
         done = stop
-    for i, r in enumerate(rows.tolist() if done < total else ()):
-        alone(r, x[i], done)
-    return kept, failures
+    if done < total:
+        handoffs += [(r, x[i].copy(), done) for i, r in enumerate(rows.tolist())]
+    return handoffs
 
 
 def iterate_orbit(model: MapModel, cfg: Optional[ControlConfig], x0,
@@ -279,8 +263,8 @@ def iterate_orbit(model: MapModel, cfg: Optional[ControlConfig], x0,
     runs again through ``evaluate`` under the caller's ``np.errstate``.
     Domain violations are advisory (logged once per orbit) unless
     ``strict``.  A step whose state does not have the model's dimension
-    raises ``ValueError``.  Every grid point of a chained scan, or of a
-    model without ``evaluate_batch``, runs through here.
+    raises ``ValueError``.  This is the public single-orbit entry; a scan
+    runs its lone grid points through the same loop directly.
     """
     _check_lengths(n_transient, n_keep)
     g = _step_map(model, cfg)
@@ -387,19 +371,17 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
 
     Fresh initial conditions are drawn per grid point from the box [init_lo,
     init_hi] by :func:`draw_x0` with ``(seed, index)``; ``continue_orbits``
-    instead chains each orbit from the previous final state.  A fresh scan
-    of a model with ``evaluate_batch`` advances all grid points together as
-    the rows of one array: at each 64-step block's end a row that fails or
-    left the domain runs on alone from the block's start, and a row that
-    recurs bit for bit retires and repeats its cycle; once at most six rows
-    are left, whatever the model, each runs on alone from its state and
-    step.  Every grid point of a chained scan or of a model without
-    ``evaluate_batch`` is one :func:`iterate_orbit` call.  A grid point that runs alone fails (the
-    record's error is the :class:`OrbitError` message) or logs its domain
-    exit as a lone orbit from its start would, so both ways give the same
-    records bit for bit.  Then one :func:`detect_periods` call classifies
-    all the records that did not fail, each as :func:`detect_period` would
-    on its own window.  ``max_period`` is capped at half the kept window.
+    instead chains each orbit from the last kept state of the one before,
+    or, after a failure, from the state the failed one started from.  A
+    fresh scan of a model with ``evaluate_batch`` runs its grid points as
+    the rows of one batch, :func:`_iterate_batch`.  Then one call runs each
+    row it hands off, and each grid point of any other scan, alone from its
+    state and step, into the scan's kept array; it fails (the record's error
+    is the :class:`OrbitError` message) or logs its domain exit as a lone
+    orbit from its start would, so all ways give the same records bit for
+    bit.  Last, one :func:`detect_periods` call classifies all the records
+    that did not fail, each as :func:`detect_period` would on its own
+    window.  ``max_period`` is capped at half the kept window.
     Invalid arguments raise ``ValueError`` before any orbit runs: an
     ``n_keep`` below 2, a ``tol`` that is not positive and finite (NaN
     included), a box that :func:`initial_box` rejects, and what building the
@@ -422,28 +404,33 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
     if not c_grid:
         return []
 
-    def config(r):
-        return ControlConfig(scheme=scheme, intensity=c_grid[r], target=target)
+    kept, failures = np.empty((n_keep, len(c_grid), dim)), {}
 
-    if model.evaluate_batch is not None and not continue_orbits:
-        x0 = np.array([draw_x0(seed, r, lo, hi) for r in range(len(c_grid))])
-        intensities = np.array(c_grid)
-        kept, failures = _iterate_batch(
-            lambda rows: controlled_rows(model, scheme, target, intensities[rows]),
-            lambda r: controlled_map(model, config(r)),
-            x0, model.domain, n_transient, n_keep)
-        points = np.ascontiguousarray(kept.transpose(1, 0, 2))
-    else:
-        points, failures = np.empty((len(c_grid), n_keep, dim)), {}
+    def alone(r, x, at=0):
+        try:
+            _iterate_rows(controlled_map(model, ControlConfig(scheme, c_grid[r], target)), x,
+                          n_transient, n_keep, at=at, kept=kept[:, r])
+        except OrbitError as exc:
+            failures[r] = str(exc)
+
+    if continue_orbits:
+        x = draw_x0(seed, 0, lo, hi)
         for r in range(len(c_grid)):
-            if r == 0 or not continue_orbits:
-                x0 = draw_x0(seed, r, lo, hi)
-            try:
-                points[r] = iterate_orbit(model, config(r), x0, n_transient, n_keep)
-            except OrbitError as exc:
-                failures[r] = str(exc)
-            else:
-                x0 = points[r, -1]
+            alone(r, x)
+            if r not in failures:
+                x = kept[-1, r]
+    else:
+        x0 = np.array([draw_x0(seed, r, lo, hi) for r in range(len(c_grid))])
+        if model.evaluate_batch is not None:
+            intensities = np.array(c_grid)
+            handoffs = _iterate_batch(
+                lambda rows: controlled_rows(model, scheme, target, intensities[rows]),
+                x0, model.domain, n_transient, kept)
+        else:
+            handoffs = [(r, x, 0) for r, x in enumerate(x0)]
+        for handoff in handoffs:
+            alone(*handoff)
+    points = np.ascontiguousarray(kept.transpose(1, 0, 2))
     ok = [r for r in range(len(c_grid)) if r not in failures]
     classified = iter(detect_periods(points[ok], tol=tol, max_period=eff_period))
     # Records with equal periods share one tuple: a scan's periods take few

@@ -144,6 +144,21 @@ def test_failing_evaluation_ends_the_search_naming_its_state():
     assert isinstance(err.value.__cause__, OverflowError)
 
 
+@pytest.mark.parametrize("image, shape", [(lambda x: 0.5 * float(x[0]), ()),
+                                          (lambda x: 0.5 * np.asarray(x, float)[:2], (2,))],
+                         ids=["scalar", "short"])
+def test_image_of_the_wrong_size_ends_the_search_naming_its_state(image, shape):
+    # f(x) - x would broadcast the image; its finite-difference Jacobian
+    # would index a 0-d image
+    f = MapModel(dimension=3, evaluate=image, domain=DomainSpec.full_space(3))
+    with pytest.raises(ConvergenceError) as err:
+        find_fixed_point(f, np.array([1.0, 2.0, 3.0]))
+    assert str(err.value) == (f"no fixed point: evaluation failed at x = (1, 2, 3): ValueError: "
+                              f"the map gave an image of shape {shape}, but the model has "
+                              f"dimension 3 (best residual inf)")
+    assert (err.value.best_point, err.value.best_residual) == (None, math.inf)
+
+
 def test_failing_jacobian_ends_the_search_with_the_best_point():
     def jacobian(x):
         raise ZeroDivisionError("no slope")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chaosctl import (ControlConfig, ScanRecord, analysis, bifurcation_scan, cost_per_step,
-                      dynamics, iterate_orbit, lpa_map)
+                      dynamics, iterate_orbit, lpa_map, models)
 from chaosctl.cli import (CHECKS, COMMANDS, FIELDS, ConfigError, RunConfig, _state_lines,
                           _write_scan_csv, build_control, build_model, main)
 
@@ -28,6 +28,23 @@ def test_config_round_trip():
     again = RunConfig.from_text(cfg.to_text())
     assert again == cfg
     assert again.to_text() == cfg.to_text()
+
+
+def test_lpa_keys_are_the_fields_of_lpa_params(monkeypatch):
+    # the config's defaults are LpaParams' own, and every key reaches its field
+    lpa = ("b", "c_ea", "c_el", "c_pa", "mu_a", "mu_l")
+    assert [line for line in RunConfig().to_text().splitlines()
+            if line.split(" = ")[0] in {f"model.{name}" for name in lpa}] == [
+        "model.b = 10.449999999999999", "model.c_ea = 0.013100000000000001",
+        "model.c_el = 0.017309999999999999", "model.c_pa = 0.34999999999999998",
+        "model.mu_a = 0.95999999999999996", "model.mu_l = 0.20000000000000001"]
+    built = []
+    monkeypatch.setattr(models, "lpa_map", built.append)
+    cfg = RunConfig()
+    for k, name in enumerate(lpa):
+        cfg.set(f"model.{name}", f"0.{k + 1}")
+    build_model(cfg)
+    assert built == [models.LpaParams(b=0.1, c_ea=0.2, c_el=0.3, c_pa=0.4, mu_a=0.5, mu_l=0.6)]
 
 
 def test_config_parsing_errors():
@@ -778,6 +795,31 @@ def test_simulate_rejects_a_base_step_of_the_wrong_size_under_control(
     assert capsys.readouterr().err == (
         f"error: evaluation failed at step 0: ValueError: the base map gave an image of "
         f"shape {shape}, but the model has dimension {dim}\n")
+    assert sorted(os.listdir(tmp_path)) == [f"{name}.py"]
+
+
+_SHORT3_PLUGIN = (
+    "import numpy as np\n"
+    "from chaosctl import DomainSpec, MapModel\n"
+    "def make():\n"
+    "    return MapModel(dimension=3, evaluate=lambda x: 0.5 * np.asarray(x, float)[:2],\n"
+    "                    domain=DomainSpec.full_space(3))\n")
+
+
+@pytest.mark.parametrize("command", ["equilibrium", "stability"])
+@pytest.mark.parametrize("name, shape", [("scalar3", ()), ("short3", (2,))])
+def test_uncontrolled_fixed_point_rejects_an_image_of_the_wrong_size(
+        tmp_path, monkeypatch, capsys, command, name, shape):
+    # the residual would broadcast the image, and the finite-difference
+    # Jacobian of a 0-d image would raise IndexError
+    plugin = {"scalar3": _SCALAR3_PLUGIN, "short3": _SHORT3_PLUGIN}[name]
+    (tmp_path / f"{name}.py").write_text(plugin)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    assert run_cli(tmp_path, command, "--out", "ws", "--set", "model.kind=plugin",
+                   "--set", f"model.plugin={name}:make", "--set", "run.x0=1,1,1") == 1
+    assert capsys.readouterr().err == (
+        f"error: no fixed point: evaluation failed at x = (1, 1, 1): ValueError: the map gave "
+        f"an image of shape {shape}, but the model has dimension 3 (best residual inf)\n")
     assert sorted(os.listdir(tmp_path)) == [f"{name}.py"]
 
 

@@ -272,6 +272,20 @@ def test_evaluate_rows_fallback_stops_at_the_first_failing_row():
     assert seen == [1.0, 6.0]
 
 
+@pytest.mark.parametrize("image, shape", [(lambda x: 0.5 * float(x[0]), ()),
+                                          (lambda x: 0.5 * x[:2], (2,)),
+                                          (lambda x: np.tile(x, 2), (6,))],
+                         ids=["scalar", "short", "long"])
+def test_evaluate_rows_fallback_rejects_an_image_of_the_wrong_size(image, shape):
+    # storing the image in its row would broadcast a scalar and fail on the
+    # others with a numpy message that names no row
+    f = MapModel(dimension=3, evaluate=image, domain=DomainSpec.full_space(3))
+    with pytest.raises(ValueError) as err:
+        f.evaluate_rows(np.ones((4, 3)))
+    assert str(err.value) == (f"evaluation failed at row 0: ValueError: the map gave an image "
+                              f"of shape {shape}, but the model has dimension 3")
+
+
 def test_contains_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
         DomainSpec.nonnegative_orthant(2).contains([1, 2, 3])

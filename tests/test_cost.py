@@ -234,6 +234,17 @@ def test_costs_per_step_name_a_raising_row_across_the_stack():
         costs_per_step(f, (1.0,), [0.5, 0.5], orbits, window=(1, 2))
 
 
+def test_cost_per_step_rejects_an_image_of_the_wrong_size():
+    # the row-by-row images of a model without evaluate_batch: a scalar
+    # image would be broadcast over its row and priced
+    f = MapModel(dimension=3, evaluate=lambda x: 0.5 * float(x[0]),
+                 domain=DomainSpec.full_space(3))
+    with pytest.raises(ValueError, match=r"^evaluation failed at row 0: ValueError: the map "
+                                         r"gave an image of shape \(\), but the model has "
+                                         r"dimension 3$"):
+        cost_per_step(f, ControlConfig("VMTOC", 0.5, (1.0, 1.0, 1.0)), np.ones((5, 3)))
+
+
 _DOUBLER = (
     "import numpy as np\n"
     "from chaosctl import DomainSpec, MapModel\n"

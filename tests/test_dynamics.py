@@ -647,54 +647,39 @@ def test_scan_row_failing_in_first_block_leaves_other_rows_exact():
 
 # A fresh scan of a model with evaluate_batch runs its grid points as the
 # rows of one batch; a row whose block holds a non-finite state or leaves
-# the domain leaves the batch and runs on alone from the block's start
-# state and first step.  A row that recurs retires, and the last rows in the
-# batch run on alone.  The oracle is one iterate_orbit per grid point from
-# the start that draw_x0 gives it.
+# the domain is handed off from the block's start state and first step.  A
+# row that recurs retires, and the last rows in the batch are handed off.
+# The scan runs each hand-off alone.  The oracle is one iterate_orbit per
+# grid point from the start that draw_x0 gives it.
 
 
 @contextlib.contextmanager
 def _handoffs():
-    """Record every hand-off of a batch row to the lone loop as
-    ``(row, at, state)``, and the OrbitError of each hand-off that fails."""
-    real_batch, real_rows = dynamics._iterate_batch, dynamics._iterate_rows
-    handed, errors, row = [], [], [None]
+    """Record every hand-off that _iterate_batch returns as ``(row, at, state)``."""
+    real, handed = dynamics._iterate_batch, []
 
-    def batch(step_for, lone_for, *args):
-        def lone(r):
-            row[0] = r
-            return lone_for(r)
-
-        return real_batch(step_for, lone, *args)
-
-    def rows(g, x, *args, **kwargs):
-        if kwargs.get("kept") is None:
-            return real_rows(g, x, *args, **kwargs)
-        handed.append((row[0], kwargs["at"], x.tolist()))
-        try:
-            return real_rows(g, x, *args, **kwargs)
-        except OrbitError as exc:
-            errors.append(exc)
-            raise
+    def batch(*args):
+        handoffs = real(*args)
+        handed.extend((r, at, state.tolist()) for r, state, at in handoffs)
+        return handoffs
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "_iterate_batch", batch)
-        mp.setattr(dynamics, "_iterate_rows", rows)
-        yield handed, errors
+        yield handed
 
 
 @contextlib.contextmanager
 def _scan_spies():
-    """Record every hand-off of a batch row to the lone loop, ``(row, at,
-    state)``, and the start of each lone orbit."""
-    real_orbit, alone = dynamics.iterate_orbit, []
+    """Record every hand-off of a batch row, ``(row, at, state)``, and every
+    lone run, ``(at, state)``."""
+    real, alone = dynamics._iterate_rows, []
 
-    def orbit(model, cfg, x0, *args):
-        alone.append(np.asarray(x0).tobytes())
-        return real_orbit(model, cfg, x0, *args)
+    def rows(g, x, *args, **kwargs):
+        alone.append((kwargs.get("at", 0), x.tolist()))
+        return real(g, x, *args, **kwargs)
 
-    with _handoffs() as (handed, _), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "iterate_orbit", orbit)
+    with _handoffs() as handed, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_iterate_rows", rows)
         yield handed, alone
 
 
@@ -712,9 +697,9 @@ def _assert_scan_runs_each_point_alone(caplog, model, target, grid, lo, hi, n_tr
     caplog.clear()
     starts = [dynamics.draw_x0(0, r, *box) for r in range(len(grid))]
     configs = [ControlConfig("VMTOC", c, target) for c in grid]
-    # no orbit runs from its start twice; each row is handed off at most
-    # once, with the batch's state at that step
-    assert alone == []
+    # each hand-off runs alone once, in order, and no other orbit does; each
+    # row is handed off at most once, with the batch's state at that step
+    assert alone == [(at, state) for _, at, state in handed]
     assert len({r for r, _, _ in handed}) == len(handed)
     for r, at, state in handed:
         assert state == (starts[r] if at == 0 else iterate_orbit(
@@ -821,26 +806,37 @@ def test_failing_batch_block_runs_once(monkeypatch, caplog):
 
 
 @contextlib.contextmanager
-def _orbit_calls():
-    """Record the intensity and start of every iterate_orbit call."""
-    real, calls = dynamics.iterate_orbit, []
+def _lone_calls():
+    """Record, in call order, the intensity of every controlled map a scan
+    builds, ``("map", c)``, and the start of every lone run, ``("rows", at,
+    state)``; a scan that calls iterate_orbit fails."""
+    real_map, real_rows, calls = dynamics.controlled_map, dynamics._iterate_rows, []
 
-    def spy(model, cfg, x0, *args, **kwargs):
-        calls.append((cfg.intensity, np.asarray(x0).tobytes()))
-        return real(model, cfg, x0, *args, **kwargs)
+    def controlled(model, cfg):
+        calls.append(("map", cfg.intensity))
+        return real_map(model, cfg)
+
+    def rows(g, x, *args, **kwargs):
+        calls.append(("rows", kwargs.get("at", 0), x.tobytes()))
+        return real_rows(g, x, *args, **kwargs)
+
+    def orbit(*args, **kwargs):
+        raise AssertionError("a scan called iterate_orbit")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "iterate_orbit", spy)
+        mp.setattr(dynamics, "controlled_map", controlled)
+        mp.setattr(dynamics, "_iterate_rows", rows)
+        mp.setattr(dynamics, "iterate_orbit", orbit)
         yield calls
 
 
 @pytest.mark.parametrize("case", ["chained", "plugin"])
-def test_every_lone_grid_point_runs_through_iterate_orbit(case):
+def test_every_lone_grid_point_runs_through_iterate_rows_once_from_its_start(case):
     model, target, lo, hi = _LEAVING_SCANS["lpa"]
     if case == "plugin":
         model = MapModel(dimension=3, evaluate=model.evaluate, domain=model.domain)
     grid, box = [k / 60 for k in range(1, 60)], dynamics.initial_box(lo, hi, 3)
-    with _orbit_calls() as calls, np.errstate(all="ignore"):
+    with _lone_calls() as calls, np.errstate(all="ignore"):
         records = bifurcation_scan(model, "VMTOC", target, grid, seed=0, init_lo=lo,
                                    init_hi=hi, n_transient=400, n_keep=40,
                                    continue_orbits=case == "chained")
@@ -850,18 +846,22 @@ def test_every_lone_grid_point_runs_through_iterate_orbit(case):
         starts = [dynamics.draw_x0(0, 0, *box)] + [rec.points[-1] for rec in records[:-1]]
     else:
         starts = [dynamics.draw_x0(0, r, *box) for r in range(len(grid))]
-    assert calls == [(grid[r], starts[r].tobytes()) for r in range(len(grid))]
+    assert calls == [call for r in range(len(grid))
+                     for call in (("map", grid[r]), ("rows", 0, starts[r].tobytes()))]
+    for r, (c, rec) in enumerate(zip(grid, records, strict=True)):
+        _assert_same_bytes(rec.points, iterate_orbit(model, ControlConfig("VMTOC", c, target),
+                                                     starts[r], 400, 40))
 
 
 def test_failing_batch_rows_run_on_alone_from_their_block_start():
-    # LPA states drawn below 0 leave the domain in the first block; no grid
-    # point of the fresh scan runs through iterate_orbit
+    # LPA states drawn below 0 leave the domain in the first block; every
+    # lone run of the fresh scan is a hand-off
     model, target, lo, hi = _LEAVING_SCANS["lpa"]
     grid = [k / 60 for k in range(1, 60)]
     with _scan_spies() as (handed, alone), np.errstate(all="ignore"):
         bifurcation_scan(model, "VMTOC", target, grid, seed=0, init_lo=lo, init_hi=hi,
                          n_transient=400, n_keep=40)
-    assert alone == []
+    assert alone == [(at, state) for _, at, state in handed]
     # the rows whose first block holds a state outside the domain, each from
     # its start
     box, first = dynamics.initial_box(lo, hi, 3), []
@@ -881,8 +881,39 @@ def test_clean_batch_never_runs_a_lone_orbit():
     with _scan_spies() as (handed, alone):
         records = bifurcation_scan(lpa_map(), "VMTOC", _LEAVING_SCANS["lpa"][1], grid, seed=1,
                                    n_transient=400, n_keep=40)
-    assert alone == [] and len({at for _, at, _ in handed}) <= 1
+    assert alone == [(at, state) for _, at, state in handed]
+    assert len({at for _, at, _ in handed}) <= 1
     assert all(rec.error is None for rec in records)
+
+
+def test_handoff_states_share_no_memory_with_the_batch():
+    # toward (30, 200, 30) two rows leave the domain in the first block and
+    # the five chaotic rows left after two blocks are handed off; each
+    # hand-off state is a copy, so it keeps no array of the batch alive
+    # until the scan runs it
+    model, target = lpa_map(), (30.0, 200.0, 30.0)
+    grid = np.array([k / 300 for k in range(10, 300, 10)])
+    box = dynamics.initial_box(-3.0, 5.0, 3)
+    x0 = np.array([dynamics.draw_x0(0, r, *box) for r in range(grid.size)])
+    stepped = [x0]
+
+    def step_for(rows):
+        step = controlled_rows(model, "VMTOC", target, grid[rows])
+
+        def spied(y):
+            stepped.extend((y, step(y)))
+            return stepped[-1]
+
+        return spied
+
+    with np.errstate(all="ignore"):
+        handoffs = dynamics._iterate_batch(step_for, x0, model.domain, 3000,
+                                           np.empty((50, grid.size, 3)))
+    assert [(r, at) for r, _, at in handoffs] == [(0, 0), (8, 0)] + [(r, 2 * _B)
+                                                                   for r in range(1, 6)]
+    for _, state, _ in handoffs:
+        assert state.flags.owndata
+        assert not any(np.shares_memory(state, a) for a in stepped)
 
 
 # --- rows that recur retire; the last row runs on alone ----------------------
@@ -1092,26 +1123,38 @@ def _one_row_model(kind, dim):
 
 @contextlib.contextmanager
 def _rows_path(model):
-    """Run every lone orbit of ``model``, controlled or not, as a batch of
-    two equal rows of the batch loop through the step map's
+    """Run every lone orbit of ``model`` from its start, controlled or not,
+    as a batch of two equal rows of the batch loop through the step map's
     ``evaluate_rows``, so that neither is ever left alone in it and no
-    tuple of floats is stepped.  Rows that fail a block's check run on alone
-    from its start, as in a scan, and the orbit fails with row 0's error.
-    Yields the hand-offs, ``(row, at, state)``."""
-    with _handoffs() as (handed, errors), pytest.MonkeyPatch.context() as mp:
+    tuple of floats is stepped.  Rows that fail a block's check are handed
+    off from its start together, with equal states, and run on alone, as in
+    a scan; the orbit fails with row 0's error.  Yields the hand-offs,
+    ``(row, at, state)``."""
+    with _handoffs() as handed, pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "_HANDOFF", 1)
         handoff = dynamics._iterate_rows
 
-        def rows(g, x, n_transient, n_keep, strict=False, **kwargs):
-            if kwargs:
-                return handoff(g, x, n_transient, n_keep, **kwargs)
-            errors.clear()
-            kept, failures = dynamics._iterate_batch(lambda _: g.evaluate_rows, lambda r: g,
-                                                     np.array([x, x]), g.domain, n_transient,
-                                                     n_keep)
-            if failures:
+        def rows(g, x, n_transient, n_keep, strict=False, at=0, kept=None):
+            if at:
+                return handoff(g, x, n_transient, n_keep, strict, at=at, kept=kept)
+            both = np.empty((n_keep, 2, x.shape[0]))
+            handoffs = dynamics._iterate_batch(lambda _: g.evaluate_rows, np.array([x, x]),
+                                               g.domain, n_transient, both)
+            if handoffs:
+                (r0, x0, at0), (r1, x1, at1) = handoffs
+                assert (r0, r1, at0, x0.tobytes()) == (0, 1, at1, x1.tobytes())
+            errors = []
+            for r, state, step in handoffs:
+                try:
+                    handoff(g, state, n_transient, n_keep, at=step, kept=both[:, r])
+                except OrbitError as exc:
+                    errors.append(exc)
+            if errors:
                 raise errors[0]
-            return kept[:, 0]
+            if kept is None:
+                return both[:, 0]
+            kept[:] = both[:, 0]
+            return kept
 
         mp.setattr(dynamics, "_iterate_rows", rows)
         yield handed
