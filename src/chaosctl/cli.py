@@ -294,10 +294,20 @@ def _write(path, lines):
 
 def _state_lines(points, prefix="", ends=None):
     """``{prefix}{step},{component},{value}{ends[component]}`` for every
-    component of every row of the ``(n, d)`` array ``points``."""
-    ends = ends or ("",) * points.shape[1]
-    return [f"{prefix}{i},{j},{v:.17g}{ends[j]}"
-            for i, state in enumerate(points.tolist()) for j, v in enumerate(state)]
+    component of every row of the ``(n, d)`` array ``points``.
+
+    A kept window repeats its states once its orbit cycles, so each
+    distinct row is formatted once.  Rows are told apart by their bytes:
+    ``-0.0 == 0.0``, but the two print apart.
+    """
+    d = points.shape[1]
+    ends = ends or ("",) * d
+    keys = np.ascontiguousarray(points, dtype=float).view(f"V{8 * d}").ravel().tolist()
+    texts = {}
+    for key, state in zip(keys, points.tolist()):
+        if key not in texts:
+            texts[key] = [f"{j},{v:.17g}{end}" for j, (v, end) in enumerate(zip(state, ends))]
+    return [f"{prefix}{i},{cell}" for i, key in enumerate(keys) for cell in texts[key]]
 
 
 def _write_scan_csv(path, records, costs=None):

@@ -64,17 +64,22 @@ _BLOCK = 64
 
 # The most rows a fresh batch holds before it hands them all to the lone
 # loop, whatever the model.  Numpy call overhead dominates a batch step, so
-# it costs about the same for 1 row as for 29: 18 us for a controlled LPA
-# batch step, against 3.6 us for a lone controlled float step, loop
-# included (one pinned core of a 2-vCPU Xeon VM, Python 3.11, numpy 2.4).
-# On the 29-point LPA VMTOC grid k/300, k = 10, 20, ..., 290, toward K,
-# (30,30,200), (30,200,30) and (200,30,30) at four seeds, the batch and
-# lone steps counted at each threshold, priced at those costs, give 41 ms
-# per scan when only the last row is handed off, 29-30 ms from 5 to 8 rows
-# and 31 ms at 12.  A Ricker batch step costs only about three lone steps,
-# so six Ricker rows that never recur run up to twice as long alone; fresh
-# 149-point delay-2 Ricker VMTOC scans toward (1, 3) from [0, 3] never got
-# down to 12 rows.
+# it costs about the same for 1 row as for 29: 19 us for a controlled LPA
+# batch step of 29 rows, against 2.5 us for a lone controlled float step,
+# loop included (medians of 40 interleaved in-process timings, one pinned
+# core of a shared 2-vCPU Xeon VM, Python 3.11, numpy 2.4).  The threshold
+# was set when the lone step cost 3.6 us, before its pull was written out
+# component by component (3.3 us in the same timings).  On the 29-point
+# LPA VMTOC grid k/300, k = 10, 20, ..., 290, toward K, (30,30,200),
+# (30,200,30) and (200,30,30) at four seeds, the batch and lone steps
+# counted at each threshold, priced at 18 and 3.6 us, give 41 ms per scan
+# when only the last row is handed off, 29-30 ms from 5 to 8 rows and
+# 31 ms at 12.  The cheaper lone step favours a higher threshold, but a
+# new one changes fresh scans' speed and memory and needs its own
+# measurement.  A delay-2 Ricker batch step of 29 rows costs about five
+# lone steps (12 and 2.3 us in the same timings), so six Ricker rows that
+# never recur run up to 1.2 times as long alone; fresh 149-point delay-2
+# Ricker VMTOC scans toward (1, 3) from [0, 3] never got down to 12 rows.
 _HANDOFF = 6
 
 

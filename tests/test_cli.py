@@ -288,6 +288,37 @@ def test_orbit_csv_matches_per_line_formatting(tmp_path):
     assert ["step,component,value"] + _state_lines(odd) == _orbit_csv_lines_per_line(odd)
 
 
+
+def test_csv_rows_are_formatted_once_each_but_as_every_value_alone(tmp_path):
+    # a component holding 0.0 and -0.0, which compare equal but print apart,
+    # and kept windows of period 1, of period 3 and of no period
+    rng = np.random.default_rng(5)
+    windows = {
+        (1, None): np.array([[0.0, 1.5], [-0.0, 1.5], [0.0, 1.5], [0.0, -1.5]] * 3),
+        (1, 1): np.tile([[2.0, -0.0]], (12, 1)),
+        (3, 3): np.tile([[0.1, 1e-300], [-0.0, -5e-324], [0.1 + 0.2, 2.0 ** 60]], (4, 1)),
+        (None, None): rng.standard_normal((12, 2)) * [1.0, 1e300],
+    }
+    records = [ScanRecord(c=c, points=points, periods=periods, seed=0)
+               for c, (periods, points) in zip([0.0, 0.1, 1 / 3, 0.9], windows.items())]
+    for costs in (None, [0.0, 0.1 + 0.2, 1.0 / 3.0, -0.0]):
+        _write_scan_csv(tmp_path / "s.csv", records, costs)
+        expected = "\n".join(_scan_csv_lines_per_line(records, costs)) + "\n"
+        assert (tmp_path / "s.csv").read_text() == expected
+    assert "-0," in expected and ",0,0," in expected
+    for points in list(windows.values()) + [windows[(3, 3)][::2], windows[(1, None)].T.copy()]:
+        assert ["step,component,value"] + _state_lines(points) == _orbit_csv_lines_per_line(points)
+    # a simulated orbit that recurs at step 61, inside its kept window
+    settings = ["run.x0=22,27,5", "control.scheme=VMTOC", "control.intensity=0.6",
+                "control.target=28.0120,22.4096,4.6251", "run.n_transient=20", "run.n_keep=400"]
+    assert run_cli(tmp_path, "simulate", "--out", "o",
+                   *[arg for kv in settings for arg in ("--set", kv)]) == 0
+    orbit = iterate_orbit(lpa_map(), ControlConfig("VMTOC", 0.6, LPA_FIXED_POINT),
+                          [22.0, 27.0, 5.0], 20, 400)
+    assert len(np.unique(orbit, axis=0)) < 50
+    expected = "\n".join(_orbit_csv_lines_per_line(orbit)) + "\n"
+    assert (tmp_path / "o.orbit.csv").read_text() == expected
+
 def test_bubbles_command(tmp_path):
     rc = run_cli(tmp_path, "bubbles", "--out", "bb", "--seed", "123",
                  "--set", "control.scheme=VMTOC",

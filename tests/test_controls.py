@@ -15,7 +15,8 @@ from chaosctl import (
     controlled_map,
     target_for_state,
 )
-from chaosctl.controls import controlled_rows
+from chaosctl import controls
+from chaosctl.controls import ControlConfigError, controlled_rows
 from chaosctl.models import LpaParams, RickerParams, lpa_eval, lpa_jacobian, lpa_map, ricker_lift
 
 from conftest import LPA_FIXED_POINT
@@ -322,3 +323,97 @@ def test_controlled_plugin_steps_on_floats_through_its_derived_base_step(lpa, sc
     np.testing.assert_array_equal(floats.view(np.uint64), alone.view(np.uint64))
     np.testing.assert_array_equal(floats.view(np.uint64), builtin.view(np.uint64))
     assert np.isinf(alone).any()
+
+
+def _own_float_step_model(d):
+    """A map of dimension ``d`` with its own float step: the delayed Ricker
+    lift, or for ``d = 1`` the Ricker map x -> x exp(2 - x)."""
+    if d > 1:
+        return ricker_lift(RickerParams(r=2.0, delay=d))
+
+    def components(x):
+        return (x[0] * np.exp(2.0 - x[0]),)
+
+    return MapModel(dimension=1, evaluate=lambda x: np.stack(components(np.asarray(x, float))),
+                    evaluate_floats=components, domain=DomainSpec.nonnegative_orthant(1))
+
+
+@pytest.mark.parametrize("scheme", ["VMTOC", "VTOC", "PF", "MPF", "DIAG-VMTOC"])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 13])
+def test_controlled_float_step_equals_evaluate_bitwise_in_every_dimension(scheme, d):
+    # one written-out pull per dimension, before the map and after it, on
+    # signed zeros, infinities, NaN and subnormals
+    model = _own_float_step_model(d)
+    rng = np.random.default_rng(d)
+    intensity = tuple(rng.uniform(0.0, 1.0, d)) if scheme == "DIAG-VMTOC" else 0.37
+    g = controlled_map(model, ControlConfig(scheme, intensity, tuple(rng.uniform(0.0, 3.0, d))))
+    rows = rng.uniform(0.0, 5.0, (700, d)) * rng.choice([0.0, 1e-310, 1.0, 1e3], (700, d))
+    for k, value in enumerate([-0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310]):
+        rows[k::7, k % d] = value
+    with np.errstate(all="ignore"):
+        alone = np.array([g.evaluate(x) for x in rows])
+        floats = [g.evaluate_floats(tuple(x.tolist())) for x in rows]
+    assert {type(y) for y in floats} == {tuple}
+    np.testing.assert_array_equal(np.array(floats, dtype=float).view(np.uint64),
+                                  alone.view(np.uint64))
+    assert np.isnan(alone).any() and np.isinf(alone).any()
+
+
+@pytest.mark.parametrize("scheme", ["VMTOC", "VTOC", "MPF", "DIAG-VMTOC"])
+def test_controlled_maps_of_one_dimension_keep_their_own_constants(scheme):
+    # the pull's code is compiled once per dimension; its constants are each map's own
+    model = ricker_lift(RickerParams(r=2.0, delay=3))
+
+    def config(c, target):
+        return ControlConfig(scheme, (c, c / 2, c / 3) if scheme == "DIAG-VMTOC" else c, target)
+
+    maps = [controlled_map(model, config(0.2, (1.0, 2.0, 3.0))),
+            controlled_map(model, config(0.6, (3.0, 1.0, 2.0)))]
+    y = (0.5, 1.5, 2.5)
+    steps = [g.evaluate_floats(y) for g in maps]
+    assert steps[0] != steps[1]
+    for g, step in zip(maps, steps):
+        assert step == tuple(g.evaluate(np.array(y)).tolist())
+    controlled_map(model, config(0.9, (0.1, 0.1, 0.1)))
+    assert [g.evaluate_floats(y) for g in maps] == steps
+    assert controls._float_pull(3) is controls._float_pull(3)
+
+
+_RICKER2 = ricker_lift(RickerParams(r=2.0, delay=2))
+
+
+@pytest.mark.parametrize("scheme", ["VMTOC", "VTOC", "DIAG-VMTOC"])
+@pytest.mark.parametrize("c", [math.nan, -0.1, 1.0, math.inf, 1, np.float64(1.5)])
+def test_controlled_map_rejects_a_bad_intensity_by_field(scheme, c):
+    intensity = (0.3, c) if scheme == "DIAG-VMTOC" else c
+    with pytest.raises(ControlConfigError) as err:
+        controlled_map(_RICKER2, ControlConfig(scheme, intensity, (1.0, 3.0)))
+    assert type(err.value) is ControlConfigError and err.value.field == "intensity"
+    assert str(err.value) == f"control intensity must lie in [0, 1), got {float(c)}"
+
+
+@pytest.mark.parametrize("scheme", ["VMTOC", "VTOC", "DIAG-VMTOC"])
+@pytest.mark.parametrize("target, message", [
+    ((math.nan, 3.0), "non-finite target"),
+    ((1.0, math.inf), "non-finite target"),
+    ((1.0, 3.0, 2.0), "dimension mismatch: expected 2 components, got 3"),
+    ((1.0,), "dimension mismatch: expected 2 components, got 1"),
+    ((math.nan,), "dimension mismatch: expected 2 components, got 1"),
+    ((-1.0, 3.0), "target outside the model domain"),
+    ((1.0, -1e-300), "target outside the model domain"),
+])
+def test_controlled_map_rejects_a_bad_target_by_field(scheme, target, message):
+    intensity = (0.3, 0.3) if scheme == "DIAG-VMTOC" else 0.3
+    with pytest.raises(ControlConfigError) as err:
+        controlled_map(_RICKER2, ControlConfig(scheme, intensity, target))
+    assert type(err.value) is ControlConfigError and err.value.field == "target"
+    assert str(err.value) == message
+
+
+def test_controlled_map_accepts_a_boundary_target_and_ignores_a_targetless_one():
+    # -0.0 lies on the orthant's boundary; PF and MPF ignore any target
+    g = controlled_map(_RICKER2, ControlConfig("VMTOC", 0.3, (-0.0, 3.0)))
+    assert g.evaluate_floats((1.0, 1.0)) == tuple(g.evaluate(np.ones(2)).tolist())
+    for scheme in ("PF", "MPF"):
+        controlled_map(_RICKER2, ControlConfig(scheme, 0.3, (math.nan, -1.0, 2.0)))
+    controlled_map(_RICKER2, ControlConfig("VMTOC", -0.0, (1.0, 3.0)))

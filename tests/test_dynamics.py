@@ -622,6 +622,35 @@ def test_post_map_control_fails_a_step_of_the_wrong_size_at_the_first_step(case,
            f"{shape}, but the model has dimension 1")
 
 
+
+# a float image one component short, one long, or a scalar, of d components
+_WRONG_FLOAT_IMAGES = {
+    "short": (lambda y: tuple(0.5 * v for v in y[:-1]), lambda d: (d - 1,)),
+    "long": (lambda y: (*(0.5 * v for v in y), 1.0), lambda d: (d + 1,)),
+    "scalar": (lambda y: 0.5 * y[0], lambda d: ()),
+}
+
+
+@pytest.mark.parametrize("scheme", ["VMTOC", "MPF", "DIAG-VMTOC"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(_WRONG_FLOAT_IMAGES))
+def test_post_map_float_pull_fails_an_image_of_the_wrong_size_at_the_first_step(case, d,
+                                                                               scheme):
+    # the pull unpacks the image: a wrong size pays for its shape and names it
+    image, shape = _WRONG_FLOAT_IMAGES[case]
+    model = MapModel(dimension=d, evaluate=lambda x: 0.5 * np.asarray(x, float),
+                     evaluate_floats=image, domain=DomainSpec.full_space(d))
+    cfg = ControlConfig(scheme, (0.3,) * d if scheme == "DIAG-VMTOC" else 0.3, (0.0,) * d)
+    message = (f"the base map gave an image of shape {shape(d)}, "
+               f"but the model has dimension {d}")
+    with pytest.raises(ValueError) as err:
+        controlled_map(model, cfg).evaluate_floats((1.0,) * d)
+    assert str(err.value) == message
+    with pytest.raises(OrbitError) as err:
+        iterate_orbit(model, cfg, [1.0] * d, 2 * _B, 5)
+    assert (err.value.step, str(err.value)) == (
+        0, f"evaluation failed at step 0: ValueError: {message}")
+
 def test_scan_row_failing_in_first_block_leaves_other_rows_exact():
     # x' = c*0 + (1-c)*x^2: without control the square overflows within the
     # first block, while c >= 0.5 pulls every start in [1.5, 1.9] to 0
