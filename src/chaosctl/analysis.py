@@ -25,15 +25,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .controls import ControlConfig
-from .core import MapModel, as_state, check_image, check_norm_kind, check_tol, norm, norm_rows
+from .core import (MapModel, as_state, check_image, check_norm_kind, check_tol, norm,
+                   norm_rows, state_text)
 from .dynamics import initial_box, iterate_orbit
 
 _FIXED_POINT_RESIDUAL = 1e-8
-
-
-def _state_text(x) -> str:
-    """A state in an error message, with every digit of every component."""
-    return f"({', '.join(f'{v:.17g}' for v in x)})"
 
 
 class ConvergenceError(RuntimeError):
@@ -77,7 +73,7 @@ def find_fixed_point(model: MapModel, x0, tol: float = 1e-10,
         try:
             return np.asarray(func(y), float)
         except (ValueError, ArithmeticError) as exc:
-            raise ConvergenceError(f"no fixed point: evaluation failed at x = {_state_text(y)}: "
+            raise ConvergenceError(f"no fixed point: evaluation failed at x = {state_text(y)}: "
                                    f"{type(exc).__name__}: {exc} (best residual {best[0]:.3e})",
                                    best_point=best[1], best_residual=best[0]) from exc
 
@@ -111,7 +107,7 @@ def find_fixed_point(model: MapModel, x0, tol: float = 1e-10,
                 if not np.all(np.isfinite(x)):
                     # no later iterate can be finite again: stop here
                     raise ConvergenceError(
-                        f"no fixed point: averaging iterate x = {_state_text(x)} "
+                        f"no fixed point: averaging iterate x = {state_text(x)} "
                         f"is not finite (best residual {best[0]:.3e})",
                         best_point=best[1], best_residual=best[0])
                 r, rnorm = residual(x)
@@ -210,14 +206,14 @@ def bound_A(model: MapModel, lo, hi, n_samples: int = 512) -> float:
         try:
             j = np.abs(model.jacobian_at(x))
         except (ValueError, ArithmeticError) as exc:
-            raise ValueError(f"Jacobian failed at sample {i}, x = {_state_text(x)}: "
+            raise ValueError(f"Jacobian failed at sample {i}, x = {state_text(x)}: "
                              f"{type(exc).__name__}: {exc}") from exc
         row_max = float(np.max(j.sum(axis=1)))
         col_max = float(np.max(j.sum(axis=0)))
         # max() would silently skip a NaN and an inf is no usable bound
         if not (math.isfinite(row_max) and math.isfinite(col_max)):
             raise ValueError(f"non-finite Jacobian row or column sum at sample {i}, "
-                             f"x = {_state_text(x)}")
+                             f"x = {state_text(x)}")
         rows = max(rows, row_max)
         cols = max(cols, col_max)
     return min(rows, cols)

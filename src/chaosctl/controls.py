@@ -11,9 +11,12 @@ Five schemes are provided.  With intensity ``c`` and target ``T``:
 PF and MPF are exactly VTOC and VMTOC with a zero target.  One builder
 writes every form of every scheme's step (single state, batch, tuple of
 floats, Jacobian) from one split, the pull before the map or after it, so
-the reduction and the agreement of the forms are bit-for-bit.  After the
-map, a base image without the model's dimension raises ``ValueError``,
-and so does, either side of it, a batch image without the rows' shape.
+the reduction and the agreement of the forms are bit-for-bit.  The step on
+a tuple of floats of every scheme and model is one function, compiled once
+per dimension and side of the map, around the base model's float step.
+After the map, a base image without the model's dimension raises
+``ValueError``, and so does, either side of it, a batch image without the
+rows' shape.
 A scan builds one controlled map per lone grid point, so building one of a
 scalar scheme checks its intensity and target on Python floats.
 """
@@ -119,26 +122,35 @@ def _checked_target(model: MapModel, cfg: ControlConfig) -> np.ndarray:
 
 
 @cache
-def _float_pull(d: int):
-    """``make(ct_0, ..., ct_{d-1}, keep_0, ..., keep_{d-1})``, which returns
-    the pull of a tuple of ``d`` floats, ``y -> (ct_0 + keep_0*y_0, ...)``.
+def _float_step(d: int, after: bool):
+    """``make(f, c_0, ..., c_{d-1}, k_0, ..., k_{d-1})``, which returns the
+    controlled step of a tuple of ``d`` floats through the base float step
+    ``f``, with the pull ``v -> (c_0 + k_0*v_0, ...)`` after ``f`` or before it.
 
     The pull is written out component by component, its constants bound in
     the closure: a third of the time or less of mapping ``add`` and ``mul``
-    over the tuples, for the same operations in the same order.  It unpacks
-    ``y``, so an image of the wrong size raises ``ValueError`` or
-    ``TypeError`` rather than being cut to fit.  The source is compiled once
-    per dimension, as ``dataclasses`` builds ``__init__``: compiling it for
-    each map would cost more than a chained scan point's whole orbit.
+    over the tuples, for the same operations in the same order.  After the
+    map, a base image that does not unpack into ``d`` components and add
+    raises ``check_image``'s ``ValueError`` rather than being cut to fit.
+    The source is compiled once per dimension and side, as ``dataclasses``
+    builds ``__init__``: compiling it for each map would cost more than a
+    chained scan point's whole orbit.
     """
-    cs, ks, ys = ([f"{v}{j}" for j in range(d)] for v in "cky")
-    src = (f"def make({', '.join(cs + ks)}):\n"
-           f"    def pull(y):\n"
-           f"        {''.join(f'{y}, ' for y in ys)}= y\n"
-           f"        return ({''.join(f'{c} + {k} * {y}, ' for c, k, y in zip(cs, ks, ys))})\n"
-           f"    return pull\n")
-    namespace = {}
-    exec(src, namespace)
+    cs, ks, vs = ([f"{v}{j}" for j in range(d)] for v in "ckv")
+    unpack, pull = ", ".join(vs), ", ".join(f"{c} + {k} * {v}" for c, k, v in zip(cs, ks, vs))
+    if after:
+        body = (f"        y = f(x)\n"
+                f"        try:\n"
+                f"            {unpack}, = y\n"
+                f"            return ({pull},)\n"
+                f"        except (ValueError, TypeError):\n"
+                f"            check_image(y, ({d},), {d}, 'the base map')\n"
+                f"            raise\n")
+    else:
+        body = f"        {unpack}, = x\n        return f(({pull},))\n"
+    namespace = {"check_image": check_image}
+    exec(f"def make(f, {', '.join(cs + ks)}):\n    def step(x):\n{body}    return step\n",
+         namespace)
     return namespace["make"]
 
 
@@ -160,10 +172,12 @@ def _controlled(model: MapModel, scheme: str, c, t: np.ndarray):
     vector = isinstance(keep, np.ndarray)
     # (1-c) scales row i of the Jacobian: a scalar or a (d, 1) column
     scale = keep.reshape(-1, 1) if vector else keep
+    after = scheme not in ("VTOC", "PF")
     # the float pull of component j, ct[j] + keep[j]*y[j], is bitwise the
     # array pull's; a column of intensities steps batches only
-    pull_floats = (_float_pull(d)(*ct.tolist(), *(keep.tolist() if vector else [keep] * d))
-                   if ct.ndim == 1 else None)
+    evaluate_floats = (_float_step(d, after)(f_floats, *ct.tolist(),
+                                             *(keep.tolist() if vector else [keep] * d))
+                       if ct.ndim == 1 else None)
 
     def pull(y):
         return ct + keep * y
@@ -172,15 +186,12 @@ def _controlled(model: MapModel, scheme: str, c, t: np.ndarray):
     # image of the wrong shape or broadcast it
     sized = partial(check_image, dim=d, what="the base map")
 
-    if scheme in ("VTOC", "PF"):
+    if not after:
         def evaluate(x):
             return np.asarray(f(pull(np.asarray(x, float))), float)
 
         def evaluate_batch(rows):
             return sized(f_rows(pull(rows)), rows.shape)
-
-        def evaluate_floats(x):
-            return f_floats(pull_floats(x))
 
         def jacobian(x):
             return scale * np.asarray(f_jac(pull(np.asarray(x, float))), float)
@@ -191,16 +202,6 @@ def _controlled(model: MapModel, scheme: str, c, t: np.ndarray):
 
         def evaluate_batch(rows):
             return pull(sized(f_rows(rows), rows.shape))
-
-        def evaluate_floats(x):
-            y = f_floats(x)
-            try:
-                return pull_floats(y)
-            except (ValueError, TypeError):
-                # only an image that does not unpack into d components, or
-                # does not add, pays for its shape
-                sized(y, (d,))
-                raise
 
         def jacobian(x):
             return scale * np.asarray(f_jac(x), float)

@@ -45,6 +45,11 @@ def check_image(y, shape, dim: int, what: str = "the map"):
     return y
 
 
+def state_text(x) -> str:
+    """A state in an error message, with every digit of every component."""
+    return f"({', '.join(f'{v:.17g}' for v in x)})"
+
+
 def check_norm_kind(kind: str) -> None:
     """Raise ``ValueError`` unless ``kind`` is one of :data:`NORM_KINDS`."""
     if kind not in NORM_KINDS:

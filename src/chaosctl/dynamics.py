@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .controls import ControlConfig, controlled_map, controlled_rows
-from .core import DomainSpec, MapModel, as_state, check_tol
+from .core import DomainSpec, MapModel, as_state, check_tol, state_text
 
 log = logging.getLogger(__name__)
 
@@ -63,23 +63,18 @@ def _check_lengths(n_transient: int, n_keep: int) -> None:
 _BLOCK = 64
 
 # The most rows a fresh batch holds before it hands them all to the lone
-# loop, whatever the model.  Numpy call overhead dominates a batch step, so
-# it costs about the same for 1 row as for 29: 19 us for a controlled LPA
-# batch step of 29 rows, against 2.5 us for a lone controlled float step,
-# loop included (medians of 40 interleaved in-process timings, one pinned
-# core of a shared 2-vCPU Xeon VM, Python 3.11, numpy 2.4).  The threshold
-# was set when the lone step cost 3.6 us, before its pull was written out
-# component by component (3.3 us in the same timings).  On the 29-point
-# LPA VMTOC grid k/300, k = 10, 20, ..., 290, toward K, (30,30,200),
-# (30,200,30) and (200,30,30) at four seeds, the batch and lone steps
-# counted at each threshold, priced at 18 and 3.6 us, give 41 ms per scan
-# when only the last row is handed off, 29-30 ms from 5 to 8 rows and
-# 31 ms at 12.  The cheaper lone step favours a higher threshold, but a
-# new one changes fresh scans' speed and memory and needs its own
-# measurement.  A delay-2 Ricker batch step of 29 rows costs about five
-# lone steps (12 and 2.3 us in the same timings), so six Ricker rows that
-# never recur run up to 1.2 times as long alone; fresh 149-point delay-2
-# Ricker VMTOC scans toward (1, 3) from [0, 3] never got down to 12 rows.
+# loop, whatever the model.  Numpy call overhead dominates a batch step:
+# 11 us for a controlled LPA batch step, plus 27 ns a row, against 1.0 us
+# for a lone controlled LPA float step and 3.8 us for the one derived from
+# evaluate, loop included (delay-2 Ricker: 7.6 and 0.8 us; best of 7-9
+# in-process timings, one pinned core of a shared 2-vCPU VM, Python 3.11,
+# numpy 2.4).  So priced, the batch and lone steps of the 29-point LPA
+# VMTOC grid k/300, k = 10, 20, ..., 290, toward K, (30,30,200), (30,200,30)
+# and (200,30,30) at four seeds cost 9.8 ms per scan at 6 rows, 9.4 at 8
+# and 9.2 from 9 to 16; on the 299-point grid (seed 0), 36.9 ms from 5 to 9
+# rows and 36.7-37.1 from 10 to 16.  Timed whole, scans at 6, 8, 10, 12 and
+# 14 rows differ by less than their noise (best 11.4-12.0 and 50-52 ms),
+# and a higher threshold slows models without a float step: it stays at 6.
 _HANDOFF = 6
 
 
@@ -481,8 +476,9 @@ def lyapunov_max(model: MapModel, cfg: Optional[ControlConfig], x0,
     its step, and leaving the domain is logged once.  A tangent vector is
     then propagated through the Jacobians at x_0 ... x_{n-1}, renormalized
     every step, and the log growth is averaged over the last 80% of the
-    ``n`` steps (the first fifth is treated as transient).  Positive means
-    sensitive dependence; a stabilized equilibrium gives a negative value.
+    ``n`` steps (the first fifth is treated as transient).  A Jacobian that
+    is not finite raises ``ValueError`` naming its step and state.  Positive
+    means sensitive dependence; a stabilized equilibrium gives a negative value.
     """
     if n < 1000:
         raise ValueError("n must be at least 1000 for a stable average")
@@ -494,8 +490,12 @@ def lyapunov_max(model: MapModel, cfg: Optional[ControlConfig], x0,
     v /= np.linalg.norm(v)
     logs = np.empty(n)
     for i, x in enumerate(states):
-        v = np.asarray(g.jacobian_at(x), float) @ v
+        jac = np.asarray(g.jacobian_at(x), float)
+        v = jac @ v
         growth = float(np.linalg.norm(v))
+        # a non-finite entry makes v, and so the growth, non-finite
+        if not math.isfinite(growth) and not np.isfinite(jac).all():
+            raise ValueError(f"non-finite Jacobian at step {i}, x = {state_text(x)}")
         if growth == 0.0:
             # Tangent collapsed (exactly singular Jacobian); restart it.
             v = rng.standard_normal(model.dimension)

@@ -8,14 +8,14 @@ Two models ship with the package:
   first-order system via a delay line.
 
 Both expose an analytic Jacobian and self-map the nonnegative orthant.
-Each map's arithmetic is written once, on the state's components: the
-same expression takes numpy columns, the components of one state ``(d,)``
-or of an ``(n, d)`` array of states, and Python floats.  Its only function
-call is ``np.exp``, which gives a Python float bitwise the value it gives
-an array element, and the rest is IEEE arithmetic, so a row of a batch,
+Each map's arithmetic is written once, as a closure over the model's
+parameters that takes the components of a state, ``exp`` and a conversion
+``fl`` of exp's result.  The float step, bound when the model is built,
+passes ``np.exp``, which gives a Python float bitwise the value it gives an
+array element, and ``float``, which keeps those bits, so the rest is IEEE
+arithmetic on Python floats.  The array form passes a no-op conversion and
+numpy columns or the components of one state ``(d,)``, so a row of a batch,
 one state alone and a tuple of floats all have bitwise the same image.
-The models pass the array form as ``evaluate`` and ``evaluate_batch`` and
-the float form as ``evaluate_floats``.
 """
 
 from __future__ import annotations
@@ -67,41 +67,49 @@ def _check_fields(params, rules) -> None:
             raise ParamError(name, f"{name} must {rule}, got {value}")
 
 
-def _float_exp(v: float) -> float:
-    """``np.exp`` of a Python float as a Python float: bitwise the value
-    ``np.exp`` gives, and the arithmetic that follows it runs on Python
-    floats, which is faster than on numpy scalars."""
-    return float(np.exp(v))
+def _same(v):
+    return v
 
 
-def lpa_step(p: LpaParams, x, exp=np.exp) -> tuple:
-    """One generation of the LPA map on the components (L, P, A) of ``x``.
-
-        L' = b*A*exp(-c_el*L - c_ea*A)
-        P' = (1 - mu_l)*L
-        A' = P*exp(-c_pa*A) + A*(1 - mu_a)
-
-    The components are numpy columns, or Python floats with ``exp`` set to
-    :func:`_float_exp`; returns the tuple of the image's components.  With
-    nonnegative input every exponent argument is <= 0, so the evaluation
-    cannot overflow.
-    """
-    # indexing, not unpacking, which would iterate an array slowly
-    L, P, A = x[0], x[1], x[2]
-    return (p.b * A * exp(-p.c_el * L - p.c_ea * A),
-            (1.0 - p.mu_l) * L,
-            P * exp(-p.c_pa * A) + A * (1.0 - p.mu_a))
-
-
-def lpa_eval(p: LpaParams, x) -> np.ndarray:
-    """:func:`lpa_step` of one state ``(3,)`` or of an ``(n, 3)`` array of states."""
+def _on_arrays(formula, x) -> np.ndarray:
+    """``formula`` of one state ``(d,)`` or of an ``(n, d)`` array of states, as an array."""
     x = np.asarray(x, dtype=float)
     # the transpose puts the component axis first: for one state the
     # components are numpy scalars, for a batch they are columns
     out = np.empty_like(x)
     o = out.T
-    o[0], o[1], o[2] = lpa_step(p, x.T)
+    for j, v in enumerate(formula(x.T, np.exp, _same)):
+        o[j] = v
     return out
+
+
+def _lpa_formula(p: LpaParams):
+    """One generation of the LPA map, ``formula(x, exp=np.exp, fl=float)``,
+    on the components (L, P, A) of ``x``:
+
+        L' = b*A*exp(-c_el*L - c_ea*A)
+        P' = (1 - mu_l)*L
+        A' = P*exp(-c_pa*A) + A*(1 - mu_a)
+
+    Returns the tuple of the image's components.  With nonnegative input
+    every exponent argument is <= 0, so the evaluation cannot overflow.
+    """
+    b, c_el, c_ea, c_pa = p.b, p.c_el, p.c_ea, p.c_pa
+    keep_l, keep_a = 1.0 - p.mu_l, 1.0 - p.mu_a
+
+    def formula(x, exp=np.exp, fl=float):
+        # indexing, not unpacking, which would iterate an array slowly
+        L, P, A = x[0], x[1], x[2]
+        return (b * A * fl(exp(-c_el * L - c_ea * A)),
+                keep_l * L,
+                P * fl(exp(-c_pa * A)) + A * keep_a)
+
+    return formula
+
+
+def lpa_eval(p: LpaParams, x) -> np.ndarray:
+    """The LPA map of one state ``(3,)`` or of an ``(n, 3)`` array of states."""
+    return _on_arrays(_lpa_formula(p), x)
 
 
 def lpa_jacobian(p: LpaParams, x) -> np.ndarray:
@@ -134,18 +142,15 @@ def lpa_map(p: LpaParams | None = None) -> MapModel:
     """The LPA model as a ``MapModel`` on the nonnegative orthant."""
     p = p or LpaParams()
 
-    def evaluate(x, _p=p):
-        return lpa_eval(_p, x)
+    def evaluate(x):
+        return lpa_eval(p, x)
 
-    def evaluate_floats(x, _p=p):
-        return lpa_step(_p, x, _float_exp)
-
-    def jacobian(x, _p=p):
-        return lpa_jacobian(_p, x)
+    def jacobian(x):
+        return lpa_jacobian(p, x)
 
     return MapModel(dimension=3, evaluate=evaluate, domain=DomainSpec.nonnegative_orthant(3),
                     jacobian=jacobian, name="lpa", evaluate_batch=evaluate,
-                    evaluate_floats=evaluate_floats)
+                    evaluate_floats=_lpa_formula(p))
 
 
 @dataclass(frozen=True)
@@ -164,29 +169,25 @@ class RickerParams:
         object.__setattr__(self, "r", float(self.r))
 
 
-def ricker_newest(p: RickerParams, x, exp=np.exp):
-    """The newest value of the lifted delayed Ricker map's image.
+def _ricker_formula(p: RickerParams):
+    """The lifted delayed Ricker map, as :func:`_lpa_formula` gives the LPA map.
 
     The state holds the last ``delay`` population values, newest first; the
     update multiplies the newest value by exp(r - oldest) and shifts the
     rest down the delay line, so iterating the lift reproduces the scalar
-    recursion u[n+1] = u[n]*exp(r - u[n-delay+1]).  This is u[n+1], from
-    the components of ``x``: numpy columns, or Python floats with ``exp``
-    set to :func:`_float_exp`.
+    recursion u[n+1] = u[n]*exp(r - u[n-delay+1]).
     """
-    return x[0] * exp(p.r - x[p.delay - 1])
+    r, oldest = p.r, p.delay - 1
+
+    def formula(x, exp=np.exp, fl=float):
+        return (x[0] * fl(exp(r - x[oldest])), *x[:-1])
+
+    return formula
 
 
 def ricker_eval(p: RickerParams, x) -> np.ndarray:
-    """One step of the lifted delayed Ricker map: :func:`ricker_newest`,
-    then the shifted delay line, for one state ``(delay,)`` or for an
-    ``(n, delay)`` array of states."""
-    x = np.asarray(x, dtype=float)
-    xt, out = x.T, np.empty_like(x)
-    o = out.T
-    o[0] = ricker_newest(p, xt)
-    o[1:] = xt[:-1]
-    return out
+    """The Ricker lift of one state ``(delay,)`` or of an ``(n, delay)`` array of states."""
+    return _on_arrays(_ricker_formula(p), x)
 
 
 def ricker_jacobian(p: RickerParams, x) -> np.ndarray:
@@ -203,16 +204,13 @@ def ricker_jacobian(p: RickerParams, x) -> np.ndarray:
 def ricker_lift(p: RickerParams) -> MapModel:
     """The delayed Ricker recursion as a first-order system of dimension ``delay``."""
 
-    def evaluate(x, _p=p):
-        return ricker_eval(_p, x)
+    def evaluate(x):
+        return ricker_eval(p, x)
 
-    def evaluate_floats(x, _p=p):
-        return (ricker_newest(_p, x, _float_exp), *x[:-1])
-
-    def jacobian(x, _p=p):
-        return ricker_jacobian(_p, x)
+    def jacobian(x):
+        return ricker_jacobian(p, x)
 
     return MapModel(dimension=p.delay, evaluate=evaluate,
                     domain=DomainSpec.nonnegative_orthant(p.delay),
                     jacobian=jacobian, name="ricker", evaluate_batch=evaluate,
-                    evaluate_floats=evaluate_floats)
+                    evaluate_floats=_ricker_formula(p))

@@ -428,6 +428,26 @@ def test_lyapunov_command(tmp_path):
     assert float(report["lyapunov_max"]) > 0.0
 
 
+_NAN_JACOBIAN_PLUGIN = (
+    "import numpy as np\n"
+    "from chaosctl import DomainSpec, MapModel\n"
+    "def make():\n"
+    "    return MapModel(dimension=1, evaluate=lambda x: 0.5 * np.asarray(x, float),\n"
+    "                    jacobian=lambda x: np.array([[np.nan]]),\n"
+    "                    domain=DomainSpec.full_space(1))\n")
+
+
+def test_lyapunov_rejects_a_non_finite_jacobian(tmp_path, monkeypatch, capsys):
+    (tmp_path / "nanjac.py").write_text(_NAN_JACOBIAN_PLUGIN)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    with np.errstate(invalid="ignore"):
+        rc = run_cli(tmp_path, "lyapunov", "--out", "nj", "--set", "model.kind=plugin",
+                     "--set", "model.plugin=nanjac:make", "--set", "run.x0=1")
+    assert rc == 1
+    assert capsys.readouterr().err == "error: non-finite Jacobian at step 0, x = (1)\n"
+    assert sorted(os.listdir(tmp_path)) == ["nanjac.py"]
+
+
 def test_cost_command(tmp_path):
     rc = run_cli(tmp_path, "cost", "--out", "co",
                  "--set", "control.scheme=VMTOC",

@@ -359,9 +359,12 @@ def test_controlled_float_step_equals_evaluate_bitwise_in_every_dimension(scheme
     assert np.isnan(alone).any() and np.isinf(alone).any()
 
 
-@pytest.mark.parametrize("scheme", ["VMTOC", "VTOC", "MPF", "DIAG-VMTOC"])
-def test_controlled_maps_of_one_dimension_keep_their_own_constants(scheme):
-    # the pull's code is compiled once per dimension; its constants are each map's own
+@pytest.mark.parametrize("scheme, after", [("VMTOC", True), ("MPF", True), ("DIAG-VMTOC", True),
+                                           ("VTOC", False), ("PF", False)],
+                         ids=["VMTOC", "MPF", "DIAG-VMTOC", "VTOC", "PF"])
+def test_controlled_maps_of_one_dimension_keep_their_own_constants(scheme, after):
+    # the float step's code is compiled once per dimension and side of the
+    # map; its constants are each map's own
     model = ricker_lift(RickerParams(r=2.0, delay=3))
 
     def config(c, target):
@@ -376,7 +379,10 @@ def test_controlled_maps_of_one_dimension_keep_their_own_constants(scheme):
         assert step == tuple(g.evaluate(np.array(y)).tolist())
     controlled_map(model, config(0.9, (0.1, 0.1, 0.1)))
     assert [g.evaluate_floats(y) for g in maps] == steps
-    assert controls._float_pull(3) is controls._float_pull(3)
+    make = controls._float_step(3, after)
+    assert make is controls._float_step(3, after)
+    assert make is not controls._float_step(3, not after)
+    assert {g.evaluate_floats.__code__ for g in maps} <= set(make.__code__.co_consts)
 
 
 _RICKER2 = ricker_lift(RickerParams(r=2.0, delay=2))

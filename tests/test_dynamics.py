@@ -1904,6 +1904,17 @@ def test_lyapunov_failing_evaluation_raises_with_its_step():
     assert err.value.step == 7
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_lyapunov_non_finite_jacobian_raises_with_its_step_and_state(bad):
+    # x_i = 0.5^i; the Jacobian is not finite from x_3 = 0.125 on
+    f = MapModel(dimension=1, evaluate=lambda x: 0.5 * np.asarray(x, float),
+                 jacobian=lambda x: np.array([[bad if x[0] < 0.2 else 0.5]]),
+                 domain=DomainSpec.full_space(1))
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError) as err:
+        lyapunov_max(f, None, np.array([1.0]), n=1000)
+    assert str(err.value) == "non-finite Jacobian at step 3, x = (0.125)"
+
+
 def test_lyapunov_logs_one_domain_exit(caplog):
     # x_i = 2 - i leaves the orthant at step 2 and stays outside
     f = MapModel(dimension=1, evaluate=lambda x: np.asarray(x, float) - 1.0,

@@ -218,25 +218,45 @@ def test_np_exp_of_a_float_equals_its_array_element_bitwise():
 
 def _wide_states(rng, d, n=4000):
     """States of magnitudes from 0 to 8e5, either sign, with rows of signed
-    zeros, so that the maps' exp underflows and overflows."""
+    zeros, infinities, NaN and subnormals, so that the maps' exp underflows
+    and overflows."""
     x = rng.uniform(-800.0, 800.0, (n, d)) * rng.choice([0.0, 1e-3, 1.0, 1e3], (n, d))
     x[::7] = -0.0
     x[3::7, 0] = -0.0
+    for k, value in enumerate([math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 1e300]):
+        x[k::11, k % d] = value
     return x
 
 
-@pytest.mark.parametrize("model", [lpa_map(), *(ricker_lift(RickerParams(r=2.0, delay=d))
-                                                for d in (2, 3, 5))],
-                         ids=["lpa", "ricker-2", "ricker-3", "ricker-5"])
-def test_float_step_equals_evaluate_bitwise(model):
-    rows = _wide_states(np.random.default_rng(model.dimension), model.dimension)
+_FLOAT_STEP_MODELS = {
+    "lpa": lpa_map(),
+    "lpa-other": lpa_map(LpaParams(b=7.25, c_el=0.0213, c_ea=0.0041, c_pa=0.875,
+                                   mu_l=0.5125, mu_a=0.1)),
+    "lpa-no-cannibalism": lpa_map(LpaParams(c_el=0.0, c_ea=0.0, c_pa=0.0)),
+    **{f"ricker-{d}" + (f"-r{r}" if r != 2.0 else ""): ricker_lift(RickerParams(r=r, delay=d))
+       for d in range(2, 7) for r in (-1.5, 0.0, 2.0, 3.7)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FLOAT_STEP_MODELS))
+def test_float_step_equals_evaluate_bitwise(name):
+    model = _FLOAT_STEP_MODELS[name]
+    d = model.dimension
+    rows = _wide_states(np.random.default_rng(d), d)
+    # the batch reads its rows through strides in both axes
+    padded = np.full((2 * rows.shape[0], 3 * d), 7.0)
+    padded[::2, ::3] = rows
+    strided = padded[::2, ::3]
+    assert not strided.flags.c_contiguous
     with np.errstate(all="ignore"):
-        batch = model.evaluate_batch(rows)
+        batch = model.evaluate_batch(strided)
         alone = np.array([model.evaluate(x) for x in rows])
         floats = [model.evaluate_floats(tuple(x.tolist())) for x in rows]
     assert {type(y) for y in floats} == {tuple}
     assert {len(y) for y in floats} == {model.dimension}
+    assert {type(v) for y in floats for v in y} == {float}
     np.testing.assert_array_equal(_bits(alone), _bits(batch))
     np.testing.assert_array_equal(_bits(floats), _bits(batch))
     # the cases the states were drawn for
+    assert np.isnan(batch).any()
     assert np.isinf(batch).any() and (batch == 0.0).any() and np.signbit(batch[batch == 0.0]).any()
