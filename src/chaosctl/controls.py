@@ -14,19 +14,16 @@ floats, Jacobian) from one split, the pull before the map or after it, so
 the reduction and the agreement of the forms are bit-for-bit.  The step on
 a tuple of floats of every scheme and model is one function, compiled once
 per dimension and side of the map, around the base model's float step.
-After the map, a base image without the model's dimension raises
-``ValueError``, and so does, either side of it, a batch image without the
-rows' shape.
-A scan builds one controlled map per lone grid point, so building one of a
-scalar scheme checks its intensity and target on Python floats.
+Either side of the map, the single-state and batch steps check the base
+image: one without the model's dimension, or a batch image without the
+rows' shape, raises ``ValueError``.  A control is checked apart from
+building its maps, so a scan checks its control once (``controlled_rows``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache, partial
-from operator import le
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -43,10 +40,6 @@ class ControlConfigError(ParamError):
 
 def check_intensity(c) -> None:
     """Raise unless every intensity in ``c``, a scalar or an array, lies in [0, 1); NaN fails."""
-    # a float in range needs no array; any other value takes the array path,
-    # which names the first bad one
-    if isinstance(c, float) and 0.0 <= c < 1.0:
-        return
     c = np.asarray(c, dtype=float)
     bad = c[~((c >= 0.0) & (c < 1.0))]
     if bad.size:
@@ -74,7 +67,7 @@ class ControlConfig:
             cs = tuple(float(c) for c in np.atleast_1d(self.intensity))
             object.__setattr__(self, "intensity", cs)
         else:
-            if not isinstance(self.intensity, float) and np.ndim(self.intensity) != 0:
+            if np.ndim(self.intensity) != 0:
                 raise ControlConfigError("intensity", f"{self.scheme} takes a scalar intensity")
             object.__setattr__(self, "intensity", float(self.intensity))
         check_intensity(self.intensity)
@@ -108,17 +101,11 @@ class ControlConfig:
 def _checked_target(model: MapModel, cfg: ControlConfig) -> np.ndarray:
     """``cfg``'s target as a ``(d,)`` array, zero for a scheme without one;
     otherwise it must be finite, of the model's dimension and in its domain."""
-    d, t = model.dimension, cfg.target
-    if cfg.scheme in _TARGETLESS or t is None:
-        return np.zeros(d)
-    # t is a tuple of floats: only a bad one pays for target_vector's checks,
-    # which raise with their messages
-    if len(t) != d or not all(map(math.isfinite, t)):
-        cfg.target_vector(d)
-    # a finite t lies in the box exactly when lo <= t <= hi componentwise
-    if not (all(map(le, model.domain.lo, t)) and all(map(le, t, model.domain.hi))):
+    t = cfg.target_vector(model.dimension)
+    # target_vector has checked that t is a finite vector of the right length
+    if cfg.scheme not in _TARGETLESS and not model.domain.contains_unchecked(t):
         raise ControlConfigError("target", "target outside the model domain")
-    return np.array(t)
+    return t
 
 
 @cache
@@ -188,7 +175,7 @@ def _controlled(model: MapModel, scheme: str, c, t: np.ndarray):
 
     if not after:
         def evaluate(x):
-            return np.asarray(f(pull(np.asarray(x, float))), float)
+            return sized(np.asarray(f(pull(np.asarray(x, float))), float), (d,))
 
         def evaluate_batch(rows):
             return sized(f_rows(pull(rows)), rows.shape)
@@ -209,6 +196,16 @@ def _controlled(model: MapModel, scheme: str, c, t: np.ndarray):
     return evaluate, evaluate_batch, evaluate_floats, jacobian
 
 
+def _controlled_map(model: MapModel, scheme: str, c, t: np.ndarray) -> MapModel:
+    """:func:`controlled_map` at intensity ``c`` toward ``t``, checking nothing."""
+    evaluate, evaluate_batch, evaluate_floats, jacobian = _controlled(model, scheme, c, t)
+    name = f"{scheme}({model.name})" if model.name else scheme
+    return MapModel(dimension=model.dimension, evaluate=evaluate, domain=model.domain,
+                    name=name, jacobian=jacobian if model.jacobian is not None else None,
+                    evaluate_batch=evaluate_batch if model.evaluate_batch is not None else None,
+                    evaluate_floats=evaluate_floats)
+
+
 def apply_control(model: MapModel, cfg: ControlConfig, x) -> np.ndarray:
     """One step of the controlled map at state ``x``."""
     return controlled_map(model, cfg).evaluate(as_state(x, model.dimension))
@@ -224,32 +221,34 @@ def controlled_map(model: MapModel, cfg: ControlConfig) -> MapModel:
     """
     t = _checked_target(model, cfg)
     c = cfg.intensity if cfg.is_scalar else cfg.intensity_vector(model.dimension)
-    evaluate, evaluate_batch, evaluate_floats, jacobian = _controlled(model, cfg.scheme, c, t)
-    name = f"{cfg.scheme}({model.name})" if model.name else cfg.scheme
-    return MapModel(dimension=model.dimension, evaluate=evaluate, domain=model.domain,
-                    name=name, jacobian=jacobian if model.jacobian is not None else None,
-                    evaluate_batch=evaluate_batch if model.evaluate_batch is not None else None,
-                    evaluate_floats=evaluate_floats)
+    return _controlled_map(model, cfg.scheme, c, t)
 
 
 def controlled_rows(model: MapModel, scheme: str, target, intensities):
-    """Batched step of one scheme and target at many intensities.
+    """Check a scan's control once; return ``(step_for, map_at)``, which check nothing.
 
-    Returns a function that maps an ``(n, d)`` array of states to their
-    images, row r controlled with intensity ``intensities[r]``; ``n`` is the
-    number of intensities.  Row r is bitwise the row that the
-    ``evaluate_batch`` of ``controlled_map`` at that intensity gives.
-    Building it checks the scheme, the target and every intensity, also for
-    none, and rejects ``DIAG-VMTOC`` by name: its intensities have no rows.
+    The checks: the scheme, ``DIAG-VMTOC`` rejected by name since its
+    intensities have no rows, every intensity, also for none, then the
+    target.  ``map_at(r)`` is the controlled map of grid point ``r``, and
+    ``step_for(rows)`` the batched step of the grid points in the index
+    array ``rows``: it maps row k bitwise as ``map_at(rows[k])`` maps it.
     """
     cfg = ControlConfig(scheme=scheme, intensity=0.0, target=target)
     if not cfg.is_scalar:
         raise ControlConfigError(
             "scheme", f"scans take a scalar-intensity scheme, got {scheme!r}, whose step "
                       f"expected {model.dimension} intensities, one per component")
-    c = np.asarray(intensities, dtype=float).reshape(-1, 1)
-    check_intensity(c)
-    return _controlled(model, cfg.scheme, c, _checked_target(model, cfg))[1]
+    column = np.asarray(intensities, dtype=float).reshape(-1, 1)
+    check_intensity(column)
+    t, cs = _checked_target(model, cfg), column.ravel().tolist()
+
+    def step_for(rows):
+        return _controlled(model, scheme, column[rows], t)[1]
+
+    def map_at(r):
+        return _controlled_map(model, scheme, cs[r], t)
+
+    return step_for, map_at
 
 
 def compose_vmtoc(first, second):
@@ -289,7 +288,8 @@ def target_for_state(model: MapModel, k, alpha: float):
     For ``alpha > 1`` returns ``c = 1/alpha`` and ``T = alpha*K + (1-alpha)*f(K)``,
     which satisfy ``c*T + (1-c)*f(K) = K`` exactly.  Larger ``alpha`` pushes the
     target further out along the ray from f(K) through K while weakening the
-    control, so the target may leave the domain; that raises ``ValueError``.
+    control, so the target may leave the domain; that raises ``ValueError``,
+    and so does an image f(K) without the model's dimension.
     """
     k = as_state(k, model.dimension)
     alpha = float(alpha)
@@ -299,7 +299,7 @@ def target_for_state(model: MapModel, k, alpha: float):
         raise ValueError("K outside the model domain")
     if not model.domain.is_interior(k):
         raise ValueError("K lies on the domain boundary")
-    fk = np.asarray(model.evaluate(k), dtype=float)
+    fk = check_image(np.asarray(model.evaluate(k), dtype=float), k.shape, model.dimension)
     t = alpha * k + (1.0 - alpha) * fk
     if not model.domain.contains(t):
         raise ValueError("alpha too large for domain")

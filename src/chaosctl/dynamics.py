@@ -49,10 +49,6 @@ class OrbitError(RuntimeError):
         self.step = step
 
 
-def _step_map(model: MapModel, cfg: Optional[ControlConfig]) -> MapModel:
-    return controlled_map(model, cfg) if cfg is not None else model
-
-
 def _check_lengths(n_transient: int, n_keep: int) -> None:
     if n_transient < 0 or n_keep < 0:
         raise ValueError("n_transient and n_keep must be nonnegative")
@@ -267,7 +263,7 @@ def iterate_orbit(model: MapModel, cfg: Optional[ControlConfig], x0,
     runs its lone grid points through the same loop directly.
     """
     _check_lengths(n_transient, n_keep)
-    g = _step_map(model, cfg)
+    g = controlled_map(model, cfg) if cfg is not None else model
     return _iterate_rows(g, as_state(x0, model.dimension), n_transient, n_keep, strict)
 
 
@@ -384,11 +380,11 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
     window.  ``max_period`` is capped at half the kept window.
     Invalid arguments raise ``ValueError`` before any orbit runs: an
     ``n_keep`` below 2, a ``tol`` that is not positive and finite (NaN
-    included), a box that :func:`initial_box` rejects, and what building the
-    step, ``controlled_rows``, rejects: a bad scheme (``DIAG-VMTOC`` too),
-    target or grid.  Orbit failures are recorded; what a batch step raises,
-    such as the ``ValueError`` of a base image of the wrong shape,
-    propagates.
+    included), a box that :func:`initial_box` rejects, and what the one
+    check of the control, ``controlled_rows``, rejects: a bad scheme
+    (``DIAG-VMTOC`` too), target or grid.  Orbit failures are recorded;
+    what a batch step raises, such as the ``ValueError`` of a base image of
+    the wrong shape, propagates.
     """
     c_grid = [float(c) for c in c_grid]
     _check_lengths(n_transient, n_keep)
@@ -397,7 +393,7 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
     check_tol(tol)
     if max_period < 1:
         raise ValueError("max_period must be at least 1")
-    controlled_rows(model, scheme, target, c_grid)  # checks the control
+    step_for, map_at = controlled_rows(model, scheme, target, c_grid)
     dim = model.dimension
     lo, hi = initial_box(init_lo, init_hi, dim)
     eff_period = min(max_period, n_keep // 2)
@@ -408,8 +404,7 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
 
     def alone(r, x, at=0):
         try:
-            _iterate_rows(controlled_map(model, ControlConfig(scheme, c_grid[r], target)), x,
-                          n_transient, n_keep, at=at, kept=kept[:, r])
+            _iterate_rows(map_at(r), x, n_transient, n_keep, at=at, kept=kept[:, r])
         except OrbitError as exc:
             failures[r] = str(exc)
 
@@ -422,10 +417,7 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
     else:
         x0 = np.array([draw_x0(seed, r, lo, hi) for r in range(len(c_grid))])
         if model.evaluate_batch is not None:
-            intensities = np.array(c_grid)
-            handoffs = _iterate_batch(
-                lambda rows: controlled_rows(model, scheme, target, intensities[rows]),
-                x0, model.domain, n_transient, kept)
+            handoffs = _iterate_batch(step_for, x0, model.domain, n_transient, kept)
         else:
             handoffs = [(r, x, 0) for r, x in enumerate(x0)]
         for handoff in handoffs:
@@ -477,20 +469,25 @@ def lyapunov_max(model: MapModel, cfg: Optional[ControlConfig], x0,
     then propagated through the Jacobians at x_0 ... x_{n-1}, renormalized
     every step, and the log growth is averaged over the last 80% of the
     ``n`` steps (the first fifth is treated as transient).  A Jacobian that
-    is not finite raises ``ValueError`` naming its step and state.  Positive
-    means sensitive dependence; a stabilized equilibrium gives a negative value.
+    is not finite, or that raises ``ValueError`` or ``ArithmeticError``,
+    raises ``ValueError`` naming its step and state.  Positive means
+    sensitive dependence; a stabilized equilibrium gives a negative value.
     """
     if n < 1000:
         raise ValueError("n must be at least 1000 for a stable average")
     x0 = as_state(x0, model.dimension)
     states = np.vstack([x0, iterate_orbit(model, cfg, x0, 0, n)[:-1]])
-    g = _step_map(model, cfg)
+    g = controlled_map(model, cfg) if cfg is not None else model
     rng = np.random.default_rng(0)
     v = rng.standard_normal(model.dimension)
     v /= np.linalg.norm(v)
     logs = np.empty(n)
     for i, x in enumerate(states):
-        jac = np.asarray(g.jacobian_at(x), float)
+        try:
+            jac = np.asarray(g.jacobian_at(x), float)
+        except (ValueError, ArithmeticError) as exc:
+            raise ValueError(f"Jacobian failed at step {i}, x = {state_text(x)}: "
+                             f"{type(exc).__name__}: {exc}") from exc
         v = jac @ v
         growth = float(np.linalg.norm(v))
         # a non-finite entry makes v, and so the growth, non-finite

@@ -448,6 +448,19 @@ def test_lyapunov_rejects_a_non_finite_jacobian(tmp_path, monkeypatch, capsys):
     assert sorted(os.listdir(tmp_path)) == ["nanjac.py"]
 
 
+def test_lyapunov_rejects_a_raising_jacobian(tmp_path, monkeypatch, capsys):
+    # x_i = 0.5^i; the Jacobian 1/(x - 0.125) divides by zero at x_3
+    (tmp_path / "raisejac.py").write_text(_NAN_JACOBIAN_PLUGIN.replace(
+        "np.array([[np.nan]])", "np.array([[1.0 / (float(x[0]) - 0.125)]])"))
+    monkeypatch.syspath_prepend(str(tmp_path))
+    rc = run_cli(tmp_path, "lyapunov", "--out", "rj", "--set", "model.kind=plugin",
+                 "--set", "model.plugin=raisejac:make", "--set", "run.x0=1")
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: Jacobian failed at step 3, x = (0.125): "
+                                       "ZeroDivisionError: float division by zero\n")
+    assert sorted(os.listdir(tmp_path)) == ["raisejac.py"]
+
+
 def test_cost_command(tmp_path):
     rc = run_cli(tmp_path, "cost", "--out", "co",
                  "--set", "control.scheme=VMTOC",

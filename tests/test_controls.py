@@ -200,6 +200,15 @@ def test_target_for_state_full_space_allows_large_alpha():
     np.testing.assert_allclose(g_k, k, atol=1e-12)
 
 
+def test_target_for_state_rejects_an_image_of_the_wrong_size():
+    # a 3-D map whose image is a scalar: f(K) would broadcast into T
+    f = MapModel(dimension=3, evaluate=lambda x: 0.5 * float(x[0]),
+                 domain=DomainSpec.nonnegative_orthant(3))
+    with pytest.raises(ValueError) as err:
+        target_for_state(f, (1.0, 1.0, 1.0), alpha=2.0)
+    assert str(err.value) == "the map gave an image of shape (), but the model has dimension 3"
+
+
 def test_target_for_state_boundary_rejected(lpa):
     with pytest.raises(ValueError, match="boundary"):
         target_for_state(lpa, np.array([0.0, 10.0, 10.0]), alpha=1.2)
@@ -265,11 +274,15 @@ def test_controlled_rows_match_controlled_map_bitwise(lpa, scheme):
     # every row of a 64-row batch, intensities spread over [0, 1) from 0
     cs = [k / 64 for k in range(64)]
     rows = np.random.default_rng(5).uniform(0.0, 80.0, (len(cs), 3))
-    out = controlled_rows(lpa, scheme, target, cs)(rows)
-    for c, x, y in zip(cs, rows, out):
+    step_for, map_at = controlled_rows(lpa, scheme, target, cs)
+    out = step_for(np.arange(len(cs)))(rows)
+    for r, (c, x, y) in enumerate(zip(cs, rows, out)):
         g = controlled_map(lpa, ControlConfig(scheme, c, target))
         np.testing.assert_array_equal(y, g.evaluate_batch(x[None, :])[0])
         np.testing.assert_array_equal(y, g.evaluate(x))
+        np.testing.assert_array_equal(y, map_at(r).evaluate(x))
+    # a subset of the grid, in any order, steps as its own rows
+    np.testing.assert_array_equal(step_for(np.array([9, 2]))(rows[[9, 2]]), out[[9, 2]])
     with pytest.raises(ValueError, match=r"must lie in \[0, 1\), got 1\.0"):
         controlled_rows(lpa, scheme, target, [0.5, 1.0])
 

@@ -18,6 +18,7 @@ from chaosctl import (
     MapModel,
     OrbitError,
     ScanRecord,
+    apply_control,
     as_state,
     bifurcation_scan,
     compose_vmtoc,
@@ -31,6 +32,7 @@ from chaosctl import (
     lyapunov_max,
     overall_period,
 )
+from chaosctl import controls
 from chaosctl.controls import controlled_rows
 from chaosctl.models import LpaParams, RickerParams, lpa_map, ricker_lift
 
@@ -608,6 +610,18 @@ def test_step_of_the_wrong_size_raises_at_the_first_step(case):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("scheme", ["VMTOC", "VTOC", "PF", "MPF", "DIAG-VMTOC"])
+@pytest.mark.parametrize("case", ["array-long", "array-scalar"])
+def test_controlled_evaluate_rejects_a_base_image_of_the_wrong_size(case, scheme):
+    # either side of the map, the single-state step checks the base image
+    evaluate, _, shape = _WRONG_SIZES[case]
+    model = MapModel(dimension=1, evaluate=evaluate, domain=DomainSpec.full_space(1))
+    with pytest.raises(ValueError) as err:
+        apply_control(model, ControlConfig(scheme, 0.3, (0.0,)), [1.0])
+    assert str(err.value) == (f"the base map gave an image of shape {shape}, "
+                              f"but the model has dimension 1")
+
+
 @pytest.mark.parametrize("scheme", ["VMTOC", "MPF", "DIAG-VMTOC"])
 @pytest.mark.parametrize("case", sorted(_WRONG_SIZES))
 def test_post_map_control_fails_a_step_of_the_wrong_size_at_the_first_step(case, scheme):
@@ -838,12 +852,17 @@ def test_failing_batch_block_runs_once(monkeypatch, caplog):
 def _lone_calls():
     """Record, in call order, the intensity of every controlled map a scan
     builds, ``("map", c)``, and the start of every lone run, ``("rows", at,
-    state)``; a scan that calls iterate_orbit fails."""
-    real_map, real_rows, calls = dynamics.controlled_map, dynamics._iterate_rows, []
+    state)``; a scan that calls iterate_orbit or controlled_map fails."""
+    real_steps, real_rows, calls = dynamics.controlled_rows, dynamics._iterate_rows, []
 
-    def controlled(model, cfg):
-        calls.append(("map", cfg.intensity))
-        return real_map(model, cfg)
+    def steps(model, scheme, target, intensities):
+        step_for, map_at = real_steps(model, scheme, target, intensities)
+
+        def spied(r):
+            calls.append(("map", intensities[r]))
+            return map_at(r)
+
+        return step_for, spied
 
     def rows(g, x, *args, **kwargs):
         calls.append(("rows", kwargs.get("at", 0), x.tobytes()))
@@ -852,10 +871,14 @@ def _lone_calls():
     def orbit(*args, **kwargs):
         raise AssertionError("a scan called iterate_orbit")
 
+    def checked_map(*args, **kwargs):
+        raise AssertionError("a scan called controlled_map")
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "controlled_map", controlled)
+        mp.setattr(dynamics, "controlled_rows", steps)
         mp.setattr(dynamics, "_iterate_rows", rows)
         mp.setattr(dynamics, "iterate_orbit", orbit)
+        mp.setattr(dynamics, "controlled_map", checked_map)
         yield calls
 
 
@@ -924,10 +947,10 @@ def test_handoff_states_share_no_memory_with_the_batch():
     grid = np.array([k / 300 for k in range(10, 300, 10)])
     box = dynamics.initial_box(-3.0, 5.0, 3)
     x0 = np.array([dynamics.draw_x0(0, r, *box) for r in range(grid.size)])
-    stepped = [x0]
+    stepped, batch_step = [x0], controlled_rows(model, "VMTOC", target, grid)[0]
 
     def step_for(rows):
-        step = controlled_rows(model, "VMTOC", target, grid[rows])
+        step = batch_step(rows)
 
         def spied(y):
             stepped.extend((y, step(y)))
@@ -943,6 +966,31 @@ def test_handoff_states_share_no_memory_with_the_batch():
     for _, state, _ in handoffs:
         assert state.flags.owndata
         assert not any(np.shares_memory(state, a) for a in stepped)
+
+
+@pytest.mark.parametrize("case", ["fresh", "plugin", "chained"])
+def test_a_scan_checks_its_control_once(monkeypatch, case):
+    # the hand-off grid and box: a fresh batch retires rows and rebuilds its
+    # step, and the rows it hands off run on alone, each on its own map
+    model, target = lpa_map(), (30.0, 200.0, 30.0)
+    if case == "plugin":
+        model = MapModel(dimension=3, evaluate=model.evaluate, domain=model.domain)
+    grid = [k / 300 for k in range(10, 300, 10)]
+    checks, builds = [], []
+    real_check, real_batch = controls._checked_target, dynamics._iterate_batch
+
+    def batch(step_for, *args):
+        return real_batch(lambda rows: builds.append(rows.size) or step_for(rows), *args)
+
+    monkeypatch.setattr(controls, "_checked_target",
+                        lambda *args: checks.append(args) or real_check(*args))
+    monkeypatch.setattr(dynamics, "_iterate_batch", batch)
+    with np.errstate(all="ignore"):
+        records = bifurcation_scan(model, "VMTOC", target, grid, init_lo=-3.0, init_hi=5.0,
+                                   continue_orbits=case == "chained")
+    assert len(records) == len(grid)
+    assert len(checks) == 1
+    assert (len(builds) > 1) == (case == "fresh")
 
 
 # --- rows that recur retire; the last row runs on alone ----------------------
@@ -1379,7 +1427,7 @@ def test_batch_image_of_the_wrong_shape_stops_the_scan(scheme):
                      evaluate_batch=lambda rows: 0.5 * rows[:, :1],
                      domain=DomainSpec.nonnegative_orthant(3))
     message = "the base map gave an image of shape (10, 1), but the model has dimension 3"
-    step = controlled_rows(model, scheme, (1.0, 1.0, 1.0), [0.5] * 10)
+    step = controlled_rows(model, scheme, (1.0, 1.0, 1.0), [0.5] * 10)[0](np.arange(10))
     with pytest.raises(ValueError) as err:
         step(np.ones((10, 3)))
     assert str(err.value) == message
@@ -1913,6 +1961,18 @@ def test_lyapunov_non_finite_jacobian_raises_with_its_step_and_state(bad):
     with np.errstate(invalid="ignore"), pytest.raises(ValueError) as err:
         lyapunov_max(f, None, np.array([1.0]), n=1000)
     assert str(err.value) == "non-finite Jacobian at step 3, x = (0.125)"
+
+
+def test_lyapunov_raising_jacobian_raises_with_its_step_and_state():
+    # x_i = 0.5^i; the Jacobian 1/(x - 0.125) divides by zero at x_3
+    f = MapModel(dimension=1, evaluate=lambda x: 0.5 * np.asarray(x, float),
+                 jacobian=lambda x: np.array([[1.0 / (float(x[0]) - 0.125)]]),
+                 domain=DomainSpec.full_space(1))
+    with pytest.raises(ValueError) as err:
+        lyapunov_max(f, None, np.array([1.0]), n=1000)
+    assert str(err.value) == ("Jacobian failed at step 3, x = (0.125): "
+                              "ZeroDivisionError: float division by zero")
+    assert isinstance(err.value.__cause__, ZeroDivisionError)
 
 
 def test_lyapunov_logs_one_domain_exit(caplog):
