@@ -252,11 +252,21 @@ class LipschitzEstimate:
         return self.value
 
 
+def _check_fixed_point(model: MapModel, k: np.ndarray) -> None:
+    """Raise ``ValueError`` unless the state ``k`` is a fixed point of the
+    model: its image, of the model's dimension, within 1e-8 of it."""
+    d = model.dimension
+    fk = check_image(np.asarray(model.evaluate(k), float), (d,), d)
+    if norm(fk - k, "max") >= _FIXED_POINT_RESIDUAL:
+        raise ValueError("K is not a fixed point of the model")
+
+
 def lipschitz_estimate(model: MapModel, k, lo, hi, n_samples: int = 2048,
                        norm_kind: str = "max") -> LipschitzEstimate:
     """Estimate L with ||f(x) - K|| <= L*||x - K|| from box samples.
 
-    ``k`` must be a fixed point (residual below 1e-8) with nonzero norm.
+    ``k`` must be a fixed point (an image of the model's dimension, residual
+    below 1e-8) with nonzero norm.
     Near K the secant ratio is sampled directly (inflated by 5%); far from K
     the bound M/||K|| + 1 applies wherever the sampled sup M really bounds
     ||f||, i.e. on the sampled box only -- for maps unbounded on their full
@@ -264,9 +274,7 @@ def lipschitz_estimate(model: MapModel, k, lo, hi, n_samples: int = 2048,
     else.  The samples are mapped with one ``evaluate_rows`` call.
     """
     k = as_state(k, model.dimension)
-    fk = np.asarray(model.evaluate(k), float)
-    if norm(fk - k, "max") >= _FIXED_POINT_RESIDUAL:
-        raise ValueError("K is not a fixed point of the model")
+    _check_fixed_point(model, k)
     nk = norm(k, norm_kind)
     if nk == 0.0:
         raise ValueError("K must have nonzero norm")
@@ -311,8 +319,7 @@ def verify_contraction(model: MapModel, cfg: ControlConfig, k, L, x0,
     t = cfg.target_vector(model.dimension)
     if norm(t - k, "max") > 1e-12 * (1.0 + norm(k, "max")):
         raise ValueError("certificate requires target T = K")
-    if norm(np.asarray(model.evaluate(k), float) - k, "max") >= _FIXED_POINT_RESIDUAL:
-        raise ValueError("K is not a fixed point of the model")
+    _check_fixed_point(model, k)
     if cfg.intensity <= global_cstar(L):
         raise ValueError("intensity must exceed global_cstar(L)")
     if n < 0:

@@ -240,20 +240,20 @@ def build_model(cfg: RunConfig) -> MapModel:
 
 
 def build_control(cfg: RunConfig, model: MapModel, intensity=None):
-    """The configured control, or None; checked by building its controlled
-    map of ``model``.  ``intensity`` replaces ``control.intensity``."""
+    """``(control, g)``: the configured control and the controlled map ``g``
+    of ``model`` that checks it, the one map a command runs on; ``(None,
+    model)`` without a control.  ``intensity`` replaces ``control.intensity``."""
     scheme = cfg["control.scheme"]
     if scheme == "none":
-        return None
+        return None, model
     if intensity is None:
         intensity = cfg["control.intensity"]
         intensity = intensity[0] if len(intensity) == 1 else intensity
     try:
         control = ControlConfig(scheme=scheme, intensity=intensity, target=cfg["control.target"])
-        controlled_map(model, control)
+        return control, controlled_map(model, control)
     except ControlConfigError as exc:
         raise ConfigError(f"control.{exc.field}", str(exc)) from exc
-    return control
 
 
 def _box(cfg: RunConfig, model: MapModel, section: str, what: str):
@@ -366,8 +366,8 @@ def run(cfg: RunConfig, strict: bool = False) -> int:
             raise ConfigError(key, message.format(value=cfg[key], command=command, v=cfg))
     model = build_model(cfg)
     # a scan takes its intensities from its grid, never from control.intensity,
-    # and its control is checked at intensity 0
-    control = build_control(cfg, model, 0.0 if command in SCANS else None)
+    # and its control is checked at intensity 0; every other command runs on g
+    control, g = build_control(cfg, model, 0.0 if command in SCANS else None)
     prefix = cfg["out.prefix"]
     report = [f"command = {command}", f"model = {model.name or cfg['model.kind']}",
               f"seed = {cfg['run.seed']}"]
@@ -375,7 +375,7 @@ def run(cfg: RunConfig, strict: bool = False) -> int:
     writes = []  # run last, so that a command that raises writes no file
 
     if command in ("simulate", "cost"):
-        orbit = dynamics.iterate_orbit(model, control, _initial_state(cfg, model),
+        orbit = dynamics.iterate_orbit(g, None, _initial_state(cfg, model),
                                        cfg["run.n_transient"], cfg["run.n_keep"],
                                        strict=strict)
         writes.append(partial(_write, f"{prefix}.orbit.csv",
@@ -393,20 +393,16 @@ def run(cfg: RunConfig, strict: bool = False) -> int:
             report.append(f"final.{j} = {v:.17g}")
 
     elif command == "equilibrium":
-        target_model = controlled_map(model, control) if control else model
-        eq = analysis.find_fixed_point(target_model, _initial_state(cfg, model),
-                                       tol=cfg["run.tol"])
-        res = float(np.max(np.abs(np.asarray(target_model.evaluate(eq)) - eq)))
+        eq = analysis.find_fixed_point(g, _initial_state(cfg, model), tol=cfg["run.tol"])
+        res = float(np.max(np.abs(np.asarray(g.evaluate(eq)) - eq)))
         for j, v in enumerate(eq):
             report.append(f"equilibrium.{j} = {v:.17g}")
         report.append(f"residual = {res:.17g}")
 
     elif command == "stability":
-        target_model = controlled_map(model, control) if control else model
         lo, hi = _box(cfg, model, "sample", "sample box")
-        rep = analysis.stability_report(target_model, _initial_state(cfg, model),
-                                        lo, hi, n_samples=cfg["sample.n"],
-                                        tol=cfg["run.tol"],
+        rep = analysis.stability_report(g, _initial_state(cfg, model), lo, hi,
+                                        n_samples=cfg["sample.n"], tol=cfg["run.tol"],
                                         norm_kind=cfg["analysis.norm"])
         report.extend(rep.to_lines())
 
@@ -429,7 +425,7 @@ def run(cfg: RunConfig, strict: bool = False) -> int:
                 report.append(f"bubble.{idx} = {comp},{c_lo:.17g},{c_hi:.17g}")
 
     elif command == "lyapunov":
-        lam = dynamics.lyapunov_max(model, control, _initial_state(cfg, model),
+        lam = dynamics.lyapunov_max(g, None, _initial_state(cfg, model),
                                     n=cfg["run.lyapunov_steps"])
         report.append(f"lyapunov_max = {lam:.17g}")
 

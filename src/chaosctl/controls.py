@@ -16,12 +16,15 @@ a tuple of floats of every scheme and model is one function, compiled once
 per dimension and side of the map, around the base model's float step.
 Either side of the map, the single-state and batch steps check the base
 image: one without the model's dimension, or a batch image without the
-rows' shape, raises ``ValueError``.  A control is checked apart from
-building its maps, so a scan checks its control once (``controlled_rows``).
+rows' shape, raises ``ValueError``; the batch steps call the base
+``evaluate_batch`` itself, so its image is checked once a step.  A
+control is checked apart from building its maps, so a scan checks its
+control once (``controlled_rows``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, partial
 from typing import Optional, Tuple, Union
@@ -47,6 +50,20 @@ def check_intensity(c) -> None:
                                  f"control intensity must lie in [0, 1), got {bad[0]}")
 
 
+def _floats(values, field: str, ndims: Tuple[int, ...], message: str) -> np.ndarray:
+    """``values`` as a float array of one of the numbers of dimensions
+    ``ndims``, a string being a scalar; otherwise ``ControlConfigError``
+    naming ``field``, with ``message`` formatted with the shape of
+    ``values``, or with numpy's message for values without a float array."""
+    try:
+        shape = np.shape(values)  # a ragged nesting raises ValueError
+        if len(shape) in ndims:
+            return np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ControlConfigError(field, f"{field} must hold numbers: {exc}") from None
+    raise ControlConfigError(field, message.format(shape=shape))
+
+
 @dataclass(frozen=True)
 class ControlConfig:
     """Scheme tag, control intensity and target state.
@@ -64,15 +81,19 @@ class ControlConfig:
         if self.scheme not in SCHEMES:
             raise ControlConfigError("scheme", f"unknown control scheme: {self.scheme!r}")
         if self.scheme == "DIAG-VMTOC":
-            cs = tuple(float(c) for c in np.atleast_1d(self.intensity))
-            object.__setattr__(self, "intensity", cs)
+            cs = _floats(self.intensity, "intensity", (0, 1),
+                         "DIAG-VMTOC takes a scalar or a 1-D vector of intensities, "
+                         "got shape {shape}")
+            object.__setattr__(self, "intensity", tuple(np.atleast_1d(cs).tolist()))
         else:
-            if np.ndim(self.intensity) != 0:
-                raise ControlConfigError("intensity", f"{self.scheme} takes a scalar intensity")
-            object.__setattr__(self, "intensity", float(self.intensity))
+            c = _floats(self.intensity, "intensity", (0,),
+                        f"{self.scheme} takes a scalar intensity")
+            object.__setattr__(self, "intensity", float(c))
         check_intensity(self.intensity)
         if self.target is not None:
-            object.__setattr__(self, "target", tuple(map(float, self.target)))
+            t = _floats(self.target, "target", (1,),
+                        "target must be a 1-D vector, got shape {shape}")
+            object.__setattr__(self, "target", tuple(t.tolist()))
         elif self.scheme not in _TARGETLESS:
             raise ControlConfigError("target", f"{self.scheme} requires a target")
 
@@ -154,8 +175,8 @@ def _controlled(model: MapModel, scheme: str, c, t: np.ndarray):
     """
     d = model.dimension
     ct, keep = c * t, 1.0 - c
-    f, f_rows, f_floats, f_jac = (model.evaluate, model.evaluate_rows,
-                                  model.evaluate_floats, model.jacobian)
+    f, f_batch, f_floats, f_jac = (model.evaluate, model.evaluate_batch,
+                                   model.evaluate_floats, model.jacobian)
     vector = isinstance(keep, np.ndarray)
     # (1-c) scales row i of the Jacobian: a scalar or a (d, 1) column
     scale = keep.reshape(-1, 1) if vector else keep
@@ -170,7 +191,8 @@ def _controlled(model: MapModel, scheme: str, c, t: np.ndarray):
         return ct + keep * y
 
     # the pull, or the batch loop that stores a batch image, would cut an
-    # image of the wrong shape or broadcast it
+    # image of the wrong shape or broadcast it; the base batch step is
+    # called directly, not through evaluate_rows, so its image is checked once
     sized = partial(check_image, dim=d, what="the base map")
 
     if not after:
@@ -178,7 +200,7 @@ def _controlled(model: MapModel, scheme: str, c, t: np.ndarray):
             return sized(np.asarray(f(pull(np.asarray(x, float))), float), (d,))
 
         def evaluate_batch(rows):
-            return sized(f_rows(pull(rows)), rows.shape)
+            return sized(np.asarray(f_batch(pull(rows)), float), rows.shape)
 
         def jacobian(x):
             return scale * np.asarray(f_jac(pull(np.asarray(x, float))), float)
@@ -188,7 +210,7 @@ def _controlled(model: MapModel, scheme: str, c, t: np.ndarray):
             return pull(sized(np.asarray(f(x), float), (d,)))
 
         def evaluate_batch(rows):
-            return pull(sized(f_rows(rows), rows.shape))
+            return pull(sized(np.asarray(f_batch(rows), float), rows.shape))
 
         def jacobian(x):
             return scale * np.asarray(f_jac(x), float)
@@ -293,8 +315,8 @@ def target_for_state(model: MapModel, k, alpha: float):
     """
     k = as_state(k, model.dimension)
     alpha = float(alpha)
-    if alpha <= 1.0:
-        raise ValueError("alpha must be greater than 1")
+    if not 1.0 < alpha < math.inf:  # NaN fails too
+        raise ValueError(f"alpha must be finite and greater than 1, got {alpha}")
     if not model.domain.contains(k):
         raise ValueError("K outside the model domain")
     if not model.domain.is_interior(k):

@@ -237,15 +237,17 @@ class MapModel:
     def evaluate_rows(self, rows) -> np.ndarray:
         """Images of the rows of the ``(n, dimension)`` float array ``rows``.
 
-        Uses ``evaluate_batch`` when the model has one.  Otherwise calls
+        Uses ``evaluate_batch`` when the model has one, whose image must
+        have the shape of ``rows``, lest ``ValueError``.  Otherwise calls
         ``evaluate`` row by row, and the first row on which it raises
         ``ValueError`` or ``ArithmeticError``, or gives an image without
         the model's dimension, raises ``ValueError`` naming that row and its
         cause.
         """
+        d = self.dimension
         if self.evaluate_batch is not None:
-            return np.asarray(self.evaluate_batch(rows), dtype=float)
-        out, d = np.empty(rows.shape), self.dimension
+            return check_image(np.asarray(self.evaluate_batch(rows), dtype=float), rows.shape, d)
+        out = np.empty(rows.shape)
         for r, x in enumerate(rows):
             try:
                 out[r] = check_image(self.evaluate(x), (d,), d)

@@ -458,26 +458,25 @@ def detect_bubbles(records: Sequence[ScanRecord]) -> list:
             for j, s in enumerate(stable) for a, b in zip(s, s[1:]) if b > a + 1]
 
 
-def lyapunov_max(model: MapModel, cfg: Optional[ControlConfig], x0,
-                 n: int = 5000) -> float:
-    """Largest Lyapunov exponent along one orbit of the (controlled) map.
+def lyapunov_max(model: MapModel, cfg: Optional[ControlConfig], x0, n: int = 5000) -> float:
+    """Largest Lyapunov exponent along one orbit of the (controlled) map g.
 
-    The orbit x_0 ... x_n comes from :func:`iterate_orbit`, so it fails as
-    every orbit does: a non-finite state, or an evaluation that raises
-    ``ValueError`` or ``ArithmeticError``, raises :class:`OrbitError` with
-    its step, and leaving the domain is logged once.  A tangent vector is
-    then propagated through the Jacobians at x_0 ... x_{n-1}, renormalized
-    every step, and the log growth is averaged over the last 80% of the
-    ``n`` steps (the first fifth is treated as transient).  A Jacobian that
-    is not finite, or that raises ``ValueError`` or ``ArithmeticError``,
-    raises ``ValueError`` naming its step and state.  Positive means
-    sensitive dependence; a stabilized equilibrium gives a negative value.
+    g is built once.  Its orbit x_0 ... x_n comes from :func:`iterate_orbit`
+    and fails as every orbit does: a non-finite state, or an evaluation
+    raising ``ValueError`` or ``ArithmeticError``, raises :class:`OrbitError`
+    with its step; leaving the domain is logged once.  A tangent vector is
+    propagated through g's Jacobians at x_0 ... x_{n-1}, renormalized every
+    step, and the log growth is averaged over the last 80% of the ``n``
+    steps.  A Jacobian that is not finite, or that raises ``ValueError`` or
+    ``ArithmeticError``, raises ``ValueError`` naming its step and state.
+    Positive means sensitive dependence; a stabilized equilibrium gives a
+    negative value.
     """
     if n < 1000:
         raise ValueError("n must be at least 1000 for a stable average")
     x0 = as_state(x0, model.dimension)
-    states = np.vstack([x0, iterate_orbit(model, cfg, x0, 0, n)[:-1]])
     g = controlled_map(model, cfg) if cfg is not None else model
+    states = np.vstack([x0, iterate_orbit(g, None, x0, 0, n)[:-1]])
     rng = np.random.default_rng(0)
     v = rng.standard_normal(model.dimension)
     v /= np.linalg.norm(v)

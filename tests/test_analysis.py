@@ -434,6 +434,32 @@ def test_lipschitz_validation(lpa, lpa_k):
         lipschitz_estimate(origin, np.zeros(2), [-1.0, -1.0], [1.0, 1.0])
 
 
+def test_fixed_point_checks_reject_an_image_of_the_wrong_size():
+    # f(K) = (1.0,) broadcast against K = (1, 1, 1) once passed as a fixed point
+    f = MapModel(dimension=3, evaluate=lambda x: np.array([1.0]),
+                 domain=DomainSpec.nonnegative_orthant(3))
+    k = np.ones(3)
+    message = "the map gave an image of shape (1,), but the model has dimension 3"
+    with pytest.raises(ValueError) as err:
+        lipschitz_estimate(f, k, [0.0] * 3, [2.0] * 3, n_samples=16)
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        verify_contraction(f, ControlConfig("VMTOC", 0.5, (1.0, 1.0, 1.0)), k, 1.5, k, n=5)
+    assert str(err.value) == message
+
+
+def test_lipschitz_rejects_a_batch_image_of_the_wrong_shape(lpa, lpa_k):
+    # the one-column images once gave L = 58.3 on this box, where L is 6.53
+    column = MapModel(dimension=3, evaluate=lpa.evaluate, domain=lpa.domain,
+                      evaluate_batch=lambda rows: lpa.evaluate(rows)[:, :1])
+    box = ([10.0, 10.0, 2.0], [40.0, 40.0, 8.0])
+    assert lipschitz_estimate(lpa, lpa_k, *box).value < 10.0
+    with pytest.raises(ValueError) as err:
+        lipschitz_estimate(column, lpa_k, *box)
+    assert str(err.value) == ("the map gave an image of shape (2057, 1), "
+                              "but the model has dimension 3")
+
+
 def test_lipschitz_lpa_on_box(lpa, lpa_k):
     est = lipschitz_estimate(lpa, lpa_k, [0.0] * 3, [300.0] * 3, n_samples=4096)
     assert est.value >= 1.0

@@ -3,8 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from chaosctl import (ControlConfig, ScanRecord, analysis, bifurcation_scan, cost_per_step,
-                      dynamics, iterate_orbit, lpa_map, models)
+from chaosctl import (ControlConfig, ScanRecord, analysis, bifurcation_scan, controlled_map,
+                      controls, cost_per_step, dynamics, iterate_orbit, lpa_map, models)
 from chaosctl.cli import (CHECKS, COMMANDS, FIELDS, ConfigError, RunConfig, _state_lines,
                           _write_scan_csv, build_control, build_model, main)
 
@@ -112,6 +112,17 @@ def test_build_control_errors():
         with pytest.raises(ConfigError) as err:
             build_control(cfg, build_model(cfg))
         assert err.value.key == key
+    # a valid control comes with the map that checked it
+    cfg = RunConfig()
+    model = build_model(cfg)
+    assert build_control(cfg, model) == (None, model)
+    cfg.set("control.scheme", "VMTOC")
+    cfg.set("control.target", "1,1,1")
+    control, g = build_control(cfg, model)
+    assert control == ControlConfig("VMTOC", 0.5, (1.0, 1.0, 1.0))
+    assert g.name == "VMTOC(lpa)"
+    x = np.array([20.0, 20.0, 5.0])
+    assert g.evaluate(x).tolist() == controlled_map(model, control).evaluate(x).tolist()
 
 
 def run_cli(tmp_path, *args):
@@ -459,6 +470,30 @@ def test_lyapunov_rejects_a_raising_jacobian(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == ("error: Jacobian failed at step 3, x = (0.125): "
                                        "ZeroDivisionError: float division by zero\n")
     assert sorted(os.listdir(tmp_path)) == ["raisejac.py"]
+
+
+@pytest.mark.parametrize("command, builds", [
+    ("simulate", 1), ("cost", 1), ("equilibrium", 1), ("stability", 1), ("lyapunov", 1),
+    # a chained scan checks its control at intensity 0, then builds the map
+    # of each of its 9 grid points
+    ("bifurcate", 10),
+])
+def test_a_controlled_command_builds_its_map_once(tmp_path, monkeypatch, command, builds):
+    built = []
+    build = controls._controlled_map
+
+    def spy(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(controls, "_controlled_map", spy)
+    rc = run_cli(tmp_path, command, "--out", "once", "--set", "control.scheme=VMTOC",
+                 "--set", "control.intensity=0.4", "--set", _K_TARGET,
+                 "--set", "run.x0=20,20,5", "--set", "run.lyapunov_steps=1000",
+                 "--set", "sample.n=16", "--set", "scan.grid=10",
+                 "--set", "scan.continue=true")
+    assert rc == 0
+    assert len(built) == builds
 
 
 def test_cost_command(tmp_path):
@@ -910,6 +945,49 @@ def test_fresh_scan_rejects_a_batch_image_of_the_wrong_shape(tmp_path, monkeypat
     assert capsys.readouterr().err == (
         "error: the base map gave an image of shape (9, 1), but the model has dimension 3\n")
     assert sorted(os.listdir(tmp_path)) == ["column.py"]
+
+
+# the LPA map, whose batch step keeps one column of its rows
+_LPA_COLUMN_PLUGIN = (
+    "from chaosctl import MapModel, lpa_map\n"
+    "def make():\n"
+    "    lpa = lpa_map()\n"
+    "    return MapModel(dimension=3, evaluate=lpa.evaluate, domain=lpa.domain,\n"
+    "                    jacobian=lpa.jacobian,\n"
+    "                    evaluate_batch=lambda rows: lpa.evaluate(rows)[:, :1])\n")
+
+
+def test_stability_omits_a_lipschitz_constant_from_a_batch_image_of_the_wrong_shape(
+        tmp_path, monkeypatch, capsys):
+    # the samples' one-column images once gave L = 58.3 where the LPA map's
+    # is 6.53; every other line is the LPA map's own
+    (tmp_path / "lpacolumn.py").write_text(_LPA_COLUMN_PLUGIN)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    box = ("--set", "run.x0=20,20,5", "--set", "sample.lo=10,10,2",
+           "--set", "sample.hi=40,40,8", "--set", "sample.n=64")
+    assert run_cli(tmp_path, "stability", "--out", "col", "--set", "model.kind=plugin",
+                   "--set", "model.plugin=lpacolumn:make", *box) == 0
+    assert run_cli(tmp_path, "stability", "--out", "lpa", *box) == 0
+    column = read_report(tmp_path / "col.report.txt")
+    lpa = read_report(tmp_path / "lpa.report.txt")
+    assert column.pop("provenance.lipschitz") == (
+        "unavailable: the map gave an image of shape (73, 1), but the model has dimension 3")
+    assert column.pop("model") == "plugin"
+    assert float(lpa["lipschitz"]) < 10.0
+    assert column == {key: value for key, value in lpa.items() if key != "model"
+                      and not key.startswith(("lipschitz", "global_cstar",
+                                              "provenance.lipschitz", "provenance.global_cstar"))}
+
+
+def test_cost_rejects_a_batch_image_of_the_wrong_shape(tmp_path, monkeypatch, capsys):
+    (tmp_path / "lpacolumn.py").write_text(_LPA_COLUMN_PLUGIN)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    assert run_cli(tmp_path, "cost", "--out", "col", "--seed", "2", "--set", "model.kind=plugin",
+                   "--set", "model.plugin=lpacolumn:make", "--set", "control.scheme=VMTOC",
+                   "--set", _K_TARGET) == 1
+    assert capsys.readouterr().err == (
+        "error: the map gave an image of shape (50, 1), but the model has dimension 3\n")
+    assert sorted(os.listdir(tmp_path)) == ["lpacolumn.py"]
 
 
 _OVERFLOW_BATCH_PLUGIN = (

@@ -216,6 +216,41 @@ def test_target_for_state_boundary_rejected(lpa):
         target_for_state(lpa, np.array([10.0, 10.0, 10.0]), alpha=1.0)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_target_for_state_rejects_a_non_finite_alpha_before_mapping_k(alpha):
+    def evaluate(x):
+        raise AssertionError("f(K) was evaluated")
+
+    f = MapModel(dimension=3, evaluate=evaluate, domain=DomainSpec.nonnegative_orthant(3))
+    with pytest.raises(ValueError) as err:
+        target_for_state(f, (1.0, 1.0, 1.0), alpha)
+    assert str(err.value) == f"alpha must be finite and greater than 1, got {alpha}"
+
+
+@pytest.mark.parametrize("scheme, intensity, target, field, message", [
+    ("VMTOC", 0.3, "123", "target", "target must be a 1-D vector, got shape ()"),
+    ("VMTOC", 0.3, "1,2,3", "target", "target must be a 1-D vector, got shape ()"),
+    ("VMTOC", 0.3, 5.0, "target", "target must be a 1-D vector, got shape ()"),
+    ("VMTOC", 0.3, ((1, 2, 3),), "target", "target must be a 1-D vector, got shape (1, 3)"),
+    ("PF", 0.3, ((1, 2, 3),), "target", "target must be a 1-D vector, got shape (1, 3)"),
+    ("VMTOC", 0.3, ((1, 2), (3,)), "target",
+     "target must hold numbers: setting an array element with a sequence"),
+    ("DIAG-VMTOC", ((0.1, 0.2, 0.3),), (1, 2, 3), "intensity",
+     "DIAG-VMTOC takes a scalar or a 1-D vector of intensities, got shape (1, 3)"),
+    ("DIAG-VMTOC", ((0.1,), (0.2, 0.3)), (1, 2, 3), "intensity",
+     "intensity must hold numbers: setting an array element with a sequence"),
+    ("VMTOC", 0.3, ("a", "b", "c"), "target",
+     "target must hold numbers: could not convert string to float: 'a'"),
+])
+def test_control_config_names_the_field_and_shape_of_a_malformed_input(scheme, intensity,
+                                                                      target, field, message):
+    with pytest.raises(ControlConfigError) as err:
+        ControlConfig(scheme, intensity, target)
+    assert err.value.field == field
+    # a ragged nesting's message goes on with numpy's own words
+    assert str(err.value) == message or str(err.value).startswith(message + ".")
+
+
 # --- conjugacy --------------------------------------------------------------
 
 
@@ -266,6 +301,21 @@ def test_controlled_map_evaluates_batches_only_when_its_base_does(lpa):
     rows = np.array([[14.0, 9.0, 3.0], [1.0, 2.0, 3.0]])
     np.testing.assert_array_equal(g.evaluate_batch(rows),
                                   controlled_map(plugin, cfg).evaluate_rows(rows))
+
+
+@pytest.mark.parametrize("scheme", ["VMTOC", "VTOC"])
+def test_controlled_batch_steps_call_the_base_batch_step_directly(lpa, monkeypatch, scheme):
+    # the controlled step checks the base image itself, so evaluate_rows,
+    # which checks it too, is not on its path
+    def evaluate_rows(self, rows):
+        raise AssertionError("evaluate_rows ran")
+
+    monkeypatch.setattr(MapModel, "evaluate_rows", evaluate_rows)
+    rows = np.array([[14.0, 9.0, 3.0], [1.0, 2.0, 3.0]])
+    g = controlled_map(lpa, ControlConfig(scheme, 0.3, (30.0, 30.0, 200.0)))
+    np.testing.assert_array_equal(g.evaluate_batch(rows), [g.evaluate(x) for x in rows])
+    step_for, _ = controlled_rows(lpa, scheme, (30.0, 30.0, 200.0), [0.3, 0.3])
+    np.testing.assert_array_equal(step_for(np.arange(2))(rows), g.evaluate_batch(rows))
 
 
 @pytest.mark.parametrize("scheme", ["VMTOC", "VTOC", "PF", "MPF"])

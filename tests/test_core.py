@@ -286,6 +286,16 @@ def test_evaluate_rows_fallback_rejects_an_image_of_the_wrong_size(image, shape)
                               f"of shape {shape}, but the model has dimension 3")
 
 
+def test_evaluate_rows_rejects_a_batch_image_of_the_wrong_shape():
+    # a one-column batch image would be read as three times too few states
+    f = MapModel(dimension=3, evaluate=lambda x: 0.5 * np.asarray(x, float),
+                 evaluate_batch=lambda rows: 0.5 * rows[:, :1],
+                 domain=DomainSpec.full_space(3))
+    with pytest.raises(ValueError) as err:
+        f.evaluate_rows(np.ones((4, 3)))
+    assert str(err.value) == "the map gave an image of shape (4, 1), but the model has dimension 3"
+
+
 def test_contains_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
         DomainSpec.nonnegative_orthant(2).contains([1, 2, 3])

@@ -245,6 +245,17 @@ def test_cost_per_step_rejects_an_image_of_the_wrong_size():
         cost_per_step(f, ControlConfig("VMTOC", 0.5, (1.0, 1.0, 1.0)), np.ones((5, 3)))
 
 
+def test_costs_per_step_reject_a_batch_image_of_the_wrong_shape():
+    # 2 orbits of 5 states: the images of the 10 rows once failed to reshape
+    lpa = lpa_map()
+    column = MapModel(dimension=3, evaluate=lpa.evaluate, domain=lpa.domain,
+                      evaluate_batch=lambda rows: lpa.evaluate(rows)[:, :1])
+    with pytest.raises(ValueError) as err:
+        costs_per_step(column, (1.0, 1.0, 1.0), [0.5, 0.5], np.ones((2, 5, 3)))
+    assert str(err.value) == ("the map gave an image of shape (10, 1), "
+                              "but the model has dimension 3")
+
+
 _DOUBLER = (
     "import numpy as np\n"
     "from chaosctl import DomainSpec, MapModel\n"

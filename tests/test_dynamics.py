@@ -1938,6 +1938,20 @@ def test_lyapunov_matches_per_step_loop(kind, scheme):
     assert lyapunov_max(model, cfg, x0, n=2000) == _lyapunov_per_step(model, cfg, x0, 2000)
 
 
+def test_lyapunov_builds_its_controlled_map_once(monkeypatch):
+    model, cfg = lpa_map(), ControlConfig("VMTOC", 0.4, (28.0120, 22.4096, 4.6251))
+    x0, built, build = [22.0, 27.0, 5.0], [], controls._controlled_map
+
+    def spy(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(controls, "_controlled_map", spy)
+    lam = lyapunov_max(model, cfg, x0, n=1000)
+    assert len(built) == 1
+    assert lam == lyapunov_max(controlled_map(model, cfg), None, x0, n=1000)
+
+
 def test_lyapunov_failing_evaluation_raises_with_its_step():
     # x_i = i; evaluating x_7 raises, so step 7 fails
     def evaluate(x):
