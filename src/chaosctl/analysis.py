@@ -190,33 +190,64 @@ def box_samples(lo, hi, n_samples: int) -> np.ndarray:
     return np.vstack([corners, 0.5 * (lo + hi), lo + u * (hi - lo)])
 
 
+# samples whose Jacobians one pass of bound_A stacks and reduces together
+_BOUND_CHUNK = 4096
+
+
 def bound_A(model: MapModel, lo, hi, n_samples: int = 512) -> float:
     """min(max abs row sum, max abs col sum) of the Jacobian, sampled over a box.
 
     The row and column maxima are taken over the deterministic sample set of
     ``box_samples``; since any eigenvalue modulus is bounded by both the
     maximal row and column sums, the result bounds the spectral radius at
-    every sampled state.  A sample whose Jacobian has a non-finite row or
-    column sum, or whose Jacobian raises ``ValueError`` or
-    ``ArithmeticError``, raises ``ValueError`` naming the sample and state.
+    every sampled state.  The Jacobians are evaluated one sample at a time
+    into a stack of at most 4096, whose absolute row and column sums and
+    their maxima are then taken in a few whole-stack reductions, so memory
+    stays bounded for any ``n_samples``; each sum is bitwise the one of its
+    sample's own matrix.  The first sample whose Jacobian has a non-finite
+    row or column sum, or whose Jacobian raises ``ValueError`` or
+    ``ArithmeticError`` (a Jacobian of the wrong shape included), raises
+    ``ValueError`` naming the sample and state, whichever way it fails;
+    another exception of a Jacobian passes on unless an earlier sample
+    failed.
     """
-    rows = 0.0
-    cols = 0.0
-    for i, x in enumerate(box_samples(lo, hi, n_samples)):
-        try:
-            j = np.abs(model.jacobian_at(x))
-        except (ValueError, ArithmeticError) as exc:
-            raise ValueError(f"Jacobian failed at sample {i}, x = {state_text(x)}: "
-                             f"{type(exc).__name__}: {exc}") from exc
-        row_max = float(np.max(j.sum(axis=1)))
-        col_max = float(np.max(j.sum(axis=0)))
-        # max() would silently skip a NaN and an inf is no usable bound
-        if not (math.isfinite(row_max) and math.isfinite(col_max)):
-            raise ValueError(f"non-finite Jacobian row or column sum at sample {i}, "
-                             f"x = {state_text(x)}")
-        rows = max(rows, row_max)
-        cols = max(cols, col_max)
+    d = model.dimension
+    samples = box_samples(lo, hi, n_samples)
+    rows = cols = 0.0
+    for start in range(0, len(samples), _BOUND_CHUNK):
+        chunk = samples[start:start + _BOUND_CHUNK]
+        jac = np.empty((len(chunk), d, d))
+        for k, x in enumerate(chunk):
+            try:
+                jac[k] = model.jacobian_at(x)
+            except Exception as exc:
+                # a sample before this one with a non-finite sum fails first
+                _abs_sum_maxima(jac[:k], samples, start)
+                if not isinstance(exc, (ValueError, ArithmeticError)):
+                    raise
+                raise ValueError(f"Jacobian failed at sample {start + k}, x = {state_text(x)}: "
+                                 f"{type(exc).__name__}: {exc}") from exc
+        row, col = _abs_sum_maxima(jac, samples, start)
+        rows = max(rows, float(row.max()))
+        cols = max(cols, float(col.max()))
     return min(rows, cols)
+
+
+def _abs_sum_maxima(jac: np.ndarray, samples: np.ndarray, start: int):
+    """Each Jacobian's max abs row sum and max abs col sum, for the stack
+    ``jac`` of the Jacobians at ``samples[start:]``, which it overwrites
+    with their absolute values; the first sample with a non-finite sum
+    raises ``ValueError``."""
+    np.abs(jac, out=jac)
+    row = jac.sum(axis=2).max(axis=1)
+    col = jac.sum(axis=1).max(axis=1)
+    # max() would silently skip a NaN and an inf is no usable bound
+    finite = np.isfinite(row) & np.isfinite(col)
+    if not finite.all():
+        i = start + int(np.argmin(finite))
+        raise ValueError(f"non-finite Jacobian row or column sum at sample {i}, "
+                         f"x = {state_text(samples[i])}")
+    return row, col
 
 
 def local_cstar(bound: float) -> float:

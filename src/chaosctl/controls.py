@@ -31,7 +31,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .core import MapModel, ParamError, as_state, check_image
+from .core import MapModel, ParamError, as_state, check_image, check_jacobian
 
 SCHEMES = ("VMTOC", "VTOC", "PF", "MPF", "DIAG-VMTOC")
 _TARGETLESS = ("PF", "MPF")
@@ -192,7 +192,8 @@ def _controlled(model: MapModel, scheme: str, c, t: np.ndarray):
 
     # the pull, or the batch loop that stores a batch image, would cut an
     # image of the wrong shape or broadcast it; the base batch step is
-    # called directly, not through evaluate_rows, so its image is checked once
+    # called directly, not through evaluate_rows, so its image is checked once;
+    # the (1-c) row scale would broadcast a base Jacobian of the wrong shape
     sized = partial(check_image, dim=d, what="the base map")
 
     if not after:
@@ -203,7 +204,8 @@ def _controlled(model: MapModel, scheme: str, c, t: np.ndarray):
             return sized(np.asarray(f_batch(pull(rows)), float), rows.shape)
 
         def jacobian(x):
-            return scale * np.asarray(f_jac(pull(np.asarray(x, float))), float)
+            j = np.asarray(f_jac(pull(np.asarray(x, float))), float)
+            return scale * check_jacobian(j, d, "the base map")
 
     else:
         def evaluate(x):
@@ -213,7 +215,7 @@ def _controlled(model: MapModel, scheme: str, c, t: np.ndarray):
             return pull(sized(np.asarray(f_batch(rows), float), rows.shape))
 
         def jacobian(x):
-            return scale * np.asarray(f_jac(x), float)
+            return scale * check_jacobian(np.asarray(f_jac(x), float), d, "the base map")
 
     return evaluate, evaluate_batch, evaluate_floats, jacobian
 

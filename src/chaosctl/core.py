@@ -45,6 +45,16 @@ def check_image(y, shape, dim: int, what: str = "the map"):
     return y
 
 
+def check_jacobian(j: np.ndarray, dim: int, what: str = "the map") -> np.ndarray:
+    """The Jacobian array ``j`` that ``what`` gave, which must be
+    ``(dim, dim)``, lest it be broadcast; otherwise ``ValueError`` in
+    :func:`check_image`'s words."""
+    if j.shape != (dim, dim):
+        raise ValueError(f"{what} gave a Jacobian of shape {j.shape}, "
+                         f"but the model has dimension {dim}")
+    return j
+
+
 def state_text(x) -> str:
     """A state in an error message, with every digit of every component."""
     return f"({', '.join(f'{v:.17g}' for v in x)})"
@@ -208,8 +218,9 @@ class MapModel:
     it, and a fresh batch of any model hands its last six rows to it.  Both
     must agree with ``evaluate`` bit for bit, a batch row for row (``-0.0``,
     infinities and NaN included): :mod:`chaosctl.dynamics` runs an orbit
-    through whichever suits it.  Without ``jacobian``, :meth:`jacobian_at`
-    falls back to central finite differences.
+    through whichever suits it.  ``jacobian`` maps a state to its
+    ``(dimension, dimension)`` Jacobian matrix; without it,
+    :meth:`jacobian_at` falls back to central finite differences.
     """
 
     dimension: int
@@ -257,6 +268,9 @@ class MapModel:
         return out
 
     def jacobian_at(self, x) -> np.ndarray:
+        """The Jacobian at ``x`` as a float array, which must have shape
+        ``(dimension, dimension)``, lest :func:`check_jacobian`'s
+        ``ValueError``."""
         if self.jacobian is not None:
-            return np.asarray(self.jacobian(x), dtype=float)
-        return fd_jacobian(self.evaluate, x)
+            return check_jacobian(np.asarray(self.jacobian(x), dtype=float), self.dimension)
+        return check_jacobian(fd_jacobian(self.evaluate, x), self.dimension)

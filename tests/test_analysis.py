@@ -18,6 +18,7 @@ from chaosctl import (
     lipschitz_estimate,
     local_cstar,
     lpa_jacobian,
+    lpa_map,
     multistart_fixed_points,
     norm,
     spectral_radius,
@@ -27,6 +28,7 @@ from chaosctl import (
 )
 from chaosctl import analysis
 from chaosctl.analysis import box_samples
+from chaosctl.core import state_text
 from chaosctl.models import LpaParams, RickerParams, ricker_lift
 
 from conftest import LPA_FIXED_POINT
@@ -326,6 +328,142 @@ def test_bound_a_degenerate_box_is_pointwise(lpa, lpa_k):
     a = bound_A(lpa, lpa_k, lpa_k, n_samples=4)
     j = np.abs(lpa.jacobian_at(lpa_k))
     assert a == pytest.approx(min(j.sum(axis=1).max(), j.sum(axis=0).max()), rel=1e-12)
+
+
+def _per_sample_bound_a(model, lo, hi, n_samples):
+    """bound_A one sample at a time: five reductions of each Jacobian."""
+    rows = 0.0
+    cols = 0.0
+    for x in box_samples(lo, hi, n_samples):
+        j = np.abs(model.jacobian_at(x))
+        row_max = float(np.max(j.sum(axis=1)))
+        col_max = float(np.max(j.sum(axis=0)))
+        assert math.isfinite(row_max) and math.isfinite(col_max)
+        rows = max(rows, row_max)
+        cols = max(cols, col_max)
+    return min(rows, cols)
+
+
+def _bound_a_case(name):
+    """A model and its sample box, with a target for the controls."""
+    if name == "lpa":
+        return lpa_map(), [0.0, 0.0, 0.0], [60.0, 60.0, 20.0], (30.0, 30.0, 200.0)
+    if name == "lpa-fd":
+        # a plugin without an analytic Jacobian: finite differences
+        lpa = lpa_map()
+        plugin = MapModel(dimension=3, evaluate=lpa.evaluate, domain=lpa.domain)
+        return plugin, [0.0, 0.0, 0.0], [60.0, 60.0, 20.0], (30.0, 30.0, 200.0)
+    delay = int(name.removeprefix("ricker"))
+    return (ricker_lift(RickerParams(r=2.0, delay=delay)), [0.5] * delay, [3.5] * delay,
+            tuple(np.linspace(1.0, 3.0, delay)))
+
+
+@pytest.mark.parametrize("scheme", [None, "VMTOC", "VTOC", "DIAG-VMTOC"])
+@pytest.mark.parametrize("name", ["lpa", "lpa-fd", "ricker2", "ricker3", "ricker13"])
+def test_bound_a_equals_the_per_sample_loop_bitwise(name, scheme):
+    # delay 13 is past box_samples' 12-dimension limit on corners
+    model, lo, hi, target = _bound_a_case(name)
+    if scheme is not None:
+        d = model.dimension
+        intensity = tuple(np.linspace(0.2, 0.6, d)) if scheme == "DIAG-VMTOC" else 0.35
+        model = controlled_map(model, ControlConfig(scheme, intensity, target))
+    assert bound_A(model, lo, hi, 512) == _per_sample_bound_a(model, lo, hi, 512)
+
+
+def test_bound_a_equals_the_per_sample_loop_over_several_chunks(lpa):
+    lo, hi = [0.0, 0.0, 0.0], [60.0, 60.0, 20.0]
+    assert len(box_samples(lo, hi, 5000)) > analysis._BOUND_CHUNK
+    assert bound_A(lpa, lo, hi, 5000) == _per_sample_bound_a(lpa, lo, hi, 5000)
+
+
+def test_stability_report_on_a_delay_13_lift():
+    # no corners are sampled past 12 dimensions; the equilibrium is r everywhere
+    lift = ricker_lift(RickerParams(r=2.0, delay=13))
+    lo, hi = [1.5] * 13, [2.5] * 13
+    rep = stability_report(lift, [1.9] * 13, lo, hi, n_samples=256)
+    np.testing.assert_allclose(rep.equilibrium, 2.0, rtol=1e-12)
+    assert rep.bound_a == _per_sample_bound_a(lift, lo, hi, 256)
+
+
+def _sample_keyed_map(lo, hi, n_samples, faults):
+    """A 2-D map whose Jacobian at sample i of ``box_samples(lo, hi,
+    n_samples)`` is NaN where ``faults[i]`` is "nan", raises where it is an
+    exception class, and is 0.5 everywhere otherwise."""
+    index = {}
+    for i, x in enumerate(box_samples(lo, hi, n_samples)):
+        index.setdefault(tuple(x), i)
+
+    def jacobian(x):
+        fault = faults.get(index[tuple(x)])
+        if fault == "nan":
+            return np.full((2, 2), math.nan)
+        if fault is not None:
+            raise fault("no slope")
+        return np.full((2, 2), 0.5)
+
+    return MapModel(dimension=2, evaluate=lambda x: 0.5 * np.asarray(x, float),
+                    jacobian=jacobian, domain=DomainSpec.full_space(2))
+
+
+@pytest.mark.parametrize("faults, n_samples, first", [
+    # a non-finite sample before one that raises is named first
+    ({2: "nan", 5: ZeroDivisionError}, 16, 2),
+    ({2: "nan", 5: TypeError}, 16, 2),
+    # a sample that raises before a non-finite one is named first
+    ({1: ZeroDivisionError, 3: "nan"}, 16, 1),
+    # the same across the first two chunks of 4096 samples
+    ({4095: "nan", 4096: ZeroDivisionError}, 4200, 4095),
+    ({4100: ValueError, 4150: "nan"}, 4200, 4100),
+    ({4150: "nan"}, 4200, 4150),
+], ids=["nan-then-raise", "nan-then-typeerror", "raise-then-nan", "nan-then-raise-next-chunk",
+        "raise-in-second-chunk", "nan-in-second-chunk"])
+def test_bound_a_names_the_first_failing_sample(faults, n_samples, first):
+    lo, hi = [0.0, 0.0], [1.0, 1.0]
+    f = _sample_keyed_map(lo, hi, n_samples, faults)
+    with pytest.raises(ValueError) as err:
+        bound_A(f, lo, hi, n_samples)
+    x = state_text(box_samples(lo, hi, n_samples)[first])
+    fault = faults[first]
+    if fault == "nan":
+        expected = f"non-finite Jacobian row or column sum at sample {first}, x = {x}"
+    else:
+        expected = f"Jacobian failed at sample {first}, x = {x}: {fault.__name__}: no slope"
+    assert str(err.value) == expected
+
+
+def test_bound_a_passes_another_exception_on():
+    f = _sample_keyed_map([0.0, 0.0], [1.0, 1.0], 16, {3: TypeError, 5: "nan"})
+    with pytest.raises(TypeError, match="no slope"):
+        bound_A(f, [0.0, 0.0], [1.0, 1.0], 16)
+
+
+_WRONG_SHAPES = [(lambda j: j[:, :2], (3, 2)), (lambda j: j[:1, :], (1, 3)),
+                 (lambda j: float(j[0, 0]), ())]
+
+
+def _lpa_cut(lpa, cut):
+    """The LPA map whose Jacobian is ``cut`` of its own."""
+    return MapModel(dimension=3, evaluate=lpa.evaluate, domain=lpa.domain,
+                    jacobian=lambda x: cut(lpa.jacobian(x)))
+
+
+@pytest.mark.parametrize("cut, shape", _WRONG_SHAPES, ids=["columns", "row", "scalar"])
+def test_bound_a_rejects_a_jacobian_of_the_wrong_shape(lpa, cut, shape):
+    # the stack would broadcast it: two columns once gave 2.78 where the
+    # LPA map's bound is 21.96
+    with pytest.raises(ValueError) as err:
+        bound_A(_lpa_cut(lpa, cut), [0.0, 0.0, 0.0], [60.0, 60.0, 20.0], 64)
+    assert str(err.value) == (f"Jacobian failed at sample 0, x = (0, 0, 0): ValueError: the map "
+                              f"gave a Jacobian of shape {shape}, but the model has dimension 3")
+
+
+@pytest.mark.parametrize("cut, shape", _WRONG_SHAPES, ids=["columns", "row", "scalar"])
+def test_jacobian_of_the_wrong_shape_ends_the_search_naming_its_state(lpa, cut, shape):
+    with pytest.raises(ConvergenceError) as err:
+        find_fixed_point(_lpa_cut(lpa, cut), np.array([20.0, 20.0, 5.0]))
+    assert str(err.value).startswith(
+        f"no fixed point: evaluation failed at x = (20, 20, 5): ValueError: the map gave a "
+        f"Jacobian of shape {shape}, but the model has dimension 3 (best residual ")
 
 
 def _halton_one(index, base):

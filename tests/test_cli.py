@@ -979,6 +979,36 @@ def test_stability_omits_a_lipschitz_constant_from_a_batch_image_of_the_wrong_sh
                                               "provenance.lipschitz", "provenance.global_cstar"))}
 
 
+# the LPA map whose Jacobian keeps two columns of its three
+_LPA_TWO_COLUMN_JACOBIAN_PLUGIN = (
+    "from chaosctl import MapModel, lpa_map\n"
+    "def make():\n"
+    "    lpa = lpa_map()\n"
+    "    return MapModel(dimension=3, evaluate=lpa.evaluate, domain=lpa.domain,\n"
+    "                    jacobian=lambda x: lpa.jacobian(x)[:, :2])\n")
+
+
+@pytest.mark.parametrize("command, where", [
+    ("stability", "no fixed point: evaluation failed at x = (20, 20, 5)"),
+    ("equilibrium", "no fixed point: evaluation failed at x = (20, 20, 5)"),
+    ("lyapunov", "Jacobian failed at step 0, x = (20, 20, 5)"),
+])
+def test_jacobian_of_the_wrong_shape_exits_1_and_writes_no_file(tmp_path, monkeypatch, capsys,
+                                                                command, where):
+    # numpy once failed to broadcast it (stability, equilibrium) or to
+    # multiply by it (lyapunov), naming no state
+    (tmp_path / "lpajac.py").write_text(_LPA_TWO_COLUMN_JACOBIAN_PLUGIN)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    assert run_cli(tmp_path, command, "--out", "jac", "--set", "model.kind=plugin",
+                   "--set", "model.plugin=lpajac:make", "--set", "run.x0=20,20,5",
+                   "--set", "run.lyapunov_steps=1000") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: ValueError: the map gave a Jacobian of shape (3, 2), "
+                          f"but the model has dimension 3")
+    assert err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["lpajac.py"]
+
+
 def test_cost_rejects_a_batch_image_of_the_wrong_shape(tmp_path, monkeypatch, capsys):
     (tmp_path / "lpacolumn.py").write_text(_LPA_COLUMN_PLUGIN)
     monkeypatch.syspath_prepend(str(tmp_path))

@@ -293,6 +293,20 @@ def test_controlled_map_jacobian_chain_rule(lpa):
                                    rtol=2e-5, atol=1e-8)
 
 
+@pytest.mark.parametrize("scheme, intensity", [("DIAG-VMTOC", (0.3, 0.4, 0.5)),
+                                               ("VMTOC", 0.3), ("VTOC", 0.3)])
+def test_controlled_jacobian_rejects_a_base_jacobian_of_the_wrong_shape(lpa, scheme, intensity):
+    # DIAG-VMTOC's (1-c) column would broadcast a one-row base Jacobian to
+    # (3, 3); the scalar schemes would keep its shape
+    base = MapModel(dimension=3, evaluate=lpa.evaluate, domain=lpa.domain,
+                    jacobian=lambda x: lpa.jacobian(x)[:1, :])
+    g = controlled_map(base, ControlConfig(scheme, intensity, (30.0, 30.0, 200.0)))
+    with pytest.raises(ValueError) as err:
+        g.jacobian_at(np.array([14.0, 9.0, 3.0]))
+    assert str(err.value) == ("the base map gave a Jacobian of shape (1, 3), "
+                              "but the model has dimension 3")
+
+
 def test_controlled_map_evaluates_batches_only_when_its_base_does(lpa):
     cfg = ControlConfig("VMTOC", 0.3, (30.0, 30.0, 200.0))
     plugin = MapModel(dimension=3, evaluate=lpa.evaluate, domain=lpa.domain)

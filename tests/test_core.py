@@ -359,6 +359,21 @@ def test_map_model_interface(lpa):
                                fd_jacobian(lpa.evaluate, x), rtol=1e-5, atol=1e-8)
 
 
+@pytest.mark.parametrize("jacobian, shape", [
+    (lambda x: 0.5, ()), (lambda x: [0.5], (1,)), (lambda x: [[0.5, 0.5]], (1, 2)),
+    # finite differences of an image of two components
+    (None, (2, 1)),
+])
+def test_jacobian_at_rejects_a_jacobian_of_the_wrong_shape(jacobian, shape):
+    # a scalar or a vector would be broadcast over the (1, 1) matrix
+    f = MapModel(dimension=1, evaluate=lambda x: np.array([0.5, 0.5]) * x[0],
+                 jacobian=jacobian, domain=DomainSpec.full_space(1))
+    with pytest.raises(ValueError) as err:
+        f.jacobian_at(np.array([1.0]))
+    assert str(err.value) == (f"the map gave a Jacobian of shape {shape}, "
+                              f"but the model has dimension 1")
+
+
 def test_map_model_dimension_check():
     with pytest.raises(ValueError, match="dimension"):
         MapModel(dimension=2, evaluate=lambda x: x,

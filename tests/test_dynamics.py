@@ -1989,6 +1989,17 @@ def test_lyapunov_raising_jacobian_raises_with_its_step_and_state():
     assert isinstance(err.value.__cause__, ZeroDivisionError)
 
 
+def test_lyapunov_jacobian_of_the_wrong_shape_raises_with_its_step_and_state():
+    # the tangent step J @ v would fail with numpy's words, or broadcast
+    lpa = lpa_map()
+    f = MapModel(dimension=3, evaluate=lpa.evaluate, domain=lpa.domain,
+                 jacobian=lambda x: lpa.jacobian(x)[:, :2])
+    with pytest.raises(ValueError) as err:
+        lyapunov_max(f, None, np.array([22.0, 27.0, 5.0]), n=1000)
+    assert str(err.value) == ("Jacobian failed at step 0, x = (22, 27, 5): ValueError: the map "
+                              "gave a Jacobian of shape (3, 2), but the model has dimension 3")
+
+
 def test_lyapunov_logs_one_domain_exit(caplog):
     # x_i = 2 - i leaves the orthant at step 2 and stays outside
     f = MapModel(dimension=1, evaluate=lambda x: np.asarray(x, float) - 1.0,
