@@ -365,6 +365,11 @@ def verify_contraction(model: MapModel, cfg: ControlConfig, k, L, x0,
     return worst <= theta + 1e-12, worst
 
 
+# what a report says of an equilibrium that is not in its domain's interior,
+# such as the extinction state 0 of the LPA map
+BOUNDARY_NOTE = "warning: equilibrium lies on the domain boundary"
+
+
 @dataclass(frozen=True)
 class StabilityReport:
     """Everything the stability command measures, with provenance strings."""
@@ -402,13 +407,24 @@ def stability_report(model: MapModel, x0, lo, hi, n_samples: int = 2048,
     certified supremum; the provenance entries say which formula produced
     each number, and warn when the equilibrium escaped the box.  An unknown
     ``norm_kind``, or a box that :func:`~chaosctl.dynamics.initial_box`
-    rejects, raises ``ValueError`` before the fixed-point search.
+    rejects, raises ``ValueError`` before the fixed-point search.  An
+    equilibrium on the domain's boundary gets the ``boundary`` entry
+    :data:`BOUNDARY_NOTE`.  A Jacobian at the equilibrium that raises
+    ``ValueError`` or ``ArithmeticError``, or that is not finite, raises
+    ``ValueError`` naming the equilibrium.
     """
     check_norm_kind(norm_kind)
     lo, hi = initial_box(lo, hi, model.dimension, "sample box")
     eq = find_fixed_point(model, x0, tol=tol)
     res = norm(np.asarray(model.evaluate(eq), float) - eq, "max")
-    rho = spectral_radius(model.jacobian_at(eq))
+    try:
+        jac = model.jacobian_at(eq)
+    except (ValueError, ArithmeticError) as exc:
+        raise ValueError(f"Jacobian failed at the equilibrium x = {state_text(eq)}: "
+                         f"{type(exc).__name__}: {exc}") from exc
+    if not np.isfinite(jac).all():
+        raise ValueError(f"non-finite Jacobian at the equilibrium x = {state_text(eq)}")
+    rho = spectral_radius(jac)
     a = bound_A(model, lo, hi, n_samples)
     prov = {
         "rho": "spectral radius of the Jacobian at the equilibrium",
@@ -418,6 +434,8 @@ def stability_report(model: MapModel, x0, lo, hi, n_samples: int = 2048,
     }
     if np.any(eq < lo) or np.any(eq > hi):
         prov["box"] = "warning: equilibrium lies outside the sampling box"
+    if not model.domain.is_interior(eq):
+        prov["boundary"] = BOUNDARY_NOTE
     lip = None
     gc = None
     try:

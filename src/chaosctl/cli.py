@@ -286,41 +286,50 @@ def _c_grid(cfg: RunConfig):
     return [k / n for k in range(1, n)]
 
 
-def _write(path, lines):
+def _write(path, blocks):
+    """Write the text ``blocks`` to ``path`` one by one, as they come."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(blocks)
     print(f"wrote {path}")
 
 
-def _state_lines(points, prefix="", ends=None):
-    """``{prefix}{step},{component},{value}{ends[component]}`` for every
-    component of every row of the ``(n, d)`` array ``points``.
+def _state_text(points, prefix="", ends=None) -> str:
+    """The lines ``{prefix}{step},{component},{value}{ends[component]}`` for
+    every component of every row of the ``(n, d)`` array ``points``, as one
+    text.
 
-    A kept window repeats its states once its orbit cycles, so each
-    distinct row is formatted once.  Rows are told apart by their bytes:
-    ``-0.0 == 0.0``, but the two print apart.
+    A kept window repeats its states once its orbit cycles, so the distinct
+    rows are formatted once, all in one ``%`` call, which gives each value
+    as ``{value:.17g}`` does.  Rows are told apart by their bytes:
+    ``-0.0 == 0.0``, but the two print apart.  Each step's lines are then
+    its head ``{prefix}{step},`` joined with its row's cells.
     """
     d = points.shape[1]
     ends = ends or ("",) * d
     keys = np.ascontiguousarray(points, dtype=float).view(f"V{8 * d}").ravel().tolist()
-    texts = {}
-    for key, state in zip(keys, points.tolist()):
-        if key not in texts:
-            texts[key] = [f"{j},{v:.17g}{end}" for j, (v, end) in enumerate(zip(state, ends))]
-    return [f"{prefix}{i},{cell}" for i, key in enumerate(keys) for cell in texts[key]]
+    slots = {}
+    index = [slots.setdefault(key, len(slots)) for key in keys]
+    values = np.frombuffer(b"".join(slots), dtype=float).tolist()
+    # each cell is "{j},{value}{end}\n", and "\0" starts every cell
+    cells = (("".join(f"\0{j},%.17g{end}\n" for j, end in enumerate(ends)) * len(slots))
+             % tuple(values)).split("\0")
+    rows = [[""] + cells[1 + u * d:1 + (u + 1) * d] for u in range(len(slots))]
+    heads = [f"{prefix}{i}," for i in range(len(index))]
+    return "".join(map(str.join, heads, map(rows.__getitem__, index)))
 
 
-def _write_scan_csv(path, records, costs=None):
-    header = "c,step,component,value,period"
-    if costs is not None:
-        header += ",cost"
-    lines = [header]
+def _scan_csv(records, costs=None):
+    """The scan CSV, one text block a record."""
+    yield "c,step,component,value,period" + ("" if costs is None else ",cost") + "\n"
     for idx, rec in enumerate(records):
         # everything but the step and the value is fixed per record and component
         tail = "" if costs is None else f",{costs[idx]:.17g}"
         ends = [f",{'aperiodic' if p is None else p}{tail}" for p in rec.periods]
-        lines += _state_lines(rec.points, f"{rec.c:.17g},", ends)
-    _write(path, lines)
+        yield _state_text(rec.points, f"{rec.c:.17g},", ends)
+
+
+def _write_scan_csv(path, records, costs=None):
+    _write(path, _scan_csv(records, costs))
 
 
 def _scan(cfg: RunConfig, model: MapModel):
@@ -379,7 +388,7 @@ def run(cfg: RunConfig, strict: bool = False) -> int:
                                        cfg["run.n_transient"], cfg["run.n_keep"],
                                        strict=strict)
         writes.append(partial(_write, f"{prefix}.orbit.csv",
-                              ["step,component,value"] + _state_lines(orbit)))
+                              ["step,component,value\n", _state_text(orbit)]))
 
     if command == "simulate":
         if cfg["run.n_keep"] < 2:
@@ -398,6 +407,8 @@ def run(cfg: RunConfig, strict: bool = False) -> int:
         for j, v in enumerate(eq):
             report.append(f"equilibrium.{j} = {v:.17g}")
         report.append(f"residual = {res:.17g}")
+        if not model.domain.is_interior(eq):
+            report.append(f"boundary = {analysis.BOUNDARY_NOTE}")
 
     elif command == "stability":
         lo, hi = _box(cfg, model, "sample", "sample box")
@@ -440,7 +451,7 @@ def run(cfg: RunConfig, strict: bool = False) -> int:
 
     for write in writes:
         write()
-    _write(f"{prefix}.report.txt", report)
+    _write(f"{prefix}.report.txt", [f"{line}\n" for line in report])
     if failure:
         print(f"error: {failure}", file=sys.stderr)
         return 1

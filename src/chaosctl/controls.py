@@ -12,8 +12,11 @@ PF and MPF are exactly VTOC and VMTOC with a zero target.  One builder
 writes every form of every scheme's step (single state, batch, tuple of
 floats, Jacobian) from one split, the pull before the map or after it, so
 the reduction and the agreement of the forms are bit-for-bit.  The step on
-a tuple of floats of every scheme and model is one function, compiled once
-per dimension and side of the map, around the base model's float step.
+a tuple of floats of a model written as a :class:`~chaosctl.core.Formula`,
+as the built-in models are, is that formula with the pull written in,
+compiled once per formula and side of the map, with no call to the base
+step inside it.  For any other model it is one function, compiled once per
+dimension and side of the map, around the base model's float step.
 Either side of the map, the single-state and batch steps check the base
 image: one without the model's dimension, or a batch image without the
 rows' shape, raises ``ValueError``; the batch steps call the base
@@ -31,7 +34,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .core import MapModel, ParamError, as_state, check_image, check_jacobian
+from .core import MapModel, ParamError, as_state, check_image, check_jacobian, compiled
 
 SCHEMES = ("VMTOC", "VTOC", "PF", "MPF", "DIAG-VMTOC")
 _TARGETLESS = ("PF", "MPF")
@@ -132,17 +135,16 @@ def _checked_target(model: MapModel, cfg: ControlConfig) -> np.ndarray:
 @cache
 def _float_step(d: int, after: bool):
     """``make(f, c_0, ..., c_{d-1}, k_0, ..., k_{d-1})``, which returns the
-    controlled step of a tuple of ``d`` floats through the base float step
-    ``f``, with the pull ``v -> (c_0 + k_0*v_0, ...)`` after ``f`` or before it.
+    controlled step of a tuple of ``d`` floats through the float step ``f``
+    of a model without a formula, with the pull ``v -> (c_0 + k_0*v_0, ...)``
+    after ``f`` or before it.
 
     The pull is written out component by component, its constants bound in
     the closure: a third of the time or less of mapping ``add`` and ``mul``
     over the tuples, for the same operations in the same order.  After the
     map, a base image that does not unpack into ``d`` components and add
     raises ``check_image``'s ``ValueError`` rather than being cut to fit.
-    The source is compiled once per dimension and side, as ``dataclasses``
-    builds ``__init__``: compiling it for each map would cost more than a
-    chained scan point's whole orbit.
+    The source is compiled once per dimension and side, by ``core.compiled``.
     """
     cs, ks, vs = ([f"{v}{j}" for j in range(d)] for v in "ckv")
     unpack, pull = ", ".join(vs), ", ".join(f"{c} + {k} * {v}" for c, k, v in zip(cs, ks, vs))
@@ -156,10 +158,8 @@ def _float_step(d: int, after: bool):
                 f"            raise\n")
     else:
         body = f"        {unpack}, = x\n        return f(({pull},))\n"
-    namespace = {"check_image": check_image}
-    exec(f"def make(f, {', '.join(cs + ks)}):\n    def step(x):\n{body}    return step\n",
-         namespace)
-    return namespace["make"]
+    return compiled(f"def make(f, {', '.join(cs + ks)}):\n    def step(x):\n{body}"
+                    f"    return step\n")
 
 
 def _controlled(model: MapModel, scheme: str, c, t: np.ndarray):
@@ -183,9 +183,15 @@ def _controlled(model: MapModel, scheme: str, c, t: np.ndarray):
     after = scheme not in ("VTOC", "PF")
     # the float pull of component j, ct[j] + keep[j]*y[j], is bitwise the
     # array pull's; a column of intensities steps batches only
-    evaluate_floats = (_float_step(d, after)(f_floats, *ct.tolist(),
-                                             *(keep.tolist() if vector else [keep] * d))
-                       if ct.ndim == 1 else None)
+    evaluate_floats = None
+    if ct.ndim == 1:
+        pulls = ct.tolist() + (keep.tolist() if vector else [keep] * d)
+        written = getattr(f_floats, "formula", None)
+        if written is not None:
+            formula, values = written
+            evaluate_floats = formula.bind("after" if after else "before", *values, *pulls)
+        else:
+            evaluate_floats = _float_step(d, after)(f_floats, *pulls)
 
     def pull(y):
         return ct + keep * y
@@ -238,10 +244,11 @@ def apply_control(model: MapModel, cfg: ControlConfig, x) -> np.ndarray:
 def controlled_map(model: MapModel, cfg: ControlConfig) -> MapModel:
     """Wrap ``model`` into the controlled self-map of the same domain.
 
-    The wrapped model steps on floats through the base model's float step
-    and has an ``evaluate_batch`` when the base model does, each bitwise as
-    its ``evaluate``; it chains the analytic Jacobian through when the base
-    model has one, and otherwise falls back to finite differences.
+    The wrapped model steps on floats through the base model's formula or
+    float step and has an ``evaluate_batch`` when the base model does, each
+    bitwise as its ``evaluate``; it chains the analytic Jacobian through
+    when the base model has one, and otherwise falls back to finite
+    differences.
     """
     t = _checked_target(model, cfg)
     c = cfg.intensity if cfg.is_scalar else cfg.intensity_vector(model.dimension)

@@ -4,18 +4,25 @@ States are plain 1-D float64 numpy arrays.  Everything in this module is
 an immutable value (arrays are returned read-only), so models, domains and
 states can be shared freely between threads; map evaluation is expected to
 be a pure function of its input.  A domain is a closed box whose bounds
-may be infinite; a state holding NaN lies outside every domain.
+may be infinite; a state holding NaN lies outside every domain.  A
+:class:`Formula` writes a map once, as component expressions, and compiles
+every form of it: the step of a tuple of floats, the step of arrays, and
+the steps with a pull before or after the map fused in.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional
 
 import numpy as np
 
 NORM_KINDS = ("max", "euclidean", "sum")
+
+# the reductions of every element, without the wrappers of ndarray.min and max
+_least, _most = np.minimum.reduce, np.maximum.reduce
 
 
 def as_state(values, dim: Optional[int] = None, what: str = "state") -> np.ndarray:
@@ -130,10 +137,14 @@ class DomainSpec:
         lo.flags.writeable = hi.flags.writeable = False
         # tuples to compare and hash, arrays to compute with, and the common
         # bounds max(lo) and min(hi) that every component of a state inside
-        # an orthant or the full space lies within
+        # an orthant or the full space lies within.  NaN fails a test of
+        # either bound, so an infinite bound needs a test only when the
+        # other one is infinite too
+        floor, ceil = float(lo.max()), float(hi.min())
         for name, value in (("lo", tuple(lo.tolist())), ("hi", tuple(hi.tolist())),
-                            ("_lo", lo), ("_hi", hi),
-                            ("_floor", float(lo.max())), ("_ceil", float(hi.min()))):
+                            ("_lo", lo), ("_hi", hi), ("_floor", floor), ("_ceil", ceil),
+                            ("_test_floor", floor > -math.inf),
+                            ("_test_ceil", ceil < math.inf or floor == -math.inf)):
             object.__setattr__(self, name, value)
 
     @property
@@ -162,10 +173,11 @@ class DomainSpec:
         ``x`` may also be an ``(n, d)`` array of states, or a block of them
         with more leading axes: the answer is then whether every state
         belongs to the domain.  An array within the common bounds is
-        accepted by two reductions; only otherwise is each component tested
-        against its own bounds.
+        accepted by at most two reductions; only otherwise is each component
+        tested against its own bounds.
         """
-        if self._floor <= x.min() and x.max() <= self._ceil:
+        if ((not self._test_floor or self._floor <= _least(x, None))
+                and (not self._test_ceil or _most(x, None) <= self._ceil)):
             return True
         return bool(np.all(x >= self._lo) and np.all(x <= self._hi))
 
@@ -201,6 +213,87 @@ def fd_jacobian(func: Callable, x, rel_step: float = 1e-6) -> np.ndarray:
     return out
 
 
+@cache
+def compiled(source: str):
+    """The function ``make`` that the Python ``source`` defines, compiled
+    once per source and kept, as ``dataclasses`` builds ``__init__``:
+    compiling it for each map would cost more than a chained scan point's
+    whole orbit.  In ``source``, ``exp`` is ``np.exp``; a warning raised
+    in it names the file ``<chaosctl compiled step>``."""
+    namespace = {"exp": np.exp, "check_image": check_image}
+    exec(compile(source, "<chaosctl compiled step>", "exec"), namespace)
+    return namespace["make"]
+
+
+@dataclass(frozen=True, eq=False)
+class Formula:
+    """A map of R^d written once, as Python expressions.
+
+    ``components`` holds the ``d`` components of the image, and ``exps``
+    the arguments of the exponentials ``e0, e1, ...`` they use, each an
+    expression in the state's components ``x0, x1, ...``, the constants
+    named in ``names`` and the earlier exponentials.  Every form is compiled
+    from these once per formula and kept; :meth:`bind` binds it to the
+    constants' values:
+
+    * ``"floats"`` steps a tuple of Python floats to the tuple of its
+      image's.  An exponential is ``np.exp`` converted by ``float``, which
+      keeps its bits, so the rest is IEEE arithmetic on Python floats, and
+      the image is bitwise the array form's.
+    * ``"arrays"`` steps the components of one state ``(d,)``, or the
+      columns of a batch, to the image's as numpy scalars or arrays.
+    * ``"after"`` and ``"before"`` step floats as ``"floats"`` does, with
+      the pull ``v -> (c0 + k0*v0, ...)`` written in after the map or
+      before it; the ``2d`` values of ``c`` and ``k`` follow the constants'.
+
+    A formula compares by identity.
+    """
+
+    names: tuple
+    exps: tuple
+    components: tuple
+
+    def maker(self, form: str):
+        """``make(*values)``, which returns the step of ``form`` with the
+        given values of the constants."""
+        return _formula_maker(self, form)
+
+    def bind(self, form: str, *values):
+        """The step of ``form``, with the given values of the constants."""
+        return _formula_maker(self, form)(*values)
+
+    def float_step(self, values: tuple):
+        """The ``"floats"`` step at ``values``, which carries ``(self,
+        values)`` as its ``formula``, so that a control can fuse its pull
+        in."""
+        step = self.bind("floats", *values)
+        step.formula = self, values
+        return step
+
+
+@cache
+def _formula_maker(formula: Formula, form: str):
+    """``make(*values)`` of :meth:`Formula.bind`, one source per formula and form."""
+    d = len(formula.components)
+    xs, pull = [f"x{j}" for j in range(d)], [f"c{j} + k{j} * " for j in range(d)]
+    params = list(formula.names) + ([f"{v}{j}" for v in "ck" for j in range(d)]
+                                    if form in ("after", "before") else [])
+    if form == "arrays":
+        # indexing, not unpacking, which would iterate an array slowly
+        body = [f"x{j} = x[{j}]" for j in range(d)]
+        body += [f"e{i} = exp({arg})" for i, arg in enumerate(formula.exps)]
+    else:
+        body = [f"{', '.join(xs)}, = x"]
+        if form == "before":
+            body.append(f"{', '.join(xs)}, = {', '.join(p + x for p, x in zip(pull, xs))},")
+        body += [f"e{i} = float(exp({arg}))" for i, arg in enumerate(formula.exps)]
+    image = ([f"{p}({v})" for p, v in zip(pull, formula.components)] if form == "after"
+             else list(formula.components))
+    body.append(f"return ({', '.join(image)},)")
+    return compiled(f"def make({', '.join(params)}):\n    def step(x):\n"
+                    + "".join(f"        {line}\n" for line in body) + "    return step\n")
+
+
 @dataclass(frozen=True)
 class MapModel:
     """A continuous self-map of a convex domain, with optional analytic Jacobian.
@@ -215,7 +308,9 @@ class MapModel:
     sequence of its image's components.  When omitted, it is ``evaluate``
     of the state as a float array, its image returned by ``tolist``, so
     every model has the one lone step form: every lone orbit steps through
-    it, and a fresh batch of any model hands its last six rows to it.  Both
+    it, and a fresh batch of any model hands its last six rows to it.  A
+    float step made by :meth:`Formula.float_step` carries its formula, into
+    which a control writes its pull (:mod:`chaosctl.controls`).  Both
     must agree with ``evaluate`` bit for bit, a batch row for row (``-0.0``,
     infinities and NaN included): :mod:`chaosctl.dynamics` runs an orbit
     through whichever suits it.  ``jacobian`` maps a state to its

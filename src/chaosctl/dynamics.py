@@ -60,17 +60,16 @@ _BLOCK = 64
 
 # The most rows a fresh batch holds before it hands them all to the lone
 # loop, whatever the model.  Numpy call overhead dominates a batch step:
-# 11 us for a controlled LPA batch step, plus 27 ns a row, against 1.0 us
+# 11 us for a controlled LPA batch step, plus 27 ns a row, against 0.87 us
 # for a lone controlled LPA float step and 3.8 us for the one derived from
-# evaluate, loop included (delay-2 Ricker: 7.6 and 0.8 us; best of 7-9
-# in-process timings, one pinned core of a shared 2-vCPU VM, Python 3.11,
-# numpy 2.4).  So priced, the batch and lone steps of the 29-point LPA
-# VMTOC grid k/300, k = 10, 20, ..., 290, toward K, (30,30,200), (30,200,30)
-# and (200,30,30) at four seeds cost 9.8 ms per scan at 6 rows, 9.4 at 8
-# and 9.2 from 9 to 16; on the 299-point grid (seed 0), 36.9 ms from 5 to 9
-# rows and 36.7-37.1 from 10 to 16.  Timed whole, scans at 6, 8, 10, 12 and
-# 14 rows differ by less than their noise (best 11.4-12.0 and 50-52 ms),
-# and a higher threshold slows models without a float step: it stays at 6.
+# evaluate, loop included (delay-2 Ricker: 6.8 and 0.58 us; best of 7
+# in-process timings of chaotic orbits, one pinned core of a shared 2-vCPU
+# VM, Python 3.11, numpy 2.4).  Timed whole, the 29-point LPA VMTOC grid
+# k/300, k = 10, 20, ..., 290, toward K, (30,30,200), (30,200,30) and
+# (200,30,30) at four seeds takes best-of-3 10.7, 10.2, 9.8, 9.8 and 9.9 ms
+# per scan at 6, 8, 10, 12 and 14 rows, less apart than a run from its
+# repeat (up to 21 ms), and a higher threshold slows models without a float
+# step: it stays at 6.
 _HANDOFF = 6
 
 
@@ -110,12 +109,12 @@ def _iterate_rows(g: MapModel, x: np.ndarray, n_transient: int, n_keep: int,
         kept = np.empty((n_keep, d))
     step, pack, x = g.evaluate_floats, struct.Struct(f"{d}d").pack, tuple(x.tolist())
     # the steps of the states' bytes, by block, the previous block's states,
-    # and whether an exit was logged
-    seen, older, before, warned = {}, {}, None, False
-    for start in range(at, total, _BLOCK):
-        size = min(_BLOCK, total - start)
-        keys, hit, error = [], None, None
-        with np.errstate(all="ignore"):
+    # whether an exit was logged, and the failing step, its state and error
+    seen, older, before, warned, failed = {}, {}, None, False, None
+    with np.errstate(all="ignore"):
+        for start in range(at, total, _BLOCK):
+            size = min(_BLOCK, total - start)
+            keys, hit, error = [], None, None
             y, append = x, keys.append
             try:
                 for i in range(start, start + size):
@@ -134,47 +133,67 @@ def _iterate_rows(g: MapModel, x: np.ndarray, n_transient: int, n_keep: int,
                                      f"but the model has dimension {d}") from None
                 raise
             block = np.frombuffer(b"".join(keys)).reshape(-1, d)
-            ok = error is None and math.isfinite(block.sum()) and (
-                warned or domain.contains_unchecked(block))
-        if not ok:
-            # the block's failing step, if any: its first non-finite state or
-            # the step that raised, which follows the block's last state
-            finite = np.isfinite(block).all(axis=1).tolist() + [error is None]
-            j = finite.index(False) if False in finite else None
-            inside = domain.contains_rows(block[:j])
-            if not (warned or inside.all()):
-                i = start + int(inside.argmin())
-                if strict:
-                    raise OrbitError(f"state left the domain at step {i}", i)
-                log.warning("orbit left the domain at step %d (advisory)", i)
-                warned = True
-            if j is not None:
-                i = start + j
-                try:
-                    image = g.evaluate(block[j - 1] if j else np.array(x, float))
-                    if not np.isfinite(np.asarray(image, float)).all():
-                        error = None
-                except (ValueError, ArithmeticError) as exc:
-                    error = exc
-                if error is None:
-                    raise OrbitError(f"non-finite state at step {i}", i)
-                raise OrbitError(f"evaluation failed at step {i}: {type(error).__name__}: "
-                                 f"{error}", i)
-        x = y
-        stop = start + block.shape[0]
-        if stop > n_transient:
-            first = max(start, n_transient)
-            kept[first - n_transient:stop - n_transient] = block[first - start:]
-        if hit is not None:
-            # the p states up to the recurrence repeat forever; they lie in
-            # this block and the one before
-            p = hit[1]
-            cycle = (block if p <= block.shape[0] else np.concatenate([before, block]))[-p:]
-            rest = np.arange(max(stop, n_transient), total)
-            kept[rest - n_transient] = cycle[(rest - stop) % p]
-            return kept
-        seen, older, before = {}, seen, block
-    return kept
+            if not (error is None and math.isfinite(block.sum()) and (
+                    warned or domain.contains_unchecked(block))):
+                # the block's failing step, if any: its first non-finite state
+                # or the step that raised, which follows the block's last state
+                finite = np.isfinite(block).all(axis=1).tolist() + [error is None]
+                j = finite.index(False) if False in finite else None
+                inside = domain.contains_rows(block[:j])
+                if not (warned or inside.all()):
+                    i = start + int(inside.argmin())
+                    if strict:
+                        raise OrbitError(f"state left the domain at step {i}", i)
+                    log.warning("orbit left the domain at step %d (advisory)", i)
+                    warned = True
+                if j is not None:
+                    failed = start + j, block[j - 1] if j else np.array(x, float), error
+                    break
+            x = y
+            stop = start + block.shape[0]
+            if stop > n_transient:
+                first = max(start, n_transient)
+                kept[first - n_transient:stop - n_transient] = block[first - start:]
+            if hit is not None:
+                # the p states up to the recurrence repeat forever; they lie
+                # in this block and the one before
+                p = hit[1]
+                cycle = (block if p <= block.shape[0] else np.concatenate([before, block]))[-p:]
+                first = max(stop, n_transient)
+                _repeat(kept[first - n_transient:], cycle, (first - stop) % p)
+                return kept
+            seen, older, before = {}, seen, block
+    if failed is None:
+        return kept
+    # the failing step runs again, alone, under the caller's np.errstate
+    i, state, error = failed
+    try:
+        image = g.evaluate(state)
+        if not np.isfinite(np.asarray(image, float)).all():
+            error = None
+    except (ValueError, ArithmeticError) as exc:
+        error = exc
+    if error is None:
+        raise OrbitError(f"non-finite state at step {i}", i)
+    raise OrbitError(f"evaluation failed at step {i}: {type(error).__name__}: {error}", i)
+
+
+def _repeat(out: np.ndarray, cycle: np.ndarray, phase: int) -> None:
+    """Fill the rows of ``out`` with the ``p`` rows of ``cycle`` repeated
+    from row ``phase`` on: ``out[k] = cycle[(phase + k) % p]``, by slices."""
+    p, n = cycle.shape[0], out.shape[0]
+    if p == 1:
+        out[:] = cycle
+        return
+    # the first period, then copies of what is filled, which doubles it
+    head = cycle[phase:phase + n]
+    out[:head.shape[0]] = head
+    out[head.shape[0]:p] = cycle[:min(p, n) - head.shape[0]]
+    filled = p
+    while filled < n:
+        size = min(filled, n - filled)
+        out[filled:filled + size] = out[:size]
+        filled += size
 
 
 def _iterate_batch(step_for, x: np.ndarray, domain: DomainSpec, n_transient: int,

@@ -8,24 +8,27 @@ Two models ship with the package:
   first-order system via a delay line.
 
 Both expose an analytic Jacobian and self-map the nonnegative orthant.
-Each map's arithmetic is written once, as a closure over the model's
-parameters that takes the components of a state, ``exp`` and a conversion
-``fl`` of exp's result.  The float step, bound when the model is built,
-passes ``np.exp``, which gives a Python float bitwise the value it gives an
-array element, and ``float``, which keeps those bits, so the rest is IEEE
-arithmetic on Python floats.  The array form passes a no-op conversion and
-numpy columns or the components of one state ``(d,)``, so a row of a batch,
-one state alone and a tuple of floats all have bitwise the same image.
+Each map is written once, as a :class:`~chaosctl.core.Formula` of
+component expressions over named constants, and every float form is
+compiled from it once per formula and form, its constants passed as
+arguments: the model's float step, its array form, and the fused
+controlled steps of :mod:`chaosctl.controls`.  The float step runs
+``np.exp``, which gives a Python float bitwise the value it gives an array
+element, converted by ``float``, which keeps those bits, so the rest is
+IEEE arithmetic on Python floats.  The array form takes numpy columns or
+the components of one state ``(d,)``, so a row of a batch, one state alone
+and a tuple of floats all have bitwise the same image.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .core import DomainSpec, MapModel, ParamError
+from .core import DomainSpec, Formula, MapModel, ParamError
 
 
 @dataclass(frozen=True)
@@ -67,49 +70,44 @@ def _check_fields(params, rules) -> None:
             raise ParamError(name, f"{name} must {rule}, got {value}")
 
 
-def _same(v):
-    return v
-
-
-def _on_arrays(formula, x) -> np.ndarray:
-    """``formula`` of one state ``(d,)`` or of an ``(n, d)`` array of states, as an array."""
+def _on_arrays(step, x) -> np.ndarray:
+    """The array step ``step`` of one state ``(d,)`` or of an ``(n, d)``
+    array of states, as an array."""
     x = np.asarray(x, dtype=float)
     # the transpose puts the component axis first: for one state the
     # components are numpy scalars, for a batch they are columns
     out = np.empty_like(x)
     o = out.T
-    for j, v in enumerate(formula(x.T, np.exp, _same)):
+    for j, v in enumerate(step(x.T)):
         o[j] = v
     return out
 
 
-def _lpa_formula(p: LpaParams):
-    """One generation of the LPA map, ``formula(x, exp=np.exp, fl=float)``,
-    on the components (L, P, A) of ``x``:
+# One generation of the LPA map on the components (L, P, A) = (x0, x1, x2):
+#
+#     L' = b*A*exp(-c_el*L - c_ea*A)
+#     P' = (1 - mu_l)*L
+#     A' = P*exp(-c_pa*A) + A*(1 - mu_a)
+#
+# With nonnegative input every exponent argument is <= 0, so the evaluation
+# cannot overflow.
+_LPA = Formula(names=("b", "c_el", "c_ea", "c_pa", "keep_l", "keep_a"),
+               exps=("-c_el * x0 - c_ea * x2", "-c_pa * x2"),
+               components=("b * x2 * e0", "keep_l * x0", "x1 * e1 + x2 * keep_a"))
 
-        L' = b*A*exp(-c_el*L - c_ea*A)
-        P' = (1 - mu_l)*L
-        A' = P*exp(-c_pa*A) + A*(1 - mu_a)
 
-    Returns the tuple of the image's components.  With nonnegative input
-    every exponent argument is <= 0, so the evaluation cannot overflow.
-    """
-    b, c_el, c_ea, c_pa = p.b, p.c_el, p.c_ea, p.c_pa
-    keep_l, keep_a = 1.0 - p.mu_l, 1.0 - p.mu_a
+def _lpa_values(p: LpaParams) -> tuple:
+    """The values of the constants of ``_LPA``."""
+    return p.b, p.c_el, p.c_ea, p.c_pa, 1.0 - p.mu_l, 1.0 - p.mu_a
 
-    def formula(x, exp=np.exp, fl=float):
-        # indexing, not unpacking, which would iterate an array slowly
-        L, P, A = x[0], x[1], x[2]
-        return (b * A * fl(exp(-c_el * L - c_ea * A)),
-                keep_l * L,
-                P * fl(exp(-c_pa * A)) + A * keep_a)
 
-    return formula
+# the array form, compiled once; lpa_eval binds it to its parameters on every call
+_LPA_ARRAYS = _LPA.maker("arrays")
 
 
 def lpa_eval(p: LpaParams, x) -> np.ndarray:
     """The LPA map of one state ``(3,)`` or of an ``(n, 3)`` array of states."""
-    return _on_arrays(_lpa_formula(p), x)
+    return _on_arrays(_LPA_ARRAYS(*_lpa_values(p)), x)
 
 
 def lpa_jacobian(p: LpaParams, x) -> np.ndarray:
@@ -150,7 +148,7 @@ def lpa_map(p: LpaParams | None = None) -> MapModel:
 
     return MapModel(dimension=3, evaluate=evaluate, domain=DomainSpec.nonnegative_orthant(3),
                     jacobian=jacobian, name="lpa", evaluate_batch=evaluate,
-                    evaluate_floats=_lpa_formula(p))
+                    evaluate_floats=_LPA.float_step(_lpa_values(p)))
 
 
 @dataclass(frozen=True)
@@ -169,25 +167,22 @@ class RickerParams:
         object.__setattr__(self, "r", float(self.r))
 
 
-def _ricker_formula(p: RickerParams):
-    """The lifted delayed Ricker map, as :func:`_lpa_formula` gives the LPA map.
+@cache
+def _ricker_formula(delay: int) -> Formula:
+    """The lifted delayed Ricker map of delay ``delay``, with the constant ``r``.
 
     The state holds the last ``delay`` population values, newest first; the
     update multiplies the newest value by exp(r - oldest) and shifts the
     rest down the delay line, so iterating the lift reproduces the scalar
     recursion u[n+1] = u[n]*exp(r - u[n-delay+1]).
     """
-    r, oldest = p.r, p.delay - 1
-
-    def formula(x, exp=np.exp, fl=float):
-        return (x[0] * fl(exp(r - x[oldest])), *x[:-1])
-
-    return formula
+    return Formula(names=("r",), exps=(f"r - x{delay - 1}",),
+                   components=("x0 * e0", *(f"x{j}" for j in range(delay - 1))))
 
 
 def ricker_eval(p: RickerParams, x) -> np.ndarray:
     """The Ricker lift of one state ``(delay,)`` or of an ``(n, delay)`` array of states."""
-    return _on_arrays(_ricker_formula(p), x)
+    return _on_arrays(_ricker_formula(p.delay).bind("arrays", p.r), x)
 
 
 def ricker_jacobian(p: RickerParams, x) -> np.ndarray:
@@ -213,4 +208,4 @@ def ricker_lift(p: RickerParams) -> MapModel:
     return MapModel(dimension=p.delay, evaluate=evaluate,
                     domain=DomainSpec.nonnegative_orthant(p.delay),
                     jacobian=jacobian, name="ricker", evaluate_batch=evaluate,
-                    evaluate_floats=_ricker_formula(p))
+                    evaluate_floats=_ricker_formula(p.delay).float_step((p.r,)))

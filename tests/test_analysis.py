@@ -843,6 +843,7 @@ def test_stability_report_lines_with_the_lipschitz_part(lpa):
 
 def test_stability_report_lines_without_the_lipschitz_part(lpa):
     # extinction is an equilibrium of norm 0, which has no Lipschitz estimate
+    # and lies on the boundary of the orthant
     rep = stability_report(lpa, np.zeros(3), [10.0, 10.0, 2.0], [40.0, 40.0, 8.0],
                            n_samples=64)
     assert rep.lipschitz is None and rep.global_cstar is None
@@ -850,6 +851,7 @@ def test_stability_report_lines_without_the_lipschitz_part(lpa):
         "equilibrium.0 = 0", "equilibrium.1 = 0", "equilibrium.2 = 0", "residual = 0",
         *_value_lines(rep, ["rho", "bound_a", "local_cstar_rho", "local_cstar_a"]),
         _PROVENANCE_LINES["bound_a"],
+        "provenance.boundary = warning: equilibrium lies on the domain boundary",
         "provenance.box = warning: equilibrium lies outside the sampling box",
         "provenance.lipschitz = unavailable: K must have nonzero norm",
         *[_PROVENANCE_LINES[key] for key in ("local_cstar_a", "local_cstar_rho", "rho")]]

@@ -3,9 +3,10 @@ import os
 import numpy as np
 import pytest
 
-from chaosctl import (ControlConfig, ScanRecord, analysis, bifurcation_scan, controlled_map,
-                      controls, cost_per_step, dynamics, iterate_orbit, lpa_map, models)
-from chaosctl.cli import (CHECKS, COMMANDS, FIELDS, ConfigError, RunConfig, _state_lines,
+from chaosctl import (ControlConfig, DomainSpec, MapModel, ScanRecord, analysis,
+                      bifurcation_scan, controlled_map, controls, cost_per_step, dynamics,
+                      iterate_orbit, lpa_map, models)
+from chaosctl.cli import (CHECKS, COMMANDS, FIELDS, ConfigError, RunConfig, _state_text,
                           _write_scan_csv, build_control, build_model, main)
 
 from conftest import LPA_FIXED_POINT
@@ -296,7 +297,8 @@ def test_orbit_csv_matches_per_line_formatting(tmp_path):
     expected = "\n".join(_orbit_csv_lines_per_line(orbit)) + "\n"
     assert (tmp_path / "o.orbit.csv").read_text() == expected
     odd = np.array([[-0.0, 1e-300, 0.1 + 0.2], [np.nan, -np.inf, 2.0 ** 60]])
-    assert ["step,component,value"] + _state_lines(odd) == _orbit_csv_lines_per_line(odd)
+    assert (["step,component,value"] + _state_text(odd).splitlines()
+            == _orbit_csv_lines_per_line(odd))
 
 
 
@@ -318,7 +320,8 @@ def test_csv_rows_are_formatted_once_each_but_as_every_value_alone(tmp_path):
         assert (tmp_path / "s.csv").read_text() == expected
     assert "-0," in expected and ",0,0," in expected
     for points in list(windows.values()) + [windows[(3, 3)][::2], windows[(1, None)].T.copy()]:
-        assert ["step,component,value"] + _state_lines(points) == _orbit_csv_lines_per_line(points)
+        assert (["step,component,value"] + _state_text(points).splitlines()
+                == _orbit_csv_lines_per_line(points))
     # a simulated orbit that recurs at step 61, inside its kept window
     settings = ["run.x0=22,27,5", "control.scheme=VMTOC", "control.intensity=0.6",
                 "control.target=28.0120,22.4096,4.6251", "run.n_transient=20", "run.n_keep=400"]
@@ -1053,3 +1056,62 @@ def test_strict_is_rejected_where_it_does_not_apply(tmp_path, capsys, command):
     assert rc == 2
     assert "error: --strict: applies to simulate and cost only" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_jacobian_failing_at_the_equilibrium_names_it(tmp_path, monkeypatch, capsys):
+    # from K to 17 digits the search needs no Jacobian, so the first one the
+    # report takes is the one at the equilibrium
+    (tmp_path / "lpajac.py").write_text(_LPA_TWO_COLUMN_JACOBIAN_PLUGIN)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    k = "28.012016246691726,22.409612997353381,4.6251512541631303"
+    assert run_cli(tmp_path, "stability", "--out", "jac", "--set", "model.kind=plugin",
+                   "--set", "model.plugin=lpajac:make", "--set", f"run.x0={k}") == 1
+    assert capsys.readouterr().err == (
+        "error: Jacobian failed at the equilibrium x = (28.012016246691726, 22.409612997353381, "
+        "4.6251512541631303): ValueError: the map gave a Jacobian of shape (3, 2), but the "
+        "model has dimension 3\n")
+    assert sorted(os.listdir(tmp_path)) == ["lpajac.py"]
+
+
+def test_stability_report_names_a_non_finite_jacobian_at_the_equilibrium():
+    model = MapModel(dimension=1, evaluate=lambda x: 0.5 * np.asarray(x, float),
+                     jacobian=lambda x: np.array([[np.nan]]), domain=DomainSpec.full_space(1))
+    with pytest.raises(ValueError, match=r"^non-finite Jacobian at the equilibrium x = \(0\)$"):
+        analysis.stability_report(model, [0.0], [-1.0], [1.0], n_samples=8)
+
+
+@pytest.mark.parametrize("command, key", [("stability", "provenance.boundary"),
+                                          ("equilibrium", "boundary")])
+def test_report_says_when_the_equilibrium_lies_on_the_boundary(tmp_path, command, key):
+    # from (20, 20, 20) the search lands on the extinction state 0; from
+    # (20, 20, 5) on the interior K, whose report has no such line
+    for x0, out in [("20,20,20", "zero"), ("20,20,5", "k")]:
+        assert run_cli(tmp_path, command, "--out", out, "--set", f"run.x0={x0}") == 0
+    zero, k = (read_report(tmp_path / f"{out}.report.txt") for out in ("zero", "k"))
+    assert [zero[f"equilibrium.{j}"] for j in range(3)] == ["0", "0", "0"]
+    assert zero[key] == "warning: equilibrium lies on the domain boundary"
+    assert not any("boundary" in line for line in (tmp_path / "k.report.txt").read_text()
+                   .splitlines())
+    assert float(k["equilibrium.0"]) > 28.0
+    if command == "stability":
+        assert zero["rho"] == "2.0429822344213564"
+
+
+@pytest.mark.parametrize("scheme, cost", [("VMTOC", "true"), ("VTOC", "false")])
+def test_chained_ricker_scan_csv_matches_per_line_formatting(tmp_path, scheme, cost):
+    # the benchmark's chained delay-2 Ricker scan, on a shorter grid
+    settings = {"model.kind": "ricker", "model.r": "2", "model.delay": "2",
+                "control.scheme": scheme, "control.target": "1,3", "scan.grid": "60",
+                "scan.continue": "true", "scan.cost": cost, "run.n_transient": "250"}
+    assert run_cli(tmp_path, "bifurcate", "--out", "chain", "--seed", "7",
+                   *[arg for kv in settings.items() for arg in ("--set", "=".join(kv))]) == 0
+    model = models.ricker_lift(models.RickerParams(r=2.0, delay=2))
+    records = bifurcation_scan(model, scheme, (1.0, 3.0), [k / 60 for k in range(1, 60)],
+                               seed=7, n_transient=250, continue_orbits=True)
+    costs = None
+    if cost == "true":
+        costs = [cost_per_step(model, ControlConfig(scheme, rec.c, (1.0, 3.0)), rec.points,
+                               norm_kind="euclidean").value for rec in records]
+    assert len({rec.periods for rec in records}) > 2
+    expected = "\n".join(_scan_csv_lines_per_line(records, costs)) + "\n"
+    assert (tmp_path / "chain.scan.csv").read_text() == expected

@@ -15,7 +15,7 @@ from chaosctl import (
     controlled_map,
     target_for_state,
 )
-from chaosctl import controls
+from chaosctl import controls, core
 from chaosctl.controls import ControlConfigError, controlled_rows
 from chaosctl.models import LpaParams, RickerParams, lpa_eval, lpa_jacobian, lpa_map, ricker_lift
 
@@ -440,26 +440,40 @@ def test_controlled_float_step_equals_evaluate_bitwise_in_every_dimension(scheme
                                            ("VTOC", False), ("PF", False)],
                          ids=["VMTOC", "MPF", "DIAG-VMTOC", "VTOC", "PF"])
 def test_controlled_maps_of_one_dimension_keep_their_own_constants(scheme, after):
-    # the float step's code is compiled once per dimension and side of the
-    # map; its constants are each map's own
+    # a controlled float step is compiled once per formula and side of the
+    # map, fused with the formula, and once per dimension and side around
+    # the float step of a model without one; its constants are each map's own
     model = ricker_lift(RickerParams(r=2.0, delay=3))
+    plugin = MapModel(dimension=3, evaluate=model.evaluate, domain=model.domain)
+    other = ricker_lift(RickerParams(r=2.5, delay=3))
 
     def config(c, target):
         return ControlConfig(scheme, (c, c / 2, c / 3) if scheme == "DIAG-VMTOC" else c, target)
 
-    maps = [controlled_map(model, config(0.2, (1.0, 2.0, 3.0))),
-            controlled_map(model, config(0.6, (3.0, 1.0, 2.0)))]
-    y = (0.5, 1.5, 2.5)
-    steps = [g.evaluate_floats(y) for g in maps]
-    assert steps[0] != steps[1]
-    for g, step in zip(maps, steps):
-        assert step == tuple(g.evaluate(np.array(y)).tolist())
-    controlled_map(model, config(0.9, (0.1, 0.1, 0.1)))
-    assert [g.evaluate_floats(y) for g in maps] == steps
-    make = controls._float_step(3, after)
-    assert make is controls._float_step(3, after)
-    assert make is not controls._float_step(3, not after)
-    assert {g.evaluate_floats.__code__ for g in maps} <= set(make.__code__.co_consts)
+    formula, form = model.evaluate_floats.formula[0], "after" if after else "before"
+    assert other.evaluate_floats.formula[0] is formula
+    for base, make in [(model, core._formula_maker(formula, form)),
+                       (other, core._formula_maker(formula, form)),
+                       (plugin, controls._float_step(3, after))]:
+        maps = [controlled_map(base, config(0.2, (1.0, 2.0, 3.0))),
+                controlled_map(base, config(0.6, (3.0, 1.0, 2.0)))]
+        y = (0.5, 1.5, 2.5)
+        steps = [g.evaluate_floats(y) for g in maps]
+        assert steps[0] != steps[1]
+        for g, step in zip(maps, steps):
+            # a derived base step gives a list, which the pull before the map returns
+            assert tuple(step) == tuple(g.evaluate(np.array(y)).tolist())
+        controlled_map(base, config(0.9, (0.1, 0.1, 0.1)))
+        assert [g.evaluate_floats(y) for g in maps] == steps
+        # one code object, compiled once, for every map of the formula or dimension
+        assert {g.evaluate_floats.__code__ for g in maps} <= set(make.__code__.co_consts)
+    assert core._formula_maker(formula, form) is core._formula_maker(formula, form)
+    assert controls._float_step(3, after) is controls._float_step(3, after)
+    assert (core._formula_maker(formula, form).__code__
+            is not core._formula_maker(formula, "before" if after else "after").__code__)
+    assert controls._float_step(3, after) is not controls._float_step(3, not after)
+    assert controlled_map(model, config(0.2, (1.0, 2.0, 3.0))).evaluate_floats(y) != (
+        controlled_map(other, config(0.2, (1.0, 2.0, 3.0))).evaluate_floats(y))
 
 
 _RICKER2 = ricker_lift(RickerParams(r=2.0, delay=2))

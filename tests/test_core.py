@@ -435,3 +435,20 @@ def test_replacing_evaluate_derives_the_float_step_again(lpa):
     assert (half.evaluate_floats((1.0,)), quarter.evaluate_floats((1.0,))) == ([0.5], [0.25])
     assert dataclasses.replace(half, name="half").evaluate_floats is half.evaluate_floats
     assert dataclasses.replace(lpa, name="lpa2").evaluate_floats is lpa.evaluate_floats
+
+
+@pytest.mark.parametrize("lo, hi", [((0.0, 0.0), (math.inf, math.inf)),
+                                    ((-math.inf, -math.inf), (math.inf, math.inf)),
+                                    ((-math.inf, -math.inf), (1.0, 2.0)),
+                                    ((-math.inf, 0.0), (math.inf, 3.0)),
+                                    ((-1.0, 0.0), (1.0, 2.0))])
+def test_contains_unchecked_is_every_component_within_its_bounds(lo, hi):
+    # whichever bounds are infinite, NaN lies outside every domain
+    domain = DomainSpec(lo, hi)
+    values = [0.0, -0.0, 0.5, 1.0, 1.5, 2.5, -0.5, -2.0, math.inf, -math.inf, math.nan, 5e-324]
+    for a in values:
+        for b in values:
+            x = np.array([a, b])
+            expected = bool(np.all((x >= domain._lo) & (x <= domain._hi)))
+            assert domain.contains_unchecked(x) is expected
+            assert domain.contains_unchecked(np.tile(x, (3, 1))) is expected

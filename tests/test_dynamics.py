@@ -2020,3 +2020,15 @@ def test_lyapunov_signs_on_lpa(lpa, lpa_k):
     stabilized = lyapunov_max(lpa, ControlConfig("VMTOC", 0.5, tuple(lpa_k)),
                               np.array([22.0, 27.0, 5.0]), n=2000)
     assert stabilized < 0.0
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 7, 64])
+def test_repeat_fills_rows_as_the_cycle_index_does(p):
+    # the slices of _repeat against out[k] = cycle[(phase + k) % p], for
+    # windows shorter than one period and many periods long
+    cycle = np.random.default_rng(p).standard_normal((p, 3))
+    for n in (0, 1, p - 1, p, p + 1, 2 * p + 1, 50, 400):
+        for phase in range(p):
+            out = np.full((max(n, 0), 3), np.nan)
+            dynamics._repeat(out, cycle, phase)
+            np.testing.assert_array_equal(out, cycle[(phase + np.arange(max(n, 0))) % p])

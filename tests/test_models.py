@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chaosctl import (
+    ControlConfig,
     LpaParams,
     ParamError,
     RickerParams,
@@ -13,6 +14,7 @@ from chaosctl import (
     lpa_map,
     lpa_recruitment_bound,
     ricker_eval,
+    controlled_map,
     ricker_lift,
     spectral_radius,
 )
@@ -260,3 +262,99 @@ def test_float_step_equals_evaluate_bitwise(name):
     # the cases the states were drawn for
     assert np.isnan(batch).any()
     assert np.isinf(batch).any() and (batch == 0.0).any() and np.signbit(batch[batch == 0.0]).any()
+
+
+def _lpa_oracle(p):
+    """The LPA arithmetic as written before it became a compiled formula: a
+    closure that takes ``exp`` and a conversion ``fl`` of exp's result."""
+    b, c_el, c_ea, c_pa = p.b, p.c_el, p.c_ea, p.c_pa
+    keep_l, keep_a = 1.0 - p.mu_l, 1.0 - p.mu_a
+
+    def formula(x, exp=np.exp, fl=float):
+        L, P, A = x[0], x[1], x[2]
+        return (b * A * fl(exp(-c_el * L - c_ea * A)),
+                keep_l * L,
+                P * fl(exp(-c_pa * A)) + A * keep_a)
+
+    return formula
+
+
+def _ricker_oracle(p):
+    """The Ricker lift's arithmetic as :func:`_lpa_oracle` gives the LPA map's."""
+    r, oldest = p.r, p.delay - 1
+
+    def formula(x, exp=np.exp, fl=float):
+        return (x[0] * fl(exp(r - x[oldest])), *x[:-1])
+
+    return formula
+
+
+def _oracle_rows(formula, rows):
+    """The oracle's array form on the components of a batch of rows."""
+    return np.stack([np.broadcast_to(v, rows.shape[:1])
+                     for v in formula(rows.T, np.exp, lambda v: v)], axis=1)
+
+
+_ORACLE_MODELS = {
+    **{name: (lpa_map(p), _lpa_oracle(p)) for name, p in [
+        ("lpa", LpaParams()),
+        ("lpa-other", LpaParams(b=7.25, c_el=0.0213, c_ea=0.0041, c_pa=0.875, mu_l=0.5125,
+                                mu_a=0.1)),
+        ("lpa-no-cannibalism", LpaParams(c_el=0.0, c_ea=0.0, c_pa=0.0))]},
+    **{f"ricker-{d}-r{r}": (ricker_lift(RickerParams(r=r, delay=d)),
+                            _ricker_oracle(RickerParams(r=r, delay=d)))
+       for d in range(2, 14) for r in (-1.5, 2.0, 3.7)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_MODELS))
+def test_formula_equals_the_written_out_arithmetic_bitwise(name):
+    # every form compiled from a formula, against the arithmetic written out
+    # by hand, on signed zeros, infinities, NaN and subnormals
+    model, oracle = _ORACLE_MODELS[name]
+    rows = _wide_states(np.random.default_rng(model.dimension + 40), model.dimension)
+    with np.errstate(all="ignore"):
+        expected = [oracle(tuple(x.tolist())) for x in rows]
+        floats = [model.evaluate_floats(tuple(x.tolist())) for x in rows]
+        alone = np.array([model.evaluate(x) for x in rows])
+        batch = model.evaluate_batch(rows)
+        expected_rows = _oracle_rows(oracle, rows)
+    assert {type(v) for y in floats for v in y} == {float}
+    np.testing.assert_array_equal(_bits(floats), _bits(expected))
+    np.testing.assert_array_equal(_bits(alone), _bits(expected))
+    np.testing.assert_array_equal(_bits(batch), _bits(expected_rows))
+    assert np.isnan(batch).any() and np.isinf(batch).any()
+
+
+def _pulled_oracle(oracle, scheme, c, t):
+    """The controlled float step as a pull written out around ``oracle``:
+    ``ct[j] + keep[j]*v[j]`` after the map or before it."""
+    ct, keep = (np.asarray(c, float) * np.asarray(t, float)).tolist(), 1.0 - np.asarray(c, float)
+    keep = np.broadcast_to(keep, (len(ct),)).tolist()
+
+    def pull(v):
+        return tuple(a + k * w for a, k, w in zip(ct, keep, v))
+
+    if scheme in ("VTOC", "PF"):
+        return lambda x: oracle(pull(x))
+    return lambda x: pull(oracle(x))
+
+
+@pytest.mark.parametrize("scheme", ["VMTOC", "VTOC", "PF", "MPF", "DIAG-VMTOC"])
+@pytest.mark.parametrize("name", ["lpa", "lpa-other", "ricker-2-r2.0", "ricker-3-r3.7",
+                                  "ricker-7-r-1.5", "ricker-13-r2.0"])
+def test_controlled_float_step_equals_the_written_out_pull_bitwise(name, scheme):
+    model, oracle = _ORACLE_MODELS[name]
+    d = model.dimension
+    rng = np.random.default_rng(d + 7)
+    target = tuple(rng.uniform(0.0, 40.0, d))
+    c = tuple(rng.uniform(0.0, 1.0, d)) if scheme == "DIAG-VMTOC" else 0.37
+    g = controlled_map(model, ControlConfig(scheme, c, target))
+    # PF and MPF pull toward 0
+    step = _pulled_oracle(oracle, scheme, c, (0.0,) * d if scheme in ("PF", "MPF") else target)
+    rows = _wide_states(rng, d, n=2000)
+    with np.errstate(all="ignore"):
+        expected = [step(tuple(x.tolist())) for x in rows]
+        floats = [g.evaluate_floats(tuple(x.tolist())) for x in rows]
+    assert {type(y) for y in floats} == {tuple}
+    np.testing.assert_array_equal(_bits(floats), _bits(expected))
