@@ -8,33 +8,33 @@ Five schemes are provided.  With intensity ``c`` and target ``T``:
 * ``PF``         x' = f((1-c)*x)            (proportional culling before)
 * ``DIAG-VMTOC`` x' = C*T + (I-C)*f(x)      (per-component intensities C)
 
-PF and MPF are exactly VTOC and VMTOC with a zero target.  One builder
-writes every form of every scheme's step (single state, batch, tuple of
-floats, Jacobian) from one split, the pull before the map or after it, so
-the reduction and the agreement of the forms are bit-for-bit.  The step on
-a tuple of floats of a model written as a :class:`~chaosctl.core.Formula`,
-as the built-in models are, is that formula with the pull written in,
-compiled once per formula and side of the map, with no call to the base
-step inside it.  For any other model it is one function, compiled once per
-dimension and side of the map, around the base model's float step.
-Either side of the map, the single-state and batch steps check the base
-image: one without the model's dimension, or a batch image without the
-rows' shape, raises ``ValueError``; the batch steps call the base
-``evaluate_batch`` itself, so its image is checked once a step.  A
-control is checked apart from building its maps, so a scan checks its
-control once (``controlled_rows``).
+PF and MPF are exactly VTOC and VMTOC with a zero target.  One unchecked
+builder, ``_controlled``, makes the controlled map of every scheme: the side
+of the map picks which of the pull and the identity runs inside the base
+step and which outside it, once, and every form (single state, batch,
+Jacobian) follows from that pair, so the reduction and the agreement of
+the forms are bit-for-bit.  One array step wraps the base ``evaluate`` and
+``evaluate_batch`` alike and checks the base image: one without the
+input's shape, its last axis the model's dimension, raises ``ValueError``;
+the batch step calls the base ``evaluate_batch`` itself, so its image is
+checked once a step.  One Jacobian scales the rows of the base one by
+``1-c``.  The step on a tuple of floats is
+:func:`~chaosctl.core.pulled_float_step` of the base model's: its formula
+with the pull written in, for the built-in models, or a compiled wrapper
+around its float step.  A control is checked apart from building its maps,
+so a scan checks its control once (``controlled_rows``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, partial
 from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .core import MapModel, ParamError, as_state, check_image, check_jacobian, compiled
+from .core import (MapModel, ParamError, as_state, check_image, check_jacobian,
+                   pulled_float_step)
 
 SCHEMES = ("VMTOC", "VTOC", "PF", "MPF", "DIAG-VMTOC")
 _TARGETLESS = ("PF", "MPF")
@@ -132,40 +132,10 @@ def _checked_target(model: MapModel, cfg: ControlConfig) -> np.ndarray:
     return t
 
 
-@cache
-def _float_step(d: int, after: bool):
-    """``make(f, c_0, ..., c_{d-1}, k_0, ..., k_{d-1})``, which returns the
-    controlled step of a tuple of ``d`` floats through the float step ``f``
-    of a model without a formula, with the pull ``v -> (c_0 + k_0*v_0, ...)``
-    after ``f`` or before it.
-
-    The pull is written out component by component, its constants bound in
-    the closure: a third of the time or less of mapping ``add`` and ``mul``
-    over the tuples, for the same operations in the same order.  After the
-    map, a base image that does not unpack into ``d`` components and add
-    raises ``check_image``'s ``ValueError`` rather than being cut to fit.
-    The source is compiled once per dimension and side, by ``core.compiled``.
-    """
-    cs, ks, vs = ([f"{v}{j}" for j in range(d)] for v in "ckv")
-    unpack, pull = ", ".join(vs), ", ".join(f"{c} + {k} * {v}" for c, k, v in zip(cs, ks, vs))
-    if after:
-        body = (f"        y = f(x)\n"
-                f"        try:\n"
-                f"            {unpack}, = y\n"
-                f"            return ({pull},)\n"
-                f"        except (ValueError, TypeError):\n"
-                f"            check_image(y, ({d},), {d}, 'the base map')\n"
-                f"            raise\n")
-    else:
-        body = f"        {unpack}, = x\n        return f(({pull},))\n"
-    return compiled(f"def make(f, {', '.join(cs + ks)}):\n    def step(x):\n{body}"
-                    f"    return step\n")
-
-
-def _controlled(model: MapModel, scheme: str, c, t: np.ndarray):
-    """``(evaluate, evaluate_batch, evaluate_floats, jacobian)`` of the
-    controlled map: the pull ``y -> c*T + (1-c)*y`` toward ``t`` before the
-    base map (VTOC, PF) or after it (VMTOC, MPF, DIAG-VMTOC).
+def _controlled(model: MapModel, scheme: str, c, t: np.ndarray) -> MapModel:
+    """:func:`controlled_map` at intensity ``c`` toward ``t``, checking
+    nothing: the pull ``y -> c*T + (1-c)*y`` before the base map (VTOC, PF)
+    or after it (VMTOC, MPF, DIAG-VMTOC).
 
     ``c`` is a float, a ``(d,)`` vector of per-component intensities or an
     ``(n, 1)`` column of per-row intensities, for which only
@@ -175,64 +145,46 @@ def _controlled(model: MapModel, scheme: str, c, t: np.ndarray):
     """
     d = model.dimension
     ct, keep = c * t, 1.0 - c
-    f, f_batch, f_floats, f_jac = (model.evaluate, model.evaluate_batch,
-                                   model.evaluate_floats, model.jacobian)
-    vector = isinstance(keep, np.ndarray)
-    # (1-c) scales row i of the Jacobian: a scalar or a (d, 1) column
-    scale = keep.reshape(-1, 1) if vector else keep
-    after = scheme not in ("VTOC", "PF")
-    # the float pull of component j, ct[j] + keep[j]*y[j], is bitwise the
-    # array pull's; a column of intensities steps batches only
-    evaluate_floats = None
-    if ct.ndim == 1:
-        pulls = ct.tolist() + (keep.tolist() if vector else [keep] * d)
-        written = getattr(f_floats, "formula", None)
-        if written is not None:
-            formula, values = written
-            evaluate_floats = formula.bind("after" if after else "before", *values, *pulls)
-        else:
-            evaluate_floats = _float_step(d, after)(f_floats, *pulls)
 
     def pull(y):
         return ct + keep * y
 
-    # the pull, or the batch loop that stores a batch image, would cut an
-    # image of the wrong shape or broadcast it; the base batch step is
-    # called directly, not through evaluate_rows, so its image is checked once;
-    # the (1-c) row scale would broadcast a base Jacobian of the wrong shape
-    sized = partial(check_image, dim=d, what="the base map")
+    def same(y):
+        return y
 
-    if not after:
-        def evaluate(x):
-            return sized(np.asarray(f(pull(np.asarray(x, float))), float), (d,))
+    # the one choice of the side of the map: the pull runs inside the base
+    # map or outside it
+    side, (inner, outer) = (("before", (pull, same)) if scheme in ("VTOC", "PF")
+                            else ("after", (same, pull)))
+    # the pull would cut an image of the wrong shape or broadcast it, so the
+    # base image must have the input's shape with a last axis of d; the base
+    # batch step is called directly, not through evaluate_rows, so it is
+    # checked once
+    def array_step(f):
+        def step(x):
+            x = np.asarray(x, float)
+            y = np.asarray(f(inner(x)), float)
+            return outer(check_image(y, x.shape[:-1] + (d,), d, "the base map"))
+        return step
 
-        def evaluate_batch(rows):
-            return sized(np.asarray(f_batch(pull(rows)), float), rows.shape)
+    # (1-c) scales row i of the Jacobian: a scalar or a (d, 1) column, which
+    # would broadcast a base Jacobian of the wrong shape
+    vector = isinstance(keep, np.ndarray)
+    scale = keep.reshape(-1, 1) if vector else keep
 
-        def jacobian(x):
-            j = np.asarray(f_jac(pull(np.asarray(x, float))), float)
-            return scale * check_jacobian(j, d, "the base map")
+    def jacobian(x):
+        j = np.asarray(model.jacobian(inner(np.asarray(x, float))), float)
+        return scale * check_jacobian(j, d, "the base map")
 
-    else:
-        def evaluate(x):
-            return pull(sized(np.asarray(f(x), float), (d,)))
-
-        def evaluate_batch(rows):
-            return pull(sized(np.asarray(f_batch(rows), float), rows.shape))
-
-        def jacobian(x):
-            return scale * check_jacobian(np.asarray(f_jac(x), float), d, "the base map")
-
-    return evaluate, evaluate_batch, evaluate_floats, jacobian
-
-
-def _controlled_map(model: MapModel, scheme: str, c, t: np.ndarray) -> MapModel:
-    """:func:`controlled_map` at intensity ``c`` toward ``t``, checking nothing."""
-    evaluate, evaluate_batch, evaluate_floats, jacobian = _controlled(model, scheme, c, t)
+    # the float pull of component j, ct[j] + keep[j]*y[j], is bitwise the
+    # array pull's; a column of intensities steps batches only
+    evaluate_floats = None if ct.ndim > 1 else pulled_float_step(
+        model.evaluate_floats, side, ct.tolist() + (keep.tolist() if vector else [keep] * d))
     name = f"{scheme}({model.name})" if model.name else scheme
-    return MapModel(dimension=model.dimension, evaluate=evaluate, domain=model.domain,
+    return MapModel(dimension=d, evaluate=array_step(model.evaluate), domain=model.domain,
                     name=name, jacobian=jacobian if model.jacobian is not None else None,
-                    evaluate_batch=evaluate_batch if model.evaluate_batch is not None else None,
+                    evaluate_batch=(array_step(model.evaluate_batch)
+                                    if model.evaluate_batch is not None else None),
                     evaluate_floats=evaluate_floats)
 
 
@@ -252,7 +204,7 @@ def controlled_map(model: MapModel, cfg: ControlConfig) -> MapModel:
     """
     t = _checked_target(model, cfg)
     c = cfg.intensity if cfg.is_scalar else cfg.intensity_vector(model.dimension)
-    return _controlled_map(model, cfg.scheme, c, t)
+    return _controlled(model, cfg.scheme, c, t)
 
 
 def controlled_rows(model: MapModel, scheme: str, target, intensities):
@@ -274,10 +226,10 @@ def controlled_rows(model: MapModel, scheme: str, target, intensities):
     t, cs = _checked_target(model, cfg), column.ravel().tolist()
 
     def step_for(rows):
-        return _controlled(model, scheme, column[rows], t)[1]
+        return _controlled(model, scheme, column[rows], t).evaluate_batch
 
     def map_at(r):
-        return _controlled_map(model, scheme, cs[r], t)
+        return _controlled(model, scheme, cs[r], t)
 
     return step_for, map_at
 

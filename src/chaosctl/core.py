@@ -8,6 +8,9 @@ may be infinite; a state holding NaN lies outside every domain.  A
 :class:`Formula` writes a map once, as component expressions, and compiles
 every form of it: the step of a tuple of floats, the step of arrays, and
 the steps with a pull before or after the map fused in.
+:func:`pulled_float_step` writes a control's pull into any float step:
+fused into its formula when it has one, and around it otherwise; this
+module alone writes those pulls.
 """
 
 from __future__ import annotations
@@ -264,11 +267,18 @@ class Formula:
 
     def float_step(self, values: tuple):
         """The ``"floats"`` step at ``values``, which carries ``(self,
-        values)`` as its ``formula``, so that a control can fuse its pull
-        in."""
+        values)`` as its ``formula``, so that :func:`pulled_float_step`
+        can fuse a pull in."""
         step = self.bind("floats", *values)
         step.formula = self, values
         return step
+
+
+def _step_maker(params: list, body: list):
+    """``make(*params)``, which returns ``step(x)`` running the source lines
+    ``body``; every compiled step shares this header."""
+    return compiled(f"def make({', '.join(params)}):\n    def step(x):\n"
+                    + "".join(f"        {line}\n" for line in body) + "    return step\n")
 
 
 @cache
@@ -290,8 +300,41 @@ def _formula_maker(formula: Formula, form: str):
     image = ([f"{p}({v})" for p, v in zip(pull, formula.components)] if form == "after"
              else list(formula.components))
     body.append(f"return ({', '.join(image)},)")
-    return compiled(f"def make({', '.join(params)}):\n    def step(x):\n"
-                    + "".join(f"        {line}\n" for line in body) + "    return step\n")
+    return _step_maker(params, body)
+
+
+@cache
+def _wrapper_maker(d: int, side: str):
+    """``make(f, c_0, ..., c_{d-1}, k_0, ..., k_{d-1})``, which returns the
+    float step ``f`` of ``d`` components with the pull written out ``side``
+    of it, its constants bound in the closure: a third of the time or less
+    of mapping ``add`` and ``mul`` over the tuples, for the same operations
+    in the same order.  After the map, a base image that does not unpack
+    into ``d`` components and add raises ``check_image``'s ``ValueError``
+    rather than being cut to fit."""
+    xs = ", ".join(f"x{j}" for j in range(d))
+    pulled = ", ".join(f"c{j} + k{j} * x{j}" for j in range(d))
+    body = ([f"{xs}, = x", f"return f(({pulled},))"] if side == "before" else
+            ["y = f(x)", "try:", f"    {xs}, = y", f"    return ({pulled},)",
+             "except (ValueError, TypeError):", f"    check_image(y, ({d},), {d}, 'the base map')",
+             "    raise"])
+    return _step_maker(["f"] + [f"{v}{j}" for v in "ck" for j in range(d)], body)
+
+
+def pulled_float_step(step: Callable, side: str, pulls: list) -> Callable:
+    """The float step ``step`` of ``d`` components with the pull ``v -> (c_0
+    + k_0*v_0, ...)`` written in ``side`` of it, ``"after"`` or
+    ``"before"``; ``pulls`` holds the ``2d`` values of ``c`` and then ``k``.
+
+    A step that :meth:`Formula.float_step` made is its formula's ``side``
+    form, with no call to ``step``; any other runs inside a wrapper compiled
+    once per dimension and side.
+    """
+    written = getattr(step, "formula", None)
+    if written is not None:
+        formula, values = written
+        return formula.bind(side, *values, *pulls)
+    return _wrapper_maker(len(pulls) // 2, side)(step, *pulls)
 
 
 @dataclass(frozen=True)
@@ -310,7 +353,7 @@ class MapModel:
     every model has the one lone step form: every lone orbit steps through
     it, and a fresh batch of any model hands its last six rows to it.  A
     float step made by :meth:`Formula.float_step` carries its formula, into
-    which a control writes its pull (:mod:`chaosctl.controls`).  Both
+    which :func:`pulled_float_step` writes a control's pull.  Both
     must agree with ``evaluate`` bit for bit, a batch row for row (``-0.0``,
     infinities and NaN included): :mod:`chaosctl.dynamics` runs an orbit
     through whichever suits it.  ``jacobian`` maps a state to its

@@ -70,10 +70,14 @@ def _check_fields(params, rules) -> None:
             raise ParamError(name, f"{name} must {rule}, got {value}")
 
 
-def _on_arrays(step, x) -> np.ndarray:
+def _on_arrays(step, x, d: int) -> np.ndarray:
     """The array step ``step`` of one state ``(d,)`` or of an ``(n, d)``
-    array of states, as an array."""
+    array of states, as an array; a last axis of another length, which
+    the step would cut or fail on, raises ``ValueError``."""
     x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (d,):
+        raise ValueError(f"dimension mismatch: expected {d} components, "
+                         f"got an array of shape {x.shape}")
     # the transpose puts the component axis first: for one state the
     # components are numpy scalars, for a batch they are columns
     out = np.empty_like(x)
@@ -107,7 +111,7 @@ _LPA_ARRAYS = _LPA.maker("arrays")
 
 def lpa_eval(p: LpaParams, x) -> np.ndarray:
     """The LPA map of one state ``(3,)`` or of an ``(n, 3)`` array of states."""
-    return _on_arrays(_LPA_ARRAYS(*_lpa_values(p)), x)
+    return _on_arrays(_LPA_ARRAYS(*_lpa_values(p)), x, 3)
 
 
 def lpa_jacobian(p: LpaParams, x) -> np.ndarray:
@@ -136,19 +140,29 @@ def lpa_recruitment_bound(p: LpaParams) -> float:
     return p.b / (math.e * p.c_ea)
 
 
+def _built_in(name: str, p, formula: Formula, values: tuple) -> MapModel:
+    """The built-in model ``name`` at the parameters ``p`` on the
+    nonnegative orthant, its float step ``formula`` at ``values``.  Its
+    ``evaluate``, also its ``evaluate_batch``, and its ``jacobian`` call
+    ``<name>_eval`` and ``<name>_jacobian`` of this module, looked up at
+    each call, so that a hook set on either name sees every call."""
+    d, space = len(formula.components), globals()
+
+    def calling(function: str):
+        def call(x):
+            return space[function](p, x)
+        return call
+
+    evaluate = calling(f"{name}_eval")
+    return MapModel(dimension=d, evaluate=evaluate, domain=DomainSpec.nonnegative_orthant(d),
+                    jacobian=calling(f"{name}_jacobian"), name=name, evaluate_batch=evaluate,
+                    evaluate_floats=formula.float_step(values))
+
+
 def lpa_map(p: LpaParams | None = None) -> MapModel:
     """The LPA model as a ``MapModel`` on the nonnegative orthant."""
     p = p or LpaParams()
-
-    def evaluate(x):
-        return lpa_eval(p, x)
-
-    def jacobian(x):
-        return lpa_jacobian(p, x)
-
-    return MapModel(dimension=3, evaluate=evaluate, domain=DomainSpec.nonnegative_orthant(3),
-                    jacobian=jacobian, name="lpa", evaluate_batch=evaluate,
-                    evaluate_floats=_LPA.float_step(_lpa_values(p)))
+    return _built_in("lpa", p, _LPA, _lpa_values(p))
 
 
 @dataclass(frozen=True)
@@ -182,7 +196,7 @@ def _ricker_formula(delay: int) -> Formula:
 
 def ricker_eval(p: RickerParams, x) -> np.ndarray:
     """The Ricker lift of one state ``(delay,)`` or of an ``(n, delay)`` array of states."""
-    return _on_arrays(_ricker_formula(p.delay).bind("arrays", p.r), x)
+    return _on_arrays(_ricker_formula(p.delay).bind("arrays", p.r), x, p.delay)
 
 
 def ricker_jacobian(p: RickerParams, x) -> np.ndarray:
@@ -198,14 +212,4 @@ def ricker_jacobian(p: RickerParams, x) -> np.ndarray:
 
 def ricker_lift(p: RickerParams) -> MapModel:
     """The delayed Ricker recursion as a first-order system of dimension ``delay``."""
-
-    def evaluate(x):
-        return ricker_eval(p, x)
-
-    def jacobian(x):
-        return ricker_jacobian(p, x)
-
-    return MapModel(dimension=p.delay, evaluate=evaluate,
-                    domain=DomainSpec.nonnegative_orthant(p.delay),
-                    jacobian=jacobian, name="ricker", evaluate_batch=evaluate,
-                    evaluate_floats=_ricker_formula(p.delay).float_step((p.r,)))
+    return _built_in("ricker", p, _ricker_formula(p.delay), (p.r,))

@@ -483,13 +483,13 @@ def test_lyapunov_rejects_a_raising_jacobian(tmp_path, monkeypatch, capsys):
 ])
 def test_a_controlled_command_builds_its_map_once(tmp_path, monkeypatch, command, builds):
     built = []
-    build = controls._controlled_map
+    build = controls._controlled
 
     def spy(*args):
         built.append(args)
         return build(*args)
 
-    monkeypatch.setattr(controls, "_controlled_map", spy)
+    monkeypatch.setattr(controls, "_controlled", spy)
     rc = run_cli(tmp_path, command, "--out", "once", "--set", "control.scheme=VMTOC",
                  "--set", "control.intensity=0.4", "--set", _K_TARGET,
                  "--set", "run.x0=20,20,5", "--set", "run.lyapunov_steps=1000",

@@ -15,7 +15,7 @@ from chaosctl import (
     controlled_map,
     target_for_state,
 )
-from chaosctl import controls, core
+from chaosctl import core, models
 from chaosctl.controls import ControlConfigError, controlled_rows
 from chaosctl.models import LpaParams, RickerParams, lpa_eval, lpa_jacobian, lpa_map, ricker_lift
 
@@ -293,6 +293,44 @@ def test_controlled_map_jacobian_chain_rule(lpa):
                                    rtol=2e-5, atol=1e-8)
 
 
+@pytest.mark.parametrize("scheme", ["VMTOC", "VTOC"])
+def test_controlled_array_steps_reject_states_without_the_model_dimension(scheme):
+    # a base map that keeps the shape of any input would let the pull
+    # broadcast a 1-D map over a state of four components
+    def half(x):
+        return 0.5 * np.asarray(x, float)
+
+    base = MapModel(dimension=1, evaluate=half, evaluate_batch=half,
+                    domain=DomainSpec.full_space(1))
+    g = controlled_map(base, ControlConfig(scheme, 0.3, (0.0,)))
+    for step, x in ((g.evaluate, np.ones(4)), (g.evaluate_batch, np.ones((2, 4)))):
+        with pytest.raises(ValueError) as err:
+            step(x)
+        assert str(err.value) == (f"the base map gave an image of shape {x.shape}, "
+                                  f"but the model has dimension 1")
+
+
+@pytest.mark.parametrize("scheme", ["VMTOC", "VTOC", "PF", "MPF", "DIAG-VMTOC"])
+@pytest.mark.parametrize("model, target", [(lpa_map(), (30.0, 200.0, 30.0)),
+                                           (ricker_lift(RickerParams(r=2.0, delay=3)),
+                                            (1.0, 2.0, 3.0))], ids=["lpa", "ricker-3"])
+def test_controlled_jacobian_equals_the_written_out_row_scale_bitwise(model, target, scheme):
+    # (1-c)*J(x) after the map, (1-c)*J(c*T + (1-c)*x) before it; under
+    # DIAG-VMTOC (1-c_i) scales row i
+    d = model.dimension
+    rng = np.random.default_rng(29)
+    c = rng.uniform(0.0, 1.0, d) if scheme == "DIAG-VMTOC" else 0.37
+    g = controlled_map(model, ControlConfig(scheme, c, target))
+    t = np.zeros(d) if scheme in ("PF", "MPF") else np.array(target)
+    keep = np.reshape(1.0 - c, (-1, 1))
+    rows = rng.uniform(0.0, 60.0, (300, d)) * rng.choice([0.0, 1e-3, 1.0, 20.0], (300, d))
+    for x in rows:
+        base = model.jacobian(c * t + (1.0 - c) * x if scheme in ("VTOC", "PF") else x)
+        expected = keep * base
+        assert g.jacobian(x).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+        assert g.jacobian_at(x).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
 @pytest.mark.parametrize("scheme, intensity", [("DIAG-VMTOC", (0.3, 0.4, 0.5)),
                                                ("VMTOC", 0.3), ("VTOC", 0.3)])
 def test_controlled_jacobian_rejects_a_base_jacobian_of_the_wrong_shape(lpa, scheme, intensity):
@@ -436,25 +474,26 @@ def test_controlled_float_step_equals_evaluate_bitwise_in_every_dimension(scheme
     assert np.isnan(alone).any() and np.isinf(alone).any()
 
 
-@pytest.mark.parametrize("scheme, after", [("VMTOC", True), ("MPF", True), ("DIAG-VMTOC", True),
-                                           ("VTOC", False), ("PF", False)],
+@pytest.mark.parametrize("scheme, side", [("VMTOC", "after"), ("MPF", "after"),
+                                          ("DIAG-VMTOC", "after"), ("VTOC", "before"),
+                                          ("PF", "before")],
                          ids=["VMTOC", "MPF", "DIAG-VMTOC", "VTOC", "PF"])
-def test_controlled_maps_of_one_dimension_keep_their_own_constants(scheme, after):
+def test_controlled_maps_of_one_dimension_keep_their_own_constants(scheme, side):
     # a controlled float step is compiled once per formula and side of the
     # map, fused with the formula, and once per dimension and side around
     # the float step of a model without one; its constants are each map's own
     model = ricker_lift(RickerParams(r=2.0, delay=3))
     plugin = MapModel(dimension=3, evaluate=model.evaluate, domain=model.domain)
     other = ricker_lift(RickerParams(r=2.5, delay=3))
+    other_side = "before" if side == "after" else "after"
 
     def config(c, target):
         return ControlConfig(scheme, (c, c / 2, c / 3) if scheme == "DIAG-VMTOC" else c, target)
 
-    formula, form = model.evaluate_floats.formula[0], "after" if after else "before"
-    assert other.evaluate_floats.formula[0] is formula
-    for base, make in [(model, core._formula_maker(formula, form)),
-                       (other, core._formula_maker(formula, form)),
-                       (plugin, controls._float_step(3, after))]:
+    formula = models._ricker_formula(3)
+    for base, make in [(model, core._formula_maker(formula, side)),
+                       (other, core._formula_maker(formula, side)),
+                       (plugin, core._wrapper_maker(3, side))]:
         maps = [controlled_map(base, config(0.2, (1.0, 2.0, 3.0))),
                 controlled_map(base, config(0.6, (3.0, 1.0, 2.0)))]
         y = (0.5, 1.5, 2.5)
@@ -467,11 +506,11 @@ def test_controlled_maps_of_one_dimension_keep_their_own_constants(scheme, after
         assert [g.evaluate_floats(y) for g in maps] == steps
         # one code object, compiled once, for every map of the formula or dimension
         assert {g.evaluate_floats.__code__ for g in maps} <= set(make.__code__.co_consts)
-    assert core._formula_maker(formula, form) is core._formula_maker(formula, form)
-    assert controls._float_step(3, after) is controls._float_step(3, after)
-    assert (core._formula_maker(formula, form).__code__
-            is not core._formula_maker(formula, "before" if after else "after").__code__)
-    assert controls._float_step(3, after) is not controls._float_step(3, not after)
+    assert core._formula_maker(formula, side) is core._formula_maker(formula, side)
+    assert core._wrapper_maker(3, side) is core._wrapper_maker(3, side)
+    assert (core._formula_maker(formula, side).__code__
+            is not core._formula_maker(formula, other_side).__code__)
+    assert core._wrapper_maker(3, side) is not core._wrapper_maker(3, other_side)
     assert controlled_map(model, config(0.2, (1.0, 2.0, 3.0))).evaluate_floats(y) != (
         controlled_map(other, config(0.2, (1.0, 2.0, 3.0))).evaluate_floats(y))
 

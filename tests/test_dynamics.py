@@ -1940,13 +1940,13 @@ def test_lyapunov_matches_per_step_loop(kind, scheme):
 
 def test_lyapunov_builds_its_controlled_map_once(monkeypatch):
     model, cfg = lpa_map(), ControlConfig("VMTOC", 0.4, (28.0120, 22.4096, 4.6251))
-    x0, built, build = [22.0, 27.0, 5.0], [], controls._controlled_map
+    x0, built, build = [22.0, 27.0, 5.0], [], controls._controlled
 
     def spy(*args):
         built.append(args)
         return build(*args)
 
-    monkeypatch.setattr(controls, "_controlled_map", spy)
+    monkeypatch.setattr(controls, "_controlled", spy)
     lam = lyapunov_max(model, cfg, x0, n=1000)
     assert len(built) == 1
     assert lam == lyapunov_max(controlled_map(model, cfg), None, x0, n=1000)

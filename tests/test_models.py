@@ -187,6 +187,23 @@ def test_batched_models_match_single_state_evaluation():
             np.testing.assert_array_equal(y, evaluate(p, x))
 
 
+@pytest.mark.parametrize("shape", ["state", "batch"])
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+@pytest.mark.parametrize("model", [lpa_map(), ricker_lift(RickerParams(r=2.0, delay=3))],
+                         ids=["lpa", "ricker-3"])
+def test_built_in_array_forms_reject_a_state_of_the_wrong_length(model, extra, shape):
+    # a too-long state would leave its last entries unset, a too-short one
+    # would fail on numpy's IndexError
+    d = model.dimension
+    x = np.append(np.arange(1.0, d + extra), 1e300)
+    x = np.tile(x, (4, 1)) if shape == "batch" else x
+    for step in (model.evaluate, model.evaluate_batch):
+        with pytest.raises(ValueError) as err:
+            step(x)
+        assert str(err.value) == (f"dimension mismatch: expected {d} components, "
+                                  f"got an array of shape {x.shape}")
+
+
 # --- the float step -----------------------------------------------------------
 
 # Each built-in formula is written once, on components, and runs on numpy
