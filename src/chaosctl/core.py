@@ -6,8 +6,8 @@ states can be shared freely between threads; map evaluation is expected to
 be a pure function of its input.  A domain is a closed box whose bounds
 may be infinite; a state holding NaN lies outside every domain.  A
 :class:`Formula` writes a map once, as component expressions, and compiles
-every form of it: the step of a tuple of floats, the step of arrays, and
-the steps with a pull before or after the map fused in.
+every form of it: the step of a tuple of floats, the step of arrays, the
+steps with a pull before or after the map fused in, and the Jacobian.
 :func:`pulled_float_step` writes a control's pull into any float step:
 fused into its formula when it has one, and around it otherwise; this
 module alone writes those pulls.
@@ -221,9 +221,10 @@ def compiled(source: str):
     """The function ``make`` that the Python ``source`` defines, compiled
     once per source and kept, as ``dataclasses`` builds ``__init__``:
     compiling it for each map would cost more than a chained scan point's
-    whole orbit.  In ``source``, ``exp`` is ``np.exp``; a warning raised
-    in it names the file ``<chaosctl compiled step>``."""
-    namespace = {"exp": np.exp, "check_image": check_image}
+    whole orbit.  In ``source``, ``exp`` is ``np.exp`` and ``zeros`` is
+    ``np.zeros``; a warning raised in it names the file ``<chaosctl
+    compiled step>``."""
+    namespace = {"exp": np.exp, "math": math, "zeros": np.zeros, "check_image": check_image}
     exec(compile(source, "<chaosctl compiled step>", "exec"), namespace)
     return namespace["make"]
 
@@ -235,9 +236,10 @@ class Formula:
     ``components`` holds the ``d`` components of the image, and ``exps``
     the arguments of the exponentials ``e0, e1, ...`` they use, each an
     expression in the state's components ``x0, x1, ...``, the constants
-    named in ``names`` and the earlier exponentials.  Every form is compiled
-    from these once per formula and kept; :meth:`bind` binds it to the
-    constants' values:
+    named in ``names`` and the earlier exponentials.  ``jacobian`` holds
+    the nonzero entries ``(i, j, expression)`` of the ``d x d`` Jacobian, in
+    the same names.  Every form is compiled from these once per formula and
+    kept; :meth:`bind` binds it to the constants' values:
 
     * ``"floats"`` steps a tuple of Python floats to the tuple of its
       image's.  An exponential is ``np.exp`` converted by ``float``, which
@@ -248,6 +250,13 @@ class Formula:
     * ``"after"`` and ``"before"`` step floats as ``"floats"`` does, with
       the pull ``v -> (c0 + k0*v0, ...)`` written in after the map or
       before it; the ``2d`` values of ``c`` and ``k`` follow the constants'.
+    * ``"jacobian"`` takes the components of one state as a sequence of
+      Python floats and writes the entries of ``jacobian`` into a zero
+      ``(d, d)`` array.  Its exponentials are ``math.exp``: ``np.exp``
+      may differ in the last bit, which moves the last digits of the
+      sampled ``bound_A`` and of ``lyapunov_max``.  It keeps ``math.exp``
+      until a batched form, the same entries on columns with ``np.exp``,
+      replaces it and documents each digit that moves.
 
     A formula compares by identity.
     """
@@ -255,6 +264,7 @@ class Formula:
     names: tuple
     exps: tuple
     components: tuple
+    jacobian: tuple
 
     def maker(self, form: str):
         """``make(*values)``, which returns the step of ``form`` with the
@@ -288,15 +298,16 @@ def _formula_maker(formula: Formula, form: str):
     xs, pull = [f"x{j}" for j in range(d)], [f"c{j} + k{j} * " for j in range(d)]
     params = list(formula.names) + ([f"{v}{j}" for v in "ck" for j in range(d)]
                                     if form in ("after", "before") else [])
-    if form == "arrays":
-        # indexing, not unpacking, which would iterate an array slowly
-        body = [f"x{j} = x[{j}]" for j in range(d)]
-        body += [f"e{i} = exp({arg})" for i, arg in enumerate(formula.exps)]
-    else:
-        body = [f"{', '.join(xs)}, = x"]
-        if form == "before":
-            body.append(f"{', '.join(xs)}, = {', '.join(p + x for p, x in zip(pull, xs))},")
-        body += [f"e{i} = float(exp({arg}))" for i, arg in enumerate(formula.exps)]
+    # an array is indexed, not unpacked, which would iterate it slowly
+    body = [f"x{j} = x[{j}]" for j in range(d)] if form == "arrays" else [f"{', '.join(xs)}, = x"]
+    if form == "before":
+        body.append(f"{', '.join(xs)}, = {', '.join(p + x for p, x in zip(pull, xs))},")
+    exp = {"arrays": "exp({})", "jacobian": "math.exp({})"}.get(form, "float(exp({}))")
+    body += [f"e{i} = {exp.format(arg)}" for i, arg in enumerate(formula.exps)]
+    if form == "jacobian":
+        body += [f"jac = zeros(({d}, {d}))",
+                 *(f"jac[{i}, {j}] = {v}" for i, j, v in formula.jacobian), "return jac"]
+        return _step_maker(params, body)
     image = ([f"{p}({v})" for p, v in zip(pull, formula.components)] if form == "after"
              else list(formula.components))
     body.append(f"return ({', '.join(image)},)")

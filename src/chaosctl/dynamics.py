@@ -248,9 +248,8 @@ def _iterate_batch(step_for, x: np.ndarray, domain: DomainSpec, n_transient: int
                 same = (bits[:-1, i] == bits[-1, i]).all(axis=1)
                 if same.any():
                     # the smallest lag of a match: its p states repeat forever
-                    p = int(same[::-1].argmax()) + 1
-                    rest = np.arange(max(stop, n_transient), total)
-                    kept[rest - n_transient, rows[i]] = block[size - p + (rest - stop) % p, i]
+                    p, first = int(same[::-1].argmax()) + 1, max(stop, n_transient)
+                    _repeat(kept[first - n_transient:, rows[i]], block[-p:, i], (first - stop) % p)
                     stay[i] = False
         x = y
         if not stay.all():

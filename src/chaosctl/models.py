@@ -7,24 +7,28 @@ Two models ship with the package:
 * the delayed Ricker map, lifted from a scalar higher-order recursion to a
   first-order system via a delay line.
 
-Both expose an analytic Jacobian and self-map the nonnegative orthant.
-Each map is written once, as a :class:`~chaosctl.core.Formula` of
-component expressions over named constants, and every float form is
-compiled from it once per formula and form, its constants passed as
-arguments: the model's float step, its array form, and the fused
-controlled steps of :mod:`chaosctl.controls`.  The float step runs
-``np.exp``, which gives a Python float bitwise the value it gives an array
-element, converted by ``float``, which keeps those bits, so the rest is
-IEEE arithmetic on Python floats.  The array form takes numpy columns or
-the components of one state ``(d,)``, so a row of a batch, one state alone
-and a tuple of floats all have bitwise the same image.
+Both self-map the nonnegative orthant.  Each map is written once, as a
+:class:`~chaosctl.core.Formula` of component expressions over named
+constants, with the nonzero entries of its Jacobian in the same names, and
+every form is compiled from it once per formula and form, its constants
+passed as arguments: the model's float step, its array form, the fused
+controlled steps of :mod:`chaosctl.controls`, and its analytic Jacobian,
+bound once per parameter set.  The float step runs ``np.exp``, which
+gives a Python float bitwise the value it gives an array element,
+converted by ``float``, which keeps those bits, so the rest is IEEE
+arithmetic on Python floats.  The array form takes numpy columns or the
+components of one state ``(d,)``, so a row of a batch, one state alone
+and a tuple of floats all have bitwise the same image.  The Jacobian runs
+``math.exp`` on one state's floats.  A state of another length raises
+``ValueError`` in every form, in :func:`_states`' words in the array
+forms and the Jacobians.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -70,14 +74,21 @@ def _check_fields(params, rules) -> None:
             raise ParamError(name, f"{name} must {rule}, got {value}")
 
 
-def _on_arrays(step, x, d: int) -> np.ndarray:
-    """The array step ``step`` of one state ``(d,)`` or of an ``(n, d)``
-    array of states, as an array; a last axis of another length, which
-    the step would cut or fail on, raises ``ValueError``."""
+def _states(x, d: int) -> np.ndarray:
+    """``x`` as a float array of one state ``(d,)`` or of states ``(n,
+    d)``; a last axis of another length, which a form would cut or fail
+    on, raises ``ValueError``."""
     x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (d,):
+    if x.ndim == 0 or x.shape[-1] != d:
         raise ValueError(f"dimension mismatch: expected {d} components, "
                          f"got an array of shape {x.shape}")
+    return x
+
+
+def _on_arrays(step, x, d: int) -> np.ndarray:
+    """The array step ``step`` of one state ``(d,)`` or of an ``(n, d)``
+    array of states, as an array, the states checked by :func:`_states`."""
+    x = _states(x, d)
     # the transpose puts the component axis first: for one state the
     # components are numpy scalars, for a batch they are columns
     out = np.empty_like(x)
@@ -94,10 +105,13 @@ def _on_arrays(step, x, d: int) -> np.ndarray:
 #     A' = P*exp(-c_pa*A) + A*(1 - mu_a)
 #
 # With nonnegative input every exponent argument is <= 0, so the evaluation
-# cannot overflow.
+# cannot overflow.  The Jacobian's entries (0,1), (1,1), (1,2) and (2,0)
+# vanish identically, and entry (1,0) is 1 - mu_l exactly.
 _LPA = Formula(names=("b", "c_el", "c_ea", "c_pa", "keep_l", "keep_a"),
                exps=("-c_el * x0 - c_ea * x2", "-c_pa * x2"),
-               components=("b * x2 * e0", "keep_l * x0", "x1 * e1 + x2 * keep_a"))
+               components=("b * x2 * e0", "keep_l * x0", "x1 * e1 + x2 * keep_a"),
+               jacobian=((0, 0, "-b * c_el * x2 * e0"), (0, 2, "b * (1.0 - c_ea * x2) * e0"),
+                         (1, 0, "keep_l"), (2, 1, "e1"), (2, 2, "keep_a - c_pa * x1 * e1")))
 
 
 def _lpa_values(p: LpaParams) -> tuple:
@@ -114,20 +128,18 @@ def lpa_eval(p: LpaParams, x) -> np.ndarray:
     return _on_arrays(_LPA_ARRAYS(*_lpa_values(p)), x, 3)
 
 
-def lpa_jacobian(p: LpaParams, x) -> np.ndarray:
-    """Analytic Jacobian of the LPA map.
+@lru_cache(maxsize=128)
+def _lpa_jacobian_form(p: LpaParams):
+    """``_LPA``'s ``"jacobian"`` form at ``p``, bound once per parameter
+    set.  Sets that compare equal share it, so ``c_el = -0.0`` may give
+    entry (0, 0) the sign of zero that ``c_el = 0.0`` gives."""
+    return _LPA.bind("jacobian", *_lpa_values(p))
 
-    Zero pattern: entries (0,1), (1,1), (1,2) and (2,0) vanish identically,
-    and entry (1,0) equals 1 - mu_l exactly.
-    """
-    L, P, A = float(x[0]), float(x[1]), float(x[2])
-    e_rec = math.exp(-p.c_el * L - p.c_ea * A)
-    e_pa = math.exp(-p.c_pa * A)
-    return np.array([
-        [-p.b * p.c_el * A * e_rec, 0.0, p.b * (1.0 - p.c_ea * A) * e_rec],
-        [1.0 - p.mu_l, 0.0, 0.0],
-        [0.0, e_pa, 1.0 - p.mu_a - p.c_pa * P * e_pa],
-    ])
+
+def lpa_jacobian(p: LpaParams, x) -> np.ndarray:
+    """The Jacobian ``(3, 3)`` of the LPA map at one state ``(3,)``, checked
+    by :func:`_states`."""
+    return _lpa_jacobian_form(p)(_states(x, 3).tolist())
 
 
 def lpa_recruitment_bound(p: LpaParams) -> float:
@@ -191,7 +203,9 @@ def _ricker_formula(delay: int) -> Formula:
     recursion u[n+1] = u[n]*exp(r - u[n-delay+1]).
     """
     return Formula(names=("r",), exps=(f"r - x{delay - 1}",),
-                   components=("x0 * e0", *(f"x{j}" for j in range(delay - 1))))
+                   components=("x0 * e0", *(f"x{j}" for j in range(delay - 1))),
+                   jacobian=((0, 0, "e0"), (0, delay - 1, "-x0 * e0"),
+                             *((i, i - 1, "1.0") for i in range(1, delay))))
 
 
 def ricker_eval(p: RickerParams, x) -> np.ndarray:
@@ -199,15 +213,18 @@ def ricker_eval(p: RickerParams, x) -> np.ndarray:
     return _on_arrays(_ricker_formula(p.delay).bind("arrays", p.r), x, p.delay)
 
 
+@lru_cache(maxsize=128)
+def _ricker_jacobian_form(delay: int, r: float):
+    """The ``"jacobian"`` form of the lift of ``delay`` at ``r``, bound once
+    per parameter set; keyed on the two numbers, which hash in less time
+    than a ``RickerParams``."""
+    return _ricker_formula(delay).bind("jacobian", r)
+
+
 def ricker_jacobian(p: RickerParams, x) -> np.ndarray:
-    d = p.delay
-    growth = math.exp(p.r - float(x[d - 1]))
-    out = np.zeros((d, d))
-    out[0, 0] = growth
-    out[0, d - 1] = -float(x[0]) * growth
-    for i in range(1, d):
-        out[i, i - 1] = 1.0
-    return out
+    """The Jacobian ``(delay, delay)`` of the Ricker lift at one state
+    ``(delay,)``, checked by :func:`_states`."""
+    return _ricker_jacobian_form(p.delay, p.r)(_states(x, p.delay).tolist())
 
 
 def ricker_lift(p: RickerParams) -> MapModel:

@@ -18,6 +18,7 @@ from chaosctl import (
     ricker_lift,
     spectral_radius,
 )
+from chaosctl.analysis import box_samples
 
 from conftest import LPA_FIXED_POINT
 
@@ -204,6 +205,21 @@ def test_built_in_array_forms_reject_a_state_of_the_wrong_length(model, extra, s
                                   f"got an array of shape {x.shape}")
 
 
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+@pytest.mark.parametrize("model", [lpa_map(), ricker_lift(RickerParams(r=2.0, delay=3))],
+                         ids=["lpa", "ricker-3"])
+def test_built_in_jacobians_reject_a_state_of_the_wrong_length(model, extra):
+    # a Jacobian that indexes its components would ignore a too-long state's
+    # last entry, and fail on numpy's IndexError for a too-short one
+    d = model.dimension
+    x = np.append(np.arange(1.0, d + extra), 1e300)
+    for jacobian in (model.jacobian, model.jacobian_at):
+        with pytest.raises(ValueError) as err:
+            jacobian(x)
+        assert str(err.value) == (f"dimension mismatch: expected {d} components, "
+                                  f"got an array of shape {x.shape}")
+
+
 # --- the float step -----------------------------------------------------------
 
 # Each built-in formula is written once, on components, and runs on numpy
@@ -375,3 +391,68 @@ def test_controlled_float_step_equals_the_written_out_pull_bitwise(name, scheme)
         floats = [g.evaluate_floats(tuple(x.tolist())) for x in rows]
     assert {type(y) for y in floats} == {tuple}
     np.testing.assert_array_equal(_bits(floats), _bits(expected))
+
+
+# --- the Jacobian form ----------------------------------------------------------
+
+
+def _lpa_jacobian_oracle(p, x):
+    """The LPA Jacobian written out by hand, on ``math.exp``."""
+    L, P, A = float(x[0]), float(x[1]), float(x[2])
+    e_rec = math.exp(-p.c_el * L - p.c_ea * A)
+    e_pa = math.exp(-p.c_pa * A)
+    return np.array([
+        [-p.b * p.c_el * A * e_rec, 0.0, p.b * (1.0 - p.c_ea * A) * e_rec],
+        [1.0 - p.mu_l, 0.0, 0.0],
+        [0.0, e_pa, 1.0 - p.mu_a - p.c_pa * P * e_pa],
+    ])
+
+
+def _ricker_jacobian_oracle(p, x):
+    """The Ricker lift's Jacobian written out by hand, on ``math.exp``."""
+    d = p.delay
+    growth = math.exp(p.r - float(x[d - 1]))
+    out = np.zeros((d, d))
+    out[0, 0] = growth
+    out[0, d - 1] = -float(x[0]) * growth
+    for i in range(1, d):
+        out[i, i - 1] = 1.0
+    return out
+
+
+_JACOBIAN_MODELS = {
+    **{name: (lpa_map(p), p, _lpa_jacobian_oracle, 300.0) for name, p in [
+        ("lpa", LpaParams()), ("lpa-c_pa-0", LpaParams(c_pa=0.0)),
+        ("lpa-c_el-0", LpaParams(c_el=0.0))]},
+    **{f"ricker-{d}-r{r}": (ricker_lift(RickerParams(r=r, delay=d)), RickerParams(r=r, delay=d),
+                            _ricker_jacobian_oracle, 8.0)
+       for d in (*range(2, 14), 60) for r in (-1.5, 2.0, 3.7)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_JACOBIAN_MODELS))
+def test_formula_jacobians_equal_the_written_out_jacobians_bitwise(name):
+    # the Jacobian compiled from the map's formula, alone and under every
+    # control scheme, against the one written out by hand
+    model, p, oracle, hi = _JACOBIAN_MODELS[name]
+    d = model.dimension
+    rng = np.random.default_rng(d + 90)
+    # box states and Halton states (with the corners for d <= 12), 0, and
+    # states with a zero or a negative zero component
+    box = rng.uniform(0.0, hi, (200, d))
+    edge = box[:40].copy()
+    edge[np.arange(40), np.arange(40) % d] = np.where(np.arange(40) % 2, 0.0, -0.0)
+    states = np.concatenate([box, box_samples(np.zeros(d), np.full(d, hi), 128),
+                             np.zeros((1, d)), edge])
+    for x in states:
+        assert _bits(model.jacobian_at(x)).tolist() == _bits(oracle(p, x)).tolist()
+    target = tuple(rng.uniform(0.0, hi, d))
+    for scheme in ("VMTOC", "VTOC", "PF", "MPF", "DIAG-VMTOC"):
+        c = rng.uniform(0.0, 1.0, d) if scheme == "DIAG-VMTOC" else 0.37
+        g = controlled_map(model, ControlConfig(scheme, c, target))
+        # PF and MPF pull toward 0; (1-c_i) scales row i
+        t = np.zeros(d) if scheme in ("PF", "MPF") else np.array(target)
+        keep = np.reshape(1.0 - c, (-1, 1))
+        for x in states[::3]:
+            at = c * t + (1.0 - c) * x if scheme in ("VTOC", "PF") else x
+            assert _bits(g.jacobian_at(x)).tolist() == _bits(keep * oracle(p, at)).tolist()
