@@ -293,16 +293,16 @@ def _write(path, blocks):
     print(f"wrote {path}")
 
 
-def _state_text(points, prefix="", ends=None) -> str:
+def _state_text(points, prefix="", ends=None, heads=None) -> str:
     """The lines ``{prefix}{step},{component},{value}{ends[component]}`` for
     every component of every row of the ``(n, d)`` array ``points``, as one
-    text.
+    text; ``heads``, when given, holds ``"{step},"`` of at least ``n`` steps.
 
     A kept window repeats its states once its orbit cycles, so the distinct
     rows are formatted once, all in one ``%`` call, which gives each value
     as ``{value:.17g}`` does.  Rows are told apart by their bytes:
     ``-0.0 == 0.0``, but the two print apart.  Each step's lines are then
-    its head ``{prefix}{step},`` joined with its row's cells.
+    its head ``{step},`` joined with its row: the prefix and its cells.
     """
     d = points.shape[1]
     ends = ends or ("",) * d
@@ -310,22 +310,23 @@ def _state_text(points, prefix="", ends=None) -> str:
     slots = {}
     index = [slots.setdefault(key, len(slots)) for key in keys]
     values = np.frombuffer(b"".join(slots), dtype=float).tolist()
-    # each cell is "{j},{value}{end}\n", and "\0" starts every cell
-    cells = (("".join(f"\0{j},%.17g{end}\n" for j, end in enumerate(ends)) * len(slots))
-             % tuple(values)).split("\0")
-    rows = [[""] + cells[1 + u * d:1 + (u + 1) * d] for u in range(len(slots))]
-    heads = [f"{prefix}{i}," for i in range(len(index))]
+    # a cell is "{j},{value}{end}\n" and the prefix of its row's next line; "\0" starts it
+    row = "\0" + f"\n{prefix}\0".join(f"{j},%.17g{end}" for j, end in enumerate(ends)) + "\n"
+    cells = ((row * len(slots)) % tuple(values)).split("\0")
+    rows = [[prefix] + cells[1 + u * d:1 + (u + 1) * d] for u in range(len(slots))]
+    heads = heads or [f"{i}," for i in range(len(index))]
     return "".join(map(str.join, heads, map(rows.__getitem__, index)))
 
 
 def _scan_csv(records, costs=None):
     """The scan CSV, one text block a record."""
     yield "c,step,component,value,period" + ("" if costs is None else ",cost") + "\n"
+    heads = [f"{i}," for i in range(max((rec.points.shape[0] for rec in records), default=0))]
     for idx, rec in enumerate(records):
         # everything but the step and the value is fixed per record and component
         tail = "" if costs is None else f",{costs[idx]:.17g}"
         ends = [f",{'aperiodic' if p is None else p}{tail}" for p in rec.periods]
-        yield _state_text(rec.points, f"{rec.c:.17g},", ends)
+        yield _state_text(rec.points, f"{rec.c:.17g},", ends, heads)
 
 
 def _write_scan_csv(path, records, costs=None):

@@ -132,6 +132,30 @@ def _checked_target(model: MapModel, cfg: ControlConfig) -> np.ndarray:
     return t
 
 
+_BEFORE = ("VTOC", "PF")  # the one choice of the side: these pull before the base map
+
+
+def _float_step(model: MapModel, scheme: str, c, t: np.ndarray):
+    """:func:`_controlled`'s float step at a float or ``(d,)`` ``c``, bitwise its array pull."""
+    ct, keep = c * t, 1.0 - c
+    keeps = keep.tolist() if isinstance(keep, np.ndarray) else [keep] * model.dimension
+    return pulled_float_step(model.evaluate_floats, "before" if scheme in _BEFORE else "after",
+                             ct.tolist() + keeps)
+
+
+class _GridPointMap:
+    """:func:`_controlled` of a scan's grid point: the domain and float step
+    its lone orbit runs, and the rest, built on first use to replay a failure."""
+
+    def __init__(self, model: MapModel, scheme: str, c: float, t: np.ndarray):
+        self._args = model, scheme, c, t
+        self.domain, self.evaluate_floats = model.domain, _float_step(*self._args)
+
+    def __getattr__(self, name):  # reached only for what __init__ does not set
+        self.full = self.__dict__.get("full") or _controlled(*self._args)
+        return getattr(self.full, name)
+
+
 def _controlled(model: MapModel, scheme: str, c, t: np.ndarray) -> MapModel:
     """:func:`controlled_map` at intensity ``c`` toward ``t``, checking
     nothing: the pull ``y -> c*T + (1-c)*y`` before the base map (VTOC, PF)
@@ -152,10 +176,7 @@ def _controlled(model: MapModel, scheme: str, c, t: np.ndarray) -> MapModel:
     def same(y):
         return y
 
-    # the one choice of the side of the map: the pull runs inside the base
-    # map or outside it
-    side, (inner, outer) = (("before", (pull, same)) if scheme in ("VTOC", "PF")
-                            else ("after", (same, pull)))
+    inner, outer = (pull, same) if scheme in _BEFORE else (same, pull)
     # the pull would cut an image of the wrong shape or broadcast it, so the
     # base image must have the input's shape with a last axis of d; the base
     # batch step is called directly, not through evaluate_rows, so it is
@@ -169,23 +190,19 @@ def _controlled(model: MapModel, scheme: str, c, t: np.ndarray) -> MapModel:
 
     # (1-c) scales row i of the Jacobian: a scalar or a (d, 1) column, which
     # would broadcast a base Jacobian of the wrong shape
-    vector = isinstance(keep, np.ndarray)
-    scale = keep.reshape(-1, 1) if vector else keep
+    scale = keep.reshape(-1, 1) if isinstance(keep, np.ndarray) else keep
 
     def jacobian(x):
         j = np.asarray(model.jacobian(inner(np.asarray(x, float))), float)
         return scale * check_jacobian(j, d, "the base map")
 
-    # the float pull of component j, ct[j] + keep[j]*y[j], is bitwise the
-    # array pull's; a column of intensities steps batches only
-    evaluate_floats = None if ct.ndim > 1 else pulled_float_step(
-        model.evaluate_floats, side, ct.tolist() + (keep.tolist() if vector else [keep] * d))
     name = f"{scheme}({model.name})" if model.name else scheme
+    # a column of intensities steps batches only
     return MapModel(dimension=d, evaluate=array_step(model.evaluate), domain=model.domain,
                     name=name, jacobian=jacobian if model.jacobian is not None else None,
                     evaluate_batch=(array_step(model.evaluate_batch)
                                     if model.evaluate_batch is not None else None),
-                    evaluate_floats=evaluate_floats)
+                    evaluate_floats=None if ct.ndim > 1 else _float_step(model, scheme, c, t))
 
 
 def apply_control(model: MapModel, cfg: ControlConfig, x) -> np.ndarray:
@@ -212,9 +229,10 @@ def controlled_rows(model: MapModel, scheme: str, target, intensities):
 
     The checks: the scheme, ``DIAG-VMTOC`` rejected by name since its
     intensities have no rows, every intensity, also for none, then the
-    target.  ``map_at(r)`` is the controlled map of grid point ``r``, and
-    ``step_for(rows)`` the batched step of the grid points in the index
-    array ``rows``: it maps row k bitwise as ``map_at(rows[k])`` maps it.
+    target.  ``map_at(r)`` is the controlled map of grid point ``r``, built
+    but for its float step on first use, and ``step_for(rows)`` the batched
+    step of the grid points in the index array ``rows``: it maps row k
+    bitwise as ``map_at(rows[k])`` maps it.
     """
     cfg = ControlConfig(scheme=scheme, intensity=0.0, target=target)
     if not cfg.is_scalar:
@@ -229,7 +247,7 @@ def controlled_rows(model: MapModel, scheme: str, target, intensities):
         return _controlled(model, scheme, column[rows], t).evaluate_batch
 
     def map_at(r):
-        return _controlled(model, scheme, cs[r], t)
+        return _GridPointMap(model, scheme, cs[r], t)
 
     return step_for, map_at
 

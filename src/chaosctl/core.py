@@ -7,15 +7,17 @@ be a pure function of its input.  A domain is a closed box whose bounds
 may be infinite; a state holding NaN lies outside every domain.  A
 :class:`Formula` writes a map once, as component expressions, and compiles
 every form of it: the step of a tuple of floats, the step of arrays, the
-steps with a pull before or after the map fused in, and the Jacobian.
-:func:`pulled_float_step` writes a control's pull into any float step:
-fused into its formula when it has one, and around it otherwise; this
-module alone writes those pulls.
+steps with a pull before or after the map fused in, the lone orbit's block
+of a float step, and the Jacobian.  :func:`pulled_float_step` writes a
+control's pull, and :func:`step_block` the block, into any float step:
+fused into its formula when it has one, around it otherwise; no other
+module writes them.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Optional
@@ -224,7 +226,7 @@ def compiled(source: str):
     whole orbit.  In ``source``, ``exp`` is ``np.exp`` and ``zeros`` is
     ``np.zeros``; a warning raised in it names the file ``<chaosctl
     compiled step>``."""
-    namespace = {"exp": np.exp, "math": math, "zeros": np.zeros, "check_image": check_image}
+    namespace = dict(exp=np.exp, math=math, zeros=np.zeros, check_image=check_image, struct=struct)
     exec(compile(source, "<chaosctl compiled step>", "exec"), namespace)
     return namespace["make"]
 
@@ -272,15 +274,9 @@ class Formula:
         return _formula_maker(self, form)
 
     def bind(self, form: str, *values):
-        """The step of ``form``, with the given values of the constants."""
-        return _formula_maker(self, form)(*values)
-
-    def float_step(self, values: tuple):
-        """The ``"floats"`` step at ``values``, which carries ``(self,
-        values)`` as its ``formula``, so that :func:`pulled_float_step`
-        can fuse a pull in."""
-        step = self.bind("floats", *values)
-        step.formula = self, values
+        """The step of ``form`` at ``values``; its ``formula`` is ``(self, form, values)``."""
+        step = _formula_maker(self, form)(*values)
+        step.formula = self, form, values
         return step
 
 
@@ -292,8 +288,27 @@ def _step_maker(params: list, body: list):
 
 
 @cache
-def _formula_maker(formula: Formula, form: str):
-    """``make(*values)`` of :meth:`Formula.bind`, one source per formula and form."""
+def _block_maker(d: int, params: tuple, head: tuple, body: tuple, state: str, packed: str):
+    """``make(*params)``, which returns :func:`step_block`'s block running
+    ``head`` once and ``body`` a step, to the state ``state`` of ``packed``."""
+    lines = [f"pack = struct.Struct('{d}d').pack", f"def make({', '.join(params)}):",
+             "    def block(x, start, stop, seen, older):", "        keys = []",
+             "        append = keys.append", *(f"        {line}" for line in head),
+             "        try:", "            for i in range(start, stop):",
+             *(f"                {line}" for line in body),
+             f"                key = pack({packed})", "                append(key)",
+             "                if key in seen or key in older:",
+             f"                    return keys, {state}, i - seen.get(key, older.get(key)), None",
+             "                seen[key] = i",
+             "        except (ValueError, ArithmeticError, TypeError, struct.error) as error:",
+             f"            return keys, {state}, 0, error",
+             f"        return keys, {state}, 0, None", "    return block"]
+    return compiled("".join(f"{line}\n" for line in lines))
+
+
+@cache
+def _formula_maker(formula: Formula, form: str, block: bool = False):
+    """``make(*values)`` of :meth:`Formula.bind` or its block, one source per formula and form."""
     d = len(formula.components)
     xs, pull = [f"x{j}" for j in range(d)], [f"c{j} + k{j} * " for j in range(d)]
     params = list(formula.names) + ([f"{v}{j}" for v in "ck" for j in range(d)]
@@ -310,6 +325,10 @@ def _formula_maker(formula: Formula, form: str):
         return _step_maker(params, body)
     image = ([f"{p}({v})" for p, v in zip(pull, formula.components)] if form == "after"
              else list(formula.components))
+    if block:
+        state = ", ".join(xs)
+        return _block_maker(d, tuple(params), tuple(body[:1]),
+                            (*body[1:], f"{state}, = {', '.join(image)},"), f"({state},)", state)
     body.append(f"return ({', '.join(image)},)")
     return _step_maker(params, body)
 
@@ -337,15 +356,31 @@ def pulled_float_step(step: Callable, side: str, pulls: list) -> Callable:
     + k_0*v_0, ...)`` written in ``side`` of it, ``"after"`` or
     ``"before"``; ``pulls`` holds the ``2d`` values of ``c`` and then ``k``.
 
-    A step that :meth:`Formula.float_step` made is its formula's ``side``
+    A formula's ``"floats"`` step, from :meth:`Formula.bind`, is its ``side``
     form, with no call to ``step``; any other runs inside a wrapper compiled
     once per dimension and side.
     """
-    written = getattr(step, "formula", None)
-    if written is not None:
-        formula, values = written
+    formula, form, values = getattr(step, "formula", (None, None, None))
+    if form == "floats":
         return formula.bind(side, *values, *pulls)
     return _wrapper_maker(len(pulls) // 2, side)(step, *pulls)
+
+
+def step_block(step: Callable, d: int) -> Callable:
+    """The lone orbit's block of the float step ``step`` of ``d`` components.
+
+    ``block(x, start, stop, seen, older)`` runs steps ``start`` to ``stop -
+    1`` from the tuple of floats ``x`` and returns ``(keys, y, p, error)``:
+    each state's ``struct`` bytes and the last state.  A key with a step in
+    ``seen`` or ``older`` ends it ``p`` steps later; else its step goes into
+    ``seen``, and ``p`` is 0.  A step raising ``ValueError``,
+    ``ArithmeticError`` or ``TypeError``, or a state that does not pack, ends
+    it as ``error``, at step ``start + len(keys)``.  A formula's step is
+    written into the block; any other is called from it."""
+    formula, form, values = getattr(step, "formula", (None, None, None))
+    if form in ("floats", "after", "before"):
+        return _formula_maker(formula, form, True)(*values)
+    return _block_maker(d, ("f",), (), ("x = f(x)",), "x", "*x")(step)
 
 
 @dataclass(frozen=True)
@@ -363,7 +398,7 @@ class MapModel:
     of the state as a float array, its image returned by ``tolist``, so
     every model has the one lone step form: every lone orbit steps through
     it, and a fresh batch of any model hands its last six rows to it.  A
-    float step made by :meth:`Formula.float_step` carries its formula, into
+    float step bound by :meth:`Formula.bind` carries its formula, into
     which :func:`pulled_float_step` writes a control's pull.  Both
     must agree with ``evaluate`` bit for bit, a batch row for row (``-0.0``,
     infinities and NaN included): :mod:`chaosctl.dynamics` runs an orbit

@@ -5,24 +5,25 @@ transient, keeps a short window and classifies each component's period on
 that window, every record's in one pass.  Two loops run orbits, and both
 check finiteness and domain membership once per block of steps.  The lone
 loop, behind every :func:`iterate_orbit` and every lone grid point of a
-scan, advances one state on tuples of Python floats through the step map's
-``evaluate_floats``, which every model has, its own or one derived from
-``evaluate``.  A failure is read off its block, with the step, message and
-log line of a step-by-step check; only the failing step runs again, through
-``evaluate``.  A lone state stops right after its first recurrence, bit
-for bit, within two blocks, and repeats that cycle, since the map is pure.
-The batch loop only batches: it advances the grid points of a fresh scan
-of a model with ``evaluate_batch`` as the rows of one ``(n, d)`` array,
-each block once, and returns the rows it hands off.  A row whose block
-holds a non-finite state or leaves the domain is handed off from the
-block's start; a row whose last state in a block equals, bit for bit, one
-of the ``_BLOCK`` states before it retires and repeats that cycle.  Once
-the batch holds at most ``_HANDOFF`` rows, whatever the model, each row
-left is handed off from its state and step.  The scan then runs every
-hand-off, and every grid point of a chained scan or of a model without
-``evaluate_batch``, through one lone-orbit call.  Scans are deterministic:
-the initial condition for grid index ``i`` comes from an RNG stream derived
-from ``(seed, i)``, so records are bit-identical across runs.
+scan, advances one state on tuples of Python floats, in blocks compiled from
+the step map's ``evaluate_floats`` (:func:`~chaosctl.core.step_block`),
+which every model has, its own or one derived from ``evaluate``.  A failure
+is read off its block, with the step, message and log line of a
+step-by-step check; only the failing step runs again, through ``evaluate``.
+A lone state stops right after its first recurrence, bit for bit, within
+two blocks, and repeats that cycle, since the map is pure.  The batch loop
+only batches: it advances the grid points of a fresh scan of a model with
+``evaluate_batch`` as the rows of one ``(n, d)`` array, each block once, and
+returns the rows it hands off.  A row whose block holds a non-finite state
+or leaves the domain is handed off from the block's start; a row whose last
+state in a block equals, bit for bit, one of the ``_BLOCK`` states before
+it retires and repeats that cycle.  Once the batch holds at most
+``_HANDOFF`` rows, whatever the model, each row left is handed off from its
+state and step.  The scan then runs every hand-off, and every grid point of
+a chained scan or of a model without ``evaluate_batch``, through one
+lone-orbit call.  Scans are deterministic: the initial condition for grid
+index ``i`` comes from an RNG stream derived from ``(seed, i)``, so records
+are bit-identical across runs.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .controls import ControlConfig, controlled_map, controlled_rows
-from .core import DomainSpec, MapModel, as_state, check_tol, state_text
+from .core import DomainSpec, MapModel, as_state, check_tol, state_text, step_block
 
 log = logging.getLogger(__name__)
 
@@ -87,9 +88,9 @@ def _iterate_rows(g: MapModel, x: np.ndarray, n_transient: int, n_keep: int,
     finite or, under ``strict``, that left the domain, which is otherwise
     logged once; a state of the wrong size raises ``ValueError``.
 
-    The steps run in blocks of ``_BLOCK`` with floating-point warnings off,
-    on tuples of floats through ``g.evaluate_floats``.  Each block becomes
-    one array, which one finiteness and one domain check test as a whole and
+    Each block of ``_BLOCK`` steps is one call of ``core.step_block``'s
+    block, with floating-point warnings off, and its states become one
+    array, which one finiteness and one domain check test as a whole and
     which fills the kept window.  A failure is read off its block: the first
     non-finite state, or the step that raised, fails the orbit, and the
     first state before it outside the domain is the exit.  Only the failing
@@ -101,37 +102,23 @@ def _iterate_rows(g: MapModel, x: np.ndarray, n_transient: int, n_keep: int,
     current or previous block, so every period up to ``_BLOCK`` is caught at
     its first recurrence.  The rest of ``kept`` cycles those ``p`` states,
     which gives the states, failure and log lines of the full run, because
-    the step is pure.  A state's key is its bytes, which make up the
-    block's array; the keys sit in two dicts that rotate at block ends.
+    the step is pure.
     """
     total, d, domain = n_transient + n_keep, x.shape[0], g.domain
     if kept is None:
         kept = np.empty((n_keep, d))
-    step, pack, x = g.evaluate_floats, struct.Struct(f"{d}d").pack, tuple(x.tolist())
+    run, x = step_block(g.evaluate_floats, d), tuple(x.tolist())
     # the steps of the states' bytes, by block, the previous block's states,
     # whether an exit was logged, and the failing step, its state and error
     seen, older, before, warned, failed = {}, {}, None, False, None
     with np.errstate(all="ignore"):
         for start in range(at, total, _BLOCK):
-            size = min(_BLOCK, total - start)
-            keys, hit, error = [], None, None
-            y, append = x, keys.append
-            try:
-                for i in range(start, start + size):
-                    y = step(y)
-                    key = pack(*y)  # a state of the wrong size does not pack
-                    append(key)
-                    if key in seen or key in older:
-                        hit = i, i - seen.get(key, older.get(key))
-                        break
-                    seen[key] = i
-            except (ValueError, ArithmeticError) as exc:
-                error = exc
-            except (struct.error, TypeError):
+            keys, y, p, error = run(x, start, min(start + _BLOCK, total), seen, older)
+            if isinstance(error, (struct.error, TypeError)):  # a state of the wrong size
                 if np.shape(y) != (d,):
-                    raise ValueError(f"step {i} gave a state of shape {np.shape(y)}, "
-                                     f"but the model has dimension {d}") from None
-                raise
+                    raise ValueError(f"step {start + len(keys)} gave a state of shape "
+                                     f"{np.shape(y)}, but the model has dimension {d}")
+                raise error
             block = np.frombuffer(b"".join(keys)).reshape(-1, d)
             if not (error is None and math.isfinite(block.sum()) and (
                     warned or domain.contains_unchecked(block))):
@@ -154,10 +141,9 @@ def _iterate_rows(g: MapModel, x: np.ndarray, n_transient: int, n_keep: int,
             if stop > n_transient:
                 first = max(start, n_transient)
                 kept[first - n_transient:stop - n_transient] = block[first - start:]
-            if hit is not None:
+            if p:
                 # the p states up to the recurrence repeat forever; they lie
                 # in this block and the one before
-                p = hit[1]
                 cycle = (block if p <= block.shape[0] else np.concatenate([before, block]))[-p:]
                 first = max(stop, n_transient)
                 _repeat(kept[first - n_transient:], cycle, (first - stop) % p)
@@ -264,21 +250,21 @@ def iterate_orbit(model: MapModel, cfg: Optional[ControlConfig], x0,
                   n_transient: int, n_keep: int, strict: bool = False) -> np.ndarray:
     """Iterate the (controlled) map and return the last ``n_keep`` states.
 
-    Runs ``n_transient + n_keep`` steps from ``x0`` on tuples of floats,
-    through the step map's ``evaluate_floats``: the model's own, or the one
-    derived from its single-state ``evaluate``.  ``evaluate_batch`` is never
-    called.  An orbit whose state recurs bit for bit stops stepping right
-    after the step of its first recurrence and repeats its cycle, which
-    gives the same states, because the step is pure.  Every period up to 64
-    steps is caught at that step, and memory stays bounded whatever the
-    orbit's length.  A non-finite state, or an evaluation that raises
-    ``ValueError`` or ``ArithmeticError``, raises :class:`OrbitError` with
-    the offending step index, read off its 64-step block; that step alone
-    runs again through ``evaluate`` under the caller's ``np.errstate``.
-    Domain violations are advisory (logged once per orbit) unless
-    ``strict``.  A step whose state does not have the model's dimension
-    raises ``ValueError``.  This is the public single-orbit entry; a scan
-    runs its lone grid points through the same loop directly.
+    Runs ``n_transient + n_keep`` steps from ``x0`` on tuples of floats, in
+    64-step blocks compiled from the step map's ``evaluate_floats``: the
+    model's own, or the one derived from its ``evaluate``.
+    ``evaluate_batch`` is never called.  An orbit whose state recurs bit for
+    bit stops stepping right after its first recurrence and repeats its
+    cycle, which gives the same states, because the step is pure.  Every
+    period up to 64 steps is caught at that step, and memory stays bounded
+    whatever the orbit's length.  A non-finite state, or an evaluation that
+    raises ``ValueError`` or ``ArithmeticError``, raises :class:`OrbitError`
+    with the offending step index, read off its 64-step block; that step
+    alone runs again through ``evaluate`` under the caller's
+    ``np.errstate``.  Domain violations are advisory (logged once per orbit)
+    unless ``strict``.  A step whose state does not have the model's
+    dimension raises ``ValueError``.  This is the public single-orbit entry;
+    a scan runs its lone grid points through the same loop directly.
     """
     _check_lengths(n_transient, n_keep)
     g = controlled_map(model, cfg) if cfg is not None else model

@@ -19,9 +19,9 @@ converted by ``float``, which keeps those bits, so the rest is IEEE
 arithmetic on Python floats.  The array form takes numpy columns or the
 components of one state ``(d,)``, so a row of a batch, one state alone
 and a tuple of floats all have bitwise the same image.  The Jacobian runs
-``math.exp`` on one state's floats.  A state of another length raises
-``ValueError`` in every form, in :func:`_states`' words in the array
-forms and the Jacobians.
+``math.exp`` on one state's floats.  A state of another length, or more
+than one state for a Jacobian, raises ``ValueError`` in every form, in
+:func:`_states`' words in the array forms and the Jacobians.
 """
 
 from __future__ import annotations
@@ -74,12 +74,12 @@ def _check_fields(params, rules) -> None:
             raise ParamError(name, f"{name} must {rule}, got {value}")
 
 
-def _states(x, d: int) -> np.ndarray:
-    """``x`` as a float array of one state ``(d,)`` or of states ``(n,
-    d)``; a last axis of another length, which a form would cut or fail
-    on, raises ``ValueError``."""
+def _states(x, d: int, one: bool = False) -> np.ndarray:
+    """``x`` as a float array of one state ``(d,)`` or, unless ``one``, of
+    states ``(n, d)``; any other shape, which a form would cut or fail on,
+    raises ``ValueError``."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 0 or x.shape[-1] != d:
+    if (x.shape != (d,)) if one else (x.ndim == 0 or x.shape[-1] != d):
         raise ValueError(f"dimension mismatch: expected {d} components, "
                          f"got an array of shape {x.shape}")
     return x
@@ -139,7 +139,7 @@ def _lpa_jacobian_form(p: LpaParams):
 def lpa_jacobian(p: LpaParams, x) -> np.ndarray:
     """The Jacobian ``(3, 3)`` of the LPA map at one state ``(3,)``, checked
     by :func:`_states`."""
-    return _lpa_jacobian_form(p)(_states(x, 3).tolist())
+    return _lpa_jacobian_form(p)(_states(x, 3, one=True).tolist())
 
 
 def lpa_recruitment_bound(p: LpaParams) -> float:
@@ -168,7 +168,7 @@ def _built_in(name: str, p, formula: Formula, values: tuple) -> MapModel:
     evaluate = calling(f"{name}_eval")
     return MapModel(dimension=d, evaluate=evaluate, domain=DomainSpec.nonnegative_orthant(d),
                     jacobian=calling(f"{name}_jacobian"), name=name, evaluate_batch=evaluate,
-                    evaluate_floats=formula.float_step(values))
+                    evaluate_floats=formula.bind("floats", *values))
 
 
 def lpa_map(p: LpaParams | None = None) -> MapModel:
@@ -210,7 +210,7 @@ def _ricker_formula(delay: int) -> Formula:
 
 def ricker_eval(p: RickerParams, x) -> np.ndarray:
     """The Ricker lift of one state ``(delay,)`` or of an ``(n, delay)`` array of states."""
-    return _on_arrays(_ricker_formula(p.delay).bind("arrays", p.r), x, p.delay)
+    return _on_arrays(_ricker_formula(p.delay).maker("arrays")(p.r), x, p.delay)
 
 
 @lru_cache(maxsize=128)
@@ -224,7 +224,7 @@ def _ricker_jacobian_form(delay: int, r: float):
 def ricker_jacobian(p: RickerParams, x) -> np.ndarray:
     """The Jacobian ``(delay, delay)`` of the Ricker lift at one state
     ``(delay,)``, checked by :func:`_states`."""
-    return _ricker_jacobian_form(p.delay, p.r)(_states(x, p.delay).tolist())
+    return _ricker_jacobian_form(p.delay, p.r)(_states(x, p.delay, one=True).tolist())
 
 
 def ricker_lift(p: RickerParams) -> MapModel:

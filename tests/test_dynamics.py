@@ -32,7 +32,7 @@ from chaosctl import (
     lyapunov_max,
     overall_period,
 )
-from chaosctl import controls
+from chaosctl import controls, core
 from chaosctl.controls import controlled_rows
 from chaosctl.models import LpaParams, RickerParams, lpa_map, ricker_lift
 
@@ -2032,3 +2032,111 @@ def test_repeat_fills_rows_as_the_cycle_index_does(p):
             out = np.full((max(n, 0), 3), np.nan)
             dynamics._repeat(out, cycle, phase)
             np.testing.assert_array_equal(out, cycle[(phase + np.arange(max(n, 0))) % p])
+
+
+# The lone loop writes a formula's float step, with a control's pull fused
+# in, into its compiled block, and calls any other float step from the same
+# block source.  Its oracle is the orbit of the same step stripped of its
+# formula, as a plain callable, which the block calls once a step.
+_INLINE_SCHEMES = ("VMTOC", "VTOC", "MPF", "PF", "DIAG-VMTOC")
+_INLINE_MODELS = {"lpa": (lpa_map(), (28.0120, 22.4096, 4.6251), 40.0),
+                  "ricker-2": (ricker_lift(RickerParams(r=2.0, delay=2)), (2.0, 2.0), 4.0),
+                  "ricker-3": (ricker_lift(RickerParams(r=2.0, delay=3)), (2.0,) * 3, 4.0)}
+
+
+def _stripped(g):
+    """``g`` with its float step as a plain callable, without its formula."""
+    step = g.evaluate_floats
+    return MapModel(dimension=g.dimension, evaluate=g.evaluate, domain=g.domain,
+                    evaluate_floats=lambda y: step(y))
+
+
+@contextlib.contextmanager
+def _block_calls():
+    """Record every block call of the lone loop: its start, the states it
+    reached, the lag of a recurrence that ended it, and the error it met."""
+    real, calls = dynamics.step_block, []
+
+    def spy(step, d):
+        block = real(step, d)
+
+        def spied(x, start, stop, seen, older):
+            keys, y, p, error = block(x, start, stop, seen, older)
+            calls.append((start, len(keys), p, error and repr(error)))
+            return keys, y, p, error
+
+        return spied
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "step_block", spy)
+        yield calls
+
+
+def _run_both(caplog, g, x0, n_transient, n_keep):
+    """The orbit of ``g`` through its compiled block and through its stripped
+    step, each as ``(window or (step, message), exit lines, block calls)``;
+    asserts that the first writes its formula into the block."""
+    assert g.evaluate_floats.formula[1] in ("after", "before")
+    runs = []
+    for model in (g, _stripped(g)):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="chaosctl.dynamics"), \
+                _block_calls() as calls, np.errstate(all="ignore"):
+            try:
+                outcome = iterate_orbit(model, None, x0, n_transient, n_keep).tobytes()
+            except OrbitError as exc:
+                outcome = exc.step, str(exc)
+        runs.append((outcome, _exit_lines(caplog), calls))
+    assert runs[0] == runs[1]
+    return runs[0]
+
+
+def _inline_config(scheme, c, target):
+    d = len(target)
+    return ControlConfig(scheme, tuple(c * (j + 1) / d for j in range(d))
+                         if scheme == "DIAG-VMTOC" else c, target)
+
+
+@pytest.mark.parametrize("scheme", _INLINE_SCHEMES)
+@pytest.mark.parametrize("name", list(_INLINE_MODELS))
+def test_inlined_block_equals_the_called_block(caplog, name, scheme):
+    model, target, hi = _INLINE_MODELS[name]
+    d, rng = model.dimension, np.random.default_rng([34, model.dimension])
+    outcomes = {}
+    # weak and strong controls from inside the domain; a start with one
+    # population (the LPA's adults, the lift's newest value) so far below 0
+    # that its image is too, and one whose last component is so far below 0
+    # that an exponential overflows
+    below, overflow = rng.uniform(1.0, hi, d), rng.uniform(1.0, hi, d)
+    below[-1 if name == "lpa" else 0], overflow[-1] = -50.0, -1e5
+    for case, c, x0 in [("weak", 0.1, rng.uniform(0.0, hi, d)),
+                        ("strong", 0.6, rng.uniform(0.0, hi, d)),
+                        ("below", 0.3, below), ("overflow", 0.3, overflow)]:
+        g = controlled_map(model, _inline_config(scheme, c, target))
+        outcomes[case] = _run_both(caplog, g, x0, 300, 60)
+    # toward a target the strong control recurs, which ends its block early;
+    # culling drives the state toward 0, which takes longer to reach
+    assert any(p for _, _, p, _ in outcomes["strong"][2]) == (scheme not in ("MPF", "PF"))
+    assert outcomes["below"][1] == ["orbit left the domain at step 0 (advisory)"]
+    assert outcomes["overflow"][0] == (0, "non-finite state at step 0")
+
+
+# x -> 2x, written as a formula; under a control of intensity 0 the state
+# after step k is 2^(e + k + 1) from 2^e, which overflows at step 1023 - e
+_DOUBLING = core.Formula(names=("g",), exps=(), components=("g * x0", "g * x1"),
+                         jacobian=((0, 0, "g"), (1, 1, "g")))
+
+
+@pytest.mark.parametrize("step", [1, _B - 1, _B, _B + 1, 2 * _B])
+@pytest.mark.parametrize("scheme", _INLINE_SCHEMES)
+def test_inlined_block_fails_at_the_called_blocks_step(caplog, scheme, step):
+    model = MapModel(dimension=2, evaluate=lambda x: np.asarray(x, float) * 2.0,
+                     domain=DomainSpec.full_space(2),
+                     evaluate_floats=_DOUBLING.bind("floats", 2.0))
+    cfg = ControlConfig(scheme, (0.0, 0.0) if scheme == "DIAG-VMTOC" else 0.0, (1.0, 1.0))
+    x0 = np.full(2, 2.0 ** (1023 - step))
+    outcome, lines, calls = _run_both(caplog, controlled_map(model, cfg), x0, 150, 10)
+    assert outcome == (step, f"non-finite state at step {step}") and lines == []
+    # the last block holds the failing step's state, inf
+    start, reached, _, _ = calls[-1]
+    assert start == step // _B * _B and reached > step % _B

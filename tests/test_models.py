@@ -220,6 +220,21 @@ def test_built_in_jacobians_reject_a_state_of_the_wrong_length(model, extra):
                                   f"got an array of shape {x.shape}")
 
 
+@pytest.mark.parametrize("model, shape", [
+    (lpa_map(), (3, 3)), (lpa_map(), (5, 3)), (lpa_map(), (1, 3)), (lpa_map(), (2, 4, 3)),
+    (ricker_lift(RickerParams(r=2.0, delay=2)), (2, 2)),
+    (ricker_lift(RickerParams(r=2.0, delay=3)), (4, 3))],
+    ids=["lpa-3x3", "lpa-5x3", "lpa-1x3", "lpa-2x4x3", "ricker-2-2x2", "ricker-3-4x3"])
+def test_built_in_jacobians_take_one_state_alone(model, shape):
+    # a batch of states, even of one state, would fail in Python's words on
+    # the list of lists its tolist gives
+    for jacobian in (model.jacobian, model.jacobian_at):
+        with pytest.raises(ValueError) as err:
+            jacobian(np.ones(shape))
+        assert str(err.value) == (f"dimension mismatch: expected {model.dimension} "
+                                  f"components, got an array of shape {shape}")
+
+
 # --- the float step -----------------------------------------------------------
 
 # Each built-in formula is written once, on components, and runs on numpy
