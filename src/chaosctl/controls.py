@@ -22,7 +22,11 @@ checked once a step.  One Jacobian scales the rows of the base one by
 :func:`~chaosctl.core.pulled_float_step` of the base model's: its formula
 with the pull written in, for the built-in models, or a compiled wrapper
 around its float step.  A control is checked apart from building its maps,
-so a scan checks its control once (``controlled_rows``).
+so a scan checks its control once (``controlled_rows``).  A fresh scan's
+batch steps the states as columns: for a model whose batch step carries
+its formula, the formula's column form with each grid point's pull written
+in (:func:`~chaosctl.core.pulled_columns`), and otherwise the one array
+step on the states' rows.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .core import (MapModel, ParamError, as_state, check_image, check_jacobian,
-                   pulled_float_step)
+                   pulled_columns, pulled_float_step)
 
 SCHEMES = ("VMTOC", "VTOC", "PF", "MPF", "DIAG-VMTOC")
 _TARGETLESS = ("PF", "MPF")
@@ -231,8 +235,12 @@ def controlled_rows(model: MapModel, scheme: str, target, intensities):
     intensities have no rows, every intensity, also for none, then the
     target.  ``map_at(r)`` is the controlled map of grid point ``r``, built
     but for its float step on first use, and ``step_for(rows)`` the batched
-    step of the grid points in the index array ``rows``: it maps row k
-    bitwise as ``map_at(rows[k])`` maps it.
+    step of the grid points in the index array ``rows``: ``step(x, out)``
+    writes the image of the states ``x``, as columns ``(d, n)``, into
+    ``out`` (:func:`~chaosctl.core.pulled_columns`), and maps state k bitwise
+    as ``map_at(rows[k])`` maps it.  A model's batch step with a formula has
+    the pull of column k written in; any other gets the ``(n, d)`` rows of
+    the states from :func:`_controlled`'s batch step, which checks its image.
     """
     cfg = ControlConfig(scheme=scheme, intensity=0.0, target=target)
     if not cfg.is_scalar:
@@ -242,9 +250,18 @@ def controlled_rows(model: MapModel, scheme: str, target, intensities):
     column = np.asarray(intensities, dtype=float).reshape(-1, 1)
     check_intensity(column)
     t, cs = _checked_target(model, cfg), column.ravel().tolist()
+    side = "before" if scheme in _BEFORE else "after"
 
     def step_for(rows):
-        return _controlled(model, scheme, column[rows], t).evaluate_batch
+        c = column[rows]
+        step = pulled_columns(model.evaluate_batch, side, np.outer(t, c), 1.0 - c.ravel())
+        if step is not None:
+            return step
+        on_rows = _controlled(model, scheme, c, t).evaluate_batch
+
+        def on_columns(x, out):
+            out[...] = on_rows(np.ascontiguousarray(x.T)).T
+        return on_columns
 
     def map_at(r):
         return _GridPointMap(model, scheme, cs[r], t)

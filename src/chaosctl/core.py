@@ -7,11 +7,12 @@ be a pure function of its input.  A domain is a closed box whose bounds
 may be infinite; a state holding NaN lies outside every domain.  A
 :class:`Formula` writes a map once, as component expressions, and compiles
 every form of it: the step of a tuple of floats, the step of arrays, the
-steps with a pull before or after the map fused in, the lone orbit's block
-of a float step, and the Jacobian.  :func:`pulled_float_step` writes a
-control's pull, and :func:`step_block` the block, into any float step:
-fused into its formula when it has one, around it otherwise; no other
-module writes them.
+steps of floats and of columns with a pull before or after the map fused
+in, the lone orbit's block of a float step, and the Jacobian.
+:func:`pulled_float_step` writes a control's pull, and :func:`step_block`
+the block, into any float step: fused into its formula when it has one,
+around it otherwise.  :func:`pulled_columns` writes a pull of per-state
+columns into a formula's batch step; no other module writes them.
 """
 
 from __future__ import annotations
@@ -252,6 +253,10 @@ class Formula:
     * ``"after"`` and ``"before"`` step floats as ``"floats"`` does, with
       the pull ``v -> (c0 + k0*v0, ...)`` written in after the map or
       before it; the ``2d`` values of ``c`` and ``k`` follow the constants'.
+    * ``"arrays after"`` and ``"arrays before"`` write the pull into
+      ``"arrays"`` the same way, on the whole ``(d, n)`` array of columns,
+      its values ``c`` and ``k`` arrays, and step ``(x, out)``: they write
+      the image of the columns ``x`` into ``out`` (:func:`pulled_columns`).
     * ``"jacobian"`` takes the components of one state as a sequence of
       Python floats and writes the entries of ``jacobian`` into a zero
       ``(d, d)`` array.  Its exponentials are ``math.exp``: ``np.exp``
@@ -280,10 +285,10 @@ class Formula:
         return step
 
 
-def _step_maker(params: list, body: list):
-    """``make(*params)``, which returns ``step(x)`` running the source lines
-    ``body``; every compiled step shares this header."""
-    return compiled(f"def make({', '.join(params)}):\n    def step(x):\n"
+def _step_maker(params: list, body: list, args: str = "x"):
+    """``make(*params)``, which returns ``step(args)`` running the source
+    lines ``body``; every compiled step shares this header."""
+    return compiled(f"def make({', '.join(params)}):\n    def step({args}):\n"
                     + "".join(f"        {line}\n" for line in body) + "    return step\n")
 
 
@@ -310,20 +315,30 @@ def _block_maker(d: int, params: tuple, head: tuple, body: tuple, state: str, pa
 def _formula_maker(formula: Formula, form: str, block: bool = False):
     """``make(*values)`` of :meth:`Formula.bind` or its block, one source per formula and form."""
     d = len(formula.components)
+    arrays, side = form.startswith("arrays"), form.split()[-1]
+    columns = arrays and side != "arrays"
     xs, pull = [f"x{j}" for j in range(d)], [f"c{j} + k{j} * " for j in range(d)]
-    params = list(formula.names) + ([f"{v}{j}" for v in "ck" for j in range(d)]
-                                    if form in ("after", "before") else [])
-    # an array is indexed, not unpacked, which would iterate it slowly
-    body = [f"x{j} = x[{j}]" for j in range(d)] if form == "arrays" else [f"{', '.join(xs)}, = x"]
-    if form == "before":
+    params = list(formula.names) + (["c", "k"] if columns else
+                                    [f"{v}{j}" for v in "ck" for j in range(d)]
+                                    if side in ("after", "before") else [])
+    # columns are pulled whole; an array is indexed, not unpacked, which
+    # would iterate it slowly
+    body = ["x = c + k * x"] if columns and side == "before" else []
+    body += [f"x{j} = x[{j}]" for j in range(d)] if arrays else [f"{', '.join(xs)}, = x"]
+    if side == "before" and not columns:
         body.append(f"{', '.join(xs)}, = {', '.join(p + x for p, x in zip(pull, xs))},")
-    exp = {"arrays": "exp({})", "jacobian": "math.exp({})"}.get(form, "float(exp({}))")
+    exp = "math.exp({})" if form == "jacobian" else "exp({})" if arrays else "float(exp({}))"
     body += [f"e{i} = {exp.format(arg)}" for i, arg in enumerate(formula.exps)]
     if form == "jacobian":
         body += [f"jac = zeros(({d}, {d}))",
                  *(f"jac[{i}, {j}] = {v}" for i, j, v in formula.jacobian), "return jac"]
         return _step_maker(params, body)
-    image = ([f"{p}({v})" for p, v in zip(pull, formula.components)] if form == "after"
+    if columns:
+        # after the map, out = c + k*out, as out*k + c: both operations commute
+        body += [f"out[{j}] = {v}" for j, v in enumerate(formula.components)]
+        return _step_maker(params, body + ["out *= k", "out += c"] * (side == "after"),
+                           "x, out")
+    image = ([f"{p}({v})" for p, v in zip(pull, formula.components)] if side == "after"
              else list(formula.components))
     if block:
         state = ", ".join(xs)
@@ -366,6 +381,22 @@ def pulled_float_step(step: Callable, side: str, pulls: list) -> Callable:
     return _wrapper_maker(len(pulls) // 2, side)(step, *pulls)
 
 
+def pulled_columns(step: Callable, side: str, c, k) -> Optional[Callable]:
+    """The column step of the batch step ``step`` with the pull ``v -> c +
+    k*v`` written in ``side`` of it, ``"after"`` or ``"before"``, bitwise as
+    :func:`pulled_float_step` writes it into a float step: ``c`` is ``(d,
+    n)`` and ``k`` broadcasts to it, column ``r`` of each pulling state
+    ``r``.
+
+    ``step(x, out)`` writes the image of the states ``x``, as the ``d``
+    columns ``(d, n)`` of their components, into ``out``, of the same shape,
+    which must not overlap ``x``.  Only a batch step that carries a formula's
+    ``"arrays"`` form has one, its ``"arrays {side}"`` form; for any other
+    this is None."""
+    formula, form, values = getattr(step, "formula", (None, None, None))
+    return formula.bind(f"arrays {side}", *values, c, k) if form == "arrays" else None
+
+
 def step_block(step: Callable, d: int) -> Callable:
     """The lone orbit's block of the float step ``step`` of ``d`` components.
 
@@ -397,7 +428,7 @@ class MapModel:
     sequence of its image's components.  When omitted, it is ``evaluate``
     of the state as a float array, its image returned by ``tolist``, so
     every model has the one lone step form: every lone orbit steps through
-    it, and a fresh batch of any model hands its last six rows to it.  A
+    it, and a fresh batch hands the rows it has left to it.  A
     float step bound by :meth:`Formula.bind` carries its formula, into
     which :func:`pulled_float_step` writes a control's pull.  Both
     must agree with ``evaluate`` bit for bit, a batch row for row (``-0.0``,

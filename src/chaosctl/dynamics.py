@@ -13,17 +13,21 @@ step-by-step check; only the failing step runs again, through ``evaluate``.
 A lone state stops right after its first recurrence, bit for bit, within
 two blocks, and repeats that cycle, since the map is pure.  The batch loop
 only batches: it advances the grid points of a fresh scan of a model with
-``evaluate_batch`` as the rows of one ``(n, d)`` array, each block once, and
-returns the rows it hands off.  A row whose block holds a non-finite state
-or leaves the domain is handed off from the block's start; a row whose last
+``evaluate_batch`` together, each block once, as the component columns
+``(d, n)`` of one array, and returns the rows it hands off.  A model whose
+batch step carries its formula steps the formula's columns, each grid
+point's pull written in; any other model's ``evaluate_batch`` gets the
+states as rows ``(n, d)``.  A row whose block holds a non-finite state or
+leaves the domain is handed off from the block's start; a row whose last
 state in a block equals, bit for bit, one of the ``_BLOCK`` states before
 it retires and repeats that cycle.  Once the batch holds at most
-``_HANDOFF`` rows, whatever the model, each row left is handed off from its
-state and step.  The scan then runs every hand-off, and every grid point of
-a chained scan or of a model without ``evaluate_batch``, through one
-lone-orbit call.  Scans are deterministic: the initial condition for grid
-index ``i`` comes from an RNG stream derived from ``(seed, i)``, so records
-are bit-identical across runs.
+``_HANDOFF_FLOATS`` rows, for a model with its own float step, or
+``_HANDOFF``, for one whose float step is derived from ``evaluate``, each
+row left is handed off from its state and step.  The scan then runs every
+hand-off, and every grid point of a chained scan or of a model without
+``evaluate_batch``, through one lone-orbit call.  Scans are deterministic:
+the initial condition for grid index ``i`` comes from an RNG stream derived
+from ``(seed, i)``, so records are bit-identical across runs.
 """
 
 from __future__ import annotations
@@ -60,18 +64,23 @@ def _check_lengths(n_transient: int, n_keep: int) -> None:
 _BLOCK = 64
 
 # The most rows a fresh batch holds before it hands them all to the lone
-# loop, whatever the model.  Numpy call overhead dominates a batch step:
-# 11 us for a controlled LPA batch step, plus 27 ns a row, against 0.87 us
-# for a lone controlled LPA float step and 3.8 us for the one derived from
-# evaluate, loop included (delay-2 Ricker: 6.8 and 0.58 us; best of 7
-# in-process timings of chaotic orbits, one pinned core of a shared 2-vCPU
-# VM, Python 3.11, numpy 2.4).  Timed whole, the 29-point LPA VMTOC grid
-# k/300, k = 10, 20, ..., 290, toward K, (30,30,200), (30,200,30) and
-# (200,30,30) at four seeds takes best-of-3 10.7, 10.2, 9.8, 9.8 and 9.9 ms
-# per scan at 6, 8, 10, 12 and 14 rows, less apart than a run from its
-# repeat (up to 21 ms), and a higher threshold slows models without a float
-# step: it stays at 6.
+# loop: _HANDOFF_FLOATS for a model with its own float step, _HANDOFF for
+# one whose float step is derived from evaluate.  Numpy call overhead
+# dominates a batch step, which costs about the same from 10 rows to 30:
+# 8.9 us for a controlled LPA column step, against 0.66 us a step for a lone
+# controlled LPA orbit in its compiled block and 4.0 us for one through the
+# float step derived from evaluate (delay-3 Ricker lift: 4.2 and 0.43 us;
+# best of 15 in-process timings, one pinned core of a shared 2-vCPU VM,
+# Python 3.11, numpy 2.4).  Timed whole and interleaved (thread time, median
+# of 8 rounds), the 29-point LPA VMTOC grid k/300, k = 10, 20, ..., 290,
+# toward K, (30,30,200), (30,200,30) and (200,30,30) at four seeds took
+# 10.55, 10.19, 9.91 and 10.02 ms per scan at 6, 8, 10 and 12 rows, and the
+# delay-3 lift's grid on [0, 3]^3 toward (3,1,1) 25.1, 25.2, 25.5 and
+# 32.7 ms: at 12 rows some of its chaotic rows run most of the orbit alone.
+# The logistic map 4.2x(1-x), whose float step is derived, took 74 ms at 6
+# rows and 87 ms at 12.
 _HANDOFF = 6
+_HANDOFF_FLOATS = 10
 
 
 def _iterate_rows(g: MapModel, x: np.ndarray, n_transient: int, n_keep: int,
@@ -183,39 +192,42 @@ def _repeat(out: np.ndarray, cycle: np.ndarray, phase: int) -> None:
 
 
 def _iterate_batch(step_for, x: np.ndarray, domain: DomainSpec, n_transient: int,
-                   kept: np.ndarray) -> list:
+                   kept: np.ndarray, handoff: int) -> list:
     """Advance the rows of ``x`` ``(n, d)`` as one batch, as the module
-    docstring says, and return the rows it hands off.
+    docstring says, and return the rows it hands off once it holds at most
+    ``handoff`` rows.
 
     ``step_for(rows)`` builds the step of the original rows ``rows``, an
-    index array.  ``kept[k, r]`` of the ``(n_keep, n, d)`` array ``kept``
-    gets row ``r`` after step ``n_transient + k``, for every step the row
-    takes in the batch or in the cycle it retires into.  The hand-offs are
-    ``(row, state, step)``, the row's state after ``step`` steps as a copy:
-    each block's failing rows, block by block in row order, then the rows
-    left at the end.  Each block runs once, with floating-point warnings
-    off, and is checked as a whole.  A row recurs when its last state equals,
-    bit for bit, one of the ``_BLOCK`` states before it (the block's and its
-    start); the smallest such lag is its period.  The step is rebuilt over
-    the rows that remain, whose states in the block stand, since each row's
-    steps depend on that row alone.  Anything a batch step raises propagates.
+    index array: ``step(x, out)`` writes the image of the states ``x``, as
+    columns ``(d, n)``, into ``out``.  ``kept[k, r]`` of the ``(n_keep, n,
+    d)`` array ``kept`` gets row ``r`` after step ``n_transient + k``, for
+    every step the row takes in the batch or in the cycle it retires into.
+    The hand-offs are ``(row, state, step)``, the row's state after ``step``
+    steps as a copy: each block's failing rows, block by block in row order,
+    then the rows left at the end.  Each block runs once, with
+    floating-point warnings off, and is checked as a whole.  A row recurs
+    when its last state equals, bit for bit, one of the ``_BLOCK`` states
+    before it (the block's and its start); the smallest such lag is its
+    period.  The step is rebuilt over the rows that remain, whose states in
+    the block stand, since each row's steps depend on that row alone.
+    Anything a batch step raises propagates.
     """
     total = n_transient + kept.shape[0]
     handoffs = []
-    rows, done, step = np.arange(x.shape[0]), 0, None
-    while done < total and rows.size > _HANDOFF:
+    rows, done, step, x = np.arange(x.shape[0]), 0, None, x.T
+    while done < total and rows.size > handoff:
         if step is None:
             step = step_for(rows)
         size = min(_BLOCK, total - done)
-        # the state the block starts from, then the block's states
-        states = np.empty((size + 1,) + x.shape)
-        states[0] = x
-        block = states[1:]
+        # the state the block starts from, then the block's states, each as
+        # its columns (d, n), and the same states as rows (n, d)
+        columns = np.empty((size + 1,) + x.shape)
+        columns[0] = x
+        block = columns[1:].transpose(0, 2, 1)
         with np.errstate(all="ignore"):
-            y = x
             for k in range(size):
-                y = block[k] = np.asarray(step(y), dtype=float)
-            ok = math.isfinite(block.sum()) and domain.contains_unchecked(block)
+                step(columns[k], columns[k + 1])
+            ok = math.isfinite(columns[1:].sum()) and domain.contains_unchecked(block)
         stop = done + size
         if stop > n_transient:
             first = max(done, n_transient)
@@ -224,25 +236,25 @@ def _iterate_batch(step_for, x: np.ndarray, domain: DomainSpec, n_transient: int
         if not ok:
             # a finite block whose sum overflows has no bad row and passes
             stay = (domain.contains_rows(block) & np.isfinite(block).all(axis=2)).all(axis=0)
-            handoffs += [(int(rows[i]), x[i].copy(), done) for i in np.flatnonzero(~stay)]
+            handoffs += [(int(rows[i]), x[:, i].copy(), done) for i in np.flatnonzero(~stay)]
         if stop < total:
             # bit patterns, so -0.0 is not 0.0; first components alone rule
             # out most rows that do not recur
-            bits = states.view(np.uint64)
-            maybe = bits[:-1, :, 0] == bits[-1, :, 0]
+            bits = columns.view(np.uint64)
+            maybe = bits[:-1, 0] == bits[-1, 0]
             for i in (np.flatnonzero(maybe.any(axis=0) & stay) if maybe.any() else ()):
-                same = (bits[:-1, i] == bits[-1, i]).all(axis=1)
+                same = (bits[:-1, :, i] == bits[-1, :, i]).all(axis=1)
                 if same.any():
                     # the smallest lag of a match: its p states repeat forever
                     p, first = int(same[::-1].argmax()) + 1, max(stop, n_transient)
                     _repeat(kept[first - n_transient:, rows[i]], block[-p:, i], (first - stop) % p)
                     stay[i] = False
-        x = y
+        x = columns[-1]
         if not stay.all():
-            rows, x, step = rows[stay], x[stay], None
+            rows, x, step = rows[stay], x[:, stay], None
         done = stop
     if done < total:
-        handoffs += [(r, x[i].copy(), done) for i, r in enumerate(rows.tolist())]
+        handoffs += [(r, x[:, i].copy(), done) for i, r in enumerate(rows.tolist())]
     return handoffs
 
 
@@ -374,12 +386,13 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
     instead chains each orbit from the last kept state of the one before,
     or, after a failure, from the state the failed one started from.  A
     fresh scan of a model with ``evaluate_batch`` runs its grid points as
-    the rows of one batch, :func:`_iterate_batch`.  Then one call runs each
-    row it hands off, and each grid point of any other scan, alone from its
-    state and step, into the scan's kept array; it fails (the record's error
-    is the :class:`OrbitError` message) or logs its domain exit as a lone
-    orbit from its start would, so all ways give the same records bit for
-    bit.  Last, one :func:`detect_periods` call classifies all the records
+    the rows of one batch, :func:`_iterate_batch`, down to the hand-off size
+    that its lone step sets.  Then one call runs each row it hands off, and
+    each grid point of any other scan, alone from its state and step, into
+    the scan's kept array; it fails (the record's error is the
+    :class:`OrbitError` message) or logs its domain exit as a lone orbit
+    from its start would, so all ways give the same records bit for bit.
+    Last, one :func:`detect_periods` call classifies all the records
     that did not fail, each as :func:`detect_period` would on its own
     window.  ``max_period`` is capped at half the kept window.
     Invalid arguments raise ``ValueError`` before any orbit runs: an
@@ -421,7 +434,9 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
     else:
         x0 = np.array([draw_x0(seed, r, lo, hi) for r in range(len(c_grid))])
         if model.evaluate_batch is not None:
-            handoffs = _iterate_batch(step_for, x0, model.domain, n_transient, kept)
+            derived = getattr(model.evaluate_floats, "derived_from", None) is not None
+            handoffs = _iterate_batch(step_for, x0, model.domain, n_transient, kept,
+                                      _HANDOFF if derived else _HANDOFF_FLOATS)
         else:
             handoffs = [(r, x, 0) for r, x in enumerate(x0)]
         for handoff in handoffs:

@@ -12,9 +12,9 @@ Both self-map the nonnegative orthant.  Each map is written once, as a
 constants, with the nonzero entries of its Jacobian in the same names, and
 every form is compiled from it once per formula and form, its constants
 passed as arguments: the model's float step, its array form, the fused
-controlled steps of :mod:`chaosctl.controls`, and its analytic Jacobian,
-bound once per parameter set.  The float step runs ``np.exp``, which
-gives a Python float bitwise the value it gives an array element,
+controlled steps of floats and of a scan's columns, and its analytic
+Jacobian, bound once per parameter set.  The float step runs ``np.exp``,
+which gives a Python float bitwise the value it gives an array element,
 converted by ``float``, which keeps those bits, so the rest is IEEE
 arithmetic on Python floats.  The array form takes numpy columns or the
 components of one state ``(d,)``, so a row of a batch, one state alone
@@ -157,7 +157,10 @@ def _built_in(name: str, p, formula: Formula, values: tuple) -> MapModel:
     nonnegative orthant, its float step ``formula`` at ``values``.  Its
     ``evaluate``, also its ``evaluate_batch``, and its ``jacobian`` call
     ``<name>_eval`` and ``<name>_jacobian`` of this module, looked up at
-    each call, so that a hook set on either name sees every call."""
+    each call, so that a hook set on either name sees every call of them.
+    The batch step carries ``formula``'s ``"arrays"`` form at ``values``,
+    whose columns a fresh scan steps in its place
+    (:func:`~chaosctl.core.pulled_columns`)."""
     d, space = len(formula.components), globals()
 
     def calling(function: str):
@@ -166,6 +169,7 @@ def _built_in(name: str, p, formula: Formula, values: tuple) -> MapModel:
         return call
 
     evaluate = calling(f"{name}_eval")
+    evaluate.formula = formula, "arrays", values
     return MapModel(dimension=d, evaluate=evaluate, domain=DomainSpec.nonnegative_orthant(d),
                     jacobian=calling(f"{name}_jacobian"), name=name, evaluate_batch=evaluate,
                     evaluate_floats=formula.bind("floats", *values))

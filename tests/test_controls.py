@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaosctl import (
@@ -367,7 +367,14 @@ def test_controlled_batch_steps_call_the_base_batch_step_directly(lpa, monkeypat
     g = controlled_map(lpa, ControlConfig(scheme, 0.3, (30.0, 30.0, 200.0)))
     np.testing.assert_array_equal(g.evaluate_batch(rows), [g.evaluate(x) for x in rows])
     step_for, _ = controlled_rows(lpa, scheme, (30.0, 30.0, 200.0), [0.3, 0.3])
-    np.testing.assert_array_equal(step_for(np.arange(2))(rows), g.evaluate_batch(rows))
+    np.testing.assert_array_equal(_on_rows(step_for(np.arange(2)), rows), g.evaluate_batch(rows))
+
+
+def _on_rows(step, rows):
+    """The images of the rows ``(n, d)`` under a scan's step ``(x, out)`` of columns."""
+    out = np.empty(rows.T.shape)
+    step(np.ascontiguousarray(rows.T), out)
+    return out.T
 
 
 @pytest.mark.parametrize("scheme", ["VMTOC", "VTOC", "PF", "MPF"])
@@ -377,16 +384,54 @@ def test_controlled_rows_match_controlled_map_bitwise(lpa, scheme):
     cs = [k / 64 for k in range(64)]
     rows = np.random.default_rng(5).uniform(0.0, 80.0, (len(cs), 3))
     step_for, map_at = controlled_rows(lpa, scheme, target, cs)
-    out = step_for(np.arange(len(cs)))(rows)
+    out = _on_rows(step_for(np.arange(len(cs))), rows)
     for r, (c, x, y) in enumerate(zip(cs, rows, out)):
         g = controlled_map(lpa, ControlConfig(scheme, c, target))
         np.testing.assert_array_equal(y, g.evaluate_batch(x[None, :])[0])
         np.testing.assert_array_equal(y, g.evaluate(x))
         np.testing.assert_array_equal(y, map_at(r).evaluate(x))
     # a subset of the grid, in any order, steps as its own rows
-    np.testing.assert_array_equal(step_for(np.array([9, 2]))(rows[[9, 2]]), out[[9, 2]])
+    np.testing.assert_array_equal(_on_rows(step_for(np.array([9, 2])), rows[[9, 2]]),
+                                  out[[9, 2]])
     with pytest.raises(ValueError, match=r"must lie in \[0, 1\), got 1\.0"):
         controlled_rows(lpa, scheme, target, [0.5, 1.0])
+
+
+# a scan's column step, against the grid points' lone float steps and the
+# public batch step: on signed zeros and subnormals, at c = 0 and toward
+# targets with zero components
+_SPECIAL = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-310]
+_COLUMN_MODELS = {"lpa": lpa_map(), **{f"ricker-{d}": ricker_lift(RickerParams(r=2.0, delay=d))
+                                       for d in (2, 3, 4, 5)}}
+
+
+@pytest.mark.parametrize("scheme", ["VMTOC", "VTOC", "PF", "MPF"])
+@pytest.mark.parametrize("kind", sorted(_COLUMN_MODELS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_column_step_equals_the_float_and_batch_steps_bitwise(kind, scheme, data):
+    model = _COLUMN_MODELS[kind]
+    d = model.dimension
+    n = data.draw(st.integers(1, 6), label="n")
+    value = st.one_of(st.sampled_from(_SPECIAL), st.floats(0.0, 80.0))
+    rows = np.array(data.draw(st.lists(st.lists(value, min_size=d, max_size=d),
+                                       min_size=n, max_size=n), label="rows"))
+    cs = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+                            min_size=n, max_size=n), label="cs")
+    target = tuple(data.draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0]),
+                                                st.floats(0.0, 80.0)),
+                                      min_size=d, max_size=d), label="target"))
+    step_for, map_at = controlled_rows(model, scheme, target, cs)
+    step = step_for(np.arange(n))
+    side = "before" if scheme in ("VTOC", "PF") else "after"
+    assert step.formula[1] == f"arrays {side}"
+    out = np.full((d, n), np.nan)
+    step(np.ascontiguousarray(rows.T), out)
+    for r, (c, x) in enumerate(zip(cs, rows)):
+        g = controlled_map(model, ControlConfig(scheme, c, target))
+        lone = np.array(map_at(r).evaluate_floats(tuple(x.tolist())), dtype=float)
+        assert out[:, r].tobytes() == lone.tobytes()
+        assert out[:, r].tobytes() == g.evaluate_batch(rows)[r].tobytes()
 
 
 @pytest.mark.parametrize("scheme, cs, message", [

@@ -952,15 +952,15 @@ def test_handoff_states_share_no_memory_with_the_batch():
     def step_for(rows):
         step = batch_step(rows)
 
-        def spied(y):
-            stepped.extend((y, step(y)))
-            return stepped[-1]
+        def spied(x, out):
+            step(x, out)
+            stepped.extend((x, out))
 
         return spied
 
     with np.errstate(all="ignore"):
         handoffs = dynamics._iterate_batch(step_for, x0, model.domain, 3000,
-                                           np.empty((50, grid.size, 3)))
+                                           np.empty((50, grid.size, 3)), dynamics._HANDOFF)
     assert [(r, at) for r, _, at in handoffs] == [(0, 0), (8, 0)] + [(r, 2 * _B)
                                                                    for r in range(1, 6)]
     for _, state, _ in handoffs:
@@ -971,7 +971,9 @@ def test_handoff_states_share_no_memory_with_the_batch():
 @pytest.mark.parametrize("case", ["fresh", "plugin", "chained"])
 def test_a_scan_checks_its_control_once(monkeypatch, case):
     # the hand-off grid and box: a fresh batch retires rows and rebuilds its
-    # step, and the rows it hands off run on alone, each on its own map
+    # step, down to six rows, and the rows it hands off run on alone, each
+    # on its own map
+    monkeypatch.setattr(dynamics, "_HANDOFF_FLOATS", 6)
     model, target = lpa_map(), (30.0, 200.0, 30.0)
     if case == "plugin":
         model = MapModel(dimension=3, evaluate=model.evaluate, domain=model.domain)
@@ -1051,6 +1053,7 @@ def _batch_rows(model, handoff=1):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "_iterate_rows", rows)
         mp.setattr(dynamics, "_HANDOFF", handoff)
+        mp.setattr(dynamics, "_HANDOFF_FLOATS", handoff)
         yield spied, calls, handed
 
 
@@ -1145,11 +1148,11 @@ def test_scan_fresh_grid_hands_several_rows_off_at_once():
     # the same step, each on tuples of floats
     grid = [k / 300 for k in range(10, 300, 10)]
     target = (30.0, 200.0, 30.0)
-    with _batch_rows(lpa_map(), dynamics._HANDOFF) as (model, calls, handed), \
+    with _batch_rows(lpa_map(), dynamics._HANDOFF_FLOATS) as (model, calls, handed), \
             _one_row_calls() as lone:
         records = bifurcation_scan(model, "VMTOC", target, grid, seed=123)
-    assert 1 < len(handed) <= dynamics._HANDOFF and set(handed) == {len(calls)}
-    assert len(calls) < 3000 + 50 and calls[-1] > dynamics._HANDOFF
+    assert 1 < len(handed) <= dynamics._HANDOFF_FLOATS and set(handed) == {len(calls)}
+    assert len(calls) < 3000 + 50 and calls[-1] > dynamics._HANDOFF_FLOATS
     assert lone == [((3,), True)] * len(handed)
     for r, (c, rec) in enumerate(zip(grid, records)):
         x0 = dynamics.draw_x0(123, r, np.zeros(3), np.full(3, 50.0))
@@ -1185,6 +1188,54 @@ def test_batch_without_a_float_step_hands_off_at_six_rows(monkeypatch):
         _assert_same_bytes(rec.points, iterate_orbit(base, None, starts[r], 5, 5 * _B))
 
 
+@pytest.mark.parametrize("own", [False, True], ids=["derived", "own-float-step"])
+def test_batch_hands_off_at_the_size_its_lone_step_sets(monkeypatch, caplog, own):
+    # fourteen rows: ten cycles of period 1 retire one a block, after blocks
+    # 1 to 10, and four counters never recur; a model whose float step is
+    # derived from evaluate hands its rows off at _HANDOFF, one with its own
+    # at _HANDOFF_FLOATS, every row from the same step
+    base = _cycles()
+
+    def floats(y):
+        return (y[0] + 1.0 if y[0] < y[1] - 1.0 else 0.0, y[1])
+
+    model = MapModel(dimension=2, evaluate=base.evaluate, evaluate_batch=base.evaluate_batch,
+                     domain=base.domain, evaluate_floats=floats if own else None)
+    starts = ([_cycle_start(1, j * _B - 5) for j in range(1, 11)]
+              + [np.array([float(k), _NEVER]) for k in range(4)])
+    monkeypatch.setattr(dynamics, "draw_x0", lambda seed, r, lo, hi: starts[r])
+    handed, records = _assert_scan_runs_each_point_alone(
+        caplog, model, (0.0, 0.0), [0.0] * len(starts), 0.0, 0.0, n_transient=5,
+        n_keep=11 * _B)
+    size = dynamics._HANDOFF_FLOATS if own else dynamics._HANDOFF
+    assert [at for _, at, _ in handed] == [(len(starts) - size) * _B] * size
+    assert all(rec.error is None for rec in records)
+
+
+@pytest.mark.parametrize("scheme", ["VMTOC", "VTOC"])
+def test_plugin_batch_step_gets_contiguous_float_rows(scheme):
+    # the batch of a model without a formula steps the states as columns and
+    # hands the plugin their rows, C-contiguous float64 (n, d), as before
+    seen = []
+
+    def batch(rows):
+        seen.append((rows.shape, rows.dtype, rows.flags.c_contiguous))
+        return 0.5 * rows
+
+    model = MapModel(dimension=3, evaluate=lambda x: 0.5 * np.asarray(x, float),
+                     evaluate_batch=batch, domain=DomainSpec.nonnegative_orthant(3))
+    grid = [k / 20 for k in range(20)]
+    records = bifurcation_scan(model, scheme, (1.0, 2.0, 3.0), grid, init_lo=0.0, init_hi=1.0,
+                               n_transient=100, n_keep=10)
+    assert seen and {(shape[1], dtype, contiguous) for shape, dtype, contiguous in seen} == {
+        (3, np.dtype(float), True)}
+    assert seen[0][0] == (20, 3) and seen[-1][0][0] > dynamics._HANDOFF
+    cfgs = [ControlConfig(scheme, c, (1.0, 2.0, 3.0)) for c in grid]
+    for r, (cfg, rec) in enumerate(zip(cfgs, records)):
+        x0 = dynamics.draw_x0(0, r, np.zeros(3), np.ones(3))
+        _assert_same_bytes(rec.points, iterate_orbit(model, cfg, x0, 100, 10))
+
+
 # --- one-row orbits -----------------------------------------------------------
 
 # A lone orbit of a built-in map steps on tuples of floats through the step
@@ -1198,6 +1249,13 @@ def _one_row_model(kind, dim):
     return lpa_map() if kind == "lpa" else ricker_lift(RickerParams(r=2.0, delay=dim))
 
 
+def _column_step(on_rows):
+    """The batch loop's step ``(x, out)`` on columns of the step ``on_rows`` of rows."""
+    def step(x, out):
+        out[...] = on_rows(np.ascontiguousarray(x.T)).T
+    return step
+
+
 @contextlib.contextmanager
 def _rows_path(model):
     """Run every lone orbit of ``model`` from its start, controlled or not,
@@ -1208,15 +1266,14 @@ def _rows_path(model):
     a scan; the orbit fails with row 0's error.  Yields the hand-offs,
     ``(row, at, state)``."""
     with _handoffs() as handed, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "_HANDOFF", 1)
         handoff = dynamics._iterate_rows
 
         def rows(g, x, n_transient, n_keep, strict=False, at=0, kept=None):
             if at:
                 return handoff(g, x, n_transient, n_keep, strict, at=at, kept=kept)
             both = np.empty((n_keep, 2, x.shape[0]))
-            handoffs = dynamics._iterate_batch(lambda _: g.evaluate_rows, np.array([x, x]),
-                                               g.domain, n_transient, both)
+            handoffs = dynamics._iterate_batch(lambda _: _column_step(g.evaluate_rows),
+                                               np.array([x, x]), g.domain, n_transient, both, 1)
             if handoffs:
                 (r0, x0, at0), (r1, x1, at1) = handoffs
                 assert (r0, r1, at0, x0.tobytes()) == (0, 1, at1, x1.tobytes())
@@ -1371,8 +1428,9 @@ def test_fresh_plugin_scan_evaluates_lone_states_and_stops_at_recurrence():
 
 
 # A model without its own float step steps alone through the one derived
-# from evaluate, and its batches hand off at _HANDOFF rows as any other
-# model's.  The oracle is the built-in map, which has its own float step.
+# from evaluate, and its batches hand off at _HANDOFF rows, not at the
+# built-in map's _HANDOFF_FLOATS.  The oracle is the built-in map, which has
+# its own float step.
 _FLOATLESS_CASES = {"lpa": (lpa_map(), (30.0, 200.0, 30.0), 0.0, 50.0),
                     "lpa-below": (lpa_map(), _LEAVING_SCANS["lpa"][1], -1.0, 5.0),
                     "ricker": (ricker_lift(RickerParams(r=2.0, delay=2)), (1.0, 3.0), 0.0, 3.0),
@@ -1429,7 +1487,7 @@ def test_batch_image_of_the_wrong_shape_stops_the_scan(scheme):
     message = "the base map gave an image of shape (10, 1), but the model has dimension 3"
     step = controlled_rows(model, scheme, (1.0, 1.0, 1.0), [0.5] * 10)[0](np.arange(10))
     with pytest.raises(ValueError) as err:
-        step(np.ones((10, 3)))
+        step(np.ones((3, 10)), np.empty((3, 10)))
     assert str(err.value) == message
     with pytest.raises(ValueError) as err:
         bifurcation_scan(model, scheme, (1.0, 1.0, 1.0), [k / 10 for k in range(10)],
