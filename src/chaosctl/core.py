@@ -248,15 +248,15 @@ class Formula:
       image's.  An exponential is ``np.exp`` converted by ``float``, which
       keeps its bits, so the rest is IEEE arithmetic on Python floats, and
       the image is bitwise the array form's.
-    * ``"arrays"`` steps the components of one state ``(d,)``, or the
-      columns of a batch, to the image's as numpy scalars or arrays.
+    * ``"arrays"`` steps ``(x, out)``: it writes the image of the
+      components of one state ``(d,)``, or of the columns ``(d, n)`` of a
+      batch, into ``out``, of the same shape, which must not overlap ``x``.
     * ``"after"`` and ``"before"`` step floats as ``"floats"`` does, with
       the pull ``v -> (c0 + k0*v0, ...)`` written in after the map or
       before it; the ``2d`` values of ``c`` and ``k`` follow the constants'.
     * ``"arrays after"`` and ``"arrays before"`` write the pull into
       ``"arrays"`` the same way, on the whole ``(d, n)`` array of columns,
-      its values ``c`` and ``k`` arrays, and step ``(x, out)``: they write
-      the image of the columns ``x`` into ``out`` (:func:`pulled_columns`).
+      its values ``c`` and ``k`` arrays (:func:`pulled_columns`).
     * ``"jacobian"`` takes the components of one state as a sequence of
       Python floats and writes the entries of ``jacobian`` into a zero
       ``(d, d)`` array.  Its exponentials are ``math.exp``: ``np.exp``
@@ -272,11 +272,6 @@ class Formula:
     exps: tuple
     components: tuple
     jacobian: tuple
-
-    def maker(self, form: str):
-        """``make(*values)``, which returns the step of ``form`` with the
-        given values of the constants."""
-        return _formula_maker(self, form)
 
     def bind(self, form: str, *values):
         """The step of ``form`` at ``values``; its ``formula`` is ``(self, form, values)``."""
@@ -316,16 +311,15 @@ def _formula_maker(formula: Formula, form: str, block: bool = False):
     """``make(*values)`` of :meth:`Formula.bind` or its block, one source per formula and form."""
     d = len(formula.components)
     arrays, side = form.startswith("arrays"), form.split()[-1]
-    columns = arrays and side != "arrays"
     xs, pull = [f"x{j}" for j in range(d)], [f"c{j} + k{j} * " for j in range(d)]
-    params = list(formula.names) + (["c", "k"] if columns else
-                                    [f"{v}{j}" for v in "ck" for j in range(d)]
-                                    if side in ("after", "before") else [])
+    params = list(formula.names)
+    if side in ("after", "before"):
+        params += ["c", "k"] if arrays else [f"{v}{j}" for v in "ck" for j in range(d)]
     # columns are pulled whole; an array is indexed, not unpacked, which
     # would iterate it slowly
-    body = ["x = c + k * x"] if columns and side == "before" else []
+    body = ["x = c + k * x"] if arrays and side == "before" else []
     body += [f"x{j} = x[{j}]" for j in range(d)] if arrays else [f"{', '.join(xs)}, = x"]
-    if side == "before" and not columns:
+    if side == "before" and not arrays:
         body.append(f"{', '.join(xs)}, = {', '.join(p + x for p, x in zip(pull, xs))},")
     exp = "math.exp({})" if form == "jacobian" else "exp({})" if arrays else "float(exp({}))"
     body += [f"e{i} = {exp.format(arg)}" for i, arg in enumerate(formula.exps)]
@@ -333,7 +327,7 @@ def _formula_maker(formula: Formula, form: str, block: bool = False):
         body += [f"jac = zeros(({d}, {d}))",
                  *(f"jac[{i}, {j}] = {v}" for i, j, v in formula.jacobian), "return jac"]
         return _step_maker(params, body)
-    if columns:
+    if arrays:
         # after the map, out = c + k*out, as out*k + c: both operations commute
         body += [f"out[{j}] = {v}" for j, v in enumerate(formula.components)]
         return _step_maker(params, body + ["out *= k", "out += c"] * (side == "after"),

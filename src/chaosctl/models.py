@@ -13,11 +13,13 @@ constants, with the nonzero entries of its Jacobian in the same names, and
 every form is compiled from it once per formula and form, its constants
 passed as arguments: the model's float step, its array form, the fused
 controlled steps of floats and of a scan's columns, and its analytic
-Jacobian, bound once per parameter set.  The float step runs ``np.exp``,
-which gives a Python float bitwise the value it gives an array element,
-converted by ``float``, which keeps those bits, so the rest is IEEE
-arithmetic on Python floats.  The array form takes numpy columns or the
-components of one state ``(d,)``, so a row of a batch, one state alone
+Jacobian, bound by :meth:`~chaosctl.core.Formula.bind`: the array form
+and the Jacobian once per parameter set, the float step once per model.
+The float step runs ``np.exp``, which gives a Python float bitwise the
+value it gives an array element, converted by ``float``, which keeps
+those bits, so the rest is IEEE arithmetic on Python floats.  The array
+form writes the image of numpy columns, or of the components of one state
+``(d,)``, into the caller's array, so a row of a batch, one state alone
 and a tuple of floats all have bitwise the same image.  The Jacobian runs
 ``math.exp`` on one state's floats.  A state of another length, or more
 than one state for a Jacobian, raises ``ValueError`` in every form, in
@@ -67,11 +69,20 @@ class LpaParams:
 
 def _check_fields(params, rules) -> None:
     """Raise :class:`ParamError` naming the first ``(field, test, rule)`` of
-    ``rules`` whose test the field's value fails; NaN fails every test."""
+    ``rules`` whose test the field's value fails; NaN fails every test, and
+    so does a value the test cannot take, such as a string or None.  A
+    field given as ``-0.0`` is stored as ``0.0``: sets that compare equal
+    share their bound forms, so they must compute the same bits."""
     for name, test, rule in rules:
         value = getattr(params, name)
-        if not test(value):
+        try:
+            passed = bool(test(value))
+        except (TypeError, ValueError):
+            passed = False
+        if not passed:
             raise ParamError(name, f"{name} must {rule}, got {value}")
+        if value == 0:
+            object.__setattr__(params, name, abs(value))
 
 
 def _states(x, d: int, one: bool = False) -> np.ndarray:
@@ -89,12 +100,10 @@ def _on_arrays(step, x, d: int) -> np.ndarray:
     """The array step ``step`` of one state ``(d,)`` or of an ``(n, d)``
     array of states, as an array, the states checked by :func:`_states`."""
     x = _states(x, d)
+    out = np.empty_like(x)
     # the transpose puts the component axis first: for one state the
     # components are numpy scalars, for a batch they are columns
-    out = np.empty_like(x)
-    o = out.T
-    for j, v in enumerate(step(x.T)):
-        o[j] = v
+    step(x.T, out.T)
     return out
 
 
@@ -114,32 +123,23 @@ _LPA = Formula(names=("b", "c_el", "c_ea", "c_pa", "keep_l", "keep_a"),
                          (1, 0, "keep_l"), (2, 1, "e1"), (2, 2, "keep_a - c_pa * x1 * e1")))
 
 
-def _lpa_values(p: LpaParams) -> tuple:
-    """The values of the constants of ``_LPA``."""
-    return p.b, p.c_el, p.c_ea, p.c_pa, 1.0 - p.mu_l, 1.0 - p.mu_a
-
-
-# the array form, compiled once; lpa_eval binds it to its parameters on every call
-_LPA_ARRAYS = _LPA.maker("arrays")
+@lru_cache(maxsize=128)
+def _lpa_forms(p: LpaParams) -> tuple:
+    """``_LPA``'s ``"arrays"`` and ``"jacobian"`` forms at ``p``, bound once
+    per parameter set."""
+    values = p.b, p.c_el, p.c_ea, p.c_pa, 1.0 - p.mu_l, 1.0 - p.mu_a
+    return _LPA.bind("arrays", *values), _LPA.bind("jacobian", *values)
 
 
 def lpa_eval(p: LpaParams, x) -> np.ndarray:
     """The LPA map of one state ``(3,)`` or of an ``(n, 3)`` array of states."""
-    return _on_arrays(_LPA_ARRAYS(*_lpa_values(p)), x, 3)
-
-
-@lru_cache(maxsize=128)
-def _lpa_jacobian_form(p: LpaParams):
-    """``_LPA``'s ``"jacobian"`` form at ``p``, bound once per parameter
-    set.  Sets that compare equal share it, so ``c_el = -0.0`` may give
-    entry (0, 0) the sign of zero that ``c_el = 0.0`` gives."""
-    return _LPA.bind("jacobian", *_lpa_values(p))
+    return _on_arrays(_lpa_forms(p)[0], x, 3)
 
 
 def lpa_jacobian(p: LpaParams, x) -> np.ndarray:
     """The Jacobian ``(3, 3)`` of the LPA map at one state ``(3,)``, checked
     by :func:`_states`."""
-    return _lpa_jacobian_form(p)(_states(x, 3, one=True).tolist())
+    return _lpa_forms(p)[1](_states(x, 3, one=True).tolist())
 
 
 def lpa_recruitment_bound(p: LpaParams) -> float:
@@ -152,15 +152,16 @@ def lpa_recruitment_bound(p: LpaParams) -> float:
     return p.b / (math.e * p.c_ea)
 
 
-def _built_in(name: str, p, formula: Formula, values: tuple) -> MapModel:
+def _built_in(name: str, p, arrays) -> MapModel:
     """The built-in model ``name`` at the parameters ``p`` on the
-    nonnegative orthant, its float step ``formula`` at ``values``.  Its
-    ``evaluate``, also its ``evaluate_batch``, and its ``jacobian`` call
-    ``<name>_eval`` and ``<name>_jacobian`` of this module, looked up at
-    each call, so that a hook set on either name sees every call of them.
-    The batch step carries ``formula``'s ``"arrays"`` form at ``values``,
-    whose columns a fresh scan steps in its place
-    (:func:`~chaosctl.core.pulled_columns`)."""
+    nonnegative orthant, whose formula and constants are those of its bound
+    ``"arrays"`` form ``arrays``.  Its ``evaluate``, also its
+    ``evaluate_batch``, and its ``jacobian`` call ``<name>_eval`` and
+    ``<name>_jacobian`` of this module, looked up at each call, so that a
+    hook set on either name sees every call of them.  The batch step
+    carries the tag of ``arrays``, whose columns a fresh scan steps in its
+    place (:func:`~chaosctl.core.pulled_columns`)."""
+    formula, _, values = arrays.formula
     d, space = len(formula.components), globals()
 
     def calling(function: str):
@@ -169,7 +170,7 @@ def _built_in(name: str, p, formula: Formula, values: tuple) -> MapModel:
         return call
 
     evaluate = calling(f"{name}_eval")
-    evaluate.formula = formula, "arrays", values
+    evaluate.formula = arrays.formula
     return MapModel(dimension=d, evaluate=evaluate, domain=DomainSpec.nonnegative_orthant(d),
                     jacobian=calling(f"{name}_jacobian"), name=name, evaluate_batch=evaluate,
                     evaluate_floats=formula.bind("floats", *values))
@@ -178,7 +179,7 @@ def _built_in(name: str, p, formula: Formula, values: tuple) -> MapModel:
 def lpa_map(p: LpaParams | None = None) -> MapModel:
     """The LPA model as a ``MapModel`` on the nonnegative orthant."""
     p = p or LpaParams()
-    return _built_in("lpa", p, _LPA, _lpa_values(p))
+    return _built_in("lpa", p, _lpa_forms(p)[0])
 
 
 @dataclass(frozen=True)
@@ -212,25 +213,26 @@ def _ricker_formula(delay: int) -> Formula:
                              *((i, i - 1, "1.0") for i in range(1, delay))))
 
 
+@lru_cache(maxsize=128)
+def _ricker_forms(delay: int, r: float) -> tuple:
+    """The ``"arrays"`` and ``"jacobian"`` forms of the lift of ``delay`` at
+    ``r``, bound once per parameter set; keyed on the two numbers, which
+    hash in less time than a ``RickerParams``."""
+    formula = _ricker_formula(delay)
+    return formula.bind("arrays", r), formula.bind("jacobian", r)
+
+
 def ricker_eval(p: RickerParams, x) -> np.ndarray:
     """The Ricker lift of one state ``(delay,)`` or of an ``(n, delay)`` array of states."""
-    return _on_arrays(_ricker_formula(p.delay).maker("arrays")(p.r), x, p.delay)
-
-
-@lru_cache(maxsize=128)
-def _ricker_jacobian_form(delay: int, r: float):
-    """The ``"jacobian"`` form of the lift of ``delay`` at ``r``, bound once
-    per parameter set; keyed on the two numbers, which hash in less time
-    than a ``RickerParams``."""
-    return _ricker_formula(delay).bind("jacobian", r)
+    return _on_arrays(_ricker_forms(p.delay, p.r)[0], x, p.delay)
 
 
 def ricker_jacobian(p: RickerParams, x) -> np.ndarray:
     """The Jacobian ``(delay, delay)`` of the Ricker lift at one state
     ``(delay,)``, checked by :func:`_states`."""
-    return _ricker_jacobian_form(p.delay, p.r)(_states(x, p.delay, one=True).tolist())
+    return _ricker_forms(p.delay, p.r)[1](_states(x, p.delay, one=True).tolist())
 
 
 def ricker_lift(p: RickerParams) -> MapModel:
     """The delayed Ricker recursion as a first-order system of dimension ``delay``."""
-    return _built_in("ricker", p, _ricker_formula(p.delay), (p.r,))
+    return _built_in("ricker", p, _ricker_forms(p.delay, p.r)[0])

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,25 @@ def test_bifurcate_deterministic_output(tmp_path):
     assert header == "c,step,component,value,period"
     rows = first.decode().splitlines()[1:]
     assert len(rows) == 11 * 10 * 3  # grid k/12, k = 1..11
+
+
+def test_chained_scan_warnings_name_the_lines_of_the_compiled_step(tmp_path):
+    # a chained scan of the delay-2 Ricker lift at r = 800 toward (1000, 1000)
+    # overflows at weak controls; each failing step replays through the
+    # array form, whose warnings name its exponential and its product
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run_cli(tmp_path, "bifurcate", "--seed", "7", "--out", "chainfail",
+                     "--set", "model.kind=ricker", "--set", "model.r=800",
+                     "--set", "model.delay=2", "--set", "control.scheme=VMTOC",
+                     "--set", "control.target=1000,1000", "--set", "scan.grid=30",
+                     "--set", "scan.continue=true", "--set", "run.n_transient=250",
+                     "--set", "init.lo=0", "--set", "init.hi=800")
+    assert rc == 0
+    assert "errors = 7\n" in (tmp_path / "chainfail.report.txt").read_text()
+    lines = {(w.lineno, str(w.message).split()[-1]) for w in caught
+             if w.filename == "<chaosctl compiled step>"}
+    assert lines == {(5, "exp"), (6, "multiply")}
 
 
 def test_bifurcate_with_cost_column(tmp_path):

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -14,11 +15,14 @@ from chaosctl import (
     lpa_map,
     lpa_recruitment_bound,
     ricker_eval,
+    ricker_jacobian,
     controlled_map,
     ricker_lift,
     spectral_radius,
 )
+from chaosctl import models
 from chaosctl.analysis import box_samples
+from chaosctl.core import Formula
 
 from conftest import LPA_FIXED_POINT
 
@@ -139,6 +143,11 @@ def test_ricker_lift_shift_structure_exact():
     np.testing.assert_array_equal(y[1:], x[:-1])
 
 
+_NOT_NUMBER_FIELDS = (("b", lambda v: LpaParams(b=v)), ("c_pa", lambda v: LpaParams(c_pa=v)),
+                      ("r", lambda v: RickerParams(r=v, delay=2)),
+                      ("delay", lambda v: RickerParams(r=2.0, delay=v)))
+
+
 @pytest.mark.parametrize("params, field", [
     *[(lambda f=f: LpaParams(**{f: math.nan}), f)
       for f in ("b", "c_el", "c_ea", "c_pa", "mu_l", "mu_a")],
@@ -150,9 +159,13 @@ def test_ricker_lift_shift_structure_exact():
     (lambda: RickerParams(r=2.0, delay=math.nan), "delay"),
     (lambda: RickerParams(r=2.0, delay=0), "delay"),
     *[(lambda f=f: LpaParams(**{f: math.inf}), f) for f in ("c_el", "c_ea", "c_pa")],
+    # values that are not numbers
+    *[(lambda v=v, make=make: make(v), f) for f, make in _NOT_NUMBER_FIELDS
+      for v in ("10", None, "x")],
 ], ids=["b-nan", "c_el-nan", "c_ea-nan", "c_pa-nan", "mu_l-nan", "mu_a-nan", "b-inf",
         "c_pa-negative", "mu_l-zero", "r-nan", "r-inf", "delay-nan", "delay-zero",
-        "c_el-inf", "c_ea-inf", "c_pa-inf"])
+        "c_el-inf", "c_ea-inf", "c_pa-inf",
+        *[f"{f}-{v}" for f, _ in _NOT_NUMBER_FIELDS for v in ("str10", "None", "strx")]])
 def test_bad_parameter_raises_naming_its_field(params, field):
     with pytest.raises(ParamError, match=f"^{field} must ") as err:
         params()
@@ -471,3 +484,62 @@ def test_formula_jacobians_equal_the_written_out_jacobians_bitwise(name):
         for x in states[::3]:
             at = c * t + (1.0 - c) * x if scheme in ("VTOC", "PF") else x
             assert _bits(g.jacobian_at(x)).tolist() == _bits(keep * oracle(p, at)).tolist()
+
+
+def test_a_negative_zero_parameter_is_stored_as_zero():
+    assert math.copysign(1.0, LpaParams(c_el=-0.0).c_el) == 1.0
+    assert math.copysign(1.0, RickerParams(r=-0.0, delay=2).r) == 1.0
+    # an integer zero stays an integer
+    assert type(LpaParams(c_pa=0).c_pa) is int
+
+
+def test_equal_parameter_sets_give_the_same_bits_in_either_order():
+    # equal sets share one cache entry, so the first one bound must not
+    # decide the sign of zero of the Jacobian's entry (0, 0)
+    x = (20.0, 20.0, 5.0)
+    models._lpa_forms.cache_clear()
+    alone = lpa_jacobian(LpaParams(c_el=-0.0), x)[0, 0]
+    models._lpa_forms.cache_clear()
+    lpa_jacobian(LpaParams(c_el=0.0), x)
+    after = lpa_jacobian(LpaParams(c_el=-0.0), x)[0, 0]
+    assert np.float64(alone).tobytes() == np.float64(after).tobytes()
+
+
+def test_built_in_maps_look_up_their_module_names_at_call_time(monkeypatch):
+    # the maps are built before the names are replaced, and each call must
+    # still reach the replacement: the benchmark's tracer hooks these names
+    built = {"lpa": lpa_map(), "ricker": ricker_lift(RickerParams(r=2.0, delay=2))}
+    calls = collections.Counter()
+    for name in ("lpa_eval", "lpa_jacobian", "ricker_eval", "ricker_jacobian"):
+        def counting(p, x, name=name, original=getattr(models, name)):
+            calls[name] += 1
+            return original(p, x)
+        monkeypatch.setattr(models, name, counting)
+    for name, model in built.items():
+        d = model.dimension
+        model.evaluate(np.ones(d))
+        model.evaluate_batch(np.ones((4, d)))
+        model.jacobian(np.ones(d))
+        assert (calls[f"{name}_eval"], calls[f"{name}_jacobian"]) == (2, 1)
+
+
+def test_each_form_is_bound_once_per_parameter_set(monkeypatch):
+    bound = collections.Counter()
+    bind = Formula.bind
+
+    def counting(self, form, *values):
+        bound[form] += 1
+        return bind(self, form, *values)
+
+    monkeypatch.setattr(Formula, "bind", counting)
+    models._lpa_forms.cache_clear()
+    models._ricker_forms.cache_clear()
+    p, q = LpaParams(b=9.5), RickerParams(r=2.5, delay=3)
+    for _ in range(5):
+        lpa_eval(p, np.ones(3))
+        lpa_eval(LpaParams(b=9.5), np.ones((4, 3)))
+        lpa_jacobian(p, np.ones(3))
+        ricker_eval(q, np.ones(3))
+        ricker_eval(RickerParams(r=2.5, delay=3), np.ones((4, 3)))
+        ricker_jacobian(q, np.ones(3))
+    assert bound == {"arrays": 2, "jacobian": 2}
