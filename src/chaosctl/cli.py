@@ -11,7 +11,10 @@ Commands: simulate | equilibrium | stability | bifurcate | bubbles |
 lyapunov | cost.  ``bifurcate`` and ``bubbles`` exit 1 when every grid
 point failed.  ``--strict`` applies to ``simulate`` and ``cost``; the other
 commands reject it.  ``CHECKS`` holds the rule of every key that a command
-checks before it builds its model.
+checks before it builds its model.  The ``model.<field>`` keys, with their
+types and defaults, are the fields of the built-in kinds' parameter classes
+in :data:`chaosctl.models.KINDS`, one flat namespace, and ``build_model``
+builds every built-in kind from them the same way.
 """
 
 from __future__ import annotations
@@ -36,10 +39,10 @@ SCANS = ("bifurcate", "bubbles")
 # floats (comma list), opt_floats (comma list or "none"), opt_str.
 FIELDS = {
     "run.command": ("str", "simulate"),
-    "model.kind": ("str", "lpa"),
-    **{f"model.{f.name}": ("float", f.default) for f in fields(models.LpaParams)},
-    "model.r": ("float", 2.0),
-    "model.delay": ("int", 2),
+    "model.kind": ("str", next(iter(models.KINDS))),
+    # the fields of every built-in kind's parameters, annotated "float" or "int"
+    **{f"model.{f.name}": (f.type, f.default)
+       for params, _ in models.KINDS.values() for f in fields(params)},
     "model.plugin": ("opt_str", None),
     "control.scheme": ("str", "none"),
     "control.intensity": ("floats", (0.5,)),
@@ -214,15 +217,12 @@ def _broadcast(values, dim, key):
 
 def build_model(cfg: RunConfig) -> MapModel:
     kind = cfg["model.kind"]
-    try:
-        if kind == "lpa":
-            return models.lpa_map(models.LpaParams(
-                **{f.name: cfg[f"model.{f.name}"] for f in fields(models.LpaParams)}))
-        if kind == "ricker":
-            return models.ricker_lift(models.RickerParams(r=cfg["model.r"],
-                                                          delay=cfg["model.delay"]))
-    except ParamError as exc:
-        raise ConfigError(f"model.{exc.field}", str(exc)) from None
+    if kind in models.KINDS:
+        params, build = models.KINDS[kind]
+        try:
+            return build(params(**{f.name: cfg[f"model.{f.name}"] for f in fields(params)}))
+        except ParamError as exc:
+            raise ConfigError(f"model.{exc.field}", str(exc)) from None
     if kind == "plugin":
         ref = cfg["model.plugin"]
         if not ref or ":" not in ref:

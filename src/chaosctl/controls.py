@@ -330,10 +330,14 @@ def conjugate_state(cfg: ControlConfig, x) -> np.ndarray:
 
     Orbits of the two schemes correspond through phi: if y0 = phi(x0), the
     VMTOC orbit from y0 equals phi of the VTOC orbit from x0.  phi is
-    invertible for every c < 1.  Only scalar-intensity schemes are accepted.
+    invertible for every c < 1.  Only scalar-intensity schemes are accepted,
+    and a state of another length than the target raises ``ValueError``.
     """
     if not cfg.is_scalar:
         raise ValueError("conjugate_state requires a scalar-intensity scheme")
     x = as_state(x)
+    if cfg.scheme not in _TARGETLESS and len(cfg.target) != x.shape[0]:
+        raise ValueError(f"state has {x.shape[0]} components, but the target has "
+                         f"{len(cfg.target)}")
     c, t = cfg.intensity, cfg.target_vector(x.shape[0])
     return c * t + (1.0 - c) * x

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -54,7 +55,18 @@ class OrbitError(RuntimeError):
         self.step = step
 
 
+def _check_count(name: str, n) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``n`` is an integer, a
+    numpy integer included."""
+    try:
+        operator.index(n)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {n}") from None
+
+
 def _check_lengths(n_transient: int, n_keep: int) -> None:
+    _check_count("n_transient", n_transient)
+    _check_count("n_keep", n_keep)
     if n_transient < 0 or n_keep < 0:
         raise ValueError("n_transient and n_keep must be nonnegative")
 
@@ -275,7 +287,8 @@ def iterate_orbit(model: MapModel, cfg: Optional[ControlConfig], x0,
     alone runs again through ``evaluate`` under the caller's
     ``np.errstate``.  Domain violations are advisory (logged once per orbit)
     unless ``strict``.  A step whose state does not have the model's
-    dimension raises ``ValueError``.  This is the public single-orbit entry;
+    dimension raises ``ValueError``, and so does a step count that is not a
+    nonnegative integer, naming it.  This is the public single-orbit entry;
     a scan runs its lone grid points through the same loop directly.
     """
     _check_lengths(n_transient, n_keep)
@@ -355,12 +368,17 @@ def initial_box(lo, hi, dim: int, what: str = "initial box") -> tuple:
     """The box ``[lo, hi]`` of initial states, as two ``(dim,)`` arrays.
 
     ``lo`` and ``hi`` are scalars or ``(dim,)`` vectors.  Raises
-    ``ValueError``, which names the box ``what``, unless ``lo <= hi``
-    componentwise with a finite width, which drawing a uniform state from
-    the box needs, and so does sampling it (``analysis.box_samples``).
+    ``ValueError``, which names the box ``what``, for a bound of another
+    shape, and unless ``lo <= hi`` componentwise with a finite width, which
+    drawing a uniform state from the box needs, and so does sampling it
+    (``analysis.box_samples``).
     """
-    lo = np.broadcast_to(np.asarray(lo, float), (dim,)).copy()
-    hi = np.broadcast_to(np.asarray(hi, float), (dim,)).copy()
+    lo, hi = np.asarray(lo, float), np.asarray(hi, float)
+    for name, bound in (("lo", lo), ("hi", hi)):
+        if bound.shape not in ((), (1,), (dim,)):
+            raise ValueError(f"{what}: {name} has shape {bound.shape}, "
+                             f"but the model has dimension {dim}")
+    lo, hi = np.broadcast_to(lo, (dim,)).copy(), np.broadcast_to(hi, (dim,)).copy()
     with np.errstate(over="ignore", invalid="ignore"):
         width = hi - lo
     if not np.all((width >= 0.0) & (width < np.inf)):
@@ -395,13 +413,14 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
     Last, one :func:`detect_periods` call classifies all the records
     that did not fail, each as :func:`detect_period` would on its own
     window.  ``max_period`` is capped at half the kept window.
-    Invalid arguments raise ``ValueError`` before any orbit runs: an
-    ``n_keep`` below 2, a ``tol`` that is not positive and finite (NaN
-    included), a box that :func:`initial_box` rejects, and what the one
-    check of the control, ``controlled_rows``, rejects: a bad scheme
-    (``DIAG-VMTOC`` too), target or grid.  Orbit failures are recorded;
-    what a batch step raises, such as the ``ValueError`` of a base image of
-    the wrong shape, propagates.
+    Invalid arguments raise ``ValueError``, naming the argument, before any
+    orbit runs: a step count or ``seed`` that is not an integer, a negative
+    ``seed`` or ``n_transient``, an ``n_keep`` below 2, a ``tol`` that is
+    not positive and finite (NaN included), a box that :func:`initial_box`
+    rejects, and what the one check of the control, ``controlled_rows``,
+    rejects: a bad scheme (``DIAG-VMTOC`` too), target or grid.  Orbit
+    failures are recorded; what a batch step raises, such as the
+    ``ValueError`` of a base image of the wrong shape, propagates.
     """
     c_grid = [float(c) for c in c_grid]
     _check_lengths(n_transient, n_keep)
@@ -410,6 +429,9 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
     check_tol(tol)
     if max_period < 1:
         raise ValueError("max_period must be at least 1")
+    _check_count("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     step_for, map_at = controlled_rows(model, scheme, target, c_grid)
     dim = model.dimension
     lo, hi = initial_box(init_lo, init_hi, dim)
@@ -489,8 +511,10 @@ def lyapunov_max(model: MapModel, cfg: Optional[ControlConfig], x0, n: int = 500
     steps.  A Jacobian that is not finite, or that raises ``ValueError`` or
     ``ArithmeticError``, raises ``ValueError`` naming its step and state.
     Positive means sensitive dependence; a stabilized equilibrium gives a
-    negative value.
+    negative value.  An ``n`` that is not an integer of at least 1000 raises
+    ``ValueError``.
     """
+    _check_count("n", n)
     if n < 1000:
         raise ValueError("n must be at least 1000 for a stable average")
     x0 = as_state(x0, model.dimension)

@@ -7,7 +7,10 @@ Two models ship with the package:
 * the delayed Ricker map, lifted from a scalar higher-order recursion to a
   first-order system via a delay line.
 
-Both self-map the nonnegative orthant.  Each map is written once, as a
+Each kind is declared once, in :data:`KINDS`: its parameter dataclass,
+whose fields, with their ``float`` or ``int`` annotations and defaults,
+are the CLI's ``model.<field>`` keys, and its builder.  Both self-map the
+nonnegative orthant.  Each map is written once, as a
 :class:`~chaosctl.core.Formula` of component expressions over named
 constants, with the nonzero entries of its Jacobian in the same names, and
 every form is compiled from it once per formula and form, its constants
@@ -187,8 +190,8 @@ class RickerParams:
     """Delayed Ricker parameters: finite growth rate ``r`` and integer delay
     ``delay`` >= 2; a field out of range raises :class:`~chaosctl.core.ParamError`."""
 
-    r: float
-    delay: int
+    r: float = 2.0
+    delay: int = 2
 
     def __post_init__(self):
         _check_fields(self, [("r", math.isfinite, "be finite"),
@@ -236,3 +239,12 @@ def ricker_jacobian(p: RickerParams, x) -> np.ndarray:
 def ricker_lift(p: RickerParams) -> MapModel:
     """The delayed Ricker recursion as a first-order system of dimension ``delay``."""
     return _built_in("ricker", p, _ricker_forms(p.delay, p.r)[0])
+
+
+# The built-in model kinds, each declared once: kind -> (parameter class,
+# builder of a MapModel from its parameters).  The CLI's ``model.<field>``
+# keys, their types and their defaults are the fields of these classes, and
+# its default kind is the first.  Each builder looks its model function up
+# when it is called, so that a hook set on the name sees every model built.
+KINDS = {"lpa": (LpaParams, lambda p: lpa_map(p)),
+         "ricker": (RickerParams, lambda p: ricker_lift(p))}

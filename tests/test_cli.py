@@ -1,5 +1,6 @@
 import os
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -47,6 +48,35 @@ def test_lpa_keys_are_the_fields_of_lpa_params(monkeypatch):
         cfg.set(f"model.{name}", f"0.{k + 1}")
     build_model(cfg)
     assert built == [models.LpaParams(b=0.1, c_ea=0.2, c_el=0.3, c_pa=0.4, mu_a=0.5, mu_l=0.6)]
+
+
+def test_model_keys_are_the_fields_of_every_built_in_kind():
+    # the model.* keys are one flat namespace: a field name that two kinds
+    # share must have one type and one default, or FIELDS would keep the
+    # last kind's without a word
+    seen = {}
+    for kind, (params, _) in models.KINDS.items():
+        for f in fields(params):
+            entry = (f.type, f.default)
+            assert f.type in ("float", "int") and type(f.default).__name__ == f.type
+            assert FIELDS[f"model.{f.name}"] == entry
+            first, shared = seen.setdefault(f.name, (kind, entry))
+            assert shared == entry, f"model.{f.name} differs between {first} and {kind}"
+    assert {k for k in FIELDS if k.startswith("model.")} == {
+        "model.kind", "model.plugin", *(f"model.{name}" for name in seen)}
+    assert FIELDS["model.kind"] == ("str", "lpa") == ("str", next(iter(models.KINDS)))
+
+
+def test_ricker_keys_reach_the_fields_of_ricker_params(monkeypatch):
+    built = []
+    monkeypatch.setattr(models, "ricker_lift", built.append)
+    cfg = RunConfig()
+    cfg.set("model.kind", "ricker")
+    build_model(cfg)
+    cfg.set("model.r", "2.5")
+    cfg.set("model.delay", "3")
+    build_model(cfg)
+    assert built == [models.RickerParams(), models.RickerParams(r=2.5, delay=3)]
 
 
 def test_config_parsing_errors():

@@ -263,6 +263,9 @@ def test_conjugate_state_basics():
                                [5.0, 5.0], atol=1e-15)
     with pytest.raises(ValueError, match="scalar"):
         conjugate_state(ControlConfig("DIAG-VMTOC", (0.3, 0.2), (1.0, 1.0)), x)
+    # the state is checked against the target, and blamed
+    with pytest.raises(ValueError, match="^state has 2 components, but the target has 3$"):
+        conjugate_state(ControlConfig("VMTOC", 0.3, (1.0, 2.0, 3.0)), x)
 
 
 def test_orbit_correspondence_under_conjugacy(lpa):

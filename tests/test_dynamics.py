@@ -292,6 +292,12 @@ def test_scan_rejects_diag_vmtoc_on_a_one_dimensional_map():
     ({"n_keep": 1}, "n_keep must be at least 2 to detect a period, got 1"),
     ({"n_keep": 0}, "n_keep must be at least 2 to detect a period, got 0"),
     ({"n_keep": 1, "continue_orbits": True}, "n_keep must be at least 2"),
+    ({"n_transient": 10.5}, "^n_transient must be an integer, got 10.5$"),
+    ({"n_keep": 4.0}, "^n_keep must be an integer, got 4.0$"),
+    ({"seed": -1}, "^seed must be nonnegative, got -1$"),
+    ({"seed": -1, "continue_orbits": True}, "^seed must be nonnegative, got -1$"),
+    ({"seed": 0.5}, "^seed must be an integer, got 0.5$"),
+    ({"init_lo": [0.0, 0.0]}, r"^initial box: lo has shape \(2,\), but the model has dimension 3$"),
 ])
 def test_scan_rejects_bad_parameters_before_iterating(kwargs, message):
     f = MapModel(dimension=3, evaluate=_never, domain=DomainSpec.nonnegative_orthant(3))
@@ -307,6 +313,26 @@ def test_scan_rejects_a_bad_initial_box_before_iterating(lo, hi, chained):
     with pytest.raises(ValueError, match="initial box needs lo <= hi with a finite width"):
         bifurcation_scan(f, "VMTOC", (28.0, 22.0, 4.6), [0.2, 0.5], init_lo=lo,
                          init_hi=hi, continue_orbits=chained)
+
+
+@pytest.mark.parametrize("lo, hi, message", [
+    ((0.0, 0.0), 1.0, r"^sample box: lo has shape \(2,\), but the model has dimension 3$"),
+    (0.0, np.ones((3, 1)), r"^sample box: hi has shape \(3, 1\), but the model has dimension 3$"),
+])
+def test_initial_box_names_a_bound_of_the_wrong_shape(lo, hi, message):
+    with pytest.raises(ValueError, match=message):
+        dynamics.initial_box(lo, hi, 3, "sample box")
+
+
+def test_iterate_orbit_rejects_a_step_count_that_is_not_an_integer():
+    with pytest.raises(ValueError, match="^n_transient must be an integer, got 10.5$"):
+        iterate_orbit(lpa_map(), None, (20, 20, 5), 10.5, 3)
+    with pytest.raises(ValueError, match="^n_keep must be an integer, got 3.0$"):
+        iterate_orbit(lpa_map(), None, (20, 20, 5), 10, 3.0)
+    # numpy integers are integers
+    np.testing.assert_array_equal(
+        iterate_orbit(lpa_map(), None, (20, 20, 5), np.int64(10), np.int32(3)),
+        iterate_orbit(lpa_map(), None, (20, 20, 5), 10, 3))
 
 
 def test_scan_plugin_exception_fails_its_row_only():
@@ -1938,6 +1964,13 @@ def test_lyapunov_linear_scalar_map(a):
                  domain=DomainSpec.full_space(1))
     lam = lyapunov_max(f, None, np.array([0.0]), n=1500)
     assert lam == pytest.approx(math.log(abs(a)), abs=1e-3)
+
+
+def test_lyapunov_rejects_a_step_count_that_is_not_an_integer():
+    with pytest.raises(ValueError, match="^n must be an integer, got 1000.5$"):
+        lyapunov_max(lpa_map(), None, (20, 20, 5), n=1000.5)
+    assert lyapunov_max(lpa_map(), None, (20, 20, 5), n=np.int64(1000)) == \
+        lyapunov_max(lpa_map(), None, (20, 20, 5), n=1000)
 
 
 def test_lyapunov_orbit_moves_on_past_a_collapsed_tangent():

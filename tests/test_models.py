@@ -172,6 +172,10 @@ def test_bad_parameter_raises_naming_its_field(params, field):
     assert err.value.field == field
 
 
+def test_ricker_params_defaults():
+    assert RickerParams() == RickerParams(r=2.0, delay=2)
+
+
 def test_ricker_delay_validation():
     with pytest.raises(ValueError, match="delay"):
         RickerParams(r=2.0, delay=1)
