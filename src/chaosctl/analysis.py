@@ -27,7 +27,7 @@ import numpy as np
 from .controls import ControlConfig
 from .core import (MapModel, as_state, check_image, check_norm_kind, check_tol, norm,
                    norm_rows, state_text)
-from .dynamics import initial_box, iterate_orbit
+from .dynamics import _check_count, initial_box, iterate_orbit
 
 _FIXED_POINT_RESIDUAL = 1e-8
 
@@ -180,8 +180,7 @@ def box_samples(lo, hi, n_samples: int) -> np.ndarray:
     if lo.shape != hi.shape or lo.ndim != 1:
         raise ValueError("box bounds must be vectors of equal length")
     lo, hi = initial_box(lo, hi, lo.shape[0], "sample box")
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
+    _check_count("n_samples", n_samples, 1)
     d = lo.shape[0]
     bits = np.arange(2 ** d if d <= 12 else 0)[:, None] >> np.arange(d)
     corners = np.where((bits & 1).astype(bool), hi, lo)
@@ -304,6 +303,7 @@ def lipschitz_estimate(model: MapModel, k, lo, hi, n_samples: int = 2048,
     domain the estimate is valid on that compact restriction and nowhere
     else.  The samples are mapped with one ``evaluate_rows`` call.
     """
+    _check_count("n_samples", n_samples, 1)
     k = as_state(k, model.dimension)
     _check_fixed_point(model, k)
     nk = norm(k, norm_kind)
@@ -414,6 +414,7 @@ def stability_report(model: MapModel, x0, lo, hi, n_samples: int = 2048,
     ``ValueError`` naming the equilibrium.
     """
     check_norm_kind(norm_kind)
+    _check_count("n_samples", n_samples, 1)
     lo, hi = initial_box(lo, hi, model.dimension, "sample box")
     eq = find_fixed_point(model, x0, tol=tol)
     res = norm(np.asarray(model.evaluate(eq), float) - eq, "max")

@@ -292,14 +292,13 @@ def _block_maker(d: int, params: tuple, head: tuple, body: tuple, state: str, pa
     """``make(*params)``, which returns :func:`step_block`'s block running
     ``head`` once and ``body`` a step, to the state ``state`` of ``packed``."""
     lines = [f"pack = struct.Struct('{d}d').pack", f"def make({', '.join(params)}):",
-             "    def block(x, start, stop, seen, older):", "        keys = []",
-             "        append = keys.append", *(f"        {line}" for line in head),
+             "    def block(x, start, stop):", *(f"        {line}" for line in head),
+             "        keys, seen = [], {}", "        append, mark = keys.append, seen.setdefault",
              "        try:", "            for i in range(start, stop):",
              *(f"                {line}" for line in body),
              f"                key = pack({packed})", "                append(key)",
-             "                if key in seen or key in older:",
-             f"                    return keys, {state}, i - seen.get(key, older.get(key)), None",
-             "                seen[key] = i",
+             "                j = mark(key, i)", "                if j != i:",
+             f"                    return keys, {state}, i - j, None",
              "        except (ValueError, ArithmeticError, TypeError, struct.error) as error:",
              f"            return keys, {state}, 0, error",
              f"        return keys, {state}, 0, None", "    return block"]
@@ -394,11 +393,11 @@ def pulled_columns(step: Callable, side: str, c, k) -> Optional[Callable]:
 def step_block(step: Callable, d: int) -> Callable:
     """The lone orbit's block of the float step ``step`` of ``d`` components.
 
-    ``block(x, start, stop, seen, older)`` runs steps ``start`` to ``stop -
-    1`` from the tuple of floats ``x`` and returns ``(keys, y, p, error)``:
-    each state's ``struct`` bytes and the last state.  A key with a step in
-    ``seen`` or ``older`` ends it ``p`` steps later; else its step goes into
-    ``seen``, and ``p`` is 0.  A step raising ``ValueError``,
+    ``block(x, start, stop)`` runs steps ``start`` to ``stop - 1`` from the
+    tuple of floats ``x`` and returns ``(keys, y, p, error)``: each state's
+    ``struct`` bytes and the last state.  The block keeps one table of the
+    step of each key; a key already in it, from ``p`` steps earlier, ends the
+    block, and otherwise ``p`` is 0.  A step raising ``ValueError``,
     ``ArithmeticError`` or ``TypeError``, or a state that does not pack, ends
     it as ``error``, at step ``start + len(keys)``.  A formula's step is
     written into the block; any other is called from it."""

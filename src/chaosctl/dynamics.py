@@ -10,8 +10,10 @@ the step map's ``evaluate_floats`` (:func:`~chaosctl.core.step_block`),
 which every model has, its own or one derived from ``evaluate``.  A failure
 is read off its block, with the step, message and log line of a
 step-by-step check; only the failing step runs again, through ``evaluate``.
-A lone state stops right after its first recurrence, bit for bit, within
-two blocks, and repeats that cycle, since the map is pure.  The batch loop
+Each lone block of ``_LONE_BLOCK`` steps keeps one table of its states'
+bytes; the state stops at the first step whose state equals, bit for bit,
+an earlier one of its block, its first recurrence or at most a period after
+it, and repeats that cycle, since the map is pure.  The batch loop
 only batches: it advances the grid points of a fresh scan of a model with
 ``evaluate_batch`` together, each block once, as the component columns
 ``(d, n)`` of one array, and returns the rows it hands off.  A model whose
@@ -55,13 +57,15 @@ class OrbitError(RuntimeError):
         self.step = step
 
 
-def _check_count(name: str, n) -> None:
+def _check_count(name: str, n, least: Optional[int] = None) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``n`` is an integer, a
-    numpy integer included."""
+    numpy integer included, of at least ``least``, when given."""
     try:
         operator.index(n)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {n}") from None
+    if least is not None and n < least:
+        raise ValueError(f"{name} must be at least {least}, got {n}")
 
 
 def _check_lengths(n_transient: int, n_keep: int) -> None:
@@ -71,9 +75,21 @@ def _check_lengths(n_transient: int, n_keep: int) -> None:
         raise ValueError("n_transient and n_keep must be nonnegative")
 
 
-# Steps between two checks of an orbit: long enough that the two checks
-# cost little per step, short enough that a failure wastes little of a block.
+# Steps between two checks of the batch: long enough that the two checks
+# cost little per step, short enough that a failure wastes little of a
+# block; a row retires, on a recurrence or a hand-off, only at a block's end.
 _BLOCK = 64
+
+# Steps of one lone block: one call, one table of its states' bytes and one
+# check.  A lone orbit stops inside its block at a recurrence or a failure;
+# only a recurrence whose earlier state lies in the block before runs on, by
+# at most its period.  Memory stays bounded by one block's keys.  Against
+# 64-step blocks with two rotating tables, 3050-step orbits that never recur
+# took 0.61 us a step, from 0.74, for the LPA under VMTOC c = 0.02 toward K,
+# and 0.36, from 0.49, for the uncontrolled delay-2 Ricker lift at r = 3.2
+# (best of 15 in-process timings, one pinned core of a shared 2-vCPU VM,
+# Python 3.11, numpy 2.4).
+_LONE_BLOCK = 1024
 
 # The most rows a fresh batch holds before it hands them all to the lone
 # loop: _HANDOFF_FLOATS for a model with its own float step, _HANDOFF for
@@ -100,17 +116,18 @@ def _iterate_rows(g: MapModel, x: np.ndarray, n_transient: int, n_keep: int,
     """Run one state ``x`` ``(d,)`` of the map ``g`` to the end of its
     ``n_transient + n_keep``-step orbit.
 
-    ``x`` is the orbit's state after ``at`` steps, ``at`` a multiple of
-    ``_BLOCK`` (0 at its start).  Returns ``kept``, where ``kept[k]`` is the
-    state after step ``n_transient + k``; a given ``kept``, an
+    ``x`` is the orbit's state after ``at`` steps (0 at its start, the end
+    of a batch's block for a hand-off).  Returns ``kept``, where ``kept[k]``
+    is the state after step ``n_transient + k``; a given ``kept``, an
     ``(n_keep, d)`` array, gets the states from step ``at`` on.  Raises
     :class:`OrbitError` at the first step, counted from the orbit's start,
     that raises ``ValueError`` or ``ArithmeticError``, whose state is not
     finite or, under ``strict``, that left the domain, which is otherwise
     logged once; a state of the wrong size raises ``ValueError``.
 
-    Each block of ``_BLOCK`` steps is one call of ``core.step_block``'s
-    block, with floating-point warnings off, and its states become one
+    Each block of ``_LONE_BLOCK`` steps from ``at`` is one call of
+    ``core.step_block``'s block, with floating-point warnings off, which
+    stops at a recurrence or a failure, and its states become one
     array, which one finiteness and one domain check test as a whole and
     which fills the kept window.  A failure is read off its block: the first
     non-finite state, or the step that raised, fails the orbit, and the
@@ -119,22 +136,22 @@ def _iterate_rows(g: MapModel, x: np.ndarray, n_transient: int, n_keep: int,
     ``np.errstate``, which gives its exception and warnings.
 
     The orbit stops right after the first step whose state equals, bit for
-    bit (``-0.0`` is not ``0.0``), a state ``p`` steps earlier in its
-    current or previous block, so every period up to ``_BLOCK`` is caught at
-    its first recurrence.  The rest of ``kept`` cycles those ``p`` states,
-    which gives the states, failure and log lines of the full run, because
-    the step is pure.
+    bit (``-0.0`` is not ``0.0``), a state ``p`` steps earlier in its block.
+    A recurrence whose earlier state lies in the block before is caught
+    ``p`` steps into its own block at the latest, so every period below
+    ``_LONE_BLOCK`` is caught.  The rest of ``kept`` cycles those ``p``
+    states, the block's last, which gives the states, failure and log lines
+    of the full run, because the step is pure.
     """
     total, d, domain = n_transient + n_keep, x.shape[0], g.domain
     if kept is None:
         kept = np.empty((n_keep, d))
     run, x = step_block(g.evaluate_floats, d), tuple(x.tolist())
-    # the steps of the states' bytes, by block, the previous block's states,
     # whether an exit was logged, and the failing step, its state and error
-    seen, older, before, warned, failed = {}, {}, None, False, None
+    warned, failed = False, None
     with np.errstate(all="ignore"):
-        for start in range(at, total, _BLOCK):
-            keys, y, p, error = run(x, start, min(start + _BLOCK, total), seen, older)
+        for start in range(at, total, _LONE_BLOCK):
+            keys, y, p, error = run(x, start, min(start + _LONE_BLOCK, total))
             if isinstance(error, (struct.error, TypeError)):  # a state of the wrong size
                 if np.shape(y) != (d,):
                     raise ValueError(f"step {start + len(keys)} gave a state of shape "
@@ -163,13 +180,10 @@ def _iterate_rows(g: MapModel, x: np.ndarray, n_transient: int, n_keep: int,
                 first = max(start, n_transient)
                 kept[first - n_transient:stop - n_transient] = block[first - start:]
             if p:
-                # the p states up to the recurrence repeat forever; they lie
-                # in this block and the one before
-                cycle = (block if p <= block.shape[0] else np.concatenate([before, block]))[-p:]
+                # the p states up to the recurrence, the block's last, repeat forever
                 first = max(stop, n_transient)
-                _repeat(kept[first - n_transient:], cycle, (first - stop) % p)
+                _repeat(kept[first - n_transient:], block[-p:], (first - stop) % p)
                 return kept
-            seen, older, before = {}, seen, block
     if failed is None:
         return kept
     # the failing step runs again, alone, under the caller's np.errstate
@@ -275,16 +289,17 @@ def iterate_orbit(model: MapModel, cfg: Optional[ControlConfig], x0,
     """Iterate the (controlled) map and return the last ``n_keep`` states.
 
     Runs ``n_transient + n_keep`` steps from ``x0`` on tuples of floats, in
-    64-step blocks compiled from the step map's ``evaluate_floats``: the
+    1024-step blocks compiled from the step map's ``evaluate_floats``: the
     model's own, or the one derived from its ``evaluate``.
     ``evaluate_batch`` is never called.  An orbit whose state recurs bit for
-    bit stops stepping right after its first recurrence and repeats its
-    cycle, which gives the same states, because the step is pure.  Every
-    period up to 64 steps is caught at that step, and memory stays bounded
-    whatever the orbit's length.  A non-finite state, or an evaluation that
-    raises ``ValueError`` or ``ArithmeticError``, raises :class:`OrbitError`
-    with the offending step index, read off its 64-step block; that step
-    alone runs again through ``evaluate`` under the caller's
+    bit within a block stops stepping right there and repeats its cycle,
+    which gives the same states, because the step is pure.  Every period
+    below 1024 steps is caught, at its first recurrence or, when that
+    straddles two blocks, at most a period later; memory stays bounded by one
+    block's states whatever the orbit's length.  A non-finite state, or an
+    evaluation that raises ``ValueError`` or ``ArithmeticError``, raises
+    :class:`OrbitError` with the offending step index, read off its block;
+    that step alone runs again through ``evaluate`` under the caller's
     ``np.errstate``.  Domain violations are advisory (logged once per orbit)
     unless ``strict``.  A step whose state does not have the model's
     dimension raises ``ValueError``, and so does a step count that is not a
@@ -311,8 +326,7 @@ def detect_periods(points, tol: float = 1e-5, max_period: int = 32) -> list:
         raise ValueError(f"points must be a (records, n, d) array, got shape {points.shape}")
     records, n, d = points.shape
     check_tol(tol)
-    if max_period < 1:
-        raise ValueError("max_period must be at least 1")
+    _check_count("max_period", max_period, 1)
     if n < 2 * max_period:
         raise ValueError(f"orbit too short: {n} points for max_period {max_period}")
     v = points.transpose(1, 0, 2).reshape(n, records * d)
@@ -388,8 +402,12 @@ def initial_box(lo, hi, dim: int, what: str = "initial box") -> tuple:
 
 
 def draw_x0(seed: int, index: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The uniform start state in ``[lo, hi]`` of the RNG stream ``(seed, index)``."""
-    return np.random.default_rng([seed, index]).uniform(lo, hi)
+    """The uniform start state in ``[lo, hi]`` of the RNG stream ``(seed, index)``.
+
+    ``lo + (hi - lo) * u`` of the stream's first ``d`` doubles ``u``, bitwise
+    the generator's ``uniform(lo, hi)``, without its broadcasting of array
+    bounds."""
+    return lo + (hi - lo) * np.random.default_rng([seed, index]).random(lo.shape[0])
 
 
 def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
@@ -427,8 +445,7 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
     if n_keep < 2:
         raise ValueError(f"n_keep must be at least 2 to detect a period, got {n_keep}")
     check_tol(tol)
-    if max_period < 1:
-        raise ValueError("max_period must be at least 1")
+    _check_count("max_period", max_period, 1)
     _check_count("seed", seed)
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")

@@ -31,7 +31,7 @@ from chaosctl.analysis import box_samples
 from chaosctl.core import state_text
 from chaosctl.models import LpaParams, RickerParams, ricker_lift
 
-from conftest import LPA_FIXED_POINT
+from conftest import LPA_FIXED_POINT, counting_lpa
 
 
 def shifted_linear(a, k, dim=2, domain=None):
@@ -855,3 +855,31 @@ def test_stability_report_lines_without_the_lipschitz_part(lpa):
         "provenance.box = warning: equilibrium lies outside the sampling box",
         "provenance.lipschitz = unavailable: K must have nonzero norm",
         *[_PROVENANCE_LINES[key] for key in ("local_cstar_a", "local_cstar_rho", "rho")]]
+
+
+@pytest.mark.parametrize("n_samples, message", [
+    (2.5, "^n_samples must be an integer, got 2.5$"),
+    (64.0, "^n_samples must be an integer, got 64.0$"),
+    (0, "^n_samples must be at least 1, got 0$"),
+    (-3, "^n_samples must be at least 1, got -3$"),
+])
+@pytest.mark.parametrize("entry", ["stability_report", "bound_A", "lipschitz_estimate",
+                                   "box_samples"])
+def test_bad_sample_count_is_rejected_by_name_before_evaluating(entry, n_samples, message):
+    model, calls = counting_lpa()
+    lo, hi = [0.0, 0.0, 0.0], [60.0, 60.0, 20.0]
+    run = {"stability_report": lambda: stability_report(model, LPA_FIXED_POINT, lo, hi,
+                                                        n_samples=n_samples),
+           "bound_A": lambda: bound_A(model, lo, hi, n_samples=n_samples),
+           "lipschitz_estimate": lambda: lipschitz_estimate(model, LPA_FIXED_POINT, lo, hi,
+                                                            n_samples=n_samples),
+           "box_samples": lambda: box_samples(lo, hi, n_samples)}[entry]
+    with pytest.raises(ValueError, match=message):
+        run()
+    assert sum(calls.values()) == 0
+
+
+def test_numpy_integer_sample_count_is_an_integer(lpa):
+    lo, hi = [0.0, 0.0, 0.0], [60.0, 60.0, 20.0]
+    assert box_samples(lo, hi, np.int64(9)).tobytes() == box_samples(lo, hi, 9).tobytes()
+    assert bound_A(lpa, lo, hi, n_samples=np.int32(9)) == bound_A(lpa, lo, hi, n_samples=9)

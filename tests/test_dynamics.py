@@ -36,6 +36,8 @@ from chaosctl import controls, core
 from chaosctl.controls import controlled_rows
 from chaosctl.models import LpaParams, RickerParams, lpa_map, ricker_lift
 
+from conftest import LPA_FIXED_POINT, counting_lpa
+
 
 def test_orbit_constant_at_fixed_point(lpa, lpa_k):
     cfg = ControlConfig("VMTOC", 0.6, tuple(lpa_k))
@@ -335,6 +337,53 @@ def test_iterate_orbit_rejects_a_step_count_that_is_not_an_integer():
         iterate_orbit(lpa_map(), None, (20, 20, 5), 10, 3))
 
 
+@pytest.mark.parametrize("max_period, message", [
+    (2.5, "^max_period must be an integer, got 2.5$"),
+    (4.0, "^max_period must be an integer, got 4.0$"),
+    (0, "^max_period must be at least 1, got 0$"),
+])
+@pytest.mark.parametrize("chained", [False, True])
+def test_scan_rejects_a_bad_max_period_before_evaluating(max_period, message, chained):
+    model, calls = counting_lpa()
+    with pytest.raises(ValueError, match=message):
+        bifurcation_scan(model, "VMTOC", LPA_FIXED_POINT, [0.2, 0.5], n_transient=10,
+                         n_keep=20, max_period=max_period, continue_orbits=chained)
+    assert sum(calls.values()) == 0
+
+
+@pytest.mark.parametrize("detect", [detect_period, detect_periods])
+def test_detect_period_rejects_a_max_period_that_is_not_an_integer(detect):
+    points = np.zeros((40, 1)) if detect is detect_period else np.zeros((3, 40, 1))
+    with pytest.raises(ValueError, match="^max_period must be an integer, got 2.5$"):
+        detect(points, max_period=2.5)
+    # numpy integers are integers
+    assert detect(points, max_period=np.int64(4)) == detect(points, max_period=4)
+
+
+def test_scan_takes_a_numpy_integer_max_period():
+    kwargs = dict(n_transient=100, n_keep=20, seed=3)
+    for rec, want in zip(bifurcation_scan(lpa_map(), "VMTOC", LPA_FIXED_POINT, [0.2, 0.5],
+                                          max_period=np.int32(8), **kwargs),
+                         bifurcation_scan(lpa_map(), "VMTOC", LPA_FIXED_POINT, [0.2, 0.5],
+                                          max_period=8, **kwargs)):
+        assert rec.periods == want.periods and rec.points.tobytes() == want.points.tobytes()
+
+
+# boxes of one and three components: negative bounds, lo == hi, mixed widths
+_DRAW_BOXES = [((0.0,), (50.0,)), ((-7.5,), (-0.25,)), ((3.0,), (3.0,)),
+               ((0.0, 0.0, 0.0), (50.0, 50.0, 50.0)), ((-1e3, -2.0, 0.0), (-10.0, -2.0, 1e-9)),
+               ((-5.0, 1.0, -1e-300), (5.0, 1e6, 1e-300))]
+
+
+@pytest.mark.parametrize("lo, hi", _DRAW_BOXES)
+def test_draw_x0_is_bitwise_the_generators_uniform(lo, hi):
+    lo, hi = np.array(lo), np.array(hi)
+    for seed in (0, 1, 123, 501, 2 ** 63 - 1):
+        for index in range(300):
+            reference = np.random.default_rng([seed, index]).uniform(lo, hi)
+            assert dynamics.draw_x0(seed, index, lo, hi).tobytes() == reference.tobytes()
+
+
 def test_scan_plugin_exception_fails_its_row_only():
     # no evaluate_batch: each grid point runs alone, and math.exp raises
     # OverflowError at a step that depends on the row's intensity and start
@@ -446,7 +495,9 @@ def test_scan_continuation_chains_orbits(lpa, lpa_k):
 # [-_LIMIT, _LIMIT] ("leave").  The diverge and leave maps have a numpy
 # batch; the raise map has only evaluate, so its orbits only run alone.
 _LIMIT = 1000.0
+# the batch's block, and the lone orbit's
 _B = dynamics._BLOCK
+_L = dynamics._LONE_BLOCK
 _N_TRANSIENT = 2 * _B + 5
 _N_KEEP = 20
 # a block's last and first steps, the last transient step, a kept step and
@@ -561,8 +612,9 @@ def _assert_warns_as_the_step_by_step_loop(floats):
 
 @pytest.mark.parametrize("floats", [False, True])
 @pytest.mark.parametrize("kind", ["diverge", "raise"])
-@pytest.mark.parametrize("step", _STEPS)
-def test_failing_lone_orbit_runs_only_its_failing_step_again(kind, step, floats):
+@pytest.mark.parametrize("step, n_transient", [(s, _N_TRANSIENT) for s in _STEPS]
+                         + [(s, 2 * _L) for s in (_L - 1, _L, _L + 1)])
+def test_failing_lone_orbit_runs_only_its_failing_step_again(kind, step, n_transient, floats):
     # the steps up to the failure run once, in their blocks; then the
     # failing step alone runs again, through evaluate.  A diverging counter
     # runs on to step + 1, where inf recurs, unless its block or orbit ends
@@ -579,11 +631,11 @@ def test_failing_lone_orbit_runs_only_its_failing_step_again(kind, step, floats)
     model = MapModel(dimension=1, evaluate=counting("evaluate", model.evaluate),
                      domain=model.domain, **extra)
     with pytest.raises(OrbitError) as err:
-        iterate_orbit(model, None, [_LIMIT - step], _N_TRANSIENT, _N_KEEP)
+        iterate_orbit(model, None, [_LIMIT - step], n_transient, _N_KEEP)
     assert err.value.step == step
     in_blocks = step + 1
     if kind == "diverge":
-        in_blocks = min(step + 2, (step // _B + 1) * _B, _N_TRANSIENT + _N_KEEP)
+        in_blocks = min(step + 2, (step // _L + 1) * _L, n_transient + _N_KEEP)
     assert calls == ({"evaluate": 1, "floats": in_blocks} if floats
                      else {"evaluate": in_blocks + 1, "floats": 0})
 
@@ -1694,9 +1746,12 @@ def _assert_same_bytes(orbit, oracle):
     assert orbit.tobytes() == oracle.tobytes()
 
 
-def _calls_to_recurrence(step, total):
-    """Evaluations of an orbit that first recurs at ``step`` (period up to _B)."""
-    return min(step + 1, total)
+def _calls_to_recurrence(step, period, total):
+    """Evaluations of an orbit that first recurs at ``step`` with ``period``,
+    below _L: a recurrence on a state of the block before is caught
+    ``period`` steps into its own block."""
+    start = step // _L * _L
+    return min((step if step - period >= start else start + period) + 1, total)
 
 
 _K = (28.0120, 22.4096, 4.6251)
@@ -1743,7 +1798,7 @@ def _assert_recurring_orbit_equals_per_step_loop(kind, scheme, c, target, x0, st
     oracle = _per_step_orbit(model, cfg, x0, n_transient, n_keep)
     calls[0] = 0
     _assert_same_bytes(iterate_orbit(model, cfg, x0, n_transient, n_keep), oracle)
-    assert calls[0] == _calls_to_recurrence(step, n_transient + n_keep)
+    assert calls[0] == _calls_to_recurrence(step, period, n_transient + n_keep)
 
 
 def _cycle_map(step, period, domain_top=math.inf, raise_on_top=False):
@@ -1766,26 +1821,59 @@ def _cycle_map(step, period, domain_top=math.inf, raise_on_top=False):
     return MapModel(dimension=1, evaluate=evaluate, domain=domain), x0
 
 
-_EDGE_STEPS = (_B - 1, _B, _B + 1, 2 * _B - 1, 2 * _B)
+_EDGE_STEPS = (_L - 1, _L, _L + 1, 2 * _L - 1, 2 * _L)
 
 
-# each state of a cycle of period _B recurs exactly one block later, so its
-# first recurrence is at step _B or later
+# a first recurrence at a lone block's first steps, on a state of the block
+# before, straddles the edge: the orbit stops `period` steps into its block.
+# _L - 1 is the longest period a block catches
 @pytest.mark.parametrize("step, period",
-                         [(step, period) for period in (1, 2, 3) for step in _EDGE_STEPS]
-                         + [(step, _B) for step in _EDGE_STEPS[1:]])
-@pytest.mark.parametrize("n_transient, n_keep", [(3 * _B + 5, 20), (5, 3 * _B)],
+                         [(step, period) for period in (1, 2, 3, _B + 1) for step in _EDGE_STEPS]
+                         + [(step, _L - 1) for step in _EDGE_STEPS])
+@pytest.mark.parametrize("n_transient, n_keep", [(3 * _L + 5, 20), (5, 3 * _L)],
                          ids=["in-transient", "in-kept-window"])
 def test_recurrence_near_a_block_edge_stops_at_its_block_end(period, step, n_transient,
                                                              n_keep):
-    # despite the name, the orbit stops right after `step`
+    # the orbit stops right after `step`, or `period` steps into its block
     model, x0 = _cycle_map(step, period)
     model, calls = _counted(model)
-    assert _first_recurrence(model, None, x0, 4 * _B) == (step, period)
+    assert _first_recurrence(model, None, x0, 4 * _L) == (step, period)
     oracle = _per_step_orbit(model, None, x0, n_transient, n_keep)
     calls[0] = 0
     _assert_same_bytes(iterate_orbit(model, None, x0, n_transient, n_keep), oracle)
-    assert calls[0] == _calls_to_recurrence(step, n_transient + n_keep)
+    assert calls[0] == _calls_to_recurrence(step, period, n_transient + n_keep)
+
+
+@pytest.mark.parametrize("period", [_B + 1, 200, _L - 1])
+def test_period_above_the_batch_block_stops_the_lone_orbit_early(period):
+    # a chained scan's orbits cycle with a period that a 64-step block could
+    # not catch; each stops after its first recurrence, on its float step,
+    # and keeps the window of the full run
+    model, x0 = _cycle_map(period + 300, period)
+    model = MapModel(dimension=1, evaluate=model.evaluate, domain=model.domain,
+                     evaluate_floats=lambda y: (y[0] + 1.0,) if y[0] < period - 1 else (0.0,))
+    model, calls = _counted(model, floats=True)
+    records = bifurcation_scan(model, "VMTOC", (0.0,), [0.0] * 2, init_lo=x0, init_hi=x0,
+                               n_transient=3000, n_keep=50, max_period=25,
+                               continue_orbits=True)
+    # the second orbit starts on the cycle and recurs at its step `period`
+    assert calls[0] == _calls_to_recurrence(period + 300, period, 3050) + period + 1 < 2 * 3050
+    chained = x0
+    for rec in records:
+        oracle = _per_step_orbit(model, None, chained, 3000, 50)
+        _assert_same_bytes(rec.points, oracle)
+        assert rec.error is None and rec.periods == (None,)
+        chained = oracle[-1]
+
+
+def test_long_orbit_never_asks_for_more_than_a_lone_block():
+    model = MapModel(dimension=1, evaluate=lambda x: x + 1.0,
+                     domain=DomainSpec.full_space(1))
+    with _block_calls() as calls:
+        orbit = iterate_orbit(model, None, [0.0], 10 ** 5, 3)
+    assert orbit[:, 0].tolist() == [100_001.0, 100_002.0, 100_003.0]
+    assert [start for start, *_ in calls] == list(range(0, 10 ** 5 + 3, _L))
+    assert all(0 < stop - start <= _L for start, stop, *_ in calls)
 
 
 def test_non_finite_state_is_not_a_recurrence():
@@ -1818,33 +1906,33 @@ def test_chained_scan_orbits_stop_at_their_recurrence(step):
     model, x0 = _cycle_map(step, 3)
     model, calls = _counted(model)
     records = bifurcation_scan(model, "VMTOC", (0.0,), [0.0] * 3, init_lo=x0, init_hi=x0,
-                               n_transient=3 * _B, n_keep=20, continue_orbits=True)
-    assert calls[0] == _calls_to_recurrence(step, 3 * _B + 20) + 2 * 4
+                               n_transient=3 * _L, n_keep=20, continue_orbits=True)
+    assert calls[0] == _calls_to_recurrence(step, 3, 3 * _L + 20) + 2 * 4
     chained = x0
     for rec in records:
-        oracle = _per_step_orbit(model, None, chained, 3 * _B, 20)
+        oracle = _per_step_orbit(model, None, chained, 3 * _L, 20)
         _assert_same_bytes(rec.points, oracle)
         assert rec.periods == (3,)
         chained = oracle[-1]
 
 
-@pytest.mark.parametrize("step", [_B - 1, _B, _B + 1])
+@pytest.mark.parametrize("step", [_L - 1, _L, _L + 1])
 def test_cycle_outside_the_domain_is_logged_once(caplog, step):
     # the cycle 0, 1, 2 leaves the box (-inf, 1] at 2, first after step - 1 steps
     model, x0 = _cycle_map(step, 3, domain_top=1.0)
-    oracle = _per_step_orbit(model, None, x0, 3 * _B, 20)
+    oracle = _per_step_orbit(model, None, x0, 3 * _L, 20)
     with caplog.at_level(logging.WARNING, logger="chaosctl.dynamics"):
-        _assert_same_bytes(iterate_orbit(model, None, x0, 3 * _B, 20), oracle)
+        _assert_same_bytes(iterate_orbit(model, None, x0, 3 * _L, 20), oracle)
     assert _exit_lines(caplog) == [f"orbit left the domain at step {step - 1} (advisory)"]
     with pytest.raises(OrbitError, match=f"state left the domain at step {step - 1}$"):
-        iterate_orbit(model, None, x0, 3 * _B, 20, strict=True)
+        iterate_orbit(model, None, x0, 3 * _L, 20, strict=True)
 
 
 @pytest.mark.parametrize("step", _EDGE_STEPS)
 def test_evaluation_failing_before_its_recurrence_raises_at_its_step(step):
     model, x0 = _cycle_map(step, 3, raise_on_top=True)
     with pytest.raises(OrbitError) as err:
-        iterate_orbit(model, None, x0, 3 * _B, 20)
+        iterate_orbit(model, None, x0, 3 * _L, 20)
     assert (err.value.step, str(err.value)) == (
         step, f"evaluation failed at step {step}: ValueError: top of the cycle")
 
@@ -2144,16 +2232,17 @@ def _stripped(g):
 
 @contextlib.contextmanager
 def _block_calls():
-    """Record every block call of the lone loop: its start, the states it
-    reached, the lag of a recurrence that ended it, and the error it met."""
+    """Record every block call of the lone loop: its start and stop, the
+    states it reached, the lag of a recurrence that ended it, and the error
+    it met."""
     real, calls = dynamics.step_block, []
 
     def spy(step, d):
         block = real(step, d)
 
-        def spied(x, start, stop, seen, older):
-            keys, y, p, error = block(x, start, stop, seen, older)
-            calls.append((start, len(keys), p, error and repr(error)))
+        def spied(x, start, stop):
+            keys, y, p, error = block(x, start, stop)
+            calls.append((start, stop, len(keys), p, error and repr(error)))
             return keys, y, p, error
 
         return spied
@@ -2207,7 +2296,7 @@ def test_inlined_block_equals_the_called_block(caplog, name, scheme):
         outcomes[case] = _run_both(caplog, g, x0, 300, 60)
     # toward a target the strong control recurs, which ends its block early;
     # culling drives the state toward 0, which takes longer to reach
-    assert any(p for _, _, p, _ in outcomes["strong"][2]) == (scheme not in ("MPF", "PF"))
+    assert any(p for *_, p, _ in outcomes["strong"][2]) == (scheme not in ("MPF", "PF"))
     assert outcomes["below"][1] == ["orbit left the domain at step 0 (advisory)"]
     assert outcomes["overflow"][0] == (0, "non-finite state at step 0")
 
@@ -2218,7 +2307,7 @@ _DOUBLING = core.Formula(names=("g",), exps=(), components=("g * x0", "g * x1"),
                          jacobian=((0, 0, "g"), (1, 1, "g")))
 
 
-@pytest.mark.parametrize("step", [1, _B - 1, _B, _B + 1, 2 * _B])
+@pytest.mark.parametrize("step", [1, _L - 1, _L, _L + 1, 2 * _L])
 @pytest.mark.parametrize("scheme", _INLINE_SCHEMES)
 def test_inlined_block_fails_at_the_called_blocks_step(caplog, scheme, step):
     model = MapModel(dimension=2, evaluate=lambda x: np.asarray(x, float) * 2.0,
@@ -2226,8 +2315,9 @@ def test_inlined_block_fails_at_the_called_blocks_step(caplog, scheme, step):
                      evaluate_floats=_DOUBLING.bind("floats", 2.0))
     cfg = ControlConfig(scheme, (0.0, 0.0) if scheme == "DIAG-VMTOC" else 0.0, (1.0, 1.0))
     x0 = np.full(2, 2.0 ** (1023 - step))
-    outcome, lines, calls = _run_both(caplog, controlled_map(model, cfg), x0, 150, 10)
+    outcome, lines, calls = _run_both(caplog, controlled_map(model, cfg), x0, 2 * _L + 100,
+                                      10)
     assert outcome == (step, f"non-finite state at step {step}") and lines == []
     # the last block holds the failing step's state, inf
-    start, reached, _, _ = calls[-1]
-    assert start == step // _B * _B and reached > step % _B
+    start, _, reached, _, _ = calls[-1]
+    assert start == step // _L * _L and reached > step % _L
