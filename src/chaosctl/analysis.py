@@ -14,12 +14,17 @@ The module answers two questions about a map f and a state K:
 All the sampled constants (A, L, M) are estimates from below of the true
 suprema: grids plus low-discrepancy points keep the gap small and a 5%
 inflation is applied to the sampled ratio, but none of them is certified.
+The samples of a box (``box_samples``) scale a Halton prefix of the unit
+cube that depends only on ``(d, n_samples)``; it is computed once per such
+pair and kept for the last 8 pairs used, 82 KB for the 2048-sample
+reports of the 2- and 3-dimensional built-in maps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -166,6 +171,21 @@ def _primes(count: int) -> list:
     return out
 
 
+# the most Halton prefixes kept at once, each (n_samples, d) floats
+_HALTON_PREFIXES = 8
+
+
+@lru_cache(maxsize=_HALTON_PREFIXES)
+def _halton_prefix(d: int, n_samples: int) -> np.ndarray:
+    """The first ``n_samples`` Halton points of the unit cube of dimension
+    ``d``, one per row, in the first ``d`` primes as bases; read-only, as
+    the cache hands the same array to every caller."""
+    index = np.arange(1, n_samples + 1)
+    u = np.reshape([_halton(index, b) for b in _primes(d)], (d, n_samples)).T
+    u.flags.writeable = False
+    return u
+
+
 def box_samples(lo, hi, n_samples: int) -> np.ndarray:
     """Deterministic samples of a box: corners, center, then a Halton prefix.
 
@@ -174,6 +194,10 @@ def box_samples(lo, hi, n_samples: int) -> np.ndarray:
     ``n_samples`` only ever adds points; estimates built on these samples
     are monotone in ``n_samples``.  The box must satisfy ``lo <= hi`` with
     a finite width, as :func:`~chaosctl.dynamics.initial_box` checks.
+    The prefix in the unit cube is computed once per ``(d, n_samples)``
+    and kept, for the last 8 such pairs used, so that a report's
+    ``bound_A`` and ``lipschitz_estimate`` and every later report of that
+    size share it; each call scales it into a new array of its own.
     """
     lo = np.atleast_1d(np.asarray(lo, float))
     hi = np.atleast_1d(np.asarray(hi, float))
@@ -184,8 +208,7 @@ def box_samples(lo, hi, n_samples: int) -> np.ndarray:
     d = lo.shape[0]
     bits = np.arange(2 ** d if d <= 12 else 0)[:, None] >> np.arange(d)
     corners = np.where((bits & 1).astype(bool), hi, lo)
-    index = np.arange(1, n_samples + 1)
-    u = np.reshape([_halton(index, b) for b in _primes(d)], (d, n_samples)).T
+    u = _halton_prefix(d, int(n_samples))
     return np.vstack([corners, 0.5 * (lo + hi), lo + u * (hi - lo)])
 
 
@@ -208,10 +231,12 @@ def bound_A(model: MapModel, lo, hi, n_samples: int = 512) -> float:
     ``ArithmeticError`` (a Jacobian of the wrong shape included), raises
     ``ValueError`` naming the sample and state, whichever way it fails;
     another exception of a Jacobian passes on unless an earlier sample
-    failed.
+    failed.  The box is taken as :func:`stability_report` takes it: scalar
+    bounds broadcast to the model's dimension, and bounds of another length
+    raise ``ValueError`` naming the sample box before any Jacobian.
     """
     d = model.dimension
-    samples = box_samples(lo, hi, n_samples)
+    samples = box_samples(*initial_box(lo, hi, d, "sample box"), n_samples)
     rows = cols = 0.0
     for start in range(0, len(samples), _BOUND_CHUNK):
         chunk = samples[start:start + _BOUND_CHUNK]
@@ -301,9 +326,11 @@ def lipschitz_estimate(model: MapModel, k, lo, hi, n_samples: int = 2048,
     the bound M/||K|| + 1 applies wherever the sampled sup M really bounds
     ||f||, i.e. on the sampled box only -- for maps unbounded on their full
     domain the estimate is valid on that compact restriction and nowhere
-    else.  The samples are mapped with one ``evaluate_rows`` call.
+    else.  The samples are mapped with one ``evaluate_rows`` call.  The box
+    is taken as in :func:`bound_A`, and checked before any evaluation.
     """
     _check_count("n_samples", n_samples, 1)
+    lo, hi = initial_box(lo, hi, model.dimension, "sample box")
     k = as_state(k, model.dimension)
     _check_fixed_point(model, k)
     nk = norm(k, norm_kind)
@@ -341,10 +368,18 @@ def verify_contraction(model: MapModel, cfg: ControlConfig, k, L, x0,
     ||x' - K|| / ||x - K|| against theta = (1-c)*L, skipping steps with
     ||x - K|| below 1e-12.  Returns (all ratios within theta, maximum
     observed ratio).  An orbit that diverges raises
-    :class:`~chaosctl.dynamics.OrbitError` with the failing step.
+    :class:`~chaosctl.dynamics.OrbitError` with the failing step.  ``n``
+    must be a nonnegative integer, ``L`` finite and nonnegative and
+    ``norm_kind`` known, lest ``ValueError`` naming it before any step.
     """
-    k = as_state(k, model.dimension)
+    _check_count("n", n)
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     L = float(L)
+    if not 0.0 <= L < math.inf:
+        raise ValueError(f"L must be finite and nonnegative, got {L}")
+    check_norm_kind(norm_kind)
+    k = as_state(k, model.dimension)
     if cfg.scheme != "VMTOC":
         raise ValueError("contraction certificate requires a VMTOC control")
     t = cfg.target_vector(model.dimension)
@@ -353,8 +388,6 @@ def verify_contraction(model: MapModel, cfg: ControlConfig, k, L, x0,
     _check_fixed_point(model, k)
     if cfg.intensity <= global_cstar(L):
         raise ValueError("intensity must exceed global_cstar(L)")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
     theta = (1.0 - cfg.intensity) * L
     x0 = as_state(x0, model.dimension)
     orbit = np.vstack([x0, iterate_orbit(model, cfg, x0, 0, n)])

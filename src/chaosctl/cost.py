@@ -16,6 +16,7 @@ import numpy as np
 
 from .controls import ControlConfig, check_intensity
 from .core import MapModel, as_state, norm_rows
+from .dynamics import _check_count
 
 # the post-map target controls, whose nudge c*(T - f(x)) is the cost
 POST_MAP_SCHEMES = ("VMTOC", "DIAG-VMTOC")
@@ -33,6 +34,21 @@ class CostEstimate:
         return self.value
 
 
+def _window(window, n: int) -> Tuple[int, int]:
+    """``window`` as ``(start, length)`` Python ints, all ``n`` states when
+    it is None.  Raises ``ValueError`` naming the entry that is not an
+    integer (a numpy integer passes), and for an empty window or one that
+    reaches past the ``n`` states."""
+    if window is None:
+        return 0, n
+    _check_count("window start", window[0])
+    _check_count("window length", window[1])
+    start, length = int(window[0]), int(window[1])
+    if length <= 0 or start < 0 or start + length > n:
+        raise ValueError("empty or out-of-range window")
+    return start, length
+
+
 def costs_per_step(model: MapModel, target, intensities, orbits,
                    window: Optional[Tuple[int, int]] = None,
                    norm_kind: str = "euclidean") -> np.ndarray:
@@ -41,7 +57,8 @@ def costs_per_step(model: MapModel, target, intensities, orbits,
     Orbit ``r`` must have been produced by a post-map target control toward
     ``target`` with intensity ``intensities[r]``: ``intensities`` is
     ``(records,)`` for VMTOC or ``(records, d)`` for DIAG-VMTOC.  ``window``
-    is ``(start, length)`` into every orbit, defaulting to the whole orbit.
+    is ``(start, length)`` into every orbit, defaulting to the whole orbit;
+    an entry that is not an integer raises ``ValueError`` naming it.
     The images of every window's states come from one ``evaluate_rows``
     call, and their nudges are measured by one ``norm_rows`` call.  An
     evaluation that raises raises ``ValueError`` naming its row (state
@@ -56,11 +73,7 @@ def costs_per_step(model: MapModel, target, intensities, orbits,
     if orbits.ndim != 3 or orbits.shape[2] != d:
         raise ValueError("orbits must be a (records, n, d) array of states")
     records, n = orbits.shape[:2]
-    if window is None:
-        window = (0, n)
-    start, length = int(window[0]), int(window[1])
-    if length <= 0 or start < 0 or start + length > n:
-        raise ValueError("empty or out-of-range window")
+    start, length = _window(window, n)
     c = np.asarray(intensities, dtype=float)
     if c.shape not in ((records,), (records, d)):
         raise ValueError(f"intensities must have shape ({records},) or ({records}, {d}), "
@@ -87,21 +100,21 @@ def cost_per_step(model: MapModel, cfg: ControlConfig, orbit,
 
     ``orbit`` must have been produced under ``cfg`` (VMTOC or DIAG-VMTOC);
     ``window`` is ``(start, length)`` into it, defaulting to the whole
-    orbit.  The infinite-horizon average is not computable from finite
-    data, so the window rides along in the estimate to keep the number
-    falsifiable.  This is the one-orbit case of :func:`costs_per_step`,
-    which prices a whole scan in one call: the images of the window's
-    states come from one ``evaluate_rows`` call, and an image that is not
-    finite, or an evaluation that raises, raises ``ValueError``.
-    Asymmetric culling/restocking prices and per-component weights are out
-    of scope.
+    orbit, checked as :func:`costs_per_step` checks it.  The
+    infinite-horizon average is not computable from finite data, so the
+    window rides along in the estimate to keep the number falsifiable.
+    This is the one-orbit case of :func:`costs_per_step`, which prices a
+    whole scan in one call: the images of the window's states come from
+    one ``evaluate_rows`` call, and an image that is not finite, or an
+    evaluation that raises, raises ``ValueError``.  Asymmetric
+    culling/restocking prices and per-component weights are out of scope.
     """
     if cfg.scheme not in POST_MAP_SCHEMES:
         raise ValueError("cost accounting applies to post-map target controls")
     orbit = np.asarray(orbit, dtype=float)
     if orbit.ndim != 2 or orbit.shape[1] != model.dimension:
         raise ValueError("orbit must be an (n, d) array of states")
-    window = (0, orbit.shape[0]) if window is None else (int(window[0]), int(window[1]))
+    window = _window(window, orbit.shape[0])
     value = costs_per_step(model, cfg.target_vector(model.dimension),
                            cfg.intensity_vector(model.dimension)[None], orbit[None],
                            window=window, norm_kind=norm_kind)[0]

@@ -32,7 +32,7 @@ than one state for a Jacobian, raises ``ValueError`` in every form, in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cache, lru_cache
 
 import numpy as np
@@ -68,6 +68,13 @@ class LpaParams:
                                for f in ("c_el", "c_ea", "c_pa")],
                              *[(f, lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
                                for f in ("mu_l", "mu_a")]))
+        # the generated hash of the fields, taken once: _lpa_forms looks the
+        # set up at every evaluation and Jacobian, where hashing the six
+        # fields anew takes two to three times as long as reading it
+        object.__setattr__(self, "_hash", hash(astuple(self)))
+
+    def __hash__(self):
+        return self._hash
 
 
 def _check_fields(params, rules) -> None:

@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
-# Byte identity against another revision: runs tests/determinism.sh from a
-# `git archive` of REV and from this working tree, both from one scratch
-# directory (warnings raised in a plugin name its path), then compares the
-# two runs' output files and stderr files with `diff -r`:
+# Byte identity against another revision: runs this working tree's
+# tests/determinism.sh on the code of a `git archive` of REV and on the code
+# of this working tree, both from one scratch directory (warnings raised in
+# a plugin name its path), then compares the two runs' output files and
+# stderr files with `diff -r`.  The working tree's script is copied into the
+# archive before it runs, so both sides run the same commands, and a run
+# added to the script is compared with the code of REV:
 #
 #     bash tests/compare_parent.sh HEAD~1
 #
@@ -20,6 +23,7 @@ work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 mkdir "$work/rev"
 git -C "$tree" archive "$1" | tar -x -C "$work/rev"
+cp "$tree/tests/determinism.sh" "$work/rev/tests/determinism.sh"
 cd "$work"
 status=0
 # a run that fails still leaves the files it wrote to compare

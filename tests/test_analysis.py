@@ -504,6 +504,66 @@ def test_box_samples_equal_per_sample_loop(d, n_samples):
     np.testing.assert_array_equal(pts, expected)
 
 
+def test_box_samples_repeated_and_interleaved_equal_per_sample_loop():
+    # each (d, n_samples) computes its prefix once and later calls scale the
+    # kept one: every call still gives the per-sample reference, bit for bit
+    boxes = {}
+    for d in (2, 3, 13):
+        rng = np.random.default_rng(d)
+        lo = rng.uniform(-5.0, 5.0, d)
+        boxes[d] = lo, lo + rng.uniform(0.0, 10.0, d)
+    analysis._halton_prefix.cache_clear()
+    for _ in range(2):
+        for d in (2, 3, 13):
+            for n_samples in (5, 2048, 5):
+                lo, hi = boxes[d]
+                expected = _per_sample_box_samples(lo, hi, n_samples)
+                assert box_samples(lo, hi, n_samples).tobytes() == expected.tobytes()
+                # a second box of the same shape scales the same prefix
+                assert (box_samples(lo - 1.0, hi + 2.0, n_samples).tobytes()
+                        == _per_sample_box_samples(lo - 1.0, hi + 2.0, n_samples).tobytes())
+
+
+def test_writing_into_box_samples_changes_no_later_call():
+    lo, hi = [0.0, 1.0, 2.0], [4.0, 5.0, 6.0]
+    first = box_samples(lo, hi, 64)
+    expected = first.copy()
+    first[:] = -1.0
+    assert box_samples(lo, hi, 64).tobytes() == expected.tobytes()
+    # the kept prefix itself cannot be written
+    with pytest.raises(ValueError, match="read-only"):
+        analysis._halton_prefix(3, 64)[0, 0] = 0.5
+
+
+def test_box_samples_keep_at_most_their_bound_of_prefixes():
+    analysis._halton_prefix.cache_clear()
+    bound = analysis._halton_prefix.cache_info().maxsize
+    assert bound == analysis._HALTON_PREFIXES == 8
+    for n_samples in range(1, 3 * bound):
+        for d in (1, 2):
+            box_samples([0.0] * d, [1.0] * d, n_samples)
+            assert analysis._halton_prefix.cache_info().currsize <= bound
+    assert analysis._halton_prefix.cache_info().currsize == bound
+
+
+def test_stability_reports_back_to_back_give_the_bytes_of_fresh_ones(lpa, lpa_k):
+    ricker = ricker_lift(RickerParams(r=2.0, delay=2))
+    controlled = controlled_map(lpa, ControlConfig("VMTOC", 0.4, tuple(lpa_k)))
+    runs = [(lpa, [20.0, 20.0, 5.0], [10.0, 10.0, 2.0], [40.0, 40.0, 8.0], 512),
+            (ricker, [1.5, 2.5], 0.0, 6.0, 512),
+            (controlled, [20.0, 20.0, 5.0], [5.0, 5.0, 1.0], [45.0, 45.0, 9.0], 512),
+            (ricker, [1.5, 2.5], 1.0, 3.0, 100)]
+
+    def lines(run):
+        return stability_report(*run).to_lines()
+
+    fresh = []
+    for run in runs:
+        analysis._halton_prefix.cache_clear()
+        fresh.append(lines(run))
+    assert [lines(run) for run in runs + runs] == fresh + fresh
+
+
 def test_box_samples_validation():
     with pytest.raises(ValueError, match="n_samples"):
         box_samples([0.0], [1.0], 0)
@@ -686,6 +746,32 @@ def test_verify_contraction_preconditions():
     with pytest.raises(ValueError, match="fixed point"):
         verify_contraction(f, ControlConfig("VMTOC", 0.75, (9.0, 9.0)),
                            np.array([9.0, 9.0]), 2.0, np.array([3.0, 3.0]))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n": 2.5}, "^n must be an integer, got 2.5$"),
+    ({"n": -1}, "^n must be nonnegative, got -1$"),
+    ({"L": math.nan}, "^L must be finite and nonnegative, got nan$"),
+    ({"L": math.inf}, "^L must be finite and nonnegative, got inf$"),
+    ({"L": -0.5}, "^L must be finite and nonnegative, got -0.5$"),
+    ({"norm_kind": "l2"}, "^unknown norm kind: 'l2'$"),
+])
+def test_verify_contraction_checks_its_arguments_before_iterating(kwargs, message):
+    # every step doubles the distance to K 99 times under this control, so
+    # an orbit that ran would raise OrbitError at step 10
+    k = np.array([1.0, 2.0])
+    f = shifted_linear(2.0 ** 100, k)
+    args = {"L": 1.0, "n": 40, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        verify_contraction(f, ControlConfig("VMTOC", 0.5, tuple(k)), k, x0=k + 1.0, **args)
+
+
+def test_verify_contraction_takes_a_numpy_integer_n():
+    k = np.array([1.0, 2.0])
+    f, cfg = shifted_linear(2.0, k), ControlConfig("VMTOC", 0.75, tuple(k))
+    x0 = np.array([5.0, -3.0])
+    assert (verify_contraction(f, cfg, k, 2.0, x0, n=np.int64(40))
+            == verify_contraction(f, cfg, k, 2.0, x0, n=40))
 
 
 def test_verify_contraction_rejects_negative_n():
@@ -876,6 +962,31 @@ def test_bad_sample_count_is_rejected_by_name_before_evaluating(entry, n_samples
            "box_samples": lambda: box_samples(lo, hi, n_samples)}[entry]
     with pytest.raises(ValueError, match=message):
         run()
+    assert sum(calls.values()) == 0
+
+
+def test_bound_a_and_lipschitz_broadcast_scalar_bounds_as_the_report_does(lpa, lpa_k):
+    lo, hi = np.zeros(3), np.full(3, 50.0)
+    assert bound_A(lpa, 0.0, 50.0, 64) == bound_A(lpa, lo, hi, 64)
+    assert (lipschitz_estimate(lpa, lpa_k, 0.0, 50.0, 64)
+            == lipschitz_estimate(lpa, lpa_k, lo, hi, 64))
+    # a one-component bound broadcasts too, as in initial_box
+    assert bound_A(lpa, [0.0], hi, 64) == bound_A(lpa, lo, hi, 64)
+
+
+@pytest.mark.parametrize("entry", ["bound_A", "lipschitz_estimate"])
+def test_a_sample_box_of_the_wrong_length_fails_by_name_before_evaluating(entry):
+    model, calls = counting_lpa()
+    run = {"bound_A": lambda lo, hi: bound_A(model, lo, hi, 64),
+           "lipschitz_estimate": lambda lo, hi: lipschitz_estimate(model, LPA_FIXED_POINT,
+                                                                   lo, hi, 64)}[entry]
+    with pytest.raises(ValueError, match=r"^sample box: lo has shape \(2,\), "
+                                         "but the model has dimension 3$"):
+        run([0.0, 0.0], [50.0, 50.0, 50.0])
+    with pytest.raises(ValueError, match=r"^sample box: hi has shape \(4,\), "):
+        run(0.0, [50.0] * 4)
+    with pytest.raises(ValueError, match="^sample box needs lo <= hi"):
+        run(50.0, 0.0)
     assert sum(calls.values()) == 0
 
 

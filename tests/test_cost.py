@@ -80,6 +80,28 @@ def test_diagonal_control_cost():
     assert est.value == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("window, message", [
+    ((2.7, 5.9), "^window start must be an integer, got 2.7$"),
+    ((2, 5.0), "^window length must be an integer, got 5.0$"),
+    (("2", 5), "^window start must be an integer, got 2$"),
+])
+def test_a_non_integer_window_is_rejected_by_name(lpa, lpa_k, window, message):
+    cfg = ControlConfig("VMTOC", 0.5, tuple(lpa_k))
+    orbit = iterate_orbit(lpa, cfg, np.array([10.0, 10.0, 10.0]), 5, 10)
+    with pytest.raises(ValueError, match=message):
+        cost_per_step(lpa, cfg, orbit, window=window)
+    with pytest.raises(ValueError, match=message):
+        costs_per_step(lpa, lpa_k, [0.5], orbit[None], window=window)
+
+
+def test_a_numpy_integer_window_prices_and_reports_as_ints(lpa, lpa_k):
+    cfg = ControlConfig("VMTOC", 0.5, tuple(lpa_k))
+    orbit = iterate_orbit(lpa, cfg, np.array([10.0, 10.0, 10.0]), 5, 10)
+    est = cost_per_step(lpa, cfg, orbit, window=(np.int64(2), np.int32(5)))
+    assert est == cost_per_step(lpa, cfg, orbit, window=(2, 5))
+    assert [type(v) for v in est.window] == [int, int]
+
+
 def test_cost_window_validation(lpa, lpa_k):
     cfg = ControlConfig("VMTOC", 0.5, tuple(lpa_k))
     orbit = iterate_orbit(lpa, cfg, np.array([10.0, 10.0, 10.0]), 5, 10)

@@ -1,5 +1,7 @@
 import collections
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -507,6 +509,20 @@ def test_equal_parameter_sets_give_the_same_bits_in_either_order():
     lpa_jacobian(LpaParams(c_el=0.0), x)
     after = lpa_jacobian(LpaParams(c_el=-0.0), x)[0, 0]
     assert np.float64(alone).tobytes() == np.float64(after).tobytes()
+
+
+def test_lpa_params_hash_their_fields_once():
+    p = LpaParams(b=9.5, c_el=-0.0)
+    fields = (p.b, p.c_el, p.c_ea, p.c_pa, p.mu_l, p.mu_a)
+    # the stored hash is the one the generated hash gives
+    assert hash(p) == hash(fields) == hash(LpaParams(b=9.5, c_el=0.0))
+    assert hash(LpaParams(c_pa=0)) == hash(LpaParams(c_pa=0.0))
+    assert hash(dataclasses.replace(p, b=8.0)) == hash(LpaParams(b=8.0, c_el=0.0))
+    q = pickle.loads(pickle.dumps(p))
+    assert q == p and hash(q) == hash(p)
+    # the stored hash is no field: not in the CLI's keys, repr or equality
+    assert "_hash" not in [f.name for f in dataclasses.fields(LpaParams)]
+    assert "_hash" not in repr(p)
 
 
 def test_built_in_maps_look_up_their_module_names_at_call_time(monkeypatch):
