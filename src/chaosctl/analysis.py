@@ -30,8 +30,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .controls import ControlConfig
-from .core import (MapModel, as_state, check_image, check_norm_kind, check_tol, norm,
-                   norm_rows, state_text)
+from .core import (MapModel, RowError, as_state, check_image, check_norm_kind, check_tol,
+                   norm, norm_rows, state_text)
 from .dynamics import _check_count, initial_box, iterate_orbit
 
 _FIXED_POINT_RESIDUAL = 1e-8
@@ -222,36 +222,40 @@ def bound_A(model: MapModel, lo, hi, n_samples: int = 512) -> float:
     The row and column maxima are taken over the deterministic sample set of
     ``box_samples``; since any eigenvalue modulus is bounded by both the
     maximal row and column sums, the result bounds the spectral radius at
-    every sampled state.  The Jacobians are evaluated one sample at a time
-    into a stack of at most 4096, whose absolute row and column sums and
-    their maxima are then taken in a few whole-stack reductions, so memory
-    stays bounded for any ``n_samples``; each sum is bitwise the one of its
-    sample's own matrix.  The first sample whose Jacobian has a non-finite
-    row or column sum, or whose Jacobian raises ``ValueError`` or
-    ``ArithmeticError`` (a Jacobian of the wrong shape included), raises
-    ``ValueError`` naming the sample and state, whichever way it fails;
-    another exception of a Jacobian passes on unless an earlier sample
-    failed.  The box is taken as :func:`stability_report` takes it: scalar
-    bounds broadcast to the model's dimension, and bounds of another length
-    raise ``ValueError`` naming the sample box before any Jacobian.
+    every sampled state.  The Jacobians come in stacks of at most 4096
+    samples, each from one :meth:`~chaosctl.core.MapModel.jacobian_rows`
+    call (the model's ``jacobian_batch``, or its ``jacobian`` once per
+    sample), whose absolute row and column sums and their maxima are then
+    taken in a few whole-stack reductions, so memory stays bounded for any
+    ``n_samples``; each sum is bitwise the one of its sample's own matrix.
+    The first sample whose Jacobian has a non-finite row or column sum, or
+    whose Jacobian raises ``ValueError`` or ``ArithmeticError`` (a Jacobian
+    of the wrong shape included), raises ``ValueError`` naming the sample
+    and state, whichever way it fails; another exception of a Jacobian
+    passes on unless an earlier sample failed.  The box is taken as
+    :func:`stability_report` takes it: scalar bounds broadcast to the
+    model's dimension, and bounds of another length raise ``ValueError``
+    naming the sample box before any Jacobian.
     """
     d = model.dimension
     samples = box_samples(*initial_box(lo, hi, d, "sample box"), n_samples)
     rows = cols = 0.0
     for start in range(0, len(samples), _BOUND_CHUNK):
         chunk = samples[start:start + _BOUND_CHUNK]
-        jac = np.empty((len(chunk), d, d))
-        for k, x in enumerate(chunk):
-            try:
-                jac[k] = model.jacobian_at(x)
-            except Exception as exc:
-                # a sample before this one with a non-finite sum fails first
-                _abs_sum_maxima(jac[:k], samples, start)
-                if not isinstance(exc, (ValueError, ArithmeticError)):
-                    raise
-                raise ValueError(f"Jacobian failed at sample {start + k}, x = {state_text(x)}: "
-                                 f"{type(exc).__name__}: {exc}") from exc
+        # zeros: the rows that a failing sample leaves unwritten have finite sums
+        jac, failure = np.zeros((len(chunk), d, d)), None
+        try:
+            model.jacobian_rows(chunk, jac)
+        except Exception as exc:
+            failure = exc
+        # a sample before the failing one with a non-finite sum fails first
         row, col = _abs_sum_maxima(jac, samples, start)
+        if isinstance(failure, RowError):
+            k, cause = start + failure.row, failure.__cause__
+            raise ValueError(f"Jacobian failed at sample {k}, x = {state_text(samples[k])}: "
+                             f"{type(cause).__name__}: {cause}") from cause
+        if failure is not None:
+            raise failure
         rows = max(rows, float(row.max()))
         cols = max(cols, float(col.max()))
     return min(rows, cols)

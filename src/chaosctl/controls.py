@@ -18,7 +18,9 @@ the forms are bit-for-bit.  One array step wraps the base ``evaluate`` and
 input's shape, its last axis the model's dimension, raises ``ValueError``;
 the batch step calls the base ``evaluate_batch`` itself, so its image is
 checked once a step.  One Jacobian scales the rows of the base one by
-``1-c``.  The step on a tuple of floats is
+``1-c``, and one Jacobian stack the rows of the base model's stack
+(:meth:`~chaosctl.core.MapModel.jacobian_rows`) at the pulled states.
+The step on a tuple of floats is
 :func:`~chaosctl.core.pulled_float_step` of the base model's: its formula
 with the pull written in, for the built-in models, or a compiled wrapper
 around its float step.  A control is checked apart from building its maps,
@@ -200,10 +202,21 @@ def _controlled(model: MapModel, scheme: str, c, t: np.ndarray) -> MapModel:
         j = np.asarray(model.jacobian(inner(np.asarray(x, float))), float)
         return scale * check_jacobian(j, d, "the base map")
 
+    def jacobian_batch(rows):
+        # the rows pulled once and the base's stack, checked once as the base
+        # made it, scaled once: bitwise each row's product.  A failing row
+        # makes jacobian_rows replay the rows through the jacobian above, so
+        # that the caller's stack holds the rows before it
+        stack = model.jacobian_rows(inner(rows), what="the base map")
+        stack *= scale
+        return stack
+
+    analytic = model.jacobian is not None
     name = f"{scheme}({model.name})" if model.name else scheme
     # a column of intensities steps batches only
     return MapModel(dimension=d, evaluate=array_step(model.evaluate), domain=model.domain,
-                    name=name, jacobian=jacobian if model.jacobian is not None else None,
+                    name=name, jacobian=jacobian if analytic else None,
+                    jacobian_batch=jacobian_batch if analytic else None,
                     evaluate_batch=(array_step(model.evaluate_batch)
                                     if model.evaluate_batch is not None else None),
                     evaluate_floats=None if ct.ndim > 1 else _float_step(model, scheme, c, t))
@@ -220,8 +233,9 @@ def controlled_map(model: MapModel, cfg: ControlConfig) -> MapModel:
     The wrapped model steps on floats through the base model's formula or
     float step and has an ``evaluate_batch`` when the base model does, each
     bitwise as its ``evaluate``; it chains the analytic Jacobian through
-    when the base model has one, and otherwise falls back to finite
-    differences.
+    when the base model has one, and with it a ``jacobian_batch`` that scales
+    the base model's stack of Jacobians once, bitwise row by row as its
+    ``jacobian``; otherwise it falls back to finite differences.
     """
     t = _checked_target(model, cfg)
     c = cfg.intensity if cfg.is_scalar else cfg.intensity_vector(model.dimension)

@@ -58,11 +58,13 @@ def check_image(y, shape, dim: int, what: str = "the map"):
     return y
 
 
-def check_jacobian(j: np.ndarray, dim: int, what: str = "the map") -> np.ndarray:
+def check_jacobian(j: np.ndarray, dim: int, what: str = "the map",
+                   shape: Optional[tuple] = None) -> np.ndarray:
     """The Jacobian array ``j`` that ``what`` gave, which must be
-    ``(dim, dim)``, lest it be broadcast; otherwise ``ValueError`` in
-    :func:`check_image`'s words."""
-    if j.shape != (dim, dim):
+    ``(dim, dim)``, or ``shape`` when given, a stack's ``(n, dim, dim)``,
+    lest it be broadcast; otherwise ``ValueError`` in :func:`check_image`'s
+    words."""
+    if j.shape != (shape or (dim, dim)):
         raise ValueError(f"{what} gave a Jacobian of shape {j.shape}, "
                          f"but the model has dimension {dim}")
     return j
@@ -83,6 +85,17 @@ def check_tol(tol) -> None:
     """Raise ``ValueError`` unless the tolerance ``tol`` is positive and finite; NaN fails."""
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
+class RowError(ValueError):
+    """The Jacobian at a row of an array of states failed with
+    ``ValueError`` or ``ArithmeticError`` (:meth:`MapModel.jacobian_rows`):
+    ``row`` is its index, the message names it and what it raised, and
+    ``__cause__`` is that exception."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
 
 
 class ParamError(ValueError):
@@ -427,8 +440,12 @@ class MapModel:
     must agree with ``evaluate`` bit for bit, a batch row for row (``-0.0``,
     infinities and NaN included): :mod:`chaosctl.dynamics` runs an orbit
     through whichever suits it.  ``jacobian`` maps a state to its
-    ``(dimension, dimension)`` Jacobian matrix; without it,
-    :meth:`jacobian_at` falls back to central finite differences.
+    ``(dimension, dimension)`` Jacobian matrix, and must be pure too;
+    without it, :meth:`jacobian_at` and :meth:`jacobian_rows` fall back to
+    central finite differences.  ``jacobian_batch``, which needs
+    ``jacobian``, maps an ``(n, dimension)`` array of states to the
+    ``(n, dimension, dimension)`` stack of their Jacobians, row-wise pure
+    and bitwise ``jacobian`` row for row; :meth:`jacobian_rows` uses it.
     """
 
     dimension: int
@@ -438,10 +455,13 @@ class MapModel:
     name: str = ""
     evaluate_batch: Optional[Callable] = None
     evaluate_floats: Optional[Callable] = None
+    jacobian_batch: Optional[Callable] = None
 
     def __post_init__(self):
         if self.dimension != self.domain.dim:
             raise ValueError("model dimension must match its domain")
+        if self.jacobian_batch is not None and self.jacobian is None:
+            raise ValueError("a model with jacobian_batch needs the jacobian it agrees with")
         f, given = self.evaluate, self.evaluate_floats
         # derived again where dataclasses.replace passes on the old evaluate's
         if given is None or getattr(given, "derived_from", f) is not f:
@@ -482,3 +502,53 @@ class MapModel:
         if self.jacobian is not None:
             return check_jacobian(np.asarray(self.jacobian(x), dtype=float), self.dimension)
         return check_jacobian(fd_jacobian(self.evaluate, x), self.dimension)
+
+    def jacobian_rows(self, rows, out: Optional[np.ndarray] = None,
+                      what: str = "the map") -> np.ndarray:
+        """The ``(n, dimension, dimension)`` stack of the Jacobians at the
+        rows of the ``(n, dimension)`` float array ``rows``, bitwise
+        :meth:`jacobian_at` of each row, written into ``out`` when given.
+
+        Uses ``jacobian_batch`` when the model has one, whose stack must have
+        that shape, lest :func:`check_jacobian`'s ``ValueError``, which
+        names the model as ``what``.  Otherwise each row's Jacobian, from
+        ``jacobian`` or by finite differences, is checked so and stored, and
+        the first row on which it raises ``ValueError`` or
+        ``ArithmeticError``, or has the wrong shape, raises
+        :class:`RowError` naming that row and its cause; another exception
+        passes on.  The rows before a failing row have then been written
+        into ``out``, and no later row.  A batch that raises is replayed row
+        by row through ``jacobian``, so that its first failing row fails so;
+        should none fail, the batch's exception passes on.
+        """
+        d = self.dimension
+        shape = (len(rows), d, d)
+        if out is None:
+            out = np.empty(shape)
+        if self.jacobian_batch is None:
+            self._fill_jacobians(rows, out, what)
+            return out
+        try:
+            stack = np.asarray(self.jacobian_batch(rows), dtype=float)
+        except Exception:
+            self._fill_jacobians(rows, out, what)
+            raise
+        out[...] = check_jacobian(stack, d, what, shape)
+        return out
+
+    def _fill_jacobians(self, rows, out: np.ndarray, what: str) -> None:
+        """:meth:`jacobian_rows` row by row, without ``jacobian_batch``."""
+        d, jacobian = self.dimension, self.jacobian
+        if jacobian is None:
+            def jacobian(x):
+                return fd_jacobian(self.evaluate, x)
+        shape = (d, d)
+        for r, x in enumerate(rows):
+            try:
+                j = np.asarray(jacobian(x), dtype=float)
+                if j.shape != shape:
+                    check_jacobian(j, d, what)
+            except (ValueError, ArithmeticError) as exc:
+                raise RowError(f"Jacobian failed at row {r}: "
+                               f"{type(exc).__name__}: {exc}", r) from exc
+            out[r] = j

@@ -44,7 +44,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .controls import ControlConfig, controlled_map, controlled_rows
-from .core import DomainSpec, MapModel, as_state, check_tol, state_text, step_block
+from .core import (DomainSpec, MapModel, RowError, as_state, check_tol, state_text,
+                   step_block)
 
 log = logging.getLogger(__name__)
 
@@ -516,6 +517,10 @@ def detect_bubbles(records: Sequence[ScanRecord]) -> list:
             for j, s in enumerate(stable) for a, b in zip(s, s[1:]) if b > a + 1]
 
 
+# states whose Jacobians lyapunov_max takes in one stack
+_TANGENT_CHUNK = 4096
+
+
 def lyapunov_max(model: MapModel, cfg: Optional[ControlConfig], x0, n: int = 5000) -> float:
     """Largest Lyapunov exponent along one orbit of the (controlled) map g.
 
@@ -525,40 +530,54 @@ def lyapunov_max(model: MapModel, cfg: Optional[ControlConfig], x0, n: int = 500
     with its step; leaving the domain is logged once.  A tangent vector is
     propagated through g's Jacobians at x_0 ... x_{n-1}, renormalized every
     step, and the log growth is averaged over the last 80% of the ``n``
-    steps.  A Jacobian that is not finite, or that raises ``ValueError`` or
-    ``ArithmeticError``, raises ``ValueError`` naming its step and state.
-    Positive means sensitive dependence; a stabilized equilibrium gives a
-    negative value.  An ``n`` that is not an integer of at least 1000 raises
-    ``ValueError``.
+    steps.  The Jacobians come in stacks of at most 4096 states, each from
+    one :meth:`~chaosctl.core.MapModel.jacobian_rows` call (g's
+    ``jacobian_batch``, or its ``jacobian`` once per state).  A Jacobian
+    that is not finite, or that raises ``ValueError`` or
+    ``ArithmeticError`` (a Jacobian of the wrong shape included), raises
+    ``ValueError`` naming its step and state, the first step that fails
+    whichever way it fails.  Positive means sensitive dependence; a
+    stabilized equilibrium gives a negative value.  An ``n`` that is not an
+    integer of at least 1000 raises ``ValueError``.
     """
     _check_count("n", n)
     if n < 1000:
         raise ValueError("n must be at least 1000 for a stable average")
-    x0 = as_state(x0, model.dimension)
+    d = model.dimension
+    x0 = as_state(x0, d)
     g = controlled_map(model, cfg) if cfg is not None else model
     states = np.vstack([x0, iterate_orbit(g, None, x0, 0, n)[:-1]])
     rng = np.random.default_rng(0)
-    v = rng.standard_normal(model.dimension)
+    v = rng.standard_normal(d)
     v /= np.linalg.norm(v)
     logs = np.empty(n)
-    for i, x in enumerate(states):
+    for start in range(0, n, _TANGENT_CHUNK):
+        # zeros: the rows that a failing state leaves unwritten are finite
+        stack, failure = np.zeros((min(_TANGENT_CHUNK, n - start), d, d)), None
         try:
-            jac = np.asarray(g.jacobian_at(x), float)
-        except (ValueError, ArithmeticError) as exc:
-            raise ValueError(f"Jacobian failed at step {i}, x = {state_text(x)}: "
-                             f"{type(exc).__name__}: {exc}") from exc
-        v = jac @ v
-        growth = float(np.linalg.norm(v))
-        # a non-finite entry makes v, and so the growth, non-finite
-        if not math.isfinite(growth) and not np.isfinite(jac).all():
-            raise ValueError(f"non-finite Jacobian at step {i}, x = {state_text(x)}")
-        if growth == 0.0:
-            # Tangent collapsed (exactly singular Jacobian); restart it.
-            v = rng.standard_normal(model.dimension)
-            v /= np.linalg.norm(v)
-            logs[i] = -np.inf
-        else:
-            logs[i] = math.log(growth)
-            v /= growth
+            g.jacobian_rows(states[start:start + len(stack)], stack)
+        except Exception as exc:
+            failure = exc
+        # a step before the failing one with a non-finite Jacobian fails first
+        for i, jac in enumerate(stack, start):
+            v = jac @ v
+            growth = float(np.linalg.norm(v))
+            # a non-finite entry makes v, and so the growth, non-finite
+            if not math.isfinite(growth) and not np.isfinite(jac).all():
+                raise ValueError(f"non-finite Jacobian at step {i}, x = {state_text(states[i])}")
+            if growth == 0.0:
+                # Tangent collapsed (exactly singular Jacobian); restart it.
+                v = rng.standard_normal(d)
+                v /= np.linalg.norm(v)
+                logs[i] = -np.inf
+            else:
+                logs[i] = math.log(growth)
+                v /= growth
+        if isinstance(failure, RowError):
+            i, cause = start + failure.row, failure.__cause__
+            raise ValueError(f"Jacobian failed at step {i}, x = {state_text(states[i])}: "
+                             f"{type(cause).__name__}: {cause}") from cause
+        if failure is not None:
+            raise failure
     tail = logs[int(0.2 * n):]
     return float(np.mean(tail))

@@ -28,7 +28,7 @@ from chaosctl import (
 )
 from chaosctl import analysis
 from chaosctl.analysis import box_samples
-from chaosctl.core import state_text
+from chaosctl.core import RowError, state_text
 from chaosctl.models import LpaParams, RickerParams, ricker_lift
 
 from conftest import LPA_FIXED_POINT, counting_lpa
@@ -455,6 +455,118 @@ def test_bound_a_rejects_a_jacobian_of_the_wrong_shape(lpa, cut, shape):
         bound_A(_lpa_cut(lpa, cut), [0.0, 0.0, 0.0], [60.0, 60.0, 20.0], 64)
     assert str(err.value) == (f"Jacobian failed at sample 0, x = (0, 0, 0): ValueError: the map "
                               f"gave a Jacobian of shape {shape}, but the model has dimension 3")
+
+
+_ALL_SCHEMES = [None, "VMTOC", "VTOC", "PF", "MPF", "DIAG-VMTOC"]
+
+
+def _controlled_case(model, scheme, target):
+    if scheme is None:
+        return model
+    d = model.dimension
+    intensity = tuple(np.linspace(0.2, 0.6, d)) if scheme == "DIAG-VMTOC" else 0.35
+    return controlled_map(model, ControlConfig(scheme, intensity, target))
+
+
+@pytest.mark.parametrize("scheme", _ALL_SCHEMES)
+@pytest.mark.parametrize("name", ["lpa", "lpa-fd", "ricker2", "ricker3", "ricker13"])
+def test_jacobian_rows_equals_a_loop_of_jacobian_at_bitwise(name, scheme):
+    model, lo, hi, target = _bound_a_case(name)
+    model = _controlled_case(model, scheme, target)
+    samples = box_samples(lo, hi, 256)
+    stack = model.jacobian_rows(samples)
+    loop = np.array([model.jacobian_at(x) for x in samples])
+    assert stack.shape == loop.shape and stack.tobytes() == loop.tobytes()
+    assert model.jacobian_rows(samples[:0]).shape == (0,) + stack.shape[1:]
+
+
+@pytest.mark.parametrize("scheme", ["VMTOC", "VTOC", "PF", "MPF", "DIAG-VMTOC"])
+def test_controlled_bound_a_calls_the_base_jacobian_once_per_sample(monkeypatch, scheme):
+    base, calls = counting_lpa()
+    lo, hi = [0.0, 0.0, 0.0], [60.0, 60.0, 20.0]
+    model = _controlled_case(base, scheme, (30.0, 30.0, 200.0))
+    at_calls = []
+    jacobian_at = MapModel.jacobian_at
+
+    def spy(self, x):
+        at_calls.append(x)
+        return jacobian_at(self, x)
+
+    monkeypatch.setattr(MapModel, "jacobian_at", spy)
+    a = bound_A(model, lo, hi, 2048)
+    assert (calls["jacobian"], at_calls) == (len(box_samples(lo, hi, 2048)), [])
+    monkeypatch.undo()
+    assert a == _per_sample_bound_a(model, lo, hi, 2048)
+
+
+def test_bound_a_takes_a_plugin_jacobian_batch_once_per_chunk(lpa):
+    lo, hi, batches = [0.0, 0.0, 0.0], [60.0, 60.0, 20.0], []
+
+    def jacobian_batch(rows):
+        batches.append(len(rows))
+        return np.array([lpa.jacobian(x) for x in rows])
+
+    def jacobian(x):
+        raise AssertionError("the batch covers every sample")
+
+    plugin = MapModel(dimension=3, evaluate=lpa.evaluate, domain=lpa.domain, jacobian=jacobian,
+                      jacobian_batch=jacobian_batch)
+    assert bound_A(plugin, lo, hi, 5000) == _per_sample_bound_a(lpa, lo, hi, 5000)
+    assert batches == [analysis._BOUND_CHUNK, len(box_samples(lo, hi, 5000)) - 4096]
+
+
+@pytest.mark.parametrize("scheme, intensity", [("VMTOC", 0.3), ("VTOC", 0.3),
+                                               ("DIAG-VMTOC", (0.3, 0.4, 0.5))])
+def test_controlled_stack_names_the_base_map_of_the_wrong_shape(lpa, scheme, intensity):
+    g = controlled_map(_lpa_cut(lpa, lambda j: j[:, :2]),
+                       ControlConfig(scheme, intensity, (30.0, 30.0, 200.0)))
+    words = "the base map gave a Jacobian of shape (3, 2), but the model has dimension 3"
+    with pytest.raises(RowError) as err:
+        g.jacobian_rows(np.array([[1.0, 2.0, 3.0]]))
+    assert str(err.value) == f"Jacobian failed at row 0: ValueError: {words}"
+    with pytest.raises(ValueError) as err:
+        bound_A(g, [0.0, 0.0, 0.0], [60.0, 60.0, 20.0], 64)
+    assert str(err.value) == f"Jacobian failed at sample 0, x = (0, 0, 0): ValueError: {words}"
+
+
+def test_a_base_jacobian_batch_of_the_wrong_shape_names_the_base_map(lpa):
+    def jacobian_batch(rows):
+        return np.array([lpa.jacobian(x) for x in rows])[:, :, :2]
+
+    plugin = MapModel(dimension=3, evaluate=lpa.evaluate, domain=lpa.domain,
+                      jacobian=lpa.jacobian, jacobian_batch=jacobian_batch)
+    g = controlled_map(plugin, ControlConfig("VMTOC", 0.3, (30.0, 30.0, 200.0)))
+    lo, hi = [0.0, 0.0, 0.0], [60.0, 60.0, 20.0]
+    for model, what in ((plugin, "the map"), (g, "the base map")):
+        with pytest.raises(ValueError) as err:
+            bound_A(model, lo, hi, 64)
+        assert str(err.value) == (f"{what} gave a Jacobian of shape ({len(box_samples(lo, hi, 64))}"
+                                  f", 3, 2), but the model has dimension 3")
+
+
+@pytest.mark.parametrize("faults, first", [
+    ({2: "nan", 5: ZeroDivisionError}, 2), ({2: "nan", 5: TypeError}, 2),
+    ({1: ZeroDivisionError, 3: "nan"}, 1), ({3: TypeError, 5: "nan"}, None),
+], ids=["nan-then-raise", "nan-then-typeerror", "raise-then-nan", "typeerror-then-nan"])
+def test_controlled_bound_a_names_the_first_failing_sample(faults, first):
+    # after the map the base Jacobian is taken at the samples themselves;
+    # (1-c) keeps a sum finite or not
+    lo, hi = [0.0, 0.0], [1.0, 1.0]
+    g = controlled_map(_sample_keyed_map(lo, hi, 16, faults),
+                       ControlConfig("VMTOC", 0.3, (0.5, 0.5)))
+    if first is None:
+        with pytest.raises(TypeError, match="no slope"):
+            bound_A(g, lo, hi, 16)
+        return
+    with pytest.raises(ValueError) as err:
+        bound_A(g, lo, hi, 16)
+    x = state_text(box_samples(lo, hi, 16)[first])
+    fault = faults[first]
+    if fault == "nan":
+        expected = f"non-finite Jacobian row or column sum at sample {first}, x = {x}"
+    else:
+        expected = f"Jacobian failed at sample {first}, x = {x}: {fault.__name__}: no slope"
+    assert str(err.value) == expected
 
 
 @pytest.mark.parametrize("cut, shape", _WRONG_SHAPES, ids=["columns", "row", "scalar"])

@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from chaosctl import DomainSpec, MapModel, as_state, fd_jacobian, norm
-from chaosctl.core import check_tol, norm_rows
+from chaosctl.core import RowError, check_tol, norm_rows
 
 finite_components = st.floats(min_value=-1e6, max_value=1e6,
                               allow_nan=False, allow_infinity=False)
@@ -382,6 +382,89 @@ def test_jacobian_at_rejects_a_jacobian_of_the_wrong_shape(jacobian, shape):
         f.jacobian_at(np.array([1.0]))
     assert str(err.value) == (f"the map gave a Jacobian of shape {shape}, "
                               f"but the model has dimension 1")
+
+
+@pytest.mark.parametrize("jacobian, shape", [
+    (lambda x: 0.5, ()), (lambda x: [0.5], (1,)), (lambda x: [[0.5, 0.5]], (1, 2)),
+    (None, (2, 1)),
+])
+def test_jacobian_rows_rejects_a_jacobian_of_the_wrong_shape_naming_its_row(jacobian, shape):
+    # the first row is fine; the second gets the shape that jacobian_at rejects
+    def pick(x):
+        return np.eye(1) if x[0] == 0.0 else jacobian(x)
+
+    def evaluate(x):
+        return np.array([0.5, 0.5]) * x[0] if x[0] > 0.5 else np.asarray(x, float)
+
+    f = MapModel(dimension=1, evaluate=evaluate, jacobian=pick if jacobian is not None else None,
+                 domain=DomainSpec.full_space(1))
+    out = np.full((3, 1, 1), 7.0)
+    with pytest.raises(RowError) as err:
+        f.jacobian_rows(np.array([[0.0], [1.0], [2.0]]), out)
+    assert err.value.row == 1
+    assert str(err.value) == (f"Jacobian failed at row 1: ValueError: the map gave a Jacobian "
+                              f"of shape {shape}, but the model has dimension 1")
+    assert isinstance(err.value.__cause__, ValueError)
+    # the row before the failing one is written, and no later row
+    assert out[0, 0, 0] == pytest.approx(1.0) and out[1:].ravel().tolist() == [7.0, 7.0]
+
+
+def test_jacobian_rows_passes_another_exception_on_after_the_rows_before_it():
+    def jacobian(x):
+        if x[0] > 1.0:
+            raise TypeError("no slope")
+        return np.array([[x[0]]])
+
+    f = MapModel(dimension=1, evaluate=lambda x: x, jacobian=jacobian,
+                 domain=DomainSpec.full_space(1))
+    out = np.zeros((3, 1, 1))
+    with pytest.raises(TypeError, match="no slope"):
+        f.jacobian_rows(np.array([[0.5], [1.0], [3.0]]), out)
+    assert out.ravel().tolist() == [0.5, 1.0, 0.0]
+
+
+def test_jacobian_rows_takes_the_batch_and_checks_its_shape():
+    def batch(rows):
+        calls.append(len(rows))
+        return np.stack([np.diag(2.0 * r) for r in rows])[:, :, :cut]
+
+    calls, cut = [], None
+    f = MapModel(dimension=2, evaluate=lambda x: x, jacobian=lambda x: np.diag(2.0 * x),
+                 jacobian_batch=batch, domain=DomainSpec.full_space(2))
+    rows = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    assert f.jacobian_rows(rows).tolist() == [np.diag(2.0 * r).tolist() for r in rows]
+    assert calls == [3]
+    cut = 1
+    with pytest.raises(ValueError) as err:
+        f.jacobian_rows(rows)
+    assert str(err.value) == ("the map gave a Jacobian of shape (3, 2, 1), "
+                              "but the model has dimension 2")
+
+
+def test_a_raising_jacobian_batch_is_replayed_row_by_row():
+    # the row loop names the row that fails; a batch whose rows all pass
+    # raises as it did
+    def jacobian(x):
+        return np.array([[1.0 / float(x[0])]])
+
+    def batch(rows):
+        raise ZeroDivisionError("somewhere in the batch")
+
+    f = MapModel(dimension=1, evaluate=lambda x: x, jacobian=jacobian, jacobian_batch=batch,
+                 domain=DomainSpec.full_space(1))
+    out = np.zeros((3, 1, 1))
+    with pytest.raises(RowError) as err:
+        f.jacobian_rows(np.array([[2.0], [0.0], [4.0]]), out)
+    assert (err.value.row, out.ravel().tolist()) == (1, [0.5, 0.0, 0.0])
+    assert str(err.value) == "Jacobian failed at row 1: ZeroDivisionError: float division by zero"
+    with pytest.raises(ZeroDivisionError, match="somewhere in the batch"):
+        f.jacobian_rows(np.array([[2.0], [4.0]]))
+
+
+def test_a_jacobian_batch_needs_a_jacobian():
+    with pytest.raises(ValueError, match="jacobian_batch needs the jacobian"):
+        MapModel(dimension=1, evaluate=lambda x: x, jacobian_batch=lambda rows: rows[:, None],
+                 domain=DomainSpec.full_space(1))
 
 
 def test_map_model_dimension_check():

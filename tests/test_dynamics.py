@@ -1755,11 +1755,13 @@ def _calls_to_recurrence(step, period, total):
 
 
 _K = (28.0120, 22.4096, 4.6251)
-# (model, scheme, intensity, target, x0, first recurrence step, bitwise period)
+# (model, scheme, intensity, target, x0, first recurrence step, bitwise period);
+# each orbit first recurs so with numpy's AVX-512 exp and without it
+# (NPY_DISABLE_CPU_FEATURES=X86_V4), whose last bits differ
 _RECURRING = [
     ("lpa", "VMTOC", 0.6, _K, (22.0, 27.0, 5.0), 61, 1),
     ("lpa", "VMTOC", 0.2, (30.0, 30.0, 200.0), (22.0, 27.0, 5.0), 226, 2),
-    ("lpa", "VMTOC", 0.5, _K, (22.0, 27.0, 5.0), 101, 7),
+    ("lpa", "VMTOC", 0.49, _K, (22.0, 27.0, 5.0), 104, 7),
     ("ricker2", "VMTOC", 0.05, (1.0, 3.0), (1.5, 0.5), 99, 6),
     ("ricker2", "VMTOC", 0.01, (1.0, 3.0), (1.5, 0.5), 464, 20),
     ("ricker3", "VTOC", 0.1, (1.0, 1.0, 1.0), (1.5, 0.5, 1.2), 55, 8),
@@ -1966,16 +1968,16 @@ def test_chaotic_orbit_never_recurs_and_runs_every_step(lpa):
 
 
 def test_simulate_sized_orbit_makes_few_evaluations(lpa):
-    # LPA under VMTOC c=0.5 toward K first recurs at step 101, with period 7
+    # LPA under VMTOC c=0.49 toward K first recurs at step 104, with period 7
     model, calls = _counted(lpa)
-    cfg = ControlConfig("VMTOC", 0.5, _K)
+    cfg = ControlConfig("VMTOC", 0.49, _K)
     x0 = (22.0, 27.0, 5.0)
     orbit = iterate_orbit(model, cfg, x0, 3000, 50)
-    assert calls[0] == 102 < (3000 + 50) // 20
+    assert calls[0] == 105 < (3000 + 50) // 20
     _assert_same_bytes(orbit, _per_step_orbit(model, cfg, x0, 3000, 50))
     calls[0] = 0
     assert lyapunov_max(model, cfg, x0, n=5000) == _lyapunov_per_step(model, cfg, x0, 5000)
-    assert calls[0] == 102 + 5000
+    assert calls[0] == 105 + 5000
 
 
 # --- bubbles -----------------------------------------------------------------
@@ -2177,6 +2179,75 @@ def test_lyapunov_jacobian_of_the_wrong_shape_raises_with_its_step_and_state():
         lyapunov_max(f, None, np.array([22.0, 27.0, 5.0]), n=1000)
     assert str(err.value) == ("Jacobian failed at step 0, x = (22, 27, 5): ValueError: the map "
                               "gave a Jacobian of shape (3, 2), but the model has dimension 3")
+
+
+def _counter_with_faults(faults):
+    """x -> x + 1 from 0, so x_i = i, whose Jacobian at step i is NaN where
+    ``faults[i]`` is "nan", raises where it is an exception class, and is 1
+    otherwise."""
+    def jacobian(x):
+        fault = faults.get(int(x[0]))
+        if fault == "nan":
+            return np.array([[math.nan]])
+        if fault is not None:
+            raise fault("no slope")
+        return np.eye(1)
+
+    return MapModel(dimension=1, evaluate=lambda x: np.asarray(x, float) + 1.0,
+                    jacobian=jacobian, domain=DomainSpec.full_space(1))
+
+
+@pytest.mark.parametrize("faults, first", [
+    ({2: "nan", 5: ZeroDivisionError}, 2), ({2: "nan", 5: TypeError}, 2),
+    ({1: ZeroDivisionError, 3: "nan"}, 1), ({3: TypeError, 5: "nan"}, None),
+    # past the first stack of 4096 states
+    ({4095: "nan", 4096: ZeroDivisionError}, 4095), ({4100: ValueError, 4150: "nan"}, 4100),
+    ({4150: "nan"}, 4150),
+], ids=["nan-then-raise", "nan-then-typeerror", "raise-then-nan", "typeerror-then-nan",
+        "nan-then-raise-next-chunk", "raise-in-second-chunk", "nan-in-second-chunk"])
+@pytest.mark.parametrize("scheme", [None, "VMTOC"])
+def test_lyapunov_names_the_first_failing_step(faults, first, scheme):
+    f = _counter_with_faults(faults)
+    # after the map the base Jacobian is taken at the orbit's own states,
+    # which the pull toward 0 at c = 0 leaves as they are
+    cfg = ControlConfig(scheme, 0.0, (0.0,)) if scheme else None
+    if first is None:
+        with pytest.raises(TypeError, match="no slope"):
+            lyapunov_max(f, cfg, np.array([0.0]), n=5000)
+        return
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError) as err:
+        lyapunov_max(f, cfg, np.array([0.0]), n=5000)
+    fault = faults[first]
+    if fault == "nan":
+        assert str(err.value) == f"non-finite Jacobian at step {first}, x = ({first})"
+    else:
+        assert str(err.value) == (f"Jacobian failed at step {first}, x = ({first}): "
+                                  f"{fault.__name__}: no slope")
+        assert type(err.value.__cause__) is fault
+
+
+def test_lyapunov_takes_one_stack_per_4096_states(monkeypatch):
+    model, calls = counting_lpa()
+    g = controlled_map(model, ControlConfig("VMTOC", 0.4, _K))
+    stacks, at_calls = [], []
+    jacobian_rows, jacobian_at = MapModel.jacobian_rows, MapModel.jacobian_at
+
+    def rows_spy(self, rows, out=None, what="the map"):
+        stacks.append(len(rows))
+        return jacobian_rows(self, rows, out, what)
+
+    def at_spy(self, x):
+        at_calls.append(x)
+        return jacobian_at(self, x)
+
+    monkeypatch.setattr(MapModel, "jacobian_rows", rows_spy)
+    monkeypatch.setattr(MapModel, "jacobian_at", at_spy)
+    lam = lyapunov_max(g, None, (22.0, 27.0, 5.0), n=5000)
+    monkeypatch.undo()
+    # each stack of the controlled map takes one stack of its base
+    assert (stacks, calls["jacobian"], at_calls) == ([4096, 4096, 904, 904], 5000, [])
+    assert lam == _lyapunov_per_step(model, ControlConfig("VMTOC", 0.4, _K), (22.0, 27.0, 5.0),
+                                     5000)
 
 
 def test_lyapunov_logs_one_domain_exit(caplog):
