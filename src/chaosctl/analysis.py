@@ -29,7 +29,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .controls import ControlConfig
+from .controls import POST_MAP_SCHEMES, ControlConfig
 from .core import (MapModel, RowError, as_state, check_image, check_norm_kind, check_tol,
                    norm, norm_rows, state_text)
 from .dynamics import _check_count, initial_box, iterate_orbit
@@ -366,8 +366,11 @@ def verify_contraction(model: MapModel, cfg: ControlConfig, k, L, x0,
                        n: int = 200, norm_kind: str = "max") -> Tuple[bool, float]:
     """Check the geometric-decay certificate along one controlled orbit.
 
-    Requires a VMTOC control with T = K, K a fixed point of the model and
-    c > global_cstar(L).  Iterates ``n`` steps from ``x0`` with
+    Requires a post-map target control (VMTOC or DIAG-VMTOC) with T = K,
+    K a fixed point of the model and c > global_cstar(L), where c is the
+    least intensity ``min_i c_i``: since x' - K = (I-C)(f(x) - f(K)) with
+    C = diag(c), ||x' - K|| <= (1-c)*L*||x - K|| in the max, sum and
+    euclidean norms alike.  Iterates ``n`` steps from ``x0`` with
     :func:`~chaosctl.dynamics.iterate_orbit` and tests the per-step ratio
     ||x' - K|| / ||x - K|| against theta = (1-c)*L, skipping steps with
     ||x - K|| below 1e-12.  Returns (all ratios within theta, maximum
@@ -384,15 +387,16 @@ def verify_contraction(model: MapModel, cfg: ControlConfig, k, L, x0,
         raise ValueError(f"L must be finite and nonnegative, got {L}")
     check_norm_kind(norm_kind)
     k = as_state(k, model.dimension)
-    if cfg.scheme != "VMTOC":
-        raise ValueError("contraction certificate requires a VMTOC control")
+    if cfg.scheme not in POST_MAP_SCHEMES:
+        raise ValueError("contraction certificate requires a VMTOC or DIAG-VMTOC control")
     t = cfg.target_vector(model.dimension)
     if norm(t - k, "max") > 1e-12 * (1.0 + norm(k, "max")):
         raise ValueError("certificate requires target T = K")
     _check_fixed_point(model, k)
-    if cfg.intensity <= global_cstar(L):
+    c = float(np.min(cfg.intensity_vector(model.dimension)))
+    if c <= global_cstar(L):
         raise ValueError("intensity must exceed global_cstar(L)")
-    theta = (1.0 - cfg.intensity) * L
+    theta = (1.0 - c) * L
     x0 = as_state(x0, model.dimension)
     orbit = np.vstack([x0, iterate_orbit(model, cfg, x0, 0, n)])
     dist = norm_rows(orbit - k, norm_kind)

@@ -28,7 +28,8 @@ from functools import partial
 import numpy as np
 
 from . import analysis, cost as cost_mod, dynamics, models
-from .controls import ControlConfig, ControlConfigError, check_intensity, controlled_map
+from .controls import (POST_MAP_SCHEMES, ControlConfig, ControlConfigError, check_intensity,
+                       controlled_map)
 from .core import MapModel, ParamError, as_state, check_norm_kind, check_tol
 
 COMMANDS = ("simulate", "equilibrium", "stability", "bifurcate", "bubbles",
@@ -101,7 +102,7 @@ CHECKS = (
      "lyapunov needs at least 1000 steps, got {value}"),  # lyapunov_max's bound
     ("control.scheme", SCANS, lambda v: v["control.scheme"] in ("VMTOC", "VTOC"),
      "scans support VMTOC and VTOC only"),
-    ("control.scheme", ("cost",), lambda v: v["control.scheme"] in cost_mod.POST_MAP_SCHEMES,
+    ("control.scheme", ("cost",), lambda v: v["control.scheme"] in POST_MAP_SCHEMES,
      "cost accounting applies to post-map target controls only, got {value}"),
     ("scan.cost", SCANS, lambda v: not v["scan.cost"] or v["control.scheme"] == "VMTOC",
      "cost column applies to VMTOC scans only"),

@@ -6,21 +6,24 @@ Five schemes are provided.  With intensity ``c`` and target ``T``:
 * ``VTOC``       x' = f(c*T + (1-c)*x)      (nudge before the map)
 * ``MPF``        x' = (1-c)*f(x)            (proportional culling after)
 * ``PF``         x' = f((1-c)*x)            (proportional culling before)
-* ``DIAG-VMTOC`` x' = C*T + (I-C)*f(x)      (per-component intensities C)
+* ``DIAG-VMTOC`` x' = C*T + (I-C)*f(x)      (VMTOC by another name)
 
-PF and MPF are exactly VTOC and VMTOC with a zero target.  One unchecked
-builder, ``_controlled``, makes the controlled map of every scheme: the side
-of the map picks which of the pull and the identity runs inside the base
-step and which outside it, once, and every form (single state, batch,
-Jacobian) follows from that pair, so the reduction and the agreement of
-the forms are bit-for-bit.  One array step wraps the base ``evaluate`` and
-``evaluate_batch`` alike and checks the base image: one without the
-input's shape, its last axis the model's dimension, raises ``ValueError``;
-the batch step calls the base ``evaluate_batch`` itself, so its image is
-checked once a step.  One Jacobian scales the rows of the base one by
-``1-c``, and one Jacobian stack the rows of the base model's stack
-(:meth:`~chaosctl.core.MapModel.jacobian_rows`) at the pulled states.
-The step on a tuple of floats is
+Every scheme takes one kind of intensity: a scalar, the same on every
+component, or a vector of one per component, ``C = diag(c)``, each in [0,
+1), and every product with ``c`` is element by element.  PF and MPF are
+exactly VTOC and VMTOC with a zero target, and DIAG-VMTOC is VMTOC.  One
+unchecked builder, ``_controlled``, makes the controlled map of every
+scheme: the side of the map picks which of the pull and the identity runs
+inside the base step and which outside it, once, and every form (single
+state, batch, Jacobian) follows from that pair, so the reduction and the
+agreement of the forms are bit-for-bit.  One array step wraps the base
+``evaluate`` and ``evaluate_batch`` alike and checks the base image: one
+without the input's shape, its last axis the model's dimension, raises
+``ValueError``; the batch step calls the base ``evaluate_batch`` itself,
+so its image is checked once a step.  One Jacobian scales the base one by ``1-c``, its rows
+after the map and its columns before it, and one Jacobian stack the base
+model's stack (:meth:`~chaosctl.core.MapModel.jacobian_rows`) at the
+pulled states.  The step on a tuple of floats is
 :func:`~chaosctl.core.pulled_float_step` of the base model's: its formula
 with the pull written in, for the built-in models, or a compiled wrapper
 around its float step.  A control is checked apart from building its maps,
@@ -44,6 +47,8 @@ from .core import (MapModel, ParamError, as_state, check_image, check_jacobian,
 
 SCHEMES = ("VMTOC", "VTOC", "PF", "MPF", "DIAG-VMTOC")
 _TARGETLESS = ("PF", "MPF")
+# the post-map target controls, whose nudge c*(T - f(x)) is the cost
+POST_MAP_SCHEMES = ("VMTOC", "DIAG-VMTOC")
 
 
 class ControlConfigError(ParamError):
@@ -77,9 +82,11 @@ def _floats(values, field: str, ndims: Tuple[int, ...], message: str) -> np.ndar
 class ControlConfig:
     """Scheme tag, control intensity and target state.
 
-    ``intensity`` is a scalar in [0, 1) for the scalar schemes, or a
-    sequence of per-component values (each in [0, 1)) for ``DIAG-VMTOC``.
-    ``target`` is ignored by PF/MPF, where it is implicitly zero.
+    ``intensity`` is, for every scheme, a float in [0, 1), the same on every
+    component, or a tuple of per-component values, each in [0, 1); its
+    length is checked against the model's dimension when a map is built
+    (:meth:`intensity_vector`).  ``target`` is ignored by PF/MPF, where it
+    is implicitly zero.
     """
 
     scheme: str
@@ -89,15 +96,10 @@ class ControlConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ControlConfigError("scheme", f"unknown control scheme: {self.scheme!r}")
-        if self.scheme == "DIAG-VMTOC":
-            cs = _floats(self.intensity, "intensity", (0, 1),
-                         "DIAG-VMTOC takes a scalar or a 1-D vector of intensities, "
-                         "got shape {shape}")
-            object.__setattr__(self, "intensity", tuple(np.atleast_1d(cs).tolist()))
-        else:
-            c = _floats(self.intensity, "intensity", (0,),
-                        f"{self.scheme} takes a scalar intensity")
-            object.__setattr__(self, "intensity", float(c))
+        c = _floats(self.intensity, "intensity", (0, 1),
+                    f"{self.scheme} takes a scalar or a 1-D vector of intensities, "
+                    "got shape {shape}")
+        object.__setattr__(self, "intensity", float(c) if c.ndim == 0 else tuple(c.tolist()))
         check_intensity(self.intensity)
         if self.target is not None:
             t = _floats(self.target, "target", (1,),
@@ -105,10 +107,6 @@ class ControlConfig:
             object.__setattr__(self, "target", tuple(t.tolist()))
         elif self.scheme not in _TARGETLESS:
             raise ControlConfigError("target", f"{self.scheme} requires a target")
-
-    @property
-    def is_scalar(self) -> bool:
-        return self.scheme != "DIAG-VMTOC"
 
     def intensity_vector(self, dim: int) -> np.ndarray:
         c = np.asarray(self.intensity, dtype=float)
@@ -171,7 +169,9 @@ def _controlled(model: MapModel, scheme: str, c, t: np.ndarray) -> MapModel:
     ``(n, 1)`` column of per-row intensities, for which only
     ``evaluate_batch`` applies: row r is pulled with intensity ``c[r]``.
     c*T and 1-c are computed once; each form's pull is bitwise
-    ``c*T + (1-c)*y`` computed whole.
+    ``c*T + (1-c)*y`` computed whole.  By the chain rule ``1-c`` scales row
+    i of the base Jacobian after the map, ``diag(1-c) J(x)``, and column j
+    before it, ``J(c*T + (1-c)*x) diag(1-c)``.
     """
     d = model.dimension
     ct, keep = c * t, 1.0 - c
@@ -194,9 +194,10 @@ def _controlled(model: MapModel, scheme: str, c, t: np.ndarray) -> MapModel:
             return outer(check_image(y, x.shape[:-1] + (d,), d, "the base map"))
         return step
 
-    # (1-c) scales row i of the Jacobian: a scalar or a (d, 1) column, which
-    # would broadcast a base Jacobian of the wrong shape
-    scale = keep.reshape(-1, 1) if isinstance(keep, np.ndarray) else keep
+    # (1-c) scales the Jacobian's rows after the map, as a (d, 1) column,
+    # and its columns before it; either would broadcast a base Jacobian of
+    # the wrong shape, which is checked first
+    scale = keep if scheme in _BEFORE else np.reshape(keep, (-1, 1))
 
     def jacobian(x):
         j = np.asarray(model.jacobian(inner(np.asarray(x, float))), float)
@@ -230,37 +231,36 @@ def apply_control(model: MapModel, cfg: ControlConfig, x) -> np.ndarray:
 def controlled_map(model: MapModel, cfg: ControlConfig) -> MapModel:
     """Wrap ``model`` into the controlled self-map of the same domain.
 
-    The wrapped model steps on floats through the base model's formula or
-    float step and has an ``evaluate_batch`` when the base model does, each
-    bitwise as its ``evaluate``; it chains the analytic Jacobian through
-    when the base model has one, and with it a ``jacobian_batch`` that scales
-    the base model's stack of Jacobians once, bitwise row by row as its
+    The map runs at ``cfg``'s intensity as a ``(d,)`` vector
+    (:meth:`ControlConfig.intensity_vector`), which for a scalar is the
+    same arithmetic element by element.  The wrapped model steps on floats
+    through the base model's formula or float step and has an
+    ``evaluate_batch`` when the base model does, each bitwise as its
+    ``evaluate``; it chains the analytic Jacobian through when the base
+    model has one, and with it a ``jacobian_batch`` that scales the base
+    model's stack of Jacobians once, bitwise row by row as its
     ``jacobian``; otherwise it falls back to finite differences.
     """
     t = _checked_target(model, cfg)
-    c = cfg.intensity if cfg.is_scalar else cfg.intensity_vector(model.dimension)
-    return _controlled(model, cfg.scheme, c, t)
+    return _controlled(model, cfg.scheme, cfg.intensity_vector(model.dimension), t)
 
 
 def controlled_rows(model: MapModel, scheme: str, target, intensities):
     """Check a scan's control once; return ``(step_for, map_at)``, which check nothing.
 
-    The checks: the scheme, ``DIAG-VMTOC`` rejected by name since its
-    intensities have no rows, every intensity, also for none, then the
-    target.  ``map_at(r)`` is the controlled map of grid point ``r``, built
-    but for its float step on first use, and ``step_for(rows)`` the batched
-    step of the grid points in the index array ``rows``: ``step(x, out)``
-    writes the image of the states ``x``, as columns ``(d, n)``, into
-    ``out`` (:func:`~chaosctl.core.pulled_columns`), and maps state k bitwise
-    as ``map_at(rows[k])`` maps it.  A model's batch step with a formula has
+    The checks: the scheme, every intensity, also for none, then the
+    target.  Each grid point's intensity is a scalar, so a ``DIAG-VMTOC``
+    scan is the ``VMTOC`` scan.  ``map_at(r)`` is the controlled map of grid
+    point ``r``, built but for its float step on first use, and
+    ``step_for(rows)`` the batched step of the grid points in the index
+    array ``rows``: ``step(x, out)`` writes the image of the states ``x``,
+    as columns ``(d, n)``, into ``out``
+    (:func:`~chaosctl.core.pulled_columns`), and maps state k bitwise as
+    ``map_at(rows[k])`` maps it.  A model's batch step with a formula has
     the pull of column k written in; any other gets the ``(n, d)`` rows of
     the states from :func:`_controlled`'s batch step, which checks its image.
     """
     cfg = ControlConfig(scheme=scheme, intensity=0.0, target=target)
-    if not cfg.is_scalar:
-        raise ControlConfigError(
-            "scheme", f"scans take a scalar-intensity scheme, got {scheme!r}, whose step "
-                      f"expected {model.dimension} intensities, one per component")
     column = np.asarray(intensities, dtype=float).reshape(-1, 1)
     check_intensity(column)
     t, cs = _checked_target(model, cfg), column.ravel().tolist()
@@ -294,10 +294,15 @@ def compose_vmtoc(first, second):
     a convex combination, so T stays in any convex domain containing T1 and
     T2.  A zero intensity acts as the identity stage: the other pair is
     returned unchanged, and ``(0.0, None)`` signals that both stages were
-    trivial.
+    trivial.  The stages' intensities must be scalars: a per-component
+    one raises ``ValueError`` naming its stage.
     """
     c1, t1 = first
     c2, t2 = second
+    for stage, c in (("first", c1), ("second", c2)):
+        if np.ndim(c):
+            raise ValueError(f"compose_vmtoc composes scalar stages, but the {stage} stage "
+                             f"has intensities of shape {np.shape(c)}")
     c1, c2 = float(c1), float(c2)
     check_intensity((c1, c2))
     if c1 == 0.0 and c2 == 0.0:
@@ -340,18 +345,17 @@ def target_for_state(model: MapModel, k, alpha: float):
 
 
 def conjugate_state(cfg: ControlConfig, x) -> np.ndarray:
-    """The change of variables phi(x) = c*T + (1-c)*x linking VTOC and VMTOC.
+    """The change of variables phi(x) = C*T + (I-C)*x linking VTOC and VMTOC.
 
+    ``C = diag(c)``, a scalar ``c`` being the same on every component.
     Orbits of the two schemes correspond through phi: if y0 = phi(x0), the
     VMTOC orbit from y0 equals phi of the VTOC orbit from x0.  phi is
-    invertible for every c < 1.  Only scalar-intensity schemes are accepted,
-    and a state of another length than the target raises ``ValueError``.
+    invertible for every c < 1.  A state of another length than the target
+    or the intensities raises ``ValueError``.
     """
-    if not cfg.is_scalar:
-        raise ValueError("conjugate_state requires a scalar-intensity scheme")
     x = as_state(x)
     if cfg.scheme not in _TARGETLESS and len(cfg.target) != x.shape[0]:
         raise ValueError(f"state has {x.shape[0]} components, but the target has "
                          f"{len(cfg.target)}")
-    c, t = cfg.intensity, cfg.target_vector(x.shape[0])
+    c, t = cfg.intensity_vector(x.shape[0]), cfg.target_vector(x.shape[0])
     return c * t + (1.0 - c) * x

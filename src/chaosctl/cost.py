@@ -14,12 +14,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .controls import ControlConfig, check_intensity
+from .controls import POST_MAP_SCHEMES, ControlConfig, check_intensity
 from .core import MapModel, as_state, norm_rows
 from .dynamics import _check_count
-
-# the post-map target controls, whose nudge c*(T - f(x)) is the cost
-POST_MAP_SCHEMES = ("VMTOC", "DIAG-VMTOC")
 
 
 @dataclass(frozen=True)
@@ -56,9 +53,10 @@ def costs_per_step(model: MapModel, target, intensities, orbits,
 
     Orbit ``r`` must have been produced by a post-map target control toward
     ``target`` with intensity ``intensities[r]``: ``intensities`` is
-    ``(records,)`` for VMTOC or ``(records, d)`` for DIAG-VMTOC.  ``window``
-    is ``(start, length)`` into every orbit, defaulting to the whole orbit;
-    an entry that is not an integer raises ``ValueError`` naming it.
+    ``(records,)`` of scalars or ``(records, d)`` of one per component.
+    ``window`` is ``(start, length)`` into every orbit, defaulting to the
+    whole orbit; an entry that is not an integer raises ``ValueError``
+    naming it.
     The images of every window's states come from one ``evaluate_rows``
     call, and their nudges are measured by one ``norm_rows`` call.  An
     evaluation that raises raises ``ValueError`` naming its row (state

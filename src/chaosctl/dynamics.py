@@ -437,9 +437,9 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
     ``seed`` or ``n_transient``, an ``n_keep`` below 2, a ``tol`` that is
     not positive and finite (NaN included), a box that :func:`initial_box`
     rejects, and what the one check of the control, ``controlled_rows``,
-    rejects: a bad scheme (``DIAG-VMTOC`` too), target or grid.  Orbit
-    failures are recorded; what a batch step raises, such as the
-    ``ValueError`` of a base image of the wrong shape, propagates.
+    rejects: a bad scheme, target or grid.  Orbit failures are recorded;
+    what a batch step raises, such as the ``ValueError`` of a base image of
+    the wrong shape, propagates.
     """
     c_grid = [float(c) for c in c_grid]
     _check_lengths(n_transient, n_keep)

@@ -860,6 +860,25 @@ def test_verify_contraction_preconditions():
                            np.array([9.0, 9.0]), 2.0, np.array([3.0, 3.0]))
 
 
+@pytest.mark.parametrize("norm_kind", ["max", "sum", "euclidean"])
+def test_verify_contraction_takes_per_component_intensities(lpa, lpa_k, norm_kind):
+    # theta = (1 - min_i c_i)*L bounds ||(I-C)v|| / ||v|| in each norm
+    x0 = np.array([20.0, 20.0, 5.0])
+    diag = ControlConfig("DIAG-VMTOC", (0.95, 0.95, 0.96), tuple(lpa_k))
+    holds, ratio = verify_contraction(lpa, diag, lpa_k, 11.71, x0, n=300, norm_kind=norm_kind)
+    assert holds and ratio <= 0.05 * 11.71
+    if norm_kind == "max":
+        assert ratio == pytest.approx(0.1748, abs=1e-4)
+    # an equal vector is the scalar, and the least intensity must clear the bound
+    scalar = ControlConfig("VMTOC", 0.95, tuple(lpa_k))
+    assert (verify_contraction(lpa, scalar, lpa_k, 11.71, x0, n=50, norm_kind=norm_kind)
+            == verify_contraction(lpa, ControlConfig("DIAG-VMTOC", (0.95,) * 3, tuple(lpa_k)),
+                                  lpa_k, 11.71, x0, n=50, norm_kind=norm_kind))
+    with pytest.raises(ValueError, match="global_cstar"):
+        verify_contraction(lpa, ControlConfig("DIAG-VMTOC", (0.95, 0.9, 0.96), tuple(lpa_k)),
+                           lpa_k, 11.71, x0)
+
+
 @pytest.mark.parametrize("kwargs, message", [
     ({"n": 2.5}, "^n must be an integer, got 2.5$"),
     ({"n": -1}, "^n must be nonnegative, got -1$"),

@@ -616,6 +616,20 @@ def test_config_file_plus_overrides(tmp_path):
     assert len(lines) == 1 + 4 * 3
 
 
+@pytest.mark.parametrize("intensity", ["0.3", "0.3,0.2,0.1"])
+def test_simulate_runs_diag_vmtoc_as_vmtoc(tmp_path, intensity):
+    # every scheme takes a scalar intensity or one per component, and
+    # DIAG-VMTOC is VMTOC under its own name
+    for scheme in ("VMTOC", "DIAG-VMTOC"):
+        assert run_cli(tmp_path, "simulate", "--out", scheme,
+                       "--set", f"control.scheme={scheme}",
+                       "--set", f"control.intensity={intensity}",
+                       "--set", "control.target=28,22,4", "--set", "run.n_transient=100",
+                       "--set", "run.n_keep=8") == 0
+    assert ((tmp_path / "DIAG-VMTOC.orbit.csv").read_bytes()
+            == (tmp_path / "VMTOC.orbit.csv").read_bytes())
+
+
 @pytest.mark.parametrize("setting, code, needle", [
     ("control.scheme=DIAG-VMTOC", 2, "control.scheme"),
     ("control.target=-1,22,4.6", 2, "control.target: target outside the model domain"),

@@ -66,6 +66,25 @@ def test_diag_with_equal_intensities_matches_vmtoc_bitwise(lpa):
     assert np.array_equal(scalar, diag)
 
 
+@pytest.mark.parametrize("model, target", [(lpa_map(), (30.0, 200.0, 30.0)),
+                                           (ricker_lift(RickerParams(r=2.0, delay=3)),
+                                            (1.0, 2.0, 3.0))], ids=["lpa", "ricker-3"])
+@pytest.mark.parametrize("intensity", [0.37, (0.2, 0.5, 0.7)], ids=["scalar", "vector"])
+def test_diag_vmtoc_is_vmtoc_bitwise(model, target, intensity):
+    # one scheme under two names: every form of the map, at a scalar
+    # intensity or one per component
+    vmtoc = controlled_map(model, ControlConfig("VMTOC", intensity, target))
+    diag = controlled_map(model, ControlConfig("DIAG-VMTOC", intensity, target))
+    rows = np.random.default_rng(3).uniform(0.0, 60.0, (50, 3))
+    for form in ("evaluate_batch", "jacobian_rows"):
+        assert (getattr(diag, form)(rows).tobytes() == getattr(vmtoc, form)(rows).tobytes())
+    for x in rows:
+        assert diag.evaluate(x).tobytes() == vmtoc.evaluate(x).tobytes()
+        assert diag.jacobian(x).tobytes() == vmtoc.jacobian(x).tobytes()
+        assert (diag.evaluate_floats(tuple(x.tolist()))
+                == vmtoc.evaluate_floats(tuple(x.tolist())))
+
+
 def test_pf_mpf_are_zero_target_reductions_bitwise(lpa):
     x = np.array([11.0, 6.0, 2.0])
     zero = (0.0, 0.0, 0.0)
@@ -87,8 +106,18 @@ def test_config_validation():
         ControlConfig("TOC", 0.5, (1.0,))
     with pytest.raises(ValueError, match="target"):
         ControlConfig("VMTOC", 0.5, None)
-    with pytest.raises(ValueError, match="scalar"):
-        ControlConfig("VMTOC", (0.5, 0.5), (1.0, 1.0))
+    # every scheme takes a scalar or one intensity per component
+    assert ControlConfig("VMTOC", (0.5, 0.25), (1.0, 1.0)).intensity == (0.5, 0.25)
+    assert ControlConfig("DIAG-VMTOC", 0.3, (1.0, 1.0)).intensity == 0.3
+    with pytest.raises(ControlConfigError) as err:
+        ControlConfig("VTOC", ((0.5, 0.5),), (1.0, 1.0))
+    assert (err.value.field, str(err.value)) == (
+        "intensity", "VTOC takes a scalar or a 1-D vector of intensities, got shape (1, 2)")
+    # a vector's length is the model's, checked as the map is built
+    with pytest.raises(ControlConfigError) as err:
+        controlled_map(linear_model(0.5, dim=3), ControlConfig("VMTOC", (0.5, 0.5), (1.0,) * 3))
+    assert (err.value.field, str(err.value)) == (
+        "intensity", "dimension mismatch: expected 3 intensities, got 2")
     # PF needs no target
     ControlConfig("PF", 0.5, None)
 
@@ -125,6 +154,18 @@ def test_compose_degenerate_zero_intensities():
     np.testing.assert_array_equal(t, t2)
     c, t = compose_vmtoc((0.0, None), (0.0, None))
     assert c == 0.0 and t is None
+
+
+@pytest.mark.parametrize("first, second, stage, shape", [
+    (((0.1, 0.2, 0.3), (1, 2, 3)), (0.2, (1, 2, 3)), "first", (3,)),
+    ((0.2, (1, 2, 3)), (np.array([0.1, 0.2, 0.3]), (1, 2, 3)), "second", (3,)),
+    (((0.0, 0.0), (1, 2)), (0.0, None), "first", (2,)),
+])
+def test_compose_rejects_a_per_component_intensity_by_stage(first, second, stage, shape):
+    with pytest.raises(ValueError) as err:
+        compose_vmtoc(first, second)
+    assert str(err.value) == (f"compose_vmtoc composes scalar stages, but the {stage} stage "
+                              f"has intensities of shape {shape}")
 
 
 @given(st.floats(0.01, 0.99), st.floats(0.01, 0.99),
@@ -261,34 +302,44 @@ def test_conjugate_state_basics():
     cfg = ControlConfig("VTOC", 0.3, (5.0, 5.0))
     np.testing.assert_allclose(conjugate_state(cfg, np.array([5.0, 5.0])),
                                [5.0, 5.0], atol=1e-15)
-    with pytest.raises(ValueError, match="scalar"):
-        conjugate_state(ControlConfig("DIAG-VMTOC", (0.3, 0.2), (1.0, 1.0)), x)
+    # per-component intensities are C = diag(c)
+    c, t = np.array([0.3, 0.2]), np.array([1.0, 4.0])
+    np.testing.assert_array_equal(
+        conjugate_state(ControlConfig("DIAG-VMTOC", tuple(c), tuple(t)), x),
+        c * t + (1.0 - c) * x)
+    with pytest.raises(ValueError, match="^dimension mismatch: expected 2 intensities, got 3$"):
+        conjugate_state(ControlConfig("VTOC", (0.1, 0.2, 0.3), (1.0, 2.0)), x)
     # the state is checked against the target, and blamed
     with pytest.raises(ValueError, match="^state has 2 components, but the target has 3$"):
         conjugate_state(ControlConfig("VMTOC", 0.3, (1.0, 2.0, 3.0)), x)
 
 
 def test_orbit_correspondence_under_conjugacy(lpa):
-    # phi-mapped VTOC orbit == VMTOC orbit started from phi(x0), 100 steps.
-    rng = np.random.default_rng(7)
-    c = 0.23
-    target = tuple(rng.uniform(0, 60, 3))
-    vtoc = ControlConfig("VTOC", c, target)
-    vmtoc = ControlConfig("VMTOC", c, target)
-    x = rng.uniform(0, 50, 3)
-    y = conjugate_state(vtoc, x)
-    worst = 0.0
-    for _ in range(100):
-        x = apply_control(lpa, vtoc, x)
-        y = apply_control(lpa, vmtoc, y)
-        worst = max(worst, float(np.max(np.abs(conjugate_state(vtoc, x) - y))))
-    assert worst < 1e-9
+    # phi-mapped VTOC orbit == VMTOC orbit started from phi(x0), 100 steps,
+    # at a scalar intensity and at one per component, C = diag(c)
+    for c in (0.23, (0.23, 0.5, 0.71), (0.6, 0.05, 0.3)):
+        rng = np.random.default_rng(7)
+        target = tuple(rng.uniform(0, 60, 3))
+        vtoc = ControlConfig("VTOC", c, target)
+        vmtoc = ControlConfig("VMTOC", c, target)
+        x = rng.uniform(0, 50, 3)
+        y = conjugate_state(vtoc, x)
+        worst = 0.0
+        for _ in range(100):
+            x = apply_control(lpa, vtoc, x)
+            y = apply_control(lpa, vmtoc, y)
+            worst = max(worst, float(np.max(np.abs(conjugate_state(vtoc, x) - y))))
+        assert worst < 1e-9, c
 
 
 def test_controlled_map_jacobian_chain_rule(lpa):
     x = np.array([14.0, 9.0, 3.0])
+    # a vector intensity scales the Jacobian's rows after the map and its
+    # columns before it
     for scheme, intensity in (("VMTOC", 0.4), ("VTOC", 0.4), ("PF", 0.25),
-                              ("MPF", 0.25), ("DIAG-VMTOC", (0.2, 0.3, 0.4))):
+                              ("MPF", 0.25), ("DIAG-VMTOC", (0.2, 0.3, 0.4)),
+                              ("VTOC", (0.2, 0.3, 0.4)), ("PF", (0.2, 0.3, 0.4)),
+                              ("MPF", (0.2, 0.3, 0.4))):
         cfg = ControlConfig(scheme, intensity, (20.0, 20.0, 5.0))
         g = controlled_map(lpa, cfg)
         from chaosctl import fd_jacobian
@@ -318,20 +369,21 @@ def test_controlled_array_steps_reject_states_without_the_model_dimension(scheme
                                            (ricker_lift(RickerParams(r=2.0, delay=3)),
                                             (1.0, 2.0, 3.0))], ids=["lpa", "ricker-3"])
 def test_controlled_jacobian_equals_the_written_out_row_scale_bitwise(model, target, scheme):
-    # (1-c)*J(x) after the map, (1-c)*J(c*T + (1-c)*x) before it; under
-    # DIAG-VMTOC (1-c_i) scales row i
+    # (1-c)*J(x) after the map, (1-c)*J(c*T + (1-c)*x) before it; per
+    # component, (1-c_i) scales row i after the map and column i before it
     d = model.dimension
     rng = np.random.default_rng(29)
-    c = rng.uniform(0.0, 1.0, d) if scheme == "DIAG-VMTOC" else 0.37
-    g = controlled_map(model, ControlConfig(scheme, c, target))
+    before = scheme in ("VTOC", "PF")
     t = np.zeros(d) if scheme in ("PF", "MPF") else np.array(target)
-    keep = np.reshape(1.0 - c, (-1, 1))
     rows = rng.uniform(0.0, 60.0, (300, d)) * rng.choice([0.0, 1e-3, 1.0, 20.0], (300, d))
-    for x in rows:
-        base = model.jacobian(c * t + (1.0 - c) * x if scheme in ("VTOC", "PF") else x)
-        expected = keep * base
-        assert g.jacobian(x).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
-        assert g.jacobian_at(x).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+    for c in (0.37, rng.uniform(0.0, 1.0, d)):
+        g = controlled_map(model, ControlConfig(scheme, c, target))
+        keep = 1.0 - c if before else np.reshape(1.0 - c, (-1, 1))
+        for x in rows:
+            expected = keep * model.jacobian(c * t + (1.0 - c) * x if before else x)
+            assert g.jacobian(x).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+            assert (g.jacobian_at(x).view(np.uint64).tolist()
+                    == expected.view(np.uint64).tolist())
 
 
 @pytest.mark.parametrize("scheme, intensity", [("DIAG-VMTOC", (0.3, 0.4, 0.5)),
@@ -380,7 +432,7 @@ def _on_rows(step, rows):
     return out.T
 
 
-@pytest.mark.parametrize("scheme", ["VMTOC", "VTOC", "PF", "MPF"])
+@pytest.mark.parametrize("scheme", ["VMTOC", "VTOC", "PF", "MPF", "DIAG-VMTOC"])
 def test_controlled_rows_match_controlled_map_bitwise(lpa, scheme):
     target = (30.0, 30.0, 200.0)
     # every row of a 64-row batch, intensities spread over [0, 1) from 0
@@ -439,7 +491,7 @@ def test_column_step_equals_the_float_and_batch_steps_bitwise(kind, scheme, data
 
 @pytest.mark.parametrize("scheme, cs, message", [
     ("VMTOC", [0.2, math.nan], r"must lie in \[0, 1\), got nan"),
-    ("DIAG-VMTOC", [0.2], "scalar-intensity scheme, got 'DIAG-VMTOC'"),
+    ("DIAG-VMTOC", [0.2, 1.0], r"must lie in \[0, 1\), got 1\.0"),
 ])
 def test_controlled_rows_rejects_before_mapping(lpa, scheme, cs, message):
     with pytest.raises(ValueError, match=message):

@@ -248,7 +248,7 @@ def test_scan_rejects_bad_grid(lpa):
 
 
 @pytest.mark.parametrize("scheme, target, message", [
-    ("DIAG-VMTOC", (1.0, 1.0, 1.0), "expected 3 intensities"),
+    ("DIAG-VMTOC", (1.0, 1.0), "dimension mismatch"),
     ("VMTOC", (-1.0, 22.0, 4.6), "target outside"),
     ("VTOC", (1.0, 1.0), "dimension mismatch"),
 ])
@@ -259,7 +259,7 @@ def test_scan_rejects_bad_control_before_iterating(lpa, scheme, target, message)
 
 @pytest.mark.parametrize("scheme, target, message", [
     ("BOGUS", (1.0, 1.0, 1.0), "unknown control scheme"),
-    ("DIAG-VMTOC", (1.0, 1.0, 1.0), "got 'DIAG-VMTOC'"),
+    ("DIAG-VMTOC", (-1.0, 22.0, 4.6), "target outside"),
     ("VMTOC", (-1.0, 22.0, 4.6), "target outside"),
 ])
 def test_scan_rejects_bad_control_with_an_empty_grid(lpa, scheme, target, message):
@@ -273,15 +273,36 @@ def test_scan_of_an_empty_grid_returns_no_records(lpa, continue_orbits):
                             continue_orbits=continue_orbits) == []
 
 
+def _record_bits(records):
+    return [(r.c, r.points.tobytes(), r.periods, r.seed, r.error) for r in records]
+
+
+@pytest.mark.parametrize("continue_orbits", [False, True], ids=["fresh", "chained"])
+def test_diag_vmtoc_scan_is_the_vmtoc_scan_bitwise(lpa, continue_orbits):
+    # a scan's grid point takes a scalar intensity, the same on every component
+    grid = [k / 40 for k in range(1, 40)]
+    records = [bifurcation_scan(lpa, scheme, (30.0, 30.0, 200.0), grid, seed=3,
+                                n_transient=300, n_keep=12, init_hi=300.0,
+                                continue_orbits=continue_orbits)
+               for scheme in ("VMTOC", "DIAG-VMTOC")]
+    assert _record_bits(records[1]) == _record_bits(records[0])
+    assert bifurcation_scan(lpa, "DIAG-VMTOC", (30.0, 30.0, 200.0), [],
+                            continue_orbits=continue_orbits) == []
+
+
 def _never(x):
     raise AssertionError("an orbit ran")
 
 
-def test_scan_rejects_diag_vmtoc_on_a_one_dimensional_map():
-    # one component takes one intensity, so only the scheme name rejects it
-    f = MapModel(dimension=1, evaluate=_never, domain=DomainSpec.full_space(1))
-    with pytest.raises(ValueError, match="DIAG-VMTOC"):
-        bifurcation_scan(f, "DIAG-VMTOC", (1.0,), [0.2, 0.5], n_transient=10, n_keep=4)
+def test_scan_runs_diag_vmtoc_on_a_one_dimensional_map():
+    # one component takes one intensity, and the scheme name changes nothing
+    f = MapModel(dimension=1, evaluate=lambda x: 3.9 * x * (1.0 - x),
+                 domain=DomainSpec.full_space(1))
+    records = [bifurcation_scan(f, scheme, (0.6,), [0.2, 0.5], init_lo=0.1, init_hi=0.9,
+                                n_transient=10, n_keep=4)
+               for scheme in ("VMTOC", "DIAG-VMTOC")]
+    assert [r.error for r in records[1]] == [None, None]
+    assert _record_bits(records[1]) == _record_bits(records[0])
 
 
 @pytest.mark.parametrize("kwargs, message", [
