@@ -366,9 +366,10 @@ def verify_contraction(model: MapModel, cfg: ControlConfig, k, L, x0,
                        n: int = 200, norm_kind: str = "max") -> Tuple[bool, float]:
     """Check the geometric-decay certificate along one controlled orbit.
 
-    Requires a post-map target control (VMTOC or DIAG-VMTOC) with T = K,
-    K a fixed point of the model and c > global_cstar(L), where c is the
-    least intensity ``min_i c_i``: since x' - K = (I-C)(f(x) - f(K)) with
+    Requires a post-map control (VMTOC, MPF or DIAG-VMTOC) with T = K, K a
+    fixed point of the model (K = 0 for MPF, whose target is 0) and c >
+    global_cstar(L), where c is the least intensity ``min_i c_i``: since
+    x' - K = (I-C)(f(x) - f(K)) with
     C = diag(c), ||x' - K|| <= (1-c)*L*||x - K|| in the max, sum and
     euclidean norms alike.  Iterates ``n`` steps from ``x0`` with
     :func:`~chaosctl.dynamics.iterate_orbit` and tests the per-step ratio
@@ -388,7 +389,7 @@ def verify_contraction(model: MapModel, cfg: ControlConfig, k, L, x0,
     check_norm_kind(norm_kind)
     k = as_state(k, model.dimension)
     if cfg.scheme not in POST_MAP_SCHEMES:
-        raise ValueError("contraction certificate requires a VMTOC or DIAG-VMTOC control")
+        raise ValueError("contraction certificate requires a VMTOC, MPF or DIAG-VMTOC control")
     t = cfg.target_vector(model.dimension)
     if norm(t - k, "max") > 1e-12 * (1.0 + norm(k, "max")):
         raise ValueError("certificate requires target T = K")

@@ -100,12 +100,13 @@ CHECKS = (
      "start {v[cost.window_start]}, got {value}"),
     ("run.lyapunov_steps", ("lyapunov",), lambda v: v["run.lyapunov_steps"] >= 1000,
      "lyapunov needs at least 1000 steps, got {value}"),  # lyapunov_max's bound
-    ("control.scheme", SCANS, lambda v: v["control.scheme"] in ("VMTOC", "VTOC"),
-     "scans support VMTOC and VTOC only"),
+    # scans take every scheme; cost and the cost column price the nudge of a
+    # control after the map, POST_MAP_SCHEMES
+    ("control.scheme", SCANS, lambda v: v["control.scheme"] != "none", "scans need a control"),
     ("control.scheme", ("cost",), lambda v: v["control.scheme"] in POST_MAP_SCHEMES,
-     "cost accounting applies to post-map target controls only, got {value}"),
-    ("scan.cost", SCANS, lambda v: not v["scan.cost"] or v["control.scheme"] == "VMTOC",
-     "cost column applies to VMTOC scans only"),
+     "cost accounting applies to post-map controls only, got {value}"),
+    ("scan.cost", SCANS, lambda v: not v["scan.cost"] or v["control.scheme"] in POST_MAP_SCHEMES,
+     "cost column applies to post-map controls only, got {v[control.scheme]}"),
     ("scan.c_list", SCANS, lambda v: v["scan.c_list"] != (), "intensity list is empty"),
     ("scan.c_list", SCANS, lambda v: check_intensity(v["scan.c_list"] or ()) is None, None),
     # a chained bifurcate may run downward; bubbles need increasing c
@@ -343,16 +344,17 @@ def _scan(cfg: RunConfig, model: MapModel):
         max_period=cfg["scan.max_period"], continue_orbits=cfg["scan.continue"])
 
 
-def _scan_costs(cfg, model, records):
-    """The cost column: one :func:`cost.costs_per_step` call over the records
-    that ran under control and did not fail, and 0 for the others."""
+def _scan_costs(cfg, model, control, records):
+    """The cost column: one :func:`cost.costs_per_step` call toward
+    ``control``'s target, zero for MPF, over the records that ran under
+    control and did not fail, and 0 for the others."""
     if not cfg["scan.cost"]:
         return None
     priced = [r for r, rec in enumerate(records) if rec.c > 0.0 and rec.points.shape[0]]
     out = [0.0] * len(records)
     if priced:
         values = cost_mod.costs_per_step(
-            model, cfg["control.target"], [records[r].c for r in priced],
+            model, control.target_vector(model.dimension), [records[r].c for r in priced],
             np.stack([records[r].points for r in priced]), norm_kind=cfg["cost.norm"])
         for r, value in zip(priced, values.tolist()):
             out[r] = value
@@ -422,7 +424,7 @@ def run(cfg: RunConfig, strict: bool = False) -> int:
     elif command in SCANS:
         records = _scan(cfg, model)
         writes.append(partial(_write_scan_csv, f"{prefix}.scan.csv", records,
-                              _scan_costs(cfg, model, records)))
+                              _scan_costs(cfg, model, control, records)))
         failures = [r for r in records if r.error]
         report.append(f"grid_points = {len(records)}")
         report.append(f"errors = {len(failures)}")

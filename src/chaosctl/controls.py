@@ -11,7 +11,12 @@ Five schemes are provided.  With intensity ``c`` and target ``T``:
 Every scheme takes one kind of intensity: a scalar, the same on every
 component, or a vector of one per component, ``C = diag(c)``, each in [0,
 1), and every product with ``c`` is element by element.  PF and MPF are
-exactly VTOC and VMTOC with a zero target, and DIAG-VMTOC is VMTOC.  One
+exactly VTOC and VMTOC with a zero target, and DIAG-VMTOC is VMTOC.
+``SCHEMES`` maps each scheme to its side of the base map, ``"after"`` or
+``"before"``, and is the one place the side is stated: the schemes after
+the map, ``POST_MAP_SCHEMES`` (VMTOC, MPF, DIAG-VMTOC), nudge the image by
+``c*(T - f(x))``, with ``T = 0`` for MPF, which is what a control costs
+and what the contraction certificate bounds.  One
 unchecked builder, ``_controlled``, makes the controlled map of every
 scheme: the side of the map picks which of the pull and the identity runs
 inside the base step and which outside it, once, and every form (single
@@ -45,10 +50,12 @@ import numpy as np
 from .core import (MapModel, ParamError, as_state, check_image, check_jacobian,
                    pulled_columns, pulled_float_step)
 
-SCHEMES = ("VMTOC", "VTOC", "PF", "MPF", "DIAG-VMTOC")
+# each scheme's side of the base map: the one place it is stated
+SCHEMES = {"VMTOC": "after", "VTOC": "before", "PF": "before", "MPF": "after",
+           "DIAG-VMTOC": "after"}
 _TARGETLESS = ("PF", "MPF")
-# the post-map target controls, whose nudge c*(T - f(x)) is the cost
-POST_MAP_SCHEMES = ("VMTOC", "DIAG-VMTOC")
+# the controls after the map, whose nudge c*(T - f(x)) is the cost, T = 0 for MPF
+POST_MAP_SCHEMES = tuple(s for s, side in SCHEMES.items() if side == "after")
 
 
 class ControlConfigError(ParamError):
@@ -118,7 +125,7 @@ class ControlConfig:
         return c
 
     def target_vector(self, dim: int) -> np.ndarray:
-        if self.scheme in _TARGETLESS or self.target is None:
+        if self.scheme in _TARGETLESS:
             return np.zeros(dim)
         try:
             return as_state(self.target, dim, what="target")
@@ -136,15 +143,11 @@ def _checked_target(model: MapModel, cfg: ControlConfig) -> np.ndarray:
     return t
 
 
-_BEFORE = ("VTOC", "PF")  # the one choice of the side: these pull before the base map
-
-
 def _float_step(model: MapModel, scheme: str, c, t: np.ndarray):
     """:func:`_controlled`'s float step at a float or ``(d,)`` ``c``, bitwise its array pull."""
     ct, keep = c * t, 1.0 - c
     keeps = keep.tolist() if isinstance(keep, np.ndarray) else [keep] * model.dimension
-    return pulled_float_step(model.evaluate_floats, "before" if scheme in _BEFORE else "after",
-                             ct.tolist() + keeps)
+    return pulled_float_step(model.evaluate_floats, SCHEMES[scheme], ct.tolist() + keeps)
 
 
 class _GridPointMap:
@@ -162,8 +165,9 @@ class _GridPointMap:
 
 def _controlled(model: MapModel, scheme: str, c, t: np.ndarray) -> MapModel:
     """:func:`controlled_map` at intensity ``c`` toward ``t``, checking
-    nothing: the pull ``y -> c*T + (1-c)*y`` before the base map (VTOC, PF)
-    or after it (VMTOC, MPF, DIAG-VMTOC).
+    nothing: the pull ``y -> c*T + (1-c)*y`` on the side of the base map
+    that ``SCHEMES[scheme]`` names, before it (VTOC, PF) or after it
+    (VMTOC, MPF, DIAG-VMTOC).
 
     ``c`` is a float, a ``(d,)`` vector of per-component intensities or an
     ``(n, 1)`` column of per-row intensities, for which only
@@ -182,7 +186,7 @@ def _controlled(model: MapModel, scheme: str, c, t: np.ndarray) -> MapModel:
     def same(y):
         return y
 
-    inner, outer = (pull, same) if scheme in _BEFORE else (same, pull)
+    inner, outer = (pull, same) if SCHEMES[scheme] == "before" else (same, pull)
     # the pull would cut an image of the wrong shape or broadcast it, so the
     # base image must have the input's shape with a last axis of d; the base
     # batch step is called directly, not through evaluate_rows, so it is
@@ -197,7 +201,7 @@ def _controlled(model: MapModel, scheme: str, c, t: np.ndarray) -> MapModel:
     # (1-c) scales the Jacobian's rows after the map, as a (d, 1) column,
     # and its columns before it; either would broadcast a base Jacobian of
     # the wrong shape, which is checked first
-    scale = keep if scheme in _BEFORE else np.reshape(keep, (-1, 1))
+    scale = keep if SCHEMES[scheme] == "before" else np.reshape(keep, (-1, 1))
 
     def jacobian(x):
         j = np.asarray(model.jacobian(inner(np.asarray(x, float))), float)
@@ -248,6 +252,7 @@ def controlled_map(model: MapModel, cfg: ControlConfig) -> MapModel:
 def controlled_rows(model: MapModel, scheme: str, target, intensities):
     """Check a scan's control once; return ``(step_for, map_at)``, which check nothing.
 
+    Every scheme of ``SCHEMES`` scans, pulled on its side of the base map.
     The checks: the scheme, every intensity, also for none, then the
     target.  Each grid point's intensity is a scalar, so a ``DIAG-VMTOC``
     scan is the ``VMTOC`` scan.  ``map_at(r)`` is the controlled map of grid
@@ -264,7 +269,7 @@ def controlled_rows(model: MapModel, scheme: str, target, intensities):
     column = np.asarray(intensities, dtype=float).reshape(-1, 1)
     check_intensity(column)
     t, cs = _checked_target(model, cfg), column.ravel().tolist()
-    side = "before" if scheme in _BEFORE else "after"
+    side = SCHEMES[scheme]
 
     def step_for(rows):
         c = column[rows]

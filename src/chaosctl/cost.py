@@ -1,10 +1,13 @@
 """Control-cost accounting.
 
-The per-step cost of a post-map target control is the size of the nudge it
-applies, ``||c*T + (1-c)*f(x) - f(x)|| = c*||f(x) - T||``.  Averaged over a
-window of a converged orbit this tends to ``c*||f(x*) - T||``, which is zero
-exactly when the target is the image of the stabilized state -- steering
-toward an equilibrium of the uncontrolled map eventually costs nothing.
+The per-step cost of a post-map control (VMTOC, MPF or DIAG-VMTOC,
+:data:`~chaosctl.controls.POST_MAP_SCHEMES`) is the size of the nudge it
+applies, ``||c*T + (1-c)*f(x) - f(x)|| = c*||f(x) - T||``, with ``T = 0``
+for MPF, whose culling ``c*f(x)`` is VMTOC's nudge toward 0.  Averaged over
+a window of a converged orbit this tends to ``c*||f(x*) - T||``, which is
+zero exactly when the target is the image of the stabilized state --
+steering toward an equilibrium of the uncontrolled map eventually costs
+nothing.
 """
 
 from __future__ import annotations
@@ -51,9 +54,10 @@ def costs_per_step(model: MapModel, target, intensities, orbits,
                    norm_kind: str = "euclidean") -> np.ndarray:
     """:func:`cost_per_step` of every orbit of a ``(records, n, d)`` stack, in one pass.
 
-    Orbit ``r`` must have been produced by a post-map target control toward
-    ``target`` with intensity ``intensities[r]``: ``intensities`` is
-    ``(records,)`` of scalars or ``(records, d)`` of one per component.
+    Orbit ``r`` must have been produced by a post-map control toward
+    ``target`` (zero for MPF) with intensity ``intensities[r]``:
+    ``intensities`` is ``(records,)`` of scalars or ``(records, d)`` of one
+    per component.
     ``window`` is ``(start, length)`` into every orbit, defaulting to the
     whole orbit; an entry that is not an integer raises ``ValueError``
     naming it.
@@ -96,11 +100,13 @@ def cost_per_step(model: MapModel, cfg: ControlConfig, orbit,
                   norm_kind: str = "euclidean") -> CostEstimate:
     """Window average of the control perturbation along ``orbit``.
 
-    ``orbit`` must have been produced under ``cfg`` (VMTOC or DIAG-VMTOC);
-    ``window`` is ``(start, length)`` into it, defaulting to the whole
-    orbit, checked as :func:`costs_per_step` checks it.  The
-    infinite-horizon average is not computable from finite data, so the
-    window rides along in the estimate to keep the number falsifiable.
+    ``orbit`` must have been produced under ``cfg``, a post-map control
+    (VMTOC, MPF or DIAG-VMTOC; another scheme raises ``ValueError``), whose
+    target is zero for MPF; ``window`` is ``(start, length)`` into it,
+    defaulting to the whole orbit, checked as :func:`costs_per_step` checks
+    it.  The infinite-horizon average is not computable from finite data,
+    so the window rides along in the estimate to keep the number
+    falsifiable.
     This is the one-orbit case of :func:`costs_per_step`, which prices a
     whole scan in one call: the images of the window's states come from
     one ``evaluate_rows`` call, and an image that is not finite, or an
@@ -108,7 +114,7 @@ def cost_per_step(model: MapModel, cfg: ControlConfig, orbit,
     culling/restocking prices and per-component weights are out of scope.
     """
     if cfg.scheme not in POST_MAP_SCHEMES:
-        raise ValueError("cost accounting applies to post-map target controls")
+        raise ValueError("cost accounting applies to post-map controls")
     orbit = np.asarray(orbit, dtype=float)
     if orbit.ndim != 2 or orbit.shape[1] != model.dimension:
         raise ValueError("orbit must be an (n, d) array of states")

@@ -437,7 +437,9 @@ def bifurcation_scan(model: MapModel, scheme: str, target, c_grid,
     ``seed`` or ``n_transient``, an ``n_keep`` below 2, a ``tol`` that is
     not positive and finite (NaN included), a box that :func:`initial_box`
     rejects, and what the one check of the control, ``controlled_rows``,
-    rejects: a bad scheme, target or grid.  Orbit failures are recorded;
+    rejects: a bad scheme, target or grid.  Every scheme scans, each on its
+    side of the base map (:data:`~chaosctl.controls.SCHEMES`), and a
+    ``DIAG-VMTOC`` scan is the ``VMTOC`` scan.  Orbit failures are recorded;
     what a batch step raises, such as the ``ValueError`` of a base image of
     the wrong shape, propagates.
     """

@@ -852,9 +852,9 @@ def test_verify_contraction_preconditions():
     with pytest.raises(ValueError, match="T = K"):
         verify_contraction(f, ControlConfig("VMTOC", 0.75, (9.0, 9.0)), k, 2.0,
                            np.array([3.0, 3.0]))
-    with pytest.raises(ValueError, match="VMTOC"):
-        verify_contraction(f, ControlConfig("VTOC", 0.75, tuple(k)), k, 2.0,
-                           np.array([3.0, 3.0]))
+    for before in (ControlConfig("VTOC", 0.75, tuple(k)), ControlConfig("PF", 0.75, None)):
+        with pytest.raises(ValueError, match="VMTOC"):
+            verify_contraction(f, before, k, 2.0, np.array([3.0, 3.0]))
     with pytest.raises(ValueError, match="fixed point"):
         verify_contraction(f, ControlConfig("VMTOC", 0.75, (9.0, 9.0)),
                            np.array([9.0, 9.0]), 2.0, np.array([3.0, 3.0]))
@@ -877,6 +877,18 @@ def test_verify_contraction_takes_per_component_intensities(lpa, lpa_k, norm_kin
     with pytest.raises(ValueError, match="global_cstar"):
         verify_contraction(lpa, ControlConfig("DIAG-VMTOC", (0.95, 0.9, 0.96), tuple(lpa_k)),
                            lpa_k, 11.71, x0)
+
+
+def test_verify_contraction_certifies_mpf_toward_extinction(lpa):
+    # MPF is VMTOC toward T = 0, and 0 is a fixed point of the LPA map; on the
+    # orthant ||f(x)||_inf <= b ||x||_inf with b = 10.45, the default
+    # fecundity, so L = b bounds the secant ratio about 0
+    zero, x0 = np.zeros(3), np.array([20.0, 20.0, 5.0])
+    holds, ratio = verify_contraction(lpa, ControlConfig("MPF", 0.95, None), zero, 10.45, x0)
+    assert holds and ratio <= 0.05 * 10.45
+    assert ratio == pytest.approx(0.21243, abs=1e-5)
+    with pytest.raises(ValueError, match="T = K"):
+        verify_contraction(lpa, ControlConfig("MPF", 0.95, None), LPA_FIXED_POINT, 10.45, x0)
 
 
 @pytest.mark.parametrize("kwargs, message", [

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from chaosctl import (ControlConfig, DomainSpec, MapModel, ScanRecord, analysis,
-                      bifurcation_scan, controlled_map, controls, cost_per_step, dynamics,
-                      iterate_orbit, lpa_map, models)
+                      bifurcation_scan, controlled_map, controls, cost_per_step, costs_per_step,
+                      dynamics, iterate_orbit, lpa_map, models)
 from chaosctl.cli import (CHECKS, COMMANDS, FIELDS, ConfigError, RunConfig, _state_text,
                           _write_scan_csv, build_control, build_model, main)
 
@@ -631,7 +631,7 @@ def test_simulate_runs_diag_vmtoc_as_vmtoc(tmp_path, intensity):
 
 
 @pytest.mark.parametrize("setting, code, needle", [
-    ("control.scheme=DIAG-VMTOC", 2, "control.scheme"),
+    ("control.scheme=none", 2, "control.scheme: scans need a control"),
     ("control.target=-1,22,4.6", 2, "control.target: target outside the model domain"),
     ("control.target=none", 2, "control.target: VMTOC requires a target"),
 ])
@@ -659,6 +659,45 @@ def test_bifurcate_rejects_cost_column_before_scanning(tmp_path, monkeypatch, ca
     assert rc == 2
     assert "scan.cost" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+_GRID_30 = [k / 30 for k in range(1, 30)]
+
+
+def _bifurcate(tmp_path, out, scheme, *settings):
+    """``chaosctl bifurcate`` of the LPA toward K under ``scheme``, seed 3 and grid 30."""
+    assert run_cli(tmp_path, "bifurcate", "--out", out, "--seed", "3",
+                   "--set", f"control.scheme={scheme}", "--set", _K_TARGET,
+                   "--set", "scan.grid=30", "--set", "run.n_transient=300",
+                   *[arg for s in settings for arg in ("--set", s)]) == 0
+    return (tmp_path / f"{out}.scan.csv").read_bytes()
+
+
+@pytest.mark.parametrize("scheme", ["PF", "MPF", "DIAG-VMTOC"])
+def test_bifurcate_scans_every_scheme_as_the_library_does(tmp_path, scheme):
+    # PF and MPF read no target, and a DIAG-VMTOC grid point is a scalar
+    got = _bifurcate(tmp_path, "s", scheme)
+    records = bifurcation_scan(lpa_map(), scheme, LPA_FIXED_POINT, _GRID_30, seed=3,
+                               n_transient=300)
+    assert not any(rec.error for rec in records)
+    assert got == ("\n".join(_scan_csv_lines_per_line(records)) + "\n").encode()
+
+
+def test_a_diag_vmtoc_scan_writes_the_vmtoc_scan(tmp_path):
+    assert _bifurcate(tmp_path, "diag", "DIAG-VMTOC") == _bifurcate(tmp_path, "v", "VMTOC")
+    assert ((tmp_path / "diag.report.txt").read_bytes()
+            == (tmp_path / "v.report.txt").read_bytes())
+
+
+def test_an_mpf_cost_column_prices_the_culling_as_a_nudge_toward_zero(tmp_path):
+    got = _bifurcate(tmp_path, "mpf", "MPF", "scan.cost=true")
+    records = bifurcation_scan(lpa_map(), "MPF", None, _GRID_30, seed=3, n_transient=300)
+    costs = costs_per_step(lpa_map(), np.zeros(3), [rec.c for rec in records],
+                           np.stack([rec.points for rec in records])).tolist()
+    # weak culling costs its nudge c*f(x); strong culling drives the
+    # beetles extinct, where the nudge is 0
+    assert costs[0] > 0.0 and costs[-1] == 0.0
+    assert got == ("\n".join(_scan_csv_lines_per_line(records, costs)) + "\n").encode()
 
 
 @pytest.mark.parametrize("command", ["bifurcate", "bubbles"])
@@ -801,11 +840,12 @@ _BAD_SETTINGS = [
     ("cost", ["run.n_keep=0"], "run.n_keep"),
     ("bifurcate", ["run.n_keep=1"], "run.n_keep"),
     ("bubbles", ["run.n_keep=1"], "run.n_keep"),
-    ("bifurcate", ["control.scheme=DIAG-VMTOC"], "control.scheme"),
+    ("bifurcate", ["control.scheme=none"], "control.scheme"),
     ("bubbles", ["control.scheme=none"], "control.scheme"),
     ("cost", ["control.scheme=none"], "control.scheme"),
     ("bifurcate", ["control.scheme=VTOC", "scan.cost=true"], "scan.cost"),
     ("bubbles", ["control.scheme=VTOC", "scan.cost=true"], "scan.cost"),
+    ("bifurcate", ["control.scheme=PF", "scan.cost=true"], "scan.cost"),
     ("bifurcate", ["scan.grid=1"], "scan.grid"),
     ("bubbles", ["scan.grid=1"], "scan.grid"),
     ("bifurcate", ["scan.c_list=0.5,1.5"], "scan.c_list"),
@@ -835,7 +875,7 @@ _BAD_SETTINGS = [
     ("simulate", ["model.kind=ricker", "model.r=nan"], "model.r"),
     # cost prices the nudge of a post-map control only
     *[("cost", [f"control.scheme={scheme}", "control.target=28,22,4"], "control.scheme")
-      for scheme in ("VTOC", "PF", "MPF")],
+      for scheme in ("VTOC", "PF")],
     ("simulate", ["model.c_el=inf"], "model.c_el"),
     # an infinite tolerance would call every orbit periodic and every state
     # an equilibrium

@@ -109,8 +109,10 @@ def test_cost_window_validation(lpa, lpa_k):
         cost_per_step(lpa, cfg, orbit, window=(0, 0))
     with pytest.raises(ValueError, match="window"):
         cost_per_step(lpa, cfg, orbit, window=(5, 20))
-    with pytest.raises(ValueError, match="post-map"):
-        cost_per_step(lpa, ControlConfig("PF", 0.5, None), orbit)
+    # a control before the map has no nudge to price
+    for before in (ControlConfig("PF", 0.5, None), ControlConfig("VTOC", 0.5, tuple(lpa_k))):
+        with pytest.raises(ValueError, match="post-map"):
+            cost_per_step(lpa, before, orbit)
 
 
 def _per_state_cost(model, cfg, orbit, norm_kind):
@@ -131,6 +133,8 @@ def _per_state_cost(model, cfg, orbit, norm_kind):
     ("ricker", "VMTOC", 0.05, (1.0, 3.0), "sum"),               # chaotic
     ("ricker", "DIAG-VMTOC", (0.2, 0.4), (1.0, 3.0), "max"),
     ("lpa", "VMTOC", 0.5, (28.0120, 22.4096, 4.6251), "euclidean"),  # f(x) - T cancels
+    ("lpa", "MPF", 0.3, None, "euclidean"),
+    ("ricker", "MPF", (0.2, 0.4), None, "max"),
 ])
 def test_batched_cost_matches_per_state_loop(kind, scheme, intensity, target, norm_kind):
     model = lpa_map() if kind == "lpa" else ricker_lift(RickerParams(r=2.0, delay=2))
@@ -140,6 +144,16 @@ def test_batched_cost_matches_per_state_loop(kind, scheme, intensity, target, no
     assert got == _per_state_cost(model, cfg, orbit, norm_kind)
     window = cost_per_step(model, cfg, orbit, window=(7, 30), norm_kind=norm_kind)
     assert window.value == _per_state_cost(model, cfg, orbit[7:37], norm_kind)
+
+
+def test_mpf_cost_is_its_culling_priced_as_a_nudge_toward_zero(lpa):
+    # MPF is VMTOC toward 0: its nudge is c*f(x), priced with T = 0
+    cfg = ControlConfig("MPF", 0.3, None)
+    orbit = iterate_orbit(lpa, cfg, np.array([20.0, 20.0, 5.0]), 100, 50)
+    got = cost_per_step(lpa, cfg, orbit).value
+    assert got == _per_state_cost(lpa, cfg, orbit, "euclidean")
+    assert got == costs_per_step(lpa, np.zeros(3), [0.3], orbit[None])[0]
+    assert got == pytest.approx(27.7297, abs=1e-4)
 
 
 def _cost_by_loop(model, cfg, orbit, window, norm_kind):

@@ -2,16 +2,23 @@
 
 For VMTOC at intensity ``c`` the state ``K*`` is an equilibrium exactly when
 ``T = (K* - (1-c) f(K*)) / c``, which is ``target_for_state`` at ``alpha =
-1/c``.  On the LPA orthant, ``K* = (30, 30, 200)`` is stable for ``c >
-c_stab = 0.3618`` and has its target in the domain for ``c >= c_dom =
-0.6686``, so ``c_min = c_dom``.  The asymptotic cost ``c ||f(K*) - T||``
+1/c``.  It is locally stable exactly when ``c > c_stab =
+local_cstar(rho(J(K*)))``, and on the orthant its target lies in the domain
+exactly when ``c >= c_dom = max_i (1 - K*_i / f_i(K*))`` over the
+components with ``f_i(K*) > 0``; the least usable intensity is ``c_min =
+max(c_stab, c_dom)``.  On the LPA, ``K* = (30, 30, 200)`` has ``c_stab =
+0.3618`` and ``c_dom = 0.6686``, so the domain sets ``c_min``.  On the
+delay-2 Ricker lift, criterion 6's state has ``c_stab = 0.1203`` and ``c_dom
+= 0.0905``, so stability sets it.  The asymptotic cost ``c ||f(K*) - T||``
 equals ``||f(K*) - K*||`` for every ``c``.
 """
 
 import numpy as np
 import pytest
 
-from chaosctl import ControlConfig, cost_per_step, iterate_orbit, target_for_state
+from chaosctl import (ControlConfig, RickerParams, controlled_map, cost_per_step,
+                      find_fixed_point, iterate_orbit, local_cstar, ricker_lift,
+                      spectral_radius, target_for_state)
 
 K_STAR = np.array([30.0, 30.0, 200.0])
 # ||f(K*) - K*||_2 of the default LPA map
@@ -44,3 +51,58 @@ def test_the_held_state_costs_its_uncontrolled_step_at_every_intensity(lpa, c):
 def test_an_intensity_below_c_dom_has_no_target_in_the_domain(lpa):
     with pytest.raises(ValueError, match="^alpha too large for domain$"):
         target_for_state(lpa, K_STAR, 1.0 / 0.66)
+
+
+# criterion 6: the delay-2 Ricker lift held by VMTOC 0.4 toward (1, 3)
+CRITERION_6 = ControlConfig("VMTOC", 0.4, (1.0, 3.0))
+
+
+@pytest.fixture(scope="module")
+def ricker():
+    return ricker_lift(RickerParams(r=2.0, delay=2))
+
+
+@pytest.fixture(scope="module")
+def k6(ricker):
+    return find_fixed_point(controlled_map(ricker, CRITERION_6), (1.0, 2.0))
+
+
+def _c_stab(ricker, k):
+    return local_cstar(spectral_radius(ricker.jacobian_at(k)))
+
+
+def test_criterion_6_state_gives_back_its_control(ricker, k6):
+    np.testing.assert_allclose(k6, (1.17532, 1.90519), atol=1e-5)
+    c, t = target_for_state(ricker, k6, 1.0 / 0.4)
+    assert (c, t.tolist()) == (0.4, [1.0, 3.0])
+
+
+def test_stability_not_the_domain_sets_c_min_at_criterion_6(ricker, k6):
+    fk = ricker.evaluate(k6)
+    c_dom = max(1.0 - k6[i] / fk[i] for i in range(2) if fk[i] > 0.0)
+    c_stab = _c_stab(ricker, k6)
+    assert c_stab == pytest.approx(0.120300, abs=1e-6)
+    assert c_dom == pytest.approx(0.090451, abs=1e-6)
+    assert c_stab > c_dom
+    with pytest.raises(ValueError, match="^alpha too large for domain$"):
+        target_for_state(ricker, k6, 1.0 / (c_dom - 0.005))
+
+
+def _ricker_orbit(ricker, k6, c):
+    """The last 50 of 5000 VMTOC steps from ``1.3 K6`` toward the target
+    that holds ``K6`` at ``c``."""
+    c_k, t = target_for_state(ricker, k6, 1.0 / c)
+    return iterate_orbit(ricker, ControlConfig("VMTOC", c_k, tuple(t)), 1.3 * k6, 4950, 50)
+
+
+def test_a_control_just_above_c_stab_holds_criterion_6(ricker, k6):
+    orbit = _ricker_orbit(ricker, k6, _c_stab(ricker, k6) + 0.005)
+    assert np.max(np.abs(orbit[-1] - k6)) <= 1e-12
+
+
+def test_a_feasible_control_just_below_c_stab_does_not_hold_criterion_6(ricker, k6):
+    # the target is in the domain, but K6 is unstable: the orbit moves on
+    # about it, none of its last 50 states near it
+    orbit = _ricker_orbit(ricker, k6, _c_stab(ricker, k6) - 0.005)
+    dist = np.max(np.abs(orbit - k6), axis=1)
+    assert np.min(dist) > 0.15 and np.max(dist) > 0.3
