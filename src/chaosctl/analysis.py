@@ -30,9 +30,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .controls import POST_MAP_SCHEMES, ControlConfig
-from .core import (MapModel, RowError, as_state, check_image, check_norm_kind, check_tol,
-                   norm, norm_rows, state_text)
-from .dynamics import _check_count, initial_box, iterate_orbit
+from .core import (MapModel, as_state, check_image, check_norm_kind, check_tol, norm, norm_rows,
+                   state_text)
+from .dynamics import _check_count, _jacobian_stacks, initial_box, iterate_orbit
 
 _FIXED_POINT_RESIDUAL = 1e-8
 
@@ -62,9 +62,11 @@ def find_fixed_point(model: MapModel, x0, tol: float = 1e-10,
     raises ``ValueError`` or ``ArithmeticError``, or ``evaluate`` gives an
     image without the model's dimension, naming the state; each
     error carries the best point and residual evaluated so far, the last
-    step's included.
+    step's included.  A ``max_iter`` that is not an integer of at least 0
+    raises ``ValueError`` naming it, before any evaluation.
     """
     check_tol(tol)
+    _check_count("max_iter", max_iter, 0)
     d = model.dimension
     x = np.asarray(model.domain.project(as_state(x0, d)), float)
     eye = np.eye(d)
@@ -212,18 +214,15 @@ def box_samples(lo, hi, n_samples: int) -> np.ndarray:
     return np.vstack([corners, 0.5 * (lo + hi), lo + u * (hi - lo)])
 
 
-# samples whose Jacobians one pass of bound_A stacks and reduces together
-_BOUND_CHUNK = 4096
-
-
 def bound_A(model: MapModel, lo, hi, n_samples: int = 512) -> float:
     """min(max abs row sum, max abs col sum) of the Jacobian, sampled over a box.
 
     The row and column maxima are taken over the deterministic sample set of
     ``box_samples``; since any eigenvalue modulus is bounded by both the
     maximal row and column sums, the result bounds the spectral radius at
-    every sampled state.  The Jacobians come in stacks of at most 4096
-    samples, each from one :meth:`~chaosctl.core.MapModel.jacobian_rows`
+    every sampled state.  The Jacobians come from the walk that
+    :func:`~chaosctl.dynamics.lyapunov_max` takes too, in stacks of at most
+    4096 samples, each from one :meth:`~chaosctl.core.MapModel.jacobian_rows`
     call (the model's ``jacobian_batch``, or its ``jacobian`` once per
     sample), whose absolute row and column sums and their maxima are then
     taken in a few whole-stack reductions, so memory stays bounded for any
@@ -237,25 +236,10 @@ def bound_A(model: MapModel, lo, hi, n_samples: int = 512) -> float:
     model's dimension, and bounds of another length raise ``ValueError``
     naming the sample box before any Jacobian.
     """
-    d = model.dimension
-    samples = box_samples(*initial_box(lo, hi, d, "sample box"), n_samples)
+    samples = box_samples(*initial_box(lo, hi, model.dimension, "sample box"), n_samples)
     rows = cols = 0.0
-    for start in range(0, len(samples), _BOUND_CHUNK):
-        chunk = samples[start:start + _BOUND_CHUNK]
-        # zeros: the rows that a failing sample leaves unwritten have finite sums
-        jac, failure = np.zeros((len(chunk), d, d)), None
-        try:
-            model.jacobian_rows(chunk, jac)
-        except Exception as exc:
-            failure = exc
-        # a sample before the failing one with a non-finite sum fails first
+    for start, jac in _jacobian_stacks(model, samples, "sample"):
         row, col = _abs_sum_maxima(jac, samples, start)
-        if isinstance(failure, RowError):
-            k, cause = start + failure.row, failure.__cause__
-            raise ValueError(f"Jacobian failed at sample {k}, x = {state_text(samples[k])}: "
-                             f"{type(cause).__name__}: {cause}") from cause
-        if failure is not None:
-            raise failure
         rows = max(rows, float(row.max()))
         cols = max(cols, float(col.max()))
     return min(rows, cols)
@@ -330,10 +314,13 @@ def lipschitz_estimate(model: MapModel, k, lo, hi, n_samples: int = 2048,
     the bound M/||K|| + 1 applies wherever the sampled sup M really bounds
     ||f||, i.e. on the sampled box only -- for maps unbounded on their full
     domain the estimate is valid on that compact restriction and nowhere
-    else.  The samples are mapped with one ``evaluate_rows`` call.  The box
-    is taken as in :func:`bound_A`, and checked before any evaluation.
+    else.  The samples are mapped with one ``evaluate_rows`` call, and the
+    first sample whose image is not finite raises ``ValueError`` naming the
+    sample and its state.  The box is taken as in :func:`bound_A`, and it
+    and ``norm_kind`` are checked before any evaluation.
     """
     _check_count("n_samples", n_samples, 1)
+    check_norm_kind(norm_kind)
     lo, hi = initial_box(lo, hi, model.dimension, "sample box")
     k = as_state(k, model.dimension)
     _check_fixed_point(model, k)
@@ -342,6 +329,10 @@ def lipschitz_estimate(model: MapModel, k, lo, hi, n_samples: int = 2048,
         raise ValueError("K must have nonzero norm")
     pts = box_samples(lo, hi, n_samples)
     fx = model.evaluate_rows(pts)
+    finite = np.isfinite(fx).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"non-finite image at sample {i}, x = {state_text(pts[i])}")
     sup_f = float(np.max(norm_rows(fx, norm_kind), initial=0.0))
     dist = norm_rows(pts - k, norm_kind)
     near = (dist > 0.0) & (dist <= nk)

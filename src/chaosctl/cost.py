@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .controls import POST_MAP_SCHEMES, ControlConfig, check_intensity
-from .core import MapModel, as_state, norm_rows
+from .core import MapModel, as_state, check_norm_kind, norm_rows
 from .dynamics import _check_count
 
 
@@ -68,8 +68,11 @@ def costs_per_step(model: MapModel, target, intensities, orbits,
     non-finite nudge one naming its orbit, state and image.  Each orbit's
     total is a running sum in window order (``np.cumsum`` is sequential,
     unlike numpy's pairwise ``sum``), so its average is the one a loop over
-    the states gives.  Returns the ``(records,)`` averages.
+    the states gives.  Returns the ``(records,)`` averages.  An unknown
+    ``norm_kind`` raises ``ValueError`` before anything else is checked or
+    evaluated.
     """
+    check_norm_kind(norm_kind)
     d = model.dimension
     orbits = np.asarray(orbits, dtype=float)
     if orbits.ndim != 3 or orbits.shape[2] != d:
@@ -104,9 +107,9 @@ def cost_per_step(model: MapModel, cfg: ControlConfig, orbit,
     (VMTOC, MPF or DIAG-VMTOC; another scheme raises ``ValueError``), whose
     target is zero for MPF; ``window`` is ``(start, length)`` into it,
     defaulting to the whole orbit, checked as :func:`costs_per_step` checks
-    it.  The infinite-horizon average is not computable from finite data,
-    so the window rides along in the estimate to keep the number
-    falsifiable.
+    it and ``norm_kind``, before any evaluation.  The infinite-horizon
+    average is not computable from finite data, so the window rides along
+    in the estimate to keep the number falsifiable.
     This is the one-orbit case of :func:`costs_per_step`, which prices a
     whole scan in one call: the images of the window's states come from
     one ``evaluate_rows`` call, and an image that is not finite, or an

@@ -519,8 +519,37 @@ def detect_bubbles(records: Sequence[ScanRecord]) -> list:
             for j, s in enumerate(stable) for a, b in zip(s, s[1:]) if b > a + 1]
 
 
-# states whose Jacobians lyapunov_max takes in one stack
-_TANGENT_CHUNK = 4096
+# the most states whose Jacobians one stack of _jacobian_stacks holds
+_STACK = 4096
+
+
+def _jacobian_stacks(model: MapModel, states: np.ndarray, what: str):
+    """Yield ``(start, stack)``: the Jacobians of ``states[start:start +
+    4096]``, from one :meth:`~chaosctl.core.MapModel.jacobian_rows` call
+    into a zeroed stack, for every such slice in order.
+
+    The caller checks each stack before it resumes the generator, so that a
+    state before a failing one whose Jacobian the caller rejects fails
+    first; the zeros that a failing row leaves unwritten pass its check.
+    Then a row that raised :class:`~chaosctl.core.RowError` raises
+    ``ValueError`` naming it as ``what`` with its index and state, and
+    another exception passes on.
+    """
+    d = model.dimension
+    for start in range(0, len(states), _STACK):
+        rows = states[start:start + _STACK]
+        stack, failure = np.zeros((len(rows), d, d)), None
+        try:
+            model.jacobian_rows(rows, stack)
+        except Exception as exc:
+            failure = exc
+        yield start, stack
+        if isinstance(failure, RowError):
+            k, cause = start + failure.row, failure.__cause__
+            raise ValueError(f"Jacobian failed at {what} {k}, x = {state_text(states[k])}: "
+                             f"{type(cause).__name__}: {cause}") from cause
+        if failure is not None:
+            raise failure
 
 
 def lyapunov_max(model: MapModel, cfg: Optional[ControlConfig], x0, n: int = 5000) -> float:
@@ -532,9 +561,11 @@ def lyapunov_max(model: MapModel, cfg: Optional[ControlConfig], x0, n: int = 500
     with its step; leaving the domain is logged once.  A tangent vector is
     propagated through g's Jacobians at x_0 ... x_{n-1}, renormalized every
     step, and the log growth is averaged over the last 80% of the ``n``
-    steps.  The Jacobians come in stacks of at most 4096 states, each from
-    one :meth:`~chaosctl.core.MapModel.jacobian_rows` call (g's
-    ``jacobian_batch``, or its ``jacobian`` once per state).  A Jacobian
+    steps.  The Jacobians come from the walk that
+    :func:`~chaosctl.analysis.bound_A` takes too, in stacks of at most 4096
+    states, each from one :meth:`~chaosctl.core.MapModel.jacobian_rows`
+    call (g's ``jacobian_batch``, or its ``jacobian`` once per state), and
+    the tangent runs through each stack before the next.  A Jacobian
     that is not finite, or that raises ``ValueError`` or
     ``ArithmeticError`` (a Jacobian of the wrong shape included), raises
     ``ValueError`` naming its step and state, the first step that fails
@@ -553,14 +584,7 @@ def lyapunov_max(model: MapModel, cfg: Optional[ControlConfig], x0, n: int = 500
     v = rng.standard_normal(d)
     v /= np.linalg.norm(v)
     logs = np.empty(n)
-    for start in range(0, n, _TANGENT_CHUNK):
-        # zeros: the rows that a failing state leaves unwritten are finite
-        stack, failure = np.zeros((min(_TANGENT_CHUNK, n - start), d, d)), None
-        try:
-            g.jacobian_rows(states[start:start + len(stack)], stack)
-        except Exception as exc:
-            failure = exc
-        # a step before the failing one with a non-finite Jacobian fails first
+    for start, stack in _jacobian_stacks(g, states, "step"):
         for i, jac in enumerate(stack, start):
             v = jac @ v
             growth = float(np.linalg.norm(v))
@@ -575,11 +599,5 @@ def lyapunov_max(model: MapModel, cfg: Optional[ControlConfig], x0, n: int = 500
             else:
                 logs[i] = math.log(growth)
                 v /= growth
-        if isinstance(failure, RowError):
-            i, cause = start + failure.row, failure.__cause__
-            raise ValueError(f"Jacobian failed at step {i}, x = {state_text(states[i])}: "
-                             f"{type(cause).__name__}: {cause}") from cause
-        if failure is not None:
-            raise failure
     tail = logs[int(0.2 * n):]
     return float(np.mean(tail))

@@ -26,7 +26,7 @@ from chaosctl import (
     target_for_state,
     verify_contraction,
 )
-from chaosctl import analysis
+from chaosctl import analysis, dynamics
 from chaosctl.analysis import box_samples
 from chaosctl.core import RowError, state_text
 from chaosctl.models import LpaParams, RickerParams, ricker_lift
@@ -99,6 +99,23 @@ def test_fixed_point_search_rejects_a_tolerance_that_is_not_positive(tol):
                  domain=DomainSpec.full_space(1))
     with pytest.raises(ValueError, match=f"tol must be positive and finite, got {tol}"):
         find_fixed_point(f, np.array([1.0]), tol=tol)
+
+
+@pytest.mark.parametrize("max_iter, message", [
+    (2.5, "^max_iter must be an integer, got 2.5$"),
+    (-1, "^max_iter must be at least 0, got -1$"),
+])
+def test_fixed_point_search_checks_max_iter_before_evaluating(max_iter, message):
+    model, calls = counting_lpa()
+    with pytest.raises(ValueError, match=message):
+        find_fixed_point(model, [20.0, 20.0, 5.0], max_iter=max_iter)
+    assert sum(calls.values()) == 0
+
+
+def test_fixed_point_search_takes_a_numpy_integer_max_iter(lpa):
+    x0 = np.array([20.0, 20.0, 5.0])
+    assert (find_fixed_point(lpa, x0, max_iter=np.int64(50)).tobytes()
+            == find_fixed_point(lpa, x0, max_iter=50).tobytes())
 
 
 def test_singular_newton_system_falls_back_to_averaging():
@@ -372,7 +389,7 @@ def test_bound_a_equals_the_per_sample_loop_bitwise(name, scheme):
 
 def test_bound_a_equals_the_per_sample_loop_over_several_chunks(lpa):
     lo, hi = [0.0, 0.0, 0.0], [60.0, 60.0, 20.0]
-    assert len(box_samples(lo, hi, 5000)) > analysis._BOUND_CHUNK
+    assert len(box_samples(lo, hi, 5000)) > dynamics._STACK
     assert bound_A(lpa, lo, hi, 5000) == _per_sample_bound_a(lpa, lo, hi, 5000)
 
 
@@ -512,7 +529,7 @@ def test_bound_a_takes_a_plugin_jacobian_batch_once_per_chunk(lpa):
     plugin = MapModel(dimension=3, evaluate=lpa.evaluate, domain=lpa.domain, jacobian=jacobian,
                       jacobian_batch=jacobian_batch)
     assert bound_A(plugin, lo, hi, 5000) == _per_sample_bound_a(lpa, lo, hi, 5000)
-    assert batches == [analysis._BOUND_CHUNK, len(box_samples(lo, hi, 5000)) - 4096]
+    assert batches == [dynamics._STACK, len(box_samples(lo, hi, 5000)) - 4096]
 
 
 @pytest.mark.parametrize("scheme, intensity", [("VMTOC", 0.3), ("VTOC", 0.3),
@@ -742,6 +759,37 @@ def test_lipschitz_validation(lpa, lpa_k):
                       domain=DomainSpec.full_space(2))
     with pytest.raises(ValueError, match="nonzero norm"):
         lipschitz_estimate(origin, np.zeros(2), [-1.0, -1.0], [1.0, 1.0])
+
+
+def test_lipschitz_checks_its_norm_kind_before_evaluating():
+    model, calls = counting_lpa()
+    with pytest.raises(ValueError, match="^unknown norm kind: 'l2'$"):
+        lipschitz_estimate(model, LPA_FIXED_POINT, [0.0] * 3, [60.0] * 3, 64, norm_kind="l2")
+    assert sum(calls.values()) == 0
+
+
+def _overflowing_half_map(batch):
+    """x -> x/2 + 1 on the line, fixed at 2, whose image is inf above 250;
+    with ``evaluate_batch`` when ``batch``."""
+    def evaluate(x):
+        x = np.asarray(x, float)
+        return np.where(x > 250.0, np.inf, 0.5 * x + 1.0)
+
+    return MapModel(dimension=1, evaluate=evaluate, evaluate_batch=evaluate if batch else None,
+                    jacobian=lambda x: np.array([[0.5]]), domain=DomainSpec.full_space(1))
+
+
+@pytest.mark.parametrize("batch", [True, False])
+def test_lipschitz_names_the_first_sample_whose_image_is_not_finite(batch):
+    # sample 0 is the corner -300, sample 1 the corner 300
+    model = _overflowing_half_map(batch)
+    with pytest.raises(ValueError) as err:
+        lipschitz_estimate(model, [2.0], -300.0, 300.0, 64)
+    assert str(err.value) == "non-finite image at sample 1, x = (300)"
+    rep = stability_report(model, [0.0], -300.0, 300.0, n_samples=64)
+    assert (rep.lipschitz, rep.global_cstar, rep.bound_a) == (None, None, 0.5)
+    assert ("provenance.lipschitz = unavailable: non-finite image at sample 1, x = (300)"
+            in rep.to_lines())
 
 
 def test_fixed_point_checks_reject_an_image_of_the_wrong_size():

@@ -19,6 +19,8 @@ from chaosctl.cli import main
 from chaosctl.core import norm_rows
 from chaosctl.models import RickerParams, lpa_map, ricker_lift
 
+from conftest import counting_lpa
+
 
 def test_zero_intensity_costs_nothing(lpa, lpa_k):
     cfg = ControlConfig("VMTOC", 0.0, tuple(lpa_k))
@@ -218,6 +220,16 @@ def test_costs_per_step_checks_its_arguments(lpa):
     with pytest.raises(ValueError, match="dimension mismatch"):
         costs_per_step(lpa, (1.0, 2.0), [0.1, 0.2], orbits)
     assert costs_per_step(lpa, target, np.empty(0), np.empty((0, 5, 3))).shape == (0,)
+
+
+def test_cost_checks_its_norm_kind_before_evaluating():
+    model, calls = counting_lpa()
+    target, orbits = (30.0, 30.0, 200.0), np.full((1, 50, 3), 10.0)
+    with pytest.raises(ValueError, match="^unknown norm kind: 'l2'$"):
+        costs_per_step(model, target, [0.3], orbits, norm_kind="l2")
+    with pytest.raises(ValueError, match="^unknown norm kind: 'l2'$"):
+        cost_per_step(model, ControlConfig("VMTOC", 0.3, target), orbits[0], norm_kind="l2")
+    assert sum(calls.values()) == 0
 
 
 @pytest.mark.parametrize("c", [0.0, 0.5])

@@ -11,14 +11,24 @@ max(c_stab, c_dom)``.  On the LPA, ``K* = (30, 30, 200)`` has ``c_stab =
 delay-2 Ricker lift, criterion 6's state has ``c_stab = 0.1203`` and ``c_dom
 = 0.0905``, so stability sets it.  The asymptotic cost ``c ||f(K*) - T||``
 equals ``||f(K*) - K*||`` for every ``c``.
+
+The same design on the second iterate ``f∘f``, pulsed once every two steps,
+holds a chosen point ``P`` of a 2-cycle: the free step between two pulses
+visits ``f(P)``.  There ``c_stab = local_cstar(rho(J(f(P)) J(P)))`` and
+``c_dom`` is the formula above with ``f(f(P))`` in place of ``f(K*)``.  On
+the delay-2 Ricker lift at ``r = 2``, ``P = (1.5, 2.5)`` has ``c_stab =
+0.1440`` and ``c_dom = 0``, so stability sets ``c_min``; on the LPA, ``P =
+(30, 30, 200)`` has ``c_stab = 0`` and ``c_dom = 0.5857``, so the domain
+sets it.  The second iterate is built by hand here, from ``evaluate`` and
+``jacobian_at``.
 """
 
 import numpy as np
 import pytest
 
-from chaosctl import (ControlConfig, RickerParams, controlled_map, cost_per_step,
-                      find_fixed_point, iterate_orbit, local_cstar, ricker_lift,
-                      spectral_radius, target_for_state)
+from chaosctl import (ControlConfig, MapModel, RickerParams, controlled_map, cost_per_step,
+                      detect_period, find_fixed_point, iterate_orbit, local_cstar, lpa_map,
+                      ricker_lift, spectral_radius, target_for_state)
 
 K_STAR = np.array([30.0, 30.0, 200.0])
 # ||f(K*) - K*||_2 of the default LPA map
@@ -106,3 +116,67 @@ def test_a_feasible_control_just_below_c_stab_does_not_hold_criterion_6(ricker, 
     orbit = _ricker_orbit(ricker, k6, _c_stab(ricker, k6) - 0.005)
     dist = np.max(np.abs(orbit - k6), axis=1)
     assert np.min(dist) > 0.15 and np.max(dist) > 0.3
+
+
+def _twice(f):
+    """The second iterate ``f∘f``, built by hand: the image ``f(f(x))`` and
+    the chained Jacobian ``J(f(x)) J(x)``."""
+    return MapModel(dimension=f.dimension, evaluate=lambda x: f.evaluate(f.evaluate(x)),
+                    domain=f.domain,
+                    jacobian=lambda x: f.jacobian_at(f.evaluate(x)) @ f.jacobian_at(x))
+
+
+# the two cases of a chosen 2-cycle point P: (map, P)
+_CYCLES = {"ricker": (ricker_lift(RickerParams(r=2.0, delay=2)), np.array([1.5, 2.5])),
+           "lpa": (lpa_map(), K_STAR)}
+
+
+def _cycle_thresholds(name):
+    """``(f, f∘f, P, c_stab, c_dom)`` of a case of :data:`_CYCLES`."""
+    f, p = _CYCLES[name]
+    f2 = _twice(f)
+    f2p = f2.evaluate(p)
+    c_dom = max(1.0 - p[i] / f2p[i] for i in range(len(p)) if f2p[i] > 0.0)
+    return f, f2, p, local_cstar(spectral_radius(f2.jacobian_at(p))), c_dom
+
+
+def _pulsed_orbit(f2, p, c):
+    """The last 50 of 5000 VMTOC pulses on ``f∘f`` from ``1.3 P`` toward the
+    target that holds ``P`` at ``c``."""
+    c_k, t = target_for_state(f2, p, 1.0 / c)
+    return iterate_orbit(f2, ControlConfig("VMTOC", c_k, tuple(t)), 1.3 * p, 4950, 50)
+
+
+def test_stability_sets_c_min_of_the_delayed_ricker_2_cycle():
+    f, _, p, c_stab, c_dom = _cycle_thresholds("ricker")
+    np.testing.assert_allclose(f.evaluate(p), (0.909796, 1.5), atol=1e-6)
+    assert c_stab == pytest.approx(0.143983, abs=1e-6)
+    assert c_dom == pytest.approx(0.0, abs=1e-12)
+    assert c_stab > c_dom
+
+
+def test_a_pulse_just_above_c_stab_holds_a_true_ricker_2_cycle():
+    f, f2, p, c_stab, _ = _cycle_thresholds("ricker")
+    orbit = _pulsed_orbit(f2, p, c_stab + 0.005)
+    assert np.max(np.abs(orbit - p)) <= 1e-12
+    # the free step between two pulses visits f(P), not P: the period is 2
+    free = f.evaluate(orbit[-1])
+    np.testing.assert_allclose(free, f.evaluate(p), atol=1e-12)
+    assert np.max(np.abs(free - p)) > 0.5
+
+
+def test_a_feasible_pulse_just_below_c_stab_does_not_hold_the_ricker_2_cycle():
+    _, f2, p, c_stab, _ = _cycle_thresholds("ricker")
+    orbit = _pulsed_orbit(f2, p, c_stab - 0.005)
+    assert np.min(np.max(np.abs(orbit - p), axis=1)) > 0.1
+
+
+def test_the_domain_sets_c_min_of_the_lpa_2_cycle():
+    _, f2, p, c_stab, c_dom = _cycle_thresholds("lpa")
+    assert c_stab == 0.0
+    assert c_dom == pytest.approx(0.585747, abs=1e-6)
+    orbit = _pulsed_orbit(f2, p, c_dom + 0.02)
+    assert np.max(np.abs(orbit - p)) <= 1e-12 * (1.0 + np.max(np.abs(p)))
+    assert detect_period(orbit, max_period=25) == (1, 1, 1)
+    with pytest.raises(ValueError, match="^alpha too large for domain$"):
+        target_for_state(f2, p, 1.0 / (c_dom - 0.02))
