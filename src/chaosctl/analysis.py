@@ -221,12 +221,13 @@ def bound_A(model: MapModel, lo, hi, n_samples: int = 512) -> float:
     ``box_samples``; since any eigenvalue modulus is bounded by both the
     maximal row and column sums, the result bounds the spectral radius at
     every sampled state.  The Jacobians come from the walk that
-    :func:`~chaosctl.dynamics.lyapunov_max` takes too, in stacks of at most
-    4096 samples, each from one :meth:`~chaosctl.core.MapModel.jacobian_rows`
-    call (the model's ``jacobian_batch``, or its ``jacobian`` once per
-    sample), whose absolute row and column sums and their maxima are then
-    taken in a few whole-stack reductions, so memory stays bounded for any
-    ``n_samples``; each sum is bitwise the one of its sample's own matrix.
+    :func:`~chaosctl.dynamics.lyapunov_max` and :func:`stability_report`
+    take too, labelled ``"sample {}"``, in stacks of at most 4096 samples,
+    each from one :meth:`~chaosctl.core.MapModel.jacobian_rows` call (the
+    model's ``jacobian_batch``, or its ``jacobian`` once per sample), whose
+    absolute row and column sums and their maxima are then taken in a few
+    whole-stack reductions, so memory stays bounded for any ``n_samples``;
+    each sum is bitwise the one of its sample's own matrix.
     The first sample whose Jacobian has a non-finite row or column sum, or
     whose Jacobian raises ``ValueError`` or ``ArithmeticError`` (a Jacobian
     of the wrong shape included), raises ``ValueError`` naming the sample
@@ -238,7 +239,7 @@ def bound_A(model: MapModel, lo, hi, n_samples: int = 512) -> float:
     """
     samples = box_samples(*initial_box(lo, hi, model.dimension, "sample box"), n_samples)
     rows = cols = 0.0
-    for start, jac in _jacobian_stacks(model, samples, "sample"):
+    for start, jac in _jacobian_stacks(model, samples, "sample {}"):
         row, col = _abs_sum_maxima(jac, samples, start)
         rows = max(rows, float(row.max()))
         cols = max(cols, float(col.max()))
@@ -442,22 +443,22 @@ def stability_report(model: MapModel, x0, lo, hi, n_samples: int = 2048,
     ``norm_kind``, or a box that :func:`~chaosctl.dynamics.initial_box`
     rejects, raises ``ValueError`` before the fixed-point search.  An
     equilibrium on the domain's boundary gets the ``boundary`` entry
-    :data:`BOUNDARY_NOTE`.  A Jacobian at the equilibrium that raises
-    ``ValueError`` or ``ArithmeticError``, or that is not finite, raises
-    ``ValueError`` naming the equilibrium.
+    :data:`BOUNDARY_NOTE`.  The Jacobian at the equilibrium comes from the
+    walk that :func:`bound_A` takes, over that one state, through the
+    model's ``jacobian_batch`` when it has one; one that raises
+    ``ValueError`` or ``ArithmeticError`` (a Jacobian of the wrong shape
+    included), or that is not finite, raises ``ValueError`` naming the
+    equilibrium and its state.
     """
     check_norm_kind(norm_kind)
     _check_count("n_samples", n_samples, 1)
     lo, hi = initial_box(lo, hi, model.dimension, "sample box")
     eq = find_fixed_point(model, x0, tol=tol)
     res = norm(np.asarray(model.evaluate(eq), float) - eq, "max")
-    try:
-        jac = model.jacobian_at(eq)
-    except (ValueError, ArithmeticError) as exc:
-        raise ValueError(f"Jacobian failed at the equilibrium x = {state_text(eq)}: "
-                         f"{type(exc).__name__}: {exc}") from exc
+    # unpacking resumes the one-state walk, which raises for a failing row
+    [(_, (jac,))] = _jacobian_stacks(model, eq[None], "the equilibrium")
     if not np.isfinite(jac).all():
-        raise ValueError(f"non-finite Jacobian at the equilibrium x = {state_text(eq)}")
+        raise ValueError(f"non-finite Jacobian at the equilibrium, x = {state_text(eq)}")
     rho = spectral_radius(jac)
     a = bound_A(model, lo, hi, n_samples)
     prov = {

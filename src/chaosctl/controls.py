@@ -48,7 +48,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .core import (MapModel, ParamError, as_state, check_image, check_jacobian,
-                   pulled_columns, pulled_float_step)
+                   pulled_columns, pulled_float_step, state_text)
 
 # each scheme's side of the base map: the one place it is stated
 SCHEMES = {"VMTOC": "after", "VTOC": "before", "PF": "before", "MPF": "after",
@@ -331,7 +331,8 @@ def target_for_state(model: MapModel, k, alpha: float):
     which satisfy ``c*T + (1-c)*f(K) = K`` exactly.  Larger ``alpha`` pushes the
     target further out along the ray from f(K) through K while weakening the
     control, so the target may leave the domain; that raises ``ValueError``,
-    and so does an image f(K) without the model's dimension.
+    and so does an image f(K) without the model's dimension, or one that is
+    not finite, named with K before T is formed.
     """
     k = as_state(k, model.dimension)
     alpha = float(alpha)
@@ -342,6 +343,8 @@ def target_for_state(model: MapModel, k, alpha: float):
     if not model.domain.is_interior(k):
         raise ValueError("K lies on the domain boundary")
     fk = check_image(np.asarray(model.evaluate(k), dtype=float), k.shape, model.dimension)
+    if not np.isfinite(fk).all():
+        raise ValueError(f"non-finite image at K = {state_text(k)}")
     t = alpha * k + (1.0 - alpha) * fk
     if not model.domain.contains(t):
         raise ValueError("alpha too large for domain")

@@ -532,8 +532,10 @@ def _jacobian_stacks(model: MapModel, states: np.ndarray, what: str):
     state before a failing one whose Jacobian the caller rejects fails
     first; the zeros that a failing row leaves unwritten pass its check.
     Then a row that raised :class:`~chaosctl.core.RowError` raises
-    ``ValueError`` naming it as ``what`` with its index and state, and
-    another exception passes on.
+    ``ValueError`` naming it and its state, and another exception passes
+    on.  ``what`` is the row's label, a template formatted with its index:
+    ``"sample {}"`` names row 6 ``sample 6``, and ``"the equilibrium"``,
+    the lone state of a one-row walk, names it so.
     """
     d = model.dimension
     for start in range(0, len(states), _STACK):
@@ -546,7 +548,7 @@ def _jacobian_stacks(model: MapModel, states: np.ndarray, what: str):
         yield start, stack
         if isinstance(failure, RowError):
             k, cause = start + failure.row, failure.__cause__
-            raise ValueError(f"Jacobian failed at {what} {k}, x = {state_text(states[k])}: "
+            raise ValueError(f"Jacobian failed at {what.format(k)}, x = {state_text(states[k])}: "
                              f"{type(cause).__name__}: {cause}") from cause
         if failure is not None:
             raise failure
@@ -562,10 +564,11 @@ def lyapunov_max(model: MapModel, cfg: Optional[ControlConfig], x0, n: int = 500
     propagated through g's Jacobians at x_0 ... x_{n-1}, renormalized every
     step, and the log growth is averaged over the last 80% of the ``n``
     steps.  The Jacobians come from the walk that
-    :func:`~chaosctl.analysis.bound_A` takes too, in stacks of at most 4096
-    states, each from one :meth:`~chaosctl.core.MapModel.jacobian_rows`
-    call (g's ``jacobian_batch``, or its ``jacobian`` once per state), and
-    the tangent runs through each stack before the next.  A Jacobian
+    :func:`~chaosctl.analysis.bound_A` and the stability report take too,
+    labelled ``"step {}"``, in stacks of at most 4096 states, each from
+    one :meth:`~chaosctl.core.MapModel.jacobian_rows` call (g's
+    ``jacobian_batch``, or its ``jacobian`` once per state), and the
+    tangent runs through each stack before the next.  A Jacobian
     that is not finite, or that raises ``ValueError`` or
     ``ArithmeticError`` (a Jacobian of the wrong shape included), raises
     ``ValueError`` naming its step and state, the first step that fails
@@ -584,7 +587,7 @@ def lyapunov_max(model: MapModel, cfg: Optional[ControlConfig], x0, n: int = 500
     v = rng.standard_normal(d)
     v /= np.linalg.norm(v)
     logs = np.empty(n)
-    for start, stack in _jacobian_stacks(g, states, "step"):
+    for start, stack in _jacobian_stacks(g, states, "step {}"):
         for i, jac in enumerate(stack, start):
             v = jac @ v
             growth = float(np.linalg.norm(v))

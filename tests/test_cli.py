@@ -1171,7 +1171,7 @@ def test_jacobian_failing_at_the_equilibrium_names_it(tmp_path, monkeypatch, cap
     assert run_cli(tmp_path, "stability", "--out", "jac", "--set", "model.kind=plugin",
                    "--set", "model.plugin=lpajac:make", "--set", f"run.x0={k}") == 1
     assert capsys.readouterr().err == (
-        "error: Jacobian failed at the equilibrium x = (28.012016246691726, 22.409612997353381, "
+        "error: Jacobian failed at the equilibrium, x = (28.012016246691726, 22.409612997353381, "
         "4.6251512541631303): ValueError: the map gave a Jacobian of shape (3, 2), but the "
         "model has dimension 3\n")
     assert sorted(os.listdir(tmp_path)) == ["lpajac.py"]
@@ -1180,7 +1180,7 @@ def test_jacobian_failing_at_the_equilibrium_names_it(tmp_path, monkeypatch, cap
 def test_stability_report_names_a_non_finite_jacobian_at_the_equilibrium():
     model = MapModel(dimension=1, evaluate=lambda x: 0.5 * np.asarray(x, float),
                      jacobian=lambda x: np.array([[np.nan]]), domain=DomainSpec.full_space(1))
-    with pytest.raises(ValueError, match=r"^non-finite Jacobian at the equilibrium x = \(0\)$"):
+    with pytest.raises(ValueError, match=r"^non-finite Jacobian at the equilibrium, x = \(0\)$"):
         analysis.stability_report(model, [0.0], [-1.0], [1.0], n_samples=8)
 
 

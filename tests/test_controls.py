@@ -250,6 +250,17 @@ def test_target_for_state_rejects_an_image_of_the_wrong_size():
     assert str(err.value) == "the map gave an image of shape (), but the model has dimension 3"
 
 
+@pytest.mark.parametrize("beyond", [np.inf, np.nan])
+def test_target_for_state_names_a_non_finite_image(beyond):
+    # 0.5*x up to 1 and not finite beyond: f(K) would make T non-finite
+    f = MapModel(dimension=1, domain=DomainSpec.full_space(1),
+                 evaluate=lambda x: np.where(np.asarray(x) > 1.0, beyond, 0.5 * np.asarray(x)))
+    assert target_for_state(f, (1.0,), alpha=2.0)[1].tolist() == [1.5]
+    with pytest.raises(ValueError) as err:
+        target_for_state(f, (2.0,), alpha=2.0)
+    assert str(err.value) == "non-finite image at K = (2)"
+
+
 def test_target_for_state_boundary_rejected(lpa):
     with pytest.raises(ValueError, match="boundary"):
         target_for_state(lpa, np.array([0.0, 10.0, 10.0]), alpha=1.2)
